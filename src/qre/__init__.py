@@ -75,10 +75,8 @@ from .bounds import (
     BoundReport,
     explicit_N,
     monotonicity_gap,
-    optimize_T,
     pinsker_check,
     ssa_gap,
-    thm42_rhs,
     verify_cauchy_schwarz,
     verify_joint_convexity,
     verify_monotonicity,

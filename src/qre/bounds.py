@@ -41,7 +41,6 @@ from .linalg import (
     FactorizedSpace,
     PsdOperator,
     as_matrix,
-    default_cutoff,
     hermitize,
     hs_norm,
     op_norm,
@@ -200,13 +199,12 @@ def constants_for(f: OperatorConvexFunction, beta: float,
 def monotonicity_gap(f: OperatorConvexFunction, k1, v, rho, sigma,
                      space: FactorizedSpace) -> float:
     """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1); nonnegative for unitary V."""
-    rho = PsdOperator.wrap(space.check(rho))
-    sigma = PsdOperator.wrap(space.check(sigma))
+    rho = space.psd(rho)
+    sigma = space.psd(sigma)
     k_full = np.kron(as_matrix(k1), as_matrix(v))
     s_full = quasi_relative_entropy(f, k_full, rho, sigma)
-    rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
-    sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
-    s_red = quasi_relative_entropy(f, as_matrix(k1), rho1, sigma1)
+    s_red = quasi_relative_entropy(f, as_matrix(k1), rho.marginal(space, (0,)),
+                                   sigma.marginal(space, (0,)))
     return s_full - s_red
 
 
@@ -217,16 +215,6 @@ def thm42_terms(f: OperatorConvexFunction, beta: float, T: float,
     first = 2.0 * (k_norm / beta + delta_norm / (1.0 - beta)) / T ** alpha1(beta)
     second = T ** alpha2(beta) * math.sqrt(c_win) * math.sqrt(max(gap, 0.0))
     return first + second
-
-
-def thm42_rhs(f: OperatorConvexFunction, k1, v, rho, sigma, beta: float, T: float,
-              space: FactorizedSpace) -> float:
-    """RHS of the remainder inequality; the check is pi/sin(b pi) ||R_b||_2 <= RHS."""
-    gap = monotonicity_gap(f, k1, v, rho, sigma, space)
-    k_norm = op_norm(k1)
-    delta_norm = ModularOperator(PsdOperator.wrap(space.check(sigma)),
-                                 PsdOperator.wrap(space.check(rho))).op_norm()
-    return thm42_terms(f, beta, T, k_norm, delta_norm, gap)
 
 
 def golden_section_min(fn, lo: float, hi: float, rel_tol: float = 1e-6,
@@ -250,21 +238,6 @@ def golden_section_min(fn, lo: float, hi: float, rel_tol: float = 1e-6,
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
-
-
-def optimize_T(f: OperatorConvexFunction, k1, v, rho, sigma, beta: float,
-               space: FactorizedSpace) -> BoundConstants:
-    """Minimize the explicit RHS over T in (1, 1e8) on a log scale.
-
-    Stores the optimizer T_star together with the closed-form envelope pair
-    (M, N); the envelope must dominate the optimized RHS, which is asserted
-    up to the optimizer tolerance.
-    """
-    gap = monotonicity_gap(f, k1, v, rho, sigma, space)
-    k_norm = op_norm(np.kron(as_matrix(k1), as_matrix(v)))
-    delta_norm = ModularOperator(PsdOperator.wrap(space.check(sigma)),
-                                 PsdOperator.wrap(space.check(rho))).op_norm()
-    return optimize_T_scalar(f, beta, k_norm, delta_norm, gap)
 
 
 def optimize_T_scalar(f: OperatorConvexFunction, beta: float, k_norm: float,
@@ -318,24 +291,24 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
 
 def verify_monotonicity(f, k1, v, rho, sigma, space, seed=None) -> BoundReport:
     """Plain data-processing check: gap >= -1e-9."""
-    rho_m = as_matrix(rho) if not isinstance(rho, PsdOperator) else rho.mat
-    sig_m = as_matrix(sigma) if not isinstance(sigma, PsdOperator) else sigma.mat
     gap = monotonicity_gap(f, k1, v, rho, sigma, space)
     return _report("monotonicity", 0.0, gap, gap >= -REPORT_TOL,
-                   digest=digest_inputs(rho_m, sig_m, as_matrix(k1), as_matrix(v)),
+                   digest=digest_inputs(as_matrix(rho), as_matrix(sigma),
+                                        as_matrix(k1), as_matrix(v)),
                    seed=seed, notes=f"f={f.name}")
 
 
 def verify_thm42_grid(f, k1, v, rho, sigma, beta, space, seed=None,
                       n_grid: int = 20, t_hi: float = 1e6) -> BoundReport:
     """Remainder inequality at every T on a log grid and at the optimized T."""
+    rho = space.psd(rho)
+    sigma = space.psd(sigma)
     spec = ResidualSpec(beta=beta, k1=as_matrix(k1), space=space, v=as_matrix(v))
     _, rnorm = monotonicity_residual(spec, rho, sigma)
     lhs = math.pi / math.sin(beta * math.pi) * rnorm
     gap = monotonicity_gap(f, k1, v, rho, sigma, space)
     k_norm = op_norm(k1)
-    d_norm = ModularOperator(PsdOperator.wrap(space.check(sigma)),
-                             PsdOperator.wrap(space.check(rho))).op_norm()
+    d_norm = ModularOperator(sigma, rho).op_norm()
     rhs_grid = [thm42_terms(f, beta, t, k_norm, d_norm, gap)
                 for t in np.geomspace(1.0 + 1e-6, t_hi, n_grid)]
     consts = optimize_T_scalar(f, beta, k_norm, d_norm, gap)
@@ -343,8 +316,7 @@ def verify_thm42_grid(f, k1, v, rho, sigma, beta, space, seed=None,
     worst = min(rhs_grid + [rhs_star])
     ok = all(_rel_pass(lhs, r, REL_INEQ_TOL) for r in rhs_grid + [rhs_star])
     return _report("thm42", lhs, worst, ok, constants=consts,
-                   digest=digest_inputs(as_matrix(rho) if not isinstance(rho, PsdOperator) else rho.mat,
-                                        as_matrix(sigma) if not isinstance(sigma, PsdOperator) else sigma.mat),
+                   digest=digest_inputs(rho.mat, sigma.mat),
                    seed=seed, notes=f"f={f.name};beta={beta:g}",
                    details={"gap": gap, "rhs_at_T_star": rhs_star,
                             "residual_hs": rnorm})
@@ -358,13 +330,14 @@ def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space,
     the logarithm with K = I, the quartic special case
     gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.
     """
-    rho = PsdOperator.wrap(space.check(rho))
-    sigma = PsdOperator.wrap(space.check(sigma))
+    rho = space.psd(rho)
+    sigma = space.psd(sigma)
     k1m, vm = as_matrix(k1), as_matrix(v)
     spec = ResidualSpec(beta=beta, k1=k1m, space=space, v=vm)
     _, rnorm = monotonicity_residual(spec, rho, sigma)
     gap = monotonicity_gap(f, k1, v, rho, sigma, space)
-    k_norm = op_norm(np.kron(k1m, vm))
+    k_full = np.kron(k1m, vm)
+    k_norm = op_norm(k_full)
     d_norm = ModularOperator(sigma, rho).op_norm()
     consts = optimize_T_scalar(f, beta, k_norm, d_norm, gap)
     details = {"residual_hs": rnorm, "gap": gap}
@@ -375,9 +348,8 @@ def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space,
     ok = _rel_pass(lhs, rhs, REL_INEQ_TOL)
 
     if beta == 0.5 and rho.rank() == rho.dim:
-        k_full = np.kron(k1m, vm)
-        sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
-        rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
+        sigma1 = sigma.marginal(space, (0,))
+        rho1 = rho.marginal(space, (0,))
         recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
                                  space, keep=(0,))
         target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
@@ -438,17 +410,14 @@ def _interchange_check(f, k1m, vm, rho, sigma, rho1, sigma1, space, rnorm,
 
 def pinsker_check(f, u, rho, sigma, seed=None) -> BoundReport:
     """Quadratic trace-distance lower bound f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U."""
-    rho_m = as_matrix(rho) if not isinstance(rho, PsdOperator) else rho.mat
-    sig_m = as_matrix(sigma) if not isinstance(sigma, PsdOperator) else sigma.mat
+    digest = digest_inputs(as_matrix(rho), as_matrix(sigma), as_matrix(u))
     try:
         lhs, rhs = pinsker_sides(f, u, rho, sigma)
     except DivergentEntropy:
-        return _report("pinsker", 0.0, math.inf, True,
-                       digest=digest_inputs(rho_m, sig_m, as_matrix(u)), seed=seed,
+        return _report("pinsker", 0.0, math.inf, True, digest=digest, seed=seed,
                        notes=f"f={f.name};divergent=1 (vacuous)")
     return _report("pinsker", lhs, rhs, _rel_pass(lhs, rhs, REPORT_TOL),
-                   digest=digest_inputs(rho_m, sig_m, as_matrix(u)), seed=seed,
-                   notes=f"f={f.name}")
+                   digest=digest, seed=seed, notes=f"f={f.name}")
 
 
 def verify_classical_reduction(f, rho, sigma, seed=None) -> BoundReport:
@@ -468,13 +437,25 @@ def verify_classical_reduction(f, rho, sigma, seed=None) -> BoundReport:
 # Joint convexity
 # ----------------------------------------------------------------------------
 
+def _average(weighted):
+    """sum_j p_j x_j over (p_j, x_j) pairs, as an operator."""
+    return PsdOperator(hermitize(sum(pj * PsdOperator.wrap(xj).mat for pj, xj in weighted)))
+
+
+def _mixture(components):
+    """The averaged pair (sum_j p_j rho_j, sum_j p_j sigma_j) as operators."""
+    return (_average((pj, rj) for pj, rj, _ in components),
+            _average((pj, sj) for pj, _, sj in components))
+
+
 def joint_convexity_gap(f, k, components) -> float:
     """sum_j p_j S_f^K(rho_j || sigma_j) - S_f^K(rho || sigma) for the mixture."""
-    km = as_matrix(k)
-    rho = sum(pj * PsdOperator.wrap(rj).mat for pj, rj, _ in components)
-    sigma = sum(pj * PsdOperator.wrap(sj).mat for pj, _, sj in components)
+    return _joint_gap(f, as_matrix(k), components, *_mixture(components))
+
+
+def _joint_gap(f, km, components, rho, sigma):
     avg = sum(pj * quasi_relative_entropy(f, km, rj, sj) for pj, rj, sj in components)
-    return avg - quasi_relative_entropy(f, km, hermitize(rho), hermitize(sigma))
+    return avg - quasi_relative_entropy(f, km, rho, sigma)
 
 
 def verify_joint_convexity(f, k, components, beta, seed=None,
@@ -494,9 +475,8 @@ def verify_joint_convexity(f, k, components, beta, seed=None,
     rhos = [PsdOperator.wrap(r) for _, r, _ in components]
     sigmas = [PsdOperator.wrap(s) for _, _, s in components]
     comps = list(zip(probs, rhos, sigmas))
-    rho = PsdOperator(hermitize(sum(pj * rj.mat for pj, rj, _ in comps)))
-    sigma = PsdOperator(hermitize(sum(pj * sj.mat for pj, _, sj in comps)))
-    gap = joint_convexity_gap(f, km, comps)
+    rho, sigma = _mixture(comps)
+    gap = _joint_gap(f, km, comps, rho, sigma)
 
     norms_j = []
     for pj, rj, sj in comps:
@@ -508,8 +488,7 @@ def verify_joint_convexity(f, k, components, beta, seed=None,
     resid_l2 = float(math.sqrt((probs * norms_j ** 2).sum()))
 
     k_norm = op_norm(km)
-    d_sum = float(sum(pj / PsdOperator.wrap(rj).min_positive_eig()
-                      for pj, rj, _ in comps))
+    d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
     lhs = math.pi / math.sin(beta * math.pi) * resid_l1
     rhs_grid = [thm42_terms(f, beta, t, k_norm, d_sum, gap)
                 for t in np.geomspace(1.0 + 1e-6, t_hi, n_grid)]
@@ -559,12 +538,12 @@ def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float
     """
     if space.nfactors != 3:
         raise InvalidParameter("operator inequalities need a tripartite space")
-    rho = PsdOperator.wrap(space.check(rho_abc))
+    rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
     sub_bc = space.subspace((1, 2))
-    sab = PsdOperator.wrap(sub_ab.check(sigma_ab))
-    sb = PsdOperator(sub_ab.partial_trace(sab.mat, (1,)))
-    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    sab = sub_ab.psd(sigma_ab)
+    sb = sab.marginal(sub_ab, (1,))
+    rho_bc = rho.marginal(space, (1, 2))
     sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))        # sigma_AB (x) I_C
     sigma_b_bc = PsdOperator(sub_bc.embed(sb.mat, (0,)))          # sigma_B (x) I_C on BC
 
@@ -591,11 +570,7 @@ def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float
 
 def psd_power(m, exponent: float) -> np.ndarray:
     """Eigendecomposition power with below-cutoff modes zeroed first."""
-    w, vecs = np.linalg.eigh(hermitize(as_matrix(m)))
-    cut = default_cutoff(w)
-    wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** exponent
-    wp[w <= cut] = 0.0
-    return hermitize((vecs * wp) @ vecs.conj().T)
+    return PsdOperator(m).power(exponent)
 
 
 def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
@@ -612,11 +587,9 @@ def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
     consts = BoundConstants(alpha1(beta), alpha2(beta), alpha,
                             mach.power_law_C(), c, n_const,
                             n_const ** (-alpha), math.nan)
-    rho_m = as_matrix(rho_abc) if not isinstance(rho_abc, PsdOperator) else rho_abc.mat
-    sab_m = as_matrix(sigma_ab) if not isinstance(sigma_ab, PsdOperator) else sigma_ab.mat
     return _report(f"operator_ssa_{variant}", -float(diff_eigs.min()), 0.0,
                    passed and baseline_ok, constants=consts,
-                   digest=digest_inputs(rho_m, sab_m), seed=seed,
+                   digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)), seed=seed,
                    notes=f"f={f.name};beta={beta:g};variant={variant}",
                    details={"min_eig_diff": float(diff_eigs.min()),
                             "min_eig_rhs": float(rhs_eigs.min()),
@@ -626,10 +599,10 @@ def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
 
 def ssa_gap(rho_abc, space: FactorizedSpace) -> float:
     """S(AB) + S(BC) - S(ABC) - S(B)."""
-    rho = PsdOperator.wrap(space.check(rho_abc))
-    s_ab = von_neumann_entropy(space.partial_trace(rho.mat, (0, 1)))
-    s_bc = von_neumann_entropy(space.partial_trace(rho.mat, (1, 2)))
-    s_b = von_neumann_entropy(space.partial_trace(rho.mat, (1,)))
+    rho = space.psd(rho_abc)
+    s_ab = von_neumann_entropy(rho.marginal(space, (0, 1)))
+    s_bc = von_neumann_entropy(rho.marginal(space, (1, 2)))
+    s_b = von_neumann_entropy(rho.marginal(space, (1,)))
     return s_ab + s_bc - von_neumann_entropy(rho) - s_b
 
 
@@ -640,12 +613,12 @@ def verify_ssa(rho_abc, beta, space, seed=None) -> BoundReport:
     rho_AB^b (x) rho_C^b rho^{1/2-b}||_2^{1/alpha} <= SSA gap, and at
     beta = 1/2 the recovery form (pi/8)^4 ||rho^{-1}||^{-2} || ... ||_1^4.
     """
-    rho = PsdOperator.wrap(space.check(rho_abc))
+    rho = space.psd(rho_abc)
     gap = ssa_gap(rho, space)
-    rho_ab = PsdOperator(space.partial_trace(rho.mat, (0, 1)))
-    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
-    rho_b = PsdOperator(space.partial_trace(rho.mat, (1,)))
-    rho_c = PsdOperator(space.partial_trace(rho.mat, (2,)))
+    rho_ab = rho.marginal(space, (0, 1))
+    rho_bc = rho.marginal(space, (1, 2))
+    rho_b = rho.marginal(space, (1,))
+    rho_c = rho.marginal(space, (2,))
     term1 = (space.embed(np.kron(rho_b.power(beta), rho_c.power(beta)), (1, 2))
              @ space.embed(rho_bc.power(-beta), (1, 2)) @ rho.power(0.5))
     term2 = np.kron(rho_ab.power(beta), rho_c.power(beta)) @ rho.power(0.5 - beta)
@@ -690,8 +663,10 @@ def wyd_concavity_gap(p: float, k, components) -> float:
     The sign-carrying prefactor keeps the inequality direction for p outside
     (0,1); this equals the joint-convexity gap of the power-family entropy.
     """
-    rho = hermitize(sum(pj * PsdOperator.wrap(rj).mat for pj, rj, _ in components))
-    sigma = hermitize(sum(pj * PsdOperator.wrap(sj).mat for pj, _, sj in components))
+    return _wyd_gap(p, k, components, *_mixture(components))
+
+
+def _wyd_gap(p, k, components, rho, sigma):
     mixed = wyd_trace_term(p, k, rho, sigma)
     avg = sum(pj * wyd_trace_term(p, k, rj, sj) for pj, rj, sj in components)
     return (mixed - avg) / (p * (1.0 - p))
@@ -700,7 +675,8 @@ def wyd_concavity_gap(p: float, k, components) -> float:
 def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> BoundReport:
     """Concavity gap of the power trace term, with the remainder when p in (0,1)."""
     km = as_matrix(k)
-    gap = wyd_concavity_gap(p, km, components)
+    rho, sigma = _mixture(components)
+    gap = _wyd_gap(p, km, components, rho, sigma)
     ok = gap >= -REPORT_TOL
     details = {"gap": gap}
     consts = None
@@ -708,10 +684,6 @@ def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> Boun
     rhs = gap
     if 0.0 < p < 1.0:
         probs = np.array([pj for pj, _, _ in components])
-        rho = PsdOperator(hermitize(sum(pj * PsdOperator.wrap(rj).mat
-                                        for pj, rj, _ in components)))
-        sigma = PsdOperator(hermitize(sum(pj * PsdOperator.wrap(sj).mat
-                                          for pj, _, sj in components)))
         norms_j = []
         for pj, rj, sj in components:
             rj = PsdOperator.wrap(rj)
@@ -750,14 +722,14 @@ def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space,
 
 def cauchy_schwarz_sides(rho_abc, sigma_ab, space: FactorizedSpace):
     """Tr_AB(sigma rho^{-1} sigma) - Tr_B(sigma_B rho_BC^{-1} sigma_B) and its term scale."""
-    rho = PsdOperator.wrap(space.check(rho_abc))
+    rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
     sub_bc = space.subspace((1, 2))
-    sab = PsdOperator.wrap(sub_ab.check(sigma_ab))
+    sab = sub_ab.psd(sigma_ab)
     sigma_full = space.embed(sab.mat, (0, 1))
     t1 = space.partial_trace(sigma_full @ rho.power(-1.0) @ sigma_full, (2,))
-    sb = PsdOperator(sub_ab.partial_trace(sab.mat, (1,)))
-    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    sb = sab.marginal(sub_ab, (1,))
+    rho_bc = rho.marginal(space, (1, 2))
     sb_bc = sub_bc.embed(sb.mat, (0,))
     t2 = sub_bc.partial_trace(sb_bc @ rho_bc.power(-1.0) @ sb_bc, (1,))
     scale = max(op_norm(t1), op_norm(t2), 1e-30)
@@ -771,21 +743,19 @@ def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space, seed=None) -> BoundRep
     constant N is exactly zero and the content of the check is positivity
     plus the recovery-condition diagnostics of the equality case.
     """
-    rho = PsdOperator.wrap(space.check(rho_abc))
-    sub_ab = space.subspace((0, 1))
-    sab = PsdOperator.wrap(sub_ab.check(sigma_ab))
+    rho = space.psd(rho_abc)
+    sab = space.subspace((0, 1)).psd(sigma_ab)
     if rho.rank() < rho.dim:
         raise DivergentEntropy("quadratic difference needs full-rank rho")
     diff, scale = cauchy_schwarz_sides(rho, sab, space)
     n_const = 0.0  # sin(p pi) factor of the power family vanishes at p = 2
-    resid = ssa_residual_Q(sab.mat, rho.mat, space, beta)
+    resid = ssa_residual_Q(sab, rho, space, beta)
     gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
     eigs = np.linalg.eigvalsh(diff)
     passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
     # recovery-condition diagnostic for the equality case
     sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))
-    rho_bc = space.partial_trace(rho.mat, (1, 2))
-    recovered = petz_recover(sigma_full, rho_bc, space, keep=(1, 2))
+    recovered = petz_recover(sigma_full, rho.marginal(space, (1, 2)), space, keep=(1, 2))
     petz_resid = trace_norm(recovered - rho.mat)
     return _report("cauchy_schwarz", -float(eigs.min()), 0.0, passed,
                    digest=digest_inputs(rho.mat, sab.mat), seed=seed,
@@ -801,10 +771,10 @@ def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace, seed=None) -> Bound
     if space_ac.nfactors != 2:
         raise InvalidParameter("expected a bipartite A|C factorization")
     xm = space_ac.check(x_ac)
-    q = PsdOperator.wrap(space_ac.check(q_ac))
+    q = space_ac.psd(q_ac)
     t1 = space_ac.partial_trace(xm.conj().T @ q.power(-1.0) @ xm, (1,))
     xc = space_ac.partial_trace(xm, (1,))
-    qc = PsdOperator(space_ac.partial_trace(q.mat, (1,)))
+    qc = q.marginal(space_ac, (1,))
     t2 = xc.conj().T @ qc.power(-1.0) @ xc
     eigs = np.linalg.eigvalsh(hermitize(t1 - t2))
     scale = max(float(np.abs(np.linalg.eigvalsh(hermitize(t1))).max(initial=0.0)), 1e-30)
@@ -867,18 +837,18 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng,
     tau = _floored_state(d2, rng)
     k1 = random_contraction(d1, seed=rng)
     noise = random_density(space.dim, seed=rng)
-    rho = np.kron(rho1.mat, tau.mat)
+    rho = space.psd(np.kron(rho1.mat, tau.mat))
     sigma0 = np.kron(sigma1.mat, tau.mat)
     k_full = np.kron(k1, np.eye(d2))
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
-        sigma = hermitize((1.0 - eps) * sigma0 + eps * noise.mat)
+        sigma = space.psd(hermitize((1.0 - eps) * sigma0 + eps * noise.mat))
         gap = monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
         resid = equality_condition_residual(rho, sigma, k_full, space, grid)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_monotonicity", f, pairs,
-                          digest_inputs(rho, sigma0, k_full), seed)
+                          digest_inputs(rho.mat, sigma0, k_full), seed)
 
 
 def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
@@ -895,15 +865,15 @@ def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
     probs = (0.3, 0.3, 0.4)
     noises = [random_density(dim, seed=rng) for _ in probs]
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
+    mix_r = _average((w, base_r) for w in probs)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
         comps = [(w, base_r,
                   PsdOperator(hermitize((1 - eps) * base_s.mat + eps * ns.mat)))
                  for w, ns in zip(probs, noises)]
-        gap = joint_convexity_gap(f, km, comps)
-        rho = base_r
-        sigma = PsdOperator(hermitize(sum(w * s.mat for w, _, s in comps)))
-        resid = max(_joint_equality_residual(km, rho, sigma, comps, b)
+        mix_s = _average((w, s) for w, _, s in comps)
+        gap = _joint_gap(f, km, comps, mix_r, mix_s)
+        resid = max(_joint_equality_residual(km, base_r, mix_s, comps, b)
                     for b in grid)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_joint_convexity", f, pairs,
@@ -912,11 +882,11 @@ def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
 
 def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float:
     """max over the grid of || sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b} ||_op."""
-    rho = PsdOperator.wrap(space.check(rho_abc))
+    rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
-    sab = PsdOperator.wrap(sub_ab.check(sigma_ab))
-    sb = PsdOperator(sub_ab.partial_trace(sab.mat, (1,)))
-    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    sab = sub_ab.psd(sigma_ab)
+    sb = sab.marginal(sub_ab, (1,))
+    rho_bc = rho.marginal(space, (1, 2))
     worst = 0.0
     for b in beta_grid:
         lhs = space.embed(sb.power(b), (1,)) @ space.embed(rho_bc.power(-b), (1, 2))
@@ -937,18 +907,19 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng,
     """
     rho_ab = _floored_state(space.subspace((0, 1)).dim, rng)
     tau = _floored_state(space.dims[2], rng)
-    noise = random_density(space.subspace((0, 1)).dim, seed=rng)
-    rho = np.kron(rho_ab.mat, tau.mat)
+    sub_ab = space.subspace((0, 1))
+    noise = random_density(sub_ab.dim, seed=rng)
+    rho = space.psd(np.kron(rho_ab.mat, tau.mat))
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
-        sab = hermitize((1.0 - eps) * rho_ab.mat + eps * noise.mat)
+        sab = sub_ab.psd(hermitize((1.0 - eps) * rho_ab.mat + eps * noise.mat))
         _, rhs_op, _, _, _ = operator_ssa_sides(f, rho, sab, 0.5, "thm62", space)
         gap = float(np.real(np.trace(rhs_op)))
         resid = operator_ssa_equality_residual(rho, sab, space, grid)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_operator_ssa", f, pairs,
-                          digest_inputs(rho, rho_ab.mat), seed)
+                          digest_inputs(rho.mat, rho_ab.mat), seed)
 
 
 def equality_suite(f, rng, eps_list=DEFAULT_EPS_SWEEP, beta_grid=None,

@@ -29,6 +29,8 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_DIVERGENT = 3
 
+UNITARY_TOL = 1e-10
+
 VERIFY_CHOICES = (
     "pinsker", "monotonicity", "monotonicity_bound", "thm42", "ssa",
     "operator_ssa_thm62", "operator_ssa_thm63", "operator_ssa_cor64",
@@ -47,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--beta", type=float, default=0.5)
     v.add_argument("--rho", required=True, help="JSON matrix file")
     v.add_argument("--sigma", help="JSON matrix file")
-    v.add_argument("--k", help="JSON matrix file (K, or K_1 on the kept factor)")
+    v.add_argument("--k", help="JSON matrix file (K, K_1 on the kept factor, "
+                               "or the unitary U of pinsker)")
     v.add_argument("--v", dest="vfile", help="JSON matrix file (unitary on the traced factor)")
     v.add_argument("--dims", help="factor dims, e.g. 2,2 or 2x2x2")
     v.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -109,7 +112,7 @@ def _cmd_verify(args) -> int:
     report: BoundReport
     if args.inequality == "pinsker":
         sigma = _require(args.sigma, "--sigma")
-        u = load_matrix(args.k) if args.k else np.eye(rho.shape[0])
+        u = _unitary(args.k, "--k") if args.k else np.eye(rho.shape[0])
         report = bounds.pinsker_check(f, u, rho, load_matrix(sigma))
     elif args.inequality == "classical_reduction":
         sigma = _require(args.sigma, "--sigma")
@@ -118,7 +121,7 @@ def _cmd_verify(args) -> int:
         sigma = load_matrix(_require(args.sigma, "--sigma"))
         space = _space_for(args, rho)
         k1 = load_matrix(args.k) if args.k else np.eye(space.dims[0])
-        v = load_matrix(args.vfile) if args.vfile else np.eye(space.dims[1])
+        v = _unitary(args.vfile, "--v") if args.vfile else np.eye(space.dims[1])
         if args.inequality == "monotonicity":
             report = bounds.verify_monotonicity(f, k1, v, rho, sigma, space)
         elif args.inequality == "thm42":
@@ -152,6 +155,16 @@ def _require(value, flag):
     if not value:
         raise QREError(f"{flag} is required for this inequality")
     return value
+
+
+def _unitary(path, flag):
+    """Load a matrix the theorem needs unitary; reject it unless V*V = I within 1e-10 d."""
+    m = load_matrix(path)
+    d = m.shape[0]
+    dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
+    if dev > UNITARY_TOL * d:
+        raise QREError(f"{flag} is not unitary: max |V*V - I| = {dev:.3e}")
+    return m
 
 
 def _cmd_campaign(args) -> int:

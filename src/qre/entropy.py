@@ -41,12 +41,21 @@ def effective_eigs(w: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
         return w
     scale = max(1.0, float(np.abs(w).max()))
     out = w.copy()
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol * scale:
-            out[start:i] = w[start:i].mean()
-            start = i
+    split = np.diff(w) > tol * scale
+    if split.all():
+        return out
+    breaks = np.flatnonzero(split) + 1
+    starts = np.concatenate(([0], breaks))
+    stops = np.concatenate((breaks, [len(w)]))
+    multi = stops - starts > 1
+    for start, stop in zip(starts[multi].tolist(), stops[multi].tolist()):
+        out[start:stop] = w[start:stop].mean()
     return out
+
+
+def _clustered(op: PsdOperator) -> np.ndarray:
+    """``effective_eigs`` of an operator's spectrum, computed once per operator."""
+    return op.memo("effective_eigs", lambda: effective_eigs(op.eigs))
 
 
 class ModularOperator:
@@ -75,8 +84,8 @@ class ModularOperator:
 
     def ratio_grid(self):
         """(mu_eff, lam_eff, keep_j) with degenerate clusters averaged."""
-        mu = effective_eigs(self.sigma.eigs)
-        lam = effective_eigs(self.rho.eigs)
+        mu = _clustered(self.sigma)
+        lam = _clustered(self.rho)
         return mu, lam, lam > self.cutoff
 
 
@@ -130,8 +139,8 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma,
     if km.shape[0] != rho.dim:
         raise InvalidMatrix("K dimension mismatch")
     cut = rho.cutoff if cutoff is None else float(cutoff)
-    mu = effective_eigs(sigma.eigs)
-    lam = effective_eigs(rho.eigs)
+    mu = _clustered(sigma)
+    lam = _clustered(rho)
     keep = lam > cut
     w2 = np.abs(sigma.vecs.conj().T @ km @ rho.vecs) ** 2
     fmat = _ratio_weights(f, mu, lam, keep, sigma.cutoff, weight=w2,
@@ -198,8 +207,8 @@ def classical_reduction(f: OperatorConvexFunction, rho, sigma):
     Returns (p, q, classical_div) with ||p - q||_1 = ||rho - sigma||_1 and
     classical_div = sum_j p_j f(q_j / p_j), a lower bound for S_f(rho||sigma).
     """
-    rm = as_matrix(rho) if not isinstance(rho, PsdOperator) else rho.mat
-    sm = as_matrix(sigma) if not isinstance(sigma, PsdOperator) else sigma.mat
+    rm = as_matrix(rho)
+    sm = as_matrix(sigma)
     _, _, proj = jordan_hahn(rm - sm)
     tr_p = float(np.real(np.trace(proj @ rm)))
     tr_q = float(np.real(np.trace(proj @ sm)))

@@ -74,20 +74,7 @@ def matrix_power(m, beta: float, cutoff: float | None = None) -> np.ndarray:
     Eigenvalues above ``cutoff`` map to ``lam**beta``; the rest map to 0,
     which realizes the generalized inverse for negative exponents.
     """
-    if isinstance(m, PsdOperator):
-        return m.power(beta, cutoff)
-    w, v = spectral_decompose(m)
-    return _power_from_spectrum(w, v, beta, cutoff)
-
-
-def _power_from_spectrum(w, v, beta, cutoff):
-    scale = float(np.abs(w).max(initial=0.0))
-    if w.min(initial=0.0) < -PSD_TOL * max(1.0, scale):
-        raise NotPSD(f"eigenvalue {w.min():.3e} below -{PSD_TOL:.0e} * scale")
-    cut = default_cutoff(w) if cutoff is None else cutoff
-    wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
-    wp[w <= cut] = 0.0
-    return hermitize((v * wp) @ v.conj().T)
+    return PsdOperator.wrap(m).power(beta, cutoff)
 
 
 def matrix_function(m, fn, cutoff: float | None = None) -> np.ndarray:
@@ -164,6 +151,11 @@ class FactorizedSpace:
             raise ShapeMismatch(f"matrix dim {a.shape[0]} != product of factors {self.dims}")
         return a
 
+    def psd(self, m) -> "PsdOperator":
+        """Dimension-checked ``PsdOperator``; an operator passed in is returned as is."""
+        a = self.check(m)
+        return m if isinstance(m, PsdOperator) else PsdOperator(a)
+
     def normalize_keep(self, keep) -> tuple[int, ...]:
         keep = tuple(sorted({int(k) for k in (keep if isinstance(keep, Iterable) else (keep,))}))
         if not keep or any(k < 0 or k >= self.nfactors for k in keep):
@@ -212,9 +204,13 @@ class PsdOperator:
 
     ``eigs`` is ascending and ``vecs`` holds orthonormal eigenvector columns;
     ``cutoff`` is the numerical-rank threshold used for generalized inverses.
+    The operator is immutable after construction (``mat`` must not be
+    mutated), so everything derived from it -- powers, marginals, the
+    clustered spectrum -- is computed once and memoised; memoised arrays are
+    read-only.
     """
 
-    __slots__ = ("mat", "eigs", "vecs", "cutoff")
+    __slots__ = ("mat", "eigs", "vecs", "cutoff", "_memo")
 
     def __init__(self, mat, cutoff: float | None = None, psd_tol: float = PSD_TOL):
         a = assert_hermitian(mat)
@@ -226,6 +222,18 @@ class PsdOperator:
         self.eigs = w
         self.vecs = v
         self.cutoff = default_cutoff(w) if cutoff is None else float(cutoff)
+        self._memo = {}
+
+    def memo(self, key, build):
+        """``build()`` on the first call with ``key``, the stored result after."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._memo[key] = value
+            return value
 
     @classmethod
     def wrap(cls, m) -> "PsdOperator":
@@ -240,10 +248,19 @@ class PsdOperator:
 
     def power(self, beta: float, cutoff: float | None = None) -> np.ndarray:
         cut = self.cutoff if cutoff is None else cutoff
+        return self.memo(("power", beta, cut), lambda: self._power(beta, cut))
+
+    def _power(self, beta, cut):
         w = self.eigs
         wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
         wp[w <= cut] = 0.0
         return hermitize((self.vecs * wp) @ self.vecs.conj().T)
+
+    def marginal(self, space: FactorizedSpace, keep) -> "PsdOperator":
+        """The partial trace onto the ``keep`` factors of ``space``, as an operator."""
+        keep = space.normalize_keep(keep)
+        return self.memo(("marginal", space.dims, keep),
+                         lambda: PsdOperator(space.partial_trace(self.mat, keep)))
 
     def sqrt(self) -> np.ndarray:
         return self.power(0.5)
@@ -288,13 +305,6 @@ class DensityMatrix(PsdOperator):
         rec_dev = float(np.abs(rec - self.mat).max())
         if rec_dev > RECONSTRUCT_TOL * max(1.0, float(np.abs(self.mat).max())):
             raise InvalidMatrix(f"spectral reconstruction off by {rec_dev:.3e}")
-
-    @property
-    def spectrum(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(self.eigs[i]), self.vecs[:, i]) for i in range(self.dim)]
-
-    def marginal(self, space: FactorizedSpace, keep) -> "DensityMatrix":
-        return DensityMatrix(space.partial_trace(self.mat, keep))
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import FactorizedSpace, PsdOperator, as_matrix, hermitize, hs_norm, op_norm
+from .linalg import FactorizedSpace, as_matrix, hermitize, hs_norm, op_norm
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -23,13 +23,12 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
     ``gamma`` lives on the kept factors; the sandwiched operator is embedded
     with identities on the traced-out factors so the composition type-checks.
     """
-    rho = PsdOperator.wrap(space.check(rho))
+    rho = space.psd(rho)
     keep = space.normalize_keep(keep)
     gm = as_matrix(gamma)
     if gm.shape[0] != space.subspace(keep).dim:
         raise ShapeMismatch("gamma does not match the kept factors")
-    rho1 = PsdOperator(space.partial_trace(rho.mat, keep))
-    r1m = rho1.power(-0.5)
+    r1m = rho.marginal(space, keep).power(-0.5)
     core = space.embed(r1m @ gm @ r1m, keep)
     rhalf = rho.sqrt()
     return hermitize(rhalf @ core @ rhalf)
@@ -50,12 +49,6 @@ class ResidualSpec:
             raise InvalidParameter(f"beta must lie strictly inside (0,1), got {self.beta}")
 
 
-def _embedded_k(spec: ResidualSpec) -> np.ndarray:
-    d2 = spec.space.dims[1]
-    v = np.eye(d2) if spec.v is None else as_matrix(spec.v)
-    return np.kron(as_matrix(spec.k1), v)
-
-
 def monotonicity_residual(spec: ResidualSpec, rho, sigma):
     """R_beta = sigma_1^b K rho_1^{-b} rho^{1/2} - sigma^b K rho^{1/2-b} and its HS norm.
 
@@ -65,16 +58,15 @@ def monotonicity_residual(spec: ResidualSpec, rho, sigma):
     space = spec.space
     if space.nfactors != 2:
         raise ShapeMismatch("monotonicity residual expects a bipartite factorization")
-    rho = PsdOperator.wrap(space.check(rho))
-    sigma = PsdOperator.wrap(space.check(sigma))
+    rho = space.psd(rho)
+    sigma = space.psd(sigma)
     b = spec.beta
-    rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
-    sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
-    d2 = space.dims[1]
-    v = np.eye(d2) if spec.v is None else as_matrix(spec.v)
-    reduced = sigma1.power(b) @ as_matrix(spec.k1) @ rho1.power(-b)
-    left = np.kron(reduced, v) @ rho.power(0.5)
-    right = sigma.power(b) @ _embedded_k(spec) @ rho.power(0.5 - b)
+    rho1 = rho.marginal(space, (0,))
+    sigma1 = sigma.marginal(space, (0,))
+    v = np.eye(space.dims[1]) if spec.v is None else as_matrix(spec.v)
+    k1 = as_matrix(spec.k1)
+    left = np.kron(sigma1.power(b) @ k1 @ rho1.power(-b), v) @ rho.power(0.5)
+    right = sigma.power(b) @ np.kron(k1, v) @ rho.power(0.5 - b)
     resid = left - right
     return resid, hs_norm(resid)
 
@@ -87,11 +79,11 @@ def equality_condition_residual(rho, sigma, k, space: FactorizedSpace,
     the monotonicity inequality holds on the grid; the full condition
     quantifies over all beta, which analyticity reduces to a grid diagnostic.
     """
-    rho = PsdOperator.wrap(space.check(rho))
-    sigma = PsdOperator.wrap(space.check(sigma))
+    rho = space.psd(rho)
+    sigma = space.psd(sigma)
     km = space.check(k)
-    rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
-    sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
+    rho1 = rho.marginal(space, (0,))
+    sigma1 = sigma.marginal(space, (0,))
     worst = 0.0
     for b in beta_grid:
         lhs = space.embed(sigma1.power(b), (0,)) @ km @ space.embed(rho1.power(-b), (0,))
@@ -104,10 +96,11 @@ def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np
     """P = sigma_B^b rho_BC^{-b} rho_ABC^{1/2} - sigma_AB^b rho_ABC^{1/2-b} on A|B|C."""
     if space.nfactors != 3:
         raise ShapeMismatch("P residual expects a tripartite factorization")
-    rho = PsdOperator.wrap(space.check(rho_abc))
-    sig_ab = PsdOperator.wrap(space.subspace((0, 1)).check(sigma_ab))
-    sig_b = PsdOperator(space.subspace((0, 1)).partial_trace(sig_ab.mat, (1,)))
-    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    rho = space.psd(rho_abc)
+    sub_ab = space.subspace((0, 1))
+    sig_ab = sub_ab.psd(sigma_ab)
+    sig_b = sig_ab.marginal(sub_ab, (1,))
+    rho_bc = rho.marginal(space, (1, 2))
     term1 = (space.embed(sig_b.power(beta), (1,))
              @ space.embed(rho_bc.power(-beta), (1, 2))
              @ rho.power(0.5))
@@ -119,10 +112,11 @@ def ssa_residual_Q(rho_ab, sigma_abc, space: FactorizedSpace, beta: float) -> np
     """Q = sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma_ABC^b rho_AB^{1/2-b} on A|B|C."""
     if space.nfactors != 3:
         raise ShapeMismatch("Q residual expects a tripartite factorization")
-    sig = PsdOperator.wrap(space.check(sigma_abc))
-    rho_ab = PsdOperator.wrap(space.subspace((0, 1)).check(rho_ab))
-    rho_b = PsdOperator(space.subspace((0, 1)).partial_trace(rho_ab.mat, (1,)))
-    sig_bc = PsdOperator(space.partial_trace(sig.mat, (1, 2)))
+    sig = space.psd(sigma_abc)
+    sub_ab = space.subspace((0, 1))
+    rho_ab = sub_ab.psd(rho_ab)
+    rho_b = rho_ab.marginal(sub_ab, (1,))
+    sig_bc = sig.marginal(space, (1, 2))
     term1 = (space.embed(sig_bc.power(beta), (1, 2))
              @ space.embed(rho_b.power(-beta), (1,))
              @ space.embed(rho_ab.power(0.5), (0, 1)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
-from qre.linalg import random_density, save_matrix
+from qre.linalg import random_density, random_unitary, save_matrix
 
 
 @pytest.fixture
@@ -81,6 +81,38 @@ class TestVerify:
                      "--rho", str(fixtures / "rho4.json"),
                      "--sigma", str(tmp_path / "pure4.json"), "--dims", "2,2"])
         assert code == 3
+
+    @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
+    def test_non_unitary_v_is_input_error(self, fixtures, inequality, capsys):
+        save_matrix(fixtures / "v_bad.json", np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2",
+                     "--v", str(fixtures / "v_bad.json")])
+        assert code == EXIT_INPUT
+        assert "--v is not unitary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
+    def test_unitary_v_accepted(self, fixtures, inequality):
+        save_matrix(fixtures / "v.json", random_unitary(2, seed=5))
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2",
+                     "--v", str(fixtures / "v.json")])
+        assert code == EXIT_PASS
+
+    def test_pinsker_non_unitary_k_is_input_error(self, fixtures, capsys):
+        save_matrix(fixtures / "k_bad.json", 0.5 * np.eye(4, dtype=complex))
+        code = main(["verify", "pinsker", "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"),
+                     "--k", str(fixtures / "k_bad.json")])
+        assert code == EXIT_INPUT
+        assert "--k is not unitary" in capsys.readouterr().err
+
+    def test_pinsker_unitary_k_accepted(self, fixtures):
+        save_matrix(fixtures / "u.json", random_unitary(4, seed=6))
+        code = main(["verify", "pinsker", "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"),
+                     "--k", str(fixtures / "u.json")])
+        assert code == EXIT_PASS
 
 
 class TestBoundsConstants:

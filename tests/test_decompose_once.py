@@ -1,0 +1,193 @@
+"""Each Hermitian operator is decomposed once; everything derived from it is memoised.
+
+Counts are taken with ``unittest.mock`` wrappers around ``numpy.linalg`` on
+freshly sampled states, so they cover the whole call, marginals included.
+"""
+
+import hashlib
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from qre import bounds
+from qre.campaign import CampaignConfig, run_campaign
+from qre.entropy import ModularOperator, effective_eigs, quasi_relative_entropy
+from qre.errors import ShapeMismatch
+from qre.functions import make_neg_log
+from qre.linalg import (
+    DEGENERACY_TOL,
+    FactorizedSpace,
+    PsdOperator,
+    hermitize,
+    matrix_power,
+    random_contraction,
+    random_density,
+    random_unitary,
+)
+
+SPACE = FactorizedSpace((2, 2))
+SPACE3 = FactorizedSpace((2, 2, 2))
+
+
+@pytest.fixture
+def inputs():
+    rng = np.random.default_rng(11)
+    return (make_neg_log(), random_contraction(2, seed=rng), random_unitary(2, seed=rng),
+            random_density(4, seed=rng), random_density(4, seed=rng))
+
+
+def _count(call):
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        call()
+    return {"eigh": eigh.call_count, "eigvalsh": eigvalsh.call_count, "svd": svd.call_count}
+
+
+class TestDecompositionCounts:
+    def test_monotonicity_gap_decomposes_only_the_marginals(self, inputs):
+        f, k1, v, rho, sigma = inputs
+        got = _count(lambda: bounds.monotonicity_gap(f, k1, v, rho, sigma, SPACE))
+        assert got == {"eigh": 2, "eigvalsh": 0, "svd": 0}
+
+    def test_thm42_grid(self, inputs):
+        f, k1, v, rho, sigma = inputs
+        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho, sigma, 0.5, SPACE))
+        assert got == {"eigh": 2, "eigvalsh": 0, "svd": 1}
+
+    def test_monotonicity_bound_at_half(self, inputs):
+        f, k1, v, rho, sigma = inputs
+        got = _count(lambda: bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, 0.5, SPACE))
+        assert got["eigh"] <= 4
+
+    def test_raw_inputs_are_decomposed_once(self, inputs):
+        f, k1, v, rho, sigma = inputs
+        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho.mat, sigma.mat, 0.5, SPACE))
+        assert got["eigh"] == 4
+
+    def test_second_call_on_the_same_states_decomposes_nothing(self, inputs):
+        f, k1, v, rho, sigma = inputs
+        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, 0.5, SPACE)
+        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho, sigma, 0.5, SPACE))
+        assert got["eigh"] == 0
+
+
+class TestMemoisation:
+    def test_power_and_marginal_return_the_same_object(self):
+        rho = random_density(8, seed=3)
+        assert rho.power(0.25) is rho.power(0.25)
+        assert rho.power(-0.5, rho.cutoff) is rho.power(-0.5)
+        assert rho.power(0.25) is not rho.power(0.75)
+        assert rho.marginal(SPACE3, (1, 2)) is rho.marginal(SPACE3, [2, 1])
+        assert rho.marginal(SPACE3, (1,)) is not rho.marginal(SPACE3, (2,))
+
+    def test_space_psd_returns_operators_as_is(self):
+        rho = random_density(4, seed=4)
+        assert SPACE.psd(rho) is rho
+        fresh = SPACE.psd(rho.mat)
+        assert fresh is not rho
+        np.testing.assert_array_equal(fresh.eigs, rho.eigs)
+        with pytest.raises(ShapeMismatch):
+            SPACE3.psd(rho)
+
+    def test_memoised_arrays_are_read_only_and_bit_equal_to_fresh(self):
+        rho = random_density(8, rank=5, seed=5)
+        for beta in (-1.0, -0.25, 0.5, 0.9):
+            out = rho.power(beta)
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
+            np.testing.assert_array_equal(out, PsdOperator(rho.mat).power(beta))
+            np.testing.assert_array_equal(out, _reference_power(rho.mat, beta))
+        for keep in ((0,), (1, 2), (0, 2)):
+            marg = rho.marginal(SPACE3, keep)
+            fresh = PsdOperator(SPACE3.partial_trace(rho.mat, keep))
+            np.testing.assert_array_equal(marg.mat, fresh.mat)
+            np.testing.assert_array_equal(marg.eigs, fresh.eigs)
+            np.testing.assert_array_equal(marg.power(-0.5), fresh.power(-0.5))
+
+    def test_clustered_spectrum_is_memoised_and_read_only(self):
+        rho = PsdOperator(np.diag([0.25, 0.25, 0.5]).astype(complex))
+        sigma = random_density(3, seed=6)
+        mu, lam, _ = ModularOperator(sigma, rho).ratio_grid()
+        mu2, lam2, _ = ModularOperator(sigma, rho).ratio_grid()
+        assert mu is mu2 and lam is lam2
+        assert not lam.flags.writeable
+        np.testing.assert_array_equal(lam, effective_eigs(rho.eigs))
+
+    def test_power_kernels_agree_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            m = random_density(6, rank=int(rng.integers(1, 7)), seed=rng).mat * 3.0
+            for beta in (-0.5, 0.5, 2.0):
+                expected = _reference_power(m, beta)
+                np.testing.assert_array_equal(matrix_power(m, beta), expected)
+                np.testing.assert_array_equal(bounds.psd_power(m, beta), expected)
+
+
+def _reference_power(m, beta):
+    """The generalized power as one eigendecomposition and one formula, memo-free."""
+    w, v = np.linalg.eigh(hermitize(m))
+    cut = len(w) * np.finfo(float).eps * float(np.abs(w).max())
+    wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
+    wp[w <= cut] = 0.0
+    return hermitize((v * wp) @ v.conj().T)
+
+
+def _reference_effective_eigs(w, tol=DEGENERACY_TOL):
+    """The eigenvalue-by-eigenvalue clustering loop, kept as the oracle."""
+    w = np.asarray(w, dtype=float)
+    if len(w) == 0:
+        return w
+    scale = max(1.0, float(np.abs(w).max()))
+    out = w.copy()
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol * scale:
+            out[start:i] = w[start:i].mean()
+            start = i
+    return out
+
+
+class TestEffectiveEigs:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_spectra(self, seed):
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.random(int(rng.integers(1, 70))))
+        np.testing.assert_array_equal(effective_eigs(w), _reference_effective_eigs(w))
+
+    @pytest.mark.parametrize("k", [2, 8, 13, 32])
+    def test_degenerate_spectra(self, k):
+        rng = np.random.default_rng(k)
+        base = np.sort(rng.random(5))
+        w = np.kron(base, np.ones(k))
+        # spread each cluster below the degeneracy tolerance, and add a zero block
+        w = np.sort(np.concatenate([w + rng.uniform(0, 1e-11, w.size), np.zeros(k)]))
+        out = effective_eigs(w)
+        np.testing.assert_array_equal(out, _reference_effective_eigs(w))
+        assert len(np.unique(out)) == 6
+
+    def test_edge_cases(self):
+        for w in ([], [0.3], [0.3, 0.3], [-1.0, 0.0, 0.0, 1e-12, 2.0]):
+            np.testing.assert_array_equal(effective_eigs(np.array(w)),
+                                          _reference_effective_eigs(np.array(w)))
+
+
+# sha256 of the JSONL this campaign wrote at the commit before decompose-once.
+# A change that moves any digit of it must explain which and why in CHANGES.md.
+GOLDEN_SHA256 = "ca107ec4d0e2b06f6e4b154009ff32bbc69215c8f6c6aab0ad813dfe049e9aee"
+
+
+def test_golden_campaign_digest():
+    config = CampaignConfig(
+        inequalities=("monotonicity", "thm42", "monotonicity_bound", "pinsker", "ssa",
+                      "operator_ssa_thm62", "equality_monotonicity"),
+        functions=("neg_log", "f_p:0.5"), dims=((2, 2), (2, 2, 2)),
+        betas=(0.25, 0.5), trials=3, seed=7)
+    buf = io.StringIO()
+    summary = run_campaign(config, stream=buf)
+    assert summary.reports == 84
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_SHA256
+

@@ -657,16 +657,13 @@ def wyd_trace_term(p: float, k, rho, sigma) -> float:
                                   @ km @ PsdOperator.wrap(rho).power(1.0 - p))))
 
 
-def wyd_concavity_gap(p: float, k, components) -> float:
+def _wyd_gap(p, k, components, rho, sigma):
     """ (Tr K* sigma^p K rho^{1-p} - sum_j p_j Tr K* sigma_j^p K rho_j^{1-p}) / (p(1-p)).
 
-    The sign-carrying prefactor keeps the inequality direction for p outside
-    (0,1); this equals the joint-convexity gap of the power-family entropy.
+    ``rho``, ``sigma`` are the mixtures of ``components``.  The sign-carrying
+    prefactor keeps the inequality direction for p outside (0,1); this equals
+    the joint-convexity gap of the power-family entropy.
     """
-    return _wyd_gap(p, k, components, *_mixture(components))
-
-
-def _wyd_gap(p, k, components, rho, sigma):
     mixed = wyd_trace_term(p, k, rho, sigma)
     avg = sum(pj * wyd_trace_term(p, k, rj, sj) for pj, rj, sj in components)
     return (mixed - avg) / (p * (1.0 - p))

@@ -6,13 +6,25 @@ seeded random ensembles used by the verification harness.  Everything here
 is plain numpy; matrices are ``complex128`` ndarrays unless wrapped in
 :class:`PsdOperator` / :class:`DensityMatrix`, which cache one spectral
 decomposition for reuse downstream.
+
+Tensor layouts are compiled once: everything a :class:`FactorizedSpace`
+needs that depends only on its ``dims`` and a keep set (the dimension, the
+normalized keep tuple, the ``subspace``, the einsum operands of
+``partial_trace`` and ``embed``) is computed once per ``dims`` per process and
+shared by every space with equal dims.  The cached identity factors are
+read-only; the arrays ``partial_trace`` and ``embed`` return are fresh,
+except for a keep set covering every factor, where einsum returns a view of
+the input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -126,28 +138,92 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+class _Layout(NamedTuple):
+    """What depends on the factor dims alone."""
+
+    dims: tuple[int, ...]
+    dim: int
+    nfactors: int
+    tensor_shape: tuple[int, ...]     # dims + dims: row factors, then column factors
+
+
+class _Plan(NamedTuple):
+    """One keep set over one ``dims``, compiled into its einsum operands."""
+
+    keep: tuple[int, ...]
+    sub: "FactorizedSpace"
+    traced: tuple[int, ...]           # row + col indices; traced factors share one
+    kept: tuple[int, ...]             # row + col indices of the kept factors
+    embed_rest: tuple                 # (read-only eye, its indices) per other factor, then out
+
+
+def _checked_dims(dims) -> tuple[int, ...]:
+    try:
+        checked = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        checked = ()
+    if not checked or min(checked) < 1:
+        raise ShapeMismatch(f"factor dims must be positive integers, got {dims}")
+    return checked
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...]) -> _Layout:
+    return _Layout(dims, math.prod(dims), len(dims), dims + dims)
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_plan(dims: tuple[int, ...], keep: tuple) -> _Plan:
+    """The plan of ``keep`` as passed; every spelling of a keep set shares one plan."""
+    return _compile_plan(dims, tuple(sorted({int(k) for k in keep})))
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
+    n = len(dims)
+    if not keep or keep[0] < 0 or keep[-1] >= n:
+        raise ShapeMismatch(f"keep set {keep} invalid for {n} factors")
+    rest = []
+    for i in range(n):
+        if i not in keep:
+            eye = np.eye(dims[i])
+            eye.flags.writeable = False
+            rest += [eye, (i, i + n)]
+    return _Plan(
+        keep=keep,
+        sub=FactorizedSpace(tuple(dims[k] for k in keep)),
+        traced=tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
+        kept=keep + tuple(k + n for k in keep),
+        embed_rest=tuple(rest) + (tuple(range(2 * n)),),
+    )
+
+
 @dataclass(frozen=True)
 class FactorizedSpace:
-    """Ordered tensor factorization of a Hilbert space, e.g. (2, 2, 2) for A|B|C."""
+    """Ordered tensor factorization of a Hilbert space, e.g. (2, 2, 2) for A|B|C.
+
+    The layout and the plan of each keep set are computed once per ``dims``
+    and shared by every space with those dims.
+    """
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.dims or any(int(d) < 1 for d in self.dims):
-            raise ShapeMismatch(f"factor dims must be positive integers, got {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        layout = _layout(_checked_dims(self.dims))
+        object.__setattr__(self, "dims", layout.dims)
+        object.__setattr__(self, "_layout", layout)   # shared, not a field
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return self._layout.dim
 
     @property
     def nfactors(self) -> int:
-        return len(self.dims)
+        return self._layout.nfactors
 
     def check(self, m) -> np.ndarray:
         a = as_matrix(m)
-        if a.shape[0] != self.dim:
+        if a.shape[0] != self._layout.dim:
             raise ShapeMismatch(f"matrix dim {a.shape[0]} != product of factors {self.dims}")
         return a
 
@@ -156,42 +232,29 @@ class FactorizedSpace:
         a = self.check(m)
         return m if isinstance(m, PsdOperator) else PsdOperator(a)
 
+    def _plan(self, keep) -> _Plan:
+        if not isinstance(keep, tuple):
+            keep = tuple(keep) if isinstance(keep, Iterable) else (keep,)
+        return _keep_plan(self.dims, keep)
+
     def normalize_keep(self, keep) -> tuple[int, ...]:
-        keep = tuple(sorted({int(k) for k in (keep if isinstance(keep, Iterable) else (keep,))}))
-        if not keep or any(k < 0 or k >= self.nfactors for k in keep):
-            raise ShapeMismatch(f"keep set {keep} invalid for {self.nfactors} factors")
-        return keep
+        return self._plan(keep).keep
 
     def subspace(self, keep) -> "FactorizedSpace":
-        keep = self.normalize_keep(keep)
-        return FactorizedSpace(tuple(self.dims[k] for k in keep))
+        return self._plan(keep).sub
 
     def partial_trace(self, m, keep) -> np.ndarray:
         """Trace out every factor not in ``keep``; result ordered by kept factors."""
-        keep = self.normalize_keep(keep)
-        a = self.check(m)
-        n = self.nfactors
-        t = a.reshape(self.dims + self.dims)
-        # einsum subscripts: traced factors share a row/col index.
-        row = list(range(n))
-        col = [i + n if i in keep else i for i in range(n)]
-        out = [i for i in keep] + [i + n for i in keep]
-        return np.einsum(t, row + col, out).reshape(self.subspace(keep).dim, -1)
+        plan = self._plan(keep)
+        t = self.check(m).reshape(self._layout.tensor_shape)
+        return np.einsum(t, plan.traced, plan.kept).reshape(plan.sub.dim, -1)
 
     def embed(self, op, slots) -> np.ndarray:
         """Tensor ``op`` (acting on the given factor slots, ascending) with identities elsewhere."""
-        slots = self.normalize_keep(slots)
-        sub = self.subspace(slots)
-        a = sub.check(op)
-        n = self.nfactors
-        sub_dims = sub.dims
-        t = a.reshape(sub_dims + sub_dims)
-        operands = [t, [slots[i] for i in range(len(slots))] + [slots[i] + n for i in range(len(slots))]]
-        for i in range(n):
-            if i not in slots:
-                operands += [np.eye(self.dims[i]), [i, i + n]]
-        out = list(range(n)) + [i + n for i in range(n)]
-        return np.einsum(*operands, out).reshape(self.dim, self.dim)
+        plan = self._plan(slots)
+        t = plan.sub.check(op).reshape(plan.sub._layout.tensor_shape)
+        dim = self._layout.dim
+        return np.einsum(t, plan.kept, *plan.embed_rest).reshape(dim, dim)
 
 
 def partial_trace(m, space: FactorizedSpace, keep) -> np.ndarray:
@@ -264,9 +327,6 @@ class PsdOperator:
 
     def sqrt(self) -> np.ndarray:
         return self.power(0.5)
-
-    def pinv(self) -> np.ndarray:
-        return self.power(-1.0)
 
     def support_projector(self) -> np.ndarray:
         keep = (self.eigs > self.cutoff).astype(float)

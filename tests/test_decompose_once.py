@@ -178,6 +178,9 @@ class TestEffectiveEigs:
 # sha256 of the JSONL this campaign wrote at the commit before decompose-once.
 # A change that moves any digit of it must explain which and why in CHANGES.md.
 GOLDEN_SHA256 = "ca107ec4d0e2b06f6e4b154009ff32bbc69215c8f6c6aab0ad813dfe049e9aee"
+# Tripartite and 3x2 families that go through partial traces and embeddings,
+# recorded before their einsum operands were cached per dims.
+GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903d0761162"
 
 
 def test_golden_campaign_digest():
@@ -191,3 +194,15 @@ def test_golden_campaign_digest():
     assert summary.reports == 84
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_SHA256
 
+
+
+def test_golden_tensor_campaign_digest():
+    config = CampaignConfig(
+        inequalities=("ssa", "operator_ssa_thm63", "operator_ssa_cor64", "operator_ssa_cor65",
+                      "wyd_operator", "cauchy_schwarz", "lieb_ruskai", "equality_operator_ssa"),
+        functions=("neg_log", "f_p:0.5"), dims=((2, 2, 2), (2, 3, 2), (3, 2)),
+        betas=(0.25, 0.75), trials=2, seed=11, rank_policy="mixed")
+    buf = io.StringIO()
+    summary = run_campaign(config, stream=buf)
+    assert (summary.reports, summary.trials, summary.failures) == (106, 82, 0)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_TENSOR_SHA256

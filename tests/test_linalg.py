@@ -1,5 +1,6 @@
 """Core linear algebra: spectra, powers, partial traces, norms, random ensembles."""
 
+import itertools
 import json
 
 import numpy as np
@@ -172,6 +173,108 @@ class TestTensorEmbed:
         rho = random_density(6, seed=12).mat
         out = partial_trace(rho, space, (0, 2))
         np.testing.assert_allclose(out, rho, atol=1e-14)
+
+
+def _oracle_partial_trace(dims, m, keep):
+    """The per-call einsum construction the cached plans replaced."""
+    n = len(dims)
+    t = m.reshape(dims + dims)
+    row = list(range(n))
+    col = [i + n if i in keep else i for i in range(n)]
+    out = [i for i in keep] + [i + n for i in keep]
+    sub_dim = int(np.prod([dims[k] for k in keep]))
+    return np.einsum(t, row + col, out).reshape(sub_dim, -1)
+
+
+def _oracle_embed(dims, op, slots):
+    n = len(dims)
+    sub_dims = tuple(dims[k] for k in slots)
+    dim = int(np.prod(dims))
+    t = op.reshape(sub_dims + sub_dims)
+    operands = [t, [slots[i] for i in range(len(slots))] + [slots[i] + n for i in range(len(slots))]]
+    for i in range(n):
+        if i not in slots:
+            operands += [np.eye(dims[i]), [i, i + n]]
+    out = list(range(n)) + [i + n for i in range(n)]
+    return np.einsum(*operands, out).reshape(dim, dim)
+
+
+def _keep_sets(n):
+    return [keep for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
+
+
+def _spellings(keep):
+    """The same keep set as a tuple, a list, reversed and, for one factor, a bare int."""
+    out = [keep, list(keep), tuple(reversed(keep)), keep + keep[:1]]
+    if len(keep) == 1:
+        out += [keep[0], np.int64(keep[0])]
+    return out
+
+
+class TestTensorPlans:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2), (2, 1, 3)])
+    def test_bit_exact_against_per_call_einsum(self, dims):
+        space = FactorizedSpace(dims)
+        rng = np.random.default_rng(sum(dims))
+        m = random_hermitian(space.dim, seed=rng)
+        for keep in _keep_sets(len(dims)):
+            sub_dim = space.subspace(keep).dim
+            op = random_hermitian(sub_dim, seed=rng)
+            want_pt = _oracle_partial_trace(dims, m, keep)
+            want_emb = _oracle_embed(dims, op, keep)
+            for spelling in _spellings(keep):
+                assert space.normalize_keep(spelling) == keep
+                np.testing.assert_array_equal(space.partial_trace(m, spelling), want_pt)
+                np.testing.assert_array_equal(space.embed(op, spelling), want_emb)
+
+    def test_plans_shared_between_equal_spaces(self):
+        a, b = FactorizedSpace((2, 3, 2)), FactorizedSpace([2, np.int64(3), 2])
+        assert a == b and a.dims == (2, 3, 2)
+        for keep in _keep_sets(3):
+            assert a.subspace(keep) is b.subspace(keep)
+            assert a.subspace(list(reversed(keep))) is b.subspace(keep)
+            assert a.normalize_keep(keep) is b.normalize_keep(keep)
+            assert all(type(k) is int for k in a.normalize_keep(np.array(keep)))
+
+    def test_identity_factors_read_only_results_fresh(self):
+        space = FactorizedSpace((2, 3, 2))
+        eyes = [x for x in space._plan((1,)).embed_rest if isinstance(x, np.ndarray)]
+        assert [e.shape for e in eyes] == [(2, 2), (2, 2)]
+        assert not any(e.flags.writeable for e in eyes)
+        op = PsdOperator(random_density(3, seed=5).mat).power(0.5)    # read-only input
+        m = PsdOperator(random_density(12, seed=6).mat).power(1.0)
+        assert not op.flags.writeable and not m.flags.writeable
+        first = space.embed(op, (1,))
+        assert first.flags.writeable and not np.shares_memory(first, op)
+        first[:] = 0.0
+        np.testing.assert_array_equal(space.embed(op, (1,)), _oracle_embed((2, 3, 2), op, (1,)))
+        for keep in _keep_sets(3)[:-1]:              # the full set is einsum's identity view
+            red = space.partial_trace(m, keep)
+            assert red.flags.writeable and not np.shares_memory(red, m)
+        assert not any(e.flags.writeable for e in eyes)
+
+    @pytest.mark.parametrize("keep", [(), [], (3,), (-1,), (0, 3), 5])
+    def test_invalid_keep_raises_every_call(self, keep):
+        space = FactorizedSpace((2, 2, 2))
+        for _ in range(3):
+            for call in (space.normalize_keep, space.subspace,
+                         lambda k: space.partial_trace(np.eye(8), k),
+                         lambda k: space.embed(np.eye(2), k)):
+                with pytest.raises(ShapeMismatch):
+                    call(keep)
+
+
+class TestFactorDims:
+    def test_numpy_integers_accepted(self):
+        space = FactorizedSpace((np.int64(2), np.int32(3)))
+        assert space.dims == (2, 3) and all(type(d) is int for d in space.dims)
+        assert space.dim == 6 and space.nfactors == 2
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), ("2", 2), (2.0, 2), (np.float64(2), 2),
+                                      (), (0, 2), (2, -1), 4, None])
+    def test_non_integral_or_non_positive_rejected(self, dims):
+        with pytest.raises(ShapeMismatch):
+            FactorizedSpace(dims)
 
 
 class TestNorms:

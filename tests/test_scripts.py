@@ -1,0 +1,27 @@
+"""Smoke test: each experiment script under ``scripts/`` runs to completion at tiny size.
+
+The scripts import entry points that no other test calls, so deleting one of
+them would otherwise go unnoticed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_verification_campaign.py", ["--trials", "2", "--seed", "7", "--output", "{tmp}/c.jsonl"]),
+    ("bound_tightness_profile.py", ["--trials", "2", "--betas", "0.25", "0.75"]),
+    ("equality_perturbation_sweep.py", []),
+])
+def test_script_runs(script, args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / script)] + [a.format(tmp=tmp_path) for a in args]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.strip()

@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from qre.campaign import RUNNERS, CampaignConfig, run_campaign
+from qre.campaign import FAMILIES, CampaignConfig, run_campaign
 
 
 def main() -> int:
@@ -23,7 +23,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--output", default="campaign_reports.jsonl")
     ap.add_argument("--rank-policy", choices=("full", "mixed"), default="full")
-    ap.add_argument("--inequalities", nargs="*", default=sorted(RUNNERS),
+    ap.add_argument("--inequalities", nargs="*", default=sorted(FAMILIES),
                     help="subset of inequality ids (default: all)")
     args = ap.parse_args()
 

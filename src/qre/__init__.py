@@ -86,6 +86,7 @@ from .bounds import (
     verify_thm42_grid,
     verify_wyd_joint_concavity,
     verify_wyd_operator,
+    verify_wyd_skew,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

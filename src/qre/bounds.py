@@ -34,9 +34,10 @@ from .entropy import (
     quasi_relative_entropy,
     trace_distance_pair,
     von_neumann_entropy,
+    wyd_skew_information,
 )
 from .errors import DivergentEntropy, InvalidParameter, IrregularFunction
-from .functions import OperatorConvexFunction, make_f_p, make_neg_log, regularity_constant
+from .functions import OperatorConvexFunction, make_f_p, make_neg_log, power_of, regularity_constant
 from .linalg import (
     FactorizedSpace,
     PsdOperator,
@@ -61,6 +62,7 @@ from .reports import BoundConstants, BoundReport, digest_inputs
 REPORT_TOL = 1e-9
 PSD_REPORT_TOL = 1e-8
 REL_INEQ_TOL = 1e-8
+SKEW_TOL = 1e-10
 T_MAX = 1e8
 BRANCH_TOL = 1e-12
 
@@ -477,18 +479,8 @@ def verify_joint_convexity(f, k, components, beta, seed=None,
     comps = list(zip(probs, rhos, sigmas))
     rho, sigma = _mixture(comps)
     gap = _joint_gap(f, km, comps, rho, sigma)
-
-    norms_j = []
-    for pj, rj, sj in comps:
-        term = (sigma.power(beta) @ km @ rho.power(-beta) @ rj.power(0.5)
-                - sj.power(beta) @ km @ rj.power(0.5 - beta))
-        norms_j.append(hs_norm(term))
-    norms_j = np.array(norms_j)
-    resid_l1 = float((np.sqrt(probs) * norms_j).sum())
-    resid_l2 = float(math.sqrt((probs * norms_j ** 2).sum()))
-
+    resid_l1, resid_l2, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
     k_norm = op_norm(km)
-    d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
     lhs = math.pi / math.sin(beta * math.pi) * resid_l1
     rhs_grid = [thm42_terms(f, beta, t, k_norm, d_sum, gap)
                 for t in np.geomspace(1.0 + 1e-6, t_hi, n_grid)]
@@ -506,6 +498,22 @@ def verify_joint_convexity(f, k, components, beta, seed=None,
                    details={"gap": gap, "residual_block_l2": resid_l2,
                             "equality_residual": eq_resid,
                             "rhs_at_T_star": rhs_star})
+
+
+def _mixture_residual(km, comps, rho, sigma, beta):
+    """Weighted residual of a mixture and the modular-norm surrogate of its RHS.
+
+    With r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2
+    over components (p_j, rho_j, sigma_j) of the mixture (rho, sigma), returns
+    (sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||).
+    """
+    probs = np.array([pj for pj, _, _ in comps], dtype=float)
+    norms = np.array([hs_norm(sigma.power(beta) @ km @ rho.power(-beta) @ rj.power(0.5)
+                              - sj.power(beta) @ km @ rj.power(0.5 - beta))
+                      for _, rj, sj in comps])
+    d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
+    return (float((np.sqrt(probs) * norms).sum()),
+            float(math.sqrt((probs * norms ** 2).sum())), d_sum)
 
 
 def _joint_equality_residual(km, rho, sigma, comps, beta):
@@ -672,27 +680,18 @@ def _wyd_gap(p, k, components, rho, sigma):
 def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> BoundReport:
     """Concavity gap of the power trace term, with the remainder when p in (0,1)."""
     km = as_matrix(k)
-    rho, sigma = _mixture(components)
-    gap = _wyd_gap(p, km, components, rho, sigma)
+    comps = [(pj, PsdOperator.wrap(r), PsdOperator.wrap(s)) for pj, r, s in components]
+    rho, sigma = _mixture(comps)
+    gap = _wyd_gap(p, km, comps, rho, sigma)
     ok = gap >= -REPORT_TOL
     details = {"gap": gap}
     consts = None
     lhs = 0.0
     rhs = gap
     if 0.0 < p < 1.0:
-        probs = np.array([pj for pj, _, _ in components])
-        norms_j = []
-        for pj, rj, sj in components:
-            rj = PsdOperator.wrap(rj)
-            sj = PsdOperator.wrap(sj)
-            term = (sigma.power(beta) @ km @ rho.power(-beta) @ rj.power(0.5)
-                    - sj.power(beta) @ km @ rj.power(0.5 - beta))
-            norms_j.append(hs_norm(term))
-        resid = float((np.sqrt(probs) * np.asarray(norms_j)).sum())
-        d_sum = float(sum(pj / PsdOperator.wrap(rj).min_positive_eig()
-                          for pj, rj, _ in components))
+        resid, _, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
         n_const = explicit_N("power", beta, p, op_norm(km), d_sum)
-        c = p / 2.0 if beta <= 0.5 else p * (1.0 - beta) / (2.0 * beta)
+        c = make_f_p(p).power_law_c(beta)
         alpha = alpha_exponent(beta, c)
         lhs = n_const * resid ** (1.0 / alpha)
         ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
@@ -700,11 +699,24 @@ def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> Boun
                                 math.pi / math.sin(p * math.pi), c, n_const,
                                 n_const ** (-alpha), math.nan)
         details["residual_weighted"] = resid
-    digest = digest_inputs(km, *[PsdOperator.wrap(r).mat for _, r, _ in components],
-                           *[PsdOperator.wrap(s).mat for _, _, s in components])
+    digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
     return _report("wyd_joint_concavity", lhs, rhs, ok, constants=consts,
                    digest=digest, seed=seed, notes=f"p={p:g};beta={beta:g}",
                    details=details)
+
+
+def verify_wyd_skew(f, rho, k, seed=None) -> BoundReport:
+    """WYD skew information I_p(rho, K) >= 0 and I_p = p(1-p) S_{f_p}^K(rho||rho).
+
+    ``f`` is ``f_p`` with p in (0,1); p is read from its id.
+    """
+    p = power_of(f)
+    skew = wyd_skew_information(p, rho, k)
+    cross = p * (1.0 - p) * quasi_relative_entropy(f, k, rho, rho)
+    scale = max(1.0, abs(skew))
+    ok = skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * scale
+    return _report("wyd_skew", 0.0, skew, ok, seed=seed,
+                   notes=f"p={p:g}", details={"cross_check": cross})
 
 
 def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space,

@@ -5,6 +5,11 @@ of (root seed, inequality id, dims, function id, beta, trial index), and the
 resulting integer is stored in the report, so a failing line can be replayed
 with :func:`run_single` from the report fields alone.  Reports stream to
 JSONL in a fixed loop order, which makes repeated runs byte-identical.
+
+``FAMILIES`` is the one table of inequality families: each entry names its
+check, its operands (drawn here through ``SAMPLERS``, loaded by ``qre verify``
+through its loaders) and what the family needs.  A cell whose dims or ``f``
+the family does not admit produces no report.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bounds
-from .entropy import quasi_relative_entropy, wyd_skew_information
 from .errors import DivergentEntropy, InvalidParameter
-from .functions import from_id
+from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
     FactorizedSpace,
     random_contraction,
@@ -27,8 +32,6 @@ from .linalg import (
     random_unitary,
 )
 from .reports import BoundReport
-
-SKEW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,9 @@ class CampaignConfig:
             raise InvalidParameter(f"betas must lie in (0,1): {self.betas}")
         if self.rank_policy not in ("full", "mixed"):
             raise InvalidParameter(f"rank_policy must be full|mixed: {self.rank_policy}")
-        unknown = [i for i in self.inequalities if i not in RUNNERS]
+        unknown = [i for i in self.inequalities if i not in FAMILIES]
         if unknown:
-            raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(RUNNERS)}")
+            raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(FAMILIES)}")
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -108,186 +111,164 @@ def trial_seed(root: int, inequality: str, dims: tuple[int, ...],
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") >> 1
 
 
-def _sample_state(rng, dim: int, policy: str):
-    if policy == "mixed" and dim > 1 and rng.random() < 0.2:
-        return random_density(dim, rank=int(rng.integers(1, dim)), seed=rng)
-    return random_density(dim, seed=rng)
+class Requirement(NamedTuple):
+    """A hypothesis a family's theorem places on ``f``."""
+
+    text: str
+    holds: Callable[[OperatorConvexFunction], bool]
 
 
-# ----------------------------------------------------------------------------
-# Trial runners: (f, space, beta, rng, policy) -> list[BoundReport]
-# ----------------------------------------------------------------------------
-
-def _run_monotonicity(f, space, beta, rng, policy):
-    rho = _sample_state(rng, space.dim, policy)
-    sigma = _sample_state(rng, space.dim, policy)
-    k1 = random_contraction(space.dims[0], seed=rng)
-    v = random_unitary(space.dims[1], seed=rng)
-    return [bounds.verify_monotonicity(f, k1, v, rho, sigma, space)]
+def _f_p_in(lo: float, hi: float) -> Requirement:
+    def holds(f):
+        p = power_of(f)
+        return p is not None and lo < p < hi
+    return Requirement(f"f_p:<p> with p in ({lo:g}, {hi:g})", holds)
 
 
-def _run_thm42(f, space, beta, rng, policy):
-    rho = random_density(space.dim, seed=rng)
-    sigma = random_density(space.dim, seed=rng)
-    k1 = random_contraction(space.dims[0], seed=rng)
-    v = random_unitary(space.dims[1], seed=rng)
-    return [bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space)]
+NORMALIZED_F = Requirement("a normalized f (f(1) = 0)", lambda f: f.normalized)
 
 
-def _run_monotonicity_bound(f, space, beta, rng, policy):
-    rho = random_density(space.dim, seed=rng)
-    sigma = random_density(space.dim, seed=rng)
-    k1 = random_contraction(space.dims[0], seed=rng)
-    v = random_unitary(space.dims[1], seed=rng)
-    return [bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space)]
+class Family(NamedTuple):
+    """One inequality family: its check, the operands it takes and what it needs.
+
+    ``check(f, space, beta, *operands)`` returns one report or a list of them;
+    the operands are drawn (campaign) or loaded (CLI) by name, in order.
+    """
+
+    check: Callable
+    operands: tuple[str, ...]
+    nfactors: int | None = None       # tensor factors it needs; None for any
+    uses_f: bool = True
+    uses_beta: bool = True
+    mixed_rank: bool = False          # honours rank_policy = "mixed"
+    requires: Requirement | None = None
+
+    def admits(self, f: OperatorConvexFunction) -> bool:
+        return self.requires is None or self.requires.holds(f)
 
 
-def _run_joint_convexity(f, space, beta, rng, policy):
-    comps = _sample_ensemble(rng, space.dim, 3)
-    k = random_contraction(space.dim, seed=rng)
-    return [bounds.verify_joint_convexity(f, k, comps, beta)]
+def _operator_ssa(variant):
+    return Family(lambda f, space, beta, rho, sab:
+                  bounds.verify_operator_ssa(f, rho, sab, beta, variant, space),
+                  ("rho", "sigma_ab"), nfactors=3)
 
 
-def _sample_ensemble(rng, dim, n):
-    probs = rng.dirichlet(np.ones(n))
-    return [(float(p), random_density(dim, seed=rng), random_density(dim, seed=rng))
+FAMILIES: dict[str, Family] = {
+    "monotonicity": Family(
+        lambda f, space, beta, rho, sigma, k1, v:
+        bounds.verify_monotonicity(f, k1, v, rho, sigma, space),
+        ("rho", "sigma", "k1", "v"), nfactors=2, uses_beta=False, mixed_rank=True),
+    "thm42": Family(
+        lambda f, space, beta, rho, sigma, k1, v:
+        bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space),
+        ("rho", "sigma", "k1", "v"), nfactors=2),
+    "monotonicity_bound": Family(
+        lambda f, space, beta, rho, sigma, k1, v:
+        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space),
+        ("rho", "sigma", "k1", "v"), nfactors=2),
+    "joint_convexity": Family(
+        lambda f, space, beta, comps, k: bounds.verify_joint_convexity(f, k, comps, beta),
+        ("ensemble", "k")),
+    "ssa": Family(
+        lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space),
+        ("rho",), nfactors=3, uses_f=False, mixed_rank=True),
+    "operator_ssa_thm62": _operator_ssa("thm62"),
+    "operator_ssa_thm63": _operator_ssa("thm63"),
+    "operator_ssa_cor64": _operator_ssa("cor64"),
+    "operator_ssa_cor65": _operator_ssa("cor65"),
+    "pinsker": Family(
+        lambda f, space, beta, rho, sigma, u: bounds.pinsker_check(f, u, rho, sigma),
+        ("rho", "sigma", "u"), uses_beta=False, mixed_rank=True, requires=NORMALIZED_F),
+    "classical_reduction": Family(
+        lambda f, space, beta, rho, sigma: bounds.verify_classical_reduction(f, rho, sigma),
+        ("rho", "sigma"), uses_beta=False),
+    "wyd_skew": Family(
+        lambda f, space, beta, rho, h: bounds.verify_wyd_skew(f, rho, h),
+        ("rho", "h"), uses_beta=False, requires=_f_p_in(0.0, 1.0)),
+    "wyd_joint_concavity": Family(
+        lambda f, space, beta, comps, k:
+        bounds.verify_wyd_joint_concavity(power_of(f), k, comps, beta),
+        ("ensemble", "k"), requires=_f_p_in(-1.0, 2.0)),
+    "wyd_operator": Family(
+        lambda f, space, beta, rho, sab:
+        bounds.verify_wyd_operator(power_of(f), rho, sab, beta, space),
+        ("rho", "sigma_ab"), nfactors=3, requires=_f_p_in(0.0, 1.0)),
+    "cauchy_schwarz": Family(
+        lambda f, space, beta, rho, sab: bounds.verify_cauchy_schwarz(rho, sab, beta, space),
+        ("rho", "sigma_ab"), nfactors=3, uses_f=False),
+    "lieb_ruskai": Family(
+        lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space),
+        ("x", "q"), nfactors=2, uses_f=False, uses_beta=False),
+    "equality_monotonicity": Family(
+        lambda f, space, beta, rng: bounds.equality_monotonicity_sweep(f, space, rng),
+        ("rng",), nfactors=2, uses_beta=False),
+    "equality_joint_convexity": Family(
+        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space.dims[0], rng),
+        ("rng",), uses_beta=False),
+    "equality_operator_ssa": Family(
+        lambda f, space, beta, rng: bounds.equality_operator_ssa_sweep(f, space, rng),
+        ("rng",), nfactors=3, uses_beta=False),
+}
+
+
+def _sample_state(rng, space, policy):
+    if policy == "mixed" and space.dim > 1 and rng.random() < 0.2:
+        return random_density(space.dim, rank=int(rng.integers(1, space.dim)), seed=rng)
+    return random_density(space.dim, seed=rng)
+
+
+def _sample_ensemble(rng, space, policy):
+    """Three weighted (p_j, rho_j, sigma_j) components."""
+    probs = rng.dirichlet(np.ones(3))
+    return [(float(p), random_density(space.dim, seed=rng), random_density(space.dim, seed=rng))
             for p in probs]
 
 
-def _run_ssa(f, space, beta, rng, policy):
-    rho = _sample_state(rng, space.dim, policy)
-    return [bounds.verify_ssa(rho, beta, space)]
-
-
-def _make_op_ssa(variant):
-    def run(f, space, beta, rng, policy):
-        rho = random_density(space.dim, seed=rng)
-        sab = random_density(space.subspace((0, 1)).dim, seed=rng)
-        return [bounds.verify_operator_ssa(f, rho, sab, beta, variant, space)]
-    return run
-
-
-def _run_pinsker(f, space, beta, rng, policy):
-    rho = _sample_state(rng, space.dim, policy)
-    sigma = _sample_state(rng, space.dim, policy)
-    u = random_unitary(space.dim, seed=rng)
-    return [bounds.pinsker_check(f, u, rho, sigma)]
-
-
-def _run_classical(f, space, beta, rng, policy):
-    rho = random_density(space.dim, seed=rng)
-    sigma = random_density(space.dim, seed=rng)
-    return [bounds.verify_classical_reduction(f, rho, sigma)]
-
-
-def _run_wyd_skew(f, space, beta, rng, policy):
-    p = _power_of(f)
-    if p is None or not 0.0 < p < 1.0:
-        return []
-    rho = random_density(space.dim, seed=rng)
-    k = random_hermitian(space.dim, seed=rng)
-    skew = wyd_skew_information(p, rho, k)
-    cross = p * (1.0 - p) * quasi_relative_entropy(f, k, rho, rho)
-    scale = max(1.0, abs(skew))
-    ok = skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * scale
-    rep = bounds._report("wyd_skew", 0.0, skew, ok,
-                         notes=f"p={p:g}", details={"cross_check": cross})
-    return [rep]
-
-
-def _power_of(f):
-    if f.name.startswith("f_p:"):
-        return float(f.name.split(":", 1)[1])
-    return None
-
-
-def _run_wyd_joint(f, space, beta, rng, policy):
-    p = _power_of(f)
-    if p is None:
-        return []
-    comps = _sample_ensemble(rng, space.dim, 3)
-    k = random_contraction(space.dim, seed=rng)
-    return [bounds.verify_wyd_joint_concavity(p, k, comps, beta)]
-
-
-def _run_wyd_operator(f, space, beta, rng, policy):
-    p = _power_of(f)
-    if p is None or not 0.0 < p < 1.0:
-        return []
-    rho = random_density(space.dim, seed=rng)
-    sab = random_density(space.subspace((0, 1)).dim, seed=rng)
-    return [bounds.verify_wyd_operator(p, rho, sab, beta, space)]
-
-
-def _run_cauchy_schwarz(f, space, beta, rng, policy):
-    rho = random_density(space.dim, seed=rng)
-    sab = random_density(space.subspace((0, 1)).dim, seed=rng)
-    return [bounds.verify_cauchy_schwarz(rho, sab, beta, space)]
-
-
-def _run_lieb_ruskai(f, space, beta, rng, policy):
-    d = space.dim
-    x = random_contraction(d, seed=rng) * 2.0
-    q = random_density(d, seed=rng).mat * d
-    ac = FactorizedSpace((space.dims[0], int(np.prod(space.dims[1:]))))
-    return [bounds.lieb_ruskai_check(x, q, ac)]
-
-
-def _run_equality_mono(f, space, beta, rng, policy):
-    return bounds.equality_monotonicity_sweep(f, space, rng)
-
-
-def _run_equality_joint(f, space, beta, rng, policy):
-    return bounds.equality_joint_convexity_sweep(f, space.dims[0], rng)
-
-
-def _run_equality_op_ssa(f, space, beta, rng, policy):
-    return bounds.equality_operator_ssa_sweep(f, space, rng)
-
-
-RUNNERS = {
-    "monotonicity": (_run_monotonicity, 2, True),
-    "thm42": (_run_thm42, 2, True),
-    "monotonicity_bound": (_run_monotonicity_bound, 2, True),
-    "joint_convexity": (_run_joint_convexity, None, True),
-    "ssa": (_run_ssa, 3, False),
-    "operator_ssa_thm62": (_make_op_ssa("thm62"), 3, True),
-    "operator_ssa_thm63": (_make_op_ssa("thm63"), 3, True),
-    "operator_ssa_cor64": (_make_op_ssa("cor64"), 3, True),
-    "operator_ssa_cor65": (_make_op_ssa("cor65"), 3, True),
-    "pinsker": (_run_pinsker, None, True),
-    "classical_reduction": (_run_classical, None, True),
-    "wyd_skew": (_run_wyd_skew, None, True),
-    "wyd_joint_concavity": (_run_wyd_joint, None, True),
-    "wyd_operator": (_run_wyd_operator, 3, True),
-    "cauchy_schwarz": (_run_cauchy_schwarz, 3, False),
-    "lieb_ruskai": (_run_lieb_ruskai, 2, False),
-    "equality_monotonicity": (_run_equality_mono, 2, True),
-    "equality_joint_convexity": (_run_equality_joint, None, True),
-    "equality_operator_ssa": (_run_equality_op_ssa, 3, True),
+# operand name -> sampler(rng, space, policy); the sweeps ("rng") draw their own
+SAMPLERS = {
+    "rho": _sample_state,
+    "sigma": _sample_state,
+    "sigma_ab": lambda rng, space, policy: random_density(space.subspace((0, 1)).dim, seed=rng),
+    "k1": lambda rng, space, policy: random_contraction(space.dims[0], seed=rng),
+    "v": lambda rng, space, policy: random_unitary(space.dims[1], seed=rng),
+    "u": lambda rng, space, policy: random_unitary(space.dim, seed=rng),
+    "k": lambda rng, space, policy: random_contraction(space.dim, seed=rng),
+    "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
+    "ensemble": _sample_ensemble,
+    "x": lambda rng, space, policy: random_contraction(space.dim, seed=rng) * 2.0,
+    "q": lambda rng, space, policy: random_density(space.dim, seed=rng).mat * space.dim,
+    "rng": lambda rng, space, policy: rng,
 }
 
-BETA_FREE = {"monotonicity", "pinsker", "classical_reduction", "wyd_skew",
-             "lieb_ruskai", "equality_monotonicity", "equality_joint_convexity",
-             "equality_operator_ssa"}
+
+def sample_operands(family: Family, space: FactorizedSpace, rng,
+                    rank_policy: str = "full") -> list:
+    """Draw the family's operands in order; rank is full unless the family honours mixed."""
+    policy = rank_policy if family.mixed_rank else "full"
+    return [SAMPLERS[name](rng, space, policy) for name in family.operands]
 
 
 def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
                seed: int, rank_policy: str = "full") -> list[BoundReport]:
     """Replay one trial from the fields a campaign report carries."""
-    runner, nfac, _ = RUNNERS[inequality]
+    family = FAMILIES[inequality]
     space = FactorizedSpace(dims)
-    if nfac is not None and space.nfactors != nfac:
+    if family.nfactors is not None and space.nfactors != family.nfactors:
         return []
     f = from_id(fid)
+    if not family.admits(f):
+        return []
     rng = np.random.default_rng(seed)
+    operands = sample_operands(family, space, rng, rank_policy)
     try:
-        reports = runner(f, space, beta, rng, rank_policy)
+        reports = family.check(f, space, beta, *operands)
     except DivergentEntropy as exc:
         rep = bounds._report(inequality, 0.0, 0.0, True,
                              notes=f"f={fid};divergent=1 ({exc})")
         rep.details["divergent"] = 1.0
-        reports = [rep]
+        reports = rep
+    if isinstance(reports, BoundReport):
+        reports = [reports]
     for rep in reports:
         rep.seed = seed
         rep.notes = _with_context(rep.notes, fid, dims, beta)
@@ -331,14 +312,14 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
     summary = CampaignSummary()
     try:
         for ineq in config.inequalities:
-            runner, nfac, uses_f = RUNNERS[ineq]
+            family = FAMILIES[ineq]
             stats = summary.per_inequality.setdefault(
                 ineq, {"reports": 0, "passes": 0, "divergent": 0,
                        "worst_margin": float("inf")})
-            fids = config.functions if uses_f else (config.functions[:1] or ("neg_log",))
-            betas = config.betas if ineq not in BETA_FREE else config.betas[:1]
+            fids = config.functions if family.uses_f else (config.functions[:1] or ("neg_log",))
+            betas = config.betas if family.uses_beta else config.betas[:1]
             for dims in config.dims:
-                if nfac is not None and len(dims) != nfac:
+                if family.nfactors is not None and len(dims) != family.nfactors:
                     continue
                 for fid in fids:
                     for beta in betas:

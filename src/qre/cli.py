@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bounds
-from .campaign import parse_config, parse_dims, run_campaign
+from .campaign import FAMILIES, parse_config, parse_dims, run_campaign
 from .errors import DivergentEntropy, QREError
-from .functions import from_id, loewner_quadrature
+from .functions import from_id, loewner_quadrature, split_id
 from .linalg import FactorizedSpace, load_matrix
-from .reports import BoundReport
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -31,11 +31,37 @@ EXIT_DIVERGENT = 3
 
 UNITARY_TOL = 1e-10
 
-VERIFY_CHOICES = (
-    "pinsker", "monotonicity", "monotonicity_bound", "thm42", "ssa",
-    "operator_ssa_thm62", "operator_ssa_thm63", "operator_ssa_cor64",
-    "operator_ssa_cor65", "cauchy_schwarz", "classical_reduction",
-)
+
+def _require(value, flag):
+    if not value:
+        raise QREError(f"{flag} is required for this inequality")
+    return value
+
+
+def _unitary(path, flag):
+    """Load a matrix the theorem needs unitary; reject it unless V*V = I within 1e-10 d."""
+    m = load_matrix(path)
+    d = m.shape[0]
+    dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
+    if dev > UNITARY_TOL * d:
+        raise QREError(f"{flag} is not unitary: max |V*V - I| = {dev:.3e}")
+    return m
+
+
+# operand name (as in campaign.FAMILIES) -> loader(args, space); --rho is loaded first
+LOADERS = {
+    "sigma": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
+    "sigma_ab": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
+    "k1": lambda args, space: load_matrix(args.k) if args.k else np.eye(space.dims[0]),
+    "v": lambda args, space: _unitary(args.vfile, "--v") if args.vfile else np.eye(space.dims[1]),
+    "u": lambda args, space: _unitary(args.k, "--k") if args.k else np.eye(space.dim),
+}
+
+
+def verifiable() -> list[str]:
+    """The families whose every operand has a loader: the choices of ``verify``."""
+    return [name for name, family in FAMILIES.items()
+            if set(family.operands) <= {"rho", *LOADERS}]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="verify one inequality instance")
-    v.add_argument("inequality", choices=VERIFY_CHOICES)
+    v.add_argument("inequality", choices=verifiable())
     v.add_argument("--f", dest="fid", default="neg_log", help="function id")
     v.add_argument("--beta", type=float, default=0.5)
     v.add_argument("--rho", required=True, help="JSON matrix file")
@@ -64,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc = bsub.add_parser("constants", help="print alpha1 alpha2 alpha C c N")
     bc.add_argument("--f", dest="fid", required=True)
     bc.add_argument("--beta", type=float, required=True)
-    bc.add_argument("--p", type=float, help="override the power parameter")
     bc.add_argument("--knorm", type=float, default=1.0)
     bc.add_argument("--dd", type=float, default=1.0, help="modular-operator norm D")
 
@@ -96,75 +121,37 @@ def main(argv=None) -> int:
     return EXIT_INPUT
 
 
-def _space_for(args, matrix, default_bipartite=True):
+def _space_for(args, n, nfactors):
+    """--dims if given; otherwise n as one factor, or n = d*d as d x d for two factors."""
     if args.dims:
-        return FactorizedSpace(parse_dims(args.dims))
-    n = matrix.shape[0]
-    half = int(np.sqrt(n))
-    if default_bipartite and half * half == n:
-        return FactorizedSpace((half, half))
-    raise QREError(f"cannot infer factor dims for size {n}; pass --dims")
+        space = FactorizedSpace(parse_dims(args.dims))
+    elif nfactors is None:
+        space = FactorizedSpace((n,))
+    elif nfactors == 2 and math.isqrt(n) ** 2 == n:
+        space = FactorizedSpace((math.isqrt(n),) * 2)
+    else:
+        raise QREError(f"cannot infer factor dims for size {n}; pass --dims")
+    if nfactors is not None and space.nfactors != nfactors:
+        raise QREError(f"this inequality needs {nfactors} factors, got --dims {args.dims}")
+    return space
 
 
 def _cmd_verify(args) -> int:
+    family = FAMILIES[args.inequality]
     f = from_id(args.fid)
+    if not family.admits(f):
+        raise QREError(f"{args.inequality} needs {family.requires.text}, got {f.name}")
     rho = load_matrix(args.rho)
-    report: BoundReport
-    if args.inequality == "pinsker":
-        sigma = _require(args.sigma, "--sigma")
-        u = _unitary(args.k, "--k") if args.k else np.eye(rho.shape[0])
-        report = bounds.pinsker_check(f, u, rho, load_matrix(sigma))
-    elif args.inequality == "classical_reduction":
-        sigma = _require(args.sigma, "--sigma")
-        report = bounds.verify_classical_reduction(f, rho, load_matrix(sigma))
-    elif args.inequality in ("monotonicity", "monotonicity_bound", "thm42"):
-        sigma = load_matrix(_require(args.sigma, "--sigma"))
-        space = _space_for(args, rho)
-        k1 = load_matrix(args.k) if args.k else np.eye(space.dims[0])
-        v = _unitary(args.vfile, "--v") if args.vfile else np.eye(space.dims[1])
-        if args.inequality == "monotonicity":
-            report = bounds.verify_monotonicity(f, k1, v, rho, sigma, space)
-        elif args.inequality == "thm42":
-            report = bounds.verify_thm42_grid(f, k1, v, rho, sigma, args.beta, space)
-        else:
-            report = bounds.verify_monotonicity_bound(f, k1, v, rho, sigma,
-                                                      args.beta, space)
-    elif args.inequality == "ssa":
-        space = FactorizedSpace(parse_dims(_require(args.dims, "--dims")))
-        report = bounds.verify_ssa(rho, args.beta, space)
-    elif args.inequality.startswith("operator_ssa_"):
-        space = FactorizedSpace(parse_dims(_require(args.dims, "--dims")))
-        sigma_ab = load_matrix(_require(args.sigma, "--sigma"))
-        variant = args.inequality.rsplit("_", 1)[1]
-        report = bounds.verify_operator_ssa(f, rho, sigma_ab, args.beta, variant, space)
-    elif args.inequality == "cauchy_schwarz":
-        space = FactorizedSpace(parse_dims(_require(args.dims, "--dims")))
-        sigma_ab = load_matrix(_require(args.sigma, "--sigma"))
-        report = bounds.verify_cauchy_schwarz(rho, sigma_ab, args.beta, space)
-    else:  # pragma: no cover
-        raise QREError(f"unhandled inequality {args.inequality}")
+    space = _space_for(args, rho.shape[0], family.nfactors)
+    operands = [rho if name == "rho" else LOADERS[name](args, space)
+                for name in family.operands]
+    report = family.check(f, space, args.beta, *operands)
     if args.json:
         print(report.to_json())
     else:
         print(f"{report.inequality_id}: lhs={report.lhs:.9g} rhs={report.rhs:.9g} "
               f"margin={report.gap:.3e} passed={report.passed}")
     return EXIT_PASS if report.passed else EXIT_VIOLATION
-
-
-def _require(value, flag):
-    if not value:
-        raise QREError(f"{flag} is required for this inequality")
-    return value
-
-
-def _unitary(path, flag):
-    """Load a matrix the theorem needs unitary; reject it unless V*V = I within 1e-10 d."""
-    m = load_matrix(path)
-    d = m.shape[0]
-    dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
-    if dev > UNITARY_TOL * d:
-        raise QREError(f"{flag} is not unitary: max |V*V - I| = {dev:.3e}")
-    return m
 
 
 def _cmd_campaign(args) -> int:
@@ -188,19 +175,11 @@ def _cmd_campaign(args) -> int:
 def _cmd_constants(args) -> int:
     f = from_id(args.fid)
     beta = args.beta
-    if f.name == "neg_log":
-        kind, p = "log", None
-    elif f.name.startswith("f_p:") or f.name.startswith("neg_power:"):
-        kind, p = "power", float(f.name.split(":", 1)[1])
-    else:
-        raise QREError(f"no closed-form constants for {f.name}")
-    if args.p is not None:
-        kind, p = "power", args.p
-    c = f.power_law_c(beta) if f.regular else (
-        p / 2.0 if beta <= 0.5 else p * (1.0 - beta) / (2.0 * beta))
+    c = f.power_law_c(beta)          # raises for an f without window constants
+    big_c = f.power_law_C()
+    _, p = split_id(f.name)
     alpha = bounds.alpha_exponent(beta, c)
-    n = bounds.explicit_N(kind, beta, p, args.knorm, args.dd)
-    big_c = f.power_law_C() if f.regular else float("nan")
+    n = bounds.explicit_N("log" if p is None else "power", beta, p, args.knorm, args.dd)
     for name, value in (("alpha1", bounds.alpha1(beta)), ("alpha2", bounds.alpha2(beta)),
                         ("alpha", alpha), ("C", big_c), ("c", c), ("N", n)):
         print(f"{name}={value!r}")

@@ -186,22 +186,33 @@ def make_g_p(p: float) -> OperatorConvexFunction:
     return make_f_p(1.0 - p).transpose()
 
 
+def split_id(fid: str) -> tuple[str, float | None]:
+    """(head, p) of a function id: ("neg_log", None), ("f_p", 0.5), ("neg_power", 0.3)."""
+    head, sep, tail = fid.strip().partition(":")
+    if not sep:
+        return head, None
+    try:
+        return head, float(tail)
+    except ValueError as exc:
+        raise InvalidParameter(f"bad parameter in function id {fid!r}") from exc
+
+
 def from_id(fid: str) -> OperatorConvexFunction:
     """Resolve a string id: "neg_log", "f_p:<p>", "neg_power:<p>"."""
-    fid = fid.strip()
-    if fid == "neg_log":
+    head, p = split_id(fid)
+    if p is None and head == "neg_log":
         return make_neg_log()
-    head, sep, tail = fid.partition(":")
-    if sep:
-        try:
-            p = float(tail)
-        except ValueError as exc:
-            raise InvalidParameter(f"bad parameter in function id {fid!r}") from exc
-        if head == "f_p":
-            return make_f_p(p)
-        if head == "neg_power":
-            return make_neg_power(p)
+    if p is not None and head == "f_p":
+        return make_f_p(p)
+    if p is not None and head == "neg_power":
+        return make_neg_power(p)
     raise InvalidParameter(f"unknown function id {fid!r}")
+
+
+def power_of(f: OperatorConvexFunction) -> float | None:
+    """The p of an ``f_p:<p>`` function, read from its id; None for any other f."""
+    head, p = split_id(f.name)
+    return p if head == "f_p" else None
 
 
 # ----------------------------------------------------------------------------

@@ -12,9 +12,9 @@ needs that depends only on its ``dims`` and a keep set (the dimension, the
 normalized keep tuple, the ``subspace``, the einsum operands of
 ``partial_trace`` and ``embed``) is computed once per ``dims`` per process and
 shared by every space with equal dims.  The cached identity factors are
-read-only; the arrays ``partial_trace`` and ``embed`` return are fresh,
-except for a keep set covering every factor, where einsum returns a view of
-the input.
+read-only; the arrays ``partial_trace`` and ``embed`` return are always fresh
+and writable, also for a keep set covering every factor (where einsum alone
+would return a view of the input).
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ class _Plan(NamedTuple):
     traced: tuple[int, ...]           # row + col indices; traced factors share one
     kept: tuple[int, ...]             # row + col indices of the kept factors
     embed_rest: tuple                 # (read-only eye, its indices) per other factor, then out
+    whole: bool                       # keeps every factor: einsum returns a view
 
 
 def _checked_dims(dims) -> tuple[int, ...]:
@@ -173,9 +174,17 @@ def _layout(dims: tuple[int, ...]) -> _Layout:
 
 
 @functools.lru_cache(maxsize=None)
-def _keep_plan(dims: tuple[int, ...], keep: tuple) -> _Plan:
-    """The plan of ``keep`` as passed; every spelling of a keep set shares one plan."""
-    return _compile_plan(dims, tuple(sorted({int(k) for k in keep})))
+def _keep_plan(dims: tuple[int, ...], keep: tuple, types: tuple) -> _Plan:
+    """The plan of ``keep`` as passed; every spelling of a keep set shares one plan.
+
+    ``types`` (the entry types) only keys the cache: (1.0,) == (1,) must not hit
+    the plan of (1,), since keep entries must be integers.
+    """
+    try:
+        checked = {operator.index(k) for k in keep}
+    except TypeError:
+        raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
+    return _compile_plan(dims, tuple(sorted(checked)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,6 +204,7 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
         traced=tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
         kept=keep + tuple(k + n for k in keep),
         embed_rest=tuple(rest) + (tuple(range(2 * n)),),
+        whole=len(keep) == n,
     )
 
 
@@ -235,7 +245,7 @@ class FactorizedSpace:
     def _plan(self, keep) -> _Plan:
         if not isinstance(keep, tuple):
             keep = tuple(keep) if isinstance(keep, Iterable) else (keep,)
-        return _keep_plan(self.dims, keep)
+        return _keep_plan(self.dims, keep, tuple(map(type, keep)))
 
     def normalize_keep(self, keep) -> tuple[int, ...]:
         return self._plan(keep).keep
@@ -247,14 +257,16 @@ class FactorizedSpace:
         """Trace out every factor not in ``keep``; result ordered by kept factors."""
         plan = self._plan(keep)
         t = self.check(m).reshape(self._layout.tensor_shape)
-        return np.einsum(t, plan.traced, plan.kept).reshape(plan.sub.dim, -1)
+        out = np.einsum(t, plan.traced, plan.kept).reshape(plan.sub.dim, -1)
+        return out.copy() if plan.whole else out
 
     def embed(self, op, slots) -> np.ndarray:
         """Tensor ``op`` (acting on the given factor slots, ascending) with identities elsewhere."""
         plan = self._plan(slots)
         t = plan.sub.check(op).reshape(plan.sub._layout.tensor_shape)
         dim = self._layout.dim
-        return np.einsum(t, plan.kept, *plan.embed_rest).reshape(dim, dim)
+        out = np.einsum(t, plan.kept, *plan.embed_rest).reshape(dim, dim)
+        return out.copy() if plan.whole else out
 
 
 def partial_trace(m, space: FactorizedSpace, keep) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qre.campaign import (
+    FAMILIES,
     CampaignConfig,
     parse_config,
     parse_dims,
@@ -15,6 +16,7 @@ from qre.campaign import (
     trial_seed,
 )
 from qre.errors import InvalidParameter
+from qre.functions import from_id
 
 BASE_CONFIG = """
 # acceptance-style campaign
@@ -127,6 +129,27 @@ class TestApplicability:
                              dims=((2,),), trials=4, seed=2)
         summary = run_campaign(cfg)
         assert summary.reports == 4 and summary.failures == 0
+
+
+    def test_pinsker_skips_unnormalized_functions(self):
+        cfg = CampaignConfig(inequalities=("pinsker",), functions=("neg_power:0.3",),
+                             dims=((2, 2), (2, 2, 2)), trials=20, seed=3)
+        summary = run_campaign(cfg)
+        assert summary.reports == 0 and summary.trials == 0
+        assert run_single("pinsker", "neg_power:0.3", (2, 2), 0.5, 1) == []
+
+
+class TestRegistry:
+    def test_f_requirements(self):
+        wanted = {"neg_log": {"pinsker"}, "f_p:0.5": {"pinsker", "wyd_skew",
+                                                      "wyd_joint_concavity", "wyd_operator"},
+                  "f_p:1.5": {"pinsker", "wyd_joint_concavity"},
+                  "f_p:-0.5": {"pinsker", "wyd_joint_concavity"}, "neg_power:0.3": set()}
+        for fid, admitted in wanted.items():
+            f = from_id(fid)
+            got = {name for name, family in FAMILIES.items()
+                   if family.requires is not None and family.admits(f)}
+            assert got == admitted, fid
 
 
 class TestMixedRankPolicy:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main
-from qre.linalg import random_density, random_unitary, save_matrix
+from qre.campaign import FAMILIES, run_single, sample_operands
+from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main, verifiable
+from qre.linalg import FactorizedSpace, random_density, random_unitary, save_matrix
 
 
 @pytest.fixture
@@ -115,6 +116,57 @@ class TestVerify:
         assert code == EXIT_PASS
 
 
+# the flag each operand is read from by ``qre verify``
+FLAGS = {"rho": "--rho", "sigma": "--sigma", "sigma_ab": "--sigma", "k1": "--k",
+         "v": "--v", "u": "--k"}
+
+
+class TestVerifySharesTheCampaignCheck:
+    def test_choices_come_from_the_registry(self):
+        assert set(verifiable()) == {
+            "monotonicity", "thm42", "monotonicity_bound", "ssa", "operator_ssa_thm62",
+            "operator_ssa_thm63", "operator_ssa_cor64", "operator_ssa_cor65", "pinsker",
+            "classical_reduction", "wyd_operator", "cauchy_schwarz"}
+
+    @pytest.mark.parametrize("inequality", verifiable())
+    def test_verify_matches_run_single(self, inequality, tmp_path, capsys):
+        family = FAMILIES[inequality]
+        dims = (2, 2, 2) if family.nfactors == 3 else (2, 2)
+        seed = 20260 + len(inequality)
+        want, = run_single(inequality, "f_p:0.5", dims, 0.25, seed)
+        operands = sample_operands(family, FactorizedSpace(dims), np.random.default_rng(seed))
+        argv = ["verify", inequality, "--f", "f_p:0.5", "--beta", "0.25",
+                "--dims", "x".join(map(str, dims)), "--json"]
+        for name, operand in zip(family.operands, operands):
+            save_matrix(tmp_path / f"{name}.json", operand)
+            argv += [FLAGS[name], str(tmp_path / f"{name}.json")]
+        code = main(argv)
+        got = json.loads(capsys.readouterr().out)
+        assert code == (EXIT_PASS if want.passed else EXIT_VIOLATION)
+        for key in ("lhs", "rhs", "gap", "passed"):
+            assert got[key] == getattr(want, key), key
+
+
+class TestFunctionRequirements:
+    def test_pinsker_needs_a_normalized_f(self, fixtures, capsys):
+        code = main(["verify", "pinsker", "--f", "neg_power:0.3",
+                     "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json")])
+        assert code == EXIT_INPUT
+        assert "normalized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:1.5", "neg_power:0.5"])
+    def test_wyd_operator_needs_f_p_in_the_unit_interval(self, fixtures, fid):
+        code = main(["verify", "wyd_operator", "--f", fid,
+                     "--rho", str(fixtures / "rho8.json"),
+                     "--sigma", str(fixtures / "sab.json"), "--dims", "2x2x2"])
+        assert code == EXIT_INPUT
+
+    def test_wrong_number_of_factors_is_input_error(self, fixtures):
+        code = main(["verify", "ssa", "--rho", str(fixtures / "rho4.json"), "--dims", "2x2"])
+        assert code == EXIT_INPUT
+
+
 class TestBoundsConstants:
     def test_log_constants(self, capsys):
         code = main(["bounds", "constants", "--f", "neg_log", "--beta", "0.5"])
@@ -131,6 +183,26 @@ class TestBoundsConstants:
         out = dict(line.split("=") for line in capsys.readouterr().out.split())
         assert float(out["alpha"]) == pytest.approx(0.2)
         assert float(out["c"]) == pytest.approx(0.25)
+
+
+    def test_p_option_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["bounds", "constants", "--f", "neg_log", "--beta", "0.5", "--p", "0.5"])
+
+    @pytest.mark.parametrize("fid", ["f_p:1.5", "f_p:-0.5"])
+    def test_f_without_window_constants_is_input_error(self, fid, capsys):
+        assert main(["bounds", "constants", "--f", fid, "--beta", "0.5"]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("beta", ["0.25", "0.5", "0.75"])
+    def test_power_constants_read_from_the_function(self, beta, capsys):
+        printed = []
+        for fid in ("neg_power:0.5", "f_p:0.5"):
+            assert main(["bounds", "constants", "--f", fid, "--beta", beta]) == EXIT_PASS
+            printed.append(dict(line.split("=") for line in capsys.readouterr().out.split()))
+        for key in ("c", "alpha", "N"):
+            assert printed[0][key] == printed[1][key], key
+        assert float(printed[0]["N"]) > 0
 
 
 class TestReprCheck:

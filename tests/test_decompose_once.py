@@ -181,6 +181,10 @@ GOLDEN_SHA256 = "ca107ec4d0e2b06f6e4b154009ff32bbc69215c8f6c6aab0ad813dfe049e9ae
 # Tripartite and 3x2 families that go through partial traces and embeddings,
 # recorded before their einsum operands were cached per dims.
 GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903d0761162"
+# The families no digest above covers (joint convexity, the classical reduction,
+# the WYD families and the joint-convexity equality sweep) and the f gating of
+# the wyd_* families, recorded before the families moved into one registry.
+GOLDEN_FAMILY_SHA256 = "4b5988d44a746d892ba1bd61aec9c7ae4de9d8cb595cbb91a8e233c7ff508cf6"
 
 
 def test_golden_campaign_digest():
@@ -206,3 +210,25 @@ def test_golden_tensor_campaign_digest():
     summary = run_campaign(config, stream=buf)
     assert (summary.reports, summary.trials, summary.failures) == (106, 82, 0)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_TENSOR_SHA256
+
+
+def test_golden_family_campaign_digest():
+    common = dict(betas=(0.25, 0.75), trials=2, seed=13, rank_policy="mixed")
+    configs = (
+        CampaignConfig(
+            inequalities=("joint_convexity", "classical_reduction", "wyd_skew",
+                          "wyd_joint_concavity", "equality_joint_convexity"),
+            functions=("neg_log", "f_p:0.5"), dims=((2, 2), (3,)), **common),
+        CampaignConfig(
+            inequalities=("classical_reduction", "wyd_skew", "wyd_joint_concavity",
+                          "wyd_operator"),
+            functions=("f_p:1.5", "f_p:-0.5", "neg_power:0.3"), dims=((2, 2, 2),), **common),
+    )
+    buf = io.StringIO()
+    totals = [0, 0, 0]
+    for config in configs:
+        summary = run_campaign(config, stream=buf)
+        for i, n in enumerate((summary.reports, summary.trials, summary.failures)):
+            totals[i] += n
+    assert totals == [82, 58, 0]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_FAMILY_SHA256

@@ -16,7 +16,9 @@ from qre.functions import (
     make_neg_log,
     make_neg_power,
     make_x_log_x,
+    power_of,
     regularity_constant,
+    split_id,
     window_edges,
 )
 
@@ -209,7 +211,19 @@ class TestFromId:
         assert from_id("f_p:0.5").name == "f_p:0.5"
         assert from_id("neg_power:0.5").name == "neg_power:0.5"
 
-    @pytest.mark.parametrize("bad", ["", "f_p", "f_p:x", "unknown", "f_p:2.5"])
+    @pytest.mark.parametrize("bad", ["", "f_p", "f_p:x", "unknown", "f_p:2.5", "neg_log:1"])
     def test_rejects(self, bad):
         with pytest.raises(InvalidParameter):
             from_id(bad)
+
+    def test_split_id(self):
+        assert split_id(" neg_log ") == ("neg_log", None)
+        assert split_id("f_p:-0.5") == ("f_p", -0.5)
+        assert split_id("neg_power:0.3") == ("neg_power", 0.3)
+        with pytest.raises(InvalidParameter):
+            split_id("f_p:x")
+
+    @pytest.mark.parametrize("fid, p", [("f_p:0.5", 0.5), ("f_p:1.5", 1.5), ("f_p:-0.5", -0.5),
+                                        ("neg_power:0.5", None), ("neg_log", None)])
+    def test_power_of(self, fid, p):
+        assert power_of(from_id(fid)) == p

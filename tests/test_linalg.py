@@ -248,12 +248,27 @@ class TestTensorPlans:
         assert first.flags.writeable and not np.shares_memory(first, op)
         first[:] = 0.0
         np.testing.assert_array_equal(space.embed(op, (1,)), _oracle_embed((2, 3, 2), op, (1,)))
-        for keep in _keep_sets(3)[:-1]:              # the full set is einsum's identity view
+        for keep in _keep_sets(3):
             red = space.partial_trace(m, keep)
             assert red.flags.writeable and not np.shares_memory(red, m)
         assert not any(e.flags.writeable for e in eyes)
 
-    @pytest.mark.parametrize("keep", [(), [], (3,), (-1,), (0, 3), 5])
+    @pytest.mark.parametrize("keep", [(0, 1), [1, 0], (0, 1, 0)])
+    def test_full_keep_set_returns_a_fresh_copy(self, keep):
+        space = FactorizedSpace((2, 3))
+        power = PsdOperator(random_density(6, seed=7).mat).power(1.0)    # read-only
+        raw = random_hermitian(6, seed=8)
+        for m in (power, raw):
+            want = m.copy()
+            for call in (space.partial_trace, space.embed):
+                out = call(m, keep)
+                assert out.flags.writeable and not np.shares_memory(out, m)
+                np.testing.assert_array_equal(out, want)
+                out[:] = 0.0
+            np.testing.assert_array_equal(m, want)
+
+    @pytest.mark.parametrize("keep", [(), [], (3,), (-1,), (0, 3), 5, 1.5, [0.9, 2.7],
+                                      (np.float64(1),), ("1",), (0, 1.0)])
     def test_invalid_keep_raises_every_call(self, keep):
         space = FactorizedSpace((2, 2, 2))
         for _ in range(3):

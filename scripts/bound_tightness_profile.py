@@ -3,7 +3,7 @@
 
 For random bipartite instances the script reports, per (function, beta):
 the median ratio M gap^alpha / ||R_beta||_2 (how loose the power-law envelope
-runs at desk scale), the median optimizer window T*, and the exponent
+runs at desk scale), the median closed-form window optimum T*, and the exponent
 alpha(beta).  Ratios are always >= 1; the bound is loosest deep in the
 beta -> 1 branch where alpha collapses.
 """

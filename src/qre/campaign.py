@@ -46,7 +46,6 @@ class CampaignConfig:
     seed: int = 0
     rank_policy: str = "full"
     output_path: str | None = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -60,9 +59,29 @@ class CampaignConfig:
             raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(FAMILIES)}")
 
 
+def _split(v: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in v.split(",") if s.strip())
+
+
+# config key -> (CampaignConfig field, parser of its value)
+CONFIG_KEYS = {
+    "inequalities": ("inequalities", _split),
+    "functions": ("functions", _split),
+    "dims": ("dims", lambda v: tuple(parse_dims(d) for d in _split(v))),
+    "betas": ("betas", lambda v: tuple(float(b) for b in _split(v))),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "rank_policy": ("rank_policy", str),
+    "output": ("output_path", str),
+}
+
+
 def parse_config(text: str) -> CampaignConfig:
-    """Plain key = value lines; lists are comma separated, dims use '2x2x2'."""
-    fields: dict = {}
+    """Plain key = value lines; lists are comma separated, dims use '2x2x2'.
+
+    The keys are those of ``CONFIG_KEYS``; any other key is rejected.
+    """
+    kwargs: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,31 +89,12 @@ def parse_config(text: str) -> CampaignConfig:
         if "=" not in line:
             raise InvalidParameter(f"bad config line {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        fields[key] = val
-    def split(v):
-        return tuple(s.strip() for s in v.split(",") if s.strip())
-    kwargs = {}
-    if "inequalities" in fields:
-        kwargs["inequalities"] = split(fields["inequalities"])
-    else:
+        if key not in CONFIG_KEYS:
+            raise InvalidParameter(f"unknown config key {key!r}; known: {', '.join(CONFIG_KEYS)}")
+        name, parse = CONFIG_KEYS[key]
+        kwargs[name] = parse(val)
+    if "inequalities" not in kwargs:
         raise InvalidParameter("config must list inequalities")
-    if "functions" in fields:
-        kwargs["functions"] = split(fields["functions"])
-    if "dims" in fields:
-        kwargs["dims"] = tuple(parse_dims(d) for d in split(fields["dims"]))
-    if "betas" in fields:
-        kwargs["betas"] = tuple(float(b) for b in split(fields["betas"]))
-    for key in ("trials", "seed"):
-        if key in fields:
-            kwargs[key] = int(fields[key])
-    if "rank_policy" in fields:
-        kwargs["rank_policy"] = fields["rank_policy"]
-    if "output" in fields:
-        kwargs["output_path"] = fields["output"]
-    # per-inequality pass tolerances: lines like  tol.monotonicity = 1e-8
-    tols = {k[4:]: float(v) for k, v in fields.items() if k.startswith("tol.")}
-    if tols:
-        kwargs["tolerances"] = tols
     return CampaignConfig(**kwargs)
 
 
@@ -126,6 +126,7 @@ def _f_p_in(lo: float, hi: float) -> Requirement:
 
 
 NORMALIZED_F = Requirement("a normalized f (f(1) = 0)", lambda f: f.normalized)
+REGULAR_F = Requirement("a regular f (window constants)", lambda f: f.regular)
 
 
 class Family(NamedTuple):
@@ -150,7 +151,7 @@ class Family(NamedTuple):
 def _operator_ssa(variant):
     return Family(lambda f, space, beta, rho, sab:
                   bounds.verify_operator_ssa(f, rho, sab, beta, variant, space),
-                  ("rho", "sigma_ab"), nfactors=3)
+                  ("rho", "sigma_ab"), nfactors=3, requires=REGULAR_F)
 
 
 FAMILIES: dict[str, Family] = {
@@ -161,14 +162,14 @@ FAMILIES: dict[str, Family] = {
     "thm42": Family(
         lambda f, space, beta, rho, sigma, k1, v:
         bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space),
-        ("rho", "sigma", "k1", "v"), nfactors=2),
+        ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
     "monotonicity_bound": Family(
         lambda f, space, beta, rho, sigma, k1, v:
         bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space),
-        ("rho", "sigma", "k1", "v"), nfactors=2),
+        ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
     "joint_convexity": Family(
         lambda f, space, beta, comps, k: bounds.verify_joint_convexity(f, k, comps, beta),
-        ("ensemble", "k")),
+        ("ensemble", "k"), requires=REGULAR_F),
     "ssa": Family(
         lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space),
         ("rho",), nfactors=3, uses_f=False, mixed_rank=True),
@@ -330,9 +331,6 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
                             if reports:
                                 summary.trials += 1
                             for rep in reports:
-                                tol = config.tolerances.get(ineq)
-                                if tol is not None:
-                                    rep.passed = rep.gap >= -tol
                                 _tally(summary, stats, rep)
                                 if out is not None:
                                     out.write(rep.to_json() + "\n")

@@ -22,7 +22,7 @@ class BoundConstants:
     N: float
     M: float
     T_star: float
-    boundary: bool = False   # optimizer ran into the T range edge (gap ~ 0)
+    boundary: bool = False   # no interior T*: gap <= 0 (T_MAX) or T* clipped to T_MIN
 
     def as_dict(self) -> dict:
         d = asdict(self)

@@ -12,7 +12,6 @@ from qre.bounds import (
     alpha_exponent,
     envelope_constants,
     explicit_N,
-    golden_section_min,
     monotonicity_gap,
     operator_ssa_sides,
     optimize_T_scalar,
@@ -20,6 +19,8 @@ from qre.bounds import (
     psd_power,
     ssa_gap,
     thm42_terms,
+    T_MAX,
+    T_MIN,
     verify_cauchy_schwarz,
     verify_classical_reduction,
     verify_joint_convexity,
@@ -35,7 +36,8 @@ from qre.bounds import (
 )
 from qre.entropy import von_neumann_entropy
 from qre.errors import DivergentEntropy, IrregularFunction
-from qre.functions import make_f_p, make_neg_log
+from qre.campaign import run_single
+from qre.functions import from_id, make_f_p, make_neg_log, regularity_constant
 from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
@@ -51,6 +53,34 @@ from qre.linalg import (
 NEG_LOG = make_neg_log()
 SPACE = FactorizedSpace((2, 2))
 SPACE3 = FactorizedSpace((2, 2, 2))
+WINDOW_FUNCTIONS = [g for fid in ("neg_log", "f_p:0.5", "neg_power:0.3")
+                    for g in (from_id(fid), from_id(fid).transpose())]
+
+
+def golden_section_min(fn, lo: float, hi: float, rel_tol: float = 1e-6,
+                       max_iter: int = 200):
+    """Golden-section minimum of a unimodal fn on [lo, hi]; returns (x, fn(x)).
+
+    The search the closed-form window optimum replaced, kept as its oracle.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(max_iter):
+        if abs(b - a) <= rel_tol * max(1.0, abs(a), abs(b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = (a + b) / 2.0
+    return x, fn(x)
 
 
 class TestExponents:
@@ -147,6 +177,69 @@ class TestThm42Terms:
         x, fx = golden_section_min(lambda u: (u - 1.3) ** 2 + 2.0, -4.0, 6.0)
         assert x == pytest.approx(1.3, abs=1e-5)
         assert fx == pytest.approx(2.0, abs=1e-9)
+
+
+class TestClosedFormWindowOptimum:
+    @pytest.mark.parametrize("f", WINDOW_FUNCTIONS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_window_constant_is_a_power_law(self, f, beta):
+        # the hypothesis of the closed form: C_{T,beta} = C T^{2c} exactly
+        for T in (1.0 + 1e-9, 1.5, 30.0, 1e4, 1e9):
+            expected = f.power_law_C() * T ** (2.0 * f.power_law_c(beta))
+            assert regularity_constant(f, T, beta).constant == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_golden_section_oracle(self):
+        rng = np.random.default_rng(42)
+        interior = 0
+        for _ in range(200):
+            f = WINDOW_FUNCTIONS[rng.integers(len(WINDOW_FUNCTIONS))]
+            beta = float(rng.uniform(0.05, 0.95))
+            k_norm = float(rng.uniform(0.1, 1.0))
+            d_norm = float(10.0 ** rng.uniform(0.0, 3.0))
+            gap = float(10.0 ** rng.uniform(-8.0, 0.0))
+            consts = optimize_T_scalar(f, beta, k_norm, d_norm, gap)
+            if consts.boundary:
+                continue
+            interior += 1
+
+            def rhs(T):
+                return thm42_terms(f, beta, T, k_norm, d_norm, gap)
+
+            log_t, _ = golden_section_min(lambda lt: rhs(math.exp(lt)),
+                                          math.log(T_MIN), math.log(1e3 * consts.T_star),
+                                          rel_tol=1e-9)
+            t_golden = math.exp(log_t)
+            assert consts.T_star == pytest.approx(t_golden, rel=1e-5)
+            assert rhs(consts.T_star) <= rhs(t_golden) * (1.0 + 1e-12)
+            envelope = consts.M * gap ** consts.alpha
+            reached = math.sin(beta * math.pi) / math.pi * rhs(consts.T_star)
+            assert reached == pytest.approx(envelope, rel=1e-10)
+        assert interior >= 150
+
+    def test_optimum_below_the_window_is_clipped(self):
+        beta, gap = 0.9, 10.0
+        consts = optimize_T_scalar(NEG_LOG, beta, 1.0, 1.0, gap)
+        assert consts.boundary and consts.T_star == T_MIN
+        at_edge = math.sin(beta * math.pi) / math.pi * thm42_terms(NEG_LOG, beta, T_MIN,
+                                                                 1.0, 1.0, gap)
+        assert consts.M * gap ** consts.alpha == pytest.approx(at_edge, rel=1e-12)
+        assert consts.N == pytest.approx(consts.M ** (-1.0 / consts.alpha), rel=1e-12)
+        # the envelope of the interior optimum would undercut the bound at the window edge
+        m_envelope = bounds.constants_for(NEG_LOG, beta, 1.0, 1.0)[0]
+        assert m_envelope * gap ** consts.alpha < at_edge
+
+    def test_optimum_beyond_t_max_is_not_capped(self):
+        consts = optimize_T_scalar(NEG_LOG, 0.5, 1.0, 1.0, 1e-30)
+        assert not consts.boundary and consts.T_star > T_MAX
+        reached = thm42_terms(NEG_LOG, 0.5, consts.T_star, 1.0, 1.0, 1e-30)
+        assert math.sin(0.5 * math.pi) / math.pi * reached == pytest.approx(
+            consts.M * 1e-30 ** consts.alpha, rel=1e-10)
+
+    @pytest.mark.parametrize("inequality,seed", [("thm42", 6417109856800188605),
+                                                 ("monotonicity_bound", 960698628136948910)])
+    def test_trials_with_an_optimum_beyond_t_max_pass(self, inequality, seed):
+        rep, = run_single(inequality, "neg_log", (8, 8), 0.25, seed)
+        assert rep.passed and rep.constants.T_star > T_MAX
 
 
 class TestMonotonicity:

@@ -18,6 +18,10 @@ from qre.campaign import (
 from qre.errors import InvalidParameter
 from qre.functions import from_id
 
+# the families whose theorem needs the window constants of a regular f
+WINDOW_FAMILIES = ("thm42", "monotonicity_bound", "joint_convexity", "operator_ssa_thm62",
+                   "operator_ssa_thm63", "operator_ssa_cor64", "operator_ssa_cor65")
+
 BASE_CONFIG = """
 # acceptance-style campaign
 inequalities = monotonicity, ssa, pinsker
@@ -60,15 +64,10 @@ class TestConfig:
         with pytest.raises(InvalidParameter):
             parse_dims("2xa")
 
-    def test_tolerance_overrides(self):
-        cfg = parse_config(
-            "inequalities = monotonicity\ntrials = 2\ntol.monotonicity = 1e-6\n")
-        assert cfg.tolerances == {"monotonicity": 1e-6}
-        # an absurdly tight override flips passing trials to failures
-        tight = CampaignConfig(inequalities=("monotonicity",), trials=5, seed=1,
-                               tolerances={"monotonicity": -1e9})
-        summary = run_campaign(tight)
-        assert summary.failures == summary.reports
+    @pytest.mark.parametrize("line", ["trails = 5", "tol.monotonicity = 1e-6"])
+    def test_unknown_key_rejected(self, line):
+        with pytest.raises(InvalidParameter, match="unknown config key"):
+            parse_config(f"inequalities = monotonicity\n{line}\n")
 
 
 class TestDeterminism:
@@ -141,15 +140,26 @@ class TestApplicability:
 
 class TestRegistry:
     def test_f_requirements(self):
-        wanted = {"neg_log": {"pinsker"}, "f_p:0.5": {"pinsker", "wyd_skew",
-                                                      "wyd_joint_concavity", "wyd_operator"},
+        wanted = {"neg_log": {"pinsker", *WINDOW_FAMILIES},
+                  "f_p:0.5": {"pinsker", "wyd_skew", "wyd_joint_concavity", "wyd_operator",
+                              *WINDOW_FAMILIES},
                   "f_p:1.5": {"pinsker", "wyd_joint_concavity"},
-                  "f_p:-0.5": {"pinsker", "wyd_joint_concavity"}, "neg_power:0.3": set()}
+                  "f_p:-0.5": {"pinsker", "wyd_joint_concavity"},
+                  "neg_power:0.3": set(WINDOW_FAMILIES)}
         for fid, admitted in wanted.items():
             f = from_id(fid)
             got = {name for name, family in FAMILIES.items()
                    if family.requires is not None and family.admits(f)}
             assert got == admitted, fid
+
+    @pytest.mark.parametrize("inequality", WINDOW_FAMILIES)
+    def test_window_families_skip_irregular_functions(self, inequality):
+        dims = (2, 2, 2) if FAMILIES[inequality].nfactors == 3 else (2, 2)
+        cfg = CampaignConfig(inequalities=(inequality,), functions=("f_p:1.5", "f_p:-0.5"),
+                             dims=(dims,), trials=2, seed=3)
+        summary = run_campaign(cfg)
+        assert summary.reports == 0 and summary.trials == 0
+        assert run_single(inequality, "f_p:1.5", dims, 0.5, 1) == []
 
 
 class TestMixedRankPolicy:

@@ -47,6 +47,15 @@ class TestVerify:
                      "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2"])
         assert code == EXIT_PASS
 
+    @pytest.mark.parametrize("inequality", ["thm42", "monotonicity_bound"])
+    def test_equal_states(self, inequality, tmp_path):
+        # a gap of roundoff size puts the window optimum far beyond any fixed cap
+        for seed in range(40):
+            save_matrix(tmp_path / "r.json", random_density(4, seed=seed).mat)
+            code = main(["verify", inequality, "--rho", str(tmp_path / "r.json"),
+                         "--sigma", str(tmp_path / "r.json")])
+            assert code == EXIT_PASS, seed
+
     def test_ssa(self, fixtures):
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho8.json"),
                      "--dims", "2x2x2"])
@@ -161,6 +170,17 @@ class TestFunctionRequirements:
                      "--rho", str(fixtures / "rho8.json"),
                      "--sigma", str(fixtures / "sab.json"), "--dims", "2x2x2"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("inequality", ["thm42", "monotonicity_bound", "operator_ssa_thm62",
+                                            "operator_ssa_thm63", "operator_ssa_cor64",
+                                            "operator_ssa_cor65"])
+    def test_window_families_need_a_regular_f(self, fixtures, inequality, capsys):
+        rho, dims = ("rho8.json", "2x2x2") if "ssa" in inequality else ("rho4.json", "2x2")
+        sigma = "sab.json" if "ssa" in inequality else "sigma4.json"
+        code = main(["verify", inequality, "--f", "f_p:1.5", "--rho", str(fixtures / rho),
+                     "--sigma", str(fixtures / sigma), "--dims", dims])
+        assert code == EXIT_INPUT
+        assert "a regular f (window constants)" in capsys.readouterr().err
 
     def test_wrong_number_of_factors_is_input_error(self, fixtures):
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho4.json"), "--dims", "2x2"])

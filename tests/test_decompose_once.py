@@ -175,16 +175,19 @@ class TestEffectiveEigs:
                                           _reference_effective_eigs(np.array(w)))
 
 
-# sha256 of the JSONL this campaign wrote at the commit before decompose-once.
-# A change that moves any digit of it must explain which and why in CHANGES.md.
-GOLDEN_SHA256 = "ca107ec4d0e2b06f6e4b154009ff32bbc69215c8f6c6aab0ad813dfe049e9aee"
+# sha256 of the JSONL this campaign wrote at the commit before decompose-once,
+# re-recorded when the window optimum became closed-form (T_star and the thm42
+# rhs moved in their last digits). A change that moves any digit of it must
+# explain which and why in CHANGES.md.
+GOLDEN_SHA256 = "953b14fc7a6cdee5eb81821f9b90821f482a762b8e10a0480cd1ca72e23338b4"
 # Tripartite and 3x2 families that go through partial traces and embeddings,
 # recorded before their einsum operands were cached per dims.
 GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903d0761162"
 # The families no digest above covers (joint convexity, the classical reduction,
 # the WYD families and the joint-convexity equality sweep) and the f gating of
-# the wyd_* families, recorded before the families moved into one registry.
-GOLDEN_FAMILY_SHA256 = "4b5988d44a746d892ba1bd61aec9c7ae4de9d8cb595cbb91a8e233c7ff508cf6"
+# the wyd_* families, recorded before the families moved into one registry and
+# re-recorded when the window optimum became closed-form (T_star moved).
+GOLDEN_FAMILY_SHA256 = "26ffb96a0889e5de55270d7276c28277f369c5b4a38f251aa45c29bc8fa82eb4"
 
 
 def test_golden_campaign_digest():

@@ -37,7 +37,6 @@ from .linalg import (
     jordan_hahn,
     load_matrix,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     norms,
     op_norm,

@@ -25,6 +25,7 @@ by eigendecomposition with below-cutoff modes zeroed before powering.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ from .linalg import (
     hs_norm,
     op_norm,
     random_contraction,
-    random_density,
+    random_state_matrix,
     trace_norm,
 )
 from .recovery import (
@@ -476,7 +477,7 @@ def verify_joint_convexity(f, k, components, beta, seed=None) -> BoundReport:
     ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
     power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
     ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
-    eq_resid = _joint_equality_residual(km, rho, sigma, comps, beta)
+    eq_resid = _joint_equality_residual(km, rho, sigma, comps, (beta,))
     digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
                            *[c.mat for _, _, c in comps])
     return _report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
@@ -502,13 +503,19 @@ def _mixture_residual(km, comps, rho, sigma, beta):
             float(math.sqrt((probs * norms ** 2).sum())), d_sum)
 
 
-def _joint_equality_residual(km, rho, sigma, comps, beta):
-    worst = 0.0
-    for _, rj, sj in comps:
-        diff = sigma.power(beta) @ km @ rho.power(-beta) \
-            - sj.power(beta) @ km @ rj.power(-beta)
-        worst = max(worst, op_norm(diff))
-    return worst
+def _joint_equality_residual(km, rho, sigma, comps, grid):
+    """max over the grid and the components of || sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b} ||_op.
+
+    One stacked product and one batched SVD over grid x components; the
+    maximum is folded per exponent over the components, then over the grid.
+    """
+    grid = tuple(grid)
+    neg = tuple(-b for b in grid)
+    mixed = sigma.powers(grid) @ km @ rho.powers(neg)
+    parts = (np.stack([sj.powers(grid) for _, _, sj in comps], axis=1) @ km
+             @ np.stack([rj.powers(neg) for _, rj, _ in comps], axis=1))
+    norms = op_norm(mixed[:, None] - parts).tolist()
+    return max(functools.reduce(max, row, 0.0) for row in norms)
 
 
 # ----------------------------------------------------------------------------
@@ -522,9 +529,34 @@ def _traced_f_action(f, left_op, right_op, space, keep) -> np.ndarray:
     return hermitize(space.partial_trace(acted, keep))
 
 
+def operator_ssa_traced_terms(f: OperatorConvexFunction, rho, sab, variant: str,
+                              space: FactorizedSpace):
+    """(t1, t2, machinery function): the two traced f-actions one variant compares on C.
+
+    ``rho`` is the state on A|B|C and ``sab`` the operator on A|B, both as
+    operators.  The mirrored variants (cor64, cor65) act with the transpose
+    x f(1/x), which also drives their window constants.
+    """
+    if variant not in ("thm62", "thm63", "cor64", "cor65"):
+        raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
+    sub_bc = space.subspace((1, 2))
+    sb = sab.marginal(space.subspace((0, 1)), (1,))
+    rho_bc = rho.marginal(space, (1, 2))
+    sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))        # sigma_AB (x) I_C
+    sigma_b_bc = PsdOperator(sub_bc.embed(sb.mat, (0,)))          # sigma_B (x) I_C on BC
+    g = f if variant in ("thm62", "thm63") else f.transpose()
+    if variant in ("thm62", "cor64"):
+        t1 = _traced_f_action(g, sigma_full, rho, space, (2,))
+        t2 = _traced_f_action(g, sigma_b_bc, rho_bc, sub_bc, (1,))
+    else:
+        t1 = _traced_f_action(g, rho, sigma_full, space, (2,))
+        t2 = _traced_f_action(g, rho_bc, sigma_b_bc, sub_bc, (1,))
+    return t1, t2, g
+
+
 def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float,
                        variant: str, space: FactorizedSpace):
-    """(gram, rhs_op, machinery function, d_norm) for one operator-inequality variant.
+    """(gram, rhs_op, machinery function, d_norm, scale) for one operator-inequality variant.
 
     Inputs are always (state on A|B|C, operator on A|B); the mirrored variants
     apply the transpose x f(1/x) both in the traced action and in the window
@@ -533,38 +565,19 @@ def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float
     if space.nfactors != 3:
         raise InvalidParameter("operator inequalities need a tripartite space")
     rho = space.psd(rho_abc)
-    sub_ab = space.subspace((0, 1))
-    sub_bc = space.subspace((1, 2))
-    sab = sub_ab.psd(sigma_ab)
-    sb = sab.marginal(sub_ab, (1,))
-    rho_bc = rho.marginal(space, (1, 2))
-    sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))        # sigma_AB (x) I_C
-    sigma_b_bc = PsdOperator(sub_bc.embed(sb.mat, (0,)))          # sigma_B (x) I_C on BC
-
+    sab = space.subspace((0, 1)).psd(sigma_ab)
+    t1, t2, g = operator_ssa_traced_terms(f, rho, sab, variant, space)
     if variant in ("thm62", "cor64"):
-        g = f if variant == "thm62" else f.transpose()
-        t1 = _traced_f_action(g, sigma_full, rho, space, (2,))
-        t2 = _traced_f_action(g, sigma_b_bc, rho_bc, sub_bc, (1,))
         resid = ssa_residual_P(rho, sab, space, beta)
         gram = hermitize(space.partial_trace(resid @ resid.conj().T, (2,)))
         d_norm = sab.max_eig() / rho.min_positive_eig()
-    elif variant in ("thm63", "cor65"):
-        g = f if variant == "thm63" else f.transpose()
-        t1 = _traced_f_action(g, rho, sigma_full, space, (2,))
-        t2 = _traced_f_action(g, rho_bc, sigma_b_bc, sub_bc, (1,))
+    else:
         resid = ssa_residual_Q(sab, rho, space, beta)
         gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
         d_norm = rho.max_eig() / sab.min_positive_eig()
-    else:
-        raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
     # natural magnitude of the two traced terms; the difference may vanish
     scale = max(op_norm(t1), op_norm(t2), 1e-30)
     return gram, hermitize(t1 - t2), g, d_norm, scale
-
-
-def psd_power(m, exponent: float) -> np.ndarray:
-    """Eigendecomposition power with below-cutoff modes zeroed first."""
-    return PsdOperator(m).power(exponent)
 
 
 def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
@@ -573,7 +586,7 @@ def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
     gram, rhs_op, mach, d_norm, scale = operator_ssa_sides(f, rho_abc, sigma_ab,
                                                            beta, variant, space)
     _, n_const, alpha, _, c = constants_for(mach, beta, 1.0, d_norm)
-    lhs_op = n_const * psd_power(gram, 1.0 / alpha)
+    lhs_op = n_const * PsdOperator(gram).power(1.0 / alpha)
     diff_eigs = np.linalg.eigvalsh(rhs_op - lhs_op)
     rhs_eigs = np.linalg.eigvalsh(rhs_op)
     passed = float(diff_eigs.min()) >= -PSD_REPORT_TOL * scale
@@ -795,8 +808,8 @@ def _floored_state(dim, rng, floor=0.15):
     generalized-inverse powers in the residual diagnostics away from the
     roundoff-amplification regime at the large grid exponents.
     """
-    raw = random_density(dim, seed=rng)
-    return PsdOperator(hermitize((1.0 - floor) * raw.mat
+    raw = random_state_matrix(dim, seed=rng)
+    return PsdOperator(hermitize((1.0 - floor) * raw
                                  + floor * np.eye(dim) / dim))
 
 
@@ -828,17 +841,17 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng,
     mixing in an independent state with weight eps breaks it."""
     d1, d2 = space.dims
     rho1 = _floored_state(d1, rng)
-    sigma1 = random_density(d1, seed=rng)
+    sigma1 = random_state_matrix(d1, seed=rng)
     tau = _floored_state(d2, rng)
     k1 = random_contraction(d1, seed=rng)
-    noise = random_density(space.dim, seed=rng)
+    noise = random_state_matrix(space.dim, seed=rng)
     rho = space.psd(np.kron(rho1.mat, tau.mat))
-    sigma0 = np.kron(sigma1.mat, tau.mat)
+    sigma0 = np.kron(sigma1, tau.mat)
     k_full = np.kron(k1, np.eye(d2))
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
-        sigma = space.psd(hermitize((1.0 - eps) * sigma0 + eps * noise.mat))
+        sigma = space.psd(hermitize((1.0 - eps) * sigma0 + eps * noise))
         gap = monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
         resid = equality_condition_residual(rho, sigma, k_full, space, grid)
         pairs.append((eps, gap, resid))
@@ -855,24 +868,23 @@ def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
     conditioning constant across the sweep (the diagnostics then co-grow).
     """
     base_r = _floored_state(dim, rng)
-    base_s = random_density(dim, seed=rng)
+    base_s = random_state_matrix(dim, seed=rng)
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
-    noises = [random_density(dim, seed=rng) for _ in probs]
+    noises = [random_state_matrix(dim, seed=rng) for _ in probs]
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     mix_r = _average((w, base_r) for w in probs)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
         comps = [(w, base_r,
-                  PsdOperator(hermitize((1 - eps) * base_s.mat + eps * ns.mat)))
+                  PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
                  for w, ns in zip(probs, noises)]
         mix_s = _average((w, s) for w, _, s in comps)
         gap = _joint_gap(f, km, comps, mix_r, mix_s)
-        resid = max(_joint_equality_residual(km, base_r, mix_s, comps, b)
-                    for b in grid)
+        resid = _joint_equality_residual(km, base_r, mix_s, comps, grid)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_joint_convexity", f, pairs,
-                          digest_inputs(km, base_r.mat, base_s.mat), seed)
+                          digest_inputs(km, base_r.mat, base_s), seed)
 
 
 def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float:
@@ -882,12 +894,11 @@ def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float
     sab = sub_ab.psd(sigma_ab)
     sb = sab.marginal(sub_ab, (1,))
     rho_bc = rho.marginal(space, (1, 2))
-    worst = 0.0
-    for b in beta_grid:
-        lhs = space.embed(sb.power(b), (1,)) @ space.embed(rho_bc.power(-b), (1, 2))
-        rhs = space.embed(sab.power(b), (0, 1)) @ rho.power(-b)
-        worst = max(worst, op_norm(lhs - rhs))
-    return worst
+    grid = tuple(beta_grid)
+    neg = tuple(-b for b in grid)
+    lhs = space.embed(sb.powers(grid), (1,)) @ space.embed(rho_bc.powers(neg), (1, 2))
+    rhs = space.embed(sab.powers(grid), (0, 1)) @ rho.powers(neg)
+    return functools.reduce(max, op_norm(lhs - rhs).tolist(), 0.0)
 
 
 def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng,
@@ -903,14 +914,14 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng,
     rho_ab = _floored_state(space.subspace((0, 1)).dim, rng)
     tau = _floored_state(space.dims[2], rng)
     sub_ab = space.subspace((0, 1))
-    noise = random_density(sub_ab.dim, seed=rng)
+    noise = random_state_matrix(sub_ab.dim, seed=rng)
     rho = space.psd(np.kron(rho_ab.mat, tau.mat))
     grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
     for eps in (0.0,) + tuple(eps_list):
-        sab = sub_ab.psd(hermitize((1.0 - eps) * rho_ab.mat + eps * noise.mat))
-        _, rhs_op, _, _, _ = operator_ssa_sides(f, rho, sab, 0.5, "thm62", space)
-        gap = float(np.real(np.trace(rhs_op)))
+        sab = sub_ab.psd(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
+        t1, t2, _ = operator_ssa_traced_terms(f, rho, sab, "thm62", space)
+        gap = float(np.real(np.trace(hermitize(t1 - t2))))
         resid = operator_ssa_equality_residual(rho, sab, space, grid)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_operator_ssa", f, pairs,

@@ -10,6 +10,13 @@ JSONL in a fixed loop order, which makes repeated runs byte-identical.
 check, its operands (drawn here through ``SAMPLERS``, loaded by ``qre verify``
 through its loaders) and what the family needs.  A cell whose dims or ``f``
 the family does not admit produces no report.
+
+A cell draws its trials' operands in blocks: each trial still draws from its
+own generator in the listed order, but the spectral work the draws need
+(decomposing the sampled states, the norms that rescale the sampled
+contractions) is done for the whole block in stacked calls, which give the
+same bits as one call per matrix.  A block holds at most ``BLOCK_BYTES`` of
+state matrices, so memory stays flat at large dims.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from . import bounds
 from .errors import DivergentEntropy, InvalidParameter
 from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
+    DensityMatrix,
     FactorizedSpace,
-    random_contraction,
-    random_density,
+    random_contraction_draw,
     random_hermitian,
+    random_state_matrix,
     random_unitary,
+    rescale_contractions,
 )
 from .reports import BoundReport
 
@@ -212,46 +221,131 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+# Bytes of sampled state matrices one block of trials, and one stack of its
+# states, holds: a whole 20-trial cell of a two-state family at d <= 8, one
+# trial at d = 64 (whose states are then decomposed one by one).  A block
+# always holds at least one trial.
+BLOCK_BYTES = 64 * 1024
+
+
+class _State(NamedTuple):
+    """A sampled state matrix, decomposed with the other states of its block."""
+
+    mat: np.ndarray
+
+
+class _Contraction(NamedTuple):
+    """A sampled contraction mat * (norm / ||mat||) * factor, rescaled with its block."""
+
+    mat: np.ndarray
+    norm: float
+    factor: float = 1.0
+
+
 def _sample_state(rng, space, policy):
     if policy == "mixed" and space.dim > 1 and rng.random() < 0.2:
-        return random_density(space.dim, rank=int(rng.integers(1, space.dim)), seed=rng)
-    return random_density(space.dim, seed=rng)
+        return _State(random_state_matrix(space.dim, rank=int(rng.integers(1, space.dim)),
+                                          seed=rng))
+    return _State(random_state_matrix(space.dim, seed=rng))
 
 
 def _sample_ensemble(rng, space, policy):
-    """Three weighted (p_j, rho_j, sigma_j) components."""
+    """Three weighted [p_j, rho_j, sigma_j] components."""
     probs = rng.dirichlet(np.ones(3))
-    return [(float(p), random_density(space.dim, seed=rng), random_density(space.dim, seed=rng))
-            for p in probs]
+    return [[float(p), _State(random_state_matrix(space.dim, seed=rng)),
+             _State(random_state_matrix(space.dim, seed=rng))] for p in probs]
 
 
 # operand name -> sampler(rng, space, policy); the sweeps ("rng") draw their own
 SAMPLERS = {
     "rho": _sample_state,
     "sigma": _sample_state,
-    "sigma_ab": lambda rng, space, policy: random_density(space.subspace((0, 1)).dim, seed=rng),
-    "k1": lambda rng, space, policy: random_contraction(space.dims[0], seed=rng),
+    "sigma_ab": lambda rng, space, policy:
+        _State(random_state_matrix(space.subspace((0, 1)).dim, seed=rng)),
+    "k1": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dims[0], rng)),
     "v": lambda rng, space, policy: random_unitary(space.dims[1], seed=rng),
     "u": lambda rng, space, policy: random_unitary(space.dim, seed=rng),
-    "k": lambda rng, space, policy: random_contraction(space.dim, seed=rng),
+    "k": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng)),
     "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
     "ensemble": _sample_ensemble,
-    "x": lambda rng, space, policy: random_contraction(space.dim, seed=rng) * 2.0,
-    "q": lambda rng, space, policy: random_density(space.dim, seed=rng).mat * space.dim,
+    "x": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng), 2.0),
+    "q": lambda rng, space, policy: random_state_matrix(space.dim, seed=rng) * space.dim,
     "rng": lambda rng, space, policy: rng,
 }
+
+
+def _deferred(container):
+    """(container, index) of every draw in ``container`` whose spectral work is pending."""
+    for i, x in enumerate(container):
+        if isinstance(x, (_State, _Contraction)):
+            yield container, i
+        elif isinstance(x, list):
+            yield from _deferred(x)
+
+
+def _finish(block):
+    """Complete the pending draws of a block of trials' operands in place.
+
+    States of one dimension are decomposed with ``DensityMatrix.stack``, in
+    stacks of at most BLOCK_BYTES (one state alone if it is larger: a trial at
+    d = 64 decomposes its states one by one, with the temporaries of one), and
+    contractions of one shape are rescaled with one batched SVD.
+    """
+    groups: dict = {}
+    for c, i in (slot for operands in block for slot in _deferred(operands)):
+        groups.setdefault((type(c[i]), c[i].mat.shape), []).append((c, i))
+    for (kind, _), slots in groups.items():
+        draws = [c[i] for c, i in slots]
+        if kind is _State:
+            per_stack = max(1, BLOCK_BYTES // draws[0].mat.nbytes)
+            done = [state for j in range(0, len(draws), per_stack)
+                    for state in DensityMatrix.stack([d.mat for d in draws[j:j + per_stack]])]
+        else:
+            done = [k if d.factor == 1.0 else k * d.factor for k, d in
+                    zip(rescale_contractions((d.mat, d.norm) for d in draws), draws)]
+        for (c, i), value in zip(slots, done):
+            c[i] = value
+
+
+def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: str = "full"):
+    """Each seed's operands (a seed or a generator), drawn in order and finished in blocks.
+
+    A block holds at most BLOCK_BYTES of sampled states, and at least one
+    trial; every trial of a cell draws states of the same shapes, so a block
+    closes when the next trial would not fit.  Trials leave the block one by
+    one and nothing here keeps a reference, so each trial's operands, and all
+    that is memoised on them, are freed once its check is done.  Rank is full
+    unless the family honours mixed.
+    """
+    policy = rank_policy if family.mixed_rank else "full"
+    seeds = list(seeds)
+    block, size = [], 0
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        block.append([SAMPLERS[name](rng, space, policy) for name in family.operands])
+        nbytes = sum(c[i].mat.nbytes for c, i in _deferred(block[-1])
+                     if isinstance(c[i], _State))
+        size += nbytes
+        if size + nbytes > BLOCK_BYTES or k == len(seeds) - 1:
+            _finish(block)
+            while block:
+                yield block.pop(0)
+            size = 0
 
 
 def sample_operands(family: Family, space: FactorizedSpace, rng,
                     rank_policy: str = "full") -> list:
     """Draw the family's operands in order; rank is full unless the family honours mixed."""
-    policy = rank_policy if family.mixed_rank else "full"
-    return [SAMPLERS[name](rng, space, policy) for name in family.operands]
+    return next(sample_blocks(family, space, [rng], rank_policy))
 
 
 def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
-               seed: int, rank_policy: str = "full") -> list[BoundReport]:
-    """Replay one trial from the fields a campaign report carries."""
+               seed: int, rank_policy: str = "full", *, operands=None) -> list[BoundReport]:
+    """Replay one trial from the fields a campaign report carries.
+
+    ``operands`` are the trial's operands when a campaign has drawn them in a
+    block already; they are exactly what ``seed`` draws here otherwise.
+    """
     family = FAMILIES[inequality]
     space = FactorizedSpace(dims)
     if family.nfactors is not None and space.nfactors != family.nfactors:
@@ -259,8 +353,8 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
     f = from_id(fid)
     if not family.admits(f):
         return []
-    rng = np.random.default_rng(seed)
-    operands = sample_operands(family, space, rng, rank_policy)
+    if operands is None:
+        operands = sample_operands(family, space, np.random.default_rng(seed), rank_policy)
     try:
         reports = family.check(f, space, beta, *operands)
     except DivergentEntropy as exc:
@@ -322,12 +416,17 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
             for dims in config.dims:
                 if family.nfactors is not None and len(dims) != family.nfactors:
                     continue
+                space = FactorizedSpace(dims)
                 for fid in fids:
+                    if not family.admits(from_id(fid)):
+                        continue
                     for beta in betas:
-                        for t in range(config.trials):
-                            seed = trial_seed(config.seed, ineq, dims, fid, beta, t)
+                        seeds = [trial_seed(config.seed, ineq, dims, fid, beta, t)
+                                 for t in range(config.trials)]
+                        blocks = sample_blocks(family, space, seeds, config.rank_policy)
+                        for seed in seeds:
                             reports = run_single(ineq, fid, dims, beta, seed,
-                                                 config.rank_policy)
+                                                 config.rank_policy, operands=next(blocks))
                             if reports:
                                 summary.trials += 1
                             for rep in reports:

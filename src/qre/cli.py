@@ -22,7 +22,7 @@ from . import bounds
 from .campaign import FAMILIES, parse_config, parse_dims, run_campaign
 from .errors import DivergentEntropy, QREError
 from .functions import from_id, loewner_quadrature, split_id
-from .linalg import FactorizedSpace, load_matrix
+from .linalg import FactorizedSpace, load_matrix, op_norm
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -30,6 +30,7 @@ EXIT_INPUT = 2
 EXIT_DIVERGENT = 3
 
 UNITARY_TOL = 1e-10
+CONTRACTION_TOL = 1e-10
 
 
 def _require(value, flag):
@@ -48,11 +49,20 @@ def _unitary(path, flag):
     return m
 
 
+def _contraction(path, flag):
+    """Load a matrix the theorem needs to be a contraction; reject it if ||K|| > 1 + 1e-10."""
+    m = load_matrix(path)
+    norm = op_norm(m)
+    if norm > 1.0 + CONTRACTION_TOL:
+        raise QREError(f"{flag} is not a contraction: ||K|| = {norm:.12g}")
+    return m
+
+
 # operand name (as in campaign.FAMILIES) -> loader(args, space); --rho is loaded first
 LOADERS = {
     "sigma": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
     "sigma_ab": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
-    "k1": lambda args, space: load_matrix(args.k) if args.k else np.eye(space.dims[0]),
+    "k1": lambda args, space: _contraction(args.k, "--k") if args.k else np.eye(space.dims[0]),
     "v": lambda args, space: _unitary(args.vfile, "--v") if args.vfile else np.eye(space.dims[1]),
     "u": lambda args, space: _unitary(args.k, "--k") if args.k else np.eye(space.dim),
 }

@@ -15,6 +15,18 @@ shared by every space with equal dims.  The cached identity factors are
 read-only; the arrays ``partial_trace`` and ``embed`` return are always fresh
 and writable, also for a keep set covering every factor (where einsum alone
 would return a view of the input).
+
+Spectral work is stacked where that changes no bit: ``DensityMatrix.stack``
+decomposes a ``(N, d, d)`` stack of states with one ``eigh`` and runs the
+constructor's checks over the whole stack, ``PsdOperator.powers`` builds the
+powers of a grid of exponents as one ``(G, d, d)`` stack, ``embed`` takes a
+leading stack axis and ``op_norm`` a stack of matrices (one batched SVD).
+Each stacked result is bit-identical to the one-at-a-time result: LAPACK and
+BLAS run on every member exactly as they would alone, every power is raised
+with a scalar exponent, and the only reductions are exact maxima.  A campaign
+samples a block of trials' operands and finishes their spectral work this
+way; a block holds at most a fixed byte budget of state matrices, and
+``run_single`` still replays any campaign line byte for byte.
 """
 
 from __future__ import annotations
@@ -42,8 +54,8 @@ DEGENERACY_TOL = 1e-9
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m*)/2."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (m + m*)/2, of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def as_matrix(m) -> np.ndarray:
@@ -80,15 +92,6 @@ def default_cutoff(eigs: np.ndarray) -> float:
     return len(eigs) * EPS * top
 
 
-def matrix_power(m, beta: float, cutoff: float | None = None) -> np.ndarray:
-    """Generalized power m^beta of a PSD matrix.
-
-    Eigenvalues above ``cutoff`` map to ``lam**beta``; the rest map to 0,
-    which realizes the generalized inverse for negative exponents.
-    """
-    return PsdOperator.wrap(m).power(beta, cutoff)
-
-
 def matrix_function(m, fn, cutoff: float | None = None) -> np.ndarray:
     """Apply a scalar function to the above-cutoff spectrum of Hermitian m."""
     w, v = (m.eigs, m.vecs) if isinstance(m, PsdOperator) else spectral_decompose(m)
@@ -118,8 +121,12 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def op_norm(m) -> float:
-    return float(singular_values(m).max(initial=0.0))
+def op_norm(m):
+    """Largest singular value; for a ``(..., d, d)`` stack, one per matrix (one batched SVD)."""
+    a = m.mat if isinstance(m, PsdOperator) else np.asarray(m, dtype=np.complex128)
+    if a.ndim <= 2:
+        return float(singular_values(a).max(initial=0.0))
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +161,7 @@ class _Plan(NamedTuple):
     sub: "FactorizedSpace"
     traced: tuple[int, ...]           # row + col indices; traced factors share one
     kept: tuple[int, ...]             # row + col indices of the kept factors
+    embed_in: tuple                   # stack axes, then the kept indices
     embed_rest: tuple                 # (read-only eye, its indices) per other factor, then out
     whole: bool                       # keeps every factor: einsum returns a view
 
@@ -203,7 +211,8 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
         sub=FactorizedSpace(tuple(dims[k] for k in keep)),
         traced=tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
         kept=keep + tuple(k + n for k in keep),
-        embed_rest=tuple(rest) + (tuple(range(2 * n)),),
+        embed_in=(...,) + keep + tuple(k + n for k in keep),
+        embed_rest=tuple(rest) + ((...,) + tuple(range(2 * n)),),
         whole=len(keep) == n,
     )
 
@@ -261,11 +270,23 @@ class FactorizedSpace:
         return out.copy() if plan.whole else out
 
     def embed(self, op, slots) -> np.ndarray:
-        """Tensor ``op`` (acting on the given factor slots, ascending) with identities elsewhere."""
+        """Tensor ``op`` (acting on the given factor slots, ascending) with identities elsewhere.
+
+        ``op`` may be a ``(..., d, d)`` stack; each member is embedded as it
+        would be alone (embedding only multiplies by identity entries).
+        """
         plan = self._plan(slots)
-        t = plan.sub.check(op).reshape(plan.sub._layout.tensor_shape)
+        sub = plan.sub._layout
+        if isinstance(op, np.ndarray) and op.ndim > 2:
+            a = op.astype(np.complex128, copy=False)
+            if a.shape[-2:] != (sub.dim, sub.dim):
+                raise ShapeMismatch(f"stack of shape {a.shape} does not act on {plan.sub.dims}")
+        else:
+            a = plan.sub.check(op)
+        lead = a.shape[:-2]
+        t = a.reshape(lead + sub.tensor_shape)
         dim = self._layout.dim
-        out = np.einsum(t, plan.kept, *plan.embed_rest).reshape(dim, dim)
+        out = np.einsum(t, plan.embed_in, *plan.embed_rest).reshape(lead + (dim, dim))
         return out.copy() if plan.whole else out
 
 
@@ -288,11 +309,14 @@ class PsdOperator:
     __slots__ = ("mat", "eigs", "vecs", "cutoff", "_memo")
 
     def __init__(self, mat, cutoff: float | None = None, psd_tol: float = PSD_TOL):
-        a = assert_hermitian(mat)
-        w, v = np.linalg.eigh(hermitize(a))
-        scale = float(np.abs(w).max(initial=0.0))
-        if w.min(initial=0.0) < -psd_tol * max(1.0, scale):
-            raise NotPSD(f"eigenvalue {w.min():.3e} below tolerance")
+        self._decompose(as_matrix(mat), cutoff, psd_tol, None)
+
+    def _decompose(self, a, cutoff, psd_tol, trace_tol):
+        """Construction is the stacked constructor with a stack of one."""
+        w, v = _checked_spectra(a[None], psd_tol, trace_tol)
+        self._adopt(a, w[0], v[0], cutoff)
+
+    def _adopt(self, a, w, v, cutoff):
         self.mat = a
         self.eigs = w
         self.vecs = v
@@ -322,14 +346,28 @@ class PsdOperator:
         return float(self.eigs.sum())
 
     def power(self, beta: float, cutoff: float | None = None) -> np.ndarray:
-        cut = self.cutoff if cutoff is None else cutoff
-        return self.memo(("power", beta, cut), lambda: self._power(beta, cut))
+        """Generalized power: eigenvalues above the cutoff map to ``lam**beta``, the rest to 0.
 
-    def _power(self, beta, cut):
+        Zeroing the below-cutoff modes realizes the generalized inverse for
+        negative exponents.
+        """
+        cut = self.cutoff if cutoff is None else cutoff
+        return self.memo(("power", beta, cut), lambda: self._powers((beta,), cut)[0])
+
+    def powers(self, betas, cutoff: float | None = None) -> np.ndarray:
+        """Read-only ``(G, d, d)`` stack of ``power(b, cutoff)`` for each of ``betas``, bit-equal."""
+        cut = self.cutoff if cutoff is None else cutoff
+        betas = tuple(betas)
+        return self.memo(("powers", betas, cut), lambda: self._powers(betas, cut))
+
+    def _powers(self, betas, cut):
         w = self.eigs
-        wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
-        wp[w <= cut] = 0.0
-        return hermitize((self.vecs * wp) @ self.vecs.conj().T)
+        base = np.where(w > cut, np.clip(w, cut, None), 1.0)
+        # a scalar exponent per row: numpy computes ``x ** 0.5`` as sqrt, an
+        # array exponent as pow, and the two differ in the last bit
+        wp = np.array([base ** b for b in betas])
+        wp[:, w <= cut] = 0.0
+        return hermitize((self.vecs * wp[:, None, :]) @ self.vecs.conj().T)
 
     def marginal(self, space: FactorizedSpace, keep) -> "PsdOperator":
         """The partial trace onto the ``keep`` factors of ``space``, as an operator."""
@@ -362,21 +400,73 @@ class DensityMatrix(PsdOperator):
 
     def __init__(self, mat, cutoff: float | None = None,
                  psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL):
-        super().__init__(mat, cutoff=cutoff, psd_tol=psd_tol)
-        tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise InvalidMatrix(f"trace {tr!r} deviates from 1 beyond {trace_tol:.0e}")
-        self._validate_spectrum()
+        self._decompose(as_matrix(mat), cutoff, psd_tol, trace_tol)
 
-    def _validate_spectrum(self):
-        v = self.vecs
-        gram_dev = float(np.abs(v.conj().T @ v - np.eye(self.dim)).max())
-        if gram_dev > ORTHO_TOL * self.dim:
-            raise InvalidMatrix(f"eigenvectors not orthonormal (dev {gram_dev:.3e})")
-        rec = (v * self.eigs) @ v.conj().T
-        rec_dev = float(np.abs(rec - self.mat).max())
-        if rec_dev > RECONSTRUCT_TOL * max(1.0, float(np.abs(self.mat).max())):
-            raise InvalidMatrix(f"spectral reconstruction off by {rec_dev:.3e}")
+    @classmethod
+    def stack(cls, mats, cutoff: float | None = None, psd_tol: float = PSD_TOL,
+              trace_tol: float = TRACE_TOL) -> list["DensityMatrix"]:
+        """States of a ``(N, d, d)`` stack, decomposed with one ``eigh``.
+
+        Each state is bit-identical to ``DensityMatrix(mats[i])`` and owns
+        copies of its arrays, so it frees its memory apart from the others;
+        a bad member raises what it would raise on its own.
+        """
+        a = np.asarray(mats, dtype=np.complex128)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
+        w, v = _checked_spectra(a, psd_tol, trace_tol)
+        states = []
+        for i in range(len(a)):
+            state = cls.__new__(cls)
+            state._adopt(a[i].copy(), w[i].copy(), v[i].copy(), cutoff)
+            states.append(state)
+        return states
+
+
+def _checked_spectra(a, psd_tol, trace_tol):
+    """Eigenvalues and eigenvector columns of a ``(N, d, d)`` stack, after its checks.
+
+    Each member is checked as ``PsdOperator`` checks a matrix (Hermitian, PSD)
+    and, given ``trace_tol``, as ``DensityMatrix`` checks a state (unit trace,
+    orthonormal eigenvectors, spectral reconstruction).  Every reduction is a
+    maximum per member, so each verdict is the member's own; the first failing
+    member raises its first failing check, as constructing one at a time would.
+    """
+    n, d = a.shape[0], a.shape[-1]
+
+    def per_member_max(x):
+        return x.reshape(n, -1).max(axis=1, initial=0.0)
+
+    scale = np.maximum(per_member_max(np.abs(a)), 1.0)
+    herm_dev = per_member_max(np.abs(a - a.conj().swapaxes(-1, -2)))
+    if n == 1:      # LAPACK runs on one matrix either way; the 2-D call is the faster at d = 64
+        w, v = (x[None] for x in np.linalg.eigh(hermitize(a[0])))
+    else:
+        w, v = np.linalg.eigh(hermitize(a))
+    fails = [herm_dev > HERMITICITY_TOL * scale,
+             w.min(axis=1, initial=0.0) < -psd_tol * np.maximum(per_member_max(np.abs(w)), 1.0)]
+    if trace_tol is not None:
+        tr = w.sum(axis=1)
+        vh = v.conj().swapaxes(-1, -2)
+        gram_dev = per_member_max(np.abs(vh @ v - np.eye(d)))
+        rec_dev = per_member_max(np.abs((v * w[:, None, :]) @ vh - a))
+        fails += [np.abs(tr - 1.0) > trace_tol, gram_dev > ORTHO_TOL * d,
+                  rec_dev > RECONSTRUCT_TOL * scale]
+    bad = functools.reduce(operator.or_, fails)
+    if bad.any():
+        i = int(np.argmax(bad))
+        reasons = [
+            (InvalidMatrix, lambda: f"matrix deviates from Hermitian by {herm_dev[i]:.3e} "
+                                    f"(scale {scale[i]:.3e})"),
+            (NotPSD, lambda: f"eigenvalue {w[i].min():.3e} below tolerance"),
+            (InvalidMatrix, lambda: f"trace {float(tr[i])!r} deviates from 1 beyond "
+                                    f"{trace_tol:.0e}"),
+            (InvalidMatrix, lambda: f"eigenvectors not orthonormal (dev {gram_dev[i]:.3e})"),
+            (InvalidMatrix, lambda: f"spectral reconstruction off by {rec_dev[i]:.3e}"),
+        ]
+        error, message = next(r for r, fail in zip(reasons, fails) if fail[i])
+        raise error(message())
+    return w, v
 
 
 # ----------------------------------------------------------------------------
@@ -393,14 +483,19 @@ def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_density(dim: int, rank: int | None = None, seed=None) -> DensityMatrix:
-    """State sampled as GG*/Tr(GG*) with G a dim x rank complex Gaussian matrix."""
+def random_state_matrix(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
+    """The matrix of ``random_density``, not yet decomposed (``DensityMatrix.stack`` input)."""
     rank = dim if rank is None else int(rank)
     if rank < 1 or rank > dim:
         raise InvalidRank(f"rank {rank} outside [1, {dim}]")
     g = _ginibre(as_rng(seed), dim, rank)
     m = g @ g.conj().T
-    return DensityMatrix(hermitize(m / np.trace(m).real))
+    return hermitize(m / np.trace(m).real)
+
+
+def random_density(dim: int, rank: int | None = None, seed=None) -> DensityMatrix:
+    """State sampled as GG*/Tr(GG*) with G a dim x rank complex Gaussian matrix."""
+    return DensityMatrix(random_state_matrix(dim, rank, seed))
 
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
@@ -410,12 +505,23 @@ def random_unitary(dim: int, seed=None) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_contraction(dim: int, seed=None) -> np.ndarray:
-    """Random matrix rescaled to operator norm in (0, 1]."""
+def random_contraction_draw(dim: int, seed=None) -> tuple[np.ndarray, float]:
+    """The Gaussian matrix and target norm of ``random_contraction``, not yet rescaled."""
     rng = as_rng(seed)
     g = _ginibre(rng, dim, dim)
-    s = rng.uniform(0.5, 1.0)
-    return g * (s / op_norm(g))
+    return g, rng.uniform(0.5, 1.0)
+
+
+def rescale_contractions(draws) -> list[np.ndarray]:
+    """``g * (s / ||g||)`` for each ``(g, s)`` of equal shape, with one batched SVD."""
+    draws = list(draws)
+    norms = op_norm(np.stack([g for g, _ in draws]))
+    return [g * (s / norm) for (g, s), norm in zip(draws, norms.tolist())]
+
+
+def random_contraction(dim: int, seed=None) -> np.ndarray:
+    """Random matrix rescaled to operator norm in (0, 1]."""
+    return rescale_contractions([random_contraction_draw(dim, seed)])[0]
 
 
 def random_hermitian(dim: int, seed=None, scale: float = 1.0) -> np.ndarray:

@@ -7,6 +7,7 @@ permuted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,12 @@ def equality_condition_residual(rho, sigma, k, space: FactorizedSpace,
     km = space.check(k)
     rho1 = rho.marginal(space, (0,))
     sigma1 = sigma.marginal(space, (0,))
-    worst = 0.0
-    for b in beta_grid:
-        lhs = space.embed(sigma1.power(b), (0,)) @ km @ space.embed(rho1.power(-b), (0,))
-        rhs = sigma.power(b) @ km @ rho.power(-b)
-        worst = max(worst, op_norm(lhs - rhs))
-    return worst
+    grid = tuple(beta_grid)
+    neg = tuple(-b for b in grid)
+    lhs = space.embed(sigma1.powers(grid), (0,)) @ km @ space.embed(rho1.powers(neg), (0,))
+    rhs = sigma.powers(grid) @ km @ rho.powers(neg)
+    # folded in grid order from 0.0, as a loop of max(worst, norm) would
+    return functools.reduce(max, op_norm(lhs - rhs).tolist(), 0.0)
 
 
 def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np.ndarray:

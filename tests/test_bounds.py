@@ -16,7 +16,6 @@ from qre.bounds import (
     operator_ssa_sides,
     optimize_T_scalar,
     pinsker_check,
-    psd_power,
     ssa_gap,
     thm42_terms,
     T_MAX,
@@ -600,7 +599,7 @@ class TestEqualitySuite:
 
 def test_psd_power_zeroes_below_cutoff():
     m = np.diag([1e-30, 4.0]).astype(complex)
-    out = psd_power(m, 4.0)
+    out = PsdOperator(m).power(4.0)
     np.testing.assert_allclose(out, np.diag([0.0, 256.0]), atol=1e-12)
 
 

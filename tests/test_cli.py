@@ -124,6 +124,28 @@ class TestVerify:
                      "--k", str(fixtures / "u.json")])
         assert code == EXIT_PASS
 
+    @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
+    @pytest.mark.parametrize("k", [np.diag([1.5, 0.5]), np.array([[0.9, 0.9], [0.0, 0.1]]),
+                                   (1.0 + 1e-9) * np.eye(2)])
+    def test_non_contraction_k_is_input_error(self, fixtures, inequality, k, capsys):
+        save_matrix(fixtures / "k_big.json", k.astype(complex))
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2",
+                     "--k", str(fixtures / "k_big.json")])
+        assert code == EXIT_INPUT
+        assert "--k is not a contraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
+    @pytest.mark.parametrize("k", [np.diag([1.0, 0.5]), (1.0 + 1e-11) * np.eye(2),
+                                   random_unitary(2, seed=9)])
+    def test_contraction_k_accepted(self, fixtures, inequality, k, capsys):
+        save_matrix(fixtures / "k.json", k.astype(complex))
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2",
+                     "--k", str(fixtures / "k.json")])
+        assert code != EXIT_INPUT
+        assert "not a contraction" not in capsys.readouterr().err
+
 
 # the flag each operand is read from by ``qre verify``
 FLAGS = {"rho": "--rho", "sigma": "--sigma", "sigma_ab": "--sigma", "k1": "--k",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qre import bounds
-from qre.campaign import CampaignConfig, run_campaign
+from qre.campaign import CampaignConfig, run_campaign, run_single
 from qre.entropy import ModularOperator, effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
 from qre.functions import make_neg_log
@@ -21,7 +21,6 @@ from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
     hermitize,
-    matrix_power,
     random_contraction,
     random_density,
     random_unitary,
@@ -74,6 +73,29 @@ class TestDecompositionCounts:
         assert got["eigh"] == 0
 
 
+class TestStackedCallCounts:
+    """Grid residuals take one batched SVD per eps; a campaign block one stacked eigh."""
+
+    @pytest.mark.parametrize("inequality, dims, svd", [
+        ("equality_monotonicity", (2, 2), 5),        # the contraction, then one per eps
+        ("equality_joint_convexity", (2, 2), 5),
+        ("equality_operator_ssa", (2, 2, 2), 4),     # one per eps
+    ])
+    def test_equality_sweep_svd_calls(self, inequality, dims, svd):
+        got = _count(lambda: run_single(inequality, "neg_log", dims, 0.25, 5))
+        assert got["svd"] == svd
+
+    def test_joint_convexity_cell_eigh_calls(self):
+        config = CampaignConfig(inequalities=("joint_convexity",), dims=((2, 2),),
+                                betas=(0.5,), trials=20, seed=7)
+        got = _count(lambda: run_campaign(config, io.StringIO()))
+        # one stacked eigh for the 120 sampled states, then the two mixtures per trial
+        assert got["eigh"] == 1 + 2 * 20
+        # one batched SVD for the 20 contractions, then ||K|| and the
+        # equality residual per trial
+        assert got["svd"] == 1 + 2 * 20
+
+
 class TestMemoisation:
     def test_power_and_marginal_return_the_same_object(self):
         rho = random_density(8, seed=3)
@@ -123,8 +145,8 @@ class TestMemoisation:
             m = random_density(6, rank=int(rng.integers(1, 7)), seed=rng).mat * 3.0
             for beta in (-0.5, 0.5, 2.0):
                 expected = _reference_power(m, beta)
-                np.testing.assert_array_equal(matrix_power(m, beta), expected)
-                np.testing.assert_array_equal(bounds.psd_power(m, beta), expected)
+                np.testing.assert_array_equal(PsdOperator.wrap(m).power(beta), expected)
+                np.testing.assert_array_equal(PsdOperator(m).powers((beta,))[0], expected)
 
 
 def _reference_power(m, beta):

@@ -18,7 +18,6 @@ from qre.linalg import (
     hs_norm,
     jordan_hahn,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     norms,
     op_norm,
@@ -74,28 +73,28 @@ class TestSpectralDecompose:
 
 class TestMatrixPower:
     def test_generalized_inverse_sqrt(self):
-        out = matrix_power(np.diag([4.0, 0.0]).astype(complex), -0.5)
+        out = PsdOperator.wrap(np.diag([4.0, 0.0]).astype(complex)).power(-0.5)
         np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_identity_exponent(self):
         m = random_density(3, seed=5).mat
-        np.testing.assert_allclose(matrix_power(m, 1.0), m, atol=1e-14)
+        np.testing.assert_allclose(PsdOperator.wrap(m).power(1.0), m, atol=1e-14)
 
     def test_cube_root(self):
-        out = matrix_power(np.diag([2.0, 8.0]).astype(complex), 1 / 3)
+        out = PsdOperator.wrap(np.diag([2.0, 8.0]).astype(complex)).power(1 / 3)
         np.testing.assert_allclose(out, np.diag([2 ** (1 / 3), 2.0]), atol=1e-14)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPSD):
-            matrix_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
+            PsdOperator.wrap(np.diag([1.0, -1.0]).astype(complex)).power(0.5)
 
     @given(st.integers(0, 1000), st.sampled_from([0.5, 2.0, -1.0, 1.5]),
            st.sampled_from([0.5, 2.0, -0.5]))
     @settings(max_examples=40, deadline=None)
     def test_power_composition_on_support(self, seed, b1, b2):
         rho = random_density(3, rank=2, seed=seed)
-        lhs = matrix_power(matrix_power(rho.mat, b1), b2)
-        rhs = matrix_power(rho.mat, b1 * b2)
+        lhs = PsdOperator.wrap(PsdOperator.wrap(rho.mat).power(b1)).power(b2)
+        rhs = PsdOperator.wrap(rho.mat).power(b1 * b2)
         assert np.abs(lhs - rhs).max() < 1e-8
 
 

@@ -12,11 +12,11 @@ Conventions used throughout:
   N ||R_b||_2^{1/alpha(b)} <= gap with N = M^{-1/alpha}.  ``boundary`` marks
   the two cases without an interior optimum: gap <= 0, reported at T_MAX,
   and T* below T_MIN, clipped there with M raised to the bound at T_MIN;
-* closed-form N for the logarithm and for the power family are transcribed
-  literally (``explicit_N``) and agree with the optimizer-derived envelope
-  (``envelope_constants``); the power-family transcription is normalized to
-  the raw power's measure, which makes it valid (slightly loose) against the
-  1/(p(1-p))-normalized gaps.
+* N, M and alpha come from that one envelope (``envelope_constants``, read
+  through ``constants_for``); the paper's printed closed forms for the
+  logarithm and the power family are instances of it.  The power family's
+  constants are those of the raw power -x^p (``power_family_constants``),
+  valid and slightly loose against the 1/(p(1-p))-normalized gaps.
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} computed
@@ -41,7 +41,7 @@ from .entropy import (
     wyd_skew_information,
 )
 from .errors import DivergentEntropy, InvalidParameter, IrregularFunction
-from .functions import OperatorConvexFunction, make_f_p, make_neg_log, power_of, regularity_constant
+from .functions import OperatorConvexFunction, make_f_p, make_neg_log, make_neg_power, power_of
 from .linalg import (
     FactorizedSpace,
     PsdOperator,
@@ -54,6 +54,7 @@ from .linalg import (
     trace_norm,
 )
 from .recovery import (
+    DEFAULT_BETA_GRID,
     ResidualSpec,
     equality_condition_residual,
     monotonicity_residual,
@@ -118,81 +119,6 @@ def envelope_constants(C: float, c: float, beta: float, k_norm: float, d_norm: f
     return m_const, m_const ** (-1.0 / alpha), alpha
 
 
-def explicit_N(kind: str, beta: float, p: float | None = None,
-               k_norm: float = 1.0, d_norm: float = 1.0) -> float:
-    """Literal closed forms of the remainder constant N.
-
-    ``kind`` is "log" or "power"; for "power" the constant is attached to the
-    raw power's gap normalization (see module docstring).  At beta = 1/2 both
-    branch expressions are evaluated and must agree; disagreement would flag a
-    transcription defect rather than silently asserting one branch.
-    """
-    if not 0.0 < beta < 1.0:
-        raise InvalidParameter(f"beta must lie in (0,1), got {beta}")
-    if kind == "log":
-        lo, hi = _n_log_low, _n_log_high
-        args = (beta, k_norm, d_norm)
-    elif kind == "power":
-        if p is None or not 0.0 < p < 2.0:
-            raise InvalidParameter(f"power kind needs p in (0,2), got {p}")
-        lo, hi = _n_pow_low, _n_pow_high
-        args = (beta, p, k_norm, d_norm)
-    else:
-        raise InvalidParameter(f"unknown constant kind {kind!r}")
-    if beta < 0.5:
-        return lo(*args)
-    if beta > 0.5:
-        return hi(*args)
-    a, b = lo(*args), hi(*args)
-    if abs(a - b) > 1e-9 * max(abs(a), abs(b)):
-        raise InvalidParameter(f"N branches disagree at beta=1/2: {a!r} vs {b!r}")
-    return b
-
-
-def _n_log_low(beta, k_norm, d_norm):
-    s = math.sin(beta * math.pi)
-    e = 1.0 - 2.0 * beta + 2.0 * beta * beta
-    bb = beta * (1.0 - beta)
-    return ((math.pi * e * beta / s) ** (1.0 / bb)
-            * (k_norm + beta / (1.0 - beta) * d_norm) ** (-e / bb)
-            * 2.0 ** (-e / bb)
-            * (e / (2.0 * (1.0 - beta))) ** (-2.0))
-
-
-def _n_log_high(beta, k_norm, d_norm):
-    s = math.sin(beta * math.pi)
-    return ((math.pi * beta * (1.0 - beta) / s) ** (2.0 / (1.0 - beta))
-            * ((1.0 - beta) / beta * k_norm + d_norm) ** (-2.0 * beta / (1.0 - beta))
-            * 2.0 ** (-2.0 * beta / (1.0 - beta))
-            * beta ** (-2.0))
-
-
-def _n_pow_low(beta, p, k_norm, d_norm):
-    s = math.sin(beta * math.pi)
-    sp = math.sin(p * math.pi)
-    bb = beta * (1.0 - beta)
-    e = p * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta * beta
-    top = 1.0 + p * (1.0 - beta)
-    return ((k_norm + beta / (1.0 - beta) * d_norm) ** (-e / bb)
-            * 2.0 ** (-e / bb)
-            * sp / math.pi
-            * (math.pi * beta * e / (top * s)) ** (top / bb)
-            * (e / (2.0 * (1.0 - beta))) ** (-2.0))
-
-
-def _n_pow_high(beta, p, k_norm, d_norm):
-    s = math.sin(beta * math.pi)
-    sp = math.sin(p * math.pi)
-    bb = beta * (1.0 - beta)
-    e = 2.0 * beta * beta + p * (1.0 - beta)
-    top = 2.0 * beta + p * (1.0 - beta)
-    return (((1.0 - beta) / beta * k_norm + d_norm) ** (-e / bb)
-            * 2.0 ** (-e / bb)
-            * sp / math.pi
-            * (math.pi * (1.0 - beta) * e / (top * s)) ** (top / bb)
-            * (e / (2.0 * beta)) ** (-2.0))
-
-
 def constants_for(f: OperatorConvexFunction, beta: float,
                   k_norm: float, d_norm: float):
     """(M, N, alpha, C, c) for a regular f at the given operator norms."""
@@ -202,6 +128,16 @@ def constants_for(f: OperatorConvexFunction, beta: float,
     c = f.power_law_c(beta)
     m_const, n_const, alpha = envelope_constants(C, c, beta, k_norm, d_norm)
     return m_const, n_const, alpha, C, c
+
+
+def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float):
+    """``constants_for`` the power family at p in (0,1): those of the raw power -x^p.
+
+    The printed constants of the power family are attached to the raw power's
+    measure sin(p pi)/pi t^p; against the 1/(p(1-p))-normalized gaps of f_p
+    they are valid and slightly loose.
+    """
+    return constants_for(make_neg_power(p), beta, k_norm, d_norm)
 
 
 # ----------------------------------------------------------------------------
@@ -222,8 +158,14 @@ def monotonicity_gap(f: OperatorConvexFunction, k1, v, rho, sigma,
 
 def thm42_terms(f: OperatorConvexFunction, beta: float, T: float,
                 k_norm: float, delta_norm: float, gap: float) -> float:
-    """Explicit RHS at window parameter T (true window constant, not its majorant)."""
-    c_win = regularity_constant(f, T, beta).constant
+    """Explicit RHS at window parameter T.
+
+    The window constant C_{T,beta} = sup of 1/mu over [1/T_L, T_R] sits at the
+    left edge T_L (T below beta = 1/2, T^{(1-beta)/beta} above) for the
+    power-law densities C^{-1} t^q, q >= 0, used here.
+    """
+    t_left = T if beta <= 0.5 else T ** ((1.0 - beta) / beta)
+    c_win = f.power_law_C() * t_left ** f.mu_q
     first = window_coefficient(beta, k_norm, delta_norm) / T ** alpha1(beta)
     second = T ** alpha2(beta) * math.sqrt(c_win) * math.sqrt(max(gap, 0.0))
     return first + second
@@ -265,7 +207,7 @@ def _rel_pass(lhs: float, rhs: float, tol: float) -> bool:
 
 
 def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
-            seed=None, notes="", details=None) -> BoundReport:
+            notes="", details=None) -> BoundReport:
     return BoundReport(
         inequality_id=inequality_id,
         lhs=float(lhs),
@@ -274,7 +216,6 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
         passed=bool(passed),
         constants=constants,
         inputs_digest=digest,
-        seed=seed,
         notes=notes,
         details=details or {},
     )
@@ -284,16 +225,16 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
 # Individual inequality verifications
 # ----------------------------------------------------------------------------
 
-def verify_monotonicity(f, k1, v, rho, sigma, space, seed=None) -> BoundReport:
+def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
     """Plain data-processing check: gap >= -1e-9."""
     gap = monotonicity_gap(f, k1, v, rho, sigma, space)
     return _report("monotonicity", 0.0, gap, gap >= -REPORT_TOL,
                    digest=digest_inputs(as_matrix(rho), as_matrix(sigma),
                                         as_matrix(k1), as_matrix(v)),
-                   seed=seed, notes=f"f={f.name}")
+                   notes=f"f={f.name}")
 
 
-def verify_thm42_grid(f, k1, v, rho, sigma, beta, space, seed=None) -> BoundReport:
+def verify_thm42_grid(f, k1, v, rho, sigma, beta, space) -> BoundReport:
     """Remainder inequality at the closed-form window optimum T*.
 
     RHS(T*) <= RHS(T) for every T > 1, so passing at T* passes on any T grid.
@@ -310,13 +251,12 @@ def verify_thm42_grid(f, k1, v, rho, sigma, beta, space, seed=None) -> BoundRepo
     rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
     return _report("thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL),
                    constants=consts, digest=digest_inputs(rho.mat, sigma.mat),
-                   seed=seed, notes=f"f={f.name};beta={beta:g}",
+                   notes=f"f={f.name};beta={beta:g}",
                    details={"gap": gap, "rhs_at_T_star": rhs_star,
                             "residual_hs": rnorm})
 
 
-def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space,
-                              seed=None) -> BoundReport:
+def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space) -> BoundReport:
     """Power-law remainder (optimized-T form) plus its recovery-map corollaries.
 
     At beta = 1/2: the recovery-map trace-norm form with constant 2M, and, for
@@ -365,7 +305,7 @@ def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space,
                                 rnorm, consts, gap, details) and ok
     return _report("monotonicity_bound", lhs, rhs, ok, constants=consts,
                    digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
-                   seed=seed, notes=f"f={f.name};beta={beta:g}", details=details)
+                   notes=f"f={f.name};beta={beta:g}", details=details)
 
 
 def _interchange_check(f, k1m, vm, rho, sigma, rho1, sigma1, space, rnorm,
@@ -401,19 +341,18 @@ def _interchange_check(f, k1m, vm, rho, sigma, rho1, sigma1, space, rnorm,
     return _rel_pass(lhs, rhs, REL_INEQ_TOL)
 
 
-def pinsker_check(f, u, rho, sigma, seed=None) -> BoundReport:
+def pinsker_check(f, u, rho, sigma) -> BoundReport:
     """Quadratic trace-distance lower bound f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U."""
     digest = digest_inputs(as_matrix(rho), as_matrix(sigma), as_matrix(u))
     try:
         lhs, rhs = pinsker_sides(f, u, rho, sigma)
     except DivergentEntropy:
-        return _report("pinsker", 0.0, math.inf, True, digest=digest, seed=seed,
-                       notes=f"f={f.name};divergent=1 (vacuous)")
+        return _report("pinsker", 0.0, math.inf, True, digest=digest, notes=f"f={f.name};divergent=1 (vacuous)")
     return _report("pinsker", lhs, rhs, _rel_pass(lhs, rhs, REPORT_TOL),
-                   digest=digest, seed=seed, notes=f"f={f.name}")
+                   digest=digest, notes=f"f={f.name}")
 
 
-def verify_classical_reduction(f, rho, sigma, seed=None) -> BoundReport:
+def verify_classical_reduction(f, rho, sigma) -> BoundReport:
     """Two-outcome reduction: ||p-q||_1 = ||rho-sigma||_1 and classical <= quantum."""
     rho = PsdOperator.wrap(rho)
     sigma = PsdOperator.wrap(sigma)
@@ -422,8 +361,7 @@ def verify_classical_reduction(f, rho, sigma, seed=None) -> BoundReport:
     qdiv = quasi_relative_entropy(f, np.eye(rho.dim), rho, sigma)
     ok = l1_match <= 1e-10 and _rel_pass(cdiv, qdiv, REPORT_TOL)
     return _report("classical_reduction", cdiv, qdiv, ok,
-                   digest=digest_inputs(rho.mat, sigma.mat), seed=seed,
-                   notes=f"f={f.name}", details={"l1_mismatch": l1_match})
+                   digest=digest_inputs(rho.mat, sigma.mat), notes=f"f={f.name}", details={"l1_mismatch": l1_match})
 
 
 # ----------------------------------------------------------------------------
@@ -451,7 +389,7 @@ def _joint_gap(f, km, components, rho, sigma):
     return avg - quasi_relative_entropy(f, km, rho, sigma)
 
 
-def verify_joint_convexity(f, k, components, beta, seed=None) -> BoundReport:
+def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     """Convexity gap >= 0, the mixture remainder bound at T*, and its power-law form.
 
     The residual side is the weighted sum
@@ -481,7 +419,7 @@ def verify_joint_convexity(f, k, components, beta, seed=None) -> BoundReport:
     digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
                            *[c.mat for _, _, c in comps])
     return _report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
-                   digest=digest, seed=seed, notes=f"f={f.name};beta={beta:g}",
+                   digest=digest, notes=f"f={f.name};beta={beta:g}",
                    details={"gap": gap, "residual_block_l2": resid_l2,
                             "equality_residual": eq_resid,
                             "rhs_at_T_star": rhs_star})
@@ -580,24 +518,21 @@ def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float
     return gram, hermitize(t1 - t2), g, d_norm, scale
 
 
-def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space,
-                        seed=None) -> BoundReport:
+def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space) -> BoundReport:
     """Operator remainder N [Gram]^{1/alpha} <= traced f-action difference on C."""
     gram, rhs_op, mach, d_norm, scale = operator_ssa_sides(f, rho_abc, sigma_ab,
                                                            beta, variant, space)
-    _, n_const, alpha, _, c = constants_for(mach, beta, 1.0, d_norm)
+    _, n_const, alpha, C, c = constants_for(mach, beta, 1.0, d_norm)
     lhs_op = n_const * PsdOperator(gram).power(1.0 / alpha)
     diff_eigs = np.linalg.eigvalsh(rhs_op - lhs_op)
     rhs_eigs = np.linalg.eigvalsh(rhs_op)
     passed = float(diff_eigs.min()) >= -PSD_REPORT_TOL * scale
     baseline_ok = float(rhs_eigs.min()) >= -REPORT_TOL * max(1.0, scale)
-    consts = BoundConstants(alpha1(beta), alpha2(beta), alpha,
-                            mach.power_law_C(), c, n_const,
+    consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
                             n_const ** (-alpha), math.nan)
     return _report(f"operator_ssa_{variant}", -float(diff_eigs.min()), 0.0,
                    passed and baseline_ok, constants=consts,
-                   digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)), seed=seed,
-                   notes=f"f={f.name};beta={beta:g};variant={variant}",
+                   digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)), notes=f"f={f.name};beta={beta:g};variant={variant}",
                    details={"min_eig_diff": float(diff_eigs.min()),
                             "min_eig_rhs": float(rhs_eigs.min()),
                             "rhs_scale": scale,
@@ -613,7 +548,7 @@ def ssa_gap(rho_abc, space: FactorizedSpace) -> float:
     return s_ab + s_bc - von_neumann_entropy(rho) - s_b
 
 
-def verify_ssa(rho_abc, beta, space, seed=None) -> BoundReport:
+def verify_ssa(rho_abc, beta, space) -> BoundReport:
     """Scalar strong-subadditivity remainder with the logarithm's constants.
 
     Checks N ||rho_B^b (x) rho_C^b rho_BC^{-b} rho^{1/2} -
@@ -649,8 +584,7 @@ def verify_ssa(rho_abc, beta, space, seed=None) -> BoundReport:
     consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
                             n_const ** (-alpha), math.nan)
     return _report("ssa", lhs, gap, ok, constants=consts,
-                   digest=digest_inputs(rho.mat), seed=seed,
-                   notes=f"beta={beta:g}", details=details)
+                   digest=digest_inputs(rho.mat), notes=f"beta={beta:g}", details=details)
 
 
 # ----------------------------------------------------------------------------
@@ -676,7 +610,7 @@ def _wyd_gap(p, k, components, rho, sigma):
     return (mixed - avg) / (p * (1.0 - p))
 
 
-def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> BoundReport:
+def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
     """Concavity gap of the power trace term, with the remainder when p in (0,1)."""
     km = as_matrix(k)
     comps = [(pj, PsdOperator.wrap(r), PsdOperator.wrap(s)) for pj, r, s in components]
@@ -689,22 +623,19 @@ def verify_wyd_joint_concavity(p: float, k, components, beta, seed=None) -> Boun
     rhs = gap
     if 0.0 < p < 1.0:
         resid, _, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
-        n_const = explicit_N("power", beta, p, op_norm(km), d_sum)
-        c = make_f_p(p).power_law_c(beta)
-        alpha = alpha_exponent(beta, c)
+        m_const, n_const, alpha, C, c = power_family_constants(p, beta, op_norm(km), d_sum)
         lhs = n_const * resid ** (1.0 / alpha)
         ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
-        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha,
-                                math.pi / math.sin(p * math.pi), c, n_const,
-                                n_const ** (-alpha), math.nan)
+        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
+                                m_const, math.nan)
         details["residual_weighted"] = resid
     digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
     return _report("wyd_joint_concavity", lhs, rhs, ok, constants=consts,
-                   digest=digest, seed=seed, notes=f"p={p:g};beta={beta:g}",
+                   digest=digest, notes=f"p={p:g};beta={beta:g}",
                    details=details)
 
 
-def verify_wyd_skew(f, rho, k, seed=None) -> BoundReport:
+def verify_wyd_skew(f, rho, k) -> BoundReport:
     """WYD skew information I_p(rho, K) >= 0 and I_p = p(1-p) S_{f_p}^K(rho||rho).
 
     ``f`` is ``f_p`` with p in (0,1); p is read from its id.
@@ -714,15 +645,12 @@ def verify_wyd_skew(f, rho, k, seed=None) -> BoundReport:
     cross = p * (1.0 - p) * quasi_relative_entropy(f, k, rho, rho)
     scale = max(1.0, abs(skew))
     ok = skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * scale
-    return _report("wyd_skew", 0.0, skew, ok, seed=seed,
-                   notes=f"p={p:g}", details={"cross_check": cross})
+    return _report("wyd_skew", 0.0, skew, ok, notes=f"p={p:g}", details={"cross_check": cross})
 
 
-def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space,
-                        seed=None) -> BoundReport:
+def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space) -> BoundReport:
     """Operator remainder for the power trace difference (mirrored Q variant)."""
-    report = verify_operator_ssa(make_f_p(p), rho_abc, sigma_ab, beta, "cor65",
-                                 space, seed=seed)
+    report = verify_operator_ssa(make_f_p(p), rho_abc, sigma_ab, beta, "cor65", space)
     report.inequality_id = "wyd_operator"
     report.notes = f"p={p:g};beta={beta:g}"
     return report
@@ -744,7 +672,7 @@ def cauchy_schwarz_sides(rho_abc, sigma_ab, space: FactorizedSpace):
     return hermitize(t1 - t2), scale
 
 
-def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space, seed=None) -> BoundReport:
+def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space) -> BoundReport:
     """p = 2 endpoint: the traced quadratic difference is PSD on C.
 
     The power-family prefactor sin(p pi) vanishes at p = 2, so the remainder
@@ -766,15 +694,14 @@ def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space, seed=None) -> BoundRep
     recovered = petz_recover(sigma_full, rho.marginal(space, (1, 2)), space, keep=(1, 2))
     petz_resid = trace_norm(recovered - rho.mat)
     return _report("cauchy_schwarz", -float(eigs.min()), 0.0, passed,
-                   digest=digest_inputs(rho.mat, sab.mat), seed=seed,
-                   notes=f"beta={beta:g};N=0 at p=2",
+                   digest=digest_inputs(rho.mat, sab.mat), notes=f"beta={beta:g};N=0 at p=2",
                    details={"min_eig_diff": float(eigs.min()),
                             "petz_recovery_residual": petz_resid,
                             "gram_trace": float(np.real(np.trace(gram))),
                             "n_const": n_const})
 
 
-def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace, seed=None) -> BoundReport:
+def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace) -> BoundReport:
     """Tr_A X* Q^{-1} X >= (Tr_A X)* (Tr_A Q)^{-1} (Tr_A X) as operators on C."""
     if space_ac.nfactors != 2:
         raise InvalidParameter("expected a bipartite A|C factorization")
@@ -788,15 +715,14 @@ def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace, seed=None) -> Bound
     scale = max(float(np.abs(np.linalg.eigvalsh(hermitize(t1))).max(initial=0.0)), 1e-30)
     passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
     return _report("lieb_ruskai", -float(eigs.min()), 0.0, passed,
-                   digest=digest_inputs(xm, q.mat), seed=seed,
-                   details={"min_eig_diff": float(eigs.min())})
+                   digest=digest_inputs(xm, q.mat), details={"min_eig_diff": float(eigs.min())})
 
 
 # ----------------------------------------------------------------------------
 # Equality characterizations
 # ----------------------------------------------------------------------------
 
-DEFAULT_EPS_SWEEP = (1e-3, 1e-2, 1e-1)
+EPS_SWEEP = (0.0, 1e-3, 1e-2, 1e-1)
 EQUALITY_GAP_TOL = 1e-10
 EQUALITY_RESIDUAL_TOL = 1e-8
 
@@ -813,7 +739,7 @@ def _floored_state(dim, rng, floor=0.15):
                                  + floor * np.eye(dim) / dim))
 
 
-def _sweep_reports(inequality_id, f, pairs, digest, seed):
+def _sweep_reports(inequality_id, f, pairs, digest):
     """Slack reports for an eps sweep of (eps, gap, residual) diagnostics.
 
     At eps = 0 both must sit below their tolerances; afterwards both must
@@ -828,15 +754,13 @@ def _sweep_reports(inequality_id, f, pairs, digest, seed):
             slack = min(gap - prev_gap, resid - prev_res)
         prev_gap, prev_res = gap, resid
         reports.append(_report(
-            inequality_id, -slack, 0.0, slack >= 0.0, digest=digest, seed=seed,
+            inequality_id, -slack, 0.0, slack >= 0.0, digest=digest,
             notes=f"f={f.name};eps={eps:g}",
             details={"gap": gap, "equality_residual": resid, "eps": eps}))
     return reports
 
 
-def equality_monotonicity_sweep(f, space: FactorizedSpace, rng,
-                                eps_list=DEFAULT_EPS_SWEEP, beta_grid=None,
-                                seed=None) -> list[BoundReport]:
+def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
     """Product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates exactly;
     mixing in an independent state with weight eps breaks it."""
     d1, d2 = space.dims
@@ -848,19 +772,17 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng,
     rho = space.psd(np.kron(rho1.mat, tau.mat))
     sigma0 = np.kron(sigma1, tau.mat)
     k_full = np.kron(k1, np.eye(d2))
-    grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
-    for eps in (0.0,) + tuple(eps_list):
+    for eps in EPS_SWEEP:
         sigma = space.psd(hermitize((1.0 - eps) * sigma0 + eps * noise))
         gap = monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
-        resid = equality_condition_residual(rho, sigma, k_full, space, grid)
+        resid = equality_condition_residual(rho, sigma, k_full, space)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_monotonicity", f, pairs,
-                          digest_inputs(rho.mat, sigma0, k_full), seed)
+                          digest_inputs(rho.mat, sigma0, k_full))
 
 
-def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
-                                   beta_grid=None, seed=None) -> list[BoundReport]:
+def equality_joint_convexity_sweep(f, dim, rng) -> list[BoundReport]:
     """Identical ensemble components saturate; componentwise noise breaks it.
 
     Only the sigma components are perturbed: the rho side carries the
@@ -872,19 +794,18 @@ def equality_joint_convexity_sweep(f, dim, rng, eps_list=DEFAULT_EPS_SWEEP,
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
     noises = [random_state_matrix(dim, seed=rng) for _ in probs]
-    grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     mix_r = _average((w, base_r) for w in probs)
     pairs = []
-    for eps in (0.0,) + tuple(eps_list):
+    for eps in EPS_SWEEP:
         comps = [(w, base_r,
                   PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
                  for w, ns in zip(probs, noises)]
         mix_s = _average((w, s) for w, _, s in comps)
         gap = _joint_gap(f, km, comps, mix_r, mix_s)
-        resid = _joint_equality_residual(km, base_r, mix_s, comps, grid)
+        resid = _joint_equality_residual(km, base_r, mix_s, comps, DEFAULT_BETA_GRID)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_joint_convexity", f, pairs,
-                          digest_inputs(km, base_r.mat, base_s), seed)
+                          digest_inputs(km, base_r.mat, base_s))
 
 
 def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float:
@@ -901,9 +822,7 @@ def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float
     return functools.reduce(max, op_norm(lhs - rhs).tolist(), 0.0)
 
 
-def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng,
-                                eps_list=DEFAULT_EPS_SWEEP, beta_grid=None,
-                                seed=None) -> list[BoundReport]:
+def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
     """rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
     operator inequality; perturbing sigma_AB breaks the recovery condition.
 
@@ -916,23 +835,19 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng,
     sub_ab = space.subspace((0, 1))
     noise = random_state_matrix(sub_ab.dim, seed=rng)
     rho = space.psd(np.kron(rho_ab.mat, tau.mat))
-    grid = beta_grid or (0.1, 0.25, 0.5, 0.75, 0.9)
     pairs = []
-    for eps in (0.0,) + tuple(eps_list):
+    for eps in EPS_SWEEP:
         sab = sub_ab.psd(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
         t1, t2, _ = operator_ssa_traced_terms(f, rho, sab, "thm62", space)
         gap = float(np.real(np.trace(hermitize(t1 - t2))))
-        resid = operator_ssa_equality_residual(rho, sab, space, grid)
+        resid = operator_ssa_equality_residual(rho, sab, space, DEFAULT_BETA_GRID)
         pairs.append((eps, gap, resid))
     return _sweep_reports("equality_operator_ssa", f, pairs,
-                          digest_inputs(rho.mat, rho_ab.mat), seed)
+                          digest_inputs(rho.mat, rho_ab.mat))
 
 
-def equality_suite(f, rng, eps_list=DEFAULT_EPS_SWEEP, beta_grid=None,
-                   seed=None) -> list[BoundReport]:
+def equality_suite(f, rng) -> list[BoundReport]:
     """All three equality characterizations at desk dims (2x2 and 2x2x2)."""
-    return (equality_monotonicity_sweep(f, FactorizedSpace((2, 2)), rng,
-                                        eps_list, beta_grid, seed)
-            + equality_joint_convexity_sweep(f, 2, rng, eps_list, beta_grid, seed)
-            + equality_operator_ssa_sweep(f, FactorizedSpace((2, 2, 2)), rng,
-                                          eps_list, beta_grid, seed))
+    return (equality_monotonicity_sweep(f, FactorizedSpace((2, 2)), rng)
+            + equality_joint_convexity_sweep(f, 2, rng)
+            + equality_operator_ssa_sweep(f, FactorizedSpace((2, 2, 2)), rng))

@@ -66,6 +66,11 @@ class CampaignConfig:
         unknown = [i for i in self.inequalities if i not in FAMILIES]
         if unknown:
             raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(FAMILIES)}")
+        # every function id and dims entry resolves before a report is written
+        for fid in self.functions:
+            from_id(fid)
+        for dims in self.dims:
+            FactorizedSpace(dims)
 
 
 def _split(v: str) -> tuple[str, ...]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .campaign import FAMILIES, parse_config, parse_dims, run_campaign
-from .errors import DivergentEntropy, QREError
+from .errors import DivergentEntropy, IrregularFunction, QREError
 from .functions import from_id, loewner_quadrature, split_id
 from .linalg import FactorizedSpace, load_matrix, op_norm
 
@@ -183,13 +183,16 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    """The constants of one ``constants_for`` call: the raw power's for the power family."""
     f = from_id(args.fid)
+    if not f.regular:
+        raise IrregularFunction(f"{f.name} carries no window constants")
     beta = args.beta
-    c = f.power_law_c(beta)          # raises for an f without window constants
-    big_c = f.power_law_C()
     _, p = split_id(f.name)
-    alpha = bounds.alpha_exponent(beta, c)
-    n = bounds.explicit_N("log" if p is None else "power", beta, p, args.knorm, args.dd)
+    if p is None:
+        _, n, alpha, big_c, c = bounds.constants_for(f, beta, args.knorm, args.dd)
+    else:
+        _, n, alpha, big_c, c = bounds.power_family_constants(p, beta, args.knorm, args.dd)
     for name, value in (("alpha1", bounds.alpha1(beta)), ("alpha2", bounds.alpha2(beta)),
                         ("alpha", alpha), ("C", big_c), ("c", c), ("N", n)):
         print(f"{name}={value!r}")

@@ -30,7 +30,7 @@ from .linalg import (
 OVERLAP_TOL = 1e-14
 
 
-def effective_eigs(w: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def effective_eigs(w: np.ndarray) -> np.ndarray:
     """Replace each cluster of nearly-degenerate eigenvalues by its mean.
 
     Downstream weights then depend on spectral projectors only, making all
@@ -41,7 +41,7 @@ def effective_eigs(w: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
         return w
     scale = max(1.0, float(np.abs(w).max()))
     out = w.copy()
-    split = np.diff(w) > tol * scale
+    split = np.diff(w) > DEGENERACY_TOL * scale
     if split.all():
         return out
     breaks = np.flatnonzero(split) + 1
@@ -61,23 +61,22 @@ def _clustered(op: PsdOperator) -> np.ndarray:
 class ModularOperator:
     """Delta_{sigma,rho}: X -> sigma X rho^{-1} via the two cached spectra."""
 
-    def __init__(self, sigma, rho, cutoff: float | None = None):
+    def __init__(self, sigma, rho):
         self.sigma = PsdOperator.wrap(sigma)
         self.rho = PsdOperator.wrap(rho)
         if self.sigma.dim != self.rho.dim:
             raise InvalidMatrix("sigma and rho act on different spaces")
-        self.cutoff = self.rho.cutoff if cutoff is None else float(cutoff)
 
     @property
     def dim(self) -> int:
         return self.rho.dim
 
     def apply(self, x) -> np.ndarray:
-        return self.sigma.mat @ as_matrix(x) @ self.rho.power(-1.0, self.cutoff)
+        return self.sigma.mat @ as_matrix(x) @ self.rho.power(-1.0)
 
     def op_norm(self) -> float:
         """max_k mu_k / min over above-cutoff lam_j."""
-        above = self.rho.eigs[self.rho.eigs > self.cutoff]
+        above = self.rho.eigs[self.rho.eigs > self.rho.cutoff]
         if len(above) == 0:
             raise DivergentEntropy("rho has empty support above cutoff")
         return float(self.sigma.eigs[-1] / above[0])
@@ -86,7 +85,7 @@ class ModularOperator:
         """(mu_eff, lam_eff, keep_j) with degenerate clusters averaged."""
         mu = _clustered(self.sigma)
         lam = _clustered(self.rho)
-        return mu, lam, lam > self.cutoff
+        return mu, lam, lam > self.rho.cutoff
 
 
 def apply_f_modular(f: OperatorConvexFunction, delta: ModularOperator, x) -> np.ndarray:
@@ -128,8 +127,7 @@ def _ratio_weights(f, mu, lam, keep, sigma_cutoff, weight, raise_cls):
     return fmat
 
 
-def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma,
-                           cutoff: float | None = None) -> float:
+def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
     """S_f^K(rho || sigma) by the spectral formula; accepts unnormalized PSD inputs."""
     rho = PsdOperator.wrap(rho)
     sigma = PsdOperator.wrap(sigma)
@@ -138,10 +136,9 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma,
     km = as_matrix(k)
     if km.shape[0] != rho.dim:
         raise InvalidMatrix("K dimension mismatch")
-    cut = rho.cutoff if cutoff is None else float(cutoff)
     mu = _clustered(sigma)
     lam = _clustered(rho)
-    keep = lam > cut
+    keep = lam > rho.cutoff
     w2 = np.abs(sigma.vecs.conj().T @ km @ rho.vecs) ** 2
     fmat = _ratio_weights(f, mu, lam, keep, sigma.cutoff, weight=w2,
                           raise_cls=DivergentEntropy)

@@ -219,13 +219,14 @@ def power_of(f: OperatorConvexFunction) -> float | None:
 # Integral representation quadrature
 # ----------------------------------------------------------------------------
 
-def loewner_quadrature(f: OperatorConvexFunction, x: float,
-                       t_lo: float = QUAD_T_LO, t_hi: float = QUAD_T_HI) -> float:
+def loewner_quadrature(f: OperatorConvexFunction, x: float) -> float:
     """Evaluate the canonical representation of f at x by adaptive quadrature.
 
-    Integrates on a log grid over [t_lo, t_hi] and closes both improper ends
-    with the leading analytic corrections of the integrand's power-law decay.
+    Integrates on a log grid over [QUAD_T_LO, QUAD_T_HI] and closes both
+    improper ends with the leading analytic corrections of the integrand's
+    power-law decay.
     """
+    t_lo, t_hi = QUAD_T_LO, QUAD_T_HI
     if not f.has_loewner_form:
         raise IrregularFunction(f"{f.name} has no evaluable integral representation")
     if x <= 0:
@@ -243,67 +244,3 @@ def loewner_quadrature(f: OperatorConvexFunction, x: float,
     head = kap * (t_lo ** (q + 1.0) / ((q + 1.0) * x)
                   - t_lo ** (q + 2.0) * (1.0 / (x * x) + 1.0) / (q + 2.0))
     return f.loewner_a * x - f.loewner_b + val + tail + head
-
-
-# ----------------------------------------------------------------------------
-# Window-domination ("regularity") constants
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularityWindow:
-    """Window [1/T_L, T_R] with the least C such that dt <= C dmu on it."""
-
-    T: float
-    beta: float
-    t_left: float     # T_L
-    t_right: float    # T_R
-    constant: float   # C^f_{T, beta}
-
-
-def window_edges(T: float, beta: float) -> tuple[float, float]:
-    """Two-branch window: (T, T^{beta/(1-beta)}) below beta=1/2, mirrored above."""
-    if T <= 1.0:
-        raise InvalidParameter(f"window parameter T must exceed 1, got {T}")
-    if not 0.0 < beta < 1.0:
-        raise InvalidParameter(f"beta must lie in (0,1), got {beta}")
-    if beta <= 0.5:
-        return T, T ** (beta / (1.0 - beta))
-    return T ** ((1.0 - beta) / beta), T
-
-
-def regularity_constant(f: OperatorConvexFunction, T: float, beta: float,
-                        grid: bool = False) -> RegularityWindow:
-    """Least C with dt <= C dmu_f(t) on [1/T_L, T_R].
-
-    For the power-law densities used here the supremum of 1/mu sits at the
-    left window edge and is evaluated in closed form; ``grid=True`` forces the
-    log-grid refinement instead (used as an independent cross-check).
-    """
-    if not f.regular:
-        raise IrregularFunction(f"{f.name} is not regular; no window constant exists")
-    t_left, t_right = window_edges(T, beta)
-    lo, hi = 1.0 / t_left, t_right
-    if grid:
-        c = _sup_inverse_density(f, lo, hi)
-    else:
-        # 1/mu = (1/kappa) t^{-q} is monotone; sup at the left edge for q >= 0
-        c = float(f.power_law_C() * t_left ** f.mu_q) if f.mu_q >= 0 else \
-            float(f.power_law_C() * t_right ** f.mu_q)
-    return RegularityWindow(T=T, beta=beta, t_left=t_left, t_right=t_right, constant=c)
-
-
-def _sup_inverse_density(f, lo, hi, rel_tol=1e-6):
-    pts = 65
-    best = 0.0
-    while True:
-        t = np.geomspace(lo, hi, pts)
-        dens = f.mu_density(t)
-        if np.any(dens <= 0.0):
-            raise IrregularFunction(f"{f.name} density vanishes on the window")
-        cur = float(np.max(1.0 / dens))
-        if best > 0.0 and abs(cur - best) <= rel_tol * cur:
-            return cur
-        best = cur
-        pts = 2 * pts - 1
-        if pts > 1 << 20:
-            return cur

@@ -68,19 +68,19 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def assert_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return m as ndarray, raising InvalidMatrix unless m = m* within tol."""
+def assert_hermitian(m) -> np.ndarray:
+    """Return m as ndarray, raising InvalidMatrix unless m = m* within HERMITICITY_TOL."""
     a = as_matrix(m)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     dev = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise InvalidMatrix(f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})")
     return a
 
 
-def spectral_decompose(m, tol: float = HERMITICITY_TOL):
+def spectral_decompose(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian m."""
-    a = assert_hermitian(m, tol)
+    a = assert_hermitian(m)
     w, v = np.linalg.eigh(hermitize(a))
     return w, v
 
@@ -308,19 +308,18 @@ class PsdOperator:
 
     __slots__ = ("mat", "eigs", "vecs", "cutoff", "_memo")
 
-    def __init__(self, mat, cutoff: float | None = None, psd_tol: float = PSD_TOL):
-        self._decompose(as_matrix(mat), cutoff, psd_tol, None)
+    _STATE = False      # whether construction checks a state (DensityMatrix)
 
-    def _decompose(self, a, cutoff, psd_tol, trace_tol):
-        """Construction is the stacked constructor with a stack of one."""
-        w, v = _checked_spectra(a[None], psd_tol, trace_tol)
-        self._adopt(a, w[0], v[0], cutoff)
+    def __init__(self, mat):
+        a = as_matrix(mat)
+        w, v = _checked_spectra(a[None], self._STATE)   # the stacked constructor, stack of one
+        self._adopt(a, w[0], v[0])
 
-    def _adopt(self, a, w, v, cutoff):
+    def _adopt(self, a, w, v):
         self.mat = a
         self.eigs = w
         self.vecs = v
-        self.cutoff = default_cutoff(w) if cutoff is None else float(cutoff)
+        self.cutoff = default_cutoff(w)
         self._memo = {}
 
     def memo(self, key, build):
@@ -375,9 +374,6 @@ class PsdOperator:
         return self.memo(("marginal", space.dims, keep),
                          lambda: PsdOperator(space.partial_trace(self.mat, keep)))
 
-    def sqrt(self) -> np.ndarray:
-        return self.power(0.5)
-
     def support_projector(self) -> np.ndarray:
         keep = (self.eigs > self.cutoff).astype(float)
         return hermitize((self.vecs * keep) @ self.vecs.conj().T)
@@ -398,13 +394,10 @@ class PsdOperator:
 class DensityMatrix(PsdOperator):
     """Unit-trace PSD matrix (a quantum state), validated on construction."""
 
-    def __init__(self, mat, cutoff: float | None = None,
-                 psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL):
-        self._decompose(as_matrix(mat), cutoff, psd_tol, trace_tol)
+    _STATE = True
 
     @classmethod
-    def stack(cls, mats, cutoff: float | None = None, psd_tol: float = PSD_TOL,
-              trace_tol: float = TRACE_TOL) -> list["DensityMatrix"]:
+    def stack(cls, mats) -> list["DensityMatrix"]:
         """States of a ``(N, d, d)`` stack, decomposed with one ``eigh``.
 
         Each state is bit-identical to ``DensityMatrix(mats[i])`` and owns
@@ -414,23 +407,24 @@ class DensityMatrix(PsdOperator):
         a = np.asarray(mats, dtype=np.complex128)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
-        w, v = _checked_spectra(a, psd_tol, trace_tol)
+        w, v = _checked_spectra(a, cls._STATE)
         states = []
         for i in range(len(a)):
             state = cls.__new__(cls)
-            state._adopt(a[i].copy(), w[i].copy(), v[i].copy(), cutoff)
+            state._adopt(a[i].copy(), w[i].copy(), v[i].copy())
             states.append(state)
         return states
 
 
-def _checked_spectra(a, psd_tol, trace_tol):
+def _checked_spectra(a, state: bool):
     """Eigenvalues and eigenvector columns of a ``(N, d, d)`` stack, after its checks.
 
-    Each member is checked as ``PsdOperator`` checks a matrix (Hermitian, PSD)
-    and, given ``trace_tol``, as ``DensityMatrix`` checks a state (unit trace,
-    orthonormal eigenvectors, spectral reconstruction).  Every reduction is a
-    maximum per member, so each verdict is the member's own; the first failing
-    member raises its first failing check, as constructing one at a time would.
+    Each member is checked as ``PsdOperator`` checks a matrix (finite entries,
+    Hermitian, PSD) and, if ``state``, as ``DensityMatrix`` checks a state
+    (unit trace, orthonormal eigenvectors, spectral reconstruction).  Every
+    reduction is a maximum per member, so each verdict is the member's own;
+    the first failing member raises its first failing check, as constructing
+    one at a time would.
     """
     n, d = a.shape[0], a.shape[-1]
 
@@ -438,29 +432,33 @@ def _checked_spectra(a, psd_tol, trace_tol):
         return x.reshape(n, -1).max(axis=1, initial=0.0)
 
     scale = np.maximum(per_member_max(np.abs(a)), 1.0)
+    finite = np.isfinite(scale)     # a NaN or inf entry makes its member's maximum non-finite
+    if not finite.all():            # later checks see zeros in place of a non-finite member
+        a = np.where(finite[:, None, None], a, 0.0)
     herm_dev = per_member_max(np.abs(a - a.conj().swapaxes(-1, -2)))
     if n == 1:      # LAPACK runs on one matrix either way; the 2-D call is the faster at d = 64
         w, v = (x[None] for x in np.linalg.eigh(hermitize(a[0])))
     else:
         w, v = np.linalg.eigh(hermitize(a))
-    fails = [herm_dev > HERMITICITY_TOL * scale,
-             w.min(axis=1, initial=0.0) < -psd_tol * np.maximum(per_member_max(np.abs(w)), 1.0)]
-    if trace_tol is not None:
+    fails = [~finite, herm_dev > HERMITICITY_TOL * scale,
+             w.min(axis=1, initial=0.0) < -PSD_TOL * np.maximum(per_member_max(np.abs(w)), 1.0)]
+    if state:
         tr = w.sum(axis=1)
         vh = v.conj().swapaxes(-1, -2)
         gram_dev = per_member_max(np.abs(vh @ v - np.eye(d)))
         rec_dev = per_member_max(np.abs((v * w[:, None, :]) @ vh - a))
-        fails += [np.abs(tr - 1.0) > trace_tol, gram_dev > ORTHO_TOL * d,
+        fails += [np.abs(tr - 1.0) > TRACE_TOL, gram_dev > ORTHO_TOL * d,
                   rec_dev > RECONSTRUCT_TOL * scale]
     bad = functools.reduce(operator.or_, fails)
     if bad.any():
         i = int(np.argmax(bad))
         reasons = [
+            (InvalidMatrix, lambda: "matrix has a non-finite (NaN or inf) entry"),
             (InvalidMatrix, lambda: f"matrix deviates from Hermitian by {herm_dev[i]:.3e} "
                                     f"(scale {scale[i]:.3e})"),
             (NotPSD, lambda: f"eigenvalue {w[i].min():.3e} below tolerance"),
             (InvalidMatrix, lambda: f"trace {float(tr[i])!r} deviates from 1 beyond "
-                                    f"{trace_tol:.0e}"),
+                                    f"{TRACE_TOL:.0e}"),
             (InvalidMatrix, lambda: f"eigenvectors not orthonormal (dev {gram_dev[i]:.3e})"),
             (InvalidMatrix, lambda: f"spectral reconstruction off by {rec_dev[i]:.3e}"),
         ]
@@ -524,9 +522,8 @@ def random_contraction(dim: int, seed=None) -> np.ndarray:
     return rescale_contractions([random_contraction_draw(dim, seed)])[0]
 
 
-def random_hermitian(dim: int, seed=None, scale: float = 1.0) -> np.ndarray:
-    g = _ginibre(as_rng(seed), dim, dim)
-    return hermitize(g) * scale
+def random_hermitian(dim: int, seed=None) -> np.ndarray:
+    return hermitize(_ginibre(as_rng(seed), dim, dim))
 
 
 # ----------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
         raise ShapeMismatch("gamma does not match the kept factors")
     r1m = rho.marginal(space, keep).power(-0.5)
     core = space.embed(r1m @ gm @ r1m, keep)
-    rhalf = rho.sqrt()
+    rhalf = rho.power(0.5)
     return hermitize(rhalf @ core @ rhalf)
 
 
@@ -43,7 +43,6 @@ class ResidualSpec:
     k1: np.ndarray                      # operator on the kept (first) factor
     space: FactorizedSpace
     v: np.ndarray | None = None         # unitary on the traced factor; identity if None
-    cutoff: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:

@@ -1,0 +1,99 @@
+"""The public surface: what ``qre`` exports, and no entry point that nothing uses.
+
+Every public module-level function and class of a ``qre`` submodule must be
+referenced by the package itself (the command line included) or by a script
+under ``scripts/``.  The package namespace does not count as a reference, so a
+name that only tests use fails here unless ``TEST_ONLY`` lists it with a reason.
+"""
+
+import ast
+from pathlib import Path
+
+import qre
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qre"
+
+EXPORTS = [
+    # errors
+    "DivergentEntropy", "InvalidMatrix", "InvalidParameter", "InvalidRank",
+    "IrregularFunction", "NotPSD", "QREError", "ShapeMismatch", "SingularArgument",
+    # operator convex functions
+    "OperatorConvexFunction", "from_id", "loewner_quadrature", "make_f_p",
+    "make_neg_log", "make_neg_power",
+    # operators, states and their JSON files
+    "DensityMatrix", "FactorizedSpace", "PsdOperator", "load_matrix",
+    "random_contraction", "random_density", "random_unitary", "save_matrix",
+    # entropies
+    "ModularOperator", "apply_f_modular", "classical_reduction",
+    "quasi_relative_entropy", "umegaki", "von_neumann_entropy", "wyd_skew_information",
+    # recovery map and residuals
+    "ResidualSpec", "equality_condition_residual", "monotonicity_residual",
+    "petz_recover", "ssa_residual_P", "ssa_residual_Q",
+    # constants, gaps and checks
+    "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
+    "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",
+    "power_family_constants", "ssa_gap", "verify_cauchy_schwarz",
+    "verify_classical_reduction", "verify_joint_convexity", "verify_monotonicity",
+    "verify_monotonicity_bound", "verify_operator_ssa", "verify_ssa",
+    "verify_thm42_grid", "verify_wyd_joint_concavity", "verify_wyd_operator",
+    "verify_wyd_skew",
+    # campaigns
+    "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
+]
+
+# public names that only tests use, each a quantity of the paper or its I/O
+TEST_ONLY = {
+    "alpha_exponent": "the closed-form exponent alpha(beta, c) the acceptance tests read",
+    "equality_suite": "the three equality characterizations at desk dims, in one call",
+    "f_divergence": "S_f(rho || sigma), the K = identity quasi-relative entropy",
+    "j_p_entropy": "the J_p family of quasi-relative entropies",
+    "umegaki": "the Umegaki relative entropy, the logarithm's S_f",
+    "matrix_function": "functional calculus of a Hermitian matrix (the tests' log)",
+    "save_matrix": "writes the JSON matrix files that qre verify loads",
+}
+
+
+def _public_definitions():
+    """(module stem, name) of every public module-level function and class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
+def _referenced_names():
+    """Every name read, attribute taken or name imported in the package and the scripts."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_exports_are_pinned():
+    assert qre.__all__ == EXPORTS
+    assert all(hasattr(qre, name) for name in qre.__all__)
+
+
+def test_every_public_definition_has_a_caller():
+    referenced = _referenced_names()
+    unused = [f"qre.{module}.{name}" for module, name in _public_definitions()
+              if name not in referenced and name not in TEST_ONLY]
+    assert unused == [], "public entry points nothing in src/ or scripts/ uses"
+
+
+def test_test_only_list_is_current():
+    # a listed name that is gone, or has gained a caller, leaves the list
+    defined = {name for _, name in _public_definitions()}
+    referenced = _referenced_names()
+    assert sorted(n for n in TEST_ONLY if n not in defined or n in referenced) == []

@@ -10,12 +10,13 @@ from qre.bounds import (
     alpha1,
     alpha2,
     alpha_exponent,
+    constants_for,
     envelope_constants,
-    explicit_N,
     monotonicity_gap,
     operator_ssa_sides,
     optimize_T_scalar,
     pinsker_check,
+    power_family_constants,
     ssa_gap,
     thm42_terms,
     T_MAX,
@@ -34,9 +35,9 @@ from qre.bounds import (
     equality_suite,
 )
 from qre.entropy import von_neumann_entropy
-from qre.errors import DivergentEntropy, IrregularFunction
+from qre.errors import DivergentEntropy, InvalidParameter, IrregularFunction
 from qre.campaign import run_single
-from qre.functions import from_id, make_f_p, make_neg_log, regularity_constant
+from qre.functions import make_f_p, make_neg_log, make_neg_power
 from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
@@ -49,11 +50,91 @@ from qre.linalg import (
     tensor,
 )
 
+from test_functions import WINDOW_FUNCTIONS, window_constant
+
 NEG_LOG = make_neg_log()
 SPACE = FactorizedSpace((2, 2))
 SPACE3 = FactorizedSpace((2, 2, 2))
-WINDOW_FUNCTIONS = [g for fid in ("neg_log", "f_p:0.5", "neg_power:0.3")
-                    for g in (from_id(fid), from_id(fid).transpose())]
+
+
+# ----------------------------------------------------------------------------
+# The paper's printed closed forms of N, transcribed literally: the oracle of
+# the one constants formula (``constants_for``)
+# ----------------------------------------------------------------------------
+
+def explicit_N(kind: str, beta: float, p: float | None = None,
+               k_norm: float = 1.0, d_norm: float = 1.0) -> float:
+    """Literal closed forms of the remainder constant N.
+
+    ``kind`` is "log" or "power"; for "power" the constant is attached to the
+    raw power's gap normalization.  At beta = 1/2 both branch expressions are
+    evaluated and must agree; disagreement would flag a transcription defect
+    rather than silently asserting one branch.
+    """
+    if not 0.0 < beta < 1.0:
+        raise InvalidParameter(f"beta must lie in (0,1), got {beta}")
+    if kind == "log":
+        lo, hi = _n_log_low, _n_log_high
+        args = (beta, k_norm, d_norm)
+    elif kind == "power":
+        if p is None or not 0.0 < p < 2.0:
+            raise InvalidParameter(f"power kind needs p in (0,2), got {p}")
+        lo, hi = _n_pow_low, _n_pow_high
+        args = (beta, p, k_norm, d_norm)
+    else:
+        raise InvalidParameter(f"unknown constant kind {kind!r}")
+    if beta < 0.5:
+        return lo(*args)
+    if beta > 0.5:
+        return hi(*args)
+    a, b = lo(*args), hi(*args)
+    if abs(a - b) > 1e-9 * max(abs(a), abs(b)):
+        raise InvalidParameter(f"N branches disagree at beta=1/2: {a!r} vs {b!r}")
+    return b
+
+
+def _n_log_low(beta, k_norm, d_norm):
+    s = math.sin(beta * math.pi)
+    e = 1.0 - 2.0 * beta + 2.0 * beta * beta
+    bb = beta * (1.0 - beta)
+    return ((math.pi * e * beta / s) ** (1.0 / bb)
+            * (k_norm + beta / (1.0 - beta) * d_norm) ** (-e / bb)
+            * 2.0 ** (-e / bb)
+            * (e / (2.0 * (1.0 - beta))) ** (-2.0))
+
+
+def _n_log_high(beta, k_norm, d_norm):
+    s = math.sin(beta * math.pi)
+    return ((math.pi * beta * (1.0 - beta) / s) ** (2.0 / (1.0 - beta))
+            * ((1.0 - beta) / beta * k_norm + d_norm) ** (-2.0 * beta / (1.0 - beta))
+            * 2.0 ** (-2.0 * beta / (1.0 - beta))
+            * beta ** (-2.0))
+
+
+def _n_pow_low(beta, p, k_norm, d_norm):
+    s = math.sin(beta * math.pi)
+    sp = math.sin(p * math.pi)
+    bb = beta * (1.0 - beta)
+    e = p * (1.0 - beta) + 1.0 - 2.0 * beta + 2.0 * beta * beta
+    top = 1.0 + p * (1.0 - beta)
+    return ((k_norm + beta / (1.0 - beta) * d_norm) ** (-e / bb)
+            * 2.0 ** (-e / bb)
+            * sp / math.pi
+            * (math.pi * beta * e / (top * s)) ** (top / bb)
+            * (e / (2.0 * (1.0 - beta))) ** (-2.0))
+
+
+def _n_pow_high(beta, p, k_norm, d_norm):
+    s = math.sin(beta * math.pi)
+    sp = math.sin(p * math.pi)
+    bb = beta * (1.0 - beta)
+    e = 2.0 * beta * beta + p * (1.0 - beta)
+    top = 2.0 * beta + p * (1.0 - beta)
+    return (((1.0 - beta) / beta * k_norm + d_norm) ** (-e / bb)
+            * 2.0 ** (-e / bb)
+            * sp / math.pi
+            * (math.pi * (1.0 - beta) * e / (top * s)) ** (top / bb)
+            * (e / (2.0 * beta)) ** (-2.0))
 
 
 def golden_section_min(fn, lo: float, hi: float, rel_tol: float = 1e-6,
@@ -135,6 +216,18 @@ class TestExplicitN:
             n = explicit_N(kind, 0.5, p, 1.0, 4.0)
             assert n > 0.0
 
+    @pytest.mark.parametrize("beta", [0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
+    @pytest.mark.parametrize("k_norm,d_norm", [(1.0, 1.0), (0.7, 12.0), (1.0, 150.0)])
+    def test_constants_for_matches_printed_forms(self, beta, k_norm, d_norm):
+        # the one constants formula reproduces every printed closed form
+        n_log = constants_for(NEG_LOG, beta, k_norm, d_norm)[1]
+        assert n_log == pytest.approx(explicit_N("log", beta, None, k_norm, d_norm), rel=1e-13)
+        for p in (0.3, 0.5, 0.7):
+            consts = constants_for(make_neg_power(p), beta, k_norm, d_norm)
+            assert power_family_constants(p, beta, k_norm, d_norm) == consts
+            assert consts[1] == pytest.approx(explicit_N("power", beta, p, k_norm, d_norm),
+                                              rel=1e-13)
+
     def test_positive_and_decreasing_in_d(self):
         for beta in (0.3, 0.6):
             values = [explicit_N("log", beta, None, 1.0, d) for d in (1.0, 5.0, 50.0)]
@@ -185,7 +278,7 @@ class TestClosedFormWindowOptimum:
         # the hypothesis of the closed form: C_{T,beta} = C T^{2c} exactly
         for T in (1.0 + 1e-9, 1.5, 30.0, 1e4, 1e9):
             expected = f.power_law_C() * T ** (2.0 * f.power_law_c(beta))
-            assert regularity_constant(f, T, beta).constant == pytest.approx(expected, rel=1e-12)
+            assert window_constant(f, T, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_golden_section_oracle(self):
         rng = np.random.default_rng(42)

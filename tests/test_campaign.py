@@ -15,7 +15,7 @@ from qre.campaign import (
     run_single,
     trial_seed,
 )
-from qre.errors import InvalidParameter
+from qre.errors import InvalidParameter, QREError
 from qre.functions import from_id
 
 # the families whose theorem needs the window constants of a regular f
@@ -63,6 +63,19 @@ class TestConfig:
         assert parse_dims("2,3") == (2, 3)
         with pytest.raises(InvalidParameter):
             parse_dims("2xa")
+
+    @pytest.mark.parametrize("bad", [dict(functions=("neg_log", "bogus")),
+                                     dict(functions=("f_p:2.5",)),
+                                     dict(dims=((2, 2), (2, 0))),
+                                     dict(dims=((2, 2), (2.5, 2)))])
+    def test_bad_function_or_dims_rejected_before_any_report(self, bad, tmp_path):
+        out = tmp_path / "reports.jsonl"
+        stream = io.StringIO()
+        with pytest.raises(QREError):
+            config = CampaignConfig(inequalities=("monotonicity",), trials=2,
+                                    output_path=str(out), **bad)
+            run_campaign(config, stream)
+        assert stream.getvalue() == "" and not out.exists()
 
     @pytest.mark.parametrize("line", ["trails = 5", "tol.monotonicity = 1e-6"])
     def test_unknown_key_rejected(self, line):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qre.bounds import envelope_constants
 from qre.campaign import FAMILIES, run_single, sample_operands
 from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main, verifiable
 from qre.linalg import FactorizedSpace, random_density, random_unitary, save_matrix
@@ -204,6 +205,16 @@ class TestFunctionRequirements:
         assert code == EXIT_INPUT
         assert "a regular f (window constants)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_matrix_is_input_error(self, tmp_path, bad, capsys):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = bad
+        save_matrix(tmp_path / "bad4.json", m)
+        path = str(tmp_path / "bad4.json")
+        code = main(["verify", "monotonicity", "--rho", path, "--sigma", path, "--dims", "2x2"])
+        assert code == EXIT_INPUT
+        assert "non-finite" in capsys.readouterr().err
+
     def test_wrong_number_of_factors_is_input_error(self, fixtures):
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho4.json"), "--dims", "2x2"])
         assert code == EXIT_INPUT
@@ -226,6 +237,16 @@ class TestBoundsConstants:
         assert float(out["alpha"]) == pytest.approx(0.2)
         assert float(out["c"]) == pytest.approx(0.25)
 
+
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5", "neg_power:0.3"])
+    @pytest.mark.parametrize("beta", ["0.25", "0.5", "0.75"])
+    def test_printed_set_is_coherent(self, fid, beta, capsys):
+        # N is the envelope of the printed C and c, not of another function's measure
+        args = ["bounds", "constants", "--f", fid, "--beta", beta, "--knorm", "0.8", "--dd", "3"]
+        assert main(args) == EXIT_PASS
+        out = {k: float(v) for k, v in (line.split("=") for line in capsys.readouterr().out.split())}
+        m_const, n_const, alpha = envelope_constants(out["C"], out["c"], float(beta), 0.8, 3.0)
+        assert out["N"] == n_const and out["alpha"] == alpha
 
     def test_p_option_is_gone(self):
         with pytest.raises(SystemExit):
@@ -272,6 +293,14 @@ class TestCampaignCommand:
         assert main(["campaign", "--config", str(cfg)]) == EXIT_PASS
         assert out.read_bytes() == first
         assert b"monotonicity" in first
+
+    @pytest.mark.parametrize("line", ["functions = neg_log, bogus", "dims = 2x2, 2x0"])
+    def test_bad_config_writes_nothing(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "reports.jsonl"
+        cfg.write_text(f"inequalities = monotonicity\ntrials = 2\n{line}\noutput = {out}\n")
+        assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_missing_config_is_input_error(self, tmp_path):
         assert main(["campaign", "--config", str(tmp_path / "nope.cfg")]) == EXIT_INPUT

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qre.bounds import alpha1, alpha2, thm42_terms, window_coefficient
 from qre.errors import InvalidParameter, IrregularFunction
 from qre.functions import (
     from_id,
@@ -17,12 +18,63 @@ from qre.functions import (
     make_neg_power,
     make_x_log_x,
     power_of,
-    regularity_constant,
     split_id,
-    window_edges,
 )
 
 GRID = np.geomspace(0.1, 10.0, 21)
+WINDOW_FUNCTIONS = [g for fid in ("neg_log", "f_p:0.5", "neg_power:0.3")
+                    for g in (from_id(fid), from_id(fid).transpose())]
+
+
+# ----------------------------------------------------------------------------
+# The window-domination constant in its edge form and by grid refinement:
+# oracles of the constant that ``qre.bounds.thm42_terms`` computes inline
+# ----------------------------------------------------------------------------
+
+def window_edges(T: float, beta: float) -> tuple[float, float]:
+    """Two-branch window (T_L, T_R): (T, T^{beta/(1-beta)}) below beta=1/2, mirrored above."""
+    if T <= 1.0:
+        raise InvalidParameter(f"window parameter T must exceed 1, got {T}")
+    if not 0.0 < beta < 1.0:
+        raise InvalidParameter(f"beta must lie in (0,1), got {beta}")
+    if beta <= 0.5:
+        return T, T ** (beta / (1.0 - beta))
+    return T ** ((1.0 - beta) / beta), T
+
+
+def window_constant(f, T: float, beta: float, grid: bool = False) -> float:
+    """Least C with dt <= C dmu_f(t) on [1/T_L, T_R].
+
+    For the power-law densities kappa t^q the supremum of 1/mu sits at the
+    left window edge for q >= 0 (the right one for q < 0); ``grid=True``
+    refines it on log grids instead.
+    """
+    if not f.regular:
+        raise IrregularFunction(f"{f.name} is not regular; no window constant exists")
+    t_left, t_right = window_edges(T, beta)
+    if grid:
+        return sup_inverse_density(f, 1.0 / t_left, t_right)
+    if f.mu_q >= 0:
+        return float(f.power_law_C() * t_left ** f.mu_q)
+    return float(f.power_law_C() * t_right ** f.mu_q)
+
+
+def sup_inverse_density(f, lo, hi, rel_tol=1e-6):
+    """sup of 1/mu_f on [lo, hi], on log grids doubled until it settles to rel_tol."""
+    pts = 65
+    best = 0.0
+    while True:
+        t = np.geomspace(lo, hi, pts)
+        dens = f.mu_density(t)
+        if np.any(dens <= 0.0):
+            raise IrregularFunction(f"{f.name} density vanishes on the window")
+        cur = float(np.max(1.0 / dens))
+        if best > 0.0 and abs(cur - best) <= rel_tol * cur:
+            return cur
+        best = cur
+        pts = 2 * pts - 1
+        if pts > 1 << 20:
+            return cur
 
 
 def second_derivative(f, x=1.0, h=1e-4):
@@ -96,7 +148,7 @@ class TestFp:
         f = make_f_p(p)
         assert not f.regular
         with pytest.raises(IrregularFunction):
-            regularity_constant(f, 10.0, 0.5)
+            thm42_terms(f, 0.5, 10.0, 1.0, 1.0, 0.1)
         with pytest.raises(IrregularFunction):
             loewner_quadrature(f, 2.0)
 
@@ -172,31 +224,42 @@ class TestRegularityWindows:
         f = make_neg_log()
         for T in (2.0, 10.0, 1e4):
             for beta in (0.25, 0.5, 0.75):
-                assert regularity_constant(f, T, beta).constant == 1.0
+                assert window_constant(f, T, beta) == 1.0
 
     @pytest.mark.parametrize("p,beta", [(0.3, 0.25), (0.5, 0.5), (0.7, 0.75)])
     def test_power_closed_form(self, p, beta):
         f = make_f_p(p)
         T = 4.0
-        win = regularity_constant(f, T, beta)
-        expected = math.pi * p * (1 - p) / math.sin(p * math.pi) * win.t_left ** p
-        assert abs(win.constant - expected) < 1e-12 * expected
+        t_left, _ = window_edges(T, beta)
+        expected = math.pi * p * (1 - p) / math.sin(p * math.pi) * t_left ** p
+        assert abs(window_constant(f, T, beta) - expected) < 1e-12 * expected
 
     @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.35", "neg_power:0.6"])
     def test_grid_sup_matches_closed_form(self, fid):
         f = from_id(fid)
         for T, beta in ((3.0, 0.3), (12.0, 0.6)):
-            closed = regularity_constant(f, T, beta).constant
-            gridded = regularity_constant(f, T, beta, grid=True).constant
+            closed = window_constant(f, T, beta)
+            gridded = window_constant(f, T, beta, grid=True)
             assert abs(closed - gridded) < 2e-6 * closed
 
     @given(st.floats(1.5, 1e6), st.floats(1.1, 2.0), st.sampled_from([0.25, 0.5, 0.8]))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_T(self, T, factor, beta):
         f = make_f_p(0.5)
-        c1 = regularity_constant(f, T, beta).constant
-        c2 = regularity_constant(f, T * factor, beta).constant
+        c1 = window_constant(f, T, beta)
+        c2 = window_constant(f, T * factor, beta)
         assert c2 >= c1 - 1e-12 * c1
+
+    @pytest.mark.parametrize("f", WINDOW_FUNCTIONS, ids=lambda g: g.name)
+    def test_thm42_terms_reads_the_edge_form(self, f):
+        # the inline window constant of thm42_terms is the edge form, bit for bit
+        k_norm, d_norm, gap = 0.8, 7.0, 0.03
+        for beta in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9):
+            for T in (1.0 + 1e-9, 1.5, 2.0, 30.0, 1e4, 1e9):
+                c_win = window_constant(f, T, beta)
+                expected = (window_coefficient(beta, k_norm, d_norm) / T ** alpha1(beta)
+                            + T ** alpha2(beta) * math.sqrt(c_win) * math.sqrt(gap))
+                assert thm42_terms(f, beta, T, k_norm, d_norm, gap) == expected
 
     def test_power_law_c_branches(self):
         f = make_f_p(0.5)

@@ -176,6 +176,29 @@ class TestStackedConstructor:
                 DensityMatrix.stack(mats)
             assert str(stacked.value) == str(alone.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_entry_is_invalid(self, bad, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[entry] = bad
+        for build in (PsdOperator, DensityMatrix):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                build(m)
+        good = random_state_matrix(2, seed=5)
+        for position in range(3):
+            mats = [good, good, good]
+            mats[position] = m
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                DensityMatrix.stack(mats)
+
+    def test_non_finite_member_keeps_the_first_failure(self):
+        # the non-finite check runs first, yet an earlier bad member still raises its own
+        nan, not_psd = np.diag([np.nan, 1.0]), np.diag([1.5, -0.5])
+        with pytest.raises(NotPSD):
+            DensityMatrix.stack([not_psd, nan])
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            DensityMatrix.stack([nan, not_psd])
+
     def test_first_bad_member_wins(self):
         not_psd, not_unit = np.diag([1.5, -0.5]), np.diag([0.7, 0.7])
         with pytest.raises(NotPSD):

@@ -13,18 +13,9 @@ import sys
 
 import numpy as np
 
-from qre.bounds import monotonicity_gap, optimize_T_scalar
-from qre.entropy import ModularOperator
+from qre.bounds import verify_monotonicity_bound
 from qre.functions import from_id
-from qre.linalg import (
-    FactorizedSpace,
-    PsdOperator,
-    op_norm,
-    random_contraction,
-    random_density,
-    random_unitary,
-)
-from qre.recovery import ResidualSpec, monotonicity_residual
+from qre.linalg import FactorizedSpace, random_contraction, random_density, random_unitary
 
 SPACE = FactorizedSpace((2, 2))
 
@@ -38,15 +29,11 @@ def profile(fid: str, beta: float, trials: int, seed: int):
         sig = random_density(4, seed=rng)
         k1 = random_contraction(2, seed=rng)
         v = random_unitary(2, seed=rng)
-        spec = ResidualSpec(beta=beta, k1=k1, space=SPACE, v=v)
-        _, rnorm = monotonicity_residual(spec, rho, sig)
-        gap = monotonicity_gap(f, k1, v, rho, sig, SPACE)
-        d_norm = ModularOperator(sig, rho).op_norm()
-        consts = optimize_T_scalar(f, beta, op_norm(np.kron(k1, v)), d_norm, gap)
-        if rnorm > 1e-12 and gap > 0:
-            ratios.append(consts.M * gap ** consts.alpha / rnorm)
-            t_stars.append(consts.T_star)
-    return np.median(ratios), np.median(t_stars), consts.alpha
+        rep = verify_monotonicity_bound(f, k1, v, rho, sig, beta, SPACE)
+        if rep.lhs > 1e-12 and rep.details["gap"] > 0:
+            ratios.append(rep.rhs / rep.lhs)
+            t_stars.append(rep.constants.T_star)
+    return np.median(ratios), np.median(t_stars), rep.constants.alpha
 
 
 def main() -> int:

@@ -1,100 +1,38 @@
 #!/usr/bin/env python3
 """Sweep equality instances of three inequalities under growing perturbations.
 
-For each family the script builds an exact saturation instance, mixes in an
-independent random state with weight eps, and tabulates how the inequality
-gap and the equality-condition residual grow together.  Near eps = 0 both
-columns should sit at numerical zero; for the monotonicity family the
-remainder theory predicts residual ~ gap^{alpha(beta)}, so the log-log slope
-ratio between the columns approaches 1/alpha ~ 4 at beta = 1/2.
+Prints the campaign's own equality sweeps (``qre.bounds.equality_suite``) for
+the logarithm.  Each family builds an exact saturation instance, mixes in an
+independent state with weight eps (``qre.bounds.EPS_SWEEP``), and reports how
+the inequality gap and the equality-condition residual grow together.  At
+eps = 0 both sit at numerical zero; a family is co-monotone when every one of
+its reports passes.
 """
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
 
-from qre.bounds import joint_convexity_gap, monotonicity_gap, operator_ssa_sides
+from qre.bounds import equality_suite
 from qre.functions import make_neg_log
-from qre.linalg import (
-    FactorizedSpace,
-    PsdOperator,
-    hermitize,
-    op_norm,
-    random_contraction,
-    random_density,
-    tensor,
-)
-from qre.recovery import equality_condition_residual
-
-SPACE = FactorizedSpace((2, 2))
-SPACE3 = FactorizedSpace((2, 2, 2))
-F = make_neg_log()
-
-
-def monotonicity_row(rng, eps):
-    r1, s1 = random_density(2, seed=rng), random_density(2, seed=rng)
-    tau = random_density(2, seed=rng)
-    noise = random_density(4, seed=rng)
-    k1 = random_contraction(2, seed=rng)
-    rho = tensor(r1.mat, tau.mat)
-    sig = hermitize((1 - eps) * tensor(s1.mat, tau.mat) + eps * noise.mat)
-    gap = monotonicity_gap(F, k1, np.eye(2), rho, sig, SPACE)
-    resid = equality_condition_residual(rho, sig, np.kron(k1, np.eye(2)), SPACE)
-    return gap, resid
-
-
-def joint_convexity_row(rng, eps):
-    rho, sig = random_density(2, seed=rng), random_density(2, seed=rng)
-    k = random_contraction(2, seed=rng)
-    comps = []
-    for w in (0.3, 0.3, 0.4):
-        pert_r = hermitize((1 - eps) * rho.mat + eps * random_density(2, seed=rng).mat)
-        comps.append((w, PsdOperator(pert_r), PsdOperator(sig.mat)))
-    gap = joint_convexity_gap(F, k, comps)
-    mix = PsdOperator(hermitize(sum(w * r.mat for w, r, _ in comps)))
-    worst = 0.0
-    for _, r, s in comps:
-        diff = s.power(0.5) @ k @ mix.power(-0.5) - s.power(0.5) @ k @ r.power(-0.5)
-        worst = max(worst, op_norm(diff))
-    return gap, worst
-
-
-def operator_ssa_row(rng, eps):
-    rho_ab = random_density(4, seed=rng)
-    rho_c = random_density(2, seed=rng)
-    noise = random_density(8, seed=rng)
-    rho = hermitize((1 - eps) * tensor(rho_ab.mat, rho_c.mat) + eps * noise.mat)
-    gram, rhs, _, _, _ = operator_ssa_sides(F, rho, rho_ab.mat, 0.5, "thm62", SPACE3)
-    return float(np.trace(rhs).real), float(np.sqrt(max(np.trace(gram).real, 0.0)))
-
-
-FAMILIES = {
-    "monotonicity": monotonicity_row,
-    "joint_convexity": joint_convexity_row,
-    "operator_ssa": operator_ssa_row,
-}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--eps", nargs="*", type=float,
-                    default=(0.0, 1e-4, 1e-3, 1e-2, 1e-1))
     args = ap.parse_args()
 
-    for name, row in FAMILIES.items():
+    reports = equality_suite(make_neg_log(), np.random.default_rng(args.seed))
+    for name, rows in itertools.groupby(reports, key=lambda r: r.inequality_id):
+        rows = list(rows)
         print(f"\n{name}:")
         print(f"  {'eps':>8s} {'gap':>12s} {'residual':>12s}")
-        prev = (-np.inf, -np.inf)
-        monotone = True
-        for eps in args.eps:
-            rng = np.random.default_rng(args.seed)      # same instance per eps
-            gap, resid = row(rng, eps)
-            print(f"  {eps:8.0e} {gap:12.4e} {resid:12.4e}")
-            monotone &= gap >= prev[0] - 1e-14 and resid >= prev[1] - 1e-14
-            prev = (gap, resid)
-        print(f"  co-monotone: {monotone}")
+        for r in rows:
+            d = r.details
+            print(f"  {d['eps']:8.0e} {d['gap']:12.4e} {d['equality_residual']:12.4e}")
+        print(f"  co-monotone: {all(r.passed for r in rows)}")
     return 0
 
 

@@ -20,8 +20,8 @@ from .linalg import (DensityMatrix, FactorizedSpace, PsdOperator, load_matrix,
 from .entropy import (ModularOperator, apply_f_modular, classical_reduction,
                       quasi_relative_entropy, umegaki, von_neumann_entropy,
                       wyd_skew_information)
-from .recovery import (ResidualSpec, equality_condition_residual, monotonicity_residual,
-                       petz_recover, ssa_residual_P, ssa_residual_Q)
+from .recovery import (equality_condition_residual, monotonicity_residual, petz_recover,
+                       ssa_residual_P, ssa_residual_Q)
 from .reports import BoundConstants, BoundReport
 from .bounds import (alpha_exponent, constants_for, equality_suite, lieb_ruskai_check,
                      monotonicity_gap, pinsker_check, power_family_constants, ssa_gap,
@@ -45,8 +45,8 @@ __all__ = [
     "ModularOperator", "apply_f_modular", "classical_reduction",
     "quasi_relative_entropy", "umegaki", "von_neumann_entropy", "wyd_skew_information",
     # recovery map and residuals
-    "ResidualSpec", "equality_condition_residual", "monotonicity_residual",
-    "petz_recover", "ssa_residual_P", "ssa_residual_Q",
+    "equality_condition_residual", "monotonicity_residual", "petz_recover",
+    "ssa_residual_P", "ssa_residual_Q",
     # constants, gaps and checks
     "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
     "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",

@@ -218,7 +218,7 @@ FAMILIES: dict[str, Family] = {
         lambda f, space, beta, rng: bounds.equality_monotonicity_sweep(f, space, rng),
         ("rng",), nfactors=2, uses_beta=False),
     "equality_joint_convexity": Family(
-        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space.dims[0], rng),
+        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space, rng),
         ("rng",), uses_beta=False),
     "equality_operator_ssa": Family(
         lambda f, space, beta, rng: bounds.equality_operator_ssa_sweep(f, space, rng),

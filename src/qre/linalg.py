@@ -140,11 +140,6 @@ def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, q, proj
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product in factor order a (x) b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 class _Layout(NamedTuple):
     """What depends on the factor dims alone."""
 
@@ -471,12 +466,6 @@ def _checked_spectra(a, state: bool):
 # Seeded random ensembles
 # ----------------------------------------------------------------------------
 
-def as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -486,7 +475,7 @@ def random_state_matrix(dim: int, rank: int | None = None, seed=None) -> np.ndar
     rank = dim if rank is None else int(rank)
     if rank < 1 or rank > dim:
         raise InvalidRank(f"rank {rank} outside [1, {dim}]")
-    g = _ginibre(as_rng(seed), dim, rank)
+    g = _ginibre(np.random.default_rng(seed), dim, rank)
     m = g @ g.conj().T
     return hermitize(m / np.trace(m).real)
 
@@ -498,14 +487,14 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityMatri
 
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar unitary via QR of a Gaussian matrix with the R-diagonal phase fix."""
-    q, r = np.linalg.qr(_ginibre(as_rng(seed), dim, dim))
+    q, r = np.linalg.qr(_ginibre(np.random.default_rng(seed), dim, dim))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def random_contraction_draw(dim: int, seed=None) -> tuple[np.ndarray, float]:
     """The Gaussian matrix and target norm of ``random_contraction``, not yet rescaled."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = _ginibre(rng, dim, dim)
     return g, rng.uniform(0.5, 1.0)
 
@@ -523,7 +512,7 @@ def random_contraction(dim: int, seed=None) -> np.ndarray:
 
 
 def random_hermitian(dim: int, seed=None) -> np.ndarray:
-    return hermitize(_ginibre(as_rng(seed), dim, dim))
+    return hermitize(_ginibre(np.random.default_rng(seed), dim, dim))
 
 
 # ----------------------------------------------------------------------------

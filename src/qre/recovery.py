@@ -8,7 +8,6 @@ permuted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +34,25 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
     return hermitize(rhalf @ core @ rhalf)
 
 
-@dataclass(frozen=True)
-class ResidualSpec:
-    """Inputs fixing one monotonicity residual: exponent, reduced-side operator, factorization."""
-
-    beta: float
-    k1: np.ndarray                      # operator on the kept (first) factor
-    space: FactorizedSpace
-    v: np.ndarray | None = None         # unitary on the traced factor; identity if None
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParameter(f"beta must lie strictly inside (0,1), got {self.beta}")
-
-
-def monotonicity_residual(spec: ResidualSpec, rho, sigma):
+def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v=None):
     """R_beta = sigma_1^b K rho_1^{-b} rho^{1/2} - sigma^b K rho^{1/2-b} and its HS norm.
 
     Bipartite convention: factor 0 is kept, factor 1 is traced out; the
-    reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V.
+    reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
+    kept factor and the unitary ``v`` on the traced one (identity if None).
     """
-    space = spec.space
+    if not 0.0 < beta < 1.0:
+        raise InvalidParameter(f"beta must lie strictly inside (0,1), got {beta}")
     if space.nfactors != 2:
         raise ShapeMismatch("monotonicity residual expects a bipartite factorization")
     rho = space.psd(rho)
     sigma = space.psd(sigma)
-    b = spec.beta
     rho1 = rho.marginal(space, (0,))
     sigma1 = sigma.marginal(space, (0,))
-    v = np.eye(space.dims[1]) if spec.v is None else as_matrix(spec.v)
-    k1 = as_matrix(spec.k1)
-    left = np.kron(sigma1.power(b) @ k1 @ rho1.power(-b), v) @ rho.power(0.5)
-    right = sigma.power(b) @ np.kron(k1, v) @ rho.power(0.5 - b)
+    v = np.eye(space.dims[1]) if v is None else as_matrix(v)
+    k1 = as_matrix(k1)
+    left = np.kron(sigma1.power(beta) @ k1 @ rho1.power(-beta), v) @ rho.power(0.5)
+    right = sigma.power(beta) @ np.kron(k1, v) @ rho.power(0.5 - beta)
     resid = left - right
     return resid, hs_norm(resid)
 

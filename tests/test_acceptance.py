@@ -46,7 +46,6 @@ from qre.linalg import (
     random_density,
     random_hermitian,
     random_unitary,
-    tensor,
     trace_norm,
 )
 from qre.recovery import equality_condition_residual
@@ -164,8 +163,8 @@ def test_criterion_06_equality_characterization():
         s1 = random_density(2, seed=rng)
         tau = random_density(2, seed=rng)
         k1 = random_contraction(2, seed=rng)
-        rho = tensor(r1.mat, tau.mat)
-        sig = tensor(s1.mat, tau.mat)
+        rho = np.kron(r1.mat, tau.mat)
+        sig = np.kron(s1.mat, tau.mat)
         gap = monotonicity_gap(NEG_LOG, k1, np.eye(2), rho, sig, SPACE)
         resid = equality_condition_residual(rho, sig, np.kron(k1, np.eye(2)), SPACE)
         assert abs(gap) < 1e-10, f"trial {trial}: gap {gap}"
@@ -291,7 +290,7 @@ def test_criterion_11_wyd_family():
     # equality instance triggers the recovery condition
     sab = random_density(4, seed=rng)
     tau = random_density(2, seed=rng)
-    rep = verify_cauchy_schwarz(tensor(sab.mat, tau.mat), sab, 0.5, SPACE3)
+    rep = verify_cauchy_schwarz(np.kron(sab.mat, tau.mat), sab, 0.5, SPACE3)
     report("11 WYD family", rep.details["petz_recovery_residual"] < 1e-8,
            f"worst skew {worst_skew:.3e}, "
            f"CS recovery residual {rep.details['petz_recovery_residual']:.2e}")

@@ -28,8 +28,8 @@ EXPORTS = [
     "ModularOperator", "apply_f_modular", "classical_reduction",
     "quasi_relative_entropy", "umegaki", "von_neumann_entropy", "wyd_skew_information",
     # recovery map and residuals
-    "ResidualSpec", "equality_condition_residual", "monotonicity_residual",
-    "petz_recover", "ssa_residual_P", "ssa_residual_Q",
+    "equality_condition_residual", "monotonicity_residual", "petz_recover",
+    "ssa_residual_P", "ssa_residual_Q",
     # constants, gaps and checks
     "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
     "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",
@@ -45,7 +45,6 @@ EXPORTS = [
 # public names that only tests use, each a quantity of the paper or its I/O
 TEST_ONLY = {
     "alpha_exponent": "the closed-form exponent alpha(beta, c) the acceptance tests read",
-    "equality_suite": "the three equality characterizations at desk dims, in one call",
     "f_divergence": "S_f(rho || sigma), the K = identity quasi-relative entropy",
     "j_p_entropy": "the J_p family of quasi-relative entropies",
     "umegaki": "the Umegaki relative entropy, the logarithm's S_f",

@@ -142,6 +142,10 @@ class TestApplicability:
         summary = run_campaign(cfg)
         assert summary.reports == 4 and summary.failures == 0
 
+    def test_equality_joint_convexity_builds_on_its_dims(self):
+        digests = {run_single("equality_joint_convexity", "neg_log", dims, 0.5, 123)[0].inputs_digest
+                   for dims in ((2, 2), (2, 2, 2), (2,))}
+        assert len(digests) == 3
 
     def test_pinsker_skips_unnormalized_functions(self):
         cfg = CampaignConfig(inequalities=("pinsker",), functions=("neg_power:0.3",),
@@ -184,6 +188,19 @@ class TestMixedRankPolicy:
         assert summary.failures == 0
         assert summary.divergent > 0
         assert summary.per_inequality["monotonicity"]["divergent"] == summary.divergent
+
+    def test_divergent_pinsker_counted_separately(self):
+        cfg = CampaignConfig(inequalities=("pinsker",), functions=("neg_log", "f_p:0.5"),
+                             dims=((2, 2, 2),), betas=(0.25,), trials=20, seed=7,
+                             rank_policy="mixed")
+        out = io.StringIO()
+        summary = run_campaign(cfg, stream=out)
+        assert summary.divergent == 4 and summary.failures == 0
+        assert summary.per_inequality["pinsker"]["divergent"] == 4
+        divergent = [json.loads(line) for line in out.getvalue().splitlines()
+                     if "divergent=1" in line]
+        assert len(divergent) == 4
+        assert all(rep["details"]["divergent"] == 1.0 for rep in divergent)
 
     def test_full_policy_never_divergent(self):
         cfg = CampaignConfig(inequalities=("monotonicity",), functions=("neg_log",),

@@ -93,6 +93,14 @@ class TestVerify:
                      "--sigma", str(tmp_path / "pure4.json"), "--dims", "2,2"])
         assert code == 3
 
+    def test_pinsker_divergent_exit_code(self, fixtures, tmp_path):
+        save_matrix(tmp_path / "pure4.json",
+                    np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex))
+        code = main(["verify", "pinsker", "--f", "neg_log",
+                     "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(tmp_path / "pure4.json")])
+        assert code == 3
+
     @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
     def test_non_unitary_v_is_input_error(self, fixtures, inequality, capsys):
         save_matrix(fixtures / "v_bad.json", np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))

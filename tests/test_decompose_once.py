@@ -199,9 +199,11 @@ class TestEffectiveEigs:
 
 # sha256 of the JSONL this campaign wrote at the commit before decompose-once,
 # re-recorded when the window optimum became closed-form (T_star and the thm42
-# rhs moved in their last digits). A change that moves any digit of it must
-# explain which and why in CHANGES.md.
-GOLDEN_SHA256 = "953b14fc7a6cdee5eb81821f9b90821f482a762b8e10a0480cd1ca72e23338b4"
+# rhs moved in their last digits) and when monotonicity_bound read ||K^{-1}||
+# as ||K1^{-1}|| (details.interchange_rhs of 6 of its 12 lines moved by at most
+# 4.7e-16 relative). A change that moves any digit of it must explain which and
+# why in CHANGES.md.
+GOLDEN_SHA256 = "294f18497761ede337834a647061fa089a82f6ffd0b11731f92eb3ddfca13e0c"
 # Tripartite and 3x2 families that go through partial traces and embeddings,
 # recorded before their einsum operands were cached per dims.
 GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903d0761162"
@@ -211,8 +213,10 @@ GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903
 # re-recorded when the window optimum became closed-form (T_star moved) and
 # when wyd_joint_concavity took its constants from the envelope of the raw
 # power instead of the printed closed form (its N, M, alpha and lhs moved by
-# at most 5.3e-15 relative; no verdict changed).
-GOLDEN_FAMILY_SHA256 = "1c0f42777110130ea7d00d319bae2e07b5ab902a130368c3f6b51b7bb7f6154e"
+# at most 5.3e-15 relative; no verdict changed), and when the joint-convexity
+# equality sweep was built on the whole 2x2 space instead of its first factor
+# (its 16 2x2 lines changed instances; its (3,) lines did not move).
+GOLDEN_FAMILY_SHA256 = "f092b29272a1c72bed9111a9251167fb869b3cf1d31a4a767e3d2e40bae1f525"
 
 
 def test_golden_campaign_digest():

@@ -27,7 +27,6 @@ from qre.linalg import (
     random_hermitian,
     random_unitary,
     spectral_decompose,
-    tensor,
     trace_norm,
 )
 
@@ -139,17 +138,10 @@ class TestPartialTrace:
 
 
 class TestTensorEmbed:
-    def test_identity(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
     def test_round_trip_with_partial_trace(self):
         rho = random_density(2, seed=7).mat
         sig = random_density(2, seed=8).mat
-        out = partial_trace(tensor(rho, sig), FactorizedSpace((2, 2)), (0,))
+        out = partial_trace(np.kron(rho, sig), FactorizedSpace((2, 2)), (0,))
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_embed_matches_kron(self):

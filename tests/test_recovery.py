@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qre.errors import ShapeMismatch
+from qre.errors import InvalidParameter, ShapeMismatch
 from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
@@ -14,11 +14,9 @@ from qre.linalg import (
     random_contraction,
     random_density,
     random_unitary,
-    tensor,
     trace_norm,
 )
 from qre.recovery import (
-    ResidualSpec,
     equality_condition_residual,
     monotonicity_residual,
     petz_recover,
@@ -34,7 +32,7 @@ class TestPetzRecover:
     def test_product_fixed_point(self):
         r1 = random_density(2, seed=1)
         r2 = random_density(2, seed=2)
-        rho = tensor(r1.mat, r2.mat)
+        rho = np.kron(r1.mat, r2.mat)
         out = petz_recover(rho, r1.mat, SPACE, keep=(0,))
         np.testing.assert_allclose(out, rho, atol=1e-12)
 
@@ -80,20 +78,24 @@ class TestMonotonicityResidual:
         # with K = I both terms reduce to rho^{1/2}; a noncommuting K leaves a
         # genuine skew remainder even at sigma = rho
         rho = random_density(4, seed=10)
-        spec = ResidualSpec(beta=0.5, k1=np.eye(2), space=SPACE)
-        resid, norm = monotonicity_residual(spec, rho, rho)
+        resid, norm = monotonicity_residual(rho, rho, np.eye(2), SPACE, 0.5)
         assert norm < 1e-12
         np.testing.assert_allclose(resid, np.zeros((4, 4)), atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.2])
+    def test_beta_outside_open_unit_interval(self, beta):
+        rho = random_density(4, seed=11)
+        with pytest.raises(InvalidParameter):
+            monotonicity_residual(rho, rho, np.eye(2), SPACE, beta)
 
     def test_product_equality_case(self):
         r1 = random_density(2, seed=12)
         s1 = random_density(2, seed=13)
         tau = random_density(2, seed=14)
-        rho = tensor(r1.mat, tau.mat)
-        sig = tensor(s1.mat, tau.mat)
+        rho = np.kron(r1.mat, tau.mat)
+        sig = np.kron(s1.mat, tau.mat)
         for beta in (0.25, 0.5, 0.75):
-            spec = ResidualSpec(beta=beta, k1=np.eye(2), space=SPACE)
-            _, norm = monotonicity_residual(spec, rho, sig)
+            _, norm = monotonicity_residual(rho, sig, np.eye(2), SPACE, beta)
             assert norm < 1e-12
 
     def test_recovery_chain_half_exponent(self):
@@ -104,8 +106,7 @@ class TestMonotonicityResidual:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            spec = ResidualSpec(beta=0.5, k1=k1, space=SPACE, v=v)
-            _, rnorm = monotonicity_residual(spec, rho, sig)
+            _, rnorm = monotonicity_residual(rho, sig, k1, SPACE, 0.5, v=v)
             sigma1 = partial_trace(sig.mat, SPACE, (0,))
             rec = petz_recover(rho, hermitize(k1.conj().T @ sigma1 @ k1), SPACE, (0,))
             k_full = np.kron(k1, v)
@@ -118,8 +119,7 @@ class TestMonotonicityResidual:
         k1 = random_contraction(2, seed=17)
         v = random_unitary(2, seed=18)
         beta = 0.3
-        spec = ResidualSpec(beta=beta, k1=k1, space=SPACE, v=v)
-        resid, _ = monotonicity_residual(spec, rho, sig)
+        resid, _ = monotonicity_residual(rho, sig, k1, SPACE, beta, v=v)
         rho1 = PsdOperator(partial_trace(rho.mat, SPACE, (0,)))
         sig1 = PsdOperator(partial_trace(sig.mat, SPACE, (0,)))
         k_full = np.kron(k1, v)
@@ -139,8 +139,8 @@ class TestEqualityConditionResidual:
         r1 = random_density(2, seed=21)
         s1 = random_density(2, seed=22)
         tau = random_density(2, seed=23)
-        rho = tensor(r1.mat, tau.mat)
-        sig = tensor(s1.mat, tau.mat)
+        rho = np.kron(r1.mat, tau.mat)
+        sig = np.kron(s1.mat, tau.mat)
         k = np.kron(random_contraction(2, seed=24), np.eye(2))
         assert equality_condition_residual(rho, sig, k, SPACE) < 1e-10
 
@@ -149,11 +149,11 @@ class TestEqualityConditionResidual:
         s1 = random_density(2, seed=26)
         tau = random_density(2, seed=27)
         noise = random_density(4, seed=28)
-        rho = tensor(r1.mat, tau.mat)
+        rho = np.kron(r1.mat, tau.mat)
         k = np.kron(np.eye(2), np.eye(2))
         values = []
         for eps in (0.0, 1e-3, 1e-2, 1e-1):
-            sig = hermitize((1 - eps) * tensor(s1.mat, tau.mat) + eps * noise.mat)
+            sig = hermitize((1 - eps) * np.kron(s1.mat, tau.mat) + eps * noise.mat)
             values.append(equality_condition_residual(rho, sig, k, SPACE))
         assert values[0] < 1e-10
         assert values[0] < values[1] < values[2] < values[3]
@@ -163,7 +163,7 @@ class TestSsaResiduals:
     def test_markov_product_case_vanishes(self):
         rho_ab = random_density(4, seed=29)
         rho_c = random_density(2, seed=30)
-        rho = tensor(rho_ab.mat, rho_c.mat)
+        rho = np.kron(rho_ab.mat, rho_c.mat)
         for beta in (0.25, 0.5, 0.75):
             p = ssa_residual_P(rho, rho_ab.mat, SPACE3, beta)
             assert hs_norm(p) < 1e-10

@@ -35,6 +35,7 @@ from .entropy import (
     apply_f_modular,
     classical_reduction,
     pinsker_sides,
+    quasi_relative_entropies,
     quasi_relative_entropy,
     trace_distance_pair,
     von_neumann_entropy,
@@ -55,7 +56,7 @@ from .linalg import (
 )
 from .recovery import (
     DEFAULT_BETA_GRID,
-    equality_condition_residual,
+    equality_condition_residuals,
     monotonicity_residual,
     petz_recover,
     ssa_residual_P,
@@ -146,13 +147,18 @@ def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float):
 def monotonicity_gap(f: OperatorConvexFunction, k1, v, rho, sigma,
                      space: FactorizedSpace) -> float:
     """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1); nonnegative for unitary V."""
+    return _monotonicity_gaps(f, k1, v, rho, [sigma], space)[0]
+
+
+def _monotonicity_gaps(f, k1, v, rho, sigmas, space):
+    """``monotonicity_gap`` of each of ``sigmas`` against one ``rho``: two kernel calls."""
     rho = space.psd(rho)
-    sigma = space.psd(sigma)
+    sigmas = [space.psd(sigma) for sigma in sigmas]
     k_full = np.kron(as_matrix(k1), as_matrix(v))
-    s_full = quasi_relative_entropy(f, k_full, rho, sigma)
-    s_red = quasi_relative_entropy(f, as_matrix(k1), rho.marginal(space, (0,)),
-                                   sigma.marginal(space, (0,)))
-    return s_full - s_red
+    s_full = quasi_relative_entropies(f, k_full, [rho] * len(sigmas), sigmas)
+    s_red = quasi_relative_entropies(f, as_matrix(k1), [rho.marginal(space, (0,))] * len(sigmas),
+                                     PsdOperator.marginals(sigmas, space, (0,)))
+    return (s_full - s_red).tolist()
 
 
 def thm42_terms(f: OperatorConvexFunction, beta: float, T: float,
@@ -368,20 +374,34 @@ def verify_classical_reduction(f, rho, sigma) -> BoundReport:
 # Joint convexity
 # ----------------------------------------------------------------------------
 
-def _average(weighted):
-    """sum_j p_j x_j over (p_j, x_j) pairs, as an operator."""
-    return PsdOperator(hermitize(sum(pj * PsdOperator.wrap(xj).mat for pj, xj in weighted)))
+def _average(weighted) -> np.ndarray:
+    """sum_j p_j x_j over (p_j, x_j) pairs, as a Hermitian matrix."""
+    return hermitize(sum(pj * as_matrix(xj) for pj, xj in weighted))
 
 
 def _mixture(components):
-    """The averaged pair (sum_j p_j rho_j, sum_j p_j sigma_j) as operators."""
-    return (_average((pj, rj) for pj, rj, _ in components),
-            _average((pj, sj) for pj, _, sj in components))
+    """The averaged pair (sum_j p_j rho_j, sum_j p_j sigma_j) as operators, one stacked eigh."""
+    rho, sigma = PsdOperator.stack([_average((pj, rj) for pj, rj, _ in components),
+                                    _average((pj, sj) for pj, _, sj in components)])
+    return rho, sigma
 
 
-def _joint_gap(f, km, components, rho, sigma):
-    avg = sum(pj * quasi_relative_entropy(f, km, rj, sj) for pj, rj, sj in components)
-    return avg - quasi_relative_entropy(f, km, rho, sigma)
+def _joint_gaps(f, km, ensembles) -> list[float]:
+    """sum_j p_j S_f^K(rho_j||sigma_j) - S_f^K(rho||sigma) of each (components, rho, sigma).
+
+    Every pair of every ensemble goes through one kernel call, components
+    first and the mixture last within each ensemble, as a loop would take them.
+    """
+    rhos, sigmas = [], []
+    for comps, rho, sigma in ensembles:
+        rhos += [rj for _, rj, _ in comps] + [rho]
+        sigmas += [sj for _, _, sj in comps] + [sigma]
+    values = iter(quasi_relative_entropies(f, km, rhos, sigmas).tolist())
+    gaps = []
+    for comps, _, _ in ensembles:
+        avg = sum(pj * next(values) for pj, _, _ in comps)
+        gaps.append(avg - next(values))
+    return gaps
 
 
 def verify_joint_convexity(f, k, components, beta) -> BoundReport:
@@ -401,7 +421,7 @@ def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     sigmas = [PsdOperator.wrap(s) for _, _, s in components]
     comps = list(zip(probs, rhos, sigmas))
     rho, sigma = _mixture(comps)
-    gap = _joint_gap(f, km, comps, rho, sigma)
+    gap = _joint_gaps(f, km, [(comps, rho, sigma)])[0]
     resid_l1, resid_l2, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
     k_norm = op_norm(km)
     lhs = math.pi / math.sin(beta * math.pi) * resid_l1
@@ -410,7 +430,7 @@ def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
     power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
     ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
-    eq_resid = _joint_equality_residual(km, rho, sigma, comps, (beta,))
+    eq_resid = _joint_equality_residuals(km, [(comps, rho, sigma)], (beta,))[0]
     digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
                            *[c.mat for _, _, c in comps])
     return _report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
@@ -436,19 +456,24 @@ def _mixture_residual(km, comps, rho, sigma, beta):
             float(math.sqrt((probs * norms ** 2).sum())), d_sum)
 
 
-def _joint_equality_residual(km, rho, sigma, comps, grid):
+def _joint_equality_residuals(km, ensembles, grid) -> list[float]:
     """max over the grid and the components of || sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b} ||_op.
 
-    One stacked product and one batched SVD over grid x components; the
-    maximum is folded per exponent over the components, then over the grid.
+    One value per (components, rho, sigma) of ``ensembles`` (of equal size),
+    from one stacked product and one batched SVD over ensembles x grid x
+    components; each maximum is folded per exponent over the components, then
+    over the grid.
     """
     grid = tuple(grid)
     neg = tuple(-b for b in grid)
-    mixed = sigma.powers(grid) @ km @ rho.powers(neg)
-    parts = (np.stack([sj.powers(grid) for _, _, sj in comps], axis=1) @ km
-             @ np.stack([rj.powers(neg) for _, rj, _ in comps], axis=1))
-    norms = op_norm(mixed[:, None] - parts).tolist()
-    return max(functools.reduce(max, row, 0.0) for row in norms)
+    mixed = (np.stack([sigma.powers(grid) for _, _, sigma in ensembles]) @ km
+             @ np.stack([rho.powers(neg) for _, rho, _ in ensembles]))
+    parts = (np.stack([np.stack([sj.powers(grid) for _, _, sj in comps], axis=1)
+                       for comps, _, _ in ensembles]) @ km
+             @ np.stack([np.stack([rj.powers(neg) for _, rj, _ in comps], axis=1)
+                         for comps, _, _ in ensembles]))
+    norms = op_norm(mixed[:, :, None] - parts).tolist()
+    return [max(functools.reduce(max, row, 0.0) for row in rows) for rows in norms]
 
 
 # ----------------------------------------------------------------------------
@@ -472,11 +497,23 @@ def operator_ssa_traced_terms(f: OperatorConvexFunction, rho, sab, variant: str,
     """
     if variant not in ("thm62", "thm63", "cor64", "cor65"):
         raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
+    (sigma_full, sigma_b_bc), = _embedded_sigmas([sab], space)
+    return _traced_terms(f, rho, sigma_full, sigma_b_bc, variant, space)
+
+
+def _embedded_sigmas(sabs, space):
+    """(sigma_AB (x) I_C, sigma_B (x) I_C on B|C) of each sigma_AB, each kind one stacked eigh."""
+    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
+    sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
+    fulls = PsdOperator.stack(space.embed(np.stack([s.mat for s in sabs]), (0, 1)))
+    b_bcs = PsdOperator.stack(sub_bc.embed(np.stack([s.mat for s in sbs]), (0,)))
+    return list(zip(fulls, b_bcs))
+
+
+def _traced_terms(f, rho, sigma_full, sigma_b_bc, variant, space):
+    """``operator_ssa_traced_terms`` from the embedded sigmas of ``_embedded_sigmas``."""
     sub_bc = space.subspace((1, 2))
-    sb = sab.marginal(space.subspace((0, 1)), (1,))
     rho_bc = rho.marginal(space, (1, 2))
-    sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))        # sigma_AB (x) I_C
-    sigma_b_bc = PsdOperator(sub_bc.embed(sb.mat, (0,)))          # sigma_B (x) I_C on BC
     g = f if variant in ("thm62", "thm63") else f.transpose()
     if variant in ("thm62", "cor64"):
         t1 = _traced_f_action(g, sigma_full, rho, space, (2,))
@@ -767,13 +804,11 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
     rho = space.psd(np.kron(rho1.mat, tau.mat))
     sigma0 = np.kron(sigma1, tau.mat)
     k_full = np.kron(k1, np.eye(d2))
-    pairs = []
-    for eps in EPS_SWEEP:
-        sigma = space.psd(hermitize((1.0 - eps) * sigma0 + eps * noise))
-        gap = monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
-        resid = equality_condition_residual(rho, sigma, k_full, space)
-        pairs.append((eps, gap, resid))
-    return _sweep_reports("equality_monotonicity", f, pairs,
+    sigmas = PsdOperator.stack([hermitize((1.0 - eps) * sigma0 + eps * noise)
+                                for eps in EPS_SWEEP])
+    gaps = _monotonicity_gaps(f, k1, np.eye(d2), rho, sigmas, space)
+    resids = equality_condition_residuals(rho, sigmas, k_full, space)
+    return _sweep_reports("equality_monotonicity", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, sigma0, k_full))
 
 
@@ -790,32 +825,39 @@ def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[Bound
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
     noises = [random_state_matrix(dim, seed=rng) for _ in probs]
-    mix_r = _average((w, base_r) for w in probs)
-    pairs = []
+    mix_r = PsdOperator(_average((w, base_r) for w in probs))
+    mats = []
     for eps in EPS_SWEEP:
-        comps = [(w, base_r,
-                  PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
-                 for w, ns in zip(probs, noises)]
-        mix_s = _average((w, s) for w, _, s in comps)
-        gap = _joint_gap(f, km, comps, mix_r, mix_s)
-        resid = _joint_equality_residual(km, base_r, mix_s, comps, DEFAULT_BETA_GRID)
-        pairs.append((eps, gap, resid))
-    return _sweep_reports("equality_joint_convexity", f, pairs,
+        parts = [hermitize((1 - eps) * base_s + eps * ns) for ns in noises]
+        mats += parts + [_average(zip(probs, parts))]
+    sigmas = iter(PsdOperator.stack(mats))    # each eps: its components, then their mixture
+    ensembles = []
+    for _ in EPS_SWEEP:
+        comps = [(w, base_r, next(sigmas)) for w in probs]
+        ensembles.append((comps, mix_r, next(sigmas)))
+    gaps = _joint_gaps(f, km, ensembles)
+    resids = _joint_equality_residuals(
+        km, [(comps, base_r, mix_s) for comps, _, mix_s in ensembles], DEFAULT_BETA_GRID)
+    return _sweep_reports("equality_joint_convexity", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(km, base_r.mat, base_s))
 
 
-def operator_ssa_equality_residual(rho_abc, sigma_ab, space, beta_grid) -> float:
-    """max over the grid of || sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b} ||_op."""
+def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space, beta_grid) -> list[float]:
+    """max over the grid of || sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b} ||_op, per sigma_AB.
+
+    One stacked product and one batched SVD over sigmas x grid.
+    """
     rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
-    sab = sub_ab.psd(sigma_ab)
-    sb = sab.marginal(sub_ab, (1,))
+    sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
+    sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
     rho_bc = rho.marginal(space, (1, 2))
     grid = tuple(beta_grid)
     neg = tuple(-b for b in grid)
-    lhs = space.embed(sb.powers(grid), (1,)) @ space.embed(rho_bc.powers(neg), (1, 2))
-    rhs = space.embed(sab.powers(grid), (0, 1)) @ rho.powers(neg)
-    return functools.reduce(max, op_norm(lhs - rhs).tolist(), 0.0)
+    lhs = (space.embed(np.stack([sb.powers(grid) for sb in sbs]), (1,))
+           @ space.embed(rho_bc.powers(neg), (1, 2)))
+    rhs = space.embed(np.stack([sab.powers(grid) for sab in sabs]), (0, 1)) @ rho.powers(neg)
+    return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
 
 
 def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
@@ -831,14 +873,14 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
     sub_ab = space.subspace((0, 1))
     noise = random_state_matrix(sub_ab.dim, seed=rng)
     rho = space.psd(np.kron(rho_ab.mat, tau.mat))
-    pairs = []
-    for eps in EPS_SWEEP:
-        sab = sub_ab.psd(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
-        t1, t2, _ = operator_ssa_traced_terms(f, rho, sab, "thm62", space)
-        gap = float(np.real(np.trace(hermitize(t1 - t2))))
-        resid = operator_ssa_equality_residual(rho, sab, space, DEFAULT_BETA_GRID)
-        pairs.append((eps, gap, resid))
-    return _sweep_reports("equality_operator_ssa", f, pairs,
+    sabs = PsdOperator.stack([hermitize((1.0 - eps) * rho_ab.mat + eps * noise)
+                              for eps in EPS_SWEEP])
+    gaps = []
+    for sigma_full, sigma_b_bc in _embedded_sigmas(sabs, space):
+        t1, t2, _ = _traced_terms(f, rho, sigma_full, sigma_b_bc, "thm62", space)
+        gaps.append(float(np.real(np.trace(hermitize(t1 - t2)))))
+    resids = operator_ssa_equality_residuals(rho, sabs, space, DEFAULT_BETA_GRID)
+    return _sweep_reports("equality_operator_ssa", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, rho_ab.mat))
 
 

@@ -5,17 +5,26 @@ held as a pair of spectral decompositions (never materialized at d^2 x d^2),
 functional calculus f(Delta) applied to matrices, and the spectral formula
 
     S_f^K(rho || sigma) = sum_{j,k} lam_j f(mu_k / lam_j) |<phi_k| K |psi_j>|^2
+                          + f'(inf) Tr K* sigma K (I - P_rho)
 
-with the generalized-inverse conventions: j-terms with lam_j below cutoff are
-dropped; k-terms with mu_k below cutoff use f(0+), and raise DivergentEntropy
-when f(0+) = +inf and the overlap weight does not vanish.
+with the generalized-inverse conventions: k-terms with mu_k below cutoff use
+f(0+), and raise DivergentEntropy when f(0+) = +inf and the overlap weight does
+not vanish; j-terms with lam_j below cutoff (the null modes of rho) leave the
+sum and enter the last term, sigma's weight sum_k mu_k |<phi_k|K|psi_j>|^2 on
+each of them times the recession f'(inf) = lim f(x)/x (Hiai-Mosonyi-Petz-Beny).
+That term raises DivergentEntropy when f'(inf) = +inf and sigma weighs a null
+mode of rho, and is skipped, not added, when f'(inf) = 0.
+
+``quasi_relative_entropies`` evaluates the formula for a stack of pairs
+sharing K with one set of array operations; ``quasi_relative_entropy`` is its
+one-pair case, and every value is bit-identical whatever the stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergentEntropy, InvalidMatrix, SingularArgument
+from .errors import DivergentEntropy, InvalidMatrix, QREError, SingularArgument
 from .functions import OperatorConvexFunction, make_g_p
 from .linalg import (
     DEGENERACY_TOL,
@@ -94,41 +103,58 @@ def apply_f_modular(f: OperatorConvexFunction, delta: ModularOperator, x) -> np.
     if xm.shape[0] != delta.dim:
         raise InvalidMatrix("operand dimension mismatch")
     mu, lam, keep = delta.ratio_grid()
+    mu_zero = mu <= delta.sigma.cutoff
     phi, psi = delta.sigma.vecs, delta.rho.vecs
     y = phi.conj().T @ xm @ psi
-    fmat = _ratio_weights(f, mu, lam, keep, delta.sigma.cutoff,
-                          weight=np.abs(y) ** 2, raise_cls=SingularArgument)
-    return phi @ (fmat * y) @ psi.conj().T
+    weight = np.abs(y) ** 2
+    fmat, diverges = _ratio_weights(f, mu[None], lam[None], keep[None], mu_zero[None],
+                                    weight.T[None])
+    if diverges[0]:
+        raise SingularArgument(_zero_mode_message(mu_zero, keep, weight)[0])
+    # in C order, the layout (and so the bits) of the BLAS product below does not depend on fmat's
+    return phi @ np.multiply(fmat[0].T, y, order="C") @ psi.conj().T
 
 
-def _ratio_weights(f, mu, lam, keep, sigma_cutoff, weight, raise_cls):
-    """Matrix f(mu_k/lam_j) over kept j-columns, zeros elsewhere; f(0+) policy applied."""
-    fmat = np.zeros((len(mu), len(lam)))
-    if not np.any(keep):
-        return fmat
-    mu_zero = mu <= sigma_cutoff
-    mu_pos = ~mu_zero
-    lam_k = lam[keep]
-    if np.any(mu_pos):
-        fmat[np.ix_(mu_pos, keep)] = f(np.outer(mu[mu_pos], 1.0 / lam_k))
-    if np.any(mu_zero):
+def _ratio_weights(f, mu, lam, keep, mu_zero, weight):
+    """f(mu_k / lam_j) of each member of a stack, laid out ``[n, j, k]``, and its divergence flags.
+
+    ``mu``, ``lam``, ``keep`` (lam_j above rho's cutoff) and ``mu_zero`` (mu_k
+    at most sigma's cutoff) are ``(N, d)``; ``weight`` is ``(N, d, d)`` in
+    the same ``[n, j, k]`` layout.  Columns j off ``keep`` are 0; a zero mode k
+    of sigma gets f(0+), or 0 where f(0+) = +inf, and then the member is
+    flagged if such an entry carries weight.  f is evaluated once, on the
+    whole stack, with 1 standing in for the entries it does not take.
+    """
+    pos = keep[:, :, None] & ~mu_zero[:, None, :]
+    ratio = np.divide(1.0, lam, out=np.ones_like(lam), where=keep)[:, :, None] * mu[:, None, :]
+    if pos.all():
+        fmat = f(ratio)
+    else:
+        fmat = np.where(pos, f(np.where(pos, ratio, 1.0)), 0.0)
+    diverges = np.zeros(len(mu), dtype=bool)
+    if mu_zero.any():
+        at_zero = keep[:, :, None] & mu_zero[:, None, :]
         if f.diverges_at_zero:
-            bad = weight[np.ix_(mu_zero, keep)]
-            wtol = OVERLAP_TOL * max(1.0, float(weight.max(initial=0.0)))
-            if np.any(bad > wtol):
-                k_idx = int(np.where(mu_zero)[0][np.argmax(bad.max(axis=1))])
-                j_idx = int(np.where(keep)[0][np.argmax(bad.max(axis=0))])
-                msg = f"f(0+) diverges on a weighted zero mode of sigma (j={j_idx}, k={k_idx})"
-                if raise_cls is DivergentEntropy:
-                    raise DivergentEntropy(msg, pair=(j_idx, k_idx))
-                raise raise_cls(msg)
+            wtol = OVERLAP_TOL * np.maximum(1.0, weight.max(axis=(1, 2), initial=0.0))
+            diverges = (at_zero & (weight > wtol[:, None, None])).any(axis=(1, 2))
         else:
-            fmat[np.ix_(mu_zero, keep)] = f.at_zero
-    return fmat
+            fmat = np.where(at_zero, f.at_zero, fmat)
+    return fmat, diverges
 
 
-def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
-    """S_f^K(rho || sigma) by the spectral formula; accepts unnormalized PSD inputs."""
+def _zero_mode_message(mu_zero, keep, weight):
+    """(message, (j, k)) of one pair whose f(0+) = +inf meets a weighted zero mode of sigma."""
+    bad = weight[np.ix_(mu_zero, keep)]
+    k_idx = int(np.where(mu_zero)[0][np.argmax(bad.max(axis=1))])
+    j_idx = int(np.where(keep)[0][np.argmax(bad.max(axis=0))])
+    return f"f(0+) diverges on a weighted zero mode of sigma (j={j_idx}, k={k_idx})", (j_idx, k_idx)
+
+
+def _stacked(arrays):
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _checked_pair(rho, sigma, k):
     rho = PsdOperator.wrap(rho)
     sigma = PsdOperator.wrap(sigma)
     if rho.dim != sigma.dim:
@@ -136,13 +162,85 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
     km = as_matrix(k)
     if km.shape[0] != rho.dim:
         raise InvalidMatrix("K dimension mismatch")
-    mu = _clustered(sigma)
-    lam = _clustered(rho)
-    keep = lam > rho.cutoff
-    w2 = np.abs(sigma.vecs.conj().T @ km @ rho.vecs) ** 2
-    fmat = _ratio_weights(f, mu, lam, keep, sigma.cutoff, weight=w2,
-                          raise_cls=DivergentEntropy)
-    return float(np.einsum("j,kj,kj->", lam[keep], fmat[:, keep], w2[:, keep]))
+    return rho, sigma, km
+
+
+def quasi_relative_entropies(f: OperatorConvexFunction, k, rhos, sigmas) -> np.ndarray:
+    """S_f^K(rho_i || sigma_i) of each pair, by one stacked spectral formula.
+
+    The pairs share ``k`` and their dimension.  Each value is bit-identical
+    to the pair's own ``quasi_relative_entropy``, and the first pair that
+    fails raises what it raises alone, as a loop over the pairs would.
+    """
+    pairs = []
+    for rho, sigma in zip(rhos, sigmas, strict=True):
+        try:
+            pairs.append(_checked_pair(rho, sigma, k))
+        except QREError:
+            if pairs:
+                _spectral_formula(f, pairs)     # an earlier pair that diverges raises first
+            raise
+    return _spectral_formula(f, pairs)
+
+
+def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
+    """S_f^K(rho || sigma) by the spectral formula; accepts unnormalized PSD inputs.
+
+    The one-pair case of ``quasi_relative_entropies``.
+    """
+    return float(_spectral_formula(f, [_checked_pair(rho, sigma, k)])[0])
+
+
+def _spectral_formula(f, pairs):
+    """The formula over a stack of checked ``(rho, sigma, K)`` pairs sharing K.
+
+    Everything is laid out ``[n, j, k]`` (j over rho's modes, k over
+    sigma's), so the einsum sums over k within each column j, then over the
+    columns: one order for every stack size, so a member's bits do not
+    depend on its stack.  Dropped columns (lam_j at most rho's cutoff) add
+    exact zeros.  A null mode of rho that sigma weighs adds f'(inf) times
+    that weight (``_null_weight``).
+    """
+    rhos, sigmas, kms = zip(*pairs)
+    lam = _stacked([_clustered(rho) for rho in rhos])
+    mu = _stacked([_clustered(sigma) for sigma in sigmas])
+    keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
+    mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
+    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ kms[0]
+         @ _stacked([rho.vecs for rho in rhos]))
+    weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|K|psi_j>|^2
+    fmat, zero_diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight)
+    null_weight = _null_weight(f, mu, keep, mu_zero, weight)
+    diverges = zero_diverges
+    if null_weight is not None and np.isinf(f.recession):
+        diverges = diverges | (null_weight > 0.0).any(axis=1)
+    if diverges.any():
+        i = int(np.argmax(diverges))
+        if zero_diverges[i]:
+            msg, pair = _zero_mode_message(mu_zero[i], keep[i], weight[i].T)
+            raise DivergentEntropy(msg, pair=pair)
+        j = int(np.argmax(null_weight[i]))
+        raise DivergentEntropy(f"f'(inf) = +inf meets sigma's weight {null_weight[i, j]:.3e} "
+                               f"on a null mode of rho (j={j})")
+    total = np.einsum("nj,njk,njk->n", np.where(keep, lam, 0.0), fmat, weight)
+    if null_weight is not None and np.isfinite(f.recession):
+        total = total + f.recession * null_weight.sum(axis=1)
+    return total
+
+
+def _null_weight(f, mu, keep, mu_zero, weight):
+    """sigma's weight on each null mode j of rho, ``(N, d)``, for the f'(inf) term.
+
+    The weight of column j is sum_k mu_k |<phi_k|K|psi_j>|^2 over sigma's
+    modes above its cutoff, and counts as 0 below OVERLAP_TOL relative to
+    the member's largest column weight.  None when every rho is faithful
+    or f'(inf) = 0: the term then vanishes and is not added.
+    """
+    if f.recession == 0.0 or keep.all():
+        return None
+    cols = np.einsum("nk,njk->nj", np.where(mu_zero, 0.0, mu), weight)
+    tol = OVERLAP_TOL * np.maximum(1.0, cols.max(axis=1))
+    return np.where(~keep & (cols > tol[:, None]), cols, 0.0)
 
 
 def f_divergence(f: OperatorConvexFunction, rho, sigma) -> float:

@@ -16,17 +16,20 @@ read-only; the arrays ``partial_trace`` and ``embed`` return are always fresh
 and writable, also for a keep set covering every factor (where einsum alone
 would return a view of the input).
 
-Spectral work is stacked where that changes no bit: ``DensityMatrix.stack``
-decomposes a ``(N, d, d)`` stack of states with one ``eigh`` and runs the
-constructor's checks over the whole stack, ``PsdOperator.powers`` builds the
-powers of a grid of exponents as one ``(G, d, d)`` stack, ``embed`` takes a
-leading stack axis and ``op_norm`` a stack of matrices (one batched SVD).
-Each stacked result is bit-identical to the one-at-a-time result: LAPACK and
-BLAS run on every member exactly as they would alone, every power is raised
-with a scalar exponent, and the only reductions are exact maxima.  A campaign
-samples a block of trials' operands and finishes their spectral work this
-way; a block holds at most a fixed byte budget of state matrices, and
-``run_single`` still replays any campaign line byte for byte.
+Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
+(and ``DensityMatrix.stack``, by inheritance) decomposes a ``(N, d, d)``
+stack with one ``eigh`` and runs the constructor's checks over the whole
+stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
+several operators as one stack, ``PsdOperator.powers`` builds the powers of a
+grid of exponents as one ``(G, d, d)`` stack, ``partial_trace`` and ``embed``
+take leading stack axes and ``op_norm`` a stack of matrices (one batched
+SVD).  Each stacked result is bit-identical to the one-at-a-time result:
+LAPACK and BLAS run on every member exactly as they would alone, every power
+is raised with a scalar exponent, a partial trace sums each member's entries
+in the order it would alone, and the only other reductions are exact maxima.
+A campaign samples a block of trials' operands and finishes their spectral
+work this way; a block holds at most a fixed byte budget of state matrices,
+and ``run_single`` still replays any campaign line byte for byte.
 """
 
 from __future__ import annotations
@@ -154,8 +157,8 @@ class _Plan(NamedTuple):
 
     keep: tuple[int, ...]
     sub: "FactorizedSpace"
-    traced: tuple[int, ...]           # row + col indices; traced factors share one
-    kept: tuple[int, ...]             # row + col indices of the kept factors
+    traced: tuple                     # stack axes, then row + col indices; traced factors share one
+    kept: tuple                       # stack axes, then row + col indices of the kept factors
     embed_in: tuple                   # stack axes, then the kept indices
     embed_rest: tuple                 # (read-only eye, its indices) per other factor, then out
     whole: bool                       # keeps every factor: einsum returns a view
@@ -204,8 +207,8 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
     return _Plan(
         keep=keep,
         sub=FactorizedSpace(tuple(dims[k] for k in keep)),
-        traced=tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
-        kept=keep + tuple(k + n for k in keep),
+        traced=(...,) + tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
+        kept=(...,) + keep + tuple(k + n for k in keep),
         embed_in=(...,) + keep + tuple(k + n for k in keep),
         embed_rest=tuple(rest) + ((...,) + tuple(range(2 * n)),),
         whole=len(keep) == n,
@@ -257,11 +260,26 @@ class FactorizedSpace:
     def subspace(self, keep) -> "FactorizedSpace":
         return self._plan(keep).sub
 
+    def _operand(self, m) -> np.ndarray:
+        """A matrix on this space, or a ``(..., d, d)`` stack of them, as complex128."""
+        if not (isinstance(m, np.ndarray) and m.ndim > 2):
+            return self.check(m)
+        a = m.astype(np.complex128, copy=False)
+        if a.shape[-2:] != (self._layout.dim,) * 2:
+            raise ShapeMismatch(f"stack of shape {a.shape} does not act on {self.dims}")
+        return a
+
     def partial_trace(self, m, keep) -> np.ndarray:
-        """Trace out every factor not in ``keep``; result ordered by kept factors."""
+        """Trace out every factor not in ``keep``; result ordered by kept factors.
+
+        ``m`` may be a ``(..., d, d)`` stack; each member is traced as it
+        would be alone (the stack axes stay outermost in the einsum).
+        """
         plan = self._plan(keep)
-        t = self.check(m).reshape(self._layout.tensor_shape)
-        out = np.einsum(t, plan.traced, plan.kept).reshape(plan.sub.dim, -1)
+        a = self._operand(m)
+        lead = a.shape[:-2]
+        t = a.reshape(lead + self._layout.tensor_shape)
+        out = np.einsum(t, plan.traced, plan.kept).reshape(lead + (plan.sub.dim,) * 2)
         return out.copy() if plan.whole else out
 
     def embed(self, op, slots) -> np.ndarray:
@@ -271,15 +289,9 @@ class FactorizedSpace:
         would be alone (embedding only multiplies by identity entries).
         """
         plan = self._plan(slots)
-        sub = plan.sub._layout
-        if isinstance(op, np.ndarray) and op.ndim > 2:
-            a = op.astype(np.complex128, copy=False)
-            if a.shape[-2:] != (sub.dim, sub.dim):
-                raise ShapeMismatch(f"stack of shape {a.shape} does not act on {plan.sub.dims}")
-        else:
-            a = plan.sub.check(op)
+        a = plan.sub._operand(op)
         lead = a.shape[:-2]
-        t = a.reshape(lead + sub.tensor_shape)
+        t = a.reshape(lead + plan.sub._layout.tensor_shape)
         dim = self._layout.dim
         out = np.einsum(t, plan.embed_in, *plan.embed_rest).reshape(lead + (dim, dim))
         return out.copy() if plan.whole else out
@@ -363,11 +375,45 @@ class PsdOperator:
         wp[:, w <= cut] = 0.0
         return hermitize((self.vecs * wp[:, None, :]) @ self.vecs.conj().T)
 
+    @classmethod
+    def stack(cls, mats) -> list["PsdOperator"]:
+        """Operators of a ``(N, d, d)`` stack, decomposed with one ``eigh``.
+
+        Each member is bit-identical to ``cls(mats[i])`` and runs its checks
+        (those of a state for ``DensityMatrix``); a bad member raises what it
+        would raise on its own.  Members of a stack of several own copies of
+        their arrays, so each frees its memory apart from the others.
+        """
+        a = np.asarray(mats, dtype=np.complex128)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
+        w, v = _checked_spectra(a, cls._STATE)
+        own = (lambda x: x) if len(a) == 1 else np.copy
+        ops = []
+        for i in range(len(a)):
+            op = cls.__new__(cls)
+            op._adopt(own(a[i]), own(w[i]), own(v[i]))
+            ops.append(op)
+        return ops
+
     def marginal(self, space: FactorizedSpace, keep) -> "PsdOperator":
         """The partial trace onto the ``keep`` factors of ``space``, as an operator."""
-        keep = space.normalize_keep(keep)
-        return self.memo(("marginal", space.dims, keep),
-                         lambda: PsdOperator(space.partial_trace(self.mat, keep)))
+        return PsdOperator.marginals([self], space, keep)[0]
+
+    @staticmethod
+    def marginals(ops, space: FactorizedSpace, keep) -> list["PsdOperator"]:
+        """``op.marginal(space, keep)`` of each of ``ops``, memoised on each operator.
+
+        The marginals not yet memoised are traced as one stack and decomposed
+        with one ``eigh`` (``PsdOperator.stack``), bit-equal to one at a time.
+        """
+        key = ("marginal", space.dims, space.normalize_keep(keep))
+        todo = list({id(op): op for op in ops if key not in op._memo}.values())
+        if todo:
+            mats = todo[0].mat[None] if len(todo) == 1 else np.stack([op.mat for op in todo])
+            for op, marg in zip(todo, PsdOperator.stack(space.partial_trace(mats, key[2]))):
+                op._memo[key] = marg
+        return [op._memo[key] for op in ops]
 
     def support_projector(self) -> np.ndarray:
         keep = (self.eigs > self.cutoff).astype(float)
@@ -390,25 +436,6 @@ class DensityMatrix(PsdOperator):
     """Unit-trace PSD matrix (a quantum state), validated on construction."""
 
     _STATE = True
-
-    @classmethod
-    def stack(cls, mats) -> list["DensityMatrix"]:
-        """States of a ``(N, d, d)`` stack, decomposed with one ``eigh``.
-
-        Each state is bit-identical to ``DensityMatrix(mats[i])`` and owns
-        copies of its arrays, so it frees its memory apart from the others;
-        a bad member raises what it would raise on its own.
-        """
-        a = np.asarray(mats, dtype=np.complex128)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
-        w, v = _checked_spectra(a, cls._STATE)
-        states = []
-        for i in range(len(a)):
-            state = cls.__new__(cls)
-            state._adopt(a[i].copy(), w[i].copy(), v[i].copy())
-            states.append(state)
-        return states
 
 
 def _checked_spectra(a, state: bool):

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import FactorizedSpace, as_matrix, hermitize, hs_norm, op_norm
+from .linalg import FactorizedSpace, PsdOperator, as_matrix, hermitize, hs_norm, op_norm
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -65,17 +65,28 @@ def equality_condition_residual(rho, sigma, k, space: FactorizedSpace,
     the monotonicity inequality holds on the grid; the full condition
     quantifies over all beta, which analyticity reduces to a grid diagnostic.
     """
+    return equality_condition_residuals(rho, [sigma], k, space, beta_grid)[0]
+
+
+def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
+                                 beta_grid=DEFAULT_BETA_GRID) -> list[float]:
+    """``equality_condition_residual`` of each of ``sigmas`` against one ``rho``.
+
+    One stacked product and one batched SVD over sigmas x grid; each value is
+    bit-identical to the residual of its sigma alone.
+    """
     rho = space.psd(rho)
-    sigma = space.psd(sigma)
+    sigmas = [space.psd(sigma) for sigma in sigmas]
     km = space.check(k)
     rho1 = rho.marginal(space, (0,))
-    sigma1 = sigma.marginal(space, (0,))
+    sigma1s = PsdOperator.marginals(sigmas, space, (0,))
     grid = tuple(beta_grid)
     neg = tuple(-b for b in grid)
-    lhs = space.embed(sigma1.powers(grid), (0,)) @ km @ space.embed(rho1.powers(neg), (0,))
-    rhs = sigma.powers(grid) @ km @ rho.powers(neg)
+    lhs = (space.embed(np.stack([s1.powers(grid) for s1 in sigma1s]), (0,)) @ km
+           @ space.embed(rho1.powers(neg), (0,)))
+    rhs = np.stack([sigma.powers(grid) for sigma in sigmas]) @ km @ rho.powers(neg)
     # folded in grid order from 0.0, as a loop of max(worst, norm) would
-    return functools.reduce(max, op_norm(lhs - rhs).tolist(), 0.0)
+    return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
 
 
 def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np.ndarray:

@@ -45,6 +45,8 @@ EXPORTS = [
 # public names that only tests use, each a quantity of the paper or its I/O
 TEST_ONLY = {
     "alpha_exponent": "the closed-form exponent alpha(beta, c) the acceptance tests read",
+    "equality_condition_residual": "the one-sigma equality-condition residual the acceptance "
+                                   "tests read (the sweep takes the stacked residuals)",
     "f_divergence": "S_f(rho || sigma), the K = identity quasi-relative entropy",
     "j_p_entropy": "the J_p family of quasi-relative entropies",
     "umegaki": "the Umegaki relative entropy, the logarithm's S_f",

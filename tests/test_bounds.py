@@ -706,15 +706,15 @@ class TestEqualitySuite:
 
     def test_operator_ssa_forward_implication(self):
         # vanishing traced difference forces the recovery-grid residual small
-        from qre.bounds import operator_ssa_equality_residual
+        from qre.bounds import operator_ssa_equality_residuals
         sab = random_density(4, seed=40)
         tau = random_density(2, seed=41)
         rho = np.kron(sab.mat, tau.mat)
         _, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho, sab.mat, 0.5,
                                              "thm62", SPACE3)
         assert abs(np.trace(rhs).real) < 1e-10
-        resid = operator_ssa_equality_residual(rho, sab.mat, SPACE3,
-                                               (0.1, 0.25, 0.5, 0.75, 0.9))
+        resid, = operator_ssa_equality_residuals(rho, [sab.mat], SPACE3,
+                                                 (0.1, 0.25, 0.5, 0.75, 0.9))
         assert resid < 1e-8
 
 

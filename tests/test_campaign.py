@@ -13,10 +13,12 @@ from qre.campaign import (
     parse_dims,
     run_campaign,
     run_single,
+    sample_operands,
     trial_seed,
 )
 from qre.errors import InvalidParameter, QREError
 from qre.functions import from_id
+from qre.linalg import FactorizedSpace
 
 # the families whose theorem needs the window constants of a regular f
 WINDOW_FAMILIES = ("thm42", "monotonicity_bound", "joint_convexity", "operator_ssa_thm62",
@@ -201,6 +203,26 @@ class TestMixedRankPolicy:
                      if "divergent=1" in line]
         assert len(divergent) == 4
         assert all(rep["details"]["divergent"] == 1.0 for rep in divergent)
+
+    @pytest.mark.parametrize("ineq", ["monotonicity", "pinsker"])
+    def test_non_faithful_rho_with_infinite_recession_is_divergent(self, ineq):
+        # f_p:1.5 has f'(inf) = +inf, so S_f is infinite when sigma weighs a null mode of rho.
+        # Dropping that term once gave 49 (monotonicity) and 56 (pinsker) false violations
+        # here; now a trial is divergent exactly when its rho is rank-deficient.
+        cfg = CampaignConfig(inequalities=(ineq,), functions=("f_p:1.5",), dims=((2, 2),),
+                             trials=300, seed=5, rank_policy="mixed")
+        out = io.StringIO()
+        summary = run_campaign(cfg, stream=out)
+        assert summary.failures == 0
+        space = FactorizedSpace((2, 2))
+        for line in out.getvalue().splitlines():
+            rep = json.loads(line)
+            rho = sample_operands(FAMILIES[ineq], space, np.random.default_rng(rep["seed"]),
+                                  "mixed")[0]
+            assert bool(rep["details"].get("divergent")) == (rho.rank() < rho.dim)
+            if rep["details"].get("divergent"):
+                assert "null mode of rho" in rep["notes"]
+        assert summary.divergent == {"monotonicity": 60, "pinsker": 59}[ineq]
 
     def test_full_policy_never_divergent(self):
         cfg = CampaignConfig(inequalities=("monotonicity",), functions=("neg_log",),

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds
+from qre import bounds, entropy
 from qre.campaign import CampaignConfig, run_campaign, run_single
 from qre.entropy import ModularOperator, effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
@@ -74,23 +74,47 @@ class TestDecompositionCounts:
 
 
 class TestStackedCallCounts:
-    """Grid residuals take one batched SVD per eps; a campaign block one stacked eigh."""
+    """An eps sweep decomposes each kind of operator as one stack, and takes one batched SVD
+    for its grid residual; a campaign block takes one stacked eigh."""
 
     @pytest.mark.parametrize("inequality, dims, svd", [
-        ("equality_monotonicity", (2, 2), 5),        # the contraction, then one per eps
-        ("equality_joint_convexity", (2, 2), 5),
-        ("equality_operator_ssa", (2, 2, 2), 4),     # one per eps
+        ("equality_monotonicity", (2, 2), 2),        # the contraction, then the residual
+        ("equality_joint_convexity", (2, 2), 2),
+        ("equality_operator_ssa", (2, 2, 2), 1),     # the residual
     ])
     def test_equality_sweep_svd_calls(self, inequality, dims, svd):
         got = _count(lambda: run_single(inequality, "neg_log", dims, 0.25, 5))
         assert got["svd"] == svd
 
+    @pytest.mark.parametrize("inequality, dims, eigh", [
+        # its two floored states, rho, the sigma(eps) stack, their (0,) marginals and rho's
+        ("equality_monotonicity", (2, 2), 6),
+        # the floored rho, its mixture, one stack of the 12 sigma_j(eps) and 4 mixtures
+        ("equality_joint_convexity", (2, 2), 3),
+        # rho_AB, tau, rho, rho_BC and the stacks of sigma_AB, sigma_B and their embeddings
+        ("equality_operator_ssa", (2, 2, 2), 8),
+    ])
+    def test_equality_sweep_eigh_calls(self, inequality, dims, eigh):
+        got = _count(lambda: run_single(inequality, "neg_log", dims, 0.25, 5))
+        assert got["eigh"] == eigh
+
+    @pytest.mark.parametrize("inequality, dims, calls", [
+        ("equality_joint_convexity", (2, 2), 1),
+        ("joint_convexity", (2, 2), 1),
+        ("equality_monotonicity", (2, 2), 2),             # the full pairs, the reduced pairs
+    ])
+    def test_spectral_kernel_calls_per_trial(self, inequality, dims, calls):
+        with mock.patch.object(entropy, "_spectral_formula",
+                               wraps=entropy._spectral_formula) as kernel:
+            run_single(inequality, "neg_log", dims, 0.25, 5)
+        assert kernel.call_count == calls
+
     def test_joint_convexity_cell_eigh_calls(self):
         config = CampaignConfig(inequalities=("joint_convexity",), dims=((2, 2),),
                                 betas=(0.5,), trials=20, seed=7)
         got = _count(lambda: run_campaign(config, io.StringIO()))
-        # one stacked eigh for the 120 sampled states, then the two mixtures per trial
-        assert got["eigh"] == 1 + 2 * 20
+        # one stacked eigh for the 120 sampled states, then one for the two mixtures per trial
+        assert got["eigh"] == 1 + 20
         # one batched SVD for the 20 contractions, then ||K|| and the
         # equality residual per trial
         assert got["svd"] == 1 + 2 * 20

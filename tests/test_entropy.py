@@ -178,6 +178,18 @@ class TestSpectralFormula:
             quasi_relative_entropy(NEG_LOG, np.eye(2), rho, sig)
         assert err.value.pair is not None
 
+    def test_non_faithful_rho_with_infinite_recession_diverges(self):
+        # f'(inf) Tr sigma (I - P_rho) is +inf for f_p:1.5 and 0 for f'(inf) = 0
+        rho = random_density(3, rank=2, seed=44)
+        sig = random_density(3, seed=45)
+        with pytest.raises(DivergentEntropy, match="null mode of rho"):
+            quasi_relative_entropy(make_f_p(1.5), np.eye(3), rho, sig)
+        for f in (NEG_LOG, make_f_p(0.5)):
+            assert np.isfinite(quasi_relative_entropy(f, np.eye(3), rho, sig))
+        # a sigma supported inside the support of rho carries no null-mode weight
+        inside = PsdOperator(hermitize(rho.power(1.0) @ sig.mat @ rho.power(1.0)))
+        assert np.isfinite(quasi_relative_entropy(make_f_p(1.5), np.eye(3), rho, inside))
+
     def test_degenerate_spectrum_basis_independent(self):
         # identical entropies whatever basis eigh picks inside the degenerate block
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4)

@@ -14,17 +14,26 @@ import pytest
 
 from qre import bounds, campaign
 from qre.campaign import FAMILIES, CampaignConfig, run_campaign, run_single, trial_seed
-from qre.errors import InvalidMatrix, NotPSD
+from qre.entropy import (
+    OVERLAP_TOL,
+    effective_eigs,
+    quasi_relative_entropies,
+    quasi_relative_entropy,
+)
+from qre.errors import DivergentEntropy, InvalidMatrix, NotPSD, ShapeMismatch
+from qre.functions import from_id
 from qre.linalg import (
     DensityMatrix,
     FactorizedSpace,
     PsdOperator,
+    hermitize,
     op_norm,
     random_contraction,
     random_contraction_draw,
     random_density,
     random_hermitian,
     random_state_matrix,
+    random_unitary,
     rescale_contractions,
 )
 from qre.recovery import equality_condition_residual
@@ -120,6 +129,47 @@ class TestStackedEmbed:
         out = space.embed(ops, (0, 1))
         assert_bits(out, ops)
         assert not np.shares_memory(out, ops)
+
+
+class TestStackedPartialTrace:
+    @pytest.mark.parametrize("dims", KEEP_DIMS)
+    def test_every_keep_set(self, dims):
+        space = FactorizedSpace(dims)
+        rng = np.random.default_rng(10 + len(dims))
+        mats = np.stack([random_hermitian(space.dim, seed=rng)
+                         + 1j * random_hermitian(space.dim, seed=rng) for _ in range(4)])
+        mats[0, 0, 0] = -0.0
+        for r in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), r):
+                d = space.subspace(keep).dim
+                out = space.partial_trace(mats, keep)
+                assert out.shape == (4, d, d)
+                for m, row in zip(mats, out):
+                    assert_bits(row, space.partial_trace(m, keep))
+                grid = mats.reshape(2, 2, space.dim, space.dim)
+                assert_bits(space.partial_trace(grid, keep), out.reshape(2, 2, d, d))
+        whole = space.partial_trace(mats, tuple(range(len(dims))))
+        assert_bits(whole, mats)
+        assert not np.shares_memory(whole, mats)
+
+    def test_stack_of_the_wrong_dimension(self):
+        with pytest.raises(ShapeMismatch):
+            FactorizedSpace((2, 2)).partial_trace(np.zeros((3, 2, 2)), (0,))
+
+    @pytest.mark.parametrize("dims", KEEP_DIMS)
+    def test_marginals_are_the_memoised_marginal(self, dims):
+        space = FactorizedSpace(dims)
+        rng = np.random.default_rng(len(dims))
+        ops = PsdOperator.stack([random_state_matrix(space.dim, seed=rng) for _ in range(3)])
+        assert all(type(op) is PsdOperator for op in ops)
+        for keep in ((0,), (len(dims) - 1,), (0, len(dims) - 1)):
+            margs = PsdOperator.marginals(ops + ops[:1], space, keep)
+            assert margs[3] is margs[0]
+            for op, marg in zip(ops, margs):
+                assert op.marginal(space, keep) is marg
+                alone = PsdOperator(space.partial_trace(op.mat, keep))
+                for attr in ("mat", "eigs", "vecs"):
+                    assert_bits(getattr(marg, attr), getattr(alone, attr))
 
 
 class TestOpNorm:
@@ -273,12 +323,12 @@ class TestGridResiduals:
         comps = [(w, random_density(d, seed=rng), random_density(d, seed=rng))
                  for w in (0.3, 0.3, 0.4)]
         rho, sigma = bounds._mixture(comps)
-        got = bounds._joint_equality_residual(km, rho, sigma, comps, GRID)
+        got, = bounds._joint_equality_residuals(km, [(comps, rho, sigma)], GRID)
         fresh = [(w, _fresh(r), _fresh(s)) for w, r, s in comps]
         want = max(_loop_joint_equality_residual(km, _fresh(rho), _fresh(sigma), fresh, b)
                    for b in GRID)
         assert got == want
-        one = bounds._joint_equality_residual(km, rho, sigma, comps, (0.25,))
+        one, = bounds._joint_equality_residuals(km, [(comps, rho, sigma)], (0.25,))
         assert one == _loop_joint_equality_residual(km, rho, sigma, comps, 0.25)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
@@ -288,9 +338,227 @@ class TestGridResiduals:
         rng = np.random.default_rng(seed)
         rho = random_density(space.dim, seed=rng)
         sab = random_density(space.subspace((0, 1)).dim, rank=3 - seed % 2, seed=rng)
-        got = bounds.operator_ssa_equality_residual(rho, sab, space, GRID)
+        got, = bounds.operator_ssa_equality_residuals(rho, [sab], space, GRID)
         assert got == _loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
                                                            space, GRID)
+
+
+# ----------------------------------------------------------------------------
+# The spectral formula over a stack of pairs, against the one-pair loop
+# ----------------------------------------------------------------------------
+
+FUNCTIONS = ("neg_log", "f_p:0.5", "f_p:1.5", "neg_power:0.3")
+
+
+def _oracle_entropy(f, km, rho, sigma):
+    """The one-pair spectral formula as written before stacking, plus the null-mode term.
+
+    Kept columns are fancy-indexed out and summed by a two-dimensional
+    einsum; a null mode j of rho that sigma weighs (sum_k mu_k w2[k, j] over
+    sigma's modes above its cutoff, beyond OVERLAP_TOL of the largest column
+    weight) adds f'(inf) times that weight, or raises where f'(inf) = +inf.
+    """
+    mu, lam = effective_eigs(sigma.eigs), effective_eigs(rho.eigs)
+    keep = lam > rho.cutoff
+    mu_zero = mu <= sigma.cutoff
+    w2 = np.abs(sigma.vecs.conj().T @ km @ rho.vecs) ** 2
+    fmat = np.zeros((len(mu), len(lam)))
+    if keep.any():
+        if (~mu_zero).any():
+            fmat[np.ix_(~mu_zero, keep)] = f(np.outer(mu[~mu_zero], 1.0 / lam[keep]))
+        if mu_zero.any() and f.diverges_at_zero:
+            bad = w2[np.ix_(mu_zero, keep)]
+            if np.any(bad > OVERLAP_TOL * max(1.0, float(w2.max()))):
+                k = int(np.where(mu_zero)[0][np.argmax(bad.max(axis=1))])
+                j = int(np.where(keep)[0][np.argmax(bad.max(axis=0))])
+                raise DivergentEntropy(
+                    f"f(0+) diverges on a weighted zero mode of sigma (j={j}, k={k})")
+        elif mu_zero.any():
+            fmat[np.ix_(mu_zero, keep)] = f.at_zero
+    value = float(np.einsum("j,kj,kj->", lam[keep], fmat[:, keep], w2[:, keep]))
+    if f.recession == 0.0:
+        return value
+    cols = [sum(mu[k] * w2[k, j] for k in range(len(mu)) if not mu_zero[k])
+            for j in range(len(lam))]
+    tol = OVERLAP_TOL * max(1.0, max(cols))
+    null = {j: cols[j] for j in range(len(lam)) if not keep[j] and cols[j] > tol}
+    if not null:
+        return value
+    if np.isinf(f.recession):
+        j = max(null, key=null.get)
+        raise DivergentEntropy(f"f'(inf) = +inf meets sigma's weight {null[j]:.3e} "
+                               f"on a null mode of rho (j={j})")
+    return value + f.recession * sum(null.values())
+
+
+def _degenerate(d, k, rng):
+    """An operator whose spectrum is kron(w, ones(k)) in a random eigenbasis."""
+    w = np.kron(rng.random(d // k) + 0.1, np.ones(k))
+    u = random_unitary(d, seed=rng)
+    return PsdOperator(hermitize((u * (w / w.sum())) @ u.conj().T))
+
+
+def _pairs(d, seed):
+    """(rho, sigma) pairs at dim d: full rank, rank-deficient rho or sigma, degenerate."""
+    rng = np.random.default_rng(seed)
+    full = [(random_density(d, seed=rng), random_density(d, seed=rng)) for _ in range(3)]
+    low_rho = [(random_density(d, rank=max(1, d // 2), seed=rng), random_density(d, seed=rng))]
+    low_sigma = [(random_density(d, seed=rng), random_density(d, rank=max(1, d // 2), seed=rng))]
+    k = 2 if d % 2 == 0 else d
+    degenerate = [(_degenerate(d, k, rng), random_density(d, seed=rng)),
+                  (random_density(d, seed=rng), _degenerate(d, k, rng)),
+                  (_degenerate(d, k, rng), _degenerate(d, k, rng))]
+    same = [(full[0][0], full[0][0])]
+    return full + low_rho + low_sigma + degenerate + same
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DivergentEntropy as exc:
+        return (DivergentEntropy, str(exc))
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("fid", FUNCTIONS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_stack_is_bit_equal_to_the_one_pair_loop(self, fid, d):
+        f = from_id(fid)
+        pairs = _pairs(d, d)
+        for km in (np.eye(d, dtype=complex), random_contraction(d, seed=d + 1)):
+            alone = [_outcome(lambda: _oracle_entropy(f, km, r, s)) for r, s in pairs]
+            fine = [(pair, value) for pair, value in zip(pairs, alone)
+                    if not isinstance(value, tuple)]
+            got = quasi_relative_entropies(f, km, [r for (r, _), _ in fine],
+                                           [s for (_, s), _ in fine])
+            assert got.shape == (len(fine),)
+            for (pair, value), x in zip(fine, got.tolist()):
+                assert x == value == quasi_relative_entropy(f, km, *pair)
+            # every pair that raises alone raises the same at each position of the stack
+            for (r, s), value in zip(pairs, alone):
+                if not isinstance(value, tuple):
+                    continue
+                for position in range(len(fine) + 1):
+                    members = [p for p, _ in fine]
+                    members.insert(position, (r, s))
+                    with pytest.raises(DivergentEntropy) as err:
+                        quasi_relative_entropies(f, km, *zip(*members))
+                    assert (DivergentEntropy, str(err.value)) == value
+
+    def test_each_kind_of_divergence_is_met(self):
+        # f(0+) = +inf on rank-deficient sigma, f'(inf) = +inf on rank-deficient rho
+        d = 4
+        pairs = _pairs(d, d)
+        km = np.eye(d, dtype=complex)
+        kinds = {fid: [_outcome(lambda: _oracle_entropy(from_id(fid), km, r, s))
+                       for r, s in pairs] for fid in FUNCTIONS}
+        assert isinstance(kinds["neg_log"][4], tuple) and "f(0+)" in kinds["neg_log"][4][1]
+        assert isinstance(kinds["f_p:1.5"][3], tuple) and "null mode" in kinds["f_p:1.5"][3][1]
+        assert not any(isinstance(v, tuple) for v in kinds["f_p:0.5"] + kinds["neg_power:0.3"])
+
+    def test_first_failing_pair_wins(self):
+        f = from_id("neg_log")
+        rng = np.random.default_rng(3)
+        good = (random_density(3, seed=rng), random_density(3, seed=rng))
+        bad_sigma = (random_density(3, seed=rng), PsdOperator(np.diag([0.5, 0.5, 0.0])))
+        with pytest.raises(DivergentEntropy, match="zero mode"):
+            quasi_relative_entropies(f, np.eye(3), *zip(good, bad_sigma, (np.eye(4), np.eye(4))))
+        with pytest.raises(InvalidMatrix, match="different spaces"):
+            quasi_relative_entropies(f, np.eye(3), *zip(good, (np.eye(3), np.eye(4)), bad_sigma))
+
+    def test_finite_recession_adds_its_term(self):
+        # x f(1/x) of f_p:0.5 has f'(inf) = 4: a null mode of rho adds 4 times sigma's weight on it
+        g = from_id("f_p:0.5").transpose()
+        lam, mu = np.array([0.6, 0.4, 0.0]), np.array([0.2, 0.3, 0.5])
+        rho = PsdOperator(np.diag(lam).astype(complex))
+        sigma = PsdOperator(np.diag(mu).astype(complex))
+        expected = sum(lam[j] * float(g(mu[j] / lam[j])) for j in range(2)) + 4.0 * mu[2]
+        got = quasi_relative_entropy(g, np.eye(3), rho, sigma)
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(_oracle_entropy(g, np.eye(3), rho, sigma), rel=1e-13)
+
+
+# ----------------------------------------------------------------------------
+# The eps sweeps against their per-eps loops
+# ----------------------------------------------------------------------------
+
+def _loop_monotonicity_sweep(f, space, rng):
+    d1, d2 = space.dims
+    rho1 = bounds._floored_state(d1, rng)
+    sigma1 = random_state_matrix(d1, seed=rng)
+    tau = bounds._floored_state(d2, rng)
+    k1 = random_contraction(d1, seed=rng)
+    noise = random_state_matrix(space.dim, seed=rng)
+    rho = PsdOperator(np.kron(rho1.mat, tau.mat))
+    sigma0 = np.kron(sigma1, tau.mat)
+    k_full = np.kron(k1, np.eye(d2))
+    rows = []
+    for eps in bounds.EPS_SWEEP:
+        sigma = PsdOperator(hermitize((1.0 - eps) * sigma0 + eps * noise))
+        gap = bounds.monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
+        resid = _loop_equality_condition_residual(rho, sigma, k_full, space, GRID)
+        rows.append((eps, gap, resid))
+    return bounds._sweep_reports("equality_monotonicity", f, rows,
+                                 bounds.digest_inputs(rho.mat, sigma0, k_full))
+
+
+def _loop_joint_convexity_sweep(f, space, rng):
+    dim = space.dim
+    base_r = bounds._floored_state(dim, rng)
+    base_s = random_state_matrix(dim, seed=rng)
+    km = random_contraction(dim, seed=rng)
+    probs = (0.3, 0.3, 0.4)
+    noises = [random_state_matrix(dim, seed=rng) for _ in probs]
+    mix_r = PsdOperator(hermitize(sum(w * base_r.mat for w in probs)))
+    rows = []
+    for eps in bounds.EPS_SWEEP:
+        comps = [(w, base_r, PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
+                 for w, ns in zip(probs, noises)]
+        mix_s = PsdOperator(hermitize(sum(w * s.mat for w, _, s in comps)))
+        avg = sum(w * quasi_relative_entropy(f, km, r, s) for w, r, s in comps)
+        gap = avg - quasi_relative_entropy(f, km, mix_r, mix_s)
+        resid = max(_loop_joint_equality_residual(km, base_r, mix_s, comps, b) for b in GRID)
+        rows.append((eps, gap, resid))
+    return bounds._sweep_reports("equality_joint_convexity", f, rows,
+                                 bounds.digest_inputs(km, base_r.mat, base_s))
+
+
+def _loop_operator_ssa_sweep(f, space, rng):
+    sub_ab = space.subspace((0, 1))
+    rho_ab = bounds._floored_state(sub_ab.dim, rng)
+    tau = bounds._floored_state(space.dims[2], rng)
+    noise = random_state_matrix(sub_ab.dim, seed=rng)
+    rho = PsdOperator(np.kron(rho_ab.mat, tau.mat))
+    rows = []
+    for eps in bounds.EPS_SWEEP:
+        sab = PsdOperator(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
+        t1, t2, _ = bounds.operator_ssa_traced_terms(f, rho, sab, "thm62", space)
+        gap = float(np.real(np.trace(hermitize(t1 - t2))))
+        resid = _loop_operator_ssa_equality_residual(rho, sab, space, GRID)
+        rows.append((eps, gap, resid))
+    return bounds._sweep_reports("equality_operator_ssa", f, rows,
+                                 bounds.digest_inputs(rho.mat, rho_ab.mat))
+
+
+SWEEPS = {
+    "equality_monotonicity": (bounds.equality_monotonicity_sweep, _loop_monotonicity_sweep),
+    "equality_joint_convexity": (bounds.equality_joint_convexity_sweep,
+                                 _loop_joint_convexity_sweep),
+    "equality_operator_ssa": (bounds.equality_operator_ssa_sweep, _loop_operator_ssa_sweep),
+}
+
+
+@pytest.mark.parametrize("fid", FUNCTIONS)
+@pytest.mark.parametrize("sweep, dims", [
+    (sweep, dims) for sweep in sorted(SWEEPS) for dims in ((2, 2), (2, 2, 2), (3, 2))
+    if FAMILIES[sweep].nfactors in (None, len(dims))])
+def test_sweep_reports_are_the_per_eps_loop(sweep, dims, fid):
+    stacked, loop = SWEEPS[sweep]
+    space = FactorizedSpace(dims)
+    for seed in range(3):
+        got = [r.to_json() for r in stacked(from_id(fid), space, np.random.default_rng(seed))]
+        want = [r.to_json() for r in loop(from_id(fid), space, np.random.default_rng(seed))]
+        assert got == want
 
 
 # ----------------------------------------------------------------------------

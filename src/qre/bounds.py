@@ -20,7 +20,12 @@ Conventions used throughout:
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} computed
-by eigendecomposition with below-cutoff modes zeroed before powering.
+by eigendecomposition with below-cutoff modes zeroed before powering.  They
+run as one kernel over a block of (rho_ABC, sigma_AB) pairs
+(``verify_operator_ssa_block``): each stage is one stacked call over the
+block, and each report is bit-identical to the pair's own.
+``verify_operator_ssa`` and ``verify_wyd_operator`` are the one-pair case; a
+block that raises is checked again pair by pair by the campaign.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .entropy import (
     ModularOperator,
-    apply_f_modular,
+    apply_f_modulars,
     classical_reduction,
     pinsker_sides,
     quasi_relative_entropies,
@@ -59,8 +64,9 @@ from .recovery import (
     equality_condition_residuals,
     monotonicity_residual,
     petz_recover,
-    ssa_residual_P,
     ssa_residual_Q,
+    ssa_residuals_P,
+    ssa_residuals_Q,
 )
 from .reports import BoundConstants, BoundReport, digest_inputs
 
@@ -480,95 +486,123 @@ def _joint_equality_residuals(km, ensembles, grid) -> list[float]:
 # Operator inequalities on the C factor
 # ----------------------------------------------------------------------------
 
-def _traced_f_action(f, left_op, right_op, space, keep) -> np.ndarray:
-    """Partial trace of f(Delta_{left,right})(right) down to the kept factors."""
-    delta = ModularOperator(left_op, right_op)
-    acted = apply_f_modular(f, delta, right_op.mat)
+OPERATOR_SSA_VARIANTS = ("thm62", "thm63", "cor64", "cor65")
+
+
+def _traced_f_actions(f, lefts, rights, space, keep) -> np.ndarray:
+    """Partial trace of f(Delta_{left,right})(right) down to the kept factors, per pair.
+
+    One stacked f-action (``apply_f_modulars``) over the pairs.
+    """
+    acted = apply_f_modulars(f, map(ModularOperator, lefts, rights), [r.mat for r in rights])
     return hermitize(space.partial_trace(acted, keep))
 
 
-def operator_ssa_traced_terms(f: OperatorConvexFunction, rho, sab, variant: str,
-                              space: FactorizedSpace):
-    """(t1, t2, machinery function): the two traced f-actions one variant compares on C.
+def _traced_terms(f, rhos, sabs, variant, space):
+    """(t1, t2, machinery function): the two stacks of traced f-actions one variant compares on C.
 
-    ``rho`` is the state on A|B|C and ``sab`` the operator on A|B, both as
-    operators.  The mirrored variants (cor64, cor65) act with the transpose
-    x f(1/x), which also drives their window constants.
+    ``rhos`` are states on A|B|C and ``sabs`` operators on A|B, pair by pair.
+    sigma_AB (x) I_C, sigma_B and sigma_B (x) I_C on B|C are each one
+    stacked eigh, and each term is one stacked f-action.  The mirrored
+    variants (cor64, cor65) act with the transpose x f(1/x), which also
+    drives their window constants.
     """
-    if variant not in ("thm62", "thm63", "cor64", "cor65"):
-        raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
-    (sigma_full, sigma_b_bc), = _embedded_sigmas([sab], space)
-    return _traced_terms(f, rho, sigma_full, sigma_b_bc, variant, space)
-
-
-def _embedded_sigmas(sabs, space):
-    """(sigma_AB (x) I_C, sigma_B (x) I_C on B|C) of each sigma_AB, each kind one stacked eigh."""
     sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
     sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
     fulls = PsdOperator.stack(space.embed(np.stack([s.mat for s in sabs]), (0, 1)))
     b_bcs = PsdOperator.stack(sub_bc.embed(np.stack([s.mat for s in sbs]), (0,)))
-    return list(zip(fulls, b_bcs))
-
-
-def _traced_terms(f, rho, sigma_full, sigma_b_bc, variant, space):
-    """``operator_ssa_traced_terms`` from the embedded sigmas of ``_embedded_sigmas``."""
-    sub_bc = space.subspace((1, 2))
-    rho_bc = rho.marginal(space, (1, 2))
+    rho_bcs = PsdOperator.marginals(rhos, space, (1, 2))
     g = f if variant in ("thm62", "thm63") else f.transpose()
     if variant in ("thm62", "cor64"):
-        t1 = _traced_f_action(g, sigma_full, rho, space, (2,))
-        t2 = _traced_f_action(g, sigma_b_bc, rho_bc, sub_bc, (1,))
+        return (_traced_f_actions(g, fulls, rhos, space, (2,)),
+                _traced_f_actions(g, b_bcs, rho_bcs, sub_bc, (1,)), g)
+    return (_traced_f_actions(g, rhos, fulls, space, (2,)),
+            _traced_f_actions(g, rho_bcs, b_bcs, sub_bc, (1,)), g)
+
+
+def operator_ssa_block_sides(f: OperatorConvexFunction, rhos_abc, sigmas_ab, beta: float,
+                             variant: str, space: FactorizedSpace):
+    """(grams, rhs_ops, machinery function, d_norms, scales) of one variant over a block.
+
+    The block is pairs of (state on A|B|C, operator on A|B); ``grams`` and
+    ``rhs_ops`` are ``(N, d_C, d_C)`` stacks, ``d_norms`` and ``scales`` one
+    float per pair.  The traced f-actions, the P or Q residuals, their Gram
+    matrices and the norms are each one stacked call, bit-equal per pair.
+    The mirrored variants apply the transpose x f(1/x) both in the traced
+    action and in the window constants driving (N, alpha).
+    """
+    if space.nfactors != 3:
+        raise InvalidParameter("operator inequalities need a tripartite space")
+    rhos = [space.psd(rho) for rho in rhos_abc]
+    sabs = [space.subspace((0, 1)).psd(sab) for sab in sigmas_ab]
+    if variant not in OPERATOR_SSA_VARIANTS:
+        raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
+    t1, t2, g = _traced_terms(f, rhos, sabs, variant, space)
+    if variant in ("thm62", "cor64"):
+        resid = ssa_residuals_P(rhos, sabs, space, beta)
+        grams = space.partial_trace(resid @ resid.conj().swapaxes(-1, -2), (2,))
+        d_norms = [sab.max_eig() / rho.min_positive_eig() for rho, sab in zip(rhos, sabs)]
     else:
-        t1 = _traced_f_action(g, rho, sigma_full, space, (2,))
-        t2 = _traced_f_action(g, rho_bc, sigma_b_bc, sub_bc, (1,))
-    return t1, t2, g
+        resid = ssa_residuals_Q(sabs, rhos, space, beta)
+        grams = space.partial_trace(resid.conj().swapaxes(-1, -2) @ resid, (2,))
+        d_norms = [rho.max_eig() / sab.min_positive_eig() for rho, sab in zip(rhos, sabs)]
+    # natural magnitude of the two traced terms; the difference may vanish
+    scales = [max(n1, n2, 1e-30) for n1, n2 in zip(*op_norm(np.stack([t1, t2])).tolist())]
+    return hermitize(grams), hermitize(t1 - t2), g, d_norms, scales
 
 
 def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float,
                        variant: str, space: FactorizedSpace):
-    """(gram, rhs_op, machinery function, d_norm, scale) for one operator-inequality variant.
+    """(gram, rhs_op, machinery function, d_norm, scale) of one pair.
 
-    Inputs are always (state on A|B|C, operator on A|B); the mirrored variants
-    apply the transpose x f(1/x) both in the traced action and in the window
-    constants driving (N, alpha).
+    The one-pair case of ``operator_ssa_block_sides``.
     """
-    if space.nfactors != 3:
-        raise InvalidParameter("operator inequalities need a tripartite space")
-    rho = space.psd(rho_abc)
-    sab = space.subspace((0, 1)).psd(sigma_ab)
-    t1, t2, g = operator_ssa_traced_terms(f, rho, sab, variant, space)
-    if variant in ("thm62", "cor64"):
-        resid = ssa_residual_P(rho, sab, space, beta)
-        gram = hermitize(space.partial_trace(resid @ resid.conj().T, (2,)))
-        d_norm = sab.max_eig() / rho.min_positive_eig()
-    else:
-        resid = ssa_residual_Q(sab, rho, space, beta)
-        gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
-        d_norm = rho.max_eig() / sab.min_positive_eig()
-    # natural magnitude of the two traced terms; the difference may vanish
-    scale = max(op_norm(t1), op_norm(t2), 1e-30)
-    return gram, hermitize(t1 - t2), g, d_norm, scale
+    grams, rhs_ops, g, d_norms, scales = operator_ssa_block_sides(
+        f, [rho_abc], [sigma_ab], beta, variant, space)
+    return grams[0], rhs_ops[0], g, d_norms[0], scales[0]
+
+
+def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> list[BoundReport]:
+    """``verify_operator_ssa`` of each pair of a block, as one stacked kernel.
+
+    Past ``operator_ssa_block_sides``, the Gram powers take one stacked eigh
+    and the two minimum eigenvalues one batched eigvalsh each; only the
+    constants and the reports are per pair.  Each report is bit-identical to
+    the pair's own, and the block raises what its first failing pair would.
+    """
+    grams, rhs_ops, mach, d_norms, scales = operator_ssa_block_sides(
+        f, rhos_abc, sigmas_ab, beta, variant, space)
+    consts = [constants_for(mach, beta, 1.0, d_norm) for d_norm in d_norms]
+    alpha = consts[0][2]                # alpha depends on (f, beta) only
+    n_consts = np.array([n_const for _, n_const, _, _, _ in consts])
+    lhs_ops = n_consts[:, None, None] * PsdOperator.stacked_power(PsdOperator.stack(grams),
+                                                                  1.0 / alpha)
+    diff_mins = np.linalg.eigvalsh(rhs_ops - lhs_ops).min(axis=1).tolist()
+    rhs_mins = np.linalg.eigvalsh(rhs_ops).min(axis=1).tolist()
+    reports = []
+    for i, (rho_abc, sigma_ab) in enumerate(zip(rhos_abc, sigmas_ab)):
+        _, n_const, alpha, C, c = consts[i]
+        passed = diff_mins[i] >= -PSD_REPORT_TOL * scales[i]
+        baseline_ok = rhs_mins[i] >= -REPORT_TOL * max(1.0, scales[i])
+        reports.append(_report(
+            f"operator_ssa_{variant}", -diff_mins[i], 0.0, passed and baseline_ok,
+            constants=BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
+                                     n_const ** (-alpha), math.nan),
+            digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)),
+            notes=f"f={f.name};beta={beta:g};variant={variant}",
+            details={"min_eig_diff": diff_mins[i],
+                     "min_eig_rhs": rhs_mins[i],
+                     "rhs_scale": scales[i],
+                     "gram_trace": float(np.real(np.trace(grams[i])))}))
+    return reports
 
 
 def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space) -> BoundReport:
-    """Operator remainder N [Gram]^{1/alpha} <= traced f-action difference on C."""
-    gram, rhs_op, mach, d_norm, scale = operator_ssa_sides(f, rho_abc, sigma_ab,
-                                                           beta, variant, space)
-    _, n_const, alpha, C, c = constants_for(mach, beta, 1.0, d_norm)
-    lhs_op = n_const * PsdOperator(gram).power(1.0 / alpha)
-    diff_eigs = np.linalg.eigvalsh(rhs_op - lhs_op)
-    rhs_eigs = np.linalg.eigvalsh(rhs_op)
-    passed = float(diff_eigs.min()) >= -PSD_REPORT_TOL * scale
-    baseline_ok = float(rhs_eigs.min()) >= -REPORT_TOL * max(1.0, scale)
-    consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                            n_const ** (-alpha), math.nan)
-    return _report(f"operator_ssa_{variant}", -float(diff_eigs.min()), 0.0,
-                   passed and baseline_ok, constants=consts,
-                   digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)), notes=f"f={f.name};beta={beta:g};variant={variant}",
-                   details={"min_eig_diff": float(diff_eigs.min()),
-                            "min_eig_rhs": float(rhs_eigs.min()),
-                            "rhs_scale": scale,
-                            "gram_trace": float(np.real(np.trace(gram)))})
+    """Operator remainder N [Gram]^{1/alpha} <= traced f-action difference on C.
+
+    The one-pair case of ``verify_operator_ssa_block``.
+    """
+    return verify_operator_ssa_block(f, [rho_abc], [sigma_ab], beta, variant, space)[0]
 
 
 def ssa_gap(rho_abc, space: FactorizedSpace) -> float:
@@ -680,12 +714,21 @@ def verify_wyd_skew(f, rho, k) -> BoundReport:
     return _report("wyd_skew", 0.0, skew, ok, notes=f"p={p:g}", details={"cross_check": cross})
 
 
+def verify_wyd_operator_block(p: float, rhos_abc, sigmas_ab, beta, space) -> list[BoundReport]:
+    """``verify_wyd_operator`` of each pair of a block: the cor65 block kernel at f_p."""
+    reports = verify_operator_ssa_block(make_f_p(p), rhos_abc, sigmas_ab, beta, "cor65", space)
+    for report in reports:
+        report.inequality_id = "wyd_operator"
+        report.notes = f"p={p:g};beta={beta:g}"
+    return reports
+
+
 def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space) -> BoundReport:
-    """Operator remainder for the power trace difference (mirrored Q variant)."""
-    report = verify_operator_ssa(make_f_p(p), rho_abc, sigma_ab, beta, "cor65", space)
-    report.inequality_id = "wyd_operator"
-    report.notes = f"p={p:g};beta={beta:g}"
-    return report
+    """Operator remainder for the power trace difference (mirrored Q variant).
+
+    The one-pair case of ``verify_wyd_operator_block``.
+    """
+    return verify_wyd_operator_block(p, [rho_abc], [sigma_ab], beta, space)[0]
 
 
 def cauchy_schwarz_sides(rho_abc, sigma_ab, space: FactorizedSpace):
@@ -875,10 +918,8 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
     rho = space.psd(np.kron(rho_ab.mat, tau.mat))
     sabs = PsdOperator.stack([hermitize((1.0 - eps) * rho_ab.mat + eps * noise)
                               for eps in EPS_SWEEP])
-    gaps = []
-    for sigma_full, sigma_b_bc in _embedded_sigmas(sabs, space):
-        t1, t2, _ = _traced_terms(f, rho, sigma_full, sigma_b_bc, "thm62", space)
-        gaps.append(float(np.real(np.trace(hermitize(t1 - t2)))))
+    t1, t2, _ = _traced_terms(f, [rho] * len(sabs), sabs, "thm62", space)
+    gaps = [float(np.real(np.trace(diff))) for diff in hermitize(t1 - t2)]
     resids = operator_ssa_equality_residuals(rho, sabs, space, DEFAULT_BETA_GRID)
     return _sweep_reports("equality_operator_ssa", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, rho_ab.mat))

@@ -17,6 +17,16 @@ own generator in the listed order, but the spectral work the draws need
 contractions) is done for the whole block in stacked calls, which give the
 same bits as one call per matrix.  A block holds at most ``BLOCK_BYTES`` of
 state matrices, so memory stays flat at large dims.
+
+Each family's check then takes the whole block (``check_block``): the
+operator-SSA and WYD-operator families run it as one stacked kernel
+(``bounds.verify_operator_ssa_block``), every other family through one
+adapter that checks the block's trials one by one and drops each from the
+block once checked.  When a block's check raises a ``QREError``, the trials
+it has given no outcome for are checked again one by one, so a divergent or
+failing trial stays in its own trial.  ``run_single`` is the block of one,
+and writes each trial's reports in the campaign too, so a campaign line and
+its replay are the same bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds
-from .errors import DivergentEntropy, InvalidParameter
+from .errors import DivergentEntropy, InvalidParameter, QREError
 from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
     DensityMatrix,
@@ -146,8 +156,10 @@ REGULAR_F = Requirement("a regular f (window constants)", lambda f: f.regular)
 class Family(NamedTuple):
     """One inequality family: its check, the operands it takes and what it needs.
 
-    ``check(f, space, beta, *operands)`` returns one report or a list of them;
-    the operands are drawn (campaign) or loaded (CLI) by name, in order.
+    ``check(f, space, beta, block)`` takes a block of trials' operand tuples,
+    each drawn (campaign) or loaded (CLI) by name in the order ``operands``
+    lists, and returns an iterable of one outcome per tuple, in order: a
+    report or a list of them.
     """
 
     check: Callable
@@ -162,66 +174,81 @@ class Family(NamedTuple):
         return self.requires is None or self.requires.holds(f)
 
 
+def _each(check):
+    """A check of one trial's operands, ``check(f, space, beta, *operands)``, over a block.
+
+    The trials are checked one by one as their outcomes are asked for, and a
+    trial leaves the block once checked, so what is memoised on its operands
+    is freed before the next trial is checked.
+    """
+    def check_each(f, space, beta, block):
+        for i, ops in enumerate(block):
+            outcome = check(f, space, beta, *ops)
+            block[i] = None
+            yield outcome
+    return check_each
+
+
 def _operator_ssa(variant):
-    return Family(lambda f, space, beta, rho, sab:
-                  bounds.verify_operator_ssa(f, rho, sab, beta, variant, space),
+    return Family(lambda f, space, beta, block:
+                  bounds.verify_operator_ssa_block(f, *zip(*block), beta, variant, space),
                   ("rho", "sigma_ab"), nfactors=3, requires=REGULAR_F)
 
 
 FAMILIES: dict[str, Family] = {
-    "monotonicity": Family(
+    "monotonicity": Family(_each(
         lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_monotonicity(f, k1, v, rho, sigma, space),
+        bounds.verify_monotonicity(f, k1, v, rho, sigma, space)),
         ("rho", "sigma", "k1", "v"), nfactors=2, uses_beta=False, mixed_rank=True),
-    "thm42": Family(
+    "thm42": Family(_each(
         lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space),
+        bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space)),
         ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
-    "monotonicity_bound": Family(
+    "monotonicity_bound": Family(_each(
         lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space),
+        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space)),
         ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
-    "joint_convexity": Family(
-        lambda f, space, beta, comps, k: bounds.verify_joint_convexity(f, k, comps, beta),
+    "joint_convexity": Family(_each(
+        lambda f, space, beta, comps, k: bounds.verify_joint_convexity(f, k, comps, beta)),
         ("ensemble", "k"), requires=REGULAR_F),
-    "ssa": Family(
-        lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space),
+    "ssa": Family(_each(
+        lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space)),
         ("rho",), nfactors=3, uses_f=False, mixed_rank=True),
     "operator_ssa_thm62": _operator_ssa("thm62"),
     "operator_ssa_thm63": _operator_ssa("thm63"),
     "operator_ssa_cor64": _operator_ssa("cor64"),
     "operator_ssa_cor65": _operator_ssa("cor65"),
-    "pinsker": Family(
-        lambda f, space, beta, rho, sigma, u: bounds.pinsker_check(f, u, rho, sigma),
+    "pinsker": Family(_each(
+        lambda f, space, beta, rho, sigma, u: bounds.pinsker_check(f, u, rho, sigma)),
         ("rho", "sigma", "u"), uses_beta=False, mixed_rank=True, requires=NORMALIZED_F),
-    "classical_reduction": Family(
-        lambda f, space, beta, rho, sigma: bounds.verify_classical_reduction(f, rho, sigma),
+    "classical_reduction": Family(_each(
+        lambda f, space, beta, rho, sigma: bounds.verify_classical_reduction(f, rho, sigma)),
         ("rho", "sigma"), uses_beta=False),
-    "wyd_skew": Family(
-        lambda f, space, beta, rho, h: bounds.verify_wyd_skew(f, rho, h),
+    "wyd_skew": Family(_each(
+        lambda f, space, beta, rho, h: bounds.verify_wyd_skew(f, rho, h)),
         ("rho", "h"), uses_beta=False, requires=_f_p_in(0.0, 1.0)),
-    "wyd_joint_concavity": Family(
+    "wyd_joint_concavity": Family(_each(
         lambda f, space, beta, comps, k:
-        bounds.verify_wyd_joint_concavity(power_of(f), k, comps, beta),
+        bounds.verify_wyd_joint_concavity(power_of(f), k, comps, beta)),
         ("ensemble", "k"), requires=_f_p_in(-1.0, 2.0)),
     "wyd_operator": Family(
-        lambda f, space, beta, rho, sab:
-        bounds.verify_wyd_operator(power_of(f), rho, sab, beta, space),
+        lambda f, space, beta, block:
+        bounds.verify_wyd_operator_block(power_of(f), *zip(*block), beta, space),
         ("rho", "sigma_ab"), nfactors=3, requires=_f_p_in(0.0, 1.0)),
-    "cauchy_schwarz": Family(
-        lambda f, space, beta, rho, sab: bounds.verify_cauchy_schwarz(rho, sab, beta, space),
+    "cauchy_schwarz": Family(_each(
+        lambda f, space, beta, rho, sab: bounds.verify_cauchy_schwarz(rho, sab, beta, space)),
         ("rho", "sigma_ab"), nfactors=3, uses_f=False),
-    "lieb_ruskai": Family(
-        lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space),
+    "lieb_ruskai": Family(_each(
+        lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space)),
         ("x", "q"), nfactors=2, uses_f=False, uses_beta=False),
-    "equality_monotonicity": Family(
-        lambda f, space, beta, rng: bounds.equality_monotonicity_sweep(f, space, rng),
+    "equality_monotonicity": Family(_each(
+        lambda f, space, beta, rng: bounds.equality_monotonicity_sweep(f, space, rng)),
         ("rng",), nfactors=2, uses_beta=False),
-    "equality_joint_convexity": Family(
-        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space, rng),
+    "equality_joint_convexity": Family(_each(
+        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space, rng)),
         ("rng",), uses_beta=False),
-    "equality_operator_ssa": Family(
-        lambda f, space, beta, rng: bounds.equality_operator_ssa_sweep(f, space, rng),
+    "equality_operator_ssa": Family(_each(
+        lambda f, space, beta, rng: bounds.equality_operator_ssa_sweep(f, space, rng)),
         ("rng",), nfactors=3, uses_beta=False),
 }
 
@@ -313,14 +340,13 @@ def _finish(block):
 
 
 def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: str = "full"):
-    """Each seed's operands (a seed or a generator), drawn in order and finished in blocks.
+    """Blocks of the seeds' operands (each seed a seed or a generator), drawn in order.
 
     A block holds at most BLOCK_BYTES of sampled states, and at least one
     trial; every trial of a cell draws states of the same shapes, so a block
-    closes when the next trial would not fit.  Trials leave the block one by
-    one and nothing here keeps a reference, so each trial's operands, and all
-    that is memoised on them, are freed once its check is done.  Rank is full
-    unless the family honours mixed.
+    closes when the next trial would not fit.  Its spectral work is finished
+    before it is yielded, and it is dropped here when the next block is asked
+    for.  Rank is full unless the family honours mixed.
     """
     policy = rank_policy if family.mixed_rank else "full"
     seeds = list(seeds)
@@ -333,23 +359,45 @@ def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: st
         size += nbytes
         if size + nbytes > BLOCK_BYTES or k == len(seeds) - 1:
             _finish(block)
-            while block:
-                yield block.pop(0)
-            size = 0
+            yield block
+            block, size = [], 0
 
 
 def sample_operands(family: Family, space: FactorizedSpace, rng,
                     rank_policy: str = "full") -> list:
     """Draw the family's operands in order; rank is full unless the family honours mixed."""
-    return next(sample_blocks(family, space, [rng], rank_policy))
+    return next(sample_blocks(family, space, [rng], rank_policy))[0]
+
+
+def check_block(family: Family, f, space: FactorizedSpace, beta: float, block):
+    """Yield each trial's outcome in order: its report(s), or the DivergentEntropy it raises alone.
+
+    When the family's check raises a QREError, the trials it has given no
+    outcome for are checked again one by one, so the error stays in its own
+    trial; any other error of a trial checked alone propagates.
+    """
+    done = 0
+    try:
+        for outcome in family.check(f, space, beta, block):
+            yield outcome
+            done += 1
+    except QREError as exc:
+        if len(block) - done > 1:
+            for ops in block[done:]:
+                yield from check_block(family, f, space, beta, [ops])
+        elif isinstance(exc, DivergentEntropy):
+            yield exc
+        else:
+            raise
 
 
 def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
-               seed: int, rank_policy: str = "full", *, operands=None) -> list[BoundReport]:
-    """Replay one trial from the fields a campaign report carries.
+               seed: int, rank_policy: str = "full", *, outcome=None) -> list[BoundReport]:
+    """Replay one trial from the fields a campaign report carries: the block of one.
 
-    ``operands`` are the trial's operands when a campaign has drawn them in a
-    block already; they are exactly what ``seed`` draws here otherwise.
+    ``outcome`` is the trial's ``check_block`` outcome when a campaign has
+    checked it in its block already; it is exactly what ``seed`` draws and
+    checks here otherwise.
     """
     family = FAMILIES[inequality]
     space = FactorizedSpace(dims)
@@ -358,17 +406,15 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
     f = from_id(fid)
     if not family.admits(f):
         return []
-    if operands is None:
+    if outcome is None:
         operands = sample_operands(family, space, np.random.default_rng(seed), rank_policy)
-    try:
-        reports = family.check(f, space, beta, *operands)
-    except DivergentEntropy as exc:
+        outcome, = check_block(family, f, space, beta, [operands])
+    if isinstance(outcome, DivergentEntropy):
         rep = bounds._report(inequality, 0.0, 0.0, True,
-                             notes=f"f={fid};divergent=1 ({exc})")
+                             notes=f"f={fid};divergent=1 ({outcome})")
         rep.details["divergent"] = 1.0
-        reports = rep
-    if isinstance(reports, BoundReport):
-        reports = [reports]
+        outcome = rep
+    reports = [outcome] if isinstance(outcome, BoundReport) else outcome
     for rep in reports:
         rep.seed = seed
         rep.notes = _with_context(rep.notes, fid, dims, beta)
@@ -423,21 +469,23 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
                     continue
                 space = FactorizedSpace(dims)
                 for fid in fids:
-                    if not family.admits(from_id(fid)):
+                    f = from_id(fid)
+                    if not family.admits(f):
                         continue
                     for beta in betas:
                         seeds = [trial_seed(config.seed, ineq, dims, fid, beta, t)
                                  for t in range(config.trials)]
-                        blocks = sample_blocks(family, space, seeds, config.rank_policy)
-                        for seed in seeds:
-                            reports = run_single(ineq, fid, dims, beta, seed,
-                                                 config.rank_policy, operands=next(blocks))
-                            if reports:
-                                summary.trials += 1
-                            for rep in reports:
-                                _tally(summary, stats, rep)
-                                if out is not None:
-                                    out.write(rep.to_json() + "\n")
+                        seed_of = iter(seeds)
+                        for block in sample_blocks(family, space, seeds, config.rank_policy):
+                            for outcome in check_block(family, f, space, beta, block):
+                                reports = run_single(ineq, fid, dims, beta, next(seed_of),
+                                                     config.rank_policy, outcome=outcome)
+                                if reports:
+                                    summary.trials += 1
+                                for rep in reports:
+                                    _tally(summary, stats, rep)
+                                    if out is not None:
+                                        out.write(rep.to_json() + "\n")
     finally:
         if close:
             out.close()

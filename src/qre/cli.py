@@ -155,7 +155,7 @@ def _cmd_verify(args) -> int:
     space = _space_for(args, rho.shape[0], family.nfactors)
     operands = [rho if name == "rho" else LOADERS[name](args, space)
                 for name in family.operands]
-    report = family.check(f, space, args.beta, *operands)
+    report, = family.check(f, space, args.beta, [operands])
     if args.json:
         print(report.to_json())
     else:

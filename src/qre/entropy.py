@@ -17,7 +17,9 @@ mode of rho, and is skipped, not added, when f'(inf) = 0.
 
 ``quasi_relative_entropies`` evaluates the formula for a stack of pairs
 sharing K with one set of array operations; ``quasi_relative_entropy`` is its
-one-pair case, and every value is bit-identical whatever the stack.
+one-pair case, and every value is bit-identical whatever the stack.  The
+f(Delta) action is stacked the same way, over the same overlap weights
+(``apply_f_modulars``; ``apply_f_modular`` is its one-pair case).
 """
 
 from __future__ import annotations
@@ -98,21 +100,38 @@ class ModularOperator:
 
 
 def apply_f_modular(f: OperatorConvexFunction, delta: ModularOperator, x) -> np.ndarray:
-    """f(Delta_{sigma,rho}) applied to x, restricted to the support of rho on the right."""
-    xm = as_matrix(x)
-    if xm.shape[0] != delta.dim:
+    """f(Delta_{sigma,rho}) applied to x, restricted to the support of rho on the right.
+
+    The one-pair case of ``apply_f_modulars``.
+    """
+    return apply_f_modulars(f, [delta], [x])[0]
+
+
+def apply_f_modulars(f: OperatorConvexFunction, deltas, xs) -> np.ndarray:
+    """f(Delta_i)(x_i) of each pair, as one ``(N, d, d)`` stack over ``_ratio_weights``.
+
+    The modular operators share their dimension.  Each member is
+    bit-identical to the member alone, and the first member whose f(0+) = +inf
+    meets a weighted zero mode raises what it raises alone.
+    """
+    deltas = list(deltas)
+    xm = _stacked([as_matrix(x) for x in xs])
+    if xm.shape[1:] != (deltas[0].dim,) * 2 or len(xm) != len(deltas):
         raise InvalidMatrix("operand dimension mismatch")
-    mu, lam, keep = delta.ratio_grid()
-    mu_zero = mu <= delta.sigma.cutoff
-    phi, psi = delta.sigma.vecs, delta.rho.vecs
-    y = phi.conj().T @ xm @ psi
-    weight = np.abs(y) ** 2
-    fmat, diverges = _ratio_weights(f, mu[None], lam[None], keep[None], mu_zero[None],
-                                    weight.T[None])
-    if diverges[0]:
-        raise SingularArgument(_zero_mode_message(mu_zero, keep, weight)[0])
+    grids = [delta.ratio_grid() for delta in deltas]
+    mu, lam, keep = (_stacked(arrays) for arrays in zip(*grids))
+    mu_zero = mu <= np.array([delta.sigma.cutoff for delta in deltas])[:, None]
+    phi = _stacked([delta.sigma.vecs for delta in deltas])
+    psi = _stacked([delta.rho.vecs for delta in deltas])
+    y = phi.conj().swapaxes(-1, -2) @ xm @ psi
+    weight = np.abs(y) ** 2                         # [n, k, j]
+    fmat, diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight.swapaxes(-1, -2))
+    if diverges.any():
+        i = int(np.argmax(diverges))
+        raise SingularArgument(_zero_mode_message(mu_zero[i], keep[i], weight[i])[0])
     # in C order, the layout (and so the bits) of the BLAS product below does not depend on fmat's
-    return phi @ np.multiply(fmat[0].T, y, order="C") @ psi.conj().T
+    return (phi @ np.multiply(fmat.swapaxes(-1, -2), y, order="C")
+            @ psi.conj().swapaxes(-1, -2))
 
 
 def _ratio_weights(f, mu, lam, keep, mu_zero, weight):

@@ -29,10 +29,6 @@ class IrregularFunction(QREError):
     """Operation requires a Loewner measure the function does not carry."""
 
 
-class SingularArgument(QREError):
-    """f(0+) diverges and a zero mode of the modular operator carries weight."""
-
-
 class DivergentEntropy(QREError):
     """Entropy value is +infinity under the generalized-inverse conventions.
 
@@ -43,3 +39,10 @@ class DivergentEntropy(QREError):
     def __init__(self, message, pair=None):
         super().__init__(message)
         self.pair = pair
+
+
+class SingularArgument(DivergentEntropy):
+    """f(0+) diverges and a zero mode of the modular operator carries weight.
+
+    The divergence the spectral formula reports, met by the f(Delta) action.
+    """

@@ -21,12 +21,14 @@ Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
 stack with one ``eigh`` and runs the constructor's checks over the whole
 stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
 several operators as one stack, ``PsdOperator.powers`` builds the powers of a
-grid of exponents as one ``(G, d, d)`` stack, ``partial_trace`` and ``embed``
-take leading stack axes and ``op_norm`` a stack of matrices (one batched
-SVD).  Each stacked result is bit-identical to the one-at-a-time result:
-LAPACK and BLAS run on every member exactly as they would alone, every power
-is raised with a scalar exponent, a partial trace sums each member's entries
-in the order it would alone, and the only other reductions are exact maxima.
+grid of exponents as one ``(G, d, d)`` stack, ``PsdOperator.stacked_power``
+one exponent's power of several operators as one ``(N, d, d)`` stack,
+``partial_trace`` and ``embed`` take leading stack axes and ``op_norm`` a
+stack of matrices (one batched SVD).  Each stacked result is bit-identical to
+the one-at-a-time result: LAPACK and BLAS run on every member exactly as they
+would alone, every power is raised with a scalar exponent, a partial trace
+sums each member's entries in the order it would alone, and the only other
+reductions are exact maxima.
 A campaign samples a block of trials' operands and finishes their spectral
 work this way; a block holds at most a fixed byte budget of state matrices,
 and ``run_single`` still replays any campaign line byte for byte.
@@ -367,13 +369,20 @@ class PsdOperator:
         return self.memo(("powers", betas, cut), lambda: self._powers(betas, cut))
 
     def _powers(self, betas, cut):
-        w = self.eigs
-        base = np.where(w > cut, np.clip(w, cut, None), 1.0)
-        # a scalar exponent per row: numpy computes ``x ** 0.5`` as sqrt, an
-        # array exponent as pow, and the two differ in the last bit
-        wp = np.array([base ** b for b in betas])
-        wp[:, w <= cut] = 0.0
+        wp = np.array([_raised_eigs(self.eigs, cut, b) for b in betas])
         return hermitize((self.vecs * wp[:, None, :]) @ self.vecs.conj().T)
+
+    @staticmethod
+    def stacked_power(ops, beta: float) -> np.ndarray:
+        """``op.power(beta)`` of each of ``ops`` (of one dimension) as one ``(N, d, d)`` stack.
+
+        Bit-equal to ``power`` member by member: the stacked spectra are
+        raised with the one scalar exponent.  Nothing is memoised.
+        """
+        vecs = np.stack([op.vecs for op in ops])
+        wp = _raised_eigs(np.stack([op.eigs for op in ops]),
+                          np.array([op.cutoff for op in ops])[:, None], beta)
+        return hermitize((vecs * wp[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
 
     @classmethod
     def stack(cls, mats) -> list["PsdOperator"]:
@@ -430,6 +439,17 @@ class PsdOperator:
 
     def rank(self) -> int:
         return int((self.eigs > self.cutoff).sum())
+
+
+def _raised_eigs(w, cut, beta):
+    """w ** beta where w is above ``cut``, 0 elsewhere, with ``beta`` a scalar.
+
+    numpy computes ``x ** 0.5`` with a scalar exponent as sqrt, with an array
+    exponent as pow, and the two differ in the last bit.
+    """
+    wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
+    wp[w <= cut] = 0.0
+    return wp
 
 
 class DensityMatrix(PsdOperator):

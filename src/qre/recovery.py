@@ -90,32 +90,57 @@ def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
 
 
 def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """P = sigma_B^b rho_BC^{-b} rho_ABC^{1/2} - sigma_AB^b rho_ABC^{1/2-b} on A|B|C."""
+    """P = sigma_B^b rho_BC^{-b} rho_ABC^{1/2} - sigma_AB^b rho_ABC^{1/2-b} on A|B|C.
+
+    The one-pair case of ``ssa_residuals_P``.
+    """
+    return ssa_residuals_P([rho_abc], [sigma_ab], space, beta)[0]
+
+
+def ssa_residuals_P(rhos_abc, sigmas_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
+    """``ssa_residual_P`` of each (rho_ABC, sigma_AB) pair, as one ``(N, d, d)`` stack.
+
+    Marginals come from ``PsdOperator.marginals`` and every power from
+    ``PsdOperator.stacked_power``, so each member is bit-equal to its pair alone.
+    """
     if space.nfactors != 3:
         raise ShapeMismatch("P residual expects a tripartite factorization")
-    rho = space.psd(rho_abc)
+    rhos = [space.psd(rho) for rho in rhos_abc]
     sub_ab = space.subspace((0, 1))
-    sig_ab = sub_ab.psd(sigma_ab)
-    sig_b = sig_ab.marginal(sub_ab, (1,))
-    rho_bc = rho.marginal(space, (1, 2))
-    term1 = (space.embed(sig_b.power(beta), (1,))
-             @ space.embed(rho_bc.power(-beta), (1, 2))
-             @ rho.power(0.5))
-    term2 = space.embed(sig_ab.power(beta), (0, 1)) @ rho.power(0.5 - beta)
+    sig_abs = [sub_ab.psd(sig) for sig in sigmas_ab]
+    sig_bs = PsdOperator.marginals(sig_abs, sub_ab, (1,))
+    rho_bcs = PsdOperator.marginals(rhos, space, (1, 2))
+    power = PsdOperator.stacked_power
+    term1 = (space.embed(power(sig_bs, beta), (1,))
+             @ space.embed(power(rho_bcs, -beta), (1, 2))
+             @ power(rhos, 0.5))
+    term2 = space.embed(power(sig_abs, beta), (0, 1)) @ power(rhos, 0.5 - beta)
     return term1 - term2
 
 
 def ssa_residual_Q(rho_ab, sigma_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """Q = sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma_ABC^b rho_AB^{1/2-b} on A|B|C."""
+    """Q = sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma_ABC^b rho_AB^{1/2-b} on A|B|C.
+
+    The one-pair case of ``ssa_residuals_Q``.
+    """
+    return ssa_residuals_Q([rho_ab], [sigma_abc], space, beta)[0]
+
+
+def ssa_residuals_Q(rhos_ab, sigmas_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
+    """``ssa_residual_Q`` of each (rho_AB, sigma_ABC) pair, as one ``(N, d, d)`` stack.
+
+    Built as ``ssa_residuals_P`` is, so each member is bit-equal to its pair alone.
+    """
     if space.nfactors != 3:
         raise ShapeMismatch("Q residual expects a tripartite factorization")
-    sig = space.psd(sigma_abc)
+    sigs = [space.psd(sig) for sig in sigmas_abc]
     sub_ab = space.subspace((0, 1))
-    rho_ab = sub_ab.psd(rho_ab)
-    rho_b = rho_ab.marginal(sub_ab, (1,))
-    sig_bc = sig.marginal(space, (1, 2))
-    term1 = (space.embed(sig_bc.power(beta), (1, 2))
-             @ space.embed(rho_b.power(-beta), (1,))
-             @ space.embed(rho_ab.power(0.5), (0, 1)))
-    term2 = sig.power(beta) @ space.embed(rho_ab.power(0.5 - beta), (0, 1))
+    rho_abs = [sub_ab.psd(rho) for rho in rhos_ab]
+    rho_bs = PsdOperator.marginals(rho_abs, sub_ab, (1,))
+    sig_bcs = PsdOperator.marginals(sigs, space, (1, 2))
+    power = PsdOperator.stacked_power
+    term1 = (space.embed(power(sig_bcs, beta), (1, 2))
+             @ space.embed(power(rho_bs, -beta), (1,))
+             @ space.embed(power(rho_abs, 0.5), (0, 1)))
+    term2 = power(sigs, beta) @ space.embed(power(rho_abs, 0.5 - beta), (0, 1))
     return term1 - term2

@@ -52,6 +52,15 @@ TEST_ONLY = {
     "umegaki": "the Umegaki relative entropy, the logarithm's S_f",
     "matrix_function": "functional calculus of a Hermitian matrix (the tests' log)",
     "save_matrix": "writes the JSON matrix files that qre verify loads",
+    # one-pair cases of the stacked kernels the campaign and the CLI call
+    "apply_f_modular": "f(Delta_{sigma,rho})(x) of one pair (the stack: apply_f_modulars)",
+    "ssa_residual_P": "the P residual of one pair (the stack: ssa_residuals_P)",
+    "operator_ssa_sides": "both operator sides of one variant at one pair, which the "
+                          "acceptance tests read (the block: operator_ssa_block_sides)",
+    "verify_operator_ssa": "the operator-SSA check of one pair "
+                           "(the block: verify_operator_ssa_block)",
+    "verify_wyd_operator": "the WYD operator check of one pair "
+                           "(the block: verify_wyd_operator_block)",
 }
 
 

@@ -101,6 +101,15 @@ class TestVerify:
                      "--sigma", str(tmp_path / "pure4.json")])
         assert code == 3
 
+    def test_operator_ssa_divergent_f_action_exit_code(self, fixtures, tmp_path, capsys):
+        # neg_log's f(0+) = +inf meets a weighted zero mode of sigma_AB (x) I_C
+        save_matrix(tmp_path / "sab2.json", random_density(4, rank=2, seed=4).mat)
+        code = main(["verify", "operator_ssa_thm62", "--f", "neg_log",
+                     "--rho", str(fixtures / "rho8.json"),
+                     "--sigma", str(tmp_path / "sab2.json"), "--dims", "2x2x2"])
+        assert code == 3
+        assert "divergent entropy: f(0+) diverges" in capsys.readouterr().err
+
     @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
     def test_non_unitary_v_is_input_error(self, fixtures, inequality, capsys):
         save_matrix(fixtures / "v_bad.json", np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))

@@ -16,11 +16,16 @@ from qre import bounds, campaign
 from qre.campaign import FAMILIES, CampaignConfig, run_campaign, run_single, trial_seed
 from qre.entropy import (
     OVERLAP_TOL,
+    ModularOperator,
+    _ratio_weights,
+    _zero_mode_message,
+    apply_f_modular,
+    apply_f_modulars,
     effective_eigs,
     quasi_relative_entropies,
     quasi_relative_entropy,
 )
-from qre.errors import DivergentEntropy, InvalidMatrix, NotPSD, ShapeMismatch
+from qre.errors import DivergentEntropy, InvalidMatrix, NotPSD, ShapeMismatch, SingularArgument
 from qre.functions import from_id
 from qre.linalg import (
     DensityMatrix,
@@ -77,6 +82,17 @@ class TestPowers:
         for b, row in zip(BETAS, op.powers(BETAS)):
             assert_bits(row, PsdOperator(op.mat).power(b))
             np.testing.assert_allclose(row @ (np.eye(6) - proj), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_power_is_bit_equal_to_each_power(self, seed):
+        by_dim = {}
+        for op in _states(seed, n=12):
+            by_dim.setdefault(op.dim, []).append(op)
+        for ops in by_dim.values():
+            for b in BETAS:
+                stack = PsdOperator.stacked_power(ops, b)
+                for op, row in zip(ops, stack):
+                    assert_bits(row, _fresh(op).power(b))
 
     def test_explicit_cutoff_and_memo(self):
         op = random_density(4, seed=2)
@@ -479,6 +495,202 @@ class TestSpectralKernel:
 
 
 # ----------------------------------------------------------------------------
+# Operator-SSA: the f(Delta) action and the block kernel
+# ----------------------------------------------------------------------------
+
+def _loop_f_action(f, delta, x):
+    """The one-pair f(Delta) action with two-dimensional products, as it was before the stack."""
+    mu, lam, keep = delta.ratio_grid()
+    mu_zero = mu <= delta.sigma.cutoff
+    phi, psi = delta.sigma.vecs, delta.rho.vecs
+    y = phi.conj().T @ np.asarray(x, dtype=complex) @ psi
+    weight = np.abs(y) ** 2
+    fmat, diverges = _ratio_weights(f, mu[None], lam[None], keep[None], mu_zero[None],
+                                    weight.T[None])
+    if diverges[0]:
+        raise SingularArgument(_zero_mode_message(mu_zero, keep, weight)[0])
+    return phi @ np.multiply(fmat[0].T, y, order="C") @ psi.conj().T
+
+
+def _loop_traced_terms(f, rho, sab, variant, space):
+    """The two traced f-actions of one (rho_ABC, sigma_AB) pair, each operator on its own."""
+    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
+    full = PsdOperator(space.embed(sab.mat, (0, 1)))
+    b_bc = PsdOperator(sub_bc.embed(sub_ab.partial_trace(sab.mat, (1,)), (0,)))
+    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    g = f if variant in ("thm62", "thm63") else f.transpose()
+    pairs = ([(full, rho, space, (2,)), (b_bc, rho_bc, sub_bc, (1,))]
+             if variant in ("thm62", "cor64") else
+             [(rho, full, space, (2,)), (rho_bc, b_bc, sub_bc, (1,))])
+    t1, t2 = (hermitize(sp.partial_trace(_loop_f_action(g, ModularOperator(left, right),
+                                                         right.mat), keep))
+              for left, right, sp, keep in pairs)
+    return t1, t2, g
+
+
+def _loop_operator_ssa_report(f, rho, sab, beta, variant, space):
+    """The one-pair operator-SSA report computed operator by operator, as before the stack."""
+    sub_ab = space.subspace((0, 1))
+    sb = PsdOperator(sub_ab.partial_trace(sab.mat, (1,)))
+    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    t1, t2, g = _loop_traced_terms(f, rho, sab, variant, space)
+    if variant in ("thm62", "cor64"):
+        resid = (space.embed(sb.power(beta), (1,)) @ space.embed(rho_bc.power(-beta), (1, 2))
+                 @ rho.power(0.5)
+                 - space.embed(sab.power(beta), (0, 1)) @ rho.power(0.5 - beta))
+        gram = hermitize(space.partial_trace(resid @ resid.conj().T, (2,)))
+        d_norm = sab.max_eig() / rho.min_positive_eig()
+    else:
+        resid = (space.embed(rho_bc.power(beta), (1, 2)) @ space.embed(sb.power(-beta), (1,))
+                 @ space.embed(sab.power(0.5), (0, 1))
+                 - rho.power(beta) @ space.embed(sab.power(0.5 - beta), (0, 1)))
+        gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
+        d_norm = rho.max_eig() / sab.min_positive_eig()
+    scale = max(op_norm(t1), op_norm(t2), 1e-30)
+    rhs_op = hermitize(t1 - t2)
+    _, n_const, alpha, C, c = bounds.constants_for(g, beta, 1.0, d_norm)
+    lhs_op = n_const * PsdOperator(gram).power(1.0 / alpha)
+    diff_min = float(np.linalg.eigvalsh(rhs_op - lhs_op).min())
+    rhs_min = float(np.linalg.eigvalsh(rhs_op).min())
+    passed = (diff_min >= -bounds.PSD_REPORT_TOL * scale
+              and rhs_min >= -bounds.REPORT_TOL * max(1.0, scale))
+    consts = bounds.BoundConstants(bounds.alpha1(beta), bounds.alpha2(beta), alpha, C, c,
+                                   n_const, n_const ** (-alpha), float("nan"))
+    return bounds._report(f"operator_ssa_{variant}", -diff_min, 0.0, passed, constants=consts,
+                          digest=bounds.digest_inputs(rho.mat, sab.mat),
+                          notes=f"f={f.name};beta={beta:g};variant={variant}",
+                          details={"min_eig_diff": diff_min, "min_eig_rhs": rhs_min,
+                                   "rhs_scale": scale,
+                                   "gram_trace": float(np.real(np.trace(gram)))})
+
+
+def _block(ineq, dims, fid, n, seed=7):
+    """A sampled block of n trials' operands, as the campaign draws it."""
+    seeds = [trial_seed(seed, ineq, dims, fid, 0.25, t) for t in range(n)]
+    family = FAMILIES[ineq]
+    blocks = list(campaign.sample_blocks(family, FactorizedSpace(dims), seeds))
+    assert len(blocks) == 1
+    return seeds, blocks[0]
+
+
+OPERATOR_SSA = ("operator_ssa_thm62", "operator_ssa_thm63", "operator_ssa_cor64",
+                "operator_ssa_cor65", "wyd_operator")
+
+
+class TestOperatorSsaBlock:
+    @pytest.mark.parametrize("fid", FUNCTIONS)
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_f_action_stack_is_the_one_pair_formula(self, fid, d):
+        f = from_id(fid)
+        pairs = _pairs(d, d)
+        deltas = [ModularOperator(s, r) for r, s in pairs]
+        xs = [r.power(0.5) for r, _ in pairs]
+        alone = []
+        for delta, x in zip(deltas, xs):
+            try:
+                alone.append(_loop_f_action(f, delta, x))
+            except SingularArgument as exc:
+                alone.append(str(exc))
+        fine = [i for i, a in enumerate(alone) if not isinstance(a, str)]
+        got = apply_f_modulars(f, [deltas[i] for i in fine], [xs[i] for i in fine])
+        for i, member in zip(fine, got):
+            assert_bits(member, alone[i])
+            assert_bits(apply_f_modular(f, deltas[i], xs[i]), alone[i])
+        for i, message in enumerate(alone):
+            if isinstance(message, str):
+                members = fine[:1] + [i] + fine[1:]
+                with pytest.raises(SingularArgument) as err:
+                    apply_f_modulars(f, [deltas[j] for j in members], [xs[j] for j in members])
+                assert str(err.value) == message
+                assert isinstance(err.value, DivergentEntropy)
+
+    @pytest.mark.parametrize("variant", ["thm62", "thm63", "cor64", "cor65"])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+    def test_traced_terms_are_the_one_pair_loop(self, variant, dims):
+        space = FactorizedSpace(dims)
+        for fid in ("neg_log", "f_p:0.5"):
+            f = from_id(fid)
+            _, block = _block(f"operator_ssa_{variant}", dims, fid, 5)
+            rhos, sabs = zip(*block)
+            t1, t2, _ = bounds._traced_terms(f, rhos, sabs, variant, space)
+            for i, (rho, sab) in enumerate(block):
+                w1, w2, _ = _loop_traced_terms(f, _fresh(rho), _fresh(sab), variant, space)
+                assert_bits(t1[i], w1)
+                assert_bits(t2[i], w2)
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("ineq", OPERATOR_SSA)
+    def test_block_reports_are_the_one_trial_reports(self, ineq, dims, n):
+        family = FAMILIES[ineq]
+        space = FactorizedSpace(dims)
+        for fid in ("neg_log", "f_p:0.5"):
+            f = from_id(fid)
+            if not family.admits(f):
+                continue
+            seeds, block = _block(ineq, dims, fid, n)
+            got = [r.to_json() for r in family.check(f, space, 0.25, block)]
+            assert len(got) == n
+            for seed, line in zip(seeds, got):
+                ops = campaign.sample_operands(family, space, np.random.default_rng(seed))
+                alone, = family.check(f, space, 0.25, [ops])
+                assert line == alone.to_json()
+                rho, sab = (_fresh(op) for op in ops)
+                if ineq == "wyd_operator":
+                    single = bounds.verify_wyd_operator(0.5, rho, sab, 0.25, space)
+                    loop = _loop_operator_ssa_report(f, rho, sab, 0.25, "cor65", space)
+                    loop.inequality_id, loop.notes = single.inequality_id, single.notes
+                else:
+                    single = bounds.verify_operator_ssa(f, rho, sab, 0.25, ineq[-5:], space)
+                    loop = _loop_operator_ssa_report(f, rho, sab, 0.25, ineq[-5:], space)
+                assert line == single.to_json() == loop.to_json()
+
+    @pytest.mark.parametrize("ineq", OPERATOR_SSA)
+    def test_decompositions_per_block_do_not_grow_with_its_size(self, ineq):
+        space = FactorizedSpace((2, 2, 2))
+        fid = "f_p:0.5"
+        counts = []
+        for n in (1, 3, 20):
+            _, block = _block(ineq, (2, 2, 2), fid, n)
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                    mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as vals, \
+                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                FAMILIES[ineq].check(from_id(fid), space, 0.25, block)
+            counts.append((eigh.call_count, vals.call_count, svd.call_count))
+        # sigma_B, sigma_AB (x) I_C, sigma_B (x) I_C, rho_BC, the Gram matrices;
+        # both minimum eigenvalues; the two scales
+        assert counts == [(5, 2, 1)] * 3
+
+    def test_divergent_member_stays_in_its_trial(self, monkeypatch):
+        # sigma_AB of rank 2 for about a third of the trials: neg_log's f(0+) = +inf
+        # meets a weighted zero mode of sigma_AB (x) I_C in the thm62 action
+        def sigma_ab(rng, space, policy):
+            dim = space.subspace((0, 1)).dim
+            rank = 2 if rng.random() < 0.3 else dim
+            return campaign._State(random_state_matrix(dim, rank=rank, seed=rng))
+
+        monkeypatch.setitem(campaign.SAMPLERS, "sigma_ab", sigma_ab)
+        ineq, dims, fid = "operator_ssa_thm62", (2, 2, 2), "neg_log"
+        _, block = _block(ineq, dims, fid, 20)
+        with pytest.raises(SingularArgument):
+            FAMILIES[ineq].check(from_id(fid), FactorizedSpace(dims), 0.25, block)
+        got = _cell_lines(ineq, dims, fid, 0.25, 20, 7)
+        assert got == _replayed_lines(ineq, dims, fid, 0.25, 20, 7)
+        divergent = got.count("divergent=1")
+        assert 0 < divergent < 20
+
+    def test_divergent_trial_of_a_per_trial_family_stays_in_its_trial(self):
+        # mixed-rank pinsker trials with a rank-deficient sigma diverge for neg_log
+        with mock.patch.object(bounds, "pinsker_check", wraps=bounds.pinsker_check) as check:
+            got = _cell_lines("pinsker", (2, 2, 2), "neg_log", 0.5, 20, 7)
+        assert got == _replayed_lines("pinsker", (2, 2, 2), "neg_log", 0.5, 20, 7)
+        assert 1 < got.count("divergent=1") < 20
+        # the trials after the first divergent one are checked alone, once each;
+        # only that trial is checked twice
+        assert check.call_count == 20 + 1
+
+
+# ----------------------------------------------------------------------------
 # The eps sweeps against their per-eps loops
 # ----------------------------------------------------------------------------
 
@@ -532,7 +744,7 @@ def _loop_operator_ssa_sweep(f, space, rng):
     rows = []
     for eps in bounds.EPS_SWEEP:
         sab = PsdOperator(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
-        t1, t2, _ = bounds.operator_ssa_traced_terms(f, rho, sab, "thm62", space)
+        t1, t2, _ = _loop_traced_terms(f, rho, sab, "thm62", space)
         gap = float(np.real(np.trace(hermitize(t1 - t2))))
         resid = _loop_operator_ssa_equality_residual(rho, sab, space, GRID)
         rows.append((eps, gap, resid))
@@ -620,7 +832,8 @@ def test_block_sampling_draws_what_each_seed_draws():
     family = FAMILIES["joint_convexity"]
     space = FactorizedSpace((2, 2))
     seeds = [11, 12, 13]
-    for seed, operands in zip(seeds, campaign.sample_blocks(family, space, seeds)):
+    blocks = campaign.sample_blocks(family, space, seeds)
+    for seed, operands in zip(seeds, itertools.chain.from_iterable(blocks)):
         alone = campaign.sample_operands(family, space, np.random.default_rng(seed))
         for (p, r, s), (p2, r2, s2) in zip(operands[0], alone[0]):
             assert p == p2

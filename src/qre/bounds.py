@@ -19,11 +19,11 @@ Conventions used throughout:
   valid and slightly loose against the 1/(p(1-p))-normalized gaps.
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
-of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} computed
-by eigendecomposition with below-cutoff modes zeroed before powering.  They
-run as one kernel over a block of (rho_ABC, sigma_AB) pairs
-(``verify_operator_ssa_block``): each stage is one stacked call over the
-block, and each report is bit-identical to the pair's own.
+of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} raised by
+``linalg.generalized_powers`` (below-cutoff modes zeroed).  They run as one
+kernel over a block of (rho_ABC, sigma_AB) pairs (``verify_operator_ssa_block``,
+both sides from ``operator_ssa_block_sides``): each stage is one stacked call
+over the block, and each report is bit-identical to the pair's own.
 ``verify_operator_ssa`` and ``verify_wyd_operator`` are the one-pair case; a
 block that raises is checked again pair by pair by the campaign.
 """
@@ -46,12 +46,14 @@ from .entropy import (
     von_neumann_entropy,
     wyd_skew_information,
 )
-from .errors import DivergentEntropy, InvalidParameter, IrregularFunction
+from .errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
 from .functions import OperatorConvexFunction, make_f_p, make_neg_log, make_neg_power, power_of
 from .linalg import (
     FactorizedSpace,
     PsdOperator,
+    _spectra,
     as_matrix,
+    generalized_powers,
     hermitize,
     hs_norm,
     op_norm,
@@ -529,7 +531,8 @@ def operator_ssa_block_sides(f: OperatorConvexFunction, rhos_abc, sigmas_ab, bet
     float per pair.  The traced f-actions, the P or Q residuals, their Gram
     matrices and the norms are each one stacked call, bit-equal per pair.
     The mirrored variants apply the transpose x f(1/x) both in the traced
-    action and in the window constants driving (N, alpha).
+    action and in the window constants driving (N, alpha), and need invertible
+    operands: the first pair with a rank-deficient one raises InvalidRank.
     """
     if space.nfactors != 3:
         raise InvalidParameter("operator inequalities need a tripartite space")
@@ -537,6 +540,11 @@ def operator_ssa_block_sides(f: OperatorConvexFunction, rhos_abc, sigmas_ab, bet
     sabs = [space.subspace((0, 1)).psd(sab) for sab in sigmas_ab]
     if variant not in OPERATOR_SSA_VARIANTS:
         raise InvalidParameter(f"unknown operator-inequality variant {variant!r}")
+    if variant in ("cor64", "cor65"):
+        for rho, sab in zip(rhos, sabs):
+            for name, op in (("rho_ABC", rho), ("sigma_AB", sab)):
+                if op.rank() < op.dim:
+                    raise InvalidRank(f"{variant} needs a faithful {name}, got rank {op.rank()}")
     t1, t2, g = _traced_terms(f, rhos, sabs, variant, space)
     if variant in ("thm62", "cor64"):
         resid = ssa_residuals_P(rhos, sabs, space, beta)
@@ -549,17 +557,6 @@ def operator_ssa_block_sides(f: OperatorConvexFunction, rhos_abc, sigmas_ab, bet
     # natural magnitude of the two traced terms; the difference may vanish
     scales = [max(n1, n2, 1e-30) for n1, n2 in zip(*op_norm(np.stack([t1, t2])).tolist())]
     return hermitize(grams), hermitize(t1 - t2), g, d_norms, scales
-
-
-def operator_ssa_sides(f: OperatorConvexFunction, rho_abc, sigma_ab, beta: float,
-                       variant: str, space: FactorizedSpace):
-    """(gram, rhs_op, machinery function, d_norm, scale) of one pair.
-
-    The one-pair case of ``operator_ssa_block_sides``.
-    """
-    grams, rhs_ops, g, d_norms, scales = operator_ssa_block_sides(
-        f, [rho_abc], [sigma_ab], beta, variant, space)
-    return grams[0], rhs_ops[0], g, d_norms[0], scales[0]
 
 
 def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> list[BoundReport]:
@@ -575,8 +572,8 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
     consts = [constants_for(mach, beta, 1.0, d_norm) for d_norm in d_norms]
     alpha = consts[0][2]                # alpha depends on (f, beta) only
     n_consts = np.array([n_const for _, n_const, _, _, _ in consts])
-    lhs_ops = n_consts[:, None, None] * PsdOperator.stacked_power(PsdOperator.stack(grams),
-                                                                  1.0 / alpha)
+    raised = generalized_powers(*_spectra(PsdOperator.stack(grams)), (1.0 / alpha,))
+    lhs_ops = n_consts[:, None, None] * raised[:, 0]
     diff_mins = np.linalg.eigvalsh(rhs_ops - lhs_ops).min(axis=1).tolist()
     rhs_mins = np.linalg.eigvalsh(rhs_ops).min(axis=1).tolist()
     reports = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DivergentEntropy, InvalidMatrix, QREError, SingularArgument
-from .functions import OperatorConvexFunction, make_g_p
+from .functions import OperatorConvexFunction
 from .linalg import (
     DEGENERACY_TOL,
     PsdOperator,
@@ -262,12 +262,6 @@ def _null_weight(f, mu, keep, mu_zero, weight):
     return np.where(~keep & (cols > tol[:, None]), cols, 0.0)
 
 
-def f_divergence(f: OperatorConvexFunction, rho, sigma) -> float:
-    """S_f(rho || sigma), the K = identity case."""
-    d = PsdOperator.wrap(rho).dim
-    return quasi_relative_entropy(f, np.eye(d), rho, sigma)
-
-
 def umegaki(rho, sigma) -> float:
     """Tr rho (ln rho - ln sigma) with generalized logs on the supports."""
     rho = PsdOperator.wrap(rho)
@@ -305,14 +299,6 @@ def wyd_skew_information(p: float, rho, k) -> float:
     c1 = km @ rp - rp @ km
     c2 = km @ rq - rq @ km
     return -0.5 * float(np.real(np.trace(c1 @ c2)))
-
-
-def j_p_entropy(p: float, k, rho, sigma) -> float:
-    """J_p(K, rho, sigma) = Tr(sigma^{1/2} K* g_p(Delta_{rho,sigma}) K sigma^{1/2})."""
-    if not 0.0 < p <= 2.0:
-        raise DivergentEntropy(f"J_p defined here for p in (0, 2], got {p}")
-    g = make_g_p(p)
-    return quasi_relative_entropy(g, k, sigma, rho)
 
 
 def classical_reduction(f: OperatorConvexFunction, rho, sigma):

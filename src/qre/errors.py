@@ -18,7 +18,7 @@ class ShapeMismatch(QREError):
 
 
 class InvalidRank(QREError):
-    """Requested rank is outside [1, dim]."""
+    """Requested rank is outside [1, dim], or an operand is below the rank a check assumes."""
 
 
 class InvalidParameter(QREError):

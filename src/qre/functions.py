@@ -174,18 +174,6 @@ def make_f_p(p: float) -> OperatorConvexFunction:
     )
 
 
-def make_x_log_x() -> OperatorConvexFunction:
-    """g(x) = x ln x, the transpose of -ln x; measure density t."""
-    return make_neg_log().transpose()
-
-
-def make_g_p(p: float) -> OperatorConvexFunction:
-    """g_p(x) = x * f_{1-p}(1/x) = (x - x^p)/(p(1-p)) for p != 1, x ln x at p = 1."""
-    if p == 1.0:
-        return make_x_log_x()
-    return make_f_p(1.0 - p).transpose()
-
-
 def split_id(fid: str) -> tuple[str, float | None]:
     """(head, p) of a function id: ("neg_log", None), ("f_p", 0.5), ("neg_power", 0.3)."""
     head, sep, tail = fid.strip().partition(":")

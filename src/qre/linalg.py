@@ -20,15 +20,15 @@ Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
 (and ``DensityMatrix.stack``, by inheritance) decomposes a ``(N, d, d)``
 stack with one ``eigh`` and runs the constructor's checks over the whole
 stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
-several operators as one stack, ``PsdOperator.powers`` builds the powers of a
-grid of exponents as one ``(G, d, d)`` stack, ``PsdOperator.stacked_power``
-one exponent's power of several operators as one ``(N, d, d)`` stack,
-``partial_trace`` and ``embed`` take leading stack axes and ``op_norm`` a
-stack of matrices (one batched SVD).  Each stacked result is bit-identical to
-the one-at-a-time result: LAPACK and BLAS run on every member exactly as they
-would alone, every power is raised with a scalar exponent, a partial trace
-sums each member's entries in the order it would alone, and the only other
-reductions are exact maxima.
+several operators as one stack, ``generalized_powers`` raises a stack of
+decomposed operators to a grid of exponents (``PsdOperator.power`` and
+``powers`` are its memoised reads for one operator), ``partial_trace`` and
+``embed`` take leading stack axes and ``op_norm`` a stack of matrices (one
+batched SVD).  Each stacked result is bit-identical to the one-at-a-time
+result: LAPACK and BLAS run on every member exactly as they would alone,
+every power is raised with a scalar exponent, a partial trace sums each
+member's entries in the order it would alone, and the only other reductions
+are exact maxima.
 A campaign samples a block of trials' operands and finishes their spectral
 work this way; a block holds at most a fixed byte budget of state matrices,
 and ``run_single`` still replays any campaign line byte for byte.
@@ -95,16 +95,6 @@ def default_cutoff(eigs: np.ndarray) -> float:
     eigs = np.asarray(eigs, dtype=float)
     top = float(np.abs(eigs).max(initial=0.0))
     return len(eigs) * EPS * top
-
-
-def matrix_function(m, fn, cutoff: float | None = None) -> np.ndarray:
-    """Apply a scalar function to the above-cutoff spectrum of Hermitian m."""
-    w, v = (m.eigs, m.vecs) if isinstance(m, PsdOperator) else spectral_decompose(m)
-    cut = default_cutoff(w) if cutoff is None else cutoff
-    keep = w > cut
-    fw = np.zeros_like(w)
-    fw[keep] = fn(w[keep])
-    return hermitize((v * fw) @ v.conj().T)
 
 
 def singular_values(m) -> np.ndarray:
@@ -299,11 +289,6 @@ class FactorizedSpace:
         return out.copy() if plan.whole else out
 
 
-def partial_trace(m, space: FactorizedSpace, keep) -> np.ndarray:
-    """Module-level alias for :meth:`FactorizedSpace.partial_trace`."""
-    return space.partial_trace(m, keep)
-
-
 class PsdOperator:
     """Positive semi-definite operator with a cached spectral decomposition.
 
@@ -353,36 +338,16 @@ class PsdOperator:
     def trace(self) -> float:
         return float(self.eigs.sum())
 
-    def power(self, beta: float, cutoff: float | None = None) -> np.ndarray:
-        """Generalized power: eigenvalues above the cutoff map to ``lam**beta``, the rest to 0.
+    def power(self, beta: float) -> np.ndarray:
+        """This operator raised to ``beta`` by ``generalized_powers``, memoised."""
+        return self.memo(("power", beta), lambda: generalized_powers(
+            self.vecs, self.eigs, self.cutoff, (beta,))[0])
 
-        Zeroing the below-cutoff modes realizes the generalized inverse for
-        negative exponents.
-        """
-        cut = self.cutoff if cutoff is None else cutoff
-        return self.memo(("power", beta, cut), lambda: self._powers((beta,), cut)[0])
-
-    def powers(self, betas, cutoff: float | None = None) -> np.ndarray:
-        """Read-only ``(G, d, d)`` stack of ``power(b, cutoff)`` for each of ``betas``, bit-equal."""
-        cut = self.cutoff if cutoff is None else cutoff
+    def powers(self, betas) -> np.ndarray:
+        """Read-only ``(G, d, d)`` stack of ``power(b)`` for each of ``betas``, memoised."""
         betas = tuple(betas)
-        return self.memo(("powers", betas, cut), lambda: self._powers(betas, cut))
-
-    def _powers(self, betas, cut):
-        wp = np.array([_raised_eigs(self.eigs, cut, b) for b in betas])
-        return hermitize((self.vecs * wp[:, None, :]) @ self.vecs.conj().T)
-
-    @staticmethod
-    def stacked_power(ops, beta: float) -> np.ndarray:
-        """``op.power(beta)`` of each of ``ops`` (of one dimension) as one ``(N, d, d)`` stack.
-
-        Bit-equal to ``power`` member by member: the stacked spectra are
-        raised with the one scalar exponent.  Nothing is memoised.
-        """
-        vecs = np.stack([op.vecs for op in ops])
-        wp = _raised_eigs(np.stack([op.eigs for op in ops]),
-                          np.array([op.cutoff for op in ops])[:, None], beta)
-        return hermitize((vecs * wp[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+        return self.memo(("powers", betas),
+                         lambda: generalized_powers(self.vecs, self.eigs, self.cutoff, betas))
 
     @classmethod
     def stack(cls, mats) -> list["PsdOperator"]:
@@ -425,8 +390,7 @@ class PsdOperator:
         return [op._memo[key] for op in ops]
 
     def support_projector(self) -> np.ndarray:
-        keep = (self.eigs > self.cutoff).astype(float)
-        return hermitize((self.vecs * keep) @ self.vecs.conj().T)
+        return self.power(0.0)
 
     def min_positive_eig(self) -> float:
         above = self.eigs[self.eigs > self.cutoff]
@@ -441,14 +405,39 @@ class PsdOperator:
         return int((self.eigs > self.cutoff).sum())
 
 
-def _raised_eigs(w, cut, beta):
-    """w ** beta where w is above ``cut``, 0 elsewhere, with ``beta`` a scalar.
+def _spectra(ops):
+    """The ``(vecs, eigs, cutoffs)`` of ``ops`` (of one dimension) as stacks."""
+    return (np.stack([op.vecs for op in ops]), np.stack([op.eigs for op in ops]),
+            np.array([op.cutoff for op in ops]))
+
+
+def generalized_powers(vecs, eigs, cutoffs, betas) -> np.ndarray:
+    """Each operator of a stack raised to each of ``betas``, as a ``(..., G, d, d)`` stack.
+
+    Operator ``i`` is ``vecs[i] diag(eigs[i]) vecs[i]*``, with ``vecs`` of
+    shape ``(..., d, d)``, ``eigs`` ``(..., d)`` and ``cutoffs`` ``(...)``.
+    Eigenvalues above the operator's cutoff map to ``lam**b``, the rest to 0,
+    which realizes the generalized inverse for negative exponents.  Each
+    exponent is raised as a scalar, so every entry is bit-equal to the
+    operator raised alone.
+    """
+    wp = _raised_eigs(eigs, np.asarray(cutoffs)[..., None], betas)
+    return hermitize((vecs[..., None, :, :] * wp[..., None, :])
+                     @ vecs.conj().swapaxes(-1, -2)[..., None, :, :])
+
+
+def _raised_eigs(w, cut, betas):
+    """``(..., G, d)``: w ** b where w is above ``cut``, 0 elsewhere, for each scalar b.
 
     numpy computes ``x ** 0.5`` with a scalar exponent as sqrt, with an array
     exponent as pow, and the two differ in the last bit.
     """
-    wp = np.where(w > cut, np.clip(w, cut, None), 1.0) ** beta
-    wp[w <= cut] = 0.0
+    keep = w > cut
+    base = np.where(keep, w, 1.0)
+    wp = np.empty(w.shape[:-1] + (len(betas), w.shape[-1]))
+    for g, beta in enumerate(betas):
+        wp[..., g, :] = base ** beta
+    np.copyto(wp, 0.0, where=~keep[..., None, :])
     return wp
 
 

@@ -12,7 +12,8 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import FactorizedSpace, PsdOperator, as_matrix, hermitize, hs_norm, op_norm
+from .linalg import (FactorizedSpace, PsdOperator, _spectra, as_matrix, generalized_powers,
+                     hermitize, hs_norm, op_norm)
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -34,12 +35,12 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
     return hermitize(rhalf @ core @ rhalf)
 
 
-def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v=None):
+def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v):
     """R_beta = sigma_1^b K rho_1^{-b} rho^{1/2} - sigma^b K rho^{1/2-b} and its HS norm.
 
     Bipartite convention: factor 0 is kept, factor 1 is traced out; the
     reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
-    kept factor and the unitary ``v`` on the traced one (identity if None).
+    kept factor and the unitary ``v`` on the traced one.
     """
     if not 0.0 < beta < 1.0:
         raise InvalidParameter(f"beta must lie strictly inside (0,1), got {beta}")
@@ -49,7 +50,7 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
     sigma = space.psd(sigma)
     rho1 = rho.marginal(space, (0,))
     sigma1 = sigma.marginal(space, (0,))
-    v = np.eye(space.dims[1]) if v is None else as_matrix(v)
+    v = as_matrix(v)
     k1 = as_matrix(k1)
     left = np.kron(sigma1.power(beta) @ k1 @ rho1.power(-beta), v) @ rho.power(0.5)
     right = sigma.power(beta) @ np.kron(k1, v) @ rho.power(0.5 - beta)
@@ -57,19 +58,17 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
     return resid, hs_norm(resid)
 
 
-def equality_condition_residual(rho, sigma, k, space: FactorizedSpace,
-                                beta_grid=DEFAULT_BETA_GRID) -> float:
-    """max over the beta grid of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
+def equality_condition_residual(rho, sigma, k, space: FactorizedSpace) -> float:
+    """max over ``DEFAULT_BETA_GRID`` of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
 
     Zero (within tolerance) exactly when the sampled saturation condition for
     the monotonicity inequality holds on the grid; the full condition
     quantifies over all beta, which analyticity reduces to a grid diagnostic.
     """
-    return equality_condition_residuals(rho, [sigma], k, space, beta_grid)[0]
+    return equality_condition_residuals(rho, [sigma], k, space)[0]
 
 
-def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
-                                 beta_grid=DEFAULT_BETA_GRID) -> list[float]:
+def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace) -> list[float]:
     """``equality_condition_residual`` of each of ``sigmas`` against one ``rho``.
 
     One stacked product and one batched SVD over sigmas x grid; each value is
@@ -80,11 +79,10 @@ def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
     km = space.check(k)
     rho1 = rho.marginal(space, (0,))
     sigma1s = PsdOperator.marginals(sigmas, space, (0,))
-    grid = tuple(beta_grid)
-    neg = tuple(-b for b in grid)
-    lhs = (space.embed(np.stack([s1.powers(grid) for s1 in sigma1s]), (0,)) @ km
+    neg = tuple(-b for b in DEFAULT_BETA_GRID)
+    lhs = (space.embed(np.stack([s1.powers(DEFAULT_BETA_GRID) for s1 in sigma1s]), (0,)) @ km
            @ space.embed(rho1.powers(neg), (0,)))
-    rhs = np.stack([sigma.powers(grid) for sigma in sigmas]) @ km @ rho.powers(neg)
+    rhs = np.stack([sigma.powers(DEFAULT_BETA_GRID) for sigma in sigmas]) @ km @ rho.powers(neg)
     # folded in grid order from 0.0, as a loop of max(worst, norm) would
     return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
 
@@ -100,8 +98,9 @@ def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np
 def ssa_residuals_P(rhos_abc, sigmas_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
     """``ssa_residual_P`` of each (rho_ABC, sigma_AB) pair, as one ``(N, d, d)`` stack.
 
-    Marginals come from ``PsdOperator.marginals`` and every power from
-    ``PsdOperator.stacked_power``, so each member is bit-equal to its pair alone.
+    Marginals come from ``PsdOperator.marginals`` and the powers of each list
+    of operators from one ``generalized_powers`` call, so each member is
+    bit-equal to its pair alone.
     """
     if space.nfactors != 3:
         raise ShapeMismatch("P residual expects a tripartite factorization")
@@ -110,11 +109,12 @@ def ssa_residuals_P(rhos_abc, sigmas_ab, space: FactorizedSpace, beta: float) ->
     sig_abs = [sub_ab.psd(sig) for sig in sigmas_ab]
     sig_bs = PsdOperator.marginals(sig_abs, sub_ab, (1,))
     rho_bcs = PsdOperator.marginals(rhos, space, (1, 2))
-    power = PsdOperator.stacked_power
-    term1 = (space.embed(power(sig_bs, beta), (1,))
-             @ space.embed(power(rho_bcs, -beta), (1, 2))
-             @ power(rhos, 0.5))
-    term2 = space.embed(power(sig_abs, beta), (0, 1)) @ power(rhos, 0.5 - beta)
+    rho_pows = generalized_powers(*_spectra(rhos), (0.5, 0.5 - beta))
+    term1 = (space.embed(generalized_powers(*_spectra(sig_bs), (beta,))[:, 0], (1,))
+             @ space.embed(generalized_powers(*_spectra(rho_bcs), (-beta,))[:, 0], (1, 2))
+             @ rho_pows[:, 0])
+    term2 = (space.embed(generalized_powers(*_spectra(sig_abs), (beta,))[:, 0], (0, 1))
+             @ rho_pows[:, 1])
     return term1 - term2
 
 
@@ -138,9 +138,9 @@ def ssa_residuals_Q(rhos_ab, sigmas_abc, space: FactorizedSpace, beta: float) ->
     rho_abs = [sub_ab.psd(rho) for rho in rhos_ab]
     rho_bs = PsdOperator.marginals(rho_abs, sub_ab, (1,))
     sig_bcs = PsdOperator.marginals(sigs, space, (1, 2))
-    power = PsdOperator.stacked_power
-    term1 = (space.embed(power(sig_bcs, beta), (1, 2))
-             @ space.embed(power(rho_bs, -beta), (1,))
-             @ space.embed(power(rho_abs, 0.5), (0, 1)))
-    term2 = power(sigs, beta) @ space.embed(power(rho_abs, 0.5 - beta), (0, 1))
+    rho_pows = space.embed(generalized_powers(*_spectra(rho_abs), (0.5, 0.5 - beta)), (0, 1))
+    term1 = (space.embed(generalized_powers(*_spectra(sig_bcs), (beta,))[:, 0], (1, 2))
+             @ space.embed(generalized_powers(*_spectra(rho_bs), (-beta,))[:, 0], (1,))
+             @ rho_pows[:, 0])
+    term2 = generalized_powers(*_spectra(sigs), (beta,))[:, 0] @ rho_pows[:, 1]
     return term1 - term2

@@ -217,8 +217,8 @@ def test_criterion_08_ssa_and_operator_ssa():
     for _ in range(100):
         rho = random_density(8, seed=rng)
         rho_ab = SPACE3.partial_trace(rho.mat, (0, 1))
-        _, rhs, _, _, _ = bounds.operator_ssa_sides(NEG_LOG, rho, rho_ab, 0.5,
-                                                    "thm62", SPACE3)
+        rhs = bounds.operator_ssa_block_sides(NEG_LOG, [rho], [rho_ab], 0.5,
+                                              "thm62", SPACE3)[1][0]
         worst_tr = max(worst_tr, abs(np.trace(rhs).real - ssa_gap(rho, SPACE3)))
     report("8 SSA and operator SSA", worst_tr < 1e-8,
            f"worst scalar gap {worst_gap:.3e}, trace mismatch {worst_tr:.2e}")

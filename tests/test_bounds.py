@@ -14,7 +14,7 @@ from qre.bounds import (
     constants_for,
     envelope_constants,
     monotonicity_gap,
-    operator_ssa_sides,
+    operator_ssa_block_sides,
     optimize_T_scalar,
     pinsker_check,
     power_family_constants,
@@ -36,15 +36,13 @@ from qre.bounds import (
     equality_suite,
 )
 from qre.entropy import von_neumann_entropy
-from qre.errors import DivergentEntropy, InvalidParameter, IrregularFunction
+from qre.errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
 from qre.campaign import run_single
-from qre.functions import make_f_p, make_neg_log, make_neg_power
+from qre.functions import from_id, make_f_p, make_neg_log, make_neg_power
 from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
     hermitize,
-    matrix_function,
-    partial_trace,
     random_contraction,
     random_density,
     random_unitary,
@@ -55,6 +53,15 @@ from test_functions import WINDOW_FUNCTIONS, window_constant
 NEG_LOG = make_neg_log()
 SPACE = FactorizedSpace((2, 2))
 SPACE3 = FactorizedSpace((2, 2, 2))
+
+
+def matrix_log(m):
+    """ln of the above-cutoff spectrum of the PSD matrix m, 0 on the rest: the log oracle."""
+    op = PsdOperator.wrap(m)
+    keep = op.eigs > op.cutoff
+    logs = np.zeros_like(op.eigs)
+    logs[keep] = np.log(op.eigs[keep])
+    return hermitize((op.vecs * logs) @ op.vecs.conj().T)
 
 
 # ----------------------------------------------------------------------------
@@ -483,21 +490,19 @@ class TestOperatorSSA:
     def test_kim_operator_identity(self):
         # log variant with sigma_AB = rho_AB reduces to the traced log combination
         rho = random_density(8, seed=12)
-        rho_ab = partial_trace(rho.mat, SPACE3, (0, 1))
-        _, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho, rho_ab, 0.5, "thm62", SPACE3)
-        logs = (matrix_function(rho, np.log)
-                - SPACE3.embed(matrix_function(rho_ab, np.log), (0, 1))
-                - SPACE3.embed(matrix_function(
-                    partial_trace(rho.mat, SPACE3, (1, 2)), np.log), (1, 2))
-                + SPACE3.embed(matrix_function(
-                    partial_trace(rho.mat, SPACE3, (1,)), np.log), (1,)))
+        rho_ab = SPACE3.partial_trace(rho.mat, (0, 1))
+        rhs = operator_ssa_block_sides(NEG_LOG, [rho], [rho_ab], 0.5, "thm62", SPACE3)[1][0]
+        logs = (matrix_log(rho)
+                - SPACE3.embed(matrix_log(rho_ab), (0, 1))
+                - SPACE3.embed(matrix_log(SPACE3.partial_trace(rho.mat, (1, 2))), (1, 2))
+                + SPACE3.embed(matrix_log(SPACE3.partial_trace(rho.mat, (1,))), (1,)))
         kim = hermitize(SPACE3.partial_trace(logs @ rho.mat, (2,)))
         np.testing.assert_allclose(rhs, kim, atol=1e-9)
 
     def test_kim_trace_is_ssa_gap(self):
         rho = random_density(8, seed=13)
-        rho_ab = partial_trace(rho.mat, SPACE3, (0, 1))
-        _, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho, rho_ab, 0.5, "thm62", SPACE3)
+        rho_ab = SPACE3.partial_trace(rho.mat, (0, 1))
+        rhs = operator_ssa_block_sides(NEG_LOG, [rho], [rho_ab], 0.5, "thm62", SPACE3)[1][0]
         assert abs(np.trace(rhs).real - ssa_gap(rho, SPACE3)) < 1e-8
 
     @pytest.mark.parametrize("variant", ["thm62", "thm63", "cor64", "cor65"])
@@ -512,12 +517,31 @@ class TestOperatorSSA:
             assert rep.passed, f"{variant} seed {seed}: {rep.details}"
             assert rep.details["min_eig_rhs"] >= -1e-9 * max(1.0, rep.details["rhs_scale"])
 
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5"])
+    @pytest.mark.parametrize("variant, rho_rank, sab_rank, operand", [
+        ("cor65", None, 2, "sigma_AB"), ("cor64", 3, None, "rho_ABC")])
+    def test_mirrored_variants_need_faithful_operands(self, variant, rho_rank, sab_rank,
+                                                      operand, fid):
+        # these pairs used to be reported as violations (margins -0.196 to -1.711)
+        f = from_id(fid)
+        full = (random_density(8, seed=5), random_density(4, seed=6))
+        rho = random_density(8, rank=rho_rank, seed=3)
+        sab = random_density(4, rank=sab_rank, seed=4)
+        for block in ([(rho, sab)], [full, (rho, sab), full]):
+            with pytest.raises(InvalidRank, match=f"{variant} needs a faithful {operand}"):
+                bounds.verify_operator_ssa_block(f, *zip(*block), 0.5, variant, SPACE3)
+        if variant == "cor65" and fid == "f_p:0.5":
+            with pytest.raises(InvalidRank, match="cor65 needs a faithful sigma_AB"):
+                verify_wyd_operator(0.5, rho, sab, 0.5, SPACE3)
+        assert verify_operator_ssa(f, *full, 0.5, variant, SPACE3).passed
+
     def test_equality_case_product(self):
         rho_ab = random_density(4, seed=14)
         rho_c = random_density(2, seed=15)
         rho = np.kron(rho_ab.mat, rho_c.mat)
-        gram, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho, rho_ab.mat, 0.5,
-                                             "thm62", SPACE3)
+        grams, rhs_ops, *_ = operator_ssa_block_sides(NEG_LOG, [rho], [rho_ab.mat], 0.5,
+                                                      "thm62", SPACE3)
+        gram, rhs = grams[0], rhs_ops[0]
         assert np.abs(gram).max() < 1e-12
         assert np.abs(rhs).max() < 1e-9
 
@@ -527,12 +551,11 @@ class TestOperatorSSA:
         space = FactorizedSpace((2, 1, 2))
         rho_ac = random_density(4, seed=16)
         sigma_a = np.eye(2, dtype=complex) / 2.0
-        _, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho_ac, sigma_a, 0.5,
-                                          "thm62", space)
+        rhs = operator_ssa_block_sides(NEG_LOG, [rho_ac], [sigma_a], 0.5, "thm62", space)[1][0]
         rho_c = PsdOperator(space.partial_trace(rho_ac.mat, (2,)))
         expected = (space.partial_trace(
-            matrix_function(rho_ac, np.log) @ rho_ac.mat, (2,))
-            - matrix_function(rho_c, np.log) @ rho_c.mat
+            matrix_log(rho_ac) @ rho_ac.mat, (2,))
+            - matrix_log(rho_c) @ rho_c.mat
             + math.log(2.0) * rho_c.mat)
         np.testing.assert_allclose(rhs, hermitize(expected), atol=1e-9)
         assert np.linalg.eigvalsh(rhs).min() > -1e-9
@@ -612,7 +635,7 @@ class TestWyd:
         p = 0.4
         rho = random_density(8, seed=23)
         sab = random_density(4, seed=24)
-        _, rhs, _, _, _ = operator_ssa_sides(make_f_p(p), rho, sab, 0.5, "cor65", SPACE3)
+        rhs = operator_ssa_block_sides(make_f_p(p), [rho], [sab], 0.5, "cor65", SPACE3)[1][0]
         sub_ab = SPACE3.subspace((0, 1))
         sb = PsdOperator(sub_ab.partial_trace(sab.mat, (1,)))
         rho_bc = PsdOperator(SPACE3.partial_trace(rho.mat, (1, 2)))
@@ -710,8 +733,7 @@ class TestEqualitySuite:
         sab = random_density(4, seed=40)
         tau = random_density(2, seed=41)
         rho = np.kron(sab.mat, tau.mat)
-        _, rhs, _, _, _ = operator_ssa_sides(NEG_LOG, rho, sab.mat, 0.5,
-                                             "thm62", SPACE3)
+        rhs = operator_ssa_block_sides(NEG_LOG, [rho], [sab.mat], 0.5, "thm62", SPACE3)[1][0]
         assert abs(np.trace(rhs).real) < 1e-10
         resid, = operator_ssa_equality_residuals(rho, [sab.mat], SPACE3,
                                                  (0.1, 0.25, 0.5, 0.75, 0.9))
@@ -726,8 +748,8 @@ def test_psd_power_zeroes_below_cutoff():
 
 def test_ssa_gap_matches_entropy_combination():
     rho = random_density(8, seed=37)
-    s_ab = von_neumann_entropy(partial_trace(rho.mat, SPACE3, (0, 1)))
-    s_bc = von_neumann_entropy(partial_trace(rho.mat, SPACE3, (1, 2)))
-    s_b = von_neumann_entropy(partial_trace(rho.mat, SPACE3, (1,)))
+    s_ab = von_neumann_entropy(SPACE3.partial_trace(rho.mat, (0, 1)))
+    s_bc = von_neumann_entropy(SPACE3.partial_trace(rho.mat, (1, 2)))
+    s_b = von_neumann_entropy(SPACE3.partial_trace(rho.mat, (1,)))
     s_abc = von_neumann_entropy(rho)
     assert ssa_gap(rho, SPACE3) == pytest.approx(s_ab + s_bc - s_abc - s_b, abs=1e-12)

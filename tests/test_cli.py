@@ -110,6 +110,22 @@ class TestVerify:
         assert code == 3
         assert "divergent entropy: f(0+) diverges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inequality, fid, rho_rank, sab_rank, operand", [
+        ("operator_ssa_cor65", "neg_log", None, 2, "sigma_AB"),
+        ("operator_ssa_cor65", "f_p:0.5", None, 2, "sigma_AB"),
+        ("operator_ssa_cor64", "neg_log", 3, None, "rho_ABC"),
+        ("operator_ssa_cor64", "f_p:0.5", 3, None, "rho_ABC"),
+        ("wyd_operator", "f_p:0.5", None, 2, "sigma_AB")])
+    def test_mirrored_variant_below_full_rank_is_input_error(self, tmp_path, capsys, inequality,
+                                                             fid, rho_rank, sab_rank, operand):
+        save_matrix(tmp_path / "rho.json", random_density(8, rank=rho_rank, seed=3).mat)
+        save_matrix(tmp_path / "sab.json", random_density(4, rank=sab_rank, seed=4).mat)
+        code = main(["verify", inequality, "--f", fid, "--beta", "0.5",
+                     "--rho", str(tmp_path / "rho.json"),
+                     "--sigma", str(tmp_path / "sab.json"), "--dims", "2x2x2"])
+        assert code == EXIT_INPUT
+        assert f"needs a faithful {operand}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
     def test_non_unitary_v_is_input_error(self, fixtures, inequality, capsys):
         save_matrix(fixtures / "v_bad.json", np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))

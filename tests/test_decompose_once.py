@@ -124,7 +124,6 @@ class TestMemoisation:
     def test_power_and_marginal_return_the_same_object(self):
         rho = random_density(8, seed=3)
         assert rho.power(0.25) is rho.power(0.25)
-        assert rho.power(-0.5, rho.cutoff) is rho.power(-0.5)
         assert rho.power(0.25) is not rho.power(0.75)
         assert rho.marginal(SPACE3, (1, 2)) is rho.marginal(SPACE3, [2, 1])
         assert rho.marginal(SPACE3, (1,)) is not rho.marginal(SPACE3, (2,))

@@ -12,8 +12,6 @@ from qre.entropy import (
     apply_f_modular,
     classical_reduction,
     effective_eigs,
-    f_divergence,
-    j_p_entropy,
     pinsker_sides,
     quasi_relative_entropy,
     trace_distance_pair,
@@ -261,6 +259,12 @@ class TestSkewInformation:
             assert abs(skew - ent) < 1e-9 * max(1.0, abs(skew))
 
 
+def j_p_entropy(p, k, rho, sigma):
+    """J_p(K, rho, sigma) = S_{g_p}^K(sigma || rho), g_p(x) = x f_{1-p}(1/x) (x ln x at p = 1)."""
+    g = (NEG_LOG if p == 1.0 else make_f_p(1.0 - p)).transpose()
+    return quasi_relative_entropy(g, k, sigma, rho)
+
+
 class TestJpEntropy:
     def test_p_one_is_umegaki(self):
         rho = random_density(3, seed=31)
@@ -344,4 +348,4 @@ def test_effective_eigs_clusters():
 def test_von_neumann_entropy():
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     assert abs(von_neumann_entropy(rho) - math.log(2)) < 1e-12
-    assert abs(f_divergence(NEG_LOG, rho, rho)) < 1e-12
+    assert abs(quasi_relative_entropy(NEG_LOG, np.eye(2), rho, rho)) < 1e-12

@@ -21,7 +21,6 @@ from qre.linalg import (
     matrix_to_json,
     norms,
     op_norm,
-    partial_trace,
     random_contraction,
     random_density,
     random_hermitian,
@@ -102,22 +101,22 @@ class TestPartialTrace:
         a = random_density(2, seed=1).mat
         b = random_density(3, seed=2).mat
         space = FactorizedSpace((2, 3))
-        np.testing.assert_allclose(partial_trace(np.kron(a, b), space, (0,)), a,
+        np.testing.assert_allclose(space.partial_trace(np.kron(a, b), (0,)), a,
                                    atol=1e-14)
-        np.testing.assert_allclose(partial_trace(np.kron(a, b), space, (1,)), b,
+        np.testing.assert_allclose(space.partial_trace(np.kron(a, b), (1,)), b,
                                    atol=1e-14)
 
     def test_maximally_entangled(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
-        out = partial_trace(rho, FactorizedSpace((2, 2)), (0,))
+        out = FactorizedSpace((2, 2)).partial_trace(rho, (0,))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
 
     def test_against_loop_oracle(self):
         rho = random_density(4, seed=3).mat
         space = FactorizedSpace((2, 2))
-        out = partial_trace(rho, space, (1,))
+        out = space.partial_trace(rho, (1,))
         oracle = np.zeros((2, 2), dtype=complex)
         for j in range(2):
             for jp in range(2):
@@ -129,19 +128,19 @@ class TestPartialTrace:
         for seed in range(10):
             rho = random_density(8, seed=seed).mat
             space = FactorizedSpace((2, 2, 2))
-            red = partial_trace(rho, space, (0, 2))
+            red = space.partial_trace(rho, (0, 2))
             assert abs(np.trace(red) - np.trace(rho)) < 8 * EPS * trace_norm(rho)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            partial_trace(np.eye(3), FactorizedSpace((2, 2)), (0,))
+            FactorizedSpace((2, 2)).partial_trace(np.eye(3), (0,))
 
 
 class TestTensorEmbed:
     def test_round_trip_with_partial_trace(self):
         rho = random_density(2, seed=7).mat
         sig = random_density(2, seed=8).mat
-        out = partial_trace(np.kron(rho, sig), FactorizedSpace((2, 2)), (0,))
+        out = FactorizedSpace((2, 2)).partial_trace(np.kron(rho, sig), (0,))
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_embed_matches_kron(self):
@@ -162,7 +161,7 @@ class TestTensorEmbed:
         space = FactorizedSpace((2, 1, 3))
         assert space.dim == 6
         rho = random_density(6, seed=12).mat
-        out = partial_trace(rho, space, (0, 2))
+        out = space.partial_trace(rho, (0, 2))
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
 

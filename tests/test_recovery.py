@@ -10,7 +10,6 @@ from qre.linalg import (
     hermitize,
     hs_norm,
     op_norm,
-    partial_trace,
     random_contraction,
     random_density,
     random_unitary,
@@ -38,14 +37,14 @@ class TestPetzRecover:
 
     def test_recovers_state_from_own_marginal(self):
         rho = random_density(4, seed=3)
-        gamma = partial_trace(rho.mat, SPACE, (0,))
+        gamma = SPACE.partial_trace(rho.mat, (0,))
         np.testing.assert_allclose(petz_recover(rho, gamma, SPACE, keep=(0,)),
                                    rho.mat, atol=1e-12)
 
     def test_matches_dense_triple_product(self):
         rho = random_density(4, seed=4)
         gamma = random_density(2, seed=5).mat
-        rho1 = PsdOperator(partial_trace(rho.mat, SPACE, (0,)))
+        rho1 = PsdOperator(SPACE.partial_trace(rho.mat, (0,)))
         inv_half = rho1.power(-0.5)
         expected = rho.power(0.5) @ np.kron(inv_half @ gamma @ inv_half,
                                             np.eye(2)) @ rho.power(0.5)
@@ -56,14 +55,14 @@ class TestPetzRecover:
         # Tr R_rho(gamma) equals the overlap of gamma with the marginal's support
         rho = random_density(4, rank=2, seed=6)
         gamma = random_density(2, seed=7).mat
-        rho1 = PsdOperator(partial_trace(rho.mat, SPACE, (0,)))
+        rho1 = PsdOperator(SPACE.partial_trace(rho.mat, (0,)))
         expected = np.trace(gamma @ rho1.support_projector()).real
         out = petz_recover(rho, gamma, SPACE, keep=(0,))
         assert abs(np.trace(out).real - expected) < 1e-10
 
     def test_recover_last_factors(self):
         rho = random_density(8, seed=8)
-        gamma = partial_trace(rho.mat, SPACE3, (1, 2))
+        gamma = SPACE3.partial_trace(rho.mat, (1, 2))
         out = petz_recover(rho, gamma, SPACE3, keep=(1, 2))
         np.testing.assert_allclose(out, rho.mat, atol=1e-11)
 
@@ -78,7 +77,7 @@ class TestMonotonicityResidual:
         # with K = I both terms reduce to rho^{1/2}; a noncommuting K leaves a
         # genuine skew remainder even at sigma = rho
         rho = random_density(4, seed=10)
-        resid, norm = monotonicity_residual(rho, rho, np.eye(2), SPACE, 0.5)
+        resid, norm = monotonicity_residual(rho, rho, np.eye(2), SPACE, 0.5, np.eye(2))
         assert norm < 1e-12
         np.testing.assert_allclose(resid, np.zeros((4, 4)), atol=1e-12)
 
@@ -86,7 +85,7 @@ class TestMonotonicityResidual:
     def test_beta_outside_open_unit_interval(self, beta):
         rho = random_density(4, seed=11)
         with pytest.raises(InvalidParameter):
-            monotonicity_residual(rho, rho, np.eye(2), SPACE, beta)
+            monotonicity_residual(rho, rho, np.eye(2), SPACE, beta, np.eye(2))
 
     def test_product_equality_case(self):
         r1 = random_density(2, seed=12)
@@ -95,7 +94,7 @@ class TestMonotonicityResidual:
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         for beta in (0.25, 0.5, 0.75):
-            _, norm = monotonicity_residual(rho, sig, np.eye(2), SPACE, beta)
+            _, norm = monotonicity_residual(rho, sig, np.eye(2), SPACE, beta, np.eye(2))
             assert norm < 1e-12
 
     def test_recovery_chain_half_exponent(self):
@@ -107,7 +106,7 @@ class TestMonotonicityResidual:
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
             _, rnorm = monotonicity_residual(rho, sig, k1, SPACE, 0.5, v=v)
-            sigma1 = partial_trace(sig.mat, SPACE, (0,))
+            sigma1 = SPACE.partial_trace(sig.mat, (0,))
             rec = petz_recover(rho, hermitize(k1.conj().T @ sigma1 @ k1), SPACE, (0,))
             k_full = np.kron(k1, v)
             target = hermitize(k_full.conj().T @ sig.mat @ k_full)
@@ -120,8 +119,8 @@ class TestMonotonicityResidual:
         v = random_unitary(2, seed=18)
         beta = 0.3
         resid, _ = monotonicity_residual(rho, sig, k1, SPACE, beta, v=v)
-        rho1 = PsdOperator(partial_trace(rho.mat, SPACE, (0,)))
-        sig1 = PsdOperator(partial_trace(sig.mat, SPACE, (0,)))
+        rho1 = PsdOperator(SPACE.partial_trace(rho.mat, (0,)))
+        sig1 = PsdOperator(SPACE.partial_trace(sig.mat, (0,)))
         k_full = np.kron(k1, v)
         direct = (np.kron(sig1.power(beta), np.eye(2)) @ k_full
                   @ np.kron(rho1.power(-beta), np.eye(2)) @ rho.power(0.5)

@@ -31,6 +31,7 @@ from qre.linalg import (
     DensityMatrix,
     FactorizedSpace,
     PsdOperator,
+    generalized_powers,
     hermitize,
     op_norm,
     random_contraction,
@@ -41,7 +42,7 @@ from qre.linalg import (
     random_unitary,
     rescale_contractions,
 )
-from qre.recovery import equality_condition_residual
+from qre.recovery import DEFAULT_BETA_GRID, equality_condition_residual
 
 BETAS = (0.5, -0.5, -1.0, 1.0, 2.0, 0.1, 0.9)
 GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -89,19 +90,23 @@ class TestPowers:
         for op in _states(seed, n=12):
             by_dim.setdefault(op.dim, []).append(op)
         for ops in by_dim.values():
-            for b in BETAS:
-                stack = PsdOperator.stacked_power(ops, b)
-                for op, row in zip(ops, stack):
-                    assert_bits(row, _fresh(op).power(b))
+            spectra = (np.stack([op.vecs for op in ops]), np.stack([op.eigs for op in ops]),
+                       np.array([op.cutoff for op in ops]))
+            for grid in [(b,) for b in BETAS] + [BETAS, GRID]:
+                stack = generalized_powers(*spectra, grid)
+                assert stack.shape == (len(ops), len(grid)) + ops[0].mat.shape
+                assert_bits(generalized_powers(*(x[None] for x in spectra), grid), stack[None])
+                for op, rows in zip(ops, stack):
+                    for b, row in zip(grid, rows):
+                        assert_bits(row, _fresh(op).power(b))
 
-    def test_explicit_cutoff_and_memo(self):
+    def test_powers_are_memoised_read_only(self):
         op = random_density(4, seed=2)
-        cut = 0.5 * op.eigs[1] + 0.5 * op.eigs[2]
-        stack = op.powers(BETAS, cut)
-        assert stack is op.powers(list(BETAS), cut)
+        stack = op.powers(BETAS)
+        assert stack is op.powers(list(BETAS))
         assert not stack.flags.writeable
         for b, row in zip(BETAS, stack):
-            assert_bits(row, PsdOperator(op.mat).power(b, cut))
+            assert_bits(row, PsdOperator(op.mat).power(b))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_are_bit_equal_to_the_two_dimensional_formula(self, seed):
@@ -327,7 +332,8 @@ class TestGridResiduals:
         rho = random_density(space.dim, rank=space.dim - seed % 2, seed=rng)
         sigma = random_density(space.dim, seed=rng)
         k = np.kron(random_contraction(space.dims[0], seed=rng), np.eye(space.dims[1]))
-        got = equality_condition_residual(rho, sigma, k, space, GRID)
+        assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
+        got = equality_condition_residual(rho, sigma, k, space)
         assert got == _loop_equality_condition_residual(_fresh(rho), _fresh(sigma), k,
                                                         space, GRID)
 

@@ -63,6 +63,7 @@ from .linalg import (
 )
 from .recovery import (
     DEFAULT_BETA_GRID,
+    _check_beta,
     equality_condition_residuals,
     monotonicity_residual,
     petz_recover,
@@ -132,6 +133,7 @@ def constants_for(f: OperatorConvexFunction, beta: float,
     """(M, N, alpha, C, c) for a regular f at the given operator norms."""
     if not f.regular:
         raise IrregularFunction(f"{f.name} carries no window constants")
+    _check_beta(beta)
     C = f.power_law_C()
     c = f.power_law_c(beta)
     m_const, n_const, alpha = envelope_constants(C, c, beta, k_norm, d_norm)
@@ -456,8 +458,8 @@ def _mixture_residual(km, comps, rho, sigma, beta):
     (sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||).
     """
     probs = np.array([pj for pj, _, _ in comps], dtype=float)
-    norms = np.array([hs_norm(sigma.power(beta) @ km @ rho.power(-beta) @ rj.power(0.5)
-                              - sj.power(beta) @ km @ rj.power(0.5 - beta))
+    mixed = sigma.power(beta) @ km @ rho.power(-beta)
+    norms = np.array([hs_norm(mixed @ rj.power(0.5) - sj.power(beta) @ km @ rj.power(0.5 - beta))
                       for _, rj, sj in comps])
     d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
     return (float((np.sqrt(probs) * norms).sum()),
@@ -472,14 +474,16 @@ def _joint_equality_residuals(km, ensembles, grid) -> list[float]:
     components; each maximum is folded per exponent over the components, then
     over the grid.
     """
-    grid = tuple(grid)
     neg = tuple(-b for b in grid)
-    mixed = (np.stack([sigma.powers(grid) for _, _, sigma in ensembles]) @ km
-             @ np.stack([rho.powers(neg) for _, rho, _ in ensembles]))
-    parts = (np.stack([np.stack([sj.powers(grid) for _, _, sj in comps], axis=1)
-                       for comps, _, _ in ensembles]) @ km
-             @ np.stack([np.stack([rj.powers(neg) for _, rj, _ in comps], axis=1)
-                         for comps, _, _ in ensembles]))
+    mixed = (generalized_powers(*_spectra([sigma for _, _, sigma in ensembles]), grid) @ km
+             @ generalized_powers(*_spectra([rho for _, rho, _ in ensembles]), neg))
+    comps = [c for cs, _, _ in ensembles for c in cs]
+    shape = (len(ensembles), -1, len(grid)) + km.shape     # [ensemble, component, grid]
+    sj_pows, rj_pows = (np.ascontiguousarray(generalized_powers(*_spectra(ops), betas)
+                                             .reshape(shape).swapaxes(1, 2))
+                        for ops, betas in (([sj for _, _, sj in comps], grid),
+                                           ([rj for _, rj, _ in comps], neg)))
+    parts = sj_pows @ km @ rj_pows
     norms = op_norm(mixed[:, :, None] - parts).tolist()
     return [max(functools.reduce(max, row, 0.0) for row in rows) for rows in norms]
 
@@ -799,16 +803,16 @@ EQUALITY_GAP_TOL = 1e-10
 EQUALITY_RESIDUAL_TOL = 1e-8
 
 
-def _floored_state(dim, rng, floor=0.15):
+def _floored_state(dim, rng):
     """Random state mixed with the maximally mixed one.
 
     Equality instances are constructed inputs; the spectral floor keeps the
     generalized-inverse powers in the residual diagnostics away from the
     roundoff-amplification regime at the large grid exponents.
     """
+    floor = 0.15
     raw = random_state_matrix(dim, seed=rng)
-    return PsdOperator(hermitize((1.0 - floor) * raw
-                                 + floor * np.eye(dim) / dim))
+    return PsdOperator(hermitize((1.0 - floor) * raw + floor * np.eye(dim) / dim))
 
 
 def _sweep_reports(inequality_id, f, pairs, digest):
@@ -882,21 +886,21 @@ def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[Bound
                           digest_inputs(km, base_r.mat, base_s))
 
 
-def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space, beta_grid) -> list[float]:
-    """max over the grid of || sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b} ||_op, per sigma_AB.
+def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space) -> list[float]:
+    """Per sigma_AB: max over the grid of ||sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b}||_op.
 
-    One stacked product and one batched SVD over sigmas x grid.
+    One stacked product and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
     """
     rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
     sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
     sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
     rho_bc = rho.marginal(space, (1, 2))
-    grid = tuple(beta_grid)
-    neg = tuple(-b for b in grid)
-    lhs = (space.embed(np.stack([sb.powers(grid) for sb in sbs]), (1,))
-           @ space.embed(rho_bc.powers(neg), (1, 2)))
-    rhs = space.embed(np.stack([sab.powers(grid) for sab in sabs]), (0, 1)) @ rho.powers(neg)
+    grid, neg = DEFAULT_BETA_GRID, tuple(-b for b in DEFAULT_BETA_GRID)
+    lhs = (space.embed(generalized_powers(*_spectra(sbs), grid), (1,))
+           @ space.embed(generalized_powers(*_spectra([rho_bc]), neg)[0], (1, 2)))
+    rhs = (space.embed(generalized_powers(*_spectra(sabs), grid), (0, 1))
+           @ generalized_powers(*_spectra([rho]), neg)[0])
     return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
 
 
@@ -917,7 +921,7 @@ def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
                               for eps in EPS_SWEEP])
     t1, t2, _ = _traced_terms(f, [rho] * len(sabs), sabs, "thm62", space)
     gaps = [float(np.real(np.trace(diff))) for diff in hermitize(t1 - t2)]
-    resids = operator_ssa_equality_residuals(rho, sabs, space, DEFAULT_BETA_GRID)
+    resids = operator_ssa_equality_residuals(rho, sabs, space)
     return _sweep_reports("equality_operator_ssa", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, rho_ab.mat))
 

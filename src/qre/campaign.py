@@ -67,6 +67,9 @@ class CampaignConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("inequalities", "functions", "dims", "betas"):
+            if not getattr(self, name):
+                raise InvalidParameter(f"{name} must list at least one entry")
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if any(not 0.0 < b < 1.0 for b in self.betas):
@@ -462,7 +465,7 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
             stats = summary.per_inequality.setdefault(
                 ineq, {"reports": 0, "passes": 0, "divergent": 0,
                        "worst_margin": float("inf")})
-            fids = config.functions if family.uses_f else (config.functions[:1] or ("neg_log",))
+            fids = config.functions if family.uses_f else config.functions[:1]
             betas = config.betas if family.uses_beta else config.betas[:1]
             for dims in config.dims:
                 if family.nfactors is not None and len(dims) != family.nfactors:

@@ -320,7 +320,8 @@ def classical_reduction(f: OperatorConvexFunction, rho, sigma):
     return p, q, div
 
 
-def _classical_term(f, pj, qj, tol=1e-15):
+def _classical_term(f, pj, qj):
+    tol = 1e-15
     if pj <= tol:
         if qj <= tol:
             return 0.0

@@ -21,8 +21,8 @@ Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
 stack with one ``eigh`` and runs the constructor's checks over the whole
 stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
 several operators as one stack, ``generalized_powers`` raises a stack of
-decomposed operators to a grid of exponents (``PsdOperator.power`` and
-``powers`` are its memoised reads for one operator), ``partial_trace`` and
+decomposed operators to a grid of exponents (``PsdOperator.power`` is its
+memoised read for one operator and one exponent), ``partial_trace`` and
 ``embed`` take leading stack axes and ``op_norm`` a stack of matrices (one
 batched SVD).  Each stacked result is bit-identical to the one-at-a-time
 result: LAPACK and BLAS run on every member exactly as they would alone,
@@ -342,12 +342,6 @@ class PsdOperator:
         """This operator raised to ``beta`` by ``generalized_powers``, memoised."""
         return self.memo(("power", beta), lambda: generalized_powers(
             self.vecs, self.eigs, self.cutoff, (beta,))[0])
-
-    def powers(self, betas) -> np.ndarray:
-        """Read-only ``(G, d, d)`` stack of ``power(b)`` for each of ``betas``, memoised."""
-        betas = tuple(betas)
-        return self.memo(("powers", betas),
-                         lambda: generalized_powers(self.vecs, self.eigs, self.cutoff, betas))
 
     @classmethod
     def stack(cls, mats) -> list["PsdOperator"]:

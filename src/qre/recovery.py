@@ -2,7 +2,8 @@
 
 Reduced operators always act through identity embeddings in their original
 tensor slots; subsystem order is fixed by the FactorizedSpace and never
-permuted.
+permuted.  ``PsdOperator.power`` is the memoised read of one power; a list of
+operators is raised with one ``generalized_powers`` call.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
     reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
     kept factor and the unitary ``v`` on the traced one.
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidParameter(f"beta must lie strictly inside (0,1), got {beta}")
+    _check_beta(beta)
     if space.nfactors != 2:
         raise ShapeMismatch("monotonicity residual expects a bipartite factorization")
     rho = space.psd(rho)
@@ -79,12 +79,41 @@ def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace) -> list
     km = space.check(k)
     rho1 = rho.marginal(space, (0,))
     sigma1s = PsdOperator.marginals(sigmas, space, (0,))
-    neg = tuple(-b for b in DEFAULT_BETA_GRID)
-    lhs = (space.embed(np.stack([s1.powers(DEFAULT_BETA_GRID) for s1 in sigma1s]), (0,)) @ km
-           @ space.embed(rho1.powers(neg), (0,)))
-    rhs = np.stack([sigma.powers(DEFAULT_BETA_GRID) for sigma in sigmas]) @ km @ rho.powers(neg)
+    grid, neg = DEFAULT_BETA_GRID, tuple(-b for b in DEFAULT_BETA_GRID)
+    lhs = (space.embed(generalized_powers(*_spectra(sigma1s), grid), (0,)) @ km
+           @ space.embed(generalized_powers(*_spectra([rho1]), neg)[0], (0,)))
+    rhs = (generalized_powers(*_spectra(sigmas), grid) @ km
+           @ generalized_powers(*_spectra([rho]), neg)[0])
     # folded in grid order from 0.0, as a loop of max(worst, norm) would
     return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
+
+
+def _check_beta(beta: float):     # a NaN fails too
+    if not 0.0 < beta < 1.0:
+        raise InvalidParameter(f"beta must lie strictly inside (0,1), got {beta}")
+
+
+def _ssa_residuals(xs, x_slots, ys, y_slots, space: FactorizedSpace, beta: float) -> np.ndarray:
+    """Y_m^b X_m^{-b} X^{1/2} - Y^b X^{1/2-b} of each (X, Y) pair, as one ``(N, d, d)`` stack.
+
+    X and Y act on the slots ``x_slots`` and ``y_slots`` of A|B|C, each a prefix
+    (0, ...); X_m and Y_m, their marginals without A, on the slots past A.  The
+    powers of each list of operators are one ``generalized_powers`` call, so
+    each member is bit-equal to its pair alone.
+    """
+    _check_beta(beta)
+    if space.nfactors != 3:
+        raise ShapeMismatch("SSA residuals expect a tripartite factorization")
+    sub_x, sub_y = space.subspace(x_slots), space.subspace(y_slots)
+    xs, ys = [sub_x.psd(x) for x in xs], [sub_y.psd(y) for y in ys]
+    x_ms = PsdOperator.marginals(xs, sub_x, x_slots[1:])
+    y_ms = PsdOperator.marginals(ys, sub_y, y_slots[1:])
+    x_pows = space.embed(generalized_powers(*_spectra(xs), (0.5, 0.5 - beta)), x_slots)
+    term1 = (space.embed(generalized_powers(*_spectra(y_ms), (beta,))[:, 0], y_slots[1:])
+             @ space.embed(generalized_powers(*_spectra(x_ms), (-beta,))[:, 0], x_slots[1:])
+             @ x_pows[:, 0])
+    term2 = space.embed(generalized_powers(*_spectra(ys), (beta,))[:, 0], y_slots) @ x_pows[:, 1]
+    return term1 - term2
 
 
 def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
@@ -96,26 +125,8 @@ def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np
 
 
 def ssa_residuals_P(rhos_abc, sigmas_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """``ssa_residual_P`` of each (rho_ABC, sigma_AB) pair, as one ``(N, d, d)`` stack.
-
-    Marginals come from ``PsdOperator.marginals`` and the powers of each list
-    of operators from one ``generalized_powers`` call, so each member is
-    bit-equal to its pair alone.
-    """
-    if space.nfactors != 3:
-        raise ShapeMismatch("P residual expects a tripartite factorization")
-    rhos = [space.psd(rho) for rho in rhos_abc]
-    sub_ab = space.subspace((0, 1))
-    sig_abs = [sub_ab.psd(sig) for sig in sigmas_ab]
-    sig_bs = PsdOperator.marginals(sig_abs, sub_ab, (1,))
-    rho_bcs = PsdOperator.marginals(rhos, space, (1, 2))
-    rho_pows = generalized_powers(*_spectra(rhos), (0.5, 0.5 - beta))
-    term1 = (space.embed(generalized_powers(*_spectra(sig_bs), (beta,))[:, 0], (1,))
-             @ space.embed(generalized_powers(*_spectra(rho_bcs), (-beta,))[:, 0], (1, 2))
-             @ rho_pows[:, 0])
-    term2 = (space.embed(generalized_powers(*_spectra(sig_abs), (beta,))[:, 0], (0, 1))
-             @ rho_pows[:, 1])
-    return term1 - term2
+    """``ssa_residual_P`` of each (rho_ABC, sigma_AB) pair, as one ``(N, d, d)`` stack."""
+    return _ssa_residuals(rhos_abc, (0, 1, 2), sigmas_ab, (0, 1), space, beta)
 
 
 def ssa_residual_Q(rho_ab, sigma_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
@@ -127,20 +138,5 @@ def ssa_residual_Q(rho_ab, sigma_abc, space: FactorizedSpace, beta: float) -> np
 
 
 def ssa_residuals_Q(rhos_ab, sigmas_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """``ssa_residual_Q`` of each (rho_AB, sigma_ABC) pair, as one ``(N, d, d)`` stack.
-
-    Built as ``ssa_residuals_P`` is, so each member is bit-equal to its pair alone.
-    """
-    if space.nfactors != 3:
-        raise ShapeMismatch("Q residual expects a tripartite factorization")
-    sigs = [space.psd(sig) for sig in sigmas_abc]
-    sub_ab = space.subspace((0, 1))
-    rho_abs = [sub_ab.psd(rho) for rho in rhos_ab]
-    rho_bs = PsdOperator.marginals(rho_abs, sub_ab, (1,))
-    sig_bcs = PsdOperator.marginals(sigs, space, (1, 2))
-    rho_pows = space.embed(generalized_powers(*_spectra(rho_abs), (0.5, 0.5 - beta)), (0, 1))
-    term1 = (space.embed(generalized_powers(*_spectra(sig_bcs), (beta,))[:, 0], (1, 2))
-             @ space.embed(generalized_powers(*_spectra(rho_bs), (-beta,))[:, 0], (1,))
-             @ rho_pows[:, 0])
-    term2 = generalized_powers(*_spectra(sigs), (beta,))[:, 0] @ rho_pows[:, 1]
-    return term1 - term2
+    """``ssa_residual_Q`` of each (rho_AB, sigma_ABC) pair, as one ``(N, d, d)`` stack."""
+    return _ssa_residuals(rhos_ab, (0, 1), sigmas_abc, (0, 1, 2), space, beta)

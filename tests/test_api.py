@@ -4,6 +4,9 @@ Every public module-level function and class of a ``qre`` submodule must be
 referenced by the package itself (the command line included) or by a script
 under ``scripts/``.  The package namespace does not count as a reference, so a
 name that only tests use fails here unless ``TEST_ONLY`` lists it with a reason.
+Every public method of a public class must likewise be read as a ``.name``
+attribute somewhere in the package or the scripts, or be listed with a reason
+in ``TEST_ONLY_METHODS``.
 """
 
 import ast
@@ -59,6 +62,15 @@ TEST_ONLY = {
 }
 
 
+# public methods that only tests use, each a definition of the paper the tests compare against
+TEST_ONLY_METHODS = {
+    "ModularOperator.apply": "the modular operator's action sigma X rho^{-1}, which f(Delta) "
+                             "is checked against",
+    "OperatorConvexFunction.mu_density": "the Loewner measure density that the window "
+                                         "constants are derived from",
+}
+
+
 def _public_definitions():
     """(module stem, name) of every public module-level function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
@@ -96,6 +108,23 @@ def _referenced_names():
     return refs
 
 
+def _public_methods():
+    """"Class.method" of every public method of a public module-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from (f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _attribute_names():
+    """Every ``.name`` attribute in the package and the scripts."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    return {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
 def test_exports_are_pinned():
     assert qre.__all__ == EXPORTS
     assert all(hasattr(qre, name) for name in qre.__all__)
@@ -114,3 +143,17 @@ def test_test_only_list_is_current():
     uncalled = {name for module, name in _public_definitions()
                 if (module, name) not in referenced}
     assert sorted(set(TEST_ONLY) - uncalled) == []
+
+
+def test_every_public_method_has_a_caller():
+    attributes = _attribute_names()
+    unused = [method for method in _public_methods()
+              if method.rpartition(".")[2] not in attributes and method not in TEST_ONLY_METHODS]
+    assert unused == [], "public methods nothing in src/ or scripts/ reads"
+
+
+def test_test_only_methods_are_current():
+    attributes = _attribute_names()
+    uncalled = {method for method in _public_methods()
+                if method.rpartition(".")[2] not in attributes}
+    assert sorted(set(TEST_ONLY_METHODS) - uncalled) == []

@@ -235,6 +235,12 @@ class TestExplicitN:
             assert consts[1] == pytest.approx(explicit_N("power", beta, p, k_norm, d_norm),
                                               rel=1e-13)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_constants_for_rejects_beta_outside_the_open_interval(self, beta):
+        for f in (NEG_LOG, make_neg_power(0.3), make_f_p(0.5)):
+            with pytest.raises(InvalidParameter, match="strictly inside"):
+                constants_for(f, beta, 1.0, 1.0)
+
     def test_positive_and_decreasing_in_d(self):
         for beta in (0.3, 0.6):
             values = [explicit_N("log", beta, None, 1.0, d) for d in (1.0, 5.0, 50.0)]
@@ -735,8 +741,7 @@ class TestEqualitySuite:
         rho = np.kron(sab.mat, tau.mat)
         rhs = operator_ssa_block_sides(NEG_LOG, [rho], [sab.mat], 0.5, "thm62", SPACE3)[1][0]
         assert abs(np.trace(rhs).real) < 1e-10
-        resid, = operator_ssa_equality_residuals(rho, [sab.mat], SPACE3,
-                                                 (0.1, 0.25, 0.5, 0.75, 0.9))
+        resid, = operator_ssa_equality_residuals(rho, [sab.mat], SPACE3)
         assert resid < 1e-8
 
 

@@ -79,6 +79,14 @@ class TestConfig:
             run_campaign(config, stream)
         assert stream.getvalue() == "" and not out.exists()
 
+    @pytest.mark.parametrize("field", ["inequalities", "functions", "dims", "betas"])
+    def test_empty_list_rejected(self, field):
+        # an empty list would run no trial and pass vacuously
+        with pytest.raises(InvalidParameter, match=f"{field} must list"):
+            CampaignConfig(**{"inequalities": ("monotonicity",), field: ()})
+        with pytest.raises(InvalidParameter, match=f"{field} must list"):
+            parse_config(f"inequalities = monotonicity\n{field} =\n")
+
     @pytest.mark.parametrize("line", ["trails = 5", "tol.monotonicity = 1e-6"])
     def test_unknown_key_rejected(self, line):
         with pytest.raises(InvalidParameter, match="unknown config key"):

@@ -8,6 +8,7 @@ import pytest
 from qre.bounds import envelope_constants
 from qre.campaign import FAMILIES, run_single, sample_operands
 from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main, verifiable
+from qre.functions import from_id
 from qre.linalg import FactorizedSpace, random_density, random_unitary, save_matrix
 
 
@@ -301,6 +302,39 @@ class TestBoundsConstants:
         assert float(printed[0]["N"]) > 0
 
 
+# the verify choices whose check reads beta
+BETA_FAMILIES = [name for name in verifiable() if FAMILIES[name].uses_beta]
+OUTSIDE_BETAS = ["0", "1", "1.5", "-0.2", "nan"]
+
+
+class TestBetaOutsideTheOpenInterval:
+    def test_the_families(self):
+        assert BETA_FAMILIES == ["thm42", "monotonicity_bound", "ssa", "operator_ssa_thm62",
+                                 "operator_ssa_thm63", "operator_ssa_cor64",
+                                 "operator_ssa_cor65", "wyd_operator", "cauchy_schwarz"]
+
+    @pytest.mark.parametrize("beta", OUTSIDE_BETAS)
+    @pytest.mark.parametrize("inequality", BETA_FAMILIES)
+    def test_verify_is_input_error(self, fixtures, capsys, inequality, beta):
+        family = FAMILIES[inequality]
+        fid = "neg_log" if family.admits(from_id("neg_log")) else "f_p:0.5"
+        rho, sigma, dims = (("rho8", "sab", "2x2x2") if family.nfactors == 3
+                            else ("rho4", "sigma4", "2x2"))
+        code = main(["verify", inequality, "--f", fid, "--beta", beta,
+                     "--rho", str(fixtures / f"{rho}.json"),
+                     "--sigma", str(fixtures / f"{sigma}.json"), "--dims", dims])
+        assert code == EXIT_INPUT
+        assert "beta must lie strictly inside (0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", OUTSIDE_BETAS)
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5", "neg_power:0.3"])
+    def test_constants_is_input_error(self, capsys, fid, beta):
+        assert main(["bounds", "constants", "--f", fid, "--beta", beta]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "beta must lie strictly inside (0,1)" in captured.err
+        assert captured.out == ""
+
+
 class TestReprCheck:
     @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5", "neg_power:0.3"])
     def test_fidelity(self, fid, capsys):
@@ -333,6 +367,15 @@ class TestCampaignCommand:
         out = tmp_path / "reports.jsonl"
         cfg.write_text(f"inequalities = monotonicity\ntrials = 2\n{line}\noutput = {out}\n")
         assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["inequalities", "functions", "dims", "betas"])
+    def test_empty_list_is_input_error(self, tmp_path, capsys, field):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "reports.jsonl"
+        cfg.write_text(f"inequalities = monotonicity\n{field} =\noutput = {out}\n")
+        assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert f"{field} must list at least one entry" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_input_error(self, tmp_path):

@@ -20,6 +20,8 @@ from qre.linalg import (
     DEGENERACY_TOL,
     FactorizedSpace,
     PsdOperator,
+    _spectra,
+    generalized_powers,
     hermitize,
     random_contraction,
     random_density,
@@ -164,12 +166,15 @@ class TestMemoisation:
 
     def test_power_kernels_agree_bit_for_bit(self):
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            m = random_density(6, rank=int(rng.integers(1, 7)), seed=rng).mat * 3.0
-            for beta in (-0.5, 0.5, 2.0):
+        mats = [random_density(6, rank=int(rng.integers(1, 7)), seed=rng).mat * 3.0
+                for _ in range(5)]
+        betas = (-0.5, 0.5, 2.0)
+        raised = generalized_powers(*_spectra([PsdOperator(m) for m in mats]), betas)
+        for m, rows in zip(mats, raised):
+            for beta, row in zip(betas, rows):
                 expected = _reference_power(m, beta)
                 np.testing.assert_array_equal(PsdOperator.wrap(m).power(beta), expected)
-                np.testing.assert_array_equal(PsdOperator(m).powers((beta,))[0], expected)
+                np.testing.assert_array_equal(row, expected)
 
 
 def _reference_power(m, beta):

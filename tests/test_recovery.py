@@ -201,3 +201,12 @@ class TestSsaResiduals:
                   - PsdOperator(sig.mat).power(beta)
                   @ np.kron(PsdOperator(rho_ab.mat).power(0.5 - beta), np.eye(2)))
         np.testing.assert_allclose(q, direct, atol=1e-11)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_beta_outside_the_open_interval_rejected(self, beta):
+        rho = random_density(8, seed=37).mat
+        sab = random_density(4, seed=38).mat
+        for residual in (lambda: ssa_residual_P(rho, sab, SPACE3, beta),
+                         lambda: ssa_residual_Q(sab, rho, SPACE3, beta)):
+            with pytest.raises(InvalidParameter, match="strictly inside"):
+                residual()

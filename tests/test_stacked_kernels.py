@@ -31,6 +31,7 @@ from qre.linalg import (
     DensityMatrix,
     FactorizedSpace,
     PsdOperator,
+    _spectra,
     generalized_powers,
     hermitize,
     op_norm,
@@ -42,7 +43,14 @@ from qre.linalg import (
     random_unitary,
     rescale_contractions,
 )
-from qre.recovery import DEFAULT_BETA_GRID, equality_condition_residual
+from qre.recovery import (
+    DEFAULT_BETA_GRID,
+    equality_condition_residual,
+    ssa_residual_P,
+    ssa_residual_Q,
+    ssa_residuals_P,
+    ssa_residuals_Q,
+)
 
 BETAS = (0.5, -0.5, -1.0, 1.0, 2.0, 0.1, 0.9)
 GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -66,32 +74,42 @@ def _states(seed, n=6):
     return out
 
 
+def _raised(ops, betas):
+    """``generalized_powers`` over a list of operators of one dimension."""
+    return generalized_powers(*_spectra(ops), betas)
+
+
+def _by_dim(ops):
+    """``ops`` in lists of one dimension each."""
+    by_dim = {}
+    for op in ops:
+        by_dim.setdefault(op.dim, []).append(op)
+    return list(by_dim.values())
+
+
 class TestPowers:
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_are_bit_equal_to_single_powers(self, seed):
-        for op in _states(seed):
-            fresh = PsdOperator(op.mat)
-            stack = op.powers(BETAS)
-            assert stack.shape == (len(BETAS), op.dim, op.dim)
-            for b, row in zip(BETAS, stack):
-                assert_bits(row, fresh.power(b))
+        for ops in _by_dim(_states(seed)):
+            stack = _raised(ops, BETAS)
+            assert stack.shape == (len(ops), len(BETAS), ops[0].dim, ops[0].dim)
+            for op, rows in zip(ops, stack):
+                fresh = PsdOperator(op.mat)
+                for b, row in zip(BETAS, rows):
+                    assert_bits(row, fresh.power(b))
 
     def test_modes_below_the_cutoff_are_zeroed(self):
         op = random_density(6, rank=3, seed=1)
         assert op.rank() == 3
         proj = op.support_projector()
-        for b, row in zip(BETAS, op.powers(BETAS)):
+        for b, row in zip(BETAS, _raised([op], BETAS)[0]):
             assert_bits(row, PsdOperator(op.mat).power(b))
             np.testing.assert_allclose(row @ (np.eye(6) - proj), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_power_is_bit_equal_to_each_power(self, seed):
-        by_dim = {}
-        for op in _states(seed, n=12):
-            by_dim.setdefault(op.dim, []).append(op)
-        for ops in by_dim.values():
-            spectra = (np.stack([op.vecs for op in ops]), np.stack([op.eigs for op in ops]),
-                       np.array([op.cutoff for op in ops]))
+        for ops in _by_dim(_states(seed, n=12)):
+            spectra = _spectra(ops)
             for grid in [(b,) for b in BETAS] + [BETAS, GRID]:
                 stack = generalized_powers(*spectra, grid)
                 assert stack.shape == (len(ops), len(grid)) + ops[0].mat.shape
@@ -100,19 +118,21 @@ class TestPowers:
                     for b, row in zip(grid, rows):
                         assert_bits(row, _fresh(op).power(b))
 
-    def test_powers_are_memoised_read_only(self):
+    def test_power_is_memoised_read_only(self):
         op = random_density(4, seed=2)
-        stack = op.powers(BETAS)
-        assert stack is op.powers(list(BETAS))
-        assert not stack.flags.writeable
-        for b, row in zip(BETAS, stack):
+        for b, row in zip(BETAS, _raised([op], BETAS)[0]):
+            power = op.power(b)
+            assert power is op.power(b)
+            assert not power.flags.writeable
+            assert_bits(power, row)
             assert_bits(row, PsdOperator(op.mat).power(b))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_are_bit_equal_to_the_two_dimensional_formula(self, seed):
-        for op in _states(seed):
-            for b, row in zip(BETAS, op.powers(BETAS)):
-                assert_bits(row, _matrix_power(op, b))
+        for ops in _by_dim(_states(seed)):
+            for op, rows in zip(ops, _raised(ops, BETAS)):
+                for b, row in zip(BETAS, rows):
+                    assert_bits(row, _matrix_power(op, b))
 
 
 def _matrix_power(op, beta):
@@ -360,9 +380,59 @@ class TestGridResiduals:
         rng = np.random.default_rng(seed)
         rho = random_density(space.dim, seed=rng)
         sab = random_density(space.subspace((0, 1)).dim, rank=3 - seed % 2, seed=rng)
-        got, = bounds.operator_ssa_equality_residuals(rho, [sab], space, GRID)
+        assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
+        got, = bounds.operator_ssa_equality_residuals(rho, [sab], space)
         assert got == _loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
                                                            space, GRID)
+
+
+# ----------------------------------------------------------------------------
+# The SSA residuals P and Q over a stack of pairs, against the one-pair formula
+# ----------------------------------------------------------------------------
+
+def _oracle_P(rho, sab, space, beta):
+    """sigma_B^b rho_BC^{-b} rho^{1/2} - sigma_AB^b rho^{1/2-b}, operator by operator."""
+    sb = PsdOperator(space.subspace((0, 1)).partial_trace(sab.mat, (1,)))
+    rho_bc = PsdOperator(space.partial_trace(rho.mat, (1, 2)))
+    return (space.embed(sb.power(beta), (1,)) @ space.embed(rho_bc.power(-beta), (1, 2))
+            @ rho.power(0.5)
+            - space.embed(sab.power(beta), (0, 1)) @ rho.power(0.5 - beta))
+
+
+def _oracle_Q(rho_ab, sig, space, beta):
+    """sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma^b rho_AB^{1/2-b}, operator by operator."""
+    rho_b = PsdOperator(space.subspace((0, 1)).partial_trace(rho_ab.mat, (1,)))
+    sig_bc = PsdOperator(space.partial_trace(sig.mat, (1, 2)))
+    return (space.embed(sig_bc.power(beta), (1, 2)) @ space.embed(rho_b.power(-beta), (1,))
+            @ space.embed(rho_ab.power(0.5), (0, 1))
+            - sig.power(beta) @ space.embed(rho_ab.power(0.5 - beta), (0, 1)))
+
+
+class TestSsaResiduals:
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("full_rank", [True, False])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (2, 1, 3)])
+    def test_stack_is_bit_equal_to_the_one_pair_formula(self, dims, full_rank, n):
+        space = FactorizedSpace(dims)
+        d_ab = space.subspace((0, 1)).dim
+        rng = np.random.default_rng(sum(dims) + 10 * n + full_rank)
+
+        def states(d):
+            return [random_density(d, rank=d if full_rank else max(1, d // 2), seed=rng)
+                    for _ in range(n)]
+
+        rhos, sabs = states(space.dim), states(d_ab)
+        for beta in (0.25, 0.5, 0.75):
+            got = ssa_residuals_P(rhos, sabs, space, beta)
+            assert got.shape == (n, space.dim, space.dim)
+            for rho, sab, member in zip(rhos, sabs, got):
+                assert_bits(member, _oracle_P(_fresh(rho), _fresh(sab), space, beta))
+                assert_bits(ssa_residual_P(rho, sab, space, beta), member)
+            got = ssa_residuals_Q(sabs, rhos, space, beta)
+            assert got.shape == (n, space.dim, space.dim)
+            for rho, sab, member in zip(rhos, sabs, got):
+                assert_bits(member, _oracle_Q(_fresh(sab), _fresh(rho), space, beta))
+                assert_bits(ssa_residual_Q(sab, rho, space, beta), member)
 
 
 # ----------------------------------------------------------------------------

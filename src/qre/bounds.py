@@ -25,12 +25,12 @@ kernel over a block of (rho_ABC, sigma_AB) pairs (``verify_operator_ssa_block``,
 both sides from ``operator_ssa_block_sides``): each stage is one stacked call
 over the block, and each report is bit-identical to the pair's own.
 ``verify_operator_ssa`` and ``verify_wyd_operator`` are the one-pair case; a
-block that raises is checked again pair by pair by the campaign.
+block that raises is checked again pair by pair by the campaign.  The equality
+residuals are ``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -64,6 +64,8 @@ from .linalg import (
 from .recovery import (
     DEFAULT_BETA_GRID,
     _check_beta,
+    _grid_maxima,
+    _sandwiches,
     equality_condition_residuals,
     monotonicity_residual,
     petz_recover,
@@ -130,10 +132,12 @@ def envelope_constants(C: float, c: float, beta: float, k_norm: float, d_norm: f
 
 def constants_for(f: OperatorConvexFunction, beta: float,
                   k_norm: float, d_norm: float):
-    """(M, N, alpha, C, c) for a regular f at the given operator norms."""
+    """(M, N, alpha, C, c) for a regular f at finite nonnegative norms, not both 0."""
     if not f.regular:
         raise IrregularFunction(f"{f.name} carries no window constants")
     _check_beta(beta)
+    if not (0.0 <= k_norm < math.inf and 0.0 <= d_norm < math.inf and k_norm + d_norm > 0.0):
+        raise InvalidParameter(f"|K| = {k_norm} and D = {d_norm} must be finite, >= 0, not both 0")
     C = f.power_law_C()
     c = f.power_law_c(beta)
     m_const, n_const, alpha = envelope_constants(C, c, beta, k_norm, d_norm)
@@ -440,7 +444,9 @@ def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
     power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
     ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
-    eq_resid = _joint_equality_residuals(km, [(comps, rho, sigma)], (beta,))[0]
+    flat = FactorizedSpace(km.shape[:1])
+    mixed = _sandwiches([sigma], (0,), [rho], (0,), flat, (beta,), km)
+    eq_resid = max(_grid_maxima(mixed - _sandwiches(sigmas, (0,), rhos, (0,), flat, (beta,), km)))
     digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
                            *[c.mat for _, _, c in comps])
     return _report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
@@ -464,28 +470,6 @@ def _mixture_residual(km, comps, rho, sigma, beta):
     d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
     return (float((np.sqrt(probs) * norms).sum()),
             float(math.sqrt((probs * norms ** 2).sum())), d_sum)
-
-
-def _joint_equality_residuals(km, ensembles, grid) -> list[float]:
-    """max over the grid and the components of || sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b} ||_op.
-
-    One value per (components, rho, sigma) of ``ensembles`` (of equal size),
-    from one stacked product and one batched SVD over ensembles x grid x
-    components; each maximum is folded per exponent over the components, then
-    over the grid.
-    """
-    neg = tuple(-b for b in grid)
-    mixed = (generalized_powers(*_spectra([sigma for _, _, sigma in ensembles]), grid) @ km
-             @ generalized_powers(*_spectra([rho for _, rho, _ in ensembles]), neg))
-    comps = [c for cs, _, _ in ensembles for c in cs]
-    shape = (len(ensembles), -1, len(grid)) + km.shape     # [ensemble, component, grid]
-    sj_pows, rj_pows = (np.ascontiguousarray(generalized_powers(*_spectra(ops), betas)
-                                             .reshape(shape).swapaxes(1, 2))
-                        for ops, betas in (([sj for _, _, sj in comps], grid),
-                                           ([rj for _, rj, _ in comps], neg)))
-    parts = sj_pows @ km @ rj_pows
-    norms = op_norm(mixed[:, :, None] - parts).tolist()
-    return [max(functools.reduce(max, row, 0.0) for row in rows) for rows in norms]
 
 
 # ----------------------------------------------------------------------------
@@ -880,8 +864,12 @@ def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[Bound
         comps = [(w, base_r, next(sigmas)) for w in probs]
         ensembles.append((comps, mix_r, next(sigmas)))
     gaps = _joint_gaps(f, km, ensembles)
-    resids = _joint_equality_residuals(
-        km, [(comps, base_r, mix_s) for comps, _, mix_s in ensembles], DEFAULT_BETA_GRID)
+    # every rho of the residual, the mixtures' included, is base_r: raised once a side
+    flat, grid = FactorizedSpace((dim,)), DEFAULT_BETA_GRID
+    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), [base_r], (0,), flat, grid, km)
+    own = _sandwiches([sj for comps, _, _ in ensembles for _, _, sj in comps], (0,),
+                      [base_r], (0,), flat, grid, km)
+    resids = _grid_maxima(mixed[:, None] - own.reshape(len(mixed), len(probs), *mixed.shape[1:]))
     return _sweep_reports("equality_joint_convexity", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(km, base_r.mat, base_s))
 
@@ -889,19 +877,15 @@ def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[Bound
 def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space) -> list[float]:
     """Per sigma_AB: max over the grid of ||sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b}||_op.
 
-    One stacked product and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
+    Two ``_sandwiches`` stacks and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
     """
     rho = space.psd(rho_abc)
     sub_ab = space.subspace((0, 1))
     sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
-    sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
-    rho_bc = rho.marginal(space, (1, 2))
-    grid, neg = DEFAULT_BETA_GRID, tuple(-b for b in DEFAULT_BETA_GRID)
-    lhs = (space.embed(generalized_powers(*_spectra(sbs), grid), (1,))
-           @ space.embed(generalized_powers(*_spectra([rho_bc]), neg)[0], (1, 2)))
-    rhs = (space.embed(generalized_powers(*_spectra(sabs), grid), (0, 1))
-           @ generalized_powers(*_spectra([rho]), neg)[0])
-    return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
+    grid = DEFAULT_BETA_GRID
+    lhs = _sandwiches(PsdOperator.marginals(sabs, sub_ab, (1,)), (1,),
+                      [rho.marginal(space, (1, 2))], (1, 2), space, grid)
+    return _grid_maxima(lhs - _sandwiches(sabs, (0, 1), [rho], (0, 1, 2), space, grid))
 
 
 def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:

@@ -68,8 +68,11 @@ class CampaignConfig:
 
     def __post_init__(self):
         for name in ("inequalities", "functions", "dims", "betas"):
-            if not getattr(self, name):
+            entries = getattr(self, name)
+            if not entries:
                 raise InvalidParameter(f"{name} must list at least one entry")
+            if any(e in entries[:i] for i, e in enumerate(entries)):
+                raise InvalidParameter(f"{name} repeats an entry: {entries}")
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if any(not 0.0 < b < 1.0 for b in self.betas):
@@ -127,7 +130,7 @@ def parse_config(text: str) -> CampaignConfig:
 
 def parse_dims(s: str) -> tuple[int, ...]:
     try:
-        return tuple(int(d) for d in s.replace("x", ",").split(",") if d)
+        return tuple(int(d) for d in s.replace("x", ",").split(","))
     except ValueError as exc:
         raise InvalidParameter(f"bad dims {s!r}") from exc
 

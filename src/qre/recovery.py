@@ -3,7 +3,8 @@
 Reduced operators always act through identity embeddings in their original
 tensor slots; subsystem order is fixed by the FactorizedSpace and never
 permuted.  ``PsdOperator.power`` is the memoised read of one power; a list of
-operators is raised with one ``generalized_powers`` call.
+operators is raised with one ``generalized_powers`` call, and every sandwich
+embed(Y^b) K embed(X^{-b}) over a beta grid is one ``_sandwiches`` call.
 """
 
 from __future__ import annotations
@@ -71,21 +72,33 @@ def equality_condition_residual(rho, sigma, k, space: FactorizedSpace) -> float:
 def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace) -> list[float]:
     """``equality_condition_residual`` of each of ``sigmas`` against one ``rho``.
 
-    One stacked product and one batched SVD over sigmas x grid; each value is
-    bit-identical to the residual of its sigma alone.
+    Two ``_sandwiches`` stacks and one batched SVD over sigmas x grid; each
+    value is bit-identical to the residual of its sigma alone.
     """
     rho = space.psd(rho)
     sigmas = [space.psd(sigma) for sigma in sigmas]
     km = space.check(k)
-    rho1 = rho.marginal(space, (0,))
-    sigma1s = PsdOperator.marginals(sigmas, space, (0,))
-    grid, neg = DEFAULT_BETA_GRID, tuple(-b for b in DEFAULT_BETA_GRID)
-    lhs = (space.embed(generalized_powers(*_spectra(sigma1s), grid), (0,)) @ km
-           @ space.embed(generalized_powers(*_spectra([rho1]), neg)[0], (0,)))
-    rhs = (generalized_powers(*_spectra(sigmas), grid) @ km
-           @ generalized_powers(*_spectra([rho]), neg)[0])
-    # folded in grid order from 0.0, as a loop of max(worst, norm) would
-    return [functools.reduce(max, row, 0.0) for row in op_norm(lhs - rhs).tolist()]
+    grid, whole = DEFAULT_BETA_GRID, tuple(range(space.nfactors))
+    lhs = _sandwiches(PsdOperator.marginals(sigmas, space, (0,)), (0,),
+                      [rho.marginal(space, (0,))], (0,), space, grid, km)
+    return _grid_maxima(lhs - _sandwiches(sigmas, whole, [rho], whole, space, grid, km))
+
+
+def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None) -> np.ndarray:
+    """embed(Y^b) K embed(X^{-b}) of each (Y, X) pair and each b of ``grid``, as ``(N, G, d, d)``.
+
+    Y and X act on ``y_slots`` and ``x_slots``; each list is one ``generalized_powers``
+    call, a list of one X serves every Y, and K is left out when ``k`` is None.
+    """
+    left = space.embed(generalized_powers(*_spectra(ys), grid), y_slots)
+    right = space.embed(generalized_powers(*_spectra(xs), tuple(-b for b in grid)), x_slots)
+    return (left if k is None else left @ k) @ right
+
+
+def _grid_maxima(diffs) -> list[float]:
+    """Max op norm of each ``diffs[i]`` over its other axes, folded from 0.0 as a loop would."""
+    norms = op_norm(diffs)
+    return [functools.reduce(max, row, 0.0) for row in norms.reshape(len(norms), -1).tolist()]
 
 
 def _check_beta(beta: float):     # a NaN fails too
@@ -109,9 +122,7 @@ def _ssa_residuals(xs, x_slots, ys, y_slots, space: FactorizedSpace, beta: float
     x_ms = PsdOperator.marginals(xs, sub_x, x_slots[1:])
     y_ms = PsdOperator.marginals(ys, sub_y, y_slots[1:])
     x_pows = space.embed(generalized_powers(*_spectra(xs), (0.5, 0.5 - beta)), x_slots)
-    term1 = (space.embed(generalized_powers(*_spectra(y_ms), (beta,))[:, 0], y_slots[1:])
-             @ space.embed(generalized_powers(*_spectra(x_ms), (-beta,))[:, 0], x_slots[1:])
-             @ x_pows[:, 0])
+    term1 = _sandwiches(y_ms, y_slots[1:], x_ms, x_slots[1:], space, (beta,))[:, 0] @ x_pows[:, 0]
     term2 = space.embed(generalized_powers(*_spectra(ys), (beta,))[:, 0], y_slots) @ x_pows[:, 1]
     return term1 - term2
 

@@ -6,7 +6,8 @@ under ``scripts/``.  The package namespace does not count as a reference, so a
 name that only tests use fails here unless ``TEST_ONLY`` lists it with a reason.
 Every public method of a public class must likewise be read as a ``.name``
 attribute somewhere in the package or the scripts, or be listed with a reason
-in ``TEST_ONLY_METHODS``.
+in ``TEST_ONLY_METHODS``.  A private module-level function or class has no such
+list: it is read in the package or the scripts, or it is gone.
 """
 
 import ast
@@ -71,13 +72,14 @@ TEST_ONLY_METHODS = {
 }
 
 
-def _public_definitions():
-    """(module stem, name) of every public module-level function and class."""
+def _definitions(private=False):
+    """(module stem, name) of every public (or every private) module-level function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private):
                 yield path.stem, node.name
 
 
@@ -132,7 +134,7 @@ def test_exports_are_pinned():
 
 def test_every_public_definition_has_a_caller():
     referenced = _referenced_names()
-    unused = [f"qre.{module}.{name}" for module, name in _public_definitions()
+    unused = [f"qre.{module}.{name}" for module, name in _definitions()
               if (module, name) not in referenced and name not in TEST_ONLY]
     assert unused == [], "public entry points nothing in src/ or scripts/ uses"
 
@@ -140,9 +142,17 @@ def test_every_public_definition_has_a_caller():
 def test_test_only_list_is_current():
     # a listed name that is gone, or has gained a caller, leaves the list
     referenced = _referenced_names()
-    uncalled = {name for module, name in _public_definitions()
+    uncalled = {name for module, name in _definitions()
                 if (module, name) not in referenced}
     assert sorted(set(TEST_ONLY) - uncalled) == []
+
+
+def test_every_private_definition_has_a_reader():
+    # tests do not count: a helper only a test reads is dead code
+    referenced = _referenced_names()
+    unread = [f"qre.{module}.{name}" for module, name in _definitions(private=True)
+              if (module, name) not in referenced]
+    assert unread == [], "private definitions nothing in src/ or scripts/ reads"
 
 
 def test_every_public_method_has_a_caller():

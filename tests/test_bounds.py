@@ -241,6 +241,16 @@ class TestExplicitN:
             with pytest.raises(InvalidParameter, match="strictly inside"):
                 constants_for(f, beta, 1.0, 1.0)
 
+    @pytest.mark.parametrize("k_norm, d_norm", [(-1.0, 1.0), (1.0, -1.0), (0.0, 0.0),
+                                                (math.nan, 1.0), (1.0, math.nan),
+                                                (math.inf, 1.0), (1.0, math.inf)])
+    def test_constants_for_rejects_unusable_norms(self, k_norm, d_norm):
+        with pytest.raises(InvalidParameter, match="not both 0"):
+            constants_for(NEG_LOG, 0.5, k_norm, d_norm)
+
+    def test_constants_for_takes_a_zero_k_norm(self):
+        assert constants_for(NEG_LOG, 0.5, 0.0, 1.0)[1] > 0.0
+
     def test_positive_and_decreasing_in_d(self):
         for beta in (0.3, 0.6):
             values = [explicit_N("log", beta, None, 1.0, d) for d in (1.0, 5.0, 50.0)]

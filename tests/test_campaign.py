@@ -65,6 +65,9 @@ class TestConfig:
         assert parse_dims("2,3") == (2, 3)
         with pytest.raises(InvalidParameter):
             parse_dims("2xa")
+        for bad in ("2x", "x2", "2xx2", "2,,3", ""):
+            with pytest.raises(InvalidParameter, match="bad dims"):
+                parse_dims(bad)
 
     @pytest.mark.parametrize("bad", [dict(functions=("neg_log", "bogus")),
                                      dict(functions=("f_p:2.5",)),
@@ -86,6 +89,19 @@ class TestConfig:
             CampaignConfig(**{"inequalities": ("monotonicity",), field: ()})
         with pytest.raises(InvalidParameter, match=f"{field} must list"):
             parse_config(f"inequalities = monotonicity\n{field} =\n")
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("inequalities", ("monotonicity", "thm42", "monotonicity"),
+         "monotonicity, thm42, monotonicity"),
+        ("functions", ("neg_log", "neg_log"), "neg_log, neg_log"),
+        ("dims", ((2, 2), (2, 2)), "2x2, 2x2"),
+        ("betas", (0.25, 0.5, 0.25), "0.25, 0.5, 0.25")])
+    def test_repeated_entry_rejected(self, field, value, text):
+        # a repeated entry ran its cells twice and counted every trial twice
+        with pytest.raises(InvalidParameter, match=f"{field} repeats an entry"):
+            CampaignConfig(**{"inequalities": ("monotonicity",), field: value})
+        with pytest.raises(InvalidParameter, match=f"{field} repeats an entry"):
+            parse_config(f"inequalities = monotonicity\n{field} = {text}\n")
 
     @pytest.mark.parametrize("line", ["trails = 5", "tol.monotonicity = 1e-6"])
     def test_unknown_key_rejected(self, line):

@@ -253,6 +253,13 @@ class TestFunctionRequirements:
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho4.json"), "--dims", "2x2"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("dims", ["2x", "x2", "2xx2"])
+    def test_empty_dims_factor_is_input_error(self, fixtures, dims, capsys):
+        code = main(["verify", "classical_reduction", "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", dims])
+        assert code == EXIT_INPUT
+        assert f"bad dims {dims!r}" in capsys.readouterr().err
+
 
 class TestBoundsConstants:
     def test_log_constants(self, capsys):
@@ -300,6 +307,21 @@ class TestBoundsConstants:
         for key in ("c", "alpha", "N"):
             assert printed[0][key] == printed[1][key], key
         assert float(printed[0]["N"]) > 0
+
+    @pytest.mark.parametrize("norms", [["--knorm", "-1"], ["--dd", "-1"], ["--knorm", "-5"],
+                                       ["--knorm", "0", "--dd", "0"], ["--knorm", "nan"],
+                                       ["--knorm", "inf"], ["--dd", "inf"]])
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5"])
+    def test_unusable_norms_are_input_error(self, fid, norms, capsys):
+        # once a ZeroDivisionError, a complex N, N=nan or N=0.0
+        assert main(["bounds", "constants", "--f", fid, "--beta", "0.5", *norms]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite, >= 0, not both 0" in captured.err
+
+    def test_zero_k_norm_alone_is_valid(self, capsys):
+        args = ["bounds", "constants", "--f", "neg_log", "--beta", "0.5", "--knorm", "0"]
+        assert main(args) == EXIT_PASS
+        assert float(dict(line.split("=") for line in capsys.readouterr().out.split())["N"]) > 0
 
 
 # the verify choices whose check reads beta
@@ -361,7 +383,9 @@ class TestCampaignCommand:
         assert out.read_bytes() == first
         assert b"monotonicity" in first
 
-    @pytest.mark.parametrize("line", ["functions = neg_log, bogus", "dims = 2x2, 2x0"])
+    @pytest.mark.parametrize("line", ["functions = neg_log, bogus", "dims = 2x2, 2x0",
+                                      "dims = 2x2, 2x", "functions = neg_log, neg_log",
+                                      "dims = 2x2, 2x2", "betas = 0.5, 0.5"])
     def test_bad_config_writes_nothing(self, tmp_path, line):
         cfg = tmp_path / "c.cfg"
         out = tmp_path / "reports.jsonl"
@@ -376,6 +400,16 @@ class TestCampaignCommand:
         cfg.write_text(f"inequalities = monotonicity\n{field} =\noutput = {out}\n")
         assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
         assert f"{field} must list at least one entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_inequality_is_input_error(self, tmp_path, capsys):
+        # it ran as trials=24 reports=24, only 3 of the 24 lines distinct
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "reports.jsonl"
+        cfg.write_text("inequalities = monotonicity, monotonicity\nfunctions = neg_log, neg_log\n"
+                       f"dims = 2x2, 2x2\ntrials = 3\noutput = {out}\n")
+        assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert "inequalities repeats an entry" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_input_error(self, tmp_path):

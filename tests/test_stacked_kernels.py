@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds, campaign
+from qre import bounds, campaign, linalg, recovery
 from qre.campaign import FAMILIES, CampaignConfig, run_campaign, run_single, trial_seed
 from qre.entropy import (
     OVERLAP_TOL,
@@ -45,7 +45,10 @@ from qre.linalg import (
 )
 from qre.recovery import (
     DEFAULT_BETA_GRID,
+    _grid_maxima,
+    _sandwiches,
     equality_condition_residual,
+    equality_condition_residuals,
     ssa_residual_P,
     ssa_residual_Q,
     ssa_residuals_P,
@@ -345,17 +348,19 @@ def _fresh(op):
 
 
 class TestGridResiduals:
+    @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("seed", range(6))
-    def test_monotonicity(self, seed):
+    def test_monotonicity(self, seed, n):
         space = FactorizedSpace(((2, 2), (3, 2), (2, 3))[seed % 3])
         rng = np.random.default_rng(seed)
         rho = random_density(space.dim, rank=space.dim - seed % 2, seed=rng)
-        sigma = random_density(space.dim, seed=rng)
+        sigmas = [random_density(space.dim, seed=rng) for _ in range(n)]
         k = np.kron(random_contraction(space.dims[0], seed=rng), np.eye(space.dims[1]))
         assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
-        got = equality_condition_residual(rho, sigma, k, space)
-        assert got == _loop_equality_condition_residual(_fresh(rho), _fresh(sigma), k,
-                                                        space, GRID)
+        got = equality_condition_residuals(rho, sigmas, k, space)
+        assert got == [_loop_equality_condition_residual(_fresh(rho), _fresh(sigma), k,
+                                                         space, GRID) for sigma in sigmas]
+        assert equality_condition_residual(rho, sigmas[0], k, space) == got[0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_joint_convexity(self, seed):
@@ -365,25 +370,65 @@ class TestGridResiduals:
         comps = [(w, random_density(d, seed=rng), random_density(d, seed=rng))
                  for w in (0.3, 0.3, 0.4)]
         rho, sigma = bounds._mixture(comps)
-        got, = bounds._joint_equality_residuals(km, [(comps, rho, sigma)], GRID)
+        space = FactorizedSpace((d,))
+        _, rhos, sigmas = zip(*comps)
+        mixed = _sandwiches([sigma], (0,), [rho], (0,), space, GRID, km)
+        got, = _grid_maxima((mixed - _sandwiches(sigmas, (0,), rhos, (0,), space, GRID, km))[None])
         fresh = [(w, _fresh(r), _fresh(s)) for w, r, s in comps]
         want = max(_loop_joint_equality_residual(km, _fresh(rho), _fresh(sigma), fresh, b)
                    for b in GRID)
         assert got == want
-        one, = bounds._joint_equality_residuals(km, [(comps, rho, sigma)], (0.25,))
+        report = bounds.verify_joint_convexity(from_id("neg_log"), km, comps, 0.25)
+        one = report.details["equality_residual"]
         assert one == _loop_joint_equality_residual(km, rho, sigma, comps, 0.25)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_joint_convexity_ensembles_sharing_one_rho(self, seed):
+        # the sweep's shape: every component and mixture holds the one rho
+        rng = np.random.default_rng(seed)
+        d = (2, 3, 4)[seed]
+        km = random_contraction(d, seed=rng)
+        rho = random_density(d, seed=rng)
+        ensembles = []
+        for _ in range(4):
+            comps = [(w, rho, random_density(d, seed=rng)) for w in (0.3, 0.3, 0.4)]
+            ensembles.append((comps, bounds._mixture(comps)[1]))
+        space = FactorizedSpace((d,))
+        mixed = _sandwiches([sigma for _, sigma in ensembles], (0,), [rho], (0,), space, GRID, km)
+        parts = _sandwiches([s for comps, _ in ensembles for _, _, s in comps], (0,),
+                            [rho], (0,), space, GRID, km)
+        got = _grid_maxima(mixed[:, None] - parts.reshape((4, 3) + mixed.shape[1:]))
+        assert got == [max(_loop_joint_equality_residual(
+            km, _fresh(rho), _fresh(sigma), [(w, _fresh(r), _fresh(s)) for w, r, s in comps], b)
+            for b in GRID) for comps, sigma in ensembles]
+
+    def test_joint_convexity_sweep_raises_each_operator_once(self, monkeypatch):
+        # 4 mixtures, 12 components and base_r once a side; a list of one X serves every Y
+        raised = []
+
+        def spy(vecs, eigs, cutoffs, betas):
+            raised.append(int(np.prod(vecs.shape[:-2])))
+            return generalized_powers(vecs, eigs, cutoffs, betas)
+
+        for module in (linalg, recovery, bounds):
+            monkeypatch.setattr(module, "generalized_powers", spy)
+        bounds.equality_joint_convexity_sweep(from_id("neg_log"), FactorizedSpace((2, 2)),
+                                              np.random.default_rng(0))
+        assert sum(raised) == 18
+
+    @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
     @pytest.mark.parametrize("seed", range(3))
-    def test_operator_ssa(self, dims, seed):
+    def test_operator_ssa(self, dims, seed, n):
         space = FactorizedSpace(dims)
         rng = np.random.default_rng(seed)
         rho = random_density(space.dim, seed=rng)
-        sab = random_density(space.subspace((0, 1)).dim, rank=3 - seed % 2, seed=rng)
+        sabs = [random_density(space.subspace((0, 1)).dim, rank=3 - (seed + i) % 2, seed=rng)
+                for i in range(n)]
         assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
-        got, = bounds.operator_ssa_equality_residuals(rho, [sab], space)
-        assert got == _loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
-                                                           space, GRID)
+        got = bounds.operator_ssa_equality_residuals(rho, sabs, space)
+        assert got == [_loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
+                                                            space, GRID) for sab in sabs]
 
 
 # ----------------------------------------------------------------------------

@@ -31,6 +31,8 @@ residuals are ``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima`
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +53,8 @@ from .functions import OperatorConvexFunction, make_f_p, make_neg_log, make_neg_
 from .linalg import (
     FactorizedSpace,
     PsdOperator,
+    _as_matrices,
+    _kron,
     _spectra,
     as_matrix,
     generalized_powers,
@@ -67,7 +71,7 @@ from .recovery import (
     _grid_maxima,
     _sandwiches,
     equality_condition_residuals,
-    monotonicity_residual,
+    monotonicity_residuals,
     petz_recover,
     ssa_residual_Q,
     ssa_residuals_P,
@@ -160,18 +164,25 @@ def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float):
 
 def monotonicity_gap(f: OperatorConvexFunction, k1, v, rho, sigma,
                      space: FactorizedSpace) -> float:
-    """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1); nonnegative for unitary V."""
-    return _monotonicity_gaps(f, k1, v, rho, [sigma], space)[0]
+    """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1); nonnegative for unitary V.
+
+    The one-pair case of ``_monotonicity_gaps``.
+    """
+    return _monotonicity_gaps(f, [rho], [sigma], [k1], [v], space)[0]
 
 
-def _monotonicity_gaps(f, k1, v, rho, sigmas, space):
-    """``monotonicity_gap`` of each of ``sigmas`` against one ``rho``: two kernel calls."""
-    rho = space.psd(rho)
+def _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space):
+    """``monotonicity_gap`` of each (rho, sigma, K1, V): two kernel calls.
+
+    The full pairs take the stack of K1 (x) V, the marginals the stack of K1;
+    the 2N marginals are one stacked eigh.
+    """
+    rhos = [space.psd(rho) for rho in rhos]
     sigmas = [space.psd(sigma) for sigma in sigmas]
-    k_full = np.kron(as_matrix(k1), as_matrix(v))
-    s_full = quasi_relative_entropies(f, k_full, [rho] * len(sigmas), sigmas)
-    s_red = quasi_relative_entropies(f, as_matrix(k1), [rho.marginal(space, (0,))] * len(sigmas),
-                                     PsdOperator.marginals(sigmas, space, (0,)))
+    k1s = _as_matrices(k1s)
+    s_full = quasi_relative_entropies(f, _kron(k1s, _as_matrices(vs)), rhos, sigmas)
+    marginals = PsdOperator.marginals(rhos + sigmas, space, (0,))
+    s_red = quasi_relative_entropies(f, k1s, marginals[:len(rhos)], marginals[len(rhos):])
     return (s_full - s_red).tolist()
 
 
@@ -244,43 +255,89 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
 # Individual inequality verifications
 # ----------------------------------------------------------------------------
 
+def verify_monotonicity_block(f, rhos, sigmas, k1s, vs, space) -> list[BoundReport]:
+    """``verify_monotonicity`` of each trial of a block, from one ``_monotonicity_gaps`` call."""
+    gaps = _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space)
+    return [_report("monotonicity", 0.0, gap, gap >= -REPORT_TOL,
+                    digest=digest_inputs(as_matrix(rho), as_matrix(sigma),
+                                         as_matrix(k1), as_matrix(v)),
+                    notes=f"f={f.name}")
+            for rho, sigma, k1, v, gap in zip(rhos, sigmas, k1s, vs, gaps)]
+
+
 def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
-    """Plain data-processing check: gap >= -1e-9."""
-    gap = monotonicity_gap(f, k1, v, rho, sigma, space)
-    return _report("monotonicity", 0.0, gap, gap >= -REPORT_TOL,
-                   digest=digest_inputs(as_matrix(rho), as_matrix(sigma),
-                                        as_matrix(k1), as_matrix(v)),
-                   notes=f"f={f.name}")
+    """Plain data-processing check: gap >= -1e-9.  The one-trial case of its block."""
+    return verify_monotonicity_block(f, [rho], [sigma], [k1], [v], space)[0]
 
 
-def _remainder_terms(f, k1m, vm, rho, sigma, beta, space):
-    """(||R_beta||_2, gap, ||K||, ||Delta||, constants at T*): what both remainder checks read.
+def _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space):
+    """Per trial (||R_beta||_2, gap, ||K||, ||Delta||, constants at T*): what both remainder checks read.
 
-    ||K|| is read as ||K1||, which equals ||K1 (x) V|| because V is unitary.
+    Each step runs once over the block: the residuals
+    (``recovery.monotonicity_residuals``, one stacked eigh for the 2N
+    marginals), the gaps (two kernel calls) and ||K|| (one batched SVD);
+    ||Delta|| and the constants are per trial.  ||K|| is read as ||K1||,
+    which equals ||K1 (x) V|| because V is unitary.
     """
-    _, rnorm = monotonicity_residual(rho, sigma, k1m, space, beta, v=vm)
-    gap = monotonicity_gap(f, k1m, vm, rho, sigma, space)
-    k_norm = op_norm(k1m)
-    d_norm = ModularOperator(sigma, rho).op_norm()
-    return rnorm, gap, k_norm, d_norm, optimize_T_scalar(f, beta, k_norm, d_norm, gap)
+    _, rnorms = monotonicity_residuals(rhos, sigmas, k1s, space, beta, vs)
+    gaps = _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space)
+    k_norms = op_norm(_as_matrices(k1s)).tolist()
+    d_norms = [ModularOperator(sigma, rho).op_norm() for rho, sigma in zip(rhos, sigmas)]
+    return [(rnorm, gap, k_norm, d_norm, optimize_T_scalar(f, beta, k_norm, d_norm, gap))
+            for rnorm, gap, k_norm, d_norm in zip(rnorms, gaps, k_norms, d_norms)]
+
+
+def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
+    """``verify_thm42_grid`` of each trial of a block, from one ``_remainder_terms`` block."""
+    rhos = [space.psd(rho) for rho in rhos]
+    sigmas = [space.psd(sigma) for sigma in sigmas]
+    reports = []
+    for rho, sigma, (rnorm, gap, k_norm, d_norm, consts) in zip(
+            rhos, sigmas, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
+        lhs = math.pi / math.sin(beta * math.pi) * rnorm
+        rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
+        reports.append(_report(
+            "thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL),
+            constants=consts, digest=digest_inputs(rho.mat, sigma.mat),
+            notes=f"f={f.name};beta={beta:g}",
+            details={"gap": gap, "rhs_at_T_star": rhs_star, "residual_hs": rnorm}))
+    return reports
 
 
 def verify_thm42_grid(f, k1, v, rho, sigma, beta, space) -> BoundReport:
     """Remainder inequality at the closed-form window optimum T*.
 
     RHS(T*) <= RHS(T) for every T > 1, so passing at T* passes on any T grid.
+    The one-trial case of ``verify_thm42_block``.
     """
-    rho = space.psd(rho)
-    sigma = space.psd(sigma)
-    rnorm, gap, k_norm, d_norm, consts = _remainder_terms(
-        f, as_matrix(k1), as_matrix(v), rho, sigma, beta, space)
-    lhs = math.pi / math.sin(beta * math.pi) * rnorm
-    rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
-    return _report("thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL),
-                   constants=consts, digest=digest_inputs(rho.mat, sigma.mat),
-                   notes=f"f={f.name};beta={beta:g}",
-                   details={"gap": gap, "rhs_at_T_star": rhs_star,
-                            "residual_hs": rnorm})
+    return verify_thm42_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
+
+
+def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta,
+                                    space) -> list[BoundReport]:
+    """``verify_monotonicity_bound`` of each trial of a block.
+
+    The power-law forms read one ``_remainder_terms`` block; the beta = 1/2
+    recovery-map forms (``_recovery_forms``) are checked trial by trial.
+    """
+    rhos = [space.psd(rho) for rho in rhos]
+    sigmas = [space.psd(sigma) for sigma in sigmas]
+    reports = []
+    for rho, sigma, k1, v, (rnorm, gap, _, d_norm, consts) in zip(
+            rhos, sigmas, k1s, vs, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
+        k1m, vm = as_matrix(k1), as_matrix(v)
+        details = {"residual_hs": rnorm, "gap": gap}
+        # power-law form: ||R||_2 <= M gap^alpha
+        lhs = rnorm
+        rhs = consts.M * max(gap, 0.0) ** consts.alpha
+        ok = _rel_pass(lhs, rhs, REL_INEQ_TOL)
+        if beta == 0.5 and rho.rank() == rho.dim:
+            ok = _recovery_forms(f, k1m, vm, rho, sigma, space, rnorm, gap, d_norm, consts,
+                                 details) and ok
+        reports.append(_report("monotonicity_bound", lhs, rhs, ok, constants=consts,
+                               digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
+                               notes=f"f={f.name};beta={beta:g}", details=details))
+    return reports
 
 
 def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space) -> BoundReport:
@@ -288,46 +345,38 @@ def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space) -> BoundReport:
 
     At beta = 1/2: the recovery-map trace-norm form with constant 2M, and, for
     the logarithm with K = I, the quartic special case
-    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.
+    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.  The one-trial case of
+    ``verify_monotonicity_bound_block``.
     """
-    rho = space.psd(rho)
-    sigma = space.psd(sigma)
-    k1m, vm = as_matrix(k1), as_matrix(v)
-    rnorm, gap, _, d_norm, consts = _remainder_terms(f, k1m, vm, rho, sigma, beta, space)
-    details = {"residual_hs": rnorm, "gap": gap}
+    return verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
 
-    # power-law form: ||R||_2 <= M gap^alpha
-    lhs = rnorm
-    rhs = consts.M * max(gap, 0.0) ** consts.alpha
-    ok = _rel_pass(lhs, rhs, REL_INEQ_TOL)
 
-    if beta == 0.5 and rho.rank() == rho.dim:
-        k_full = np.kron(k1m, vm)
-        sigma1 = sigma.marginal(space, (0,))
-        rho1 = rho.marginal(space, (0,))
-        recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
-                                 space, keep=(0,))
-        target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
-        petz_lhs = trace_norm(recovered - target)
-        details["petz_diff_trace"] = petz_lhs
-        details["petz_chain_rhs"] = 2.0 * rnorm
-        # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
-        x_n = hs_norm(np.kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
-                      @ rho.power(0.5))
-        y_n = hs_norm(sigma.power(0.5) @ k_full)
-        if x_n + y_n <= 2.0 + 1e-9:
-            ok = ok and _rel_pass(petz_lhs, 2.0 * rnorm, REL_INEQ_TOL)
-        ok = ok and _rel_pass(petz_lhs, 2.0 * consts.M * max(gap, 0.0) ** consts.alpha,
-                              REL_INEQ_TOL)
-        if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
-            quartic = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
-            details["quartic_lower"] = quartic
-            ok = ok and _rel_pass(quartic, gap, REL_INEQ_TOL)
-        ok = _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space,
-                                consts, gap, details) and ok
-    return _report("monotonicity_bound", lhs, rhs, ok, constants=consts,
-                   digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
-                   notes=f"f={f.name};beta={beta:g}", details=details)
+def _recovery_forms(f, k1m, vm, rho, sigma, space, rnorm, gap, d_norm, consts, details):
+    """Whether the beta = 1/2 recovery-map forms of one trial hold; their terms go to ``details``."""
+    k_full = np.kron(k1m, vm)
+    sigma1 = sigma.marginal(space, (0,))
+    rho1 = rho.marginal(space, (0,))
+    recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
+                             space, keep=(0,))
+    target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
+    petz_lhs = trace_norm(recovered - target)
+    details["petz_diff_trace"] = petz_lhs
+    details["petz_chain_rhs"] = 2.0 * rnorm
+    ok = True
+    # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
+    x_n = hs_norm(np.kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
+                  @ rho.power(0.5))
+    y_n = hs_norm(sigma.power(0.5) @ k_full)
+    if x_n + y_n <= 2.0 + 1e-9:
+        ok = _rel_pass(petz_lhs, 2.0 * rnorm, REL_INEQ_TOL)
+    ok = ok and _rel_pass(petz_lhs, 2.0 * consts.M * max(gap, 0.0) ** consts.alpha,
+                          REL_INEQ_TOL)
+    if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
+        quartic = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
+        details["quartic_lower"] = quartic
+        ok = ok and _rel_pass(quartic, gap, REL_INEQ_TOL)
+    return _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space,
+                              consts, gap, details) and ok
 
 
 def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, details):
@@ -393,29 +442,79 @@ def _average(weighted) -> np.ndarray:
     return hermitize(sum(pj * as_matrix(xj) for pj, xj in weighted))
 
 
-def _mixture(components):
-    """The averaged pair (sum_j p_j rho_j, sum_j p_j sigma_j) as operators, one stacked eigh."""
-    rho, sigma = PsdOperator.stack([_average((pj, rj) for pj, rj, _ in components),
-                                    _average((pj, sj) for pj, _, sj in components)])
-    return rho, sigma
+def _mixtures(ensembles):
+    """(components, rho, sigma) of each ensemble: its weighted components and their mixture.
+
+    Each ensemble lists (p_j, rho_j, sigma_j); its weights must be positive
+    and sum to 1, else InvalidParameter.  The mixtures
+    (sum_j p_j rho_j, sum_j p_j sigma_j) of all ensembles are one stacked eigh.
+    """
+    checked = []
+    for components in ensembles:
+        probs = np.array([pj for pj, _, _ in components], dtype=float)
+        if not (np.all(probs > 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
+            raise InvalidParameter("component weights must be positive and sum to 1")
+        checked.append([(pj, PsdOperator.wrap(rj), PsdOperator.wrap(sj))
+                        for pj, rj, sj in components])
+    mixed = PsdOperator.stack([_average((pj, c[side]) for pj, *c in comps)
+                               for comps in checked for side in (0, 1)])
+    return list(zip(checked, mixed[0::2], mixed[1::2]))
 
 
 def _joint_gaps(f, km, ensembles) -> list[float]:
     """sum_j p_j S_f^K(rho_j||sigma_j) - S_f^K(rho||sigma) of each (components, rho, sigma).
 
-    Every pair of every ensemble goes through one kernel call, components
-    first and the mixture last within each ensemble, as a loop would take them.
+    ``km`` is one K for every ensemble or a ``(N, d, d)`` stack, one K per
+    ensemble.  Every pair of every ensemble goes through one kernel call,
+    components first and the mixture last within each ensemble, as a loop
+    would take them.
     """
     rhos, sigmas = [], []
     for comps, rho, sigma in ensembles:
         rhos += [rj for _, rj, _ in comps] + [rho]
         sigmas += [sj for _, _, sj in comps] + [sigma]
+    if np.ndim(km) == 3:
+        km = np.repeat(km, [len(comps) + 1 for comps, _, _ in ensembles], axis=0)
     values = iter(quasi_relative_entropies(f, km, rhos, sigmas).tolist())
     gaps = []
     for comps, _, _ in ensembles:
         avg = sum(pj * next(values) for pj, _, _ in comps)
         gaps.append(avg - next(values))
     return gaps
+
+
+def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
+    """``verify_joint_convexity`` of each (ensemble, K) trial of a block.
+
+    The mixtures are one stacked eigh, the gaps one kernel call over all
+    pairs, the residuals one ``_mixture_residuals`` block (each operator
+    raised once), ||K|| and the equality residuals one batched SVD each;
+    the constants and the reports are per trial.
+    """
+    kms = _as_matrices(ks)
+    ensembles = _mixtures(ensembles)
+    gaps = _joint_gaps(f, kms, ensembles)
+    residuals, eq_diffs = _mixture_residuals(kms, ensembles, beta)
+    eq_norms = iter(op_norm(eq_diffs).tolist())
+    k_norms = op_norm(kms).tolist()
+    reports = []
+    for (comps, _, _), km, gap, (resid_l1, resid_l2, d_sum), k_norm in zip(
+            ensembles, kms, gaps, residuals, k_norms):
+        lhs = math.pi / math.sin(beta * math.pi) * resid_l1
+        consts = optimize_T_scalar(f, beta, k_norm, d_sum, gap)
+        rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_sum, gap)
+        ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
+        power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
+        ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
+        eq_resid = functools.reduce(max, itertools.islice(eq_norms, len(comps)), 0.0)
+        digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
+                               *[c.mat for _, _, c in comps])
+        reports.append(_report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
+                               digest=digest, notes=f"f={f.name};beta={beta:g}",
+                               details={"gap": gap, "residual_block_l2": resid_l2,
+                                        "equality_residual": eq_resid,
+                                        "rhs_at_T_star": rhs_star}))
+    return reports
 
 
 def verify_joint_convexity(f, k, components, beta) -> BoundReport:
@@ -425,51 +524,40 @@ def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     sum_j p_j^{1/2} || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2
     and the modular norm is replaced by sum_j p_j^{-1} ||rho_j^{-1}|| in the
     first RHS term.  The block-diagonal (quadratic-mean) residual that the
-    extension argument bounds directly is recorded alongside.
+    extension argument bounds directly is recorded alongside.  The one-trial
+    case of ``verify_joint_convexity_block``.
     """
-    km = as_matrix(k)
-    probs = np.array([pj for pj, _, _ in components], dtype=float)
-    if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise InvalidParameter("component weights must be positive and sum to 1")
-    rhos = [PsdOperator.wrap(r) for _, r, _ in components]
-    sigmas = [PsdOperator.wrap(s) for _, _, s in components]
-    comps = list(zip(probs, rhos, sigmas))
-    rho, sigma = _mixture(comps)
-    gap = _joint_gaps(f, km, [(comps, rho, sigma)])[0]
-    resid_l1, resid_l2, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
-    k_norm = op_norm(km)
-    lhs = math.pi / math.sin(beta * math.pi) * resid_l1
-    consts = optimize_T_scalar(f, beta, k_norm, d_sum, gap)
-    rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_sum, gap)
-    ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
-    power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
-    ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
-    flat = FactorizedSpace(km.shape[:1])
-    mixed = _sandwiches([sigma], (0,), [rho], (0,), flat, (beta,), km)
-    eq_resid = max(_grid_maxima(mixed - _sandwiches(sigmas, (0,), rhos, (0,), flat, (beta,), km)))
-    digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
-                           *[c.mat for _, _, c in comps])
-    return _report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
-                   digest=digest, notes=f"f={f.name};beta={beta:g}",
-                   details={"gap": gap, "residual_block_l2": resid_l2,
-                            "equality_residual": eq_resid,
-                            "rhs_at_T_star": rhs_star})
+    return verify_joint_convexity_block(f, [components], [k], beta)[0]
 
 
-def _mixture_residual(km, comps, rho, sigma, beta):
-    """Weighted residual of a mixture and the modular-norm surrogate of its RHS.
+def _mixture_residuals(kms, ensembles, beta):
+    """Weighted residual of each mixture, the modular-norm surrogate of its RHS, and the
+    equality-condition differences of all components.
 
     With r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2
-    over components (p_j, rho_j, sigma_j) of the mixture (rho, sigma), returns
-    (sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||).
+    over the components (p_j, rho_j, sigma_j) of ensemble i, whose mixture is
+    (rho, sigma) and whose K is ``kms[i]``, returns per ensemble
+    (sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||),
+    and the ``(M, d, d)`` stack of sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b}
+    over all M components in order.  Each list of operators is raised once,
+    to all its exponents, by one ``generalized_powers`` call.
     """
-    probs = np.array([pj for pj, _, _ in comps], dtype=float)
-    mixed = sigma.power(beta) @ km @ rho.power(-beta)
-    norms = np.array([hs_norm(mixed @ rj.power(0.5) - sj.power(beta) @ km @ rj.power(0.5 - beta))
-                      for _, rj, sj in comps])
-    d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in comps))
-    return (float((np.sqrt(probs) * norms).sum()),
-            float(math.sqrt((probs * norms ** 2).sum())), d_sum)
+    comps = [c for cs, _, _ in ensembles for c in cs]
+    owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
+    mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
+             @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
+    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]),
+                                  (0.5, 0.5 - beta, -beta))
+    sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
+    norms = iter([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
+    residuals = []
+    for cs, _, _ in ensembles:
+        probs = np.array([pj for pj, _, _ in cs], dtype=float)
+        r = np.array(list(itertools.islice(norms, len(cs))))
+        d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))
+        residuals.append((float((np.sqrt(probs) * r).sum()),
+                          float(math.sqrt((probs * r ** 2).sum())), d_sum))
+    return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
 # ----------------------------------------------------------------------------
@@ -664,8 +752,7 @@ def _wyd_gap(p, k, components, rho, sigma):
 def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
     """Concavity gap of the power trace term, with the remainder when p in (0,1)."""
     km = as_matrix(k)
-    comps = [(pj, PsdOperator.wrap(r), PsdOperator.wrap(s)) for pj, r, s in components]
-    rho, sigma = _mixture(comps)
+    (comps, rho, sigma), = _mixtures([components])
     gap = _wyd_gap(p, km, comps, rho, sigma)
     ok = gap >= -REPORT_TOL
     details = {"gap": gap}
@@ -673,7 +760,7 @@ def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
     lhs = 0.0
     rhs = gap
     if 0.0 < p < 1.0:
-        resid, _, d_sum = _mixture_residual(km, comps, rho, sigma, beta)
+        (resid, _, d_sum), = _mixture_residuals(km[None], [(comps, rho, sigma)], beta)[0]
         m_const, n_const, alpha, C, c = power_family_constants(p, beta, op_norm(km), d_sum)
         lhs = n_const * resid ** (1.0 / alpha)
         ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
@@ -834,7 +921,8 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
     k_full = np.kron(k1, np.eye(d2))
     sigmas = PsdOperator.stack([hermitize((1.0 - eps) * sigma0 + eps * noise)
                                 for eps in EPS_SWEEP])
-    gaps = _monotonicity_gaps(f, k1, np.eye(d2), rho, sigmas, space)
+    n = len(sigmas)
+    gaps = _monotonicity_gaps(f, [rho] * n, sigmas, [k1] * n, [np.eye(d2)] * n, space)
     resids = equality_condition_residuals(rho, sigmas, k_full, space)
     return _sweep_reports("equality_monotonicity", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, sigma0, k_full))

@@ -202,20 +202,18 @@ def _operator_ssa(variant):
 
 
 FAMILIES: dict[str, Family] = {
-    "monotonicity": Family(_each(
-        lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_monotonicity(f, k1, v, rho, sigma, space)),
+    "monotonicity": Family(
+        lambda f, space, beta, block: bounds.verify_monotonicity_block(f, *zip(*block), space),
         ("rho", "sigma", "k1", "v"), nfactors=2, uses_beta=False, mixed_rank=True),
-    "thm42": Family(_each(
-        lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_thm42_grid(f, k1, v, rho, sigma, beta, space)),
+    "thm42": Family(
+        lambda f, space, beta, block: bounds.verify_thm42_block(f, *zip(*block), beta, space),
         ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
-    "monotonicity_bound": Family(_each(
-        lambda f, space, beta, rho, sigma, k1, v:
-        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space)),
+    "monotonicity_bound": Family(
+        lambda f, space, beta, block:
+        bounds.verify_monotonicity_bound_block(f, *zip(*block), beta, space),
         ("rho", "sigma", "k1", "v"), nfactors=2, requires=REGULAR_F),
-    "joint_convexity": Family(_each(
-        lambda f, space, beta, comps, k: bounds.verify_joint_convexity(f, k, comps, beta)),
+    "joint_convexity": Family(
+        lambda f, space, beta, block: bounds.verify_joint_convexity_block(f, *zip(*block), beta),
         ("ensemble", "k"), requires=REGULAR_F),
     "ssa": Family(_each(
         lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space)),

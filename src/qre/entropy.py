@@ -15,9 +15,10 @@ each of them times the recession f'(inf) = lim f(x)/x (Hiai-Mosonyi-Petz-Beny).
 That term raises DivergentEntropy when f'(inf) = +inf and sigma weighs a null
 mode of rho, and is skipped, not added, when f'(inf) = 0.
 
-``quasi_relative_entropies`` evaluates the formula for a stack of pairs
-sharing K with one set of array operations; ``quasi_relative_entropy`` is its
-one-pair case, and every value is bit-identical whatever the stack.  The
+``quasi_relative_entropies`` evaluates the formula for a stack of pairs, which
+share one K or take one each from a ``(N, d, d)`` stack, with one set of array
+operations; ``quasi_relative_entropy`` is its one-pair case, and every value
+is bit-identical whatever the stack.  The
 f(Delta) action is stacked the same way, over the same overlap weights
 (``apply_f_modulars``; ``apply_f_modular`` is its one-pair case).
 """
@@ -185,21 +186,24 @@ def _checked_pair(rho, sigma, k):
 
 
 def quasi_relative_entropies(f: OperatorConvexFunction, k, rhos, sigmas) -> np.ndarray:
-    """S_f^K(rho_i || sigma_i) of each pair, by one stacked spectral formula.
+    """S_f^{K_i}(rho_i || sigma_i) of each pair, by one stacked spectral formula.
 
-    The pairs share ``k`` and their dimension.  Each value is bit-identical
-    to the pair's own ``quasi_relative_entropy``, and the first pair that
-    fails raises what it raises alone, as a loop over the pairs would.
+    ``k`` is one K that the pairs share, or a ``(N, d, d)`` stack holding
+    pair i's K_i; the pairs share their dimension.  Each value is
+    bit-identical to the pair's own ``quasi_relative_entropy``, and the first
+    pair that fails raises what it raises alone, as a loop over the pairs would.
     """
+    rhos = list(rhos)
+    shared = np.ndim(k) != 3
     pairs = []
-    for rho, sigma in zip(rhos, sigmas, strict=True):
+    for rho, sigma, km in zip(rhos, sigmas, [k] * len(rhos) if shared else k, strict=True):
         try:
-            pairs.append(_checked_pair(rho, sigma, k))
+            pairs.append(_checked_pair(rho, sigma, km))
         except QREError:
             if pairs:
-                _spectral_formula(f, pairs)     # an earlier pair that diverges raises first
+                _spectral_formula(f, pairs, shared)     # an earlier pair that diverges raises first
             raise
-    return _spectral_formula(f, pairs)
+    return _spectral_formula(f, pairs, shared)
 
 
 def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
@@ -210,8 +214,8 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
     return float(_spectral_formula(f, [_checked_pair(rho, sigma, k)])[0])
 
 
-def _spectral_formula(f, pairs):
-    """The formula over a stack of checked ``(rho, sigma, K)`` pairs sharing K.
+def _spectral_formula(f, pairs, shared=True):
+    """The formula over a stack of checked ``(rho, sigma, K)`` pairs, sharing K if ``shared``.
 
     Everything is laid out ``[n, j, k]`` (j over rho's modes, k over
     sigma's), so the einsum sums over k within each column j, then over the
@@ -221,11 +225,12 @@ def _spectral_formula(f, pairs):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
+    km = kms[0] if shared else _stacked(kms)
     lam = _stacked([_clustered(rho) for rho in rhos])
     mu = _stacked([_clustered(sigma) for sigma in sigmas])
     keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
     mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
-    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ kms[0]
+    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ km
          @ _stacked([rho.vecs for rho in rhos]))
     weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|K|psi_j>|^2
     fmat, zero_diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight)

@@ -73,6 +73,11 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _as_matrices(ms) -> np.ndarray:
+    """Square matrices of one shape as one complex ``(N, d, d)`` stack."""
+    return np.stack([as_matrix(m) for m in ms])
+
+
 def assert_hermitian(m) -> np.ndarray:
     """Return m as ndarray, raising InvalidMatrix unless m = m* within HERMITICITY_TOL."""
     a = as_matrix(m)
@@ -122,6 +127,17 @@ def op_norm(m):
     if a.ndim <= 2:
         return float(singular_values(a).max(initial=0.0))
     return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+
+
+def _kron(a, b) -> np.ndarray:
+    """``np.kron`` of each pair of matrices of two ``(..., m, n)``, ``(..., p, q)`` stacks.
+
+    The same broadcast product as ``np.kron``, so each member is bit-equal to
+    it (an einsum is not).
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,6 +398,18 @@ class PsdOperator:
             for op, marg in zip(todo, PsdOperator.stack(space.partial_trace(mats, key[2]))):
                 op._memo[key] = marg
         return [op._memo[key] for op in ops]
+
+    @staticmethod
+    def powers(ops, betas) -> np.ndarray:
+        """``generalized_powers`` of ``ops`` (of one dimension), each row memoised as ``power``.
+
+        One call raises the whole list; ``op.power(b)`` then reads row b of op.
+        """
+        raised = generalized_powers(*_spectra(ops), betas)
+        for op, rows in zip(ops, raised):
+            for beta, row in zip(betas, rows):
+                op.memo(("power", beta), lambda row=row: row)
+        return raised
 
     def support_projector(self) -> np.ndarray:
         return self.power(0.0)

@@ -14,8 +14,8 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import (FactorizedSpace, PsdOperator, _spectra, as_matrix, generalized_powers,
-                     hermitize, hs_norm, op_norm)
+from .linalg import (FactorizedSpace, PsdOperator, _kron, _spectra, as_matrix,
+                     generalized_powers, hermitize, hs_norm, op_norm)
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -42,21 +42,36 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
 
     Bipartite convention: factor 0 is kept, factor 1 is traced out; the
     reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
-    kept factor and the unitary ``v`` on the traced one.
+    kept factor and the unitary ``v`` on the traced one.  The one-pair case
+    of ``monotonicity_residuals``.
+    """
+    resid, norms = monotonicity_residuals([rho], [sigma], [k1], space, beta, [v])
+    return resid[0], norms[0]
+
+
+def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: float, vs):
+    """``monotonicity_residual`` of each (rho, sigma, K1, V): a ``(N, d, d)`` stack and its norms.
+
+    The 2N marginals are one stacked eigh, each list of operators is raised
+    with one ``generalized_powers`` call, and the products are stacked, so
+    each member and each norm is bit-equal to the pair's own.
     """
     _check_beta(beta)
     if space.nfactors != 2:
         raise ShapeMismatch("monotonicity residual expects a bipartite factorization")
-    rho = space.psd(rho)
-    sigma = space.psd(sigma)
-    rho1 = rho.marginal(space, (0,))
-    sigma1 = sigma.marginal(space, (0,))
-    v = as_matrix(v)
-    k1 = as_matrix(k1)
-    left = np.kron(sigma1.power(beta) @ k1 @ rho1.power(-beta), v) @ rho.power(0.5)
-    right = sigma.power(beta) @ np.kron(k1, v) @ rho.power(0.5 - beta)
+    rhos = [space.psd(rho) for rho in rhos]
+    sigmas = [space.psd(sigma) for sigma in sigmas]
+    marginals = PsdOperator.marginals(rhos + sigmas, space, (0,))
+    rho1s, sigma1s = marginals[:len(rhos)], marginals[len(rhos):]
+    vs = np.stack([as_matrix(v) for v in vs])
+    k1s = np.stack([as_matrix(k1) for k1 in k1s])
+    rho_pows = PsdOperator.powers(rhos, (0.5, 0.5 - beta))
+    reduced = (PsdOperator.powers(sigma1s, (beta,))[:, 0] @ k1s
+               @ PsdOperator.powers(rho1s, (-beta,))[:, 0])
+    left = _kron(reduced, vs) @ rho_pows[:, 0]
+    right = PsdOperator.powers(sigmas, (beta,))[:, 0] @ _kron(k1s, vs) @ rho_pows[:, 1]
     resid = left - right
-    return resid, hs_norm(resid)
+    return resid, [hs_norm(member) for member in resid]
 
 
 def equality_condition_residual(rho, sigma, k, space: FactorizedSpace) -> float:

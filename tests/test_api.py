@@ -60,6 +60,14 @@ TEST_ONLY = {
                            "(the block: verify_operator_ssa_block)",
     "verify_wyd_operator": "the WYD operator check of one pair "
                            "(the block: verify_wyd_operator_block)",
+    "monotonicity_gap": "the monotonicity gap of one pair (the block: _monotonicity_gaps)",
+    "monotonicity_residual": "the residual R_beta of one pair "
+                             "(the block: monotonicity_residuals)",
+    "verify_monotonicity": "the monotonicity check of one trial "
+                           "(the block: verify_monotonicity_block)",
+    "verify_thm42_grid": "the thm42 check of one trial (the block: verify_thm42_block)",
+    "verify_joint_convexity": "the joint-convexity check of one ensemble "
+                              "(the block: verify_joint_convexity_block)",
 }
 
 

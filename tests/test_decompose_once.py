@@ -51,12 +51,13 @@ class TestDecompositionCounts:
     def test_monotonicity_gap_decomposes_only_the_marginals(self, inputs):
         f, k1, v, rho, sigma = inputs
         got = _count(lambda: bounds.monotonicity_gap(f, k1, v, rho, sigma, SPACE))
-        assert got == {"eigh": 2, "eigvalsh": 0, "svd": 0}
+        # both marginals as one stack
+        assert got == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
     def test_thm42_grid(self, inputs):
         f, k1, v, rho, sigma = inputs
         got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho, sigma, 0.5, SPACE))
-        assert got == {"eigh": 2, "eigvalsh": 0, "svd": 1}
+        assert got == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
     def test_monotonicity_bound_at_half(self, inputs):
         f, k1, v, rho, sigma = inputs
@@ -66,7 +67,7 @@ class TestDecompositionCounts:
     def test_raw_inputs_are_decomposed_once(self, inputs):
         f, k1, v, rho, sigma = inputs
         got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho.mat, sigma.mat, 0.5, SPACE))
-        assert got["eigh"] == 4
+        assert got["eigh"] == 3
 
     def test_second_call_on_the_same_states_decomposes_nothing(self, inputs):
         f, k1, v, rho, sigma = inputs
@@ -89,8 +90,9 @@ class TestStackedCallCounts:
         assert got["svd"] == svd
 
     @pytest.mark.parametrize("inequality, dims, eigh", [
-        # its two floored states, rho, the sigma(eps) stack, their (0,) marginals and rho's
-        ("equality_monotonicity", (2, 2), 6),
+        # its two floored states, rho, the sigma(eps) stack, and one stack of rho's
+        # (0,) marginal and theirs
+        ("equality_monotonicity", (2, 2), 5),
         # the floored rho, its mixture, one stack of the 12 sigma_j(eps) and 4 mixtures
         ("equality_joint_convexity", (2, 2), 3),
         # rho_AB, tau, rho, rho_BC and the stacks of sigma_AB, sigma_B and their embeddings
@@ -115,11 +117,11 @@ class TestStackedCallCounts:
         config = CampaignConfig(inequalities=("joint_convexity",), dims=((2, 2),),
                                 betas=(0.5,), trials=20, seed=7)
         got = _count(lambda: run_campaign(config, io.StringIO()))
-        # one stacked eigh for the 120 sampled states, then one for the two mixtures per trial
-        assert got["eigh"] == 1 + 20
-        # one batched SVD for the 20 contractions, then ||K|| and the
-        # equality residual per trial
-        assert got["svd"] == 1 + 2 * 20
+        # one stacked eigh for the 120 sampled states, then one for the 40 mixtures
+        assert got["eigh"] == 1 + 1
+        # one batched SVD for the 20 contractions, then one for the 20 ||K|| and
+        # one for the 60 equality differences
+        assert got["svd"] == 1 + 2
 
 
 class TestMemoisation:

@@ -369,7 +369,7 @@ class TestGridResiduals:
         km = random_contraction(d, seed=rng)
         comps = [(w, random_density(d, seed=rng), random_density(d, seed=rng))
                  for w in (0.3, 0.3, 0.4)]
-        rho, sigma = bounds._mixture(comps)
+        (_, rho, sigma), = bounds._mixtures([comps])
         space = FactorizedSpace((d,))
         _, rhos, sigmas = zip(*comps)
         mixed = _sandwiches([sigma], (0,), [rho], (0,), space, GRID, km)
@@ -392,7 +392,7 @@ class TestGridResiduals:
         ensembles = []
         for _ in range(4):
             comps = [(w, rho, random_density(d, seed=rng)) for w in (0.3, 0.3, 0.4)]
-            ensembles.append((comps, bounds._mixture(comps)[1]))
+            ensembles.append((comps, bounds._mixtures([comps])[0][2]))
         space = FactorizedSpace((d,))
         mixed = _sandwiches([sigma for _, sigma in ensembles], (0,), [rho], (0,), space, GRID, km)
         parts = _sandwiches([s for comps, _ in ensembles for _, _, s in comps], (0,),

@@ -292,13 +292,14 @@ def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundRepor
     rhos = [space.psd(rho) for rho in rhos]
     sigmas = [space.psd(sigma) for sigma in sigmas]
     reports = []
-    for rho, sigma, (rnorm, gap, k_norm, d_norm, consts) in zip(
-            rhos, sigmas, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
+    for rho, sigma, k1, v, (rnorm, gap, k_norm, d_norm, consts) in zip(
+            rhos, sigmas, k1s, vs, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
         lhs = math.pi / math.sin(beta * math.pi) * rnorm
         rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
         reports.append(_report(
             "thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL),
-            constants=consts, digest=digest_inputs(rho.mat, sigma.mat),
+            constants=consts,
+            digest=digest_inputs(rho.mat, sigma.mat, as_matrix(k1), as_matrix(v)),
             notes=f"f={f.name};beta={beta:g}",
             details={"gap": gap, "rhs_at_T_star": rhs_star, "residual_hs": rnorm}))
     return reports

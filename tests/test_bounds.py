@@ -397,6 +397,18 @@ class TestThm42AndPowerLaw:
             rep = verify_thm42_grid(f, k1, v, rho, sig, beta, SPACE)
             assert rep.passed
 
+    def test_digest_covers_k1_and_v(self):
+        # the same rho and sigma with another K1 and V is another instance
+        rho, sig = random_density(4, seed=1), random_density(4, seed=2)
+        reps = [verify_thm42_grid(NEG_LOG, random_contraction(2, seed=a),
+                                  random_unitary(2, seed=b), rho, sig, 0.5, SPACE)
+                for a, b in ((3, 4), (5, 6))]
+        assert reps[0].lhs != reps[1].lhs
+        assert reps[0].inputs_digest != reps[1].inputs_digest
+        bound = verify_monotonicity_bound(NEG_LOG, random_contraction(2, seed=3),
+                                          random_unitary(2, seed=4), rho, sig, 0.5, SPACE)
+        assert reps[0].inputs_digest == bound.inputs_digest
+
     def test_bound_report_fields(self):
         rng = np.random.default_rng(5)
         rho = random_density(4, seed=rng)

@@ -231,9 +231,10 @@ class TestEffectiveEigs:
 # re-recorded when the window optimum became closed-form (T_star and the thm42
 # rhs moved in their last digits) and when monotonicity_bound read ||K^{-1}||
 # as ||K1^{-1}|| (details.interchange_rhs of 6 of its 12 lines moved by at most
-# 4.7e-16 relative). A change that moves any digit of it must explain which and
-# why in CHANGES.md.
-GOLDEN_SHA256 = "294f18497761ede337834a647061fa089a82f6ffd0b11731f92eb3ddfca13e0c"
+# 4.7e-16 relative), and when the thm42 digest took K1 and V as well as rho and
+# sigma (the inputs_digest of its 12 lines moved; no other field of any line).
+# A change that moves any digit of it must explain which and why in CHANGES.md.
+GOLDEN_SHA256 = "bcdc323dd8d5afbfcc2058f96d1d88b12513c4f35c7545ea5a71e9ad5c800b7b"
 # Tripartite and 3x2 families that go through partial traces and embeddings,
 # recorded before their einsum operands were cached per dims.
 GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903d0761162"

@@ -639,6 +639,17 @@ class TestWyd:
         assert rep.details["gap"] == pytest.approx(scalar, abs=1e-12)
         assert rep.passed
 
+    @pytest.mark.parametrize("weights", [(0.7, 0.7), (-0.5, 1.5), (0.5, float("nan"))])
+    @pytest.mark.parametrize("check", ["wyd_joint_concavity", "joint_convexity"])
+    def test_weights_must_be_positive_and_sum_to_one(self, check, weights):
+        rng = np.random.default_rng(23)
+        comps = [(w, random_density(2, seed=rng), random_density(2, seed=rng)) for w in weights]
+        with pytest.raises(InvalidParameter, match="weights"):
+            if check == "joint_convexity":
+                verify_joint_convexity(NEG_LOG, np.eye(2), comps, 0.5)
+            else:
+                verify_wyd_joint_concavity(0.5, np.eye(2), comps, 0.5)
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.5, -0.5])
     def test_sign_carried_through(self, p):
         for seed in range(10):

@@ -582,6 +582,38 @@ class TestSpectralKernel:
                         quasi_relative_entropies(f, km, *zip(*members))
                     assert (DivergentEntropy, str(err.value)) == value
 
+    @pytest.mark.parametrize("fid", FUNCTIONS)
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_stack_of_k_is_bit_equal_to_the_one_pair_loop(self, fid, d):
+        f = from_id(fid)
+        pairs = _pairs(d, d)
+        rng = np.random.default_rng(d + 2)
+        ks = np.stack([np.eye(d, dtype=complex)]
+                      + [random_contraction(d, seed=rng) for _ in pairs[1:]])
+        alone = [_outcome(lambda: _oracle_entropy(f, km, r, s)) for km, (r, s) in zip(ks, pairs)]
+        fine = [i for i, value in enumerate(alone) if not isinstance(value, tuple)]
+        got = quasi_relative_entropies(f, ks[fine], *zip(*[pairs[i] for i in fine]))
+        for i, x in zip(fine, got.tolist()):
+            assert x == alone[i] == quasi_relative_entropy(f, ks[i], *pairs[i])
+        # a pair that raises alone raises the same at each position of the stack,
+        # with its own K, and before a later pair that fails its checks
+        bad_dim = (random_density(d + 1, seed=rng), random_density(d + 1, seed=rng))
+        for i, value in enumerate(alone):
+            if not isinstance(value, tuple):
+                continue
+            for position in range(len(fine) + 1):
+                members = fine[:position] + [i] + fine[position:]
+                with pytest.raises(DivergentEntropy) as err:
+                    quasi_relative_entropies(f, ks[members + [0]],
+                                             *zip(*[pairs[j] for j in members], bad_dim))
+                assert (DivergentEntropy, str(err.value)) == value
+
+    def test_stack_of_k_must_hold_one_k_per_pair(self):
+        rho, sigma = random_density(3, seed=1), random_density(3, seed=2)
+        with pytest.raises(ValueError):
+            quasi_relative_entropies(from_id("neg_log"), np.stack([np.eye(3)] * 3),
+                                     [rho, rho], [sigma, sigma])
+
     def test_each_kind_of_divergence_is_met(self):
         # f(0+) = +inf on rank-deficient sigma, f'(inf) = +inf on rank-deficient rho
         d = 4
@@ -809,6 +841,159 @@ class TestOperatorSsaBlock:
         # the trials after the first divergent one are checked alone, once each;
         # only that trial is checked twice
         assert check.call_count == 20 + 1
+
+
+# ----------------------------------------------------------------------------
+# The monotonicity trio and joint convexity: the block kernel
+# ----------------------------------------------------------------------------
+
+def _loop_monotonicity_report(ineq, f, rho, sigma, k1, v, beta, space):
+    """One trial's report of a monotonicity-trio family, operator by operator, as before the block."""
+    rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
+    sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
+    k_full = np.kron(k1, v)
+    gap = (quasi_relative_entropy(f, k_full, rho, sigma)
+           - quasi_relative_entropy(f, k1, rho1, sigma1))
+    digest = bounds.digest_inputs(rho.mat, sigma.mat, k1, v)
+    if ineq == "monotonicity":
+        return bounds._report(ineq, 0.0, gap, gap >= -bounds.REPORT_TOL, digest=digest,
+                              notes=f"f={f.name}")
+    rnorm = float(np.linalg.norm(
+        np.kron(sigma1.power(beta) @ k1 @ rho1.power(-beta), v) @ rho.power(0.5)
+        - sigma.power(beta) @ k_full @ rho.power(0.5 - beta)))
+    k_norm, d_norm = op_norm(k1), ModularOperator(sigma, rho).op_norm()
+    consts = bounds.optimize_T_scalar(f, beta, k_norm, d_norm, gap)
+    notes = f"f={f.name};beta={beta:g}"
+    if ineq == "thm42":
+        lhs = np.pi / np.sin(beta * np.pi) * rnorm
+        rhs = bounds.thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
+        return bounds._report(ineq, lhs, rhs, bounds._rel_pass(lhs, rhs, bounds.REL_INEQ_TOL),
+                              constants=consts, digest=digest, notes=notes,
+                              details={"gap": gap, "rhs_at_T_star": rhs, "residual_hs": rnorm})
+    details = {"residual_hs": rnorm, "gap": gap}
+    rhs = consts.M * max(gap, 0.0) ** consts.alpha
+    ok = bounds._rel_pass(rnorm, rhs, bounds.REL_INEQ_TOL)
+    if beta == 0.5 and rho.rank() == rho.dim:
+        ok = bounds._recovery_forms(f, k1, v, rho, sigma, space, rnorm, gap, d_norm, consts,
+                                    details) and ok
+    return bounds._report(ineq, rnorm, rhs, ok, constants=consts, digest=digest, notes=notes,
+                          details=details)
+
+
+def _loop_joint_convexity_report(f, comps, km, beta):
+    """One ensemble's joint-convexity report, operator by operator, as before the block."""
+    probs = np.array([w for w, _, _ in comps])
+    rho, sigma = (PsdOperator(hermitize(sum(w * x.mat for w, x in zip(probs, xs))))
+                  for xs in list(zip(*comps))[1:])
+    gap = (sum(w * quasi_relative_entropy(f, km, r, s) for w, r, s in comps)
+           - quasi_relative_entropy(f, km, rho, sigma))
+    mixed = sigma.power(beta) @ km @ rho.power(-beta)
+    norms = np.array([float(np.linalg.norm(mixed @ r.power(0.5)
+                                           - s.power(beta) @ km @ r.power(0.5 - beta)))
+                      for _, r, s in comps])
+    l1 = float((np.sqrt(probs) * norms).sum())
+    d_sum = float(sum(w / r.min_positive_eig() for w, r, _ in comps))
+    k_norm = op_norm(km)
+    consts = bounds.optimize_T_scalar(f, beta, k_norm, d_sum, gap)
+    rhs_star = bounds.thm42_terms(f, beta, consts.T_star, k_norm, d_sum, gap)
+    power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
+    ok = (gap >= -bounds.REPORT_TOL
+          and bounds._rel_pass(np.pi / np.sin(beta * np.pi) * l1, rhs_star, bounds.REL_INEQ_TOL)
+          and bounds._rel_pass(l1, power_rhs, bounds.REL_INEQ_TOL))
+    return bounds._report(
+        "joint_convexity", l1, power_rhs, ok, constants=consts,
+        digest=bounds.digest_inputs(km, *[r.mat for _, r, _ in comps],
+                                    *[s.mat for _, _, s in comps]),
+        notes=f"f={f.name};beta={beta:g}",
+        details={"gap": gap, "residual_block_l2": float(np.sqrt((probs * norms ** 2).sum())),
+                 "equality_residual": _loop_joint_equality_residual(km, rho, sigma, comps, beta),
+                 "rhs_at_T_star": rhs_star})
+
+
+def _blocks(ineq, dims, fid, n, seed=7):
+    """The sampled blocks of n trials' operands, as the campaign draws them."""
+    seeds = [trial_seed(seed, ineq, dims, fid, 0.25, t) for t in range(n)]
+    return seeds, list(campaign.sample_blocks(FAMILIES[ineq], FactorizedSpace(dims), seeds))
+
+
+MONOTONICITY_BLOCK = ("monotonicity", "thm42", "monotonicity_bound", "joint_convexity")
+
+
+class TestMonotonicityBlock:
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    @pytest.mark.parametrize("dims, n", [((2, 2), 1), ((2, 2), 4), ((2, 2), 20),
+                                         ((3, 2), 1), ((3, 2), 4), ((3, 2), 20), ((8, 8), 1)])
+    @pytest.mark.parametrize("ineq", MONOTONICITY_BLOCK)
+    def test_block_reports_are_the_one_trial_reports(self, ineq, dims, n, beta):
+        family = FAMILIES[ineq]
+        space = FactorizedSpace(dims)
+        for fid in ("neg_log", "f_p:0.5"):
+            f = from_id(fid)
+            seeds, blocks = _blocks(ineq, dims, fid, n)
+            got = [r.to_json() for block in blocks for r in family.check(f, space, beta, block)]
+            assert len(got) == n
+            for seed, line in zip(seeds, got):
+                ops = campaign.sample_operands(family, space, np.random.default_rng(seed))
+                alone, = family.check(f, space, beta, [ops])
+                assert line == alone.to_json()
+                if ineq == "joint_convexity":
+                    comps, km = [(w, _fresh(r), _fresh(s)) for w, r, s in ops[0]], ops[1]
+                    single = bounds.verify_joint_convexity(f, km, comps, beta)
+                    loop = _loop_joint_convexity_report(f, comps, km, beta)
+                else:
+                    rho, sigma, k1, v = _fresh(ops[0]), _fresh(ops[1]), ops[2], ops[3]
+                    one = {"monotonicity": lambda: bounds.verify_monotonicity(
+                               f, k1, v, rho, sigma, space),
+                           "thm42": lambda: bounds.verify_thm42_grid(
+                               f, k1, v, rho, sigma, beta, space),
+                           "monotonicity_bound": lambda: bounds.verify_monotonicity_bound(
+                               f, k1, v, rho, sigma, beta, space)}[ineq]
+                    single = one()
+                    loop = _loop_monotonicity_report(ineq, f, _fresh(rho), _fresh(sigma), k1, v,
+                                                     beta, space)
+                assert line == single.to_json() == loop.to_json()
+
+    @pytest.mark.parametrize("ineq", MONOTONICITY_BLOCK)
+    def test_decompositions_per_block_do_not_grow_with_its_size(self, ineq):
+        space, fid = FactorizedSpace((2, 2)), "f_p:0.5"
+        counts = []
+        for n in (1, 4, 20):
+            _, block = _block(ineq, (2, 2), fid, n)
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                FAMILIES[ineq].check(from_id(fid), space, 0.25, block)
+            counts.append((eigh.call_count, svd.call_count))
+        # the 2N marginals (or the 2N mixtures); ||K1|| (or ||K|| and the equality residuals)
+        assert counts == [{"monotonicity": (1, 0), "thm42": (1, 1), "monotonicity_bound": (1, 1),
+                           "joint_convexity": (1, 2)}[ineq]] * 3
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_joint_convexity_raises_each_operator_once(self, monkeypatch, n):
+        # per trial: the two mixtures to one exponent each, the three sigma_j to one and the
+        # three rho_j to three (1/2, 1/2 - beta, -beta), each once
+        raised = []
+
+        def spy(vecs, eigs, cutoffs, betas):
+            raised.extend((member.tobytes(), beta) for member in eigs for beta in betas)
+            return generalized_powers(vecs, eigs, cutoffs, betas)
+
+        for module in (linalg, recovery, bounds):
+            monkeypatch.setattr(module, "generalized_powers", spy)
+        _, block = _block("joint_convexity", (2, 2), "neg_log", n)
+        FAMILIES["joint_convexity"].check(from_id("neg_log"), FactorizedSpace((2, 2)), 0.25, block)
+        assert len(raised) == 14 * n
+        assert len(set(raised)) == len(raised)
+
+    def test_divergent_member_stays_in_its_trial(self):
+        # mixed rank: a rank-deficient sigma meets neg_log's f(0+) = +inf on a weighted zero mode
+        ineq, dims, fid = "monotonicity", (2, 2), "neg_log"
+        seeds = [trial_seed(7, ineq, dims, fid, 0.25, t) for t in range(20)]
+        block, = campaign.sample_blocks(FAMILIES[ineq], FactorizedSpace(dims), seeds, "mixed")
+        with pytest.raises(DivergentEntropy):
+            FAMILIES[ineq].check(from_id(fid), FactorizedSpace(dims), 0.25, block)
+        got = _cell_lines(ineq, dims, fid, 0.25, 20, 7)
+        assert got == _replayed_lines(ineq, dims, fid, 0.25, 20, 7)
+        assert 0 < got.count("divergent=1") < 20
 
 
 # ----------------------------------------------------------------------------

@@ -20,19 +20,23 @@ Conventions used throughout:
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} raised by
-``linalg.generalized_powers`` (below-cutoff modes zeroed).  They run as one
-kernel over a block of (rho_ABC, sigma_AB) pairs (``verify_operator_ssa_block``,
-both sides from ``operator_ssa_block_sides``): each stage is one stacked call
-over the block, and each report is bit-identical to the pair's own.
-``verify_operator_ssa`` and ``verify_wyd_operator`` are the one-pair case; a
-block that raises is checked again pair by pair by the campaign.  The equality
+``linalg.generalized_powers`` (below-cutoff modes zeroed).
+
+The campaign's block kernels run each stage as one stacked call over a block
+of trials, and each report is bit-identical to the trial's own:
+``verify_operator_ssa_block`` (both sides from ``operator_ssa_block_sides``)
+over (rho_ABC, sigma_AB) pairs; ``verify_monotonicity_block``,
+``verify_thm42_block`` and ``verify_monotonicity_bound_block`` over (rho,
+sigma, K1, V) trials, from ``_monotonicity_gaps`` and ``_remainder_terms`` (one
+stacked eigh for the 2N marginals, the gaps as two kernel calls, one batched
+SVD for ||K1||); ``verify_joint_convexity_block`` over ensembles, with stacked
+mixtures.  Each one-pair ``verify_*`` of these is its block of one; a block
+that raises is checked again trial by trial by the campaign.  The equality
 residuals are ``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima``.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 
 import numpy as np
@@ -164,19 +168,13 @@ def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float):
 
 def monotonicity_gap(f: OperatorConvexFunction, k1, v, rho, sigma,
                      space: FactorizedSpace) -> float:
-    """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1); nonnegative for unitary V.
-
-    The one-pair case of ``_monotonicity_gaps``.
-    """
+    """S_f^{K1 (x) V}(rho||sigma) - S_f^{K1}(rho_1||sigma_1), >= 0 for unitary V; one pair."""
     return _monotonicity_gaps(f, [rho], [sigma], [k1], [v], space)[0]
 
 
 def _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space):
-    """``monotonicity_gap`` of each (rho, sigma, K1, V): two kernel calls.
-
-    The full pairs take the stack of K1 (x) V, the marginals the stack of K1;
-    the 2N marginals are one stacked eigh.
-    """
+    """``monotonicity_gap`` of each (rho, sigma, K1, V): two kernel calls (stacked K1 (x) V,
+    stacked K1) and one stacked eigh for the 2N marginals."""
     rhos = [space.psd(rho) for rho in rhos]
     sigmas = [space.psd(sigma) for sigma in sigmas]
     k1s = _as_matrices(k1s)
@@ -238,17 +236,8 @@ def _rel_pass(lhs: float, rhs: float, tol: float) -> bool:
 
 def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
             notes="", details=None) -> BoundReport:
-    return BoundReport(
-        inequality_id=inequality_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        gap=float(rhs) - float(lhs),
-        passed=bool(passed),
-        constants=constants,
-        inputs_digest=digest,
-        notes=notes,
-        details=details or {},
-    )
+    return BoundReport(inequality_id, float(lhs), float(rhs), float(rhs) - float(lhs),
+                       bool(passed), constants, digest, notes=notes, details=details or {})
 
 
 # ----------------------------------------------------------------------------
@@ -258,11 +247,9 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
 def verify_monotonicity_block(f, rhos, sigmas, k1s, vs, space) -> list[BoundReport]:
     """``verify_monotonicity`` of each trial of a block, from one ``_monotonicity_gaps`` call."""
     gaps = _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space)
-    return [_report("monotonicity", 0.0, gap, gap >= -REPORT_TOL,
-                    digest=digest_inputs(as_matrix(rho), as_matrix(sigma),
-                                         as_matrix(k1), as_matrix(v)),
-                    notes=f"f={f.name}")
-            for rho, sigma, k1, v, gap in zip(rhos, sigmas, k1s, vs, gaps)]
+    return [_report("monotonicity", 0.0, gap, gap >= -REPORT_TOL, notes=f"f={f.name}",
+                    digest=digest_inputs(*map(as_matrix, operands)))
+            for *operands, gap in zip(rhos, sigmas, k1s, vs, gaps)]
 
 
 def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
@@ -271,71 +258,76 @@ def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
 
 
 def _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space):
-    """Per trial (||R_beta||_2, gap, ||K||, ||Delta||, constants at T*): what both remainder checks read.
+    """Per trial (rho, sigma, K1, V, ||R_beta||_2, gap, ||K||, ||Delta||, constants at T*).
 
-    Each step runs once over the block: the residuals
-    (``recovery.monotonicity_residuals``, one stacked eigh for the 2N
-    marginals), the gaps (two kernel calls) and ||K|| (one batched SVD);
-    ||Delta|| and the constants are per trial.  ||K|| is read as ||K1||,
-    which equals ||K1 (x) V|| because V is unitary.
+    The residuals, the gaps and ||K|| (one batched SVD) each run once over the
+    block.  ||K|| is read as ||K1||, which equals ||K1 (x) V|| for unitary V.
     """
+    rhos = [space.psd(rho) for rho in rhos]
+    sigmas = [space.psd(sigma) for sigma in sigmas]
     _, rnorms = monotonicity_residuals(rhos, sigmas, k1s, space, beta, vs)
     gaps = _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space)
-    k_norms = op_norm(_as_matrices(k1s)).tolist()
+    k1s, vs = _as_matrices(k1s), _as_matrices(vs)
     d_norms = [ModularOperator(sigma, rho).op_norm() for rho, sigma in zip(rhos, sigmas)]
-    return [(rnorm, gap, k_norm, d_norm, optimize_T_scalar(f, beta, k_norm, d_norm, gap))
-            for rnorm, gap, k_norm, d_norm in zip(rnorms, gaps, k_norms, d_norms)]
+    return [(rho, sigma, k1, v, rnorm, gap, k_norm, d_norm,
+             optimize_T_scalar(f, beta, k_norm, d_norm, gap))
+            for rho, sigma, k1, v, rnorm, gap, k_norm, d_norm
+            in zip(rhos, sigmas, k1s, vs, rnorms, gaps, op_norm(k1s).tolist(), d_norms)]
 
 
 def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
     """``verify_thm42_grid`` of each trial of a block, from one ``_remainder_terms`` block."""
-    rhos = [space.psd(rho) for rho in rhos]
-    sigmas = [space.psd(sigma) for sigma in sigmas]
     reports = []
-    for rho, sigma, k1, v, (rnorm, gap, k_norm, d_norm, consts) in zip(
-            rhos, sigmas, k1s, vs, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
+    for rho, sigma, k1, v, rnorm, gap, k_norm, d_norm, consts in _remainder_terms(
+            f, rhos, sigmas, k1s, vs, beta, space):
         lhs = math.pi / math.sin(beta * math.pi) * rnorm
         rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_norm, gap)
         reports.append(_report(
-            "thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL),
-            constants=consts,
-            digest=digest_inputs(rho.mat, sigma.mat, as_matrix(k1), as_matrix(v)),
-            notes=f"f={f.name};beta={beta:g}",
+            "thm42", lhs, rhs_star, _rel_pass(lhs, rhs_star, REL_INEQ_TOL), constants=consts,
+            digest=digest_inputs(rho.mat, sigma.mat, k1, v), notes=f"f={f.name};beta={beta:g}",
             details={"gap": gap, "rhs_at_T_star": rhs_star, "residual_hs": rnorm}))
     return reports
 
 
 def verify_thm42_grid(f, k1, v, rho, sigma, beta, space) -> BoundReport:
-    """Remainder inequality at the closed-form window optimum T*.
-
-    RHS(T*) <= RHS(T) for every T > 1, so passing at T* passes on any T grid.
-    The one-trial case of ``verify_thm42_block``.
-    """
+    """Remainder inequality at the window optimum T*, hence on any T grid; the one-trial block."""
     return verify_thm42_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
 
 
-def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta,
-                                    space) -> list[BoundReport]:
-    """``verify_monotonicity_bound`` of each trial of a block.
-
-    The power-law forms read one ``_remainder_terms`` block; the beta = 1/2
-    recovery-map forms (``_recovery_forms``) are checked trial by trial.
-    """
-    rhos = [space.psd(rho) for rho in rhos]
-    sigmas = [space.psd(sigma) for sigma in sigmas]
+def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
+    """``verify_monotonicity_bound`` of each trial; the beta = 1/2 recovery forms per trial."""
     reports = []
-    for rho, sigma, k1, v, (rnorm, gap, _, d_norm, consts) in zip(
-            rhos, sigmas, k1s, vs, _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)):
-        k1m, vm = as_matrix(k1), as_matrix(v)
+    for rho, sigma, k1m, vm, rnorm, gap, _, d_norm, consts in _remainder_terms(
+            f, rhos, sigmas, k1s, vs, beta, space):
         details = {"residual_hs": rnorm, "gap": gap}
         # power-law form: ||R||_2 <= M gap^alpha
-        lhs = rnorm
         rhs = consts.M * max(gap, 0.0) ** consts.alpha
-        ok = _rel_pass(lhs, rhs, REL_INEQ_TOL)
+        ok = _rel_pass(rnorm, rhs, REL_INEQ_TOL)
         if beta == 0.5 and rho.rank() == rho.dim:
-            ok = _recovery_forms(f, k1m, vm, rho, sigma, space, rnorm, gap, d_norm, consts,
-                                 details) and ok
-        reports.append(_report("monotonicity_bound", lhs, rhs, ok, constants=consts,
+            k_full = np.kron(k1m, vm)
+            sigma1 = sigma.marginal(space, (0,))
+            rho1 = rho.marginal(space, (0,))
+            recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
+                                     space, keep=(0,))
+            target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
+            petz_lhs = trace_norm(recovered - target)
+            details["petz_diff_trace"] = petz_lhs
+            details["petz_chain_rhs"] = 2.0 * rnorm
+            # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
+            x_n = hs_norm(np.kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
+                          @ rho.power(0.5))
+            y_n = hs_norm(sigma.power(0.5) @ k_full)
+            if x_n + y_n <= 2.0 + 1e-9:
+                ok = ok and _rel_pass(petz_lhs, 2.0 * rnorm, REL_INEQ_TOL)
+            ok = ok and _rel_pass(petz_lhs, 2.0 * consts.M * max(gap, 0.0) ** consts.alpha,
+                                  REL_INEQ_TOL)
+            if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
+                quartic = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
+                details["quartic_lower"] = quartic
+                ok = ok and _rel_pass(quartic, gap, REL_INEQ_TOL)
+            ok = _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space,
+                                    consts, gap, details) and ok
+        reports.append(_report("monotonicity_bound", rnorm, rhs, ok, constants=consts,
                                digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
                                notes=f"f={f.name};beta={beta:g}", details=details))
     return reports
@@ -346,38 +338,9 @@ def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space) -> BoundReport:
 
     At beta = 1/2: the recovery-map trace-norm form with constant 2M, and, for
     the logarithm with K = I, the quartic special case
-    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.  The one-trial case of
-    ``verify_monotonicity_bound_block``.
+    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.  The one-trial block.
     """
     return verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
-
-
-def _recovery_forms(f, k1m, vm, rho, sigma, space, rnorm, gap, d_norm, consts, details):
-    """Whether the beta = 1/2 recovery-map forms of one trial hold; their terms go to ``details``."""
-    k_full = np.kron(k1m, vm)
-    sigma1 = sigma.marginal(space, (0,))
-    rho1 = rho.marginal(space, (0,))
-    recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
-                             space, keep=(0,))
-    target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
-    petz_lhs = trace_norm(recovered - target)
-    details["petz_diff_trace"] = petz_lhs
-    details["petz_chain_rhs"] = 2.0 * rnorm
-    ok = True
-    # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
-    x_n = hs_norm(np.kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
-                  @ rho.power(0.5))
-    y_n = hs_norm(sigma.power(0.5) @ k_full)
-    if x_n + y_n <= 2.0 + 1e-9:
-        ok = _rel_pass(petz_lhs, 2.0 * rnorm, REL_INEQ_TOL)
-    ok = ok and _rel_pass(petz_lhs, 2.0 * consts.M * max(gap, 0.0) ** consts.alpha,
-                          REL_INEQ_TOL)
-    if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
-        quartic = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
-        details["quartic_lower"] = quartic
-        ok = ok and _rel_pass(quartic, gap, REL_INEQ_TOL)
-    return _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space,
-                              consts, gap, details) and ok
 
 
 def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, details):
@@ -444,11 +407,9 @@ def _average(weighted) -> np.ndarray:
 
 
 def _mixtures(ensembles):
-    """(components, rho, sigma) of each ensemble: its weighted components and their mixture.
+    """(components, rho, sigma) of each ensemble of (p_j, rho_j, sigma_j), with its mixture.
 
-    Each ensemble lists (p_j, rho_j, sigma_j); its weights must be positive
-    and sum to 1, else InvalidParameter.  The mixtures
-    (sum_j p_j rho_j, sum_j p_j sigma_j) of all ensembles are one stacked eigh.
+    The weights must be positive and sum to 1; all mixtures are one stacked eigh.
     """
     checked = []
     for components in ensembles:
@@ -462,21 +423,19 @@ def _mixtures(ensembles):
     return list(zip(checked, mixed[0::2], mixed[1::2]))
 
 
-def _joint_gaps(f, km, ensembles) -> list[float]:
+def _joint_gaps(f, kms, ensembles) -> list[float]:
     """sum_j p_j S_f^K(rho_j||sigma_j) - S_f^K(rho||sigma) of each (components, rho, sigma).
 
-    ``km`` is one K for every ensemble or a ``(N, d, d)`` stack, one K per
-    ensemble.  Every pair of every ensemble goes through one kernel call,
-    components first and the mixture last within each ensemble, as a loop
-    would take them.
+    Ensemble i takes ``kms[i]``.  Every pair of every ensemble goes through
+    one kernel call, components first and the mixture last within each
+    ensemble, as a loop would take them.
     """
-    rhos, sigmas = [], []
-    for comps, rho, sigma in ensembles:
+    ks, rhos, sigmas = [], [], []
+    for km, (comps, rho, sigma) in zip(kms, ensembles):
+        ks += [km] * (len(comps) + 1)
         rhos += [rj for _, rj, _ in comps] + [rho]
         sigmas += [sj for _, _, sj in comps] + [sigma]
-    if np.ndim(km) == 3:
-        km = np.repeat(km, [len(comps) + 1 for comps, _, _ in ensembles], axis=0)
-    values = iter(quasi_relative_entropies(f, km, rhos, sigmas).tolist())
+    values = iter(quasi_relative_entropies(f, np.stack(ks), rhos, sigmas).tolist())
     gaps = []
     for comps, _, _ in ensembles:
         avg = sum(pj * next(values) for pj, _, _ in comps)
@@ -485,29 +444,25 @@ def _joint_gaps(f, km, ensembles) -> list[float]:
 
 
 def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
-    """``verify_joint_convexity`` of each (ensemble, K) trial of a block.
+    """``verify_joint_convexity`` of each (ensemble, K) trial, the ensembles of one size.
 
-    The mixtures are one stacked eigh, the gaps one kernel call over all
-    pairs, the residuals one ``_mixture_residuals`` block (each operator
-    raised once), ||K|| and the equality residuals one batched SVD each;
-    the constants and the reports are per trial.
+    One stacked eigh (the mixtures), one kernel call (the gaps), each operator
+    raised once, and one batched SVD each for ||K|| and the equality residuals.
     """
     kms = _as_matrices(ks)
     ensembles = _mixtures(ensembles)
     gaps = _joint_gaps(f, kms, ensembles)
     residuals, eq_diffs = _mixture_residuals(kms, ensembles, beta)
-    eq_norms = iter(op_norm(eq_diffs).tolist())
-    k_norms = op_norm(kms).tolist()
+    eq_resids = _grid_maxima(eq_diffs.reshape(len(kms), -1, *kms.shape[1:]))
     reports = []
-    for (comps, _, _), km, gap, (resid_l1, resid_l2, d_sum), k_norm in zip(
-            ensembles, kms, gaps, residuals, k_norms):
+    for (comps, _, _), km, gap, (resid_l1, resid_l2, d_sum), k_norm, eq_resid in zip(
+            ensembles, kms, gaps, residuals, op_norm(kms).tolist(), eq_resids):
         lhs = math.pi / math.sin(beta * math.pi) * resid_l1
         consts = optimize_T_scalar(f, beta, k_norm, d_sum, gap)
         rhs_star = thm42_terms(f, beta, consts.T_star, k_norm, d_sum, gap)
         ok = gap >= -REPORT_TOL and _rel_pass(lhs, rhs_star, REL_INEQ_TOL)
         power_rhs = consts.M * max(gap, 0.0) ** consts.alpha
         ok = ok and _rel_pass(resid_l1, power_rhs, REL_INEQ_TOL)
-        eq_resid = functools.reduce(max, itertools.islice(eq_norms, len(comps)), 0.0)
         digest = digest_inputs(km, *[c.mat for _, c, _ in comps],
                                *[c.mat for _, _, c in comps])
         reports.append(_report("joint_convexity", resid_l1, power_rhs, ok, constants=consts,
@@ -521,43 +476,32 @@ def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
 def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     """Convexity gap >= 0, the mixture remainder bound at T*, and its power-law form.
 
-    The residual side is the weighted sum
-    sum_j p_j^{1/2} || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2
-    and the modular norm is replaced by sum_j p_j^{-1} ||rho_j^{-1}|| in the
-    first RHS term.  The block-diagonal (quadratic-mean) residual that the
-    extension argument bounds directly is recorded alongside.  The one-trial
-    case of ``verify_joint_convexity_block``.
+    The residual side is the weighted sum of ``_mixture_residuals`` and the
+    modular norm is replaced by sum_j p_j^{-1} ||rho_j^{-1}|| in the first RHS
+    term; the quadratic-mean residual that the extension argument bounds
+    directly is recorded alongside.  The one-trial block.
     """
     return verify_joint_convexity_block(f, [components], [k], beta)[0]
 
 
 def _mixture_residuals(kms, ensembles, beta):
-    """Weighted residual of each mixture, the modular-norm surrogate of its RHS, and the
-    equality-condition differences of all components.
-
-    With r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2
-    over the components (p_j, rho_j, sigma_j) of ensemble i, whose mixture is
-    (rho, sigma) and whose K is ``kms[i]``, returns per ensemble
-    (sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||),
-    and the ``(M, d, d)`` stack of sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b}
-    over all M components in order.  Each list of operators is raised once,
-    to all its exponents, by one ``generalized_powers`` call.
-    """
+    """(sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||) per ensemble,
+    r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2 (mixture (rho,
+    sigma), K = ``kms[i]``, ensembles of one size), and sigma^b K rho^{-b} - sigma_j^b K
+    rho_j^{-b} of every component as one stack.  Each operator list is raised once."""
     comps = [c for cs, _, _ in ensembles for c in cs]
     owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
     mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
              @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
-    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]),
-                                  (0.5, 0.5 - beta, -beta))
+    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta, -beta))
     sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
-    norms = iter([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
+    norms = np.array([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
     residuals = []
-    for cs, _, _ in ensembles:
+    for (cs, _, _), r in zip(ensembles, norms.reshape(len(ensembles), -1)):
         probs = np.array([pj for pj, _, _ in cs], dtype=float)
-        r = np.array(list(itertools.islice(norms, len(cs))))
-        d_sum = float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))
         residuals.append((float((np.sqrt(probs) * r).sum()),
-                          float(math.sqrt((probs * r ** 2).sum())), d_sum))
+                          float(math.sqrt((probs * r ** 2).sum())),
+                          float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))))
     return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
@@ -731,35 +675,20 @@ def verify_ssa(rho_abc, beta, space) -> BoundReport:
 # Power-family (skew information) inequalities
 # ----------------------------------------------------------------------------
 
-def wyd_trace_term(p: float, k, rho, sigma) -> float:
-    """Tr K* sigma^p K rho^{1-p} via generalized powers."""
-    km = as_matrix(k)
-    return float(np.real(np.trace(km.conj().T @ PsdOperator.wrap(sigma).power(p)
-                                  @ km @ PsdOperator.wrap(rho).power(1.0 - p))))
+def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
+    """Concavity gap of the power trace term, with the remainder when p in (0,1).
 
-
-def _wyd_gap(p, k, components, rho, sigma):
-    """ (Tr K* sigma^p K rho^{1-p} - sum_j p_j Tr K* sigma_j^p K rho_j^{1-p}) / (p(1-p)).
-
-    ``rho``, ``sigma`` are the mixtures of ``components``.  The sign-carrying
+    The gap is (Tr K* sigma^p K rho^{1-p} - sum_j p_j Tr K* sigma_j^p K rho_j^{1-p}) / (p(1-p))
+    over the mixture (rho, sigma) of the components.  The sign-carrying
     prefactor keeps the inequality direction for p outside (0,1); this equals
     the joint-convexity gap of the power-family entropy.
     """
-    mixed = wyd_trace_term(p, k, rho, sigma)
-    avg = sum(pj * wyd_trace_term(p, k, rj, sj) for pj, rj, sj in components)
-    return (mixed - avg) / (p * (1.0 - p))
-
-
-def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
-    """Concavity gap of the power trace term, with the remainder when p in (0,1)."""
     km = as_matrix(k)
     (comps, rho, sigma), = _mixtures([components])
-    gap = _wyd_gap(p, km, comps, rho, sigma)
-    ok = gap >= -REPORT_TOL
-    details = {"gap": gap}
-    consts = None
-    lhs = 0.0
-    rhs = gap
+    terms = [float(np.real(np.trace(km.conj().T @ s.power(p) @ km @ r.power(1.0 - p))))
+             for _, r, s in [(1.0, rho, sigma)] + comps]
+    gap = (terms[0] - sum(pj * t for (pj, _, _), t in zip(comps, terms[1:]))) / (p * (1.0 - p))
+    ok, details, consts, lhs = gap >= -REPORT_TOL, {"gap": gap}, None, 0.0
     if 0.0 < p < 1.0:
         (resid, _, d_sum), = _mixture_residuals(km[None], [(comps, rho, sigma)], beta)[0]
         m_const, n_const, alpha, C, c = power_family_constants(p, beta, op_norm(km), d_sum)
@@ -769,9 +698,8 @@ def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
                                 m_const, math.nan)
         details["residual_weighted"] = resid
     digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
-    return _report("wyd_joint_concavity", lhs, rhs, ok, constants=consts,
-                   digest=digest, notes=f"p={p:g};beta={beta:g}",
-                   details=details)
+    return _report("wyd_joint_concavity", lhs, gap, ok, constants=consts,
+                   digest=digest, notes=f"p={p:g};beta={beta:g}", details=details)
 
 
 def verify_wyd_skew(f, rho, k) -> BoundReport:
@@ -804,34 +732,23 @@ def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space) -> BoundReport
     return verify_wyd_operator_block(p, [rho_abc], [sigma_ab], beta, space)[0]
 
 
-def cauchy_schwarz_sides(rho_abc, sigma_ab, space: FactorizedSpace):
-    """Tr_AB(sigma rho^{-1} sigma) - Tr_B(sigma_B rho_BC^{-1} sigma_B) and its term scale."""
-    rho = space.psd(rho_abc)
-    sub_ab = space.subspace((0, 1))
-    sub_bc = space.subspace((1, 2))
-    sab = sub_ab.psd(sigma_ab)
-    sigma_full = space.embed(sab.mat, (0, 1))
-    t1 = space.partial_trace(sigma_full @ rho.power(-1.0) @ sigma_full, (2,))
-    sb = sab.marginal(sub_ab, (1,))
-    rho_bc = rho.marginal(space, (1, 2))
-    sb_bc = sub_bc.embed(sb.mat, (0,))
-    t2 = sub_bc.partial_trace(sb_bc @ rho_bc.power(-1.0) @ sb_bc, (1,))
-    scale = max(op_norm(t1), op_norm(t2), 1e-30)
-    return hermitize(t1 - t2), scale
-
-
 def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space) -> BoundReport:
-    """p = 2 endpoint: the traced quadratic difference is PSD on C.
+    """p = 2 endpoint: Tr_AB(sigma rho^{-1} sigma) - Tr_B(sigma_B rho_BC^{-1} sigma_B) is PSD on C.
 
     The power-family prefactor sin(p pi) vanishes at p = 2, so the remainder
     constant N is exactly zero and the content of the check is positivity
     plus the recovery-condition diagnostics of the equality case.
     """
     rho = space.psd(rho_abc)
-    sab = space.subspace((0, 1)).psd(sigma_ab)
+    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
+    sab = sub_ab.psd(sigma_ab)
     if rho.rank() < rho.dim:
         raise DivergentEntropy("quadratic difference needs full-rank rho")
-    diff, scale = cauchy_schwarz_sides(rho, sab, space)
+    sigma_full = space.embed(sab.mat, (0, 1))
+    t1 = space.partial_trace(sigma_full @ rho.power(-1.0) @ sigma_full, (2,))
+    sb_bc = sub_bc.embed(sab.marginal(sub_ab, (1,)).mat, (0,))
+    t2 = sub_bc.partial_trace(sb_bc @ rho.marginal(space, (1, 2)).power(-1.0) @ sb_bc, (1,))
+    diff, scale = hermitize(t1 - t2), max(op_norm(t1), op_norm(t2), 1e-30)
     n_const = 0.0  # sin(p pi) factor of the power family vanishes at p = 2
     resid = ssa_residual_Q(sab, rho, space, beta)
     gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
@@ -922,8 +839,8 @@ def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundRep
     k_full = np.kron(k1, np.eye(d2))
     sigmas = PsdOperator.stack([hermitize((1.0 - eps) * sigma0 + eps * noise)
                                 for eps in EPS_SWEEP])
-    n = len(sigmas)
-    gaps = _monotonicity_gaps(f, [rho] * n, sigmas, [k1] * n, [np.eye(d2)] * n, space)
+    gaps = _monotonicity_gaps(f, [rho] * len(sigmas), sigmas, [k1] * len(sigmas),
+                              [np.eye(d2)] * len(sigmas), space)
     resids = equality_condition_residuals(rho, sigmas, k_full, space)
     return _sweep_reports("equality_monotonicity", f, zip(EPS_SWEEP, gaps, resids),
                           digest_inputs(rho.mat, sigma0, k_full))
@@ -952,7 +869,7 @@ def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[Bound
     for _ in EPS_SWEEP:
         comps = [(w, base_r, next(sigmas)) for w in probs]
         ensembles.append((comps, mix_r, next(sigmas)))
-    gaps = _joint_gaps(f, km, ensembles)
+    gaps = _joint_gaps(f, [km] * len(ensembles), ensembles)
     # every rho of the residual, the mixtures' included, is base_r: raised once a side
     flat, grid = FactorizedSpace((dim,)), DEFAULT_BETA_GRID
     mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), [base_r], (0,), flat, grid, km)

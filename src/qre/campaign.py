@@ -18,13 +18,14 @@ contractions) is done for the whole block in stacked calls, which give the
 same bits as one call per matrix.  A block holds at most ``BLOCK_BYTES`` of
 state matrices, so memory stays flat at large dims.
 
-Each family's check then takes the whole block (``check_block``): the
-operator-SSA and WYD-operator families run it as one stacked kernel
-(``bounds.verify_operator_ssa_block``), every other family through one
-adapter that checks the block's trials one by one and drops each from the
-block once checked.  When a block's check raises a ``QREError``, the trials
-it has given no outcome for are checked again one by one, so a divergent or
-failing trial stays in its own trial.  ``run_single`` is the block of one,
+Each family's check then takes the whole block (``check_block``).  The
+operator-SSA, WYD-operator, monotonicity, thm42, monotonicity-bound and
+joint-convexity families run it as one stacked kernel (``bounds.verify_*_block``);
+every other family goes through one adapter (``_each``) that checks the
+block's trials one by one and drops each from the block once checked.  When a
+block's check raises a ``QREError``, the trials it has given no outcome for are
+checked again one by one, so a divergent or failing trial stays in its own
+trial.  ``run_single`` is the block of one,
 and writes each trial's reports in the campaign too, so a campaign line and
 its replay are the same bytes.
 """

@@ -194,16 +194,16 @@ def quasi_relative_entropies(f: OperatorConvexFunction, k, rhos, sigmas) -> np.n
     pair that fails raises what it raises alone, as a loop over the pairs would.
     """
     rhos = list(rhos)
-    shared = np.ndim(k) != 3
     pairs = []
-    for rho, sigma, km in zip(rhos, sigmas, [k] * len(rhos) if shared else k, strict=True):
+    for rho, sigma, km in zip(rhos, sigmas, k if np.ndim(k) == 3 else [k] * len(rhos),
+                              strict=True):
         try:
             pairs.append(_checked_pair(rho, sigma, km))
         except QREError:
             if pairs:
-                _spectral_formula(f, pairs, shared)     # an earlier pair that diverges raises first
+                _spectral_formula(f, pairs)     # an earlier pair that diverges raises first
             raise
-    return _spectral_formula(f, pairs, shared)
+    return _spectral_formula(f, pairs)
 
 
 def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
@@ -214,8 +214,8 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
     return float(_spectral_formula(f, [_checked_pair(rho, sigma, k)])[0])
 
 
-def _spectral_formula(f, pairs, shared=True):
-    """The formula over a stack of checked ``(rho, sigma, K)`` pairs, sharing K if ``shared``.
+def _spectral_formula(f, pairs):
+    """The formula over a stack of checked ``(rho, sigma, K)`` pairs.
 
     Everything is laid out ``[n, j, k]`` (j over rho's modes, k over
     sigma's), so the einsum sums over k within each column j, then over the
@@ -225,12 +225,11 @@ def _spectral_formula(f, pairs, shared=True):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
-    km = kms[0] if shared else _stacked(kms)
     lam = _stacked([_clustered(rho) for rho in rhos])
     mu = _stacked([_clustered(sigma) for sigma in sigmas])
     keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
     mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
-    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ km
+    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ _stacked(kms)
          @ _stacked([rho.vecs for rho in rhos]))
     weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|K|psi_j>|^2
     fmat, zero_diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight)

@@ -22,9 +22,10 @@ stack with one ``eigh`` and runs the constructor's checks over the whole
 stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
 several operators as one stack, ``generalized_powers`` raises a stack of
 decomposed operators to a grid of exponents (``PsdOperator.power`` is its
-memoised read for one operator and one exponent), ``partial_trace`` and
-``embed`` take leading stack axes and ``op_norm`` a stack of matrices (one
-batched SVD).  Each stacked result is bit-identical to the one-at-a-time
+memoised read for one operator and one exponent, ``PsdOperator.powers`` its
+call on a list that memoises each row), ``partial_trace`` and ``embed`` take
+leading stack axes, ``op_norm`` a stack of matrices (one batched SVD) and
+``_kron`` two stacks.  Each stacked result is bit-identical to the one-at-a-time
 result: LAPACK and BLAS run on every member exactly as they would alone,
 every power is raised with a scalar exponent, a partial trace sums each
 member's entries in the order it would alone, and the only other reductions
@@ -130,14 +131,9 @@ def op_norm(m):
 
 
 def _kron(a, b) -> np.ndarray:
-    """``np.kron`` of each pair of matrices of two ``(..., m, n)``, ``(..., p, q)`` stacks.
-
-    The same broadcast product as ``np.kron``, so each member is bit-equal to
-    it (an einsum is not).
-    """
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+    """``np.kron`` of each member pair of two stacks, as its broadcast product (bit-equal)."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
 def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,10 +397,7 @@ class PsdOperator:
 
     @staticmethod
     def powers(ops, betas) -> np.ndarray:
-        """``generalized_powers`` of ``ops`` (of one dimension), each row memoised as ``power``.
-
-        One call raises the whole list; ``op.power(b)`` then reads row b of op.
-        """
+        """``generalized_powers`` of ``ops`` in one call; ``op.power(b)`` then reads op's row b."""
         raised = generalized_powers(*_spectra(ops), betas)
         for op, rows in zip(ops, raised):
             for beta, row in zip(betas, rows):

@@ -3,8 +3,9 @@
 Reduced operators always act through identity embeddings in their original
 tensor slots; subsystem order is fixed by the FactorizedSpace and never
 permuted.  ``PsdOperator.power`` is the memoised read of one power; a list of
-operators is raised with one ``generalized_powers`` call, and every sandwich
-embed(Y^b) K embed(X^{-b}) over a beta grid is one ``_sandwiches`` call.
+operators is raised with one ``generalized_powers`` call (``PsdOperator.powers``
+also memoises each row), and every sandwich embed(Y^b) K embed(X^{-b}) over a
+beta grid is one ``_sandwiches`` call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import (FactorizedSpace, PsdOperator, _kron, _spectra, as_matrix,
+from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, _spectra, as_matrix,
                      generalized_powers, hermitize, hs_norm, op_norm)
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -42,19 +43,17 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
 
     Bipartite convention: factor 0 is kept, factor 1 is traced out; the
     reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
-    kept factor and the unitary ``v`` on the traced one.  The one-pair case
-    of ``monotonicity_residuals``.
+    kept factor and the unitary ``v`` on the traced one.  One pair.
     """
     resid, norms = monotonicity_residuals([rho], [sigma], [k1], space, beta, [v])
     return resid[0], norms[0]
 
 
 def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: float, vs):
-    """``monotonicity_residual`` of each (rho, sigma, K1, V): a ``(N, d, d)`` stack and its norms.
+    """``monotonicity_residual`` of each (rho, sigma, K1, V): a ``(N, d, d)`` stack, its norms.
 
-    The 2N marginals are one stacked eigh, each list of operators is raised
-    with one ``generalized_powers`` call, and the products are stacked, so
-    each member and each norm is bit-equal to the pair's own.
+    One stacked eigh for the 2N marginals, one ``PsdOperator.powers`` call per
+    list of operators; each member and norm is bit-equal to the pair's own.
     """
     _check_beta(beta)
     if space.nfactors != 2:
@@ -63,14 +62,12 @@ def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: floa
     sigmas = [space.psd(sigma) for sigma in sigmas]
     marginals = PsdOperator.marginals(rhos + sigmas, space, (0,))
     rho1s, sigma1s = marginals[:len(rhos)], marginals[len(rhos):]
-    vs = np.stack([as_matrix(v) for v in vs])
-    k1s = np.stack([as_matrix(k1) for k1 in k1s])
+    vs, k1s = _as_matrices(vs), _as_matrices(k1s)
     rho_pows = PsdOperator.powers(rhos, (0.5, 0.5 - beta))
     reduced = (PsdOperator.powers(sigma1s, (beta,))[:, 0] @ k1s
                @ PsdOperator.powers(rho1s, (-beta,))[:, 0])
-    left = _kron(reduced, vs) @ rho_pows[:, 0]
-    right = PsdOperator.powers(sigmas, (beta,))[:, 0] @ _kron(k1s, vs) @ rho_pows[:, 1]
-    resid = left - right
+    resid = (_kron(reduced, vs) @ rho_pows[:, 0]
+             - PsdOperator.powers(sigmas, (beta,))[:, 0] @ _kron(k1s, vs) @ rho_pows[:, 1])
     return resid, [hs_norm(member) for member in resid]
 
 

@@ -873,9 +873,21 @@ def _loop_monotonicity_report(ineq, f, rho, sigma, k1, v, beta, space):
     details = {"residual_hs": rnorm, "gap": gap}
     rhs = consts.M * max(gap, 0.0) ** consts.alpha
     ok = bounds._rel_pass(rnorm, rhs, bounds.REL_INEQ_TOL)
-    if beta == 0.5 and rho.rank() == rho.dim:
-        ok = bounds._recovery_forms(f, k1, v, rho, sigma, space, rnorm, gap, d_norm, consts,
-                                    details) and ok
+    if beta == 0.5 and rho.rank() == rho.dim:     # the recovery-map forms, on fresh powers
+        recovered = rho.power(0.5) @ np.kron(rho1.power(-0.5) @ hermitize(
+            k1.conj().T @ sigma1.mat @ k1) @ rho1.power(-0.5), np.eye(v.shape[0])) @ rho.power(0.5)
+        petz_lhs = linalg.trace_norm(hermitize(recovered)
+                                     - hermitize(k_full.conj().T @ sigma.mat @ k_full))
+        details.update(petz_diff_trace=petz_lhs, petz_chain_rhs=2.0 * rnorm)
+        x_n = np.linalg.norm(np.kron(sigma1.power(0.5) @ k1 @ rho1.power(-0.5), v) @ rho.power(0.5))
+        if x_n + np.linalg.norm(sigma.power(0.5) @ k_full) <= 2.0 + 1e-9:
+            ok = ok and bounds._rel_pass(petz_lhs, 2.0 * rnorm, bounds.REL_INEQ_TOL)
+        ok = ok and bounds._rel_pass(petz_lhs, 2.0 * rhs, bounds.REL_INEQ_TOL)
+        if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
+            details["quartic_lower"] = (np.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
+            ok = ok and bounds._rel_pass(details["quartic_lower"], gap, bounds.REL_INEQ_TOL)
+        ok = bounds._interchange_check(k1, v, rho, sigma, rho1, sigma1, space, consts, gap,
+                                       details) and ok
     return bounds._report(ineq, rnorm, rhs, ok, constants=consts, digest=digest, notes=notes,
                           details=details)
 

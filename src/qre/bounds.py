@@ -304,7 +304,7 @@ def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> li
         rhs = consts.M * max(gap, 0.0) ** consts.alpha
         ok = _rel_pass(rnorm, rhs, REL_INEQ_TOL)
         if beta == 0.5 and rho.rank() == rho.dim:
-            k_full = np.kron(k1m, vm)
+            k_full = _kron(k1m, vm)
             sigma1 = sigma.marginal(space, (0,))
             rho1 = rho.marginal(space, (0,))
             recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
@@ -314,7 +314,7 @@ def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> li
             details["petz_diff_trace"] = petz_lhs
             details["petz_chain_rhs"] = 2.0 * rnorm
             # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
-            x_n = hs_norm(np.kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
+            x_n = hs_norm(_kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
                           @ rho.power(0.5))
             y_n = hs_norm(sigma.power(0.5) @ k_full)
             if x_n + y_n <= 2.0 + 1e-9:
@@ -360,13 +360,13 @@ def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, de
     k_inv_norm = op_norm(k1_inv)
     if k_inv_norm > 1e6:
         return True
-    k_full = np.kron(k1m, vm)
-    k_inv = np.kron(k1_inv, vm.conj().T)
+    k_full = _kron(k1m, vm)
+    k_inv = _kron(k1_inv, vm.conj().T)
     sandwich = hermitize(k1_inv.conj().T @ rho1.mat @ k1_inv)
     recovered = petz_recover(sigma, sandwich, space, keep=(0,))
     lhs = trace_norm(hermitize(k_full.conj().T @ recovered @ k_full) - rho.mat)
-    x_mat = (np.kron(rho1.power(0.5), np.eye(space.dims[1])) @ k_inv
-             @ np.kron(sigma1.power(-0.5), np.eye(space.dims[1]))
+    x_mat = (_kron(rho1.power(0.5), np.eye(space.dims[1])) @ k_inv
+             @ _kron(sigma1.power(-0.5), np.eye(space.dims[1]))
              @ sigma.power(0.5) @ k_full)
     pair_norm = hs_norm(x_mat) + math.sqrt(max(rho.trace(), 0.0))
     left_norms = (math.sqrt(rho1.max_eig()) * k_inv_norm

@@ -131,9 +131,9 @@ def op_norm(m):
 
 
 def _kron(a, b) -> np.ndarray:
-    """``np.kron`` of each member pair of two stacks, as its broadcast product (bit-equal)."""
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
-        len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+    """``np.kron`` of two matrices, or of each member pair of two stacks, as its broadcast product."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *a.shape[:-2], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -73,6 +73,7 @@ from .recovery import (
     DEFAULT_BETA_GRID,
     _check_beta,
     _grid_maxima,
+    _mixture_residuals,
     _sandwiches,
     equality_condition_residuals,
     monotonicity_residuals,
@@ -260,8 +261,7 @@ def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
 def _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space):
     """Per trial (rho, sigma, K1, V, ||R_beta||_2, gap, ||K||, ||Delta||, constants at T*).
 
-    The residuals, the gaps and ||K|| (one batched SVD) each run once over the
-    block.  ||K|| is read as ||K1||, which equals ||K1 (x) V|| for unitary V.
+    Residuals, gaps and ||K|| = ||K1|| (V is unitary; one batched SVD) run once a block.
     """
     rhos = [space.psd(rho) for rho in rhos]
     sigmas = [space.psd(sigma) for sigma in sigmas]
@@ -482,27 +482,6 @@ def verify_joint_convexity(f, k, components, beta) -> BoundReport:
     directly is recorded alongside.  The one-trial block.
     """
     return verify_joint_convexity_block(f, [components], [k], beta)[0]
-
-
-def _mixture_residuals(kms, ensembles, beta):
-    """(sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||) per ensemble,
-    r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2 (mixture (rho,
-    sigma), K = ``kms[i]``, ensembles of one size), and sigma^b K rho^{-b} - sigma_j^b K
-    rho_j^{-b} of every component as one stack.  Each operator list is raised once."""
-    comps = [c for cs, _, _ in ensembles for c in cs]
-    owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
-    mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
-             @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
-    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta, -beta))
-    sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
-    norms = np.array([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
-    residuals = []
-    for (cs, _, _), r in zip(ensembles, norms.reshape(len(ensembles), -1)):
-        probs = np.array([pj for pj, _, _ in cs], dtype=float)
-        residuals.append((float((np.sqrt(probs) * r).sum()),
-                          float(math.sqrt((probs * r ** 2).sum())),
-                          float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))))
-    return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
 # ----------------------------------------------------------------------------

@@ -71,6 +71,29 @@ def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: floa
     return resid, [hs_norm(member) for member in resid]
 
 
+def _mixture_residuals(kms, ensembles, beta):
+    """(sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||) per ensemble.
+
+    r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2 over the components
+    of an ensemble (components, rho, sigma) of one size, K = ``kms[i]``; also the stack of
+    sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b}.  Each list of operators is raised once.
+    """
+    comps = [c for cs, _, _ in ensembles for c in cs]
+    owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
+    mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
+             @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
+    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta, -beta))
+    sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
+    norms = np.array([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
+    residuals = []
+    for (cs, _, _), r in zip(ensembles, norms.reshape(len(ensembles), -1)):
+        probs = np.array([pj for pj, _, _ in cs], dtype=float)
+        residuals.append((float((np.sqrt(probs) * r).sum()),
+                          float(np.sqrt((probs * r ** 2).sum())),
+                          float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))))
+    return residuals, mixed - sigma_k @ rho_pows[:, 2]
+
+
 def equality_condition_residual(rho, sigma, k, space: FactorizedSpace) -> float:
     """max over ``DEFAULT_BETA_GRID`` of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
 

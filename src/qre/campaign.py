@@ -25,9 +25,8 @@ every other family goes through one adapter (``_each``) that checks the
 block's trials one by one and drops each from the block once checked.  When a
 block's check raises a ``QREError``, the trials it has given no outcome for are
 checked again one by one, so a divergent or failing trial stays in its own
-trial.  ``run_single`` is the block of one,
-and writes each trial's reports in the campaign too, so a campaign line and
-its replay are the same bytes.
+trial.  ``run_single`` is the block of one, and writes each trial's reports
+in the campaign too, so a campaign line and its replay are the same bytes.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ def op_norm(m):
 
 
 def _kron(a, b) -> np.ndarray:
-    """``np.kron`` of two matrices, or of each member pair of two stacks, as its broadcast product."""
+    """``np.kron`` of two matrices or of each pair of stack members, as its broadcast product."""
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
         *a.shape[:-2], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 

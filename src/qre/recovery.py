@@ -43,7 +43,7 @@ def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v
 
     Bipartite convention: factor 0 is kept, factor 1 is traced out; the
     reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
-    kept factor and the unitary ``v`` on the traced one.  One pair.
+    kept factor and the unitary ``v`` on the traced one (``monotonicity_residuals`` of one).
     """
     resid, norms = monotonicity_residuals([rho], [sigma], [k1], space, beta, [v])
     return resid[0], norms[0]

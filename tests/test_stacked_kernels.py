@@ -717,11 +717,15 @@ def _loop_operator_ssa_report(f, rho, sab, beta, variant, space):
                                    "gram_trace": float(np.real(np.trace(gram)))})
 
 
+def _blocks(ineq, dims, fid, n, seed=7):
+    """The sampled blocks of n trials' operands, as the campaign draws them."""
+    seeds = [trial_seed(seed, ineq, dims, fid, 0.25, t) for t in range(n)]
+    return seeds, list(campaign.sample_blocks(FAMILIES[ineq], FactorizedSpace(dims), seeds))
+
+
 def _block(ineq, dims, fid, n, seed=7):
     """A sampled block of n trials' operands, as the campaign draws it."""
-    seeds = [trial_seed(seed, ineq, dims, fid, 0.25, t) for t in range(n)]
-    family = FAMILIES[ineq]
-    blocks = list(campaign.sample_blocks(family, FactorizedSpace(dims), seeds))
+    seeds, blocks = _blocks(ineq, dims, fid, n, seed)
     assert len(blocks) == 1
     return seeds, blocks[0]
 
@@ -848,7 +852,7 @@ class TestOperatorSsaBlock:
 # ----------------------------------------------------------------------------
 
 def _loop_monotonicity_report(ineq, f, rho, sigma, k1, v, beta, space):
-    """One trial's report of a monotonicity-trio family, operator by operator, as before the block."""
+    """One trial's report of a monotonicity-trio family, operator by operator (no block)."""
     rho1 = PsdOperator(space.partial_trace(rho.mat, (0,)))
     sigma1 = PsdOperator(space.partial_trace(sigma.mat, (0,)))
     k_full = np.kron(k1, v)
@@ -879,7 +883,8 @@ def _loop_monotonicity_report(ineq, f, rho, sigma, k1, v, beta, space):
         petz_lhs = linalg.trace_norm(hermitize(recovered)
                                      - hermitize(k_full.conj().T @ sigma.mat @ k_full))
         details.update(petz_diff_trace=petz_lhs, petz_chain_rhs=2.0 * rnorm)
-        x_n = np.linalg.norm(np.kron(sigma1.power(0.5) @ k1 @ rho1.power(-0.5), v) @ rho.power(0.5))
+        x_n = np.linalg.norm(np.kron(sigma1.power(0.5) @ k1 @ rho1.power(-0.5), v)
+                             @ rho.power(0.5))
         if x_n + np.linalg.norm(sigma.power(0.5) @ k_full) <= 2.0 + 1e-9:
             ok = ok and bounds._rel_pass(petz_lhs, 2.0 * rnorm, bounds.REL_INEQ_TOL)
         ok = ok and bounds._rel_pass(petz_lhs, 2.0 * rhs, bounds.REL_INEQ_TOL)
@@ -920,12 +925,6 @@ def _loop_joint_convexity_report(f, comps, km, beta):
         details={"gap": gap, "residual_block_l2": float(np.sqrt((probs * norms ** 2).sum())),
                  "equality_residual": _loop_joint_equality_residual(km, rho, sigma, comps, beta),
                  "rhs_at_T_star": rhs_star})
-
-
-def _blocks(ineq, dims, fid, n, seed=7):
-    """The sampled blocks of n trials' operands, as the campaign draws them."""
-    seeds = [trial_seed(seed, ineq, dims, fid, 0.25, t) for t in range(n)]
-    return seeds, list(campaign.sample_blocks(FAMILIES[ineq], FactorizedSpace(dims), seeds))
 
 
 MONOTONICITY_BLOCK = ("monotonicity", "thm42", "monotonicity_bound", "joint_convexity")

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from qre.bounds import verify_monotonicity_bound
+from qre.bounds import verify_monotonicity_bound_block
 from qre.functions import from_id
 from qre.linalg import FactorizedSpace, random_contraction, random_density, random_unitary
 
@@ -21,24 +21,30 @@ SPACE = FactorizedSpace((2, 2))
 
 
 def profile(fid: str, beta: float, trials: int, seed: int):
-    f = from_id(fid)
+    """Draw the trials (rho, sigma, K1, V) in order, then check them as one block."""
     rng = np.random.default_rng(seed)
+    draws = [(random_density(4, seed=rng), random_density(4, seed=rng),
+              random_contraction(2, seed=rng), random_unitary(2, seed=rng))
+             for _ in range(trials)]
+    reports = verify_monotonicity_bound_block(from_id(fid), *zip(*draws), beta, SPACE)
     ratios, t_stars = [], []
-    for _ in range(trials):
-        rho = random_density(4, seed=rng)
-        sig = random_density(4, seed=rng)
-        k1 = random_contraction(2, seed=rng)
-        v = random_unitary(2, seed=rng)
-        rep = verify_monotonicity_bound(f, k1, v, rho, sig, beta, SPACE)
+    for rep in reports:
         if rep.lhs > 1e-12 and rep.details["gap"] > 0:
             ratios.append(rep.rhs / rep.lhs)
             t_stars.append(rep.constants.T_star)
-    return np.median(ratios), np.median(t_stars), rep.constants.alpha
+    return np.median(ratios), np.median(t_stars), reports[-1].constants.alpha
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=300)
+    ap.add_argument("--trials", type=positive_int, default=300)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--functions", nargs="*", default=("neg_log", "f_p:0.5"))
     ap.add_argument("--betas", nargs="*", type=float,

@@ -17,18 +17,18 @@ from .functions import (OperatorConvexFunction, from_id, loewner_quadrature, mak
                         make_neg_log, make_neg_power)
 from .linalg import (DensityMatrix, FactorizedSpace, PsdOperator, load_matrix,
                      random_contraction, random_density, random_unitary, save_matrix)
-from .entropy import (ModularOperator, apply_f_modular, classical_reduction,
+from .entropy import (ModularOperator, apply_f_modulars, classical_reduction,
                       quasi_relative_entropy, umegaki, von_neumann_entropy,
                       wyd_skew_information)
-from .recovery import (equality_condition_residual, monotonicity_residual, petz_recover,
-                       ssa_residual_P, ssa_residual_Q)
+from .recovery import (equality_condition_residuals, monotonicity_residuals, petz_recover,
+                       ssa_residuals_P, ssa_residuals_Q)
 from .reports import BoundConstants, BoundReport
 from .bounds import (alpha_exponent, constants_for, equality_suite, lieb_ruskai_check,
                      monotonicity_gap, pinsker_check, power_family_constants, ssa_gap,
-                     verify_cauchy_schwarz, verify_classical_reduction,
-                     verify_joint_convexity, verify_monotonicity, verify_monotonicity_bound,
-                     verify_operator_ssa, verify_ssa, verify_thm42_grid,
-                     verify_wyd_joint_concavity, verify_wyd_operator, verify_wyd_skew)
+                     verify_cauchy_schwarz, verify_classical_reduction, verify_ssa,
+                     verify_joint_convexity_block, verify_monotonicity_block, verify_wyd_skew,
+                     verify_monotonicity_bound_block, verify_operator_ssa_block,
+                     verify_thm42_block, verify_wyd_joint_concavity, verify_wyd_operator_block)
 from .campaign import FAMILIES, CampaignConfig, run_campaign, run_single
 
 __all__ = [
@@ -42,19 +42,19 @@ __all__ = [
     "DensityMatrix", "FactorizedSpace", "PsdOperator", "load_matrix",
     "random_contraction", "random_density", "random_unitary", "save_matrix",
     # entropies
-    "ModularOperator", "apply_f_modular", "classical_reduction",
+    "ModularOperator", "apply_f_modulars", "classical_reduction",
     "quasi_relative_entropy", "umegaki", "von_neumann_entropy", "wyd_skew_information",
     # recovery map and residuals
-    "equality_condition_residual", "monotonicity_residual", "petz_recover",
-    "ssa_residual_P", "ssa_residual_Q",
+    "equality_condition_residuals", "monotonicity_residuals", "petz_recover",
+    "ssa_residuals_P", "ssa_residuals_Q",
     # constants, gaps and checks
     "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
     "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",
     "power_family_constants", "ssa_gap", "verify_cauchy_schwarz",
-    "verify_classical_reduction", "verify_joint_convexity", "verify_monotonicity",
-    "verify_monotonicity_bound", "verify_operator_ssa", "verify_ssa",
-    "verify_thm42_grid", "verify_wyd_joint_concavity", "verify_wyd_operator",
-    "verify_wyd_skew",
+    "verify_classical_reduction", "verify_joint_convexity_block",
+    "verify_monotonicity_block", "verify_monotonicity_bound_block",
+    "verify_operator_ssa_block", "verify_ssa", "verify_thm42_block",
+    "verify_wyd_joint_concavity", "verify_wyd_operator_block", "verify_wyd_skew",
     # campaigns
     "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
 ]

@@ -30,8 +30,8 @@ over (rho_ABC, sigma_AB) pairs; ``verify_monotonicity_block``,
 sigma, K1, V) trials, from ``_monotonicity_gaps`` and ``_remainder_terms`` (one
 stacked eigh for the 2N marginals, the gaps as two kernel calls, one batched
 SVD for ||K1||); ``verify_joint_convexity_block`` over ensembles, with stacked
-mixtures.  Each one-pair ``verify_*`` of these is its block of one; a block
-that raises is checked again trial by trial by the campaign.  The equality
+mixtures.  A single trial is a block of one, read as ``[0]``; a block that
+raises is checked again trial by trial by the campaign.  The equality
 residuals are ``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima``.
 """
 
@@ -78,7 +78,6 @@ from .recovery import (
     equality_condition_residuals,
     monotonicity_residuals,
     petz_recover,
-    ssa_residual_Q,
     ssa_residuals_P,
     ssa_residuals_Q,
 )
@@ -246,16 +245,11 @@ def _report(inequality_id, lhs, rhs, passed, constants=None, digest="",
 # ----------------------------------------------------------------------------
 
 def verify_monotonicity_block(f, rhos, sigmas, k1s, vs, space) -> list[BoundReport]:
-    """``verify_monotonicity`` of each trial of a block, from one ``_monotonicity_gaps`` call."""
+    """Plain data-processing check of each trial, gap >= -1e-9, from one ``_monotonicity_gaps``."""
     gaps = _monotonicity_gaps(f, rhos, sigmas, k1s, vs, space)
     return [_report("monotonicity", 0.0, gap, gap >= -REPORT_TOL, notes=f"f={f.name}",
                     digest=digest_inputs(*map(as_matrix, operands)))
             for *operands, gap in zip(rhos, sigmas, k1s, vs, gaps)]
-
-
-def verify_monotonicity(f, k1, v, rho, sigma, space) -> BoundReport:
-    """Plain data-processing check: gap >= -1e-9.  The one-trial case of its block."""
-    return verify_monotonicity_block(f, [rho], [sigma], [k1], [v], space)[0]
 
 
 def _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space):
@@ -276,7 +270,7 @@ def _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space):
 
 
 def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
-    """``verify_thm42_grid`` of each trial of a block, from one ``_remainder_terms`` block."""
+    """Remainder inequality at the window optimum T*, hence on any T grid, of each trial."""
     reports = []
     for rho, sigma, k1, v, rnorm, gap, k_norm, d_norm, consts in _remainder_terms(
             f, rhos, sigmas, k1s, vs, beta, space):
@@ -289,13 +283,13 @@ def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundRepor
     return reports
 
 
-def verify_thm42_grid(f, k1, v, rho, sigma, beta, space) -> BoundReport:
-    """Remainder inequality at the window optimum T*, hence on any T grid; the one-trial block."""
-    return verify_thm42_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
-
-
 def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
-    """``verify_monotonicity_bound`` of each trial; the beta = 1/2 recovery forms per trial."""
+    """Power-law remainder (optimized-T form) plus its recovery-map corollaries, per trial.
+
+    At beta = 1/2, for a full-rank rho: the recovery-map trace-norm form with
+    constant 2M, and, for the logarithm with K = I, the quartic special case
+    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.
+    """
     reports = []
     for rho, sigma, k1m, vm, rnorm, gap, _, d_norm, consts in _remainder_terms(
             f, rhos, sigmas, k1s, vs, beta, space):
@@ -331,16 +325,6 @@ def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> li
                                digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
                                notes=f"f={f.name};beta={beta:g}", details=details))
     return reports
-
-
-def verify_monotonicity_bound(f, k1, v, rho, sigma, beta, space) -> BoundReport:
-    """Power-law remainder (optimized-T form) plus its recovery-map corollaries.
-
-    At beta = 1/2: the recovery-map trace-norm form with constant 2M, and, for
-    the logarithm with K = I, the quartic special case
-    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.  The one-trial block.
-    """
-    return verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v], beta, space)[0]
 
 
 def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, details):
@@ -444,10 +428,13 @@ def _joint_gaps(f, kms, ensembles) -> list[float]:
 
 
 def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
-    """``verify_joint_convexity`` of each (ensemble, K) trial, the ensembles of one size.
+    """Convexity gap >= 0, the mixture remainder at T* and its power-law form, per (ensemble, K).
 
-    One stacked eigh (the mixtures), one kernel call (the gaps), each operator
-    raised once, and one batched SVD each for ||K|| and the equality residuals.
+    The residual side is the weighted sum of ``_mixture_residuals``, with
+    sum_j p_j^{-1} ||rho_j^{-1}|| as the modular norm in the first RHS term;
+    the quadratic-mean residual that the extension argument bounds directly is
+    recorded alongside.  The ensembles have one size; the block is one stacked
+    eigh, one kernel call and one batched SVD each for ||K|| and the residuals.
     """
     kms = _as_matrices(ks)
     ensembles = _mixtures(ensembles)
@@ -471,17 +458,6 @@ def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
                                         "equality_residual": eq_resid,
                                         "rhs_at_T_star": rhs_star}))
     return reports
-
-
-def verify_joint_convexity(f, k, components, beta) -> BoundReport:
-    """Convexity gap >= 0, the mixture remainder bound at T*, and its power-law form.
-
-    The residual side is the weighted sum of ``_mixture_residuals`` and the
-    modular norm is replaced by sum_j p_j^{-1} ||rho_j^{-1}|| in the first RHS
-    term; the quadratic-mean residual that the extension argument bounds
-    directly is recorded alongside.  The one-trial block.
-    """
-    return verify_joint_convexity_block(f, [components], [k], beta)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -560,12 +536,12 @@ def operator_ssa_block_sides(f: OperatorConvexFunction, rhos_abc, sigmas_ab, bet
 
 
 def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> list[BoundReport]:
-    """``verify_operator_ssa`` of each pair of a block, as one stacked kernel.
+    """Operator remainder N [Gram]^{1/alpha} <= traced f-action difference on C, per pair.
 
     Past ``operator_ssa_block_sides``, the Gram powers take one stacked eigh
     and the two minimum eigenvalues one batched eigvalsh each; only the
     constants and the reports are per pair.  Each report is bit-identical to
-    the pair's own, and the block raises what its first failing pair would.
+    the pair's alone, and the block raises what its first failing pair would.
     """
     grams, rhs_ops, mach, d_norms, scales = operator_ssa_block_sides(
         f, rhos_abc, sigmas_ab, beta, variant, space)
@@ -592,14 +568,6 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
                      "rhs_scale": scales[i],
                      "gram_trace": float(np.real(np.trace(grams[i])))}))
     return reports
-
-
-def verify_operator_ssa(f, rho_abc, sigma_ab, beta, variant, space) -> BoundReport:
-    """Operator remainder N [Gram]^{1/alpha} <= traced f-action difference on C.
-
-    The one-pair case of ``verify_operator_ssa_block``.
-    """
-    return verify_operator_ssa_block(f, [rho_abc], [sigma_ab], beta, variant, space)[0]
 
 
 def ssa_gap(rho_abc, space: FactorizedSpace) -> float:
@@ -695,20 +663,12 @@ def verify_wyd_skew(f, rho, k) -> BoundReport:
 
 
 def verify_wyd_operator_block(p: float, rhos_abc, sigmas_ab, beta, space) -> list[BoundReport]:
-    """``verify_wyd_operator`` of each pair of a block: the cor65 block kernel at f_p."""
+    """Operator remainder for the power trace difference per pair: the cor65 kernel at f_p."""
     reports = verify_operator_ssa_block(make_f_p(p), rhos_abc, sigmas_ab, beta, "cor65", space)
     for report in reports:
         report.inequality_id = "wyd_operator"
         report.notes = f"p={p:g};beta={beta:g}"
     return reports
-
-
-def verify_wyd_operator(p: float, rho_abc, sigma_ab, beta, space) -> BoundReport:
-    """Operator remainder for the power trace difference (mirrored Q variant).
-
-    The one-pair case of ``verify_wyd_operator_block``.
-    """
-    return verify_wyd_operator_block(p, [rho_abc], [sigma_ab], beta, space)[0]
 
 
 def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space) -> BoundReport:
@@ -728,21 +688,20 @@ def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space) -> BoundReport:
     sb_bc = sub_bc.embed(sab.marginal(sub_ab, (1,)).mat, (0,))
     t2 = sub_bc.partial_trace(sb_bc @ rho.marginal(space, (1, 2)).power(-1.0) @ sb_bc, (1,))
     diff, scale = hermitize(t1 - t2), max(op_norm(t1), op_norm(t2), 1e-30)
-    n_const = 0.0  # sin(p pi) factor of the power family vanishes at p = 2
-    resid = ssa_residual_Q(sab, rho, space, beta)
+    resid = ssa_residuals_Q([sab], [rho], space, beta)[0]
     gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
     eigs = np.linalg.eigvalsh(diff)
     passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
     # recovery-condition diagnostic for the equality case
-    sigma_full = PsdOperator(space.embed(sab.mat, (0, 1)))
-    recovered = petz_recover(sigma_full, rho.marginal(space, (1, 2)), space, keep=(1, 2))
+    recovered = petz_recover(PsdOperator(sigma_full), rho.marginal(space, (1, 2)), space,
+                             keep=(1, 2))
     petz_resid = trace_norm(recovered - rho.mat)
     return _report("cauchy_schwarz", -float(eigs.min()), 0.0, passed,
                    digest=digest_inputs(rho.mat, sab.mat), notes=f"beta={beta:g};N=0 at p=2",
                    details={"min_eig_diff": float(eigs.min()),
                             "petz_recovery_residual": petz_resid,
                             "gram_trace": float(np.real(np.trace(gram))),
-                            "n_const": n_const})
+                            "n_const": 0.0})
 
 
 def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace) -> BoundReport:

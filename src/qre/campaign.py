@@ -25,8 +25,8 @@ every other family goes through one adapter (``_each``) that checks the
 block's trials one by one and drops each from the block once checked.  When a
 block's check raises a ``QREError``, the trials it has given no outcome for are
 checked again one by one, so a divergent or failing trial stays in its own
-trial.  ``run_single`` is the block of one, and writes each trial's reports
-in the campaign too, so a campaign line and its replay are the same bytes.
+trial.  ``run_single`` checks a trial as a block of its own and writes its
+reports in the campaign too, so a campaign line and its replay are the same bytes.
 """
 
 from __future__ import annotations
@@ -77,16 +77,20 @@ class CampaignConfig:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if any(not 0.0 < b < 1.0 for b in self.betas):
             raise InvalidParameter(f"betas must lie in (0,1): {self.betas}")
-        if self.rank_policy not in ("full", "mixed"):
-            raise InvalidParameter(f"rank_policy must be full|mixed: {self.rank_policy}")
-        unknown = [i for i in self.inequalities if i not in FAMILIES]
-        if unknown:
-            raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(FAMILIES)}")
+        _check_names(self.inequalities, self.rank_policy)
         # every function id and dims entry resolves before a report is written
         for fid in self.functions:
             from_id(fid)
         for dims in self.dims:
             FactorizedSpace(dims)
+
+
+def _check_names(inequalities, rank_policy: str):
+    """Every inequality is a key of ``FAMILIES`` and the rank policy is full or mixed."""
+    if rank_policy not in ("full", "mixed"):
+        raise InvalidParameter(f"rank_policy must be full|mixed: {rank_policy}")
+    if unknown := [i for i in inequalities if i not in FAMILIES]:
+        raise InvalidParameter(f"unknown inequalities {unknown}; known: {sorted(FAMILIES)}")
 
 
 def _split(v: str) -> tuple[str, ...]:
@@ -109,7 +113,7 @@ CONFIG_KEYS = {
 def parse_config(text: str) -> CampaignConfig:
     """Plain key = value lines; lists are comma separated, dims use '2x2x2'.
 
-    The keys are those of ``CONFIG_KEYS``; any other key is rejected.
+    The keys are those of ``CONFIG_KEYS``, each at most once; any other key is rejected.
     """
     kwargs: dict = {}
     for raw in text.splitlines():
@@ -122,6 +126,8 @@ def parse_config(text: str) -> CampaignConfig:
         if key not in CONFIG_KEYS:
             raise InvalidParameter(f"unknown config key {key!r}; known: {', '.join(CONFIG_KEYS)}")
         name, parse = CONFIG_KEYS[key]
+        if name in kwargs:
+            raise InvalidParameter(f"config key {key!r} is given more than once")
         kwargs[name] = parse(val)
     if "inequalities" not in kwargs:
         raise InvalidParameter("config must list inequalities")
@@ -129,10 +135,11 @@ def parse_config(text: str) -> CampaignConfig:
 
 
 def parse_dims(s: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(d) for d in s.replace("x", ",").split(","))
-    except ValueError as exc:
-        raise InvalidParameter(f"bad dims {s!r}") from exc
+    """'2x2x2' or '2,2,2': each factor ASCII digits, blanks around it allowed."""
+    factors = [d.strip() for d in s.replace("x", ",").split(",")]
+    if not all(d.isascii() and d.isdigit() for d in factors):
+        raise InvalidParameter(f"bad dims {s!r}")
+    return tuple(int(d) for d in factors)
 
 
 def trial_seed(root: int, inequality: str, dims: tuple[int, ...],
@@ -367,12 +374,6 @@ def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: st
             block, size = [], 0
 
 
-def sample_operands(family: Family, space: FactorizedSpace, rng,
-                    rank_policy: str = "full") -> list:
-    """Draw the family's operands in order; rank is full unless the family honours mixed."""
-    return next(sample_blocks(family, space, [rng], rank_policy))[0]
-
-
 def check_block(family: Family, f, space: FactorizedSpace, beta: float, block):
     """Yield each trial's outcome in order: its report(s), or the DivergentEntropy it raises alone.
 
@@ -401,8 +402,9 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
 
     ``outcome`` is the trial's ``check_block`` outcome when a campaign has
     checked it in its block already; it is exactly what ``seed`` draws and
-    checks here otherwise.
+    checks here otherwise; an unknown inequality or rank policy is InvalidParameter.
     """
+    _check_names((inequality,), rank_policy)
     family = FAMILIES[inequality]
     space = FactorizedSpace(dims)
     if family.nfactors is not None and space.nfactors != family.nfactors:
@@ -411,8 +413,8 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
     if not family.admits(f):
         return []
     if outcome is None:
-        operands = sample_operands(family, space, np.random.default_rng(seed), rank_policy)
-        outcome, = check_block(family, f, space, beta, [operands])
+        block = next(sample_blocks(family, space, [seed], rank_policy))
+        outcome, = check_block(family, f, space, beta, block)
     if isinstance(outcome, DivergentEntropy):
         rep = bounds._report(inequality, 0.0, 0.0, True,
                              notes=f"f={fid};divergent=1 ({outcome})")

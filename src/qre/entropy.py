@@ -18,9 +18,9 @@ mode of rho, and is skipped, not added, when f'(inf) = 0.
 ``quasi_relative_entropies`` evaluates the formula for a stack of pairs, which
 share one K or take one each from a ``(N, d, d)`` stack, with one set of array
 operations; ``quasi_relative_entropy`` is its one-pair case, and every value
-is bit-identical whatever the stack.  The
-f(Delta) action is stacked the same way, over the same overlap weights
-(``apply_f_modulars``; ``apply_f_modular`` is its one-pair case).
+is bit-identical whatever the stack.  The f(Delta) action is stacked the same
+way, over the same overlap weights (``apply_f_modulars``), and has no
+one-pair form: a single action is a stack of one.
 """
 
 from __future__ import annotations
@@ -100,18 +100,11 @@ class ModularOperator:
         return mu, lam, lam > self.rho.cutoff
 
 
-def apply_f_modular(f: OperatorConvexFunction, delta: ModularOperator, x) -> np.ndarray:
-    """f(Delta_{sigma,rho}) applied to x, restricted to the support of rho on the right.
-
-    The one-pair case of ``apply_f_modulars``.
-    """
-    return apply_f_modulars(f, [delta], [x])[0]
-
-
 def apply_f_modulars(f: OperatorConvexFunction, deltas, xs) -> np.ndarray:
     """f(Delta_i)(x_i) of each pair, as one ``(N, d, d)`` stack over ``_ratio_weights``.
 
-    The modular operators share their dimension.  Each member is
+    Each f(Delta_{sigma,rho}) acts restricted to the support of rho on the
+    right.  The modular operators share their dimension.  Each member is
     bit-identical to the member alone, and the first member whose f(0+) = +inf
     meets a weighted zero mode raises what it raises alone.
     """

@@ -38,22 +38,13 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
     return hermitize(rhalf @ core @ rhalf)
 
 
-def monotonicity_residual(rho, sigma, k1, space: FactorizedSpace, beta: float, v):
-    """R_beta = sigma_1^b K rho_1^{-b} rho^{1/2} - sigma^b K rho^{1/2-b} and its HS norm.
-
-    Bipartite convention: factor 0 is kept, factor 1 is traced out; the
-    reduced block acts as (sigma_1^b K1 rho_1^{-b}) (x) V, with ``k1`` on the
-    kept factor and the unitary ``v`` on the traced one (``monotonicity_residuals`` of one).
-    """
-    resid, norms = monotonicity_residuals([rho], [sigma], [k1], space, beta, [v])
-    return resid[0], norms[0]
-
-
 def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: float, vs):
-    """``monotonicity_residual`` of each (rho, sigma, K1, V): a ``(N, d, d)`` stack, its norms.
+    """R_beta = sigma_1^b K rho_1^{-b} rho^{1/2} - sigma^b K rho^{1/2-b} per (rho, sigma, K1, V).
 
-    One stacked eigh for the 2N marginals, one ``PsdOperator.powers`` call per
-    list of operators; each member and norm is bit-equal to the pair's own.
+    The ``(N, d, d)`` stack and its HS norms.  Factor 0 is kept and factor 1
+    traced out: the reduced block is (sigma_1^b K1 rho_1^{-b}) (x) V, V unitary.
+    One stacked eigh for the 2N marginals and one ``PsdOperator.powers`` call per
+    list of operators; each member and norm is bit-equal to its trial's alone.
     """
     _check_beta(beta)
     if space.nfactors != 2:
@@ -94,21 +85,13 @@ def _mixture_residuals(kms, ensembles, beta):
     return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
-def equality_condition_residual(rho, sigma, k, space: FactorizedSpace) -> float:
-    """max over ``DEFAULT_BETA_GRID`` of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
-
-    Zero (within tolerance) exactly when the sampled saturation condition for
-    the monotonicity inequality holds on the grid; the full condition
-    quantifies over all beta, which analyticity reduces to a grid diagnostic.
-    """
-    return equality_condition_residuals(rho, [sigma], k, space)[0]
-
-
 def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace) -> list[float]:
-    """``equality_condition_residual`` of each of ``sigmas`` against one ``rho``.
+    """Per sigma: max over the grid of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
 
-    Two ``_sandwiches`` stacks and one batched SVD over sigmas x grid; each
-    value is bit-identical to the residual of its sigma alone.
+    Zero (within tolerance) exactly when the saturation condition of the
+    monotonicity inequality holds on ``DEFAULT_BETA_GRID``: by analyticity, a
+    grid diagnostic of the condition over all beta.  Two ``_sandwiches`` stacks
+    and one batched SVD; each value is bit-identical to its sigma's alone.
     """
     rho = space.psd(rho)
     sigmas = [space.psd(sigma) for sigma in sigmas]
@@ -162,27 +145,11 @@ def _ssa_residuals(xs, x_slots, ys, y_slots, space: FactorizedSpace, beta: float
     return term1 - term2
 
 
-def ssa_residual_P(rho_abc, sigma_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """P = sigma_B^b rho_BC^{-b} rho_ABC^{1/2} - sigma_AB^b rho_ABC^{1/2-b} on A|B|C.
-
-    The one-pair case of ``ssa_residuals_P``.
-    """
-    return ssa_residuals_P([rho_abc], [sigma_ab], space, beta)[0]
-
-
 def ssa_residuals_P(rhos_abc, sigmas_ab, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """``ssa_residual_P`` of each (rho_ABC, sigma_AB) pair, as one ``(N, d, d)`` stack."""
+    """P = sigma_B^b rho_BC^{-b} rho_ABC^{1/2} - sigma_AB^b rho_ABC^{1/2-b}, stacked over pairs."""
     return _ssa_residuals(rhos_abc, (0, 1, 2), sigmas_ab, (0, 1), space, beta)
 
 
-def ssa_residual_Q(rho_ab, sigma_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """Q = sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma_ABC^b rho_AB^{1/2-b} on A|B|C.
-
-    The one-pair case of ``ssa_residuals_Q``.
-    """
-    return ssa_residuals_Q([rho_ab], [sigma_abc], space, beta)[0]
-
-
 def ssa_residuals_Q(rhos_ab, sigmas_abc, space: FactorizedSpace, beta: float) -> np.ndarray:
-    """``ssa_residual_Q`` of each (rho_AB, sigma_ABC) pair, as one ``(N, d, d)`` stack."""
+    """Q = sigma_BC^b rho_B^{-b} rho_AB^{1/2} - sigma_ABC^b rho_AB^{1/2-b}, stacked over pairs."""
     return _ssa_residuals(rhos_ab, (0, 1), sigmas_abc, (0, 1, 2), space, beta)

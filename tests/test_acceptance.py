@@ -20,13 +20,13 @@ from qre.bounds import (
     pinsker_check,
     ssa_gap,
     verify_cauchy_schwarz,
-    verify_joint_convexity,
-    verify_monotonicity_bound,
-    verify_operator_ssa,
+    verify_joint_convexity_block,
+    verify_monotonicity_bound_block,
+    verify_operator_ssa_block,
     verify_ssa,
-    verify_thm42_grid,
+    verify_thm42_block,
     verify_wyd_joint_concavity,
-    verify_wyd_operator,
+    verify_wyd_operator_block,
 )
 from qre.campaign import CampaignConfig, run_campaign
 from qre.cli import main as cli_main
@@ -48,7 +48,7 @@ from qre.linalg import (
     random_unitary,
     trace_norm,
 )
-from qre.recovery import equality_condition_residual
+from qre.recovery import equality_condition_residuals
 
 NEG_LOG = make_neg_log()
 F_HALF = make_f_p(0.5)
@@ -125,7 +125,7 @@ def test_criterion_04_remainder_bound_on_T_grid():
                 sig = random_density(4, seed=rng)
                 k1 = random_contraction(2, seed=rng)
                 v = random_unitary(2, seed=rng)
-                rep = verify_thm42_grid(f, k1, v, rho, sig, beta, SPACE)
+                rep = verify_thm42_block(f, [rho], [sig], [k1], [v], beta, SPACE)[0]
                 count += 1
                 worst_margin = min(worst_margin, rep.gap)
                 assert rep.passed, f"{f.name} beta={beta}: {rep.details}"
@@ -142,7 +142,7 @@ def test_criterion_05_petz_form_bounds():
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            rep = verify_monotonicity_bound(f, k1, v, rho, sig, 0.5, SPACE)
+            rep = verify_monotonicity_bound_block(f, [rho], [sig], [k1], [v], 0.5, SPACE)[0]
             assert rep.passed, rep.details
             assert "petz_diff_trace" in rep.details
             worst = min(worst, rep.gap)
@@ -150,8 +150,8 @@ def test_criterion_05_petz_form_bounds():
     for _ in range(1000):
         rho = random_density(4, seed=rng)
         sig = random_density(4, seed=rng)
-        rep = verify_monotonicity_bound(NEG_LOG, np.eye(2), np.eye(2),
-                                        rho, sig, 0.5, SPACE)
+        rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [np.eye(2)], [np.eye(2)],
+                                              0.5, SPACE)[0]
         assert rep.passed and "quartic_lower" in rep.details
     report("5 recovery-map bounds", True, f"worst power-law margin {worst:.3e}")
 
@@ -166,7 +166,7 @@ def test_criterion_06_equality_characterization():
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         gap = monotonicity_gap(NEG_LOG, k1, np.eye(2), rho, sig, SPACE)
-        resid = equality_condition_residual(rho, sig, np.kron(k1, np.eye(2)), SPACE)
+        resid = equality_condition_residuals(rho, [sig], np.kron(k1, np.eye(2)), SPACE)[0]
         assert abs(gap) < 1e-10, f"trial {trial}: gap {gap}"
         assert resid < 1e-8, f"trial {trial}: residual {resid}"
     # perturbation sweep over the three equality families: co-monotone growth
@@ -186,7 +186,7 @@ def test_criterion_07_joint_convexity():
             comps = [(float(w), random_density(2, seed=rng),
                       random_density(2, seed=rng)) for w in probs]
             k = random_contraction(2, seed=rng)
-            rep = verify_joint_convexity(f, k, comps, 0.5)
+            rep = verify_joint_convexity_block(f, [comps], [k], 0.5)[0]
             assert rep.passed, rep.details
             assert rep.details["gap"] >= -1e-9
             worst = min(worst, rep.details["gap"])
@@ -210,7 +210,7 @@ def test_criterion_08_ssa_and_operator_ssa():
                 for _ in range(50):
                     rho = random_density(8, seed=rng)
                     sab = random_density(4, seed=rng)
-                    rep = verify_operator_ssa(f, rho, sab, beta, variant, SPACE3)
+                    rep = verify_operator_ssa_block(f, [rho], [sab], beta, variant, SPACE3)[0]
                     assert rep.passed, f"{f.name} {variant} b={beta}: {rep.details}"
     # traced consistency of the log variant at sigma_AB = rho_AB
     worst_tr = 0.0
@@ -285,7 +285,7 @@ def test_criterion_11_wyd_family():
     for _ in range(200):
         rho = random_density(8, seed=rng)
         sab = random_density(4, seed=rng)
-        assert verify_wyd_operator(0.5, rho, sab, 0.5, SPACE3).passed
+        assert verify_wyd_operator_block(0.5, [rho], [sab], 0.5, SPACE3)[0].passed
         assert verify_cauchy_schwarz(rho, sab, 0.5, SPACE3).passed
     # equality instance triggers the recovery condition
     sab = random_density(4, seed=rng)

@@ -24,14 +24,14 @@ from qre.bounds import (
     T_MIN,
     verify_cauchy_schwarz,
     verify_classical_reduction,
-    verify_joint_convexity,
-    verify_monotonicity,
-    verify_monotonicity_bound,
-    verify_operator_ssa,
+    verify_joint_convexity_block,
+    verify_monotonicity_block,
+    verify_monotonicity_bound_block,
+    verify_operator_ssa_block,
     verify_ssa,
-    verify_thm42_grid,
+    verify_thm42_block,
     verify_wyd_joint_concavity,
-    verify_wyd_operator,
+    verify_wyd_operator_block,
     lieb_ruskai_check,
     equality_suite,
 )
@@ -360,7 +360,7 @@ class TestClosedFormWindowOptimum:
 class TestMonotonicity:
     def test_equal_states(self):
         rho = random_density(4, seed=1)
-        rep = verify_monotonicity(NEG_LOG, np.eye(2), np.eye(2), rho, rho, SPACE)
+        rep = verify_monotonicity_block(NEG_LOG, [rho], [rho], [np.eye(2)], [np.eye(2)], SPACE)[0]
         assert rep.passed and abs(rep.rhs) < 1e-12
 
     def test_product_equality(self):
@@ -379,7 +379,7 @@ class TestMonotonicity:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            rep = verify_monotonicity(f, k1, v, rho, sig, SPACE)
+            rep = verify_monotonicity_block(f, [rho], [sig], [k1], [v], SPACE)[0]
             assert rep.passed, f"seed {seed}: gap {rep.rhs}"
 
 
@@ -394,28 +394,29 @@ class TestThm42AndPowerLaw:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            rep = verify_thm42_grid(f, k1, v, rho, sig, beta, SPACE)
+            rep = verify_thm42_block(f, [rho], [sig], [k1], [v], beta, SPACE)[0]
             assert rep.passed
 
     def test_digest_covers_k1_and_v(self):
         # the same rho and sigma with another K1 and V is another instance
         rho, sig = random_density(4, seed=1), random_density(4, seed=2)
-        reps = [verify_thm42_grid(NEG_LOG, random_contraction(2, seed=a),
-                                  random_unitary(2, seed=b), rho, sig, 0.5, SPACE)
+        reps = [verify_thm42_block(NEG_LOG, [rho], [sig], [random_contraction(2, seed=a)],
+                                   [random_unitary(2, seed=b)], 0.5, SPACE)[0]
                 for a, b in ((3, 4), (5, 6))]
         assert reps[0].lhs != reps[1].lhs
         assert reps[0].inputs_digest != reps[1].inputs_digest
-        bound = verify_monotonicity_bound(NEG_LOG, random_contraction(2, seed=3),
-                                          random_unitary(2, seed=4), rho, sig, 0.5, SPACE)
+        bound = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig],
+                                                [random_contraction(2, seed=3)],
+                                                [random_unitary(2, seed=4)], 0.5, SPACE)[0]
         assert reps[0].inputs_digest == bound.inputs_digest
 
     def test_bound_report_fields(self):
         rng = np.random.default_rng(5)
         rho = random_density(4, seed=rng)
         sig = random_density(4, seed=rng)
-        rep = verify_monotonicity_bound(NEG_LOG, random_contraction(2, seed=rng),
-                                        random_unitary(2, seed=rng), rho, sig,
-                                        0.5, SPACE)
+        rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig],
+                                              [random_contraction(2, seed=rng)],
+                                              [random_unitary(2, seed=rng)], 0.5, SPACE)[0]
         assert rep.passed
         assert rep.constants.alpha == pytest.approx(0.25)
         assert rep.constants.T_star > 1.0
@@ -426,8 +427,8 @@ class TestThm42AndPowerLaw:
             rng = np.random.default_rng(2000 + seed)
             rho = random_density(4, seed=rng)
             sig = random_density(4, seed=rng)
-            rep = verify_monotonicity_bound(NEG_LOG, np.eye(2), np.eye(2),
-                                            rho, sig, 0.5, SPACE)
+            rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [np.eye(2)],
+                                                  [np.eye(2)], 0.5, SPACE)[0]
             assert rep.passed
             assert "quartic_lower" in rep.details
             assert rep.details["quartic_lower"] <= rep.details["gap"] + 1e-12
@@ -436,8 +437,8 @@ class TestThm42AndPowerLaw:
         r1, s1 = random_density(2, seed=6), random_density(2, seed=7)
         tau = random_density(2, seed=8)
         rho, sig = np.kron(r1.mat, tau.mat), np.kron(s1.mat, tau.mat)
-        rep = verify_monotonicity_bound(NEG_LOG, np.eye(2), np.eye(2),
-                                        rho, sig, 0.5, SPACE)
+        rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [np.eye(2)], [np.eye(2)],
+                                              0.5, SPACE)[0]
         assert rep.passed
         assert rep.lhs < 1e-10
 
@@ -448,7 +449,7 @@ class TestThm42AndPowerLaw:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            rep = verify_monotonicity_bound(NEG_LOG, k1, v, rho, sig, 0.5, SPACE)
+            rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [k1], [v], 0.5, SPACE)[0]
             assert rep.passed
             if "interchange_diff_trace" in rep.details:
                 assert rep.details["interchange_diff_trace"] <= \
@@ -462,8 +463,9 @@ class TestThm42AndPowerLaw:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            grid = verify_thm42_grid(NEG_LOG, k1, v, rho, sig, 0.25, SPACE)
-            bound = verify_monotonicity_bound(NEG_LOG, k1, v, rho, sig, 0.25, SPACE)
+            grid = verify_thm42_block(NEG_LOG, [rho], [sig], [k1], [v], 0.25, SPACE)[0]
+            bound = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [k1], [v], 0.25,
+                                                    SPACE)[0]
             assert grid.constants == bound.constants, f"seed {seed}"
 
     @pytest.mark.parametrize("beta, full_svds", [(0.25, 0), (0.5, 2)])
@@ -476,7 +478,7 @@ class TestThm42AndPowerLaw:
         k1 = random_contraction(8, seed=rng)
         v = random_unitary(8, seed=rng)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            rep = verify_monotonicity_bound(NEG_LOG, k1, v, rho, sig, beta, space)
+            rep = verify_monotonicity_bound_block(NEG_LOG, [rho], [sig], [k1], [v], beta, space)[0]
         assert rep.passed
         assert ("interchange_rhs" in rep.details) == (beta == 0.5)
         assert sum(call.args[0].shape[-1] == 64 for call in svd.call_args_list) == full_svds
@@ -486,7 +488,7 @@ class TestJointConvexity:
     def test_identical_components(self):
         rho, sig = random_density(2, seed=9), random_density(2, seed=10)
         comps = [(0.25, rho, sig), (0.5, rho, sig), (0.25, rho, sig)]
-        rep = verify_joint_convexity(NEG_LOG, np.eye(2), comps, 0.5)
+        rep = verify_joint_convexity_block(NEG_LOG, [comps], [np.eye(2)], 0.5)[0]
         assert rep.passed
         assert abs(rep.details["gap"]) < 1e-12
         assert rep.lhs < 1e-10
@@ -502,7 +504,7 @@ class TestJointConvexity:
             comps = [(float(w), random_density(2, seed=rng),
                       random_density(2, seed=rng)) for w in probs]
             k = random_contraction(2, seed=rng)
-            rep = verify_joint_convexity(f, k, comps, beta)
+            rep = verify_joint_convexity_block(f, [comps], [k], beta)[0]
             assert rep.passed, f"seed {seed}"
 
     def test_weighted_sum_dominates_block_norm(self):
@@ -510,7 +512,7 @@ class TestJointConvexity:
         probs = rng.dirichlet(np.ones(3))
         comps = [(float(w), random_density(2, seed=rng), random_density(2, seed=rng))
                  for w in probs]
-        rep = verify_joint_convexity(NEG_LOG, np.eye(2), comps, 0.5)
+        rep = verify_joint_convexity_block(NEG_LOG, [comps], [np.eye(2)], 0.5)[0]
         assert rep.lhs >= rep.details["residual_block_l2"] - 1e-12
 
 
@@ -541,7 +543,7 @@ class TestOperatorSSA:
             rng = np.random.default_rng(4000 + seed)
             rho = random_density(8, seed=rng)
             sab = random_density(4, seed=rng)
-            rep = verify_operator_ssa(f, rho, sab, 0.5, variant, SPACE3)
+            rep = verify_operator_ssa_block(f, [rho], [sab], 0.5, variant, SPACE3)[0]
             assert rep.passed, f"{variant} seed {seed}: {rep.details}"
             assert rep.details["min_eig_rhs"] >= -1e-9 * max(1.0, rep.details["rhs_scale"])
 
@@ -560,8 +562,8 @@ class TestOperatorSSA:
                 bounds.verify_operator_ssa_block(f, *zip(*block), 0.5, variant, SPACE3)
         if variant == "cor65" and fid == "f_p:0.5":
             with pytest.raises(InvalidRank, match="cor65 needs a faithful sigma_AB"):
-                verify_wyd_operator(0.5, rho, sab, 0.5, SPACE3)
-        assert verify_operator_ssa(f, *full, 0.5, variant, SPACE3).passed
+                verify_wyd_operator_block(0.5, [rho], [sab], 0.5, SPACE3)
+        assert verify_operator_ssa_block(f, *zip(*[full]), 0.5, variant, SPACE3)[0].passed
 
     def test_equality_case_product(self):
         rho_ab = random_density(4, seed=14)
@@ -646,7 +648,7 @@ class TestWyd:
         comps = [(w, random_density(2, seed=rng), random_density(2, seed=rng)) for w in weights]
         with pytest.raises(InvalidParameter, match="weights"):
             if check == "joint_convexity":
-                verify_joint_convexity(NEG_LOG, np.eye(2), comps, 0.5)
+                verify_joint_convexity_block(NEG_LOG, [comps], [np.eye(2)], 0.5)
             else:
                 verify_wyd_joint_concavity(0.5, np.eye(2), comps, 0.5)
 
@@ -666,7 +668,7 @@ class TestWyd:
             rng = np.random.default_rng(7000 + seed)
             rho = random_density(8, seed=rng)
             sab = random_density(4, seed=rng)
-            rep = verify_wyd_operator(0.5, rho, sab, 0.5, SPACE3)
+            rep = verify_wyd_operator_block(0.5, [rho], [sab], 0.5, SPACE3)[0]
             assert rep.passed, f"seed {seed}"
 
     def test_operator_rhs_closed_form(self):

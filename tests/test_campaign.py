@@ -3,7 +3,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from qre.campaign import (
@@ -13,7 +12,7 @@ from qre.campaign import (
     parse_dims,
     run_campaign,
     run_single,
-    sample_operands,
+    sample_blocks,
     trial_seed,
 )
 from qre.errors import InvalidParameter, QREError
@@ -65,9 +64,13 @@ class TestConfig:
         assert parse_dims("2,3") == (2, 3)
         with pytest.raises(InvalidParameter):
             parse_dims("2xa")
-        for bad in ("2x", "x2", "2xx2", "2,,3", ""):
+        assert parse_dims(" 2 x 3 ") == (2, 3)
+        # int() also takes "2_2" (as 22), "+2" and full-width digits
+        for bad in ("2x", "x2", "2xx2", "2,,3", "", "2_2", "+2", "2x-2", "\uff12", "2.0"):
             with pytest.raises(InvalidParameter, match="bad dims"):
                 parse_dims(bad)
+        with pytest.raises(InvalidParameter, match="bad dims"):
+            parse_config("inequalities = monotonicity\ndims = 2_2\n")
 
     @pytest.mark.parametrize("bad", [dict(functions=("neg_log", "bogus")),
                                      dict(functions=("f_p:2.5",)),
@@ -88,7 +91,8 @@ class TestConfig:
         with pytest.raises(InvalidParameter, match=f"{field} must list"):
             CampaignConfig(**{"inequalities": ("monotonicity",), field: ()})
         with pytest.raises(InvalidParameter, match=f"{field} must list"):
-            parse_config(f"inequalities = monotonicity\n{field} =\n")
+            parse_config("inequalities = monotonicity\n" * (field != "inequalities")
+                         + f"{field} =\n")
 
     @pytest.mark.parametrize("field, value, text", [
         ("inequalities", ("monotonicity", "thm42", "monotonicity"),
@@ -101,7 +105,17 @@ class TestConfig:
         with pytest.raises(InvalidParameter, match=f"{field} repeats an entry"):
             CampaignConfig(**{"inequalities": ("monotonicity",), field: value})
         with pytest.raises(InvalidParameter, match=f"{field} repeats an entry"):
-            parse_config(f"inequalities = monotonicity\n{field} = {text}\n")
+            parse_config("inequalities = monotonicity\n" * (field != "inequalities")
+                         + f"{field} = {text}\n")
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("inequalities", "ssa", "pinsker"), ("trials", "3", "5"), ("seed", "1", "1"),
+        ("output", "a.jsonl", "b.jsonl")])
+    def test_repeated_key_rejected(self, key, first, second):
+        # the last value used to win: "ssa" then "pinsker" ran pinsker alone
+        text = f"{key} = {first}\nfunctions = neg_log\n{key} = {second}\n"
+        with pytest.raises(InvalidParameter, match=f"config key {key!r} is given more than once"):
+            parse_config("inequalities = monotonicity\n" * (key != "inequalities") + text)
 
     @pytest.mark.parametrize("line", ["trails = 5", "tol.monotonicity = 1e-6"])
     def test_unknown_key_rejected(self, line):
@@ -130,6 +144,16 @@ class TestDeterminism:
         second = run_single("monotonicity_bound", "neg_log", (2, 2), 0.5, seed)
         assert [r.to_json() for r in first] == [r.to_json() for r in second]
         assert first[0].seed == seed
+
+    @pytest.mark.parametrize("inequality, policy, match", [
+        ("monotonicity", "Mixed", "rank_policy must be full|mixed"),
+        ("monotonicity", "", "rank_policy must be full|mixed"),
+        ("monotonicty", "full", "unknown inequalities"),
+        ("nonsense", "mixed", "unknown inequalities")])
+    def test_replay_rejects_unknown_fields(self, inequality, policy, match):
+        # "Mixed" replayed as full rank: every line of a mixed cell came out different
+        with pytest.raises(InvalidParameter, match=match):
+            run_single(inequality, "neg_log", (2, 2), 0.5, 3, policy)
 
     def test_reports_are_json_lines(self):
         cfg = CampaignConfig(inequalities=("pinsker",), trials=3, seed=5)
@@ -241,8 +265,7 @@ class TestMixedRankPolicy:
         space = FactorizedSpace((2, 2))
         for line in out.getvalue().splitlines():
             rep = json.loads(line)
-            rho = sample_operands(FAMILIES[ineq], space, np.random.default_rng(rep["seed"]),
-                                  "mixed")[0]
+            rho = next(sample_blocks(FAMILIES[ineq], space, [rep["seed"]], "mixed"))[0][0]
             assert bool(rep["details"].get("divergent")) == (rho.rank() < rho.dim)
             if rep["details"].get("divergent"):
                 assert "null mode of rho" in rep["notes"]

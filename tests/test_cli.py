@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qre.bounds import envelope_constants
-from qre.campaign import FAMILIES, run_single, sample_operands
+from qre.campaign import FAMILIES, run_single, sample_blocks
 from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main, verifiable
 from qre.functions import from_id
 from qre.linalg import FactorizedSpace, random_density, random_unitary, save_matrix
@@ -200,7 +200,7 @@ class TestVerifySharesTheCampaignCheck:
         dims = (2, 2, 2) if family.nfactors == 3 else (2, 2)
         seed = 20260 + len(inequality)
         want, = run_single(inequality, "f_p:0.5", dims, 0.25, seed)
-        operands = sample_operands(family, FactorizedSpace(dims), np.random.default_rng(seed))
+        operands = next(sample_blocks(family, FactorizedSpace(dims), [seed]))[0]
         argv = ["verify", inequality, "--f", "f_p:0.5", "--beta", "0.25",
                 "--dims", "x".join(map(str, dims)), "--json"]
         for name, operand in zip(family.operands, operands):
@@ -255,6 +255,14 @@ class TestFunctionRequirements:
 
     @pytest.mark.parametrize("dims", ["2x", "x2", "2xx2"])
     def test_empty_dims_factor_is_input_error(self, fixtures, dims, capsys):
+        code = main(["verify", "classical_reduction", "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", dims])
+        assert code == EXIT_INPUT
+        assert f"bad dims {dims!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["2_2", "+2x2", "\uff12x2"])
+    def test_non_digit_dims_factor_is_input_error(self, fixtures, dims, capsys):
+        # int() took each of these; "2_2" ran as one 22-dimensional factor
         code = main(["verify", "classical_reduction", "--rho", str(fixtures / "rho4.json"),
                      "--sigma", str(fixtures / "sigma4.json"), "--dims", dims])
         assert code == EXIT_INPUT
@@ -397,7 +405,8 @@ class TestCampaignCommand:
     def test_empty_list_is_input_error(self, tmp_path, capsys, field):
         cfg = tmp_path / "c.cfg"
         out = tmp_path / "reports.jsonl"
-        cfg.write_text(f"inequalities = monotonicity\n{field} =\noutput = {out}\n")
+        cfg.write_text("inequalities = monotonicity\n" * (field != "inequalities")
+                       + f"{field} =\noutput = {out}\n")
         assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
         assert f"{field} must list at least one entry" in capsys.readouterr().err
         assert not out.exists()
@@ -410,6 +419,16 @@ class TestCampaignCommand:
                        f"dims = 2x2, 2x2\ntrials = 3\noutput = {out}\n")
         assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
         assert "inequalities repeats an entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", ["inequalities = ssa\ninequalities = pinsker",
+                                       "inequalities = ssa\ntrials = 3\ntrials = 5"])
+    def test_repeated_key_writes_nothing(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "reports.jsonl"
+        cfg.write_text(f"{lines}\noutput = {out}\n")
+        assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert "is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_input_error(self, tmp_path):

@@ -56,23 +56,27 @@ class TestDecompositionCounts:
 
     def test_thm42_grid(self, inputs):
         f, k1, v, rho, sigma = inputs
-        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho, sigma, 0.5, SPACE))
+        got = _count(lambda: bounds.verify_thm42_block(f, [rho], [sigma], [k1], [v], 0.5,
+                                                      SPACE)[0])
         assert got == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
     def test_monotonicity_bound_at_half(self, inputs):
         f, k1, v, rho, sigma = inputs
-        got = _count(lambda: bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, 0.5, SPACE))
+        got = _count(lambda: bounds.verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v],
+                                                                   0.5, SPACE)[0])
         assert got["eigh"] <= 4
 
     def test_raw_inputs_are_decomposed_once(self, inputs):
         f, k1, v, rho, sigma = inputs
-        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho.mat, sigma.mat, 0.5, SPACE))
+        got = _count(lambda: bounds.verify_thm42_block(f, [rho.mat], [sigma.mat], [k1], [v], 0.5,
+                                                      SPACE)[0])
         assert got["eigh"] == 3
 
     def test_second_call_on_the_same_states_decomposes_nothing(self, inputs):
         f, k1, v, rho, sigma = inputs
-        bounds.verify_monotonicity_bound(f, k1, v, rho, sigma, 0.5, SPACE)
-        got = _count(lambda: bounds.verify_thm42_grid(f, k1, v, rho, sigma, 0.5, SPACE))
+        bounds.verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v], 0.5, SPACE)
+        got = _count(lambda: bounds.verify_thm42_block(f, [rho], [sigma], [k1], [v], 0.5,
+                                                      SPACE)[0])
         assert got["eigh"] == 0
 
 

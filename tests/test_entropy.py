@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qre.entropy import (
     ModularOperator,
-    apply_f_modular,
+    apply_f_modulars,
     classical_reduction,
     effective_eigs,
     pinsker_sides,
@@ -75,7 +75,7 @@ class TestApplyFModular:
         rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
         delta = ModularOperator(rho, rho)
         x = random_hermitian(3, seed=7)
-        out = apply_f_modular(NEG_LOG, delta, x)
+        out = apply_f_modulars(NEG_LOG, [delta], [x])[0]
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-12)
 
     def test_power_action_equals_matrix_powers(self):
@@ -83,14 +83,14 @@ class TestApplyFModular:
         rho = random_density(4, seed=8)
         sig = random_density(4, seed=9)
         for beta in (0.25, 0.5, 0.75):
-            out = apply_f_modular(raw_power_function(beta),
-                                  ModularOperator(sig, rho), rho.power(0.5))
+            out = apply_f_modulars(raw_power_function(beta),
+                                   [ModularOperator(sig, rho)], [rho.power(0.5)])[0]
             expected = sig.power(beta) @ rho.power(0.5 - beta)
             np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_umegaki_integrand_on_commuting_diagonals(self):
         delta = ModularOperator(DIAG_SIG, DIAG_RHO)
-        out = apply_f_modular(NEG_LOG, delta, DIAG_RHO.power(0.5))
+        out = apply_f_modulars(NEG_LOG, [delta], [DIAG_RHO.power(0.5)])[0]
         val = np.trace(DIAG_RHO.power(0.5) @ out).real
         assert abs(val - DIAG_VALUE) < 1e-12
 
@@ -99,7 +99,7 @@ class TestApplyFModular:
         sig = PsdOperator(np.diag([1.0, 0.0]).astype(complex))
         delta = ModularOperator(sig, rho)
         with pytest.raises(SingularArgument):
-            apply_f_modular(NEG_LOG, delta, np.eye(2, dtype=complex))
+            apply_f_modulars(NEG_LOG, [delta], [np.eye(2, dtype=complex)])
 
 
 class TestSpectralFormula:

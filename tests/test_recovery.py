@@ -16,11 +16,11 @@ from qre.linalg import (
     trace_norm,
 )
 from qre.recovery import (
-    equality_condition_residual,
-    monotonicity_residual,
+    equality_condition_residuals,
+    monotonicity_residuals,
     petz_recover,
-    ssa_residual_P,
-    ssa_residual_Q,
+    ssa_residuals_P,
+    ssa_residuals_Q,
 )
 
 SPACE = FactorizedSpace((2, 2))
@@ -77,7 +77,8 @@ class TestMonotonicityResidual:
         # with K = I both terms reduce to rho^{1/2}; a noncommuting K leaves a
         # genuine skew remainder even at sigma = rho
         rho = random_density(4, seed=10)
-        resid, norm = monotonicity_residual(rho, rho, np.eye(2), SPACE, 0.5, np.eye(2))
+        (resid,), (norm,) = monotonicity_residuals([rho], [rho], [np.eye(2)], SPACE, 0.5,
+                                                   [np.eye(2)])
         assert norm < 1e-12
         np.testing.assert_allclose(resid, np.zeros((4, 4)), atol=1e-12)
 
@@ -85,7 +86,7 @@ class TestMonotonicityResidual:
     def test_beta_outside_open_unit_interval(self, beta):
         rho = random_density(4, seed=11)
         with pytest.raises(InvalidParameter):
-            monotonicity_residual(rho, rho, np.eye(2), SPACE, beta, np.eye(2))
+            monotonicity_residuals([rho], [rho], [np.eye(2)], SPACE, beta, [np.eye(2)])
 
     def test_product_equality_case(self):
         r1 = random_density(2, seed=12)
@@ -94,7 +95,8 @@ class TestMonotonicityResidual:
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         for beta in (0.25, 0.5, 0.75):
-            _, norm = monotonicity_residual(rho, sig, np.eye(2), SPACE, beta, np.eye(2))
+            _, (norm,) = monotonicity_residuals([rho], [sig], [np.eye(2)], SPACE, beta,
+                                                [np.eye(2)])
             assert norm < 1e-12
 
     def test_recovery_chain_half_exponent(self):
@@ -105,7 +107,7 @@ class TestMonotonicityResidual:
             sig = random_density(4, seed=rng)
             k1 = random_contraction(2, seed=rng)
             v = random_unitary(2, seed=rng)
-            _, rnorm = monotonicity_residual(rho, sig, k1, SPACE, 0.5, v=v)
+            _, (rnorm,) = monotonicity_residuals([rho], [sig], [k1], SPACE, 0.5, vs=[v])
             sigma1 = SPACE.partial_trace(sig.mat, (0,))
             rec = petz_recover(rho, hermitize(k1.conj().T @ sigma1 @ k1), SPACE, (0,))
             k_full = np.kron(k1, v)
@@ -118,7 +120,7 @@ class TestMonotonicityResidual:
         k1 = random_contraction(2, seed=17)
         v = random_unitary(2, seed=18)
         beta = 0.3
-        resid, _ = monotonicity_residual(rho, sig, k1, SPACE, beta, v=v)
+        (resid,), _ = monotonicity_residuals([rho], [sig], [k1], SPACE, beta, vs=[v])
         rho1 = PsdOperator(SPACE.partial_trace(rho.mat, (0,)))
         sig1 = PsdOperator(SPACE.partial_trace(sig.mat, (0,)))
         k_full = np.kron(k1, v)
@@ -132,7 +134,7 @@ class TestEqualityConditionResidual:
     def test_equal_states(self):
         rho = random_density(4, seed=19)
         k = np.eye(4)
-        assert equality_condition_residual(rho, rho, k, SPACE) < 1e-10
+        assert equality_condition_residuals(rho, [rho], k, SPACE)[0] < 1e-10
 
     def test_product_construction(self):
         r1 = random_density(2, seed=21)
@@ -141,7 +143,7 @@ class TestEqualityConditionResidual:
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         k = np.kron(random_contraction(2, seed=24), np.eye(2))
-        assert equality_condition_residual(rho, sig, k, SPACE) < 1e-10
+        assert equality_condition_residuals(rho, [sig], k, SPACE)[0] < 1e-10
 
     def test_grows_with_perturbation(self):
         r1 = random_density(2, seed=25)
@@ -153,7 +155,7 @@ class TestEqualityConditionResidual:
         values = []
         for eps in (0.0, 1e-3, 1e-2, 1e-1):
             sig = hermitize((1 - eps) * np.kron(s1.mat, tau.mat) + eps * noise.mat)
-            values.append(equality_condition_residual(rho, sig, k, SPACE))
+            values.append(equality_condition_residuals(rho, [sig], k, SPACE)[0])
         assert values[0] < 1e-10
         assert values[0] < values[1] < values[2] < values[3]
 
@@ -164,13 +166,13 @@ class TestSsaResiduals:
         rho_c = random_density(2, seed=30)
         rho = np.kron(rho_ab.mat, rho_c.mat)
         for beta in (0.25, 0.5, 0.75):
-            p = ssa_residual_P(rho, rho_ab.mat, SPACE3, beta)
+            p = ssa_residuals_P([rho], [rho_ab.mat], SPACE3, beta)[0]
             assert hs_norm(p) < 1e-10
 
     def test_gram_is_psd(self):
         rho = random_density(8, seed=31)
         sab = random_density(4, seed=32)
-        p = ssa_residual_P(rho.mat, sab.mat, SPACE3, 0.5)
+        p = ssa_residuals_P([rho.mat], [sab.mat], SPACE3, 0.5)[0]
         gram = SPACE3.partial_trace(p @ p.conj().T, (2,))
         assert np.linalg.eigvalsh(hermitize(gram)).min() > -1e-12
 
@@ -180,7 +182,7 @@ class TestSsaResiduals:
         rho_ac = random_density(6, seed=33)
         sigma_a = random_density(2, seed=34)
         beta = 0.4
-        p = ssa_residual_P(rho_ac.mat, sigma_a.mat, space, beta)
+        p = ssa_residuals_P([rho_ac.mat], [sigma_a.mat], space, beta)[0]
         rho_c = PsdOperator(space.partial_trace(rho_ac.mat, (2,)))
         direct = (np.kron(np.eye(2), rho_c.power(-beta)) @ rho_ac.power(0.5)
                   - np.kron(PsdOperator(sigma_a.mat).power(beta), np.eye(3))
@@ -191,7 +193,7 @@ class TestSsaResiduals:
         rho_ab = random_density(4, seed=35)
         sig = random_density(8, seed=36)
         beta = 0.35
-        q = ssa_residual_Q(rho_ab.mat, sig.mat, SPACE3, beta)
+        q = ssa_residuals_Q([rho_ab.mat], [sig.mat], SPACE3, beta)[0]
         sub_ab = SPACE3.subspace((0, 1))
         rho_b = PsdOperator(sub_ab.partial_trace(rho_ab.mat, (1,)))
         sig_bc = PsdOperator(SPACE3.partial_trace(sig.mat, (1, 2)))
@@ -206,7 +208,7 @@ class TestSsaResiduals:
     def test_beta_outside_the_open_interval_rejected(self, beta):
         rho = random_density(8, seed=37).mat
         sab = random_density(4, seed=38).mat
-        for residual in (lambda: ssa_residual_P(rho, sab, SPACE3, beta),
-                         lambda: ssa_residual_Q(sab, rho, SPACE3, beta)):
+        for residual in (lambda: ssa_residuals_P([rho], [sab], SPACE3, beta)[0],
+                         lambda: ssa_residuals_Q([sab], [rho], SPACE3, beta)[0]):
             with pytest.raises(InvalidParameter, match="strictly inside"):
                 residual()

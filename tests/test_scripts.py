@@ -25,3 +25,12 @@ def test_script_runs(script, args, tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.strip()
+
+
+def test_profile_rejects_fewer_than_one_trial(tmp_path):
+    # --trials 0 crashed on an unbound report
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "bound_tightness_profile.py"), "--trials", "0"]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "--trials: must be at least 1" in proc.stderr

@@ -19,7 +19,6 @@ from qre.entropy import (
     ModularOperator,
     _ratio_weights,
     _zero_mode_message,
-    apply_f_modular,
     apply_f_modulars,
     effective_eigs,
     quasi_relative_entropies,
@@ -47,10 +46,7 @@ from qre.recovery import (
     DEFAULT_BETA_GRID,
     _grid_maxima,
     _sandwiches,
-    equality_condition_residual,
     equality_condition_residuals,
-    ssa_residual_P,
-    ssa_residual_Q,
     ssa_residuals_P,
     ssa_residuals_Q,
 )
@@ -360,7 +356,8 @@ class TestGridResiduals:
         got = equality_condition_residuals(rho, sigmas, k, space)
         assert got == [_loop_equality_condition_residual(_fresh(rho), _fresh(sigma), k,
                                                          space, GRID) for sigma in sigmas]
-        assert equality_condition_residual(rho, sigmas[0], k, space) == got[0]
+        assert [equality_condition_residuals(rho, [sigma], k, space)[0]
+                for sigma in sigmas] == got
 
     @pytest.mark.parametrize("seed", range(6))
     def test_joint_convexity(self, seed):
@@ -378,7 +375,7 @@ class TestGridResiduals:
         want = max(_loop_joint_equality_residual(km, _fresh(rho), _fresh(sigma), fresh, b)
                    for b in GRID)
         assert got == want
-        report = bounds.verify_joint_convexity(from_id("neg_log"), km, comps, 0.25)
+        report = bounds.verify_joint_convexity_block(from_id("neg_log"), [comps], [km], 0.25)[0]
         one = report.details["equality_residual"]
         assert one == _loop_joint_equality_residual(km, rho, sigma, comps, 0.25)
 
@@ -472,12 +469,12 @@ class TestSsaResiduals:
             assert got.shape == (n, space.dim, space.dim)
             for rho, sab, member in zip(rhos, sabs, got):
                 assert_bits(member, _oracle_P(_fresh(rho), _fresh(sab), space, beta))
-                assert_bits(ssa_residual_P(rho, sab, space, beta), member)
+                assert_bits(ssa_residuals_P([rho], [sab], space, beta)[0], member)
             got = ssa_residuals_Q(sabs, rhos, space, beta)
             assert got.shape == (n, space.dim, space.dim)
             for rho, sab, member in zip(rhos, sabs, got):
                 assert_bits(member, _oracle_Q(_fresh(sab), _fresh(rho), space, beta))
-                assert_bits(ssa_residual_Q(sab, rho, space, beta), member)
+                assert_bits(ssa_residuals_Q([sab], [rho], space, beta)[0], member)
 
 
 # ----------------------------------------------------------------------------
@@ -752,7 +749,7 @@ class TestOperatorSsaBlock:
         got = apply_f_modulars(f, [deltas[i] for i in fine], [xs[i] for i in fine])
         for i, member in zip(fine, got):
             assert_bits(member, alone[i])
-            assert_bits(apply_f_modular(f, deltas[i], xs[i]), alone[i])
+            assert_bits(apply_f_modulars(f, [deltas[i]], [xs[i]])[0], alone[i])
         for i, message in enumerate(alone):
             if isinstance(message, str):
                 members = fine[:1] + [i] + fine[1:]
@@ -789,16 +786,17 @@ class TestOperatorSsaBlock:
             got = [r.to_json() for r in family.check(f, space, 0.25, block)]
             assert len(got) == n
             for seed, line in zip(seeds, got):
-                ops = campaign.sample_operands(family, space, np.random.default_rng(seed))
+                ops = next(campaign.sample_blocks(family, space, [seed]))[0]
                 alone, = family.check(f, space, 0.25, [ops])
                 assert line == alone.to_json()
                 rho, sab = (_fresh(op) for op in ops)
                 if ineq == "wyd_operator":
-                    single = bounds.verify_wyd_operator(0.5, rho, sab, 0.25, space)
+                    single = bounds.verify_wyd_operator_block(0.5, [rho], [sab], 0.25, space)[0]
                     loop = _loop_operator_ssa_report(f, rho, sab, 0.25, "cor65", space)
                     loop.inequality_id, loop.notes = single.inequality_id, single.notes
                 else:
-                    single = bounds.verify_operator_ssa(f, rho, sab, 0.25, ineq[-5:], space)
+                    single = bounds.verify_operator_ssa_block(f, [rho], [sab], 0.25, ineq[-5:],
+                                                              space)[0]
                     loop = _loop_operator_ssa_report(f, rho, sab, 0.25, ineq[-5:], space)
                 assert line == single.to_json() == loop.to_json()
 
@@ -944,22 +942,22 @@ class TestMonotonicityBlock:
             got = [r.to_json() for block in blocks for r in family.check(f, space, beta, block)]
             assert len(got) == n
             for seed, line in zip(seeds, got):
-                ops = campaign.sample_operands(family, space, np.random.default_rng(seed))
+                ops = next(campaign.sample_blocks(family, space, [seed]))[0]
                 alone, = family.check(f, space, beta, [ops])
                 assert line == alone.to_json()
                 if ineq == "joint_convexity":
                     comps, km = [(w, _fresh(r), _fresh(s)) for w, r, s in ops[0]], ops[1]
-                    single = bounds.verify_joint_convexity(f, km, comps, beta)
+                    single = bounds.verify_joint_convexity_block(f, [comps], [km], beta)[0]
                     loop = _loop_joint_convexity_report(f, comps, km, beta)
                 else:
                     rho, sigma, k1, v = _fresh(ops[0]), _fresh(ops[1]), ops[2], ops[3]
-                    one = {"monotonicity": lambda: bounds.verify_monotonicity(
-                               f, k1, v, rho, sigma, space),
-                           "thm42": lambda: bounds.verify_thm42_grid(
-                               f, k1, v, rho, sigma, beta, space),
-                           "monotonicity_bound": lambda: bounds.verify_monotonicity_bound(
-                               f, k1, v, rho, sigma, beta, space)}[ineq]
-                    single = one()
+                    one = {"monotonicity": lambda: bounds.verify_monotonicity_block(
+                               f, [rho], [sigma], [k1], [v], space),
+                           "thm42": lambda: bounds.verify_thm42_block(
+                               f, [rho], [sigma], [k1], [v], beta, space),
+                           "monotonicity_bound": lambda: bounds.verify_monotonicity_bound_block(
+                               f, [rho], [sigma], [k1], [v], beta, space)}[ineq]
+                    single = one()[0]
                     loop = _loop_monotonicity_report(ineq, f, _fresh(rho), _fresh(sigma), k1, v,
                                                      beta, space)
                 assert line == single.to_json() == loop.to_json()
@@ -1151,7 +1149,7 @@ def test_block_sampling_draws_what_each_seed_draws():
     seeds = [11, 12, 13]
     blocks = campaign.sample_blocks(family, space, seeds)
     for seed, operands in zip(seeds, itertools.chain.from_iterable(blocks)):
-        alone = campaign.sample_operands(family, space, np.random.default_rng(seed))
+        alone = next(campaign.sample_blocks(family, space, [seed]))[0]
         for (p, r, s), (p2, r2, s2) in zip(operands[0], alone[0]):
             assert p == p2
             assert_bits(r.mat, r2.mat)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep equality instances of three inequalities under growing perturbations.
 
-Prints the campaign's own equality sweeps (``qre.bounds.equality_suite``) for
+Prints the campaign's own equality sweeps (``qre.equality.equality_suite``) for
 the logarithm.  Each family builds an exact saturation instance, mixes in an
-independent state with weight eps (``qre.bounds.EPS_SWEEP``), and reports how
+independent state with weight eps (``qre.equality.EPS_SWEEP``), and reports how
 the inequality gap and the equality-condition residual grow together.  At
 eps = 0 both sit at numerical zero; a family is co-monotone when every one of
 its reports passes.
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from qre.bounds import equality_suite
+from qre.equality import equality_suite
 from qre.functions import make_neg_log
 
 

@@ -23,12 +23,13 @@ from .entropy import (ModularOperator, apply_f_modulars, classical_reduction,
 from .recovery import (equality_condition_residuals, monotonicity_residuals, petz_recover,
                        ssa_residuals_P, ssa_residuals_Q)
 from .reports import BoundConstants, BoundReport
-from .bounds import (alpha_exponent, constants_for, equality_suite, lieb_ruskai_check,
+from .bounds import (alpha_exponent, constants_for, lieb_ruskai_check,
                      monotonicity_gap, pinsker_check, power_family_constants, ssa_gap,
                      verify_cauchy_schwarz, verify_classical_reduction, verify_ssa,
                      verify_joint_convexity_block, verify_monotonicity_block, verify_wyd_skew,
                      verify_monotonicity_bound_block, verify_operator_ssa_block,
                      verify_thm42_block, verify_wyd_joint_concavity, verify_wyd_operator_block)
+from .equality import equality_suite
 from .campaign import FAMILIES, CampaignConfig, run_campaign, run_single
 
 __all__ = [

@@ -31,8 +31,8 @@ sigma, K1, V) trials, from ``_monotonicity_gaps`` and ``_remainder_terms`` (one
 stacked eigh for the 2N marginals, the gaps as two kernel calls, one batched
 SVD for ||K1||); ``verify_joint_convexity_block`` over ensembles, with stacked
 mixtures.  A single trial is a block of one, read as ``[0]``; a block that
-raises is checked again trial by trial by the campaign.  The equality
-residuals are ``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima``.
+raises is checked again trial by trial by the campaign.  The equality sweeps
+built on these kernels live in ``qre.equality``.
 """
 
 from __future__ import annotations
@@ -65,17 +65,12 @@ from .linalg import (
     hermitize,
     hs_norm,
     op_norm,
-    random_contraction,
-    random_state_matrix,
     trace_norm,
 )
 from .recovery import (
-    DEFAULT_BETA_GRID,
     _check_beta,
     _grid_maxima,
     _mixture_residuals,
-    _sandwiches,
-    equality_condition_residuals,
     monotonicity_residuals,
     petz_recover,
     ssa_residuals_P,
@@ -719,143 +714,3 @@ def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace) -> BoundReport:
     passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
     return _report("lieb_ruskai", -float(eigs.min()), 0.0, passed,
                    digest=digest_inputs(xm, q.mat), details={"min_eig_diff": float(eigs.min())})
-
-
-# ----------------------------------------------------------------------------
-# Equality characterizations
-# ----------------------------------------------------------------------------
-
-EPS_SWEEP = (0.0, 1e-3, 1e-2, 1e-1)
-EQUALITY_GAP_TOL = 1e-10
-EQUALITY_RESIDUAL_TOL = 1e-8
-
-
-def _floored_state(dim, rng):
-    """Random state mixed with the maximally mixed one.
-
-    Equality instances are constructed inputs; the spectral floor keeps the
-    generalized-inverse powers in the residual diagnostics away from the
-    roundoff-amplification regime at the large grid exponents.
-    """
-    floor = 0.15
-    raw = random_state_matrix(dim, seed=rng)
-    return PsdOperator(hermitize((1.0 - floor) * raw + floor * np.eye(dim) / dim))
-
-
-def _sweep_reports(inequality_id, f, pairs, digest):
-    """Slack reports for an eps sweep of (eps, gap, residual) diagnostics.
-
-    At eps = 0 both must sit below their tolerances; afterwards both must
-    grow with eps (co-monotonicity of saturation and recovery failure).
-    """
-    reports = []
-    prev_gap, prev_res = -math.inf, -math.inf
-    for eps, gap, resid in pairs:
-        if eps == 0.0:
-            slack = min(EQUALITY_GAP_TOL - gap, EQUALITY_RESIDUAL_TOL - resid)
-        else:
-            slack = min(gap - prev_gap, resid - prev_res)
-        prev_gap, prev_res = gap, resid
-        reports.append(_report(
-            inequality_id, -slack, 0.0, slack >= 0.0, digest=digest,
-            notes=f"f={f.name};eps={eps:g}",
-            details={"gap": gap, "equality_residual": resid, "eps": eps}))
-    return reports
-
-
-def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """Product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates exactly;
-    mixing in an independent state with weight eps breaks it."""
-    d1, d2 = space.dims
-    rho1 = _floored_state(d1, rng)
-    sigma1 = random_state_matrix(d1, seed=rng)
-    tau = _floored_state(d2, rng)
-    k1 = random_contraction(d1, seed=rng)
-    noise = random_state_matrix(space.dim, seed=rng)
-    rho = space.psd(np.kron(rho1.mat, tau.mat))
-    sigma0 = np.kron(sigma1, tau.mat)
-    k_full = np.kron(k1, np.eye(d2))
-    sigmas = PsdOperator.stack([hermitize((1.0 - eps) * sigma0 + eps * noise)
-                                for eps in EPS_SWEEP])
-    gaps = _monotonicity_gaps(f, [rho] * len(sigmas), sigmas, [k1] * len(sigmas),
-                              [np.eye(d2)] * len(sigmas), space)
-    resids = equality_condition_residuals(rho, sigmas, k_full, space)
-    return _sweep_reports("equality_monotonicity", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(rho.mat, sigma0, k_full))
-
-
-def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """Identical ensemble components saturate; componentwise noise breaks it.
-
-    Only the sigma components are perturbed: the rho side carries the
-    generalized-inverse powers, and holding it fixed keeps the residual's
-    conditioning constant across the sweep (the diagnostics then co-grow).
-    """
-    dim = space.dim
-    base_r = _floored_state(dim, rng)
-    base_s = random_state_matrix(dim, seed=rng)
-    km = random_contraction(dim, seed=rng)
-    probs = (0.3, 0.3, 0.4)
-    noises = [random_state_matrix(dim, seed=rng) for _ in probs]
-    mix_r = PsdOperator(_average((w, base_r) for w in probs))
-    mats = []
-    for eps in EPS_SWEEP:
-        parts = [hermitize((1 - eps) * base_s + eps * ns) for ns in noises]
-        mats += parts + [_average(zip(probs, parts))]
-    sigmas = iter(PsdOperator.stack(mats))    # each eps: its components, then their mixture
-    ensembles = []
-    for _ in EPS_SWEEP:
-        comps = [(w, base_r, next(sigmas)) for w in probs]
-        ensembles.append((comps, mix_r, next(sigmas)))
-    gaps = _joint_gaps(f, [km] * len(ensembles), ensembles)
-    # every rho of the residual, the mixtures' included, is base_r: raised once a side
-    flat, grid = FactorizedSpace((dim,)), DEFAULT_BETA_GRID
-    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), [base_r], (0,), flat, grid, km)
-    own = _sandwiches([sj for comps, _, _ in ensembles for _, _, sj in comps], (0,),
-                      [base_r], (0,), flat, grid, km)
-    resids = _grid_maxima(mixed[:, None] - own.reshape(len(mixed), len(probs), *mixed.shape[1:]))
-    return _sweep_reports("equality_joint_convexity", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(km, base_r.mat, base_s))
-
-
-def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space) -> list[float]:
-    """Per sigma_AB: max over the grid of ||sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b}||_op.
-
-    Two ``_sandwiches`` stacks and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
-    """
-    rho = space.psd(rho_abc)
-    sub_ab = space.subspace((0, 1))
-    sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
-    grid = DEFAULT_BETA_GRID
-    lhs = _sandwiches(PsdOperator.marginals(sabs, sub_ab, (1,)), (1,),
-                      [rho.marginal(space, (1, 2))], (1, 2), space, grid)
-    return _grid_maxima(lhs - _sandwiches(sabs, (0, 1), [rho], (0, 1, 2), space, grid))
-
-
-def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
-    operator inequality; perturbing sigma_AB breaks the recovery condition.
-
-    rho is held fixed so the generalized-inverse powers in the residual keep
-    their conditioning; the eps = 0 row doubles as the forward implication
-    check (vanishing traced difference forces the grid residual small).
-    """
-    rho_ab = _floored_state(space.subspace((0, 1)).dim, rng)
-    tau = _floored_state(space.dims[2], rng)
-    sub_ab = space.subspace((0, 1))
-    noise = random_state_matrix(sub_ab.dim, seed=rng)
-    rho = space.psd(np.kron(rho_ab.mat, tau.mat))
-    sabs = PsdOperator.stack([hermitize((1.0 - eps) * rho_ab.mat + eps * noise)
-                              for eps in EPS_SWEEP])
-    t1, t2, _ = _traced_terms(f, [rho] * len(sabs), sabs, "thm62", space)
-    gaps = [float(np.real(np.trace(diff))) for diff in hermitize(t1 - t2)]
-    resids = operator_ssa_equality_residuals(rho, sabs, space)
-    return _sweep_reports("equality_operator_ssa", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(rho.mat, rho_ab.mat))
-
-
-def equality_suite(f, rng) -> list[BoundReport]:
-    """All three equality characterizations at desk dims (2x2, 2 and 2x2x2)."""
-    return (equality_monotonicity_sweep(f, FactorizedSpace((2, 2)), rng)
-            + equality_joint_convexity_sweep(f, FactorizedSpace((2,)), rng)
-            + equality_operator_ssa_sweep(f, FactorizedSpace((2, 2, 2)), rng))

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds
+from . import bounds, equality
 from .errors import DivergentEntropy, InvalidParameter, QREError
 from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
@@ -253,13 +253,13 @@ FAMILIES: dict[str, Family] = {
         lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space)),
         ("x", "q"), nfactors=2, uses_f=False, uses_beta=False),
     "equality_monotonicity": Family(_each(
-        lambda f, space, beta, rng: bounds.equality_monotonicity_sweep(f, space, rng)),
+        lambda f, space, beta, rng: equality.equality_monotonicity_sweep(f, space, rng)),
         ("rng",), nfactors=2, uses_beta=False),
     "equality_joint_convexity": Family(_each(
-        lambda f, space, beta, rng: bounds.equality_joint_convexity_sweep(f, space, rng)),
+        lambda f, space, beta, rng: equality.equality_joint_convexity_sweep(f, space, rng)),
         ("rng",), uses_beta=False),
     "equality_operator_ssa": Family(_each(
-        lambda f, space, beta, rng: bounds.equality_operator_ssa_sweep(f, space, rng)),
+        lambda f, space, beta, rng: equality.equality_operator_ssa_sweep(f, space, rng)),
         ("rng",), nfactors=3, uses_beta=False),
 }
 

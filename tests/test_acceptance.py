@@ -15,7 +15,6 @@ import pytest
 from qre import bounds
 from qre.bounds import (
     alpha_exponent,
-    equality_suite,
     monotonicity_gap,
     pinsker_check,
     ssa_gap,
@@ -29,6 +28,7 @@ from qre.bounds import (
     verify_wyd_operator_block,
 )
 from qre.campaign import CampaignConfig, run_campaign
+from qre.equality import equality_suite
 from qre.cli import main as cli_main
 from qre.entropy import (
     classical_reduction,

@@ -33,8 +33,8 @@ from qre.bounds import (
     verify_wyd_joint_concavity,
     verify_wyd_operator_block,
     lieb_ruskai_check,
-    equality_suite,
 )
+from qre.equality import equality_suite
 from qre.entropy import von_neumann_entropy
 from qre.errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
 from qre.campaign import run_single
@@ -770,7 +770,7 @@ class TestEqualitySuite:
 
     def test_operator_ssa_forward_implication(self):
         # vanishing traced difference forces the recovery-grid residual small
-        from qre.bounds import operator_ssa_equality_residuals
+        from qre.equality import operator_ssa_equality_residuals
         sab = random_density(4, seed=40)
         tau = random_density(2, seed=41)
         rho = np.kron(sab.mat, tau.mat)

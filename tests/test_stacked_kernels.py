@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds, campaign, linalg, recovery
+from qre import bounds, campaign, equality, linalg, recovery
 from qre.campaign import FAMILIES, CampaignConfig, run_campaign, run_single, trial_seed
 from qre.entropy import (
     OVERLAP_TOL,
@@ -409,7 +409,7 @@ class TestGridResiduals:
 
         for module in (linalg, recovery, bounds):
             monkeypatch.setattr(module, "generalized_powers", spy)
-        bounds.equality_joint_convexity_sweep(from_id("neg_log"), FactorizedSpace((2, 2)),
+        equality.equality_joint_convexity_sweep(from_id("neg_log"), FactorizedSpace((2, 2)),
                                               np.random.default_rng(0))
         assert sum(raised) == 18
 
@@ -423,7 +423,7 @@ class TestGridResiduals:
         sabs = [random_density(space.subspace((0, 1)).dim, rank=3 - (seed + i) % 2, seed=rng)
                 for i in range(n)]
         assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
-        got = bounds.operator_ssa_equality_residuals(rho, sabs, space)
+        got = equality.operator_ssa_equality_residuals(rho, sabs, space)
         assert got == [_loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
                                                             space, GRID) for sab in sabs]
 
@@ -1011,34 +1011,34 @@ class TestMonotonicityBlock:
 
 def _loop_monotonicity_sweep(f, space, rng):
     d1, d2 = space.dims
-    rho1 = bounds._floored_state(d1, rng)
+    rho1 = equality._floored_state(d1, rng)
     sigma1 = random_state_matrix(d1, seed=rng)
-    tau = bounds._floored_state(d2, rng)
+    tau = equality._floored_state(d2, rng)
     k1 = random_contraction(d1, seed=rng)
     noise = random_state_matrix(space.dim, seed=rng)
     rho = PsdOperator(np.kron(rho1.mat, tau.mat))
     sigma0 = np.kron(sigma1, tau.mat)
     k_full = np.kron(k1, np.eye(d2))
     rows = []
-    for eps in bounds.EPS_SWEEP:
+    for eps in equality.EPS_SWEEP:
         sigma = PsdOperator(hermitize((1.0 - eps) * sigma0 + eps * noise))
         gap = bounds.monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
         resid = _loop_equality_condition_residual(rho, sigma, k_full, space, GRID)
         rows.append((eps, gap, resid))
-    return bounds._sweep_reports("equality_monotonicity", f, rows,
+    return equality._sweep_reports("equality_monotonicity", f, rows,
                                  bounds.digest_inputs(rho.mat, sigma0, k_full))
 
 
 def _loop_joint_convexity_sweep(f, space, rng):
     dim = space.dim
-    base_r = bounds._floored_state(dim, rng)
+    base_r = equality._floored_state(dim, rng)
     base_s = random_state_matrix(dim, seed=rng)
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
     noises = [random_state_matrix(dim, seed=rng) for _ in probs]
     mix_r = PsdOperator(hermitize(sum(w * base_r.mat for w in probs)))
     rows = []
-    for eps in bounds.EPS_SWEEP:
+    for eps in equality.EPS_SWEEP:
         comps = [(w, base_r, PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
                  for w, ns in zip(probs, noises)]
         mix_s = PsdOperator(hermitize(sum(w * s.mat for w, _, s in comps)))
@@ -1046,32 +1046,32 @@ def _loop_joint_convexity_sweep(f, space, rng):
         gap = avg - quasi_relative_entropy(f, km, mix_r, mix_s)
         resid = max(_loop_joint_equality_residual(km, base_r, mix_s, comps, b) for b in GRID)
         rows.append((eps, gap, resid))
-    return bounds._sweep_reports("equality_joint_convexity", f, rows,
+    return equality._sweep_reports("equality_joint_convexity", f, rows,
                                  bounds.digest_inputs(km, base_r.mat, base_s))
 
 
 def _loop_operator_ssa_sweep(f, space, rng):
     sub_ab = space.subspace((0, 1))
-    rho_ab = bounds._floored_state(sub_ab.dim, rng)
-    tau = bounds._floored_state(space.dims[2], rng)
+    rho_ab = equality._floored_state(sub_ab.dim, rng)
+    tau = equality._floored_state(space.dims[2], rng)
     noise = random_state_matrix(sub_ab.dim, seed=rng)
     rho = PsdOperator(np.kron(rho_ab.mat, tau.mat))
     rows = []
-    for eps in bounds.EPS_SWEEP:
+    for eps in equality.EPS_SWEEP:
         sab = PsdOperator(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
         t1, t2, _ = _loop_traced_terms(f, rho, sab, "thm62", space)
         gap = float(np.real(np.trace(hermitize(t1 - t2))))
         resid = _loop_operator_ssa_equality_residual(rho, sab, space, GRID)
         rows.append((eps, gap, resid))
-    return bounds._sweep_reports("equality_operator_ssa", f, rows,
+    return equality._sweep_reports("equality_operator_ssa", f, rows,
                                  bounds.digest_inputs(rho.mat, rho_ab.mat))
 
 
 SWEEPS = {
-    "equality_monotonicity": (bounds.equality_monotonicity_sweep, _loop_monotonicity_sweep),
-    "equality_joint_convexity": (bounds.equality_joint_convexity_sweep,
-                                 _loop_joint_convexity_sweep),
-    "equality_operator_ssa": (bounds.equality_operator_ssa_sweep, _loop_operator_ssa_sweep),
+    "equality_monotonicity": (equality.equality_monotonicity_sweep, _loop_monotonicity_sweep),
+    "equality_joint_convexity": (equality.equality_joint_convexity_sweep,
+                                   _loop_joint_convexity_sweep),
+    "equality_operator_ssa": (equality.equality_operator_ssa_sweep, _loop_operator_ssa_sweep),
 }
 
 

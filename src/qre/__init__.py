@@ -28,7 +28,8 @@ from .bounds import (alpha_exponent, constants_for, lieb_ruskai_check,
                      verify_cauchy_schwarz, verify_classical_reduction, verify_ssa,
                      verify_joint_convexity_block, verify_monotonicity_block, verify_wyd_skew,
                      verify_monotonicity_bound_block, verify_operator_ssa_block,
-                     verify_thm42_block, verify_wyd_joint_concavity, verify_wyd_operator_block)
+                     verify_thm42_block, verify_wyd_joint_concavity_block,
+                     verify_wyd_operator_block)
 from .equality import equality_suite
 from .campaign import FAMILIES, CampaignConfig, run_campaign, run_single
 
@@ -55,7 +56,7 @@ __all__ = [
     "verify_classical_reduction", "verify_joint_convexity_block",
     "verify_monotonicity_block", "verify_monotonicity_bound_block",
     "verify_operator_ssa_block", "verify_ssa", "verify_thm42_block",
-    "verify_wyd_joint_concavity", "verify_wyd_operator_block", "verify_wyd_skew",
+    "verify_wyd_joint_concavity_block", "verify_wyd_operator_block", "verify_wyd_skew",
     # campaigns
     "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
 ]

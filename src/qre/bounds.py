@@ -30,9 +30,10 @@ over (rho_ABC, sigma_AB) pairs; ``verify_monotonicity_block``,
 sigma, K1, V) trials, from ``_monotonicity_gaps`` and ``_remainder_terms`` (one
 stacked eigh for the 2N marginals, the gaps as two kernel calls, one batched
 SVD for ||K1||); ``verify_joint_convexity_block`` over ensembles, with stacked
-mixtures.  A single trial is a block of one, read as ``[0]``; a block that
-raises is checked again trial by trial by the campaign.  The equality sweeps
-built on these kernels live in ``qre.equality``.
+mixtures, and ``verify_wyd_joint_concavity_block`` on the same pieces (the
+joint-convexity gap of f_p).  A single trial is a block of one, read as
+``[0]``; a block that raises is checked again trial by trial by the campaign.
+The equality sweeps built on these kernels live in ``qre.equality``.
 """
 
 from __future__ import annotations
@@ -617,31 +618,38 @@ def verify_ssa(rho_abc, beta, space) -> BoundReport:
 # Power-family (skew information) inequalities
 # ----------------------------------------------------------------------------
 
-def verify_wyd_joint_concavity(p: float, k, components, beta) -> BoundReport:
-    """Concavity gap of the power trace term, with the remainder when p in (0,1).
+def verify_wyd_joint_concavity_block(p: float, ensembles, ks, beta) -> list[BoundReport]:
+    """Concavity gap of the power trace term, with the remainder when p in (0,1), per (ensemble, K).
 
     The gap is (Tr K* sigma^p K rho^{1-p} - sum_j p_j Tr K* sigma_j^p K rho_j^{1-p}) / (p(1-p))
-    over the mixture (rho, sigma) of the components.  The sign-carrying
-    prefactor keeps the inequality direction for p outside (0,1); this equals
-    the joint-convexity gap of the power-family entropy.
+    over the mixture (rho, sigma) of the components: the joint-convexity gap
+    of f_p, which the sign-carrying prefactor keeps for p outside (0,1).  The
+    pieces are ``verify_joint_convexity_block``'s: one stacked eigh for the
+    mixtures, one ``_joint_gaps`` kernel call and, for p in (0,1), one
+    ``_mixture_residuals`` and one batched SVD for ||K||.
     """
-    km = as_matrix(k)
-    (comps, rho, sigma), = _mixtures([components])
-    terms = [float(np.real(np.trace(km.conj().T @ s.power(p) @ km @ r.power(1.0 - p))))
-             for _, r, s in [(1.0, rho, sigma)] + comps]
-    gap = (terms[0] - sum(pj * t for (pj, _, _), t in zip(comps, terms[1:]))) / (p * (1.0 - p))
-    ok, details, consts, lhs = gap >= -REPORT_TOL, {"gap": gap}, None, 0.0
-    if 0.0 < p < 1.0:
-        (resid, _, d_sum), = _mixture_residuals(km[None], [(comps, rho, sigma)], beta)[0]
-        m_const, n_const, alpha, C, c = power_family_constants(p, beta, op_norm(km), d_sum)
-        lhs = n_const * resid ** (1.0 / alpha)
-        ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
-        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                                m_const, math.nan)
-        details["residual_weighted"] = resid
-    digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
-    return _report("wyd_joint_concavity", lhs, gap, ok, constants=consts,
-                   digest=digest, notes=f"p={p:g};beta={beta:g}", details=details)
+    kms = _as_matrices(ks)
+    ensembles = _mixtures(ensembles)
+    gaps = _joint_gaps(make_f_p(p), kms, ensembles)
+    remainder = 0.0 < p < 1.0
+    if remainder:
+        residuals = _mixture_residuals(kms, ensembles, beta)[0]
+        k_norms = op_norm(kms).tolist()
+    reports = []
+    for i, ((comps, _, _), km, gap) in enumerate(zip(ensembles, kms, gaps)):
+        ok, details, consts, lhs = gap >= -REPORT_TOL, {"gap": gap}, None, 0.0
+        if remainder:
+            resid, _, d_sum = residuals[i]
+            m_const, n_const, alpha, C, c = power_family_constants(p, beta, k_norms[i], d_sum)
+            lhs = n_const * resid ** (1.0 / alpha)
+            ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
+            consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
+                                    m_const, math.nan)
+            details["residual_weighted"] = resid
+        digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
+        reports.append(_report("wyd_joint_concavity", lhs, gap, ok, constants=consts,
+                               digest=digest, notes=f"p={p:g};beta={beta:g}", details=details))
+    return reports
 
 
 def verify_wyd_skew(f, rho, k) -> BoundReport:

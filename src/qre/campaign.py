@@ -15,18 +15,23 @@ A cell draws its trials' operands in blocks: each trial still draws from its
 own generator in the listed order, but the spectral work the draws need
 (decomposing the sampled states, the norms that rescale the sampled
 contractions) is done for the whole block in stacked calls, which give the
-same bits as one call per matrix.  A block holds at most ``BLOCK_BYTES`` of
-state matrices, so memory stays flat at large dims.
+same bits as one call per matrix.  An eps sweep's trial draws its whole
+instance this way (``equality.draw_*``), the states of every eps included.  A
+block holds at most ``BLOCK_BYTES`` of state matrices, so memory stays flat at
+large dims.
 
 Each family's check then takes the whole block (``check_block``).  The
-operator-SSA, WYD-operator, monotonicity, thm42, monotonicity-bound and
-joint-convexity families run it as one stacked kernel (``bounds.verify_*_block``);
-every other family goes through one adapter (``_each``) that checks the
-block's trials one by one and drops each from the block once checked.  When a
-block's check raises a ``QREError``, the trials it has given no outcome for are
-checked again one by one, so a divergent or failing trial stays in its own
-trial.  ``run_single`` checks a trial as a block of its own and writes its
-reports in the campaign too, so a campaign line and its replay are the same bytes.
+monotonicity trio, joint convexity, WYD joint concavity, the operator-SSA and
+WYD-operator families and the three equality sweeps run it as one stacked
+kernel (``bounds.verify_*_block``, ``equality.equality_*_block``); ``ssa``,
+``cauchy_schwarz``, ``pinsker``, ``classical_reduction``, ``lieb_ruskai`` and
+``wyd_skew`` go through one adapter (``_each``) that checks the block's trials
+one by one and drops each from the block once checked.  When a block's check
+raises a ``QREError``, the trials it has given no outcome for are checked again
+one by one, so a divergent or failing trial stays in its own trial.
+``run_single`` checks a trial as a block of its own, and stamps the outcome
+of each trial that a campaign has checked in its block with the trial's seed
+and context, so a campaign line and its replay are the same bytes.
 """
 
 from __future__ import annotations
@@ -238,9 +243,9 @@ FAMILIES: dict[str, Family] = {
     "wyd_skew": Family(_each(
         lambda f, space, beta, rho, h: bounds.verify_wyd_skew(f, rho, h)),
         ("rho", "h"), uses_beta=False, requires=_f_p_in(0.0, 1.0)),
-    "wyd_joint_concavity": Family(_each(
-        lambda f, space, beta, comps, k:
-        bounds.verify_wyd_joint_concavity(power_of(f), k, comps, beta)),
+    "wyd_joint_concavity": Family(
+        lambda f, space, beta, block:
+        bounds.verify_wyd_joint_concavity_block(power_of(f), *zip(*block), beta),
         ("ensemble", "k"), requires=_f_p_in(-1.0, 2.0)),
     "wyd_operator": Family(
         lambda f, space, beta, block:
@@ -252,22 +257,23 @@ FAMILIES: dict[str, Family] = {
     "lieb_ruskai": Family(_each(
         lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space)),
         ("x", "q"), nfactors=2, uses_f=False, uses_beta=False),
-    "equality_monotonicity": Family(_each(
-        lambda f, space, beta, rng: equality.equality_monotonicity_sweep(f, space, rng)),
-        ("rng",), nfactors=2, uses_beta=False),
-    "equality_joint_convexity": Family(_each(
-        lambda f, space, beta, rng: equality.equality_joint_convexity_sweep(f, space, rng)),
-        ("rng",), uses_beta=False),
-    "equality_operator_ssa": Family(_each(
-        lambda f, space, beta, rng: equality.equality_operator_ssa_sweep(f, space, rng)),
-        ("rng",), nfactors=3, uses_beta=False),
+    "equality_monotonicity": Family(
+        lambda f, space, beta, block: equality.equality_monotonicity_block(f, space, *zip(*block)),
+        ("monotonicity_sweep",), nfactors=2, uses_beta=False),
+    "equality_joint_convexity": Family(
+        lambda f, space, beta, block:
+        equality.equality_joint_convexity_block(f, space, *zip(*block)),
+        ("joint_convexity_sweep",), uses_beta=False),
+    "equality_operator_ssa": Family(
+        lambda f, space, beta, block: equality.equality_operator_ssa_block(f, space, *zip(*block)),
+        ("operator_ssa_sweep",), nfactors=3, uses_beta=False),
 }
 
 
 # Bytes of sampled state matrices one block of trials, and one stack of its
-# states, holds: a whole 20-trial cell of a two-state family at d <= 8, one
-# trial at d = 64 (whose states are then decomposed one by one).  A block
-# always holds at least one trial.
+# states, holds: a whole 20-trial cell of a two-state family at d <= 8, three
+# joint-convexity sweeps (18 states each) at d = 8, one trial at d = 64 (whose
+# states are then decomposed one by one).  A block always holds at least one trial.
 BLOCK_BYTES = 64 * 1024
 
 
@@ -299,7 +305,12 @@ def _sample_ensemble(rng, space, policy):
              _State(random_state_matrix(space.dim, seed=rng))] for p in probs]
 
 
-# operand name -> sampler(rng, space, policy); the sweeps ("rng") draw their own
+def _sweep(draw):
+    """The sampler of an eps sweep's instance: ``draw`` with the block's deferred wrappers."""
+    return lambda rng, space, policy: draw(rng, space, _State, _Contraction)
+
+
+# operand name -> sampler(rng, space, policy)
 SAMPLERS = {
     "rho": _sample_state,
     "sigma": _sample_state,
@@ -313,7 +324,9 @@ SAMPLERS = {
     "ensemble": _sample_ensemble,
     "x": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng), 2.0),
     "q": lambda rng, space, policy: random_state_matrix(space.dim, seed=rng) * space.dim,
-    "rng": lambda rng, space, policy: rng,
+    "monotonicity_sweep": _sweep(equality.draw_monotonicity),
+    "joint_convexity_sweep": _sweep(equality.draw_joint_convexity),
+    "operator_ssa_sweep": _sweep(equality.draw_operator_ssa),
 }
 
 
@@ -400,19 +413,21 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
                seed: int, rank_policy: str = "full", *, outcome=None) -> list[BoundReport]:
     """Replay one trial from the fields a campaign report carries: the block of one.
 
-    ``outcome`` is the trial's ``check_block`` outcome when a campaign has
-    checked it in its block already; it is exactly what ``seed`` draws and
-    checks here otherwise; an unknown inequality or rank policy is InvalidParameter.
+    Without ``outcome``, ``seed`` draws the trial and it is checked here; an
+    unknown inequality or rank policy is InvalidParameter.  A campaign passes
+    the ``check_block`` outcome of a trial it has checked in its block, and
+    that outcome is only stamped with the trial's seed and context, as the
+    replay stamps its own.
     """
-    _check_names((inequality,), rank_policy)
-    family = FAMILIES[inequality]
-    space = FactorizedSpace(dims)
-    if family.nfactors is not None and space.nfactors != family.nfactors:
-        return []
-    f = from_id(fid)
-    if not family.admits(f):
-        return []
     if outcome is None:
+        _check_names((inequality,), rank_policy)
+        family = FAMILIES[inequality]
+        space = FactorizedSpace(dims)
+        if family.nfactors is not None and space.nfactors != family.nfactors:
+            return []
+        f = from_id(fid)
+        if not family.admits(f):
+            return []
         block = next(sample_blocks(family, space, [seed], rank_policy))
         outcome, = check_block(family, f, space, beta, block)
     if isinstance(outcome, DivergentEntropy):

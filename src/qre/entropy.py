@@ -70,6 +70,23 @@ def _clustered(op: PsdOperator) -> np.ndarray:
     return op.memo("effective_eigs", lambda: effective_eigs(op.eigs))
 
 
+def _clustered_stack(ops) -> np.ndarray:
+    """``_clustered`` of each of ``ops`` (of one dimension), as one ``(N, d)`` stack.
+
+    The spectra not memoised yet are screened for clusters in one pass; only
+    those with one go through ``effective_eigs``, and the others are kept as
+    they are, which is what ``effective_eigs`` returns for them.
+    """
+    todo = list({id(op): op for op in ops if "effective_eigs" not in op._memo}.values())
+    if todo:
+        w = _stacked([op.eigs for op in todo])
+        scale = np.maximum(np.abs(w).max(axis=1), 1.0)
+        plain = (np.diff(w, axis=1) > DEGENERACY_TOL * scale[:, None]).all(axis=1)
+        for op, is_plain in zip(todo, plain.tolist()):
+            op.memo("effective_eigs", lambda: op.eigs.copy() if is_plain else effective_eigs(op.eigs))
+    return _stacked([op._memo["effective_eigs"] for op in ops])
+
+
 class ModularOperator:
     """Delta_{sigma,rho}: X -> sigma X rho^{-1} via the two cached spectra."""
 
@@ -218,8 +235,8 @@ def _spectral_formula(f, pairs):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
-    lam = _stacked([_clustered(rho) for rho in rhos])
-    mu = _stacked([_clustered(sigma) for sigma in sigmas])
+    lam = _clustered_stack(rhos)
+    mu = _clustered_stack(sigmas)
     keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
     mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
     y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ _stacked(kms)

@@ -1,13 +1,20 @@
 """Equality characterizations: eps sweeps away from exact saturation instances.
 
-Each sweep builds an instance where one inequality holds with equality
-(``equality_monotonicity_sweep``, ``equality_joint_convexity_sweep``,
-``equality_operator_ssa_sweep``), mixes in an independent state with weight
-eps from ``EPS_SWEEP``, and reports, per eps, the inequality's gap and the
-residual of its equality condition on ``recovery.DEFAULT_BETA_GRID``.  At
-eps = 0 both must sit below their tolerances; afterwards both must grow with
-eps.  The gaps are the stacked kernels of ``qre.bounds`` and the residuals
-``recovery._sandwiches`` stacks folded by ``recovery._grid_maxima``.
+Each sweep builds an instance where one inequality holds with equality, mixes
+in an independent state with weight eps from ``EPS_SWEEP``, and reports, per
+eps, the inequality's gap and the residual of its equality condition on
+``recovery.DEFAULT_BETA_GRID``.  At eps = 0 both must sit below their
+tolerances; afterwards both must grow with eps.
+
+An instance is drawn from one generator (``draw_monotonicity``,
+``draw_joint_convexity``, ``draw_operator_ssa``), which leaves its states and
+its contraction to the caller's wrappers: the campaign defers their spectral
+work to the stacked calls of its block, ``equality_suite`` decomposes them at
+once.  Each sweep checks a block of instances (``equality_*_block``): the eps
+stacks of the whole block go through one gap kernel (``bounds._monotonicity_gaps``,
+``bounds._joint_gaps`` or ``bounds._traced_terms``) and one ``recovery._sandwiches``
+stack per side, which raises each instance's rho once, and every instance's
+reports are bit-identical to those of the instance checked alone.
 """
 
 from __future__ import annotations
@@ -17,19 +24,20 @@ import math
 import numpy as np
 
 from .bounds import _average, _joint_gaps, _monotonicity_gaps, _report, _traced_terms
-from .linalg import (FactorizedSpace, PsdOperator, hermitize, random_contraction,
-                     random_state_matrix)
+from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, hermitize,
+                     random_contraction_draw, random_state_matrix, rescale_contractions)
 from .recovery import (DEFAULT_BETA_GRID, _grid_maxima, _sandwiches,
                        equality_condition_residuals)
-from .reports import digest_inputs
+from .reports import BoundReport, digest_inputs
 
 EPS_SWEEP = (0.0, 1e-3, 1e-2, 1e-1)
 EQUALITY_GAP_TOL = 1e-10
 EQUALITY_RESIDUAL_TOL = 1e-8
+PROBS = (0.3, 0.3, 0.4)             # the weights of the joint-convexity ensembles
 
 
-def _floored_state(dim, rng):
-    """Random state mixed with the maximally mixed one.
+def _floored_state(dim, rng) -> np.ndarray:
+    """Random state matrix mixed with the maximally mixed one.
 
     Equality instances are constructed inputs; the spectral floor keeps the
     generalized-inverse powers in the residual diagnostics away from the
@@ -37,123 +45,184 @@ def _floored_state(dim, rng):
     """
     floor = 0.15
     raw = random_state_matrix(dim, seed=rng)
-    return PsdOperator(hermitize((1.0 - floor) * raw + floor * np.eye(dim) / dim))
+    return hermitize((1.0 - floor) * raw + floor * np.eye(dim) / dim)
 
 
-def _sweep_reports(inequality_id, f, pairs, digest):
-    """Slack reports for an eps sweep of (eps, gap, residual) diagnostics.
+def _sweep_reports(inequality_id, f, gaps, resids, digests) -> list[list[BoundReport]]:
+    """Slack reports of each instance's eps sweep, whose rows are consecutive in ``gaps``/``resids``.
 
     At eps = 0 both must sit below their tolerances; afterwards both must
     grow with eps (co-monotonicity of saturation and recovery failure).
     """
-    reports = []
-    prev_gap, prev_res = -math.inf, -math.inf
-    for eps, gap, resid in pairs:
-        if eps == 0.0:
-            slack = min(EQUALITY_GAP_TOL - gap, EQUALITY_RESIDUAL_TOL - resid)
-        else:
-            slack = min(gap - prev_gap, resid - prev_res)
-        prev_gap, prev_res = gap, resid
-        reports.append(_report(
-            inequality_id, -slack, 0.0, slack >= 0.0, digest=digest,
-            notes=f"f={f.name};eps={eps:g}",
-            details={"gap": gap, "equality_residual": resid, "eps": eps}))
-    return reports
+    rows = iter(zip(gaps, resids))
+    sweeps = []
+    for digest in digests:
+        reports = []
+        prev_gap, prev_res = -math.inf, -math.inf
+        for eps, (gap, resid) in zip(EPS_SWEEP, rows):
+            if eps == 0.0:
+                slack = min(EQUALITY_GAP_TOL - gap, EQUALITY_RESIDUAL_TOL - resid)
+            else:
+                slack = min(gap - prev_gap, resid - prev_res)
+            prev_gap, prev_res = gap, resid
+            reports.append(_report(
+                inequality_id, -slack, 0.0, slack >= 0.0, digest=digest,
+                notes=f"f={f.name};eps={eps:g}",
+                details={"gap": gap, "equality_residual": resid, "eps": eps}))
+        sweeps.append(reports)
+    return sweeps
 
 
-def equality_monotonicity_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """Product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates exactly;
-    mixing in an independent state with weight eps breaks it."""
+def _owners(instances, per_instance):
+    """The instance index of each of ``per_instance`` consecutive rows per instance."""
+    return np.repeat(np.arange(len(instances)), per_instance)
+
+
+def draw_monotonicity(rng, space: FactorizedSpace, state, contraction) -> list:
+    """[rho, sigma0, [sigma(eps)], K1] of one monotonicity sweep, drawn from ``rng``.
+
+    The product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates
+    exactly; sigma(eps) mixes an independent state into sigma0 with weight
+    eps.  ``state`` wraps each state matrix to decompose, ``contraction`` takes
+    K1's (matrix, norm) draw.
+    """
     d1, d2 = space.dims
     rho1 = _floored_state(d1, rng)
     sigma1 = random_state_matrix(d1, seed=rng)
     tau = _floored_state(d2, rng)
-    k1 = random_contraction(d1, seed=rng)
+    k1 = contraction(*random_contraction_draw(d1, rng))
     noise = random_state_matrix(space.dim, seed=rng)
-    rho = space.psd(np.kron(rho1.mat, tau.mat))
-    sigma0 = np.kron(sigma1, tau.mat)
-    k_full = np.kron(k1, np.eye(d2))
-    sigmas = PsdOperator.stack([hermitize((1.0 - eps) * sigma0 + eps * noise)
-                                for eps in EPS_SWEEP])
-    gaps = _monotonicity_gaps(f, [rho] * len(sigmas), sigmas, [k1] * len(sigmas),
-                              [np.eye(d2)] * len(sigmas), space)
-    resids = equality_condition_residuals(rho, sigmas, k_full, space)
-    return _sweep_reports("equality_monotonicity", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(rho.mat, sigma0, k_full))
+    sigma0 = np.kron(sigma1, tau)
+    return [state(np.kron(rho1, tau)), sigma0,
+            [state(hermitize((1.0 - eps) * sigma0 + eps * noise)) for eps in EPS_SWEEP], k1]
 
 
-def equality_joint_convexity_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """Identical ensemble components saturate; componentwise noise breaks it.
+def equality_monotonicity_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
+    """The sweep reports of each ``draw_monotonicity`` instance, with K = K1 (x) I."""
+    rhos = [space.psd(rho) for rho, _, _, _ in instances]
+    sigmas = [space.psd(sigma) for _, _, sweep, _ in instances for sigma in sweep]
+    k1s = _as_matrices([k1 for _, _, _, k1 in instances])
+    owner = _owners(instances, len(EPS_SWEEP))
+    eye = np.eye(space.dims[1])
+    gaps = _monotonicity_gaps(f, [rhos[i] for i in owner], sigmas, k1s[owner],
+                              [eye] * len(sigmas), space)
+    k_fulls = _kron(k1s, eye)
+    resids = equality_condition_residuals(rhos, sigmas, k_fulls, space, owner)
+    return _sweep_reports("equality_monotonicity", f, gaps, resids,
+                          [digest_inputs(rho.mat, sigma0, k_full) for rho, (_, sigma0, _, _), k_full
+                           in zip(rhos, instances, k_fulls)])
 
-    Only the sigma components are perturbed: the rho side carries the
-    generalized-inverse powers, and holding it fixed keeps the residual's
-    conditioning constant across the sweep (the diagnostics then co-grow).
+
+def draw_joint_convexity(rng, space: FactorizedSpace, state, contraction) -> list:
+    """[rho, its mixture, [sigma_j(eps)], K, sigma] of one joint-convexity sweep, drawn from ``rng``.
+
+    Identical ensemble components (weights ``PROBS``) saturate; componentwise
+    noise breaks it.  Only the sigma components are perturbed: the rho side
+    carries the generalized-inverse powers, and holding it fixed keeps the
+    residual's conditioning constant across the sweep (the diagnostics then
+    co-grow).  Each eps lists its components, then their mixture; ``state`` and
+    ``contraction`` are as for ``draw_monotonicity``.
     """
     dim = space.dim
     base_r = _floored_state(dim, rng)
     base_s = random_state_matrix(dim, seed=rng)
-    km = random_contraction(dim, seed=rng)
-    probs = (0.3, 0.3, 0.4)
-    noises = [random_state_matrix(dim, seed=rng) for _ in probs]
-    mix_r = PsdOperator(_average((w, base_r) for w in probs))
-    mats = []
+    km = contraction(*random_contraction_draw(dim, rng))
+    noises = [random_state_matrix(dim, seed=rng) for _ in PROBS]
+    sigmas = []
     for eps in EPS_SWEEP:
         parts = [hermitize((1 - eps) * base_s + eps * ns) for ns in noises]
-        mats += parts + [_average(zip(probs, parts))]
-    sigmas = iter(PsdOperator.stack(mats))    # each eps: its components, then their mixture
-    ensembles = []
-    for _ in EPS_SWEEP:
-        comps = [(w, base_r, next(sigmas)) for w in probs]
-        ensembles.append((comps, mix_r, next(sigmas)))
-    gaps = _joint_gaps(f, [km] * len(ensembles), ensembles)
+        sigmas += [state(m) for m in parts + [_average(zip(PROBS, parts))]]
+    return [state(base_r), state(_average((w, base_r) for w in PROBS)), sigmas, km, base_s]
+
+
+def equality_joint_convexity_block(f, space: FactorizedSpace,
+                                   instances) -> list[list[BoundReport]]:
+    """The sweep reports of each ``draw_joint_convexity`` instance, on the whole space."""
+    flat, grid = FactorizedSpace((space.dim,)), DEFAULT_BETA_GRID
+    base_rs, ensembles = [], []
+    for base_r, mix_r, sweep, _, _ in instances:
+        base_rs.append(flat.psd(base_r))
+        sigmas = iter([flat.psd(sigma) for sigma in sweep])
+        ensembles += [([(w, base_rs[-1], next(sigmas)) for w in PROBS], flat.psd(mix_r),
+                       next(sigmas)) for _ in EPS_SWEEP]
+    kms = _as_matrices([km for _, _, _, km, _ in instances])
+    owner = _owners(instances, len(EPS_SWEEP))
+    gaps = _joint_gaps(f, kms[owner], ensembles)
     # every rho of the residual, the mixtures' included, is base_r: raised once a side
-    flat, grid = FactorizedSpace((dim,)), DEFAULT_BETA_GRID
-    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), [base_r], (0,), flat, grid, km)
+    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), base_rs, (0,), flat, grid,
+                        kms, owner)
     own = _sandwiches([sj for comps, _, _ in ensembles for _, _, sj in comps], (0,),
-                      [base_r], (0,), flat, grid, km)
-    resids = _grid_maxima(mixed[:, None] - own.reshape(len(mixed), len(probs), *mixed.shape[1:]))
-    return _sweep_reports("equality_joint_convexity", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(km, base_r.mat, base_s))
+                      base_rs, (0,), flat, grid, kms, np.repeat(owner, len(PROBS)))
+    resids = _grid_maxima(mixed[:, None] - own.reshape(len(mixed), len(PROBS), *mixed.shape[1:]))
+    return _sweep_reports("equality_joint_convexity", f, gaps, resids,
+                          [digest_inputs(km, base_r.mat, base_s) for km, base_r, (*_, base_s)
+                           in zip(kms, base_rs, instances)])
 
 
-def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space) -> list[float]:
+def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space: FactorizedSpace,
+                                    owner=None) -> list[float]:
     """Per sigma_AB: max over the grid of ||sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b}||_op.
 
-    Two ``_sandwiches`` stacks and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
+    Every sigma_AB takes the one ``rho_abc``; given ``owner``, ``rho_abc`` is
+    a list and sigma_AB i takes ``rho_abc[owner[i]]``, each raised once.  Two
+    ``_sandwiches`` stacks and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
     """
-    rho = space.psd(rho_abc)
+    rhos = [space.psd(rho) for rho in (rho_abc if owner is not None else [rho_abc])]
     sub_ab = space.subspace((0, 1))
     sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
     grid = DEFAULT_BETA_GRID
     lhs = _sandwiches(PsdOperator.marginals(sabs, sub_ab, (1,)), (1,),
-                      [rho.marginal(space, (1, 2))], (1, 2), space, grid)
-    return _grid_maxima(lhs - _sandwiches(sabs, (0, 1), [rho], (0, 1, 2), space, grid))
+                      PsdOperator.marginals(rhos, space, (1, 2)), (1, 2), space, grid,
+                      owner=owner)
+    return _grid_maxima(lhs - _sandwiches(sabs, (0, 1), rhos, (0, 1, 2), space, grid,
+                                          owner=owner))
 
 
-def equality_operator_ssa_sweep(f, space: FactorizedSpace, rng) -> list[BoundReport]:
-    """rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
+def draw_operator_ssa(rng, space: FactorizedSpace, state, contraction) -> list:
+    """[rho, rho_AB, [sigma_AB(eps)]] of one operator-SSA sweep, drawn from ``rng``.
+
+    rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
     operator inequality; perturbing sigma_AB breaks the recovery condition.
+    ``state`` is as for ``draw_monotonicity``; the instance has no contraction.
+    """
+    sub_ab = space.subspace((0, 1))
+    rho_ab = _floored_state(sub_ab.dim, rng)
+    tau = _floored_state(space.dims[2], rng)
+    noise = random_state_matrix(sub_ab.dim, seed=rng)
+    return [state(np.kron(rho_ab, tau)), rho_ab,
+            [state(hermitize((1.0 - eps) * rho_ab + eps * noise)) for eps in EPS_SWEEP]]
+
+
+def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
+    """The sweep reports of each ``draw_operator_ssa`` instance: the thm62 traced difference.
 
     rho is held fixed so the generalized-inverse powers in the residual keep
     their conditioning; the eps = 0 row doubles as the forward implication
     check (vanishing traced difference forces the grid residual small).
     """
-    rho_ab = _floored_state(space.subspace((0, 1)).dim, rng)
-    tau = _floored_state(space.dims[2], rng)
     sub_ab = space.subspace((0, 1))
-    noise = random_state_matrix(sub_ab.dim, seed=rng)
-    rho = space.psd(np.kron(rho_ab.mat, tau.mat))
-    sabs = PsdOperator.stack([hermitize((1.0 - eps) * rho_ab.mat + eps * noise)
-                              for eps in EPS_SWEEP])
-    t1, t2, _ = _traced_terms(f, [rho] * len(sabs), sabs, "thm62", space)
+    rhos = [space.psd(rho) for rho, _, _ in instances]
+    sabs = [sub_ab.psd(sab) for _, _, sweep in instances for sab in sweep]
+    owner = _owners(instances, len(EPS_SWEEP))
+    t1, t2, _ = _traced_terms(f, [rhos[i] for i in owner], sabs, "thm62", space)
     gaps = [float(np.real(np.trace(diff))) for diff in hermitize(t1 - t2)]
-    resids = operator_ssa_equality_residuals(rho, sabs, space)
-    return _sweep_reports("equality_operator_ssa", f, zip(EPS_SWEEP, gaps, resids),
-                          digest_inputs(rho.mat, rho_ab.mat))
+    resids = operator_ssa_equality_residuals(rhos, sabs, space, owner)
+    return _sweep_reports("equality_operator_ssa", f, gaps, resids,
+                          [digest_inputs(rho.mat, rho_ab) for rho, (_, rho_ab, _)
+                           in zip(rhos, instances)])
+
+
+def _rescaled(mat, norm) -> np.ndarray:
+    """The contraction of one (matrix, norm) draw, as ``random_contraction`` rescales it."""
+    return rescale_contractions([(mat, norm)])[0]
 
 
 def equality_suite(f, rng) -> list[BoundReport]:
-    """All three equality characterizations at desk dims (2x2, 2 and 2x2x2)."""
-    return (equality_monotonicity_sweep(f, FactorizedSpace((2, 2)), rng)
-            + equality_joint_convexity_sweep(f, FactorizedSpace((2,)), rng)
-            + equality_operator_ssa_sweep(f, FactorizedSpace((2, 2, 2)), rng))
+    """All three equality characterizations at desk dims (2x2, 2 and 2x2x2), each a block of one."""
+    reports = []
+    for draw, block, dims in ((draw_monotonicity, equality_monotonicity_block, (2, 2)),
+                              (draw_joint_convexity, equality_joint_convexity_block, (2,)),
+                              (draw_operator_ssa, equality_operator_ssa_block, (2, 2, 2))):
+        space = FactorizedSpace(dims)
+        reports += block(f, space, [draw(rng, space, PsdOperator, _rescaled)])[0]
+    return reports

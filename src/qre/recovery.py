@@ -85,31 +85,41 @@ def _mixture_residuals(kms, ensembles, beta):
     return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
-def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace) -> list[float]:
+def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
+                                 owner=None) -> list[float]:
     """Per sigma: max over the grid of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
 
     Zero (within tolerance) exactly when the saturation condition of the
     monotonicity inequality holds on ``DEFAULT_BETA_GRID``: by analyticity, a
-    grid diagnostic of the condition over all beta.  Two ``_sandwiches`` stacks
-    and one batched SVD; each value is bit-identical to its sigma's alone.
+    grid diagnostic of the condition over all beta.  Every sigma takes the one
+    ``rho`` and ``k``; given ``owner``, ``rho`` is a list and ``k`` a stack, and
+    sigma i takes ``rho[owner[i]]`` and ``k[owner[i]]``, each rho raised once.
+    Two ``_sandwiches`` stacks and one batched SVD; each value is bit-identical
+    to its sigma's alone.
     """
-    rho = space.psd(rho)
+    rhos = [space.psd(r) for r in (rho if owner is not None else [rho])]
     sigmas = [space.psd(sigma) for sigma in sigmas]
-    km = space.check(k)
+    km = _as_matrices(k) if owner is not None else space.check(k)
     grid, whole = DEFAULT_BETA_GRID, tuple(range(space.nfactors))
     lhs = _sandwiches(PsdOperator.marginals(sigmas, space, (0,)), (0,),
-                      [rho.marginal(space, (0,))], (0,), space, grid, km)
-    return _grid_maxima(lhs - _sandwiches(sigmas, whole, [rho], whole, space, grid, km))
+                      PsdOperator.marginals(rhos, space, (0,)), (0,), space, grid, km, owner)
+    return _grid_maxima(lhs - _sandwiches(sigmas, whole, rhos, whole, space, grid, km, owner))
 
 
-def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None) -> np.ndarray:
+def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None,
+                owner=None) -> np.ndarray:
     """embed(Y^b) K embed(X^{-b}) of each (Y, X) pair and each b of ``grid``, as ``(N, G, d, d)``.
 
     Y and X act on ``y_slots`` and ``x_slots``; each list is one ``generalized_powers``
-    call, a list of one X serves every Y, and K is left out when ``k`` is None.
+    call.  Y i pairs with X i, a list of one X serves every Y, and given ``owner``
+    Y i takes X ``owner[i]`` and, from a stack of K, K ``owner[i]``.  K is left
+    out when ``k`` is None.
     """
     left = space.embed(generalized_powers(*_spectra(ys), grid), y_slots)
     right = space.embed(generalized_powers(*_spectra(xs), tuple(-b for b in grid)), x_slots)
+    if owner is not None:
+        right = right[owner]
+        k = k[owner][:, None] if k is not None and k.ndim == 3 else k
     return (left if k is None else left @ k) @ right
 
 

@@ -24,7 +24,7 @@ from qre.bounds import (
     verify_operator_ssa_block,
     verify_ssa,
     verify_thm42_block,
-    verify_wyd_joint_concavity,
+    verify_wyd_joint_concavity_block,
     verify_wyd_operator_block,
 )
 from qre.campaign import CampaignConfig, run_campaign
@@ -280,7 +280,7 @@ def test_criterion_11_wyd_family():
         comps = [(float(w), random_density(2, seed=rng),
                   random_density(2, seed=rng)) for w in probs]
         k = random_contraction(2, seed=rng)
-        rep = verify_wyd_joint_concavity(0.5, k, comps, 0.5)
+        rep, = verify_wyd_joint_concavity_block(0.5, [comps], [k], 0.5)
         assert rep.passed, rep.details
     for _ in range(200):
         rho = random_density(8, seed=rng)

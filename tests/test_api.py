@@ -47,7 +47,7 @@ EXPORTS = [
     "verify_classical_reduction", "verify_joint_convexity_block",
     "verify_monotonicity_block", "verify_monotonicity_bound_block",
     "verify_operator_ssa_block", "verify_ssa", "verify_thm42_block",
-    "verify_wyd_joint_concavity", "verify_wyd_operator_block", "verify_wyd_skew",
+    "verify_wyd_joint_concavity_block", "verify_wyd_operator_block", "verify_wyd_skew",
     # campaigns
     "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
 ]

@@ -30,7 +30,7 @@ from qre.bounds import (
     verify_operator_ssa_block,
     verify_ssa,
     verify_thm42_block,
-    verify_wyd_joint_concavity,
+    verify_wyd_joint_concavity_block,
     verify_wyd_operator_block,
     lieb_ruskai_check,
 )
@@ -637,7 +637,7 @@ class TestWyd:
         scalar = ((mu_mix ** p * lam_mix ** (1 - p)).sum()
                   - sum(w * (mu ** p * lam ** (1 - p)).sum()
                         for w, lam, mu in zip(ws, lams, mus))) / (p * (1 - p))
-        rep = verify_wyd_joint_concavity(p, np.eye(2), comps, 0.5)
+        rep, = verify_wyd_joint_concavity_block(p, [comps], [np.eye(2)], 0.5)
         assert rep.details["gap"] == pytest.approx(scalar, abs=1e-12)
         assert rep.passed
 
@@ -650,7 +650,7 @@ class TestWyd:
             if check == "joint_convexity":
                 verify_joint_convexity_block(NEG_LOG, [comps], [np.eye(2)], 0.5)
             else:
-                verify_wyd_joint_concavity(0.5, np.eye(2), comps, 0.5)
+                verify_wyd_joint_concavity_block(0.5, [comps], [np.eye(2)], 0.5)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.5, -0.5])
     def test_sign_carried_through(self, p):
@@ -660,7 +660,7 @@ class TestWyd:
             comps = [(float(w), random_density(2, seed=rng),
                       random_density(2, seed=rng)) for w in probs]
             k = random_contraction(2, seed=rng)
-            rep = verify_wyd_joint_concavity(p, k, comps, 0.5)
+            rep, = verify_wyd_joint_concavity_block(p, [comps], [k], 0.5)
             assert rep.passed, f"p={p} seed={seed}"
 
     def test_operator_variant(self):

@@ -94,13 +94,12 @@ class TestStackedCallCounts:
         assert got["svd"] == svd
 
     @pytest.mark.parametrize("inequality, dims, eigh", [
-        # its two floored states, rho, the sigma(eps) stack, and one stack of rho's
-        # (0,) marginal and theirs
-        ("equality_monotonicity", (2, 2), 5),
-        # the floored rho, its mixture, one stack of the 12 sigma_j(eps) and 4 mixtures
-        ("equality_joint_convexity", (2, 2), 3),
-        # rho_AB, tau, rho, rho_BC and the stacks of sigma_AB, sigma_B and their embeddings
-        ("equality_operator_ssa", (2, 2, 2), 8),
+        # rho and the sigma(eps) as one stack, and one stack of rho's (0,) marginal and theirs
+        ("equality_monotonicity", (2, 2), 2),
+        # the floored rho, its mixture, the 12 sigma_j(eps) and 4 mixtures as one stack
+        ("equality_joint_convexity", (2, 2), 1),
+        # rho, the sigma_AB(eps) stack, rho_BC and the stacks of sigma_B and the embeddings
+        ("equality_operator_ssa", (2, 2, 2), 6),
     ])
     def test_equality_sweep_eigh_calls(self, inequality, dims, eigh):
         got = _count(lambda: run_single(inequality, "neg_log", dims, 0.25, 5))
@@ -126,6 +125,24 @@ class TestStackedCallCounts:
         # one batched SVD for the 20 contractions, then one for the 20 ||K|| and
         # one for the 60 equality differences
         assert got["svd"] == 1 + 2
+
+    @pytest.mark.parametrize("inequality, dims, fid, eigh, svd", [
+        # the 100 sampled states; their 100 (0,) marginals.  The contractions; the residuals
+        ("equality_monotonicity", (2, 2), "neg_log", 1 + 1, 1 + 1),
+        # two blocks (14 and 6 trials) of 18 sampled states each, one stack a block.
+        # The contractions and the residuals of each block
+        ("equality_joint_convexity", (2, 2), "neg_log", 2, 2 * 2),
+        # the 20 rho and the 80 sigma_AB; sigma_B, sigma_AB (x) I_C, sigma_B (x) I_C, rho_BC.
+        # The residuals
+        ("equality_operator_ssa", (2, 2, 2), "neg_log", 2 + 4, 1),
+        # the 120 sampled states; the 40 mixtures.  The contractions; the 20 ||K||
+        ("wyd_joint_concavity", (2, 2), "f_p:0.5", 1 + 1, 1 + 1),
+    ])
+    def test_cell_decomposition_calls(self, inequality, dims, fid, eigh, svd):
+        config = CampaignConfig(inequalities=(inequality,), functions=(fid,), dims=(dims,),
+                                betas=(0.5,), trials=20, seed=7)
+        got = _count(lambda: run_campaign(config, io.StringIO()))
+        assert (got["eigh"], got["eigvalsh"], got["svd"]) == (eigh, 0, svd)
 
 
 class TestMemoisation:
@@ -225,6 +242,17 @@ class TestEffectiveEigs:
         np.testing.assert_array_equal(out, _reference_effective_eigs(w))
         assert len(np.unique(out)) == 6
 
+    def test_stack_screening_is_the_one_operator_clustering(self):
+        rng = np.random.default_rng(3)
+        ops = [random_density(6, seed=rng) for _ in range(4)]
+        ops += [PsdOperator(np.diag(w).astype(complex)) for w in
+                ([0.25, 0.25, 0.5, 0.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0])]
+        got = entropy._clustered_stack(ops + ops[:2])
+        for op, row in zip(ops + ops[:2], got):
+            np.testing.assert_array_equal(row, _reference_effective_eigs(op.eigs))
+            assert row.tobytes() == effective_eigs(op.eigs).tobytes()
+        assert len({len(np.unique(row)) for row in got[4:6]}) == 2
+
     def test_edge_cases(self):
         for w in ([], [0.3], [0.3, 0.3], [-1.0, 0.0, 0.0, 1e-12, 2.0]):
             np.testing.assert_array_equal(effective_eigs(np.array(w)),
@@ -250,8 +278,11 @@ GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903
 # power instead of the printed closed form (its N, M, alpha and lhs moved by
 # at most 5.3e-15 relative; no verdict changed), and when the joint-convexity
 # equality sweep was built on the whole 2x2 space instead of its first factor
-# (its 16 2x2 lines changed instances; its (3,) lines did not move).
-GOLDEN_FAMILY_SHA256 = "f092b29272a1c72bed9111a9251167fb869b3cf1d31a4a767e3d2e40bae1f525"
+# (its 16 2x2 lines changed instances; its (3,) lines did not move), and when
+# wyd_joint_concavity took its gap from the spectral formula of f_p instead of
+# its own trace formula (gap, rhs and details.gap of its 16 lines moved by at
+# most 2.8e-14 relative; no other field of any line, and no verdict, changed).
+GOLDEN_FAMILY_SHA256 = "7e3bbb1e2a3a77ccf3f9db0536d66526d718de35e9b4475c8e46b83ba4b39a2c"
 
 
 def test_golden_campaign_digest():

@@ -399,8 +399,9 @@ class TestGridResiduals:
             km, _fresh(rho), _fresh(sigma), [(w, _fresh(r), _fresh(s)) for w, r, s in comps], b)
             for b in GRID) for comps, sigma in ensembles]
 
-    def test_joint_convexity_sweep_raises_each_operator_once(self, monkeypatch):
-        # 4 mixtures, 12 components and base_r once a side; a list of one X serves every Y
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_joint_convexity_sweep_raises_each_operator_once(self, monkeypatch, n):
+        # per instance: 4 mixtures, 12 components and base_r once a side, never once per eps
         raised = []
 
         def spy(vecs, eigs, cutoffs, betas):
@@ -409,9 +410,11 @@ class TestGridResiduals:
 
         for module in (linalg, recovery, bounds):
             monkeypatch.setattr(module, "generalized_powers", spy)
-        equality.equality_joint_convexity_sweep(from_id("neg_log"), FactorizedSpace((2, 2)),
-                                              np.random.default_rng(0))
-        assert sum(raised) == 18
+        space, rng = FactorizedSpace((2, 2)), np.random.default_rng(0)
+        instances = [equality.draw_joint_convexity(rng, space, PsdOperator, equality._rescaled)
+                     for _ in range(n)]
+        equality.equality_joint_convexity_block(from_id("neg_log"), space, instances)
+        assert sum(raised) == 18 * n
 
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
@@ -1016,38 +1019,37 @@ def _loop_monotonicity_sweep(f, space, rng):
     tau = equality._floored_state(d2, rng)
     k1 = random_contraction(d1, seed=rng)
     noise = random_state_matrix(space.dim, seed=rng)
-    rho = PsdOperator(np.kron(rho1.mat, tau.mat))
-    sigma0 = np.kron(sigma1, tau.mat)
+    rho = PsdOperator(np.kron(rho1, tau))
+    sigma0 = np.kron(sigma1, tau)
     k_full = np.kron(k1, np.eye(d2))
-    rows = []
+    gaps, resids = [], []
     for eps in equality.EPS_SWEEP:
         sigma = PsdOperator(hermitize((1.0 - eps) * sigma0 + eps * noise))
-        gap = bounds.monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space)
-        resid = _loop_equality_condition_residual(rho, sigma, k_full, space, GRID)
-        rows.append((eps, gap, resid))
-    return equality._sweep_reports("equality_monotonicity", f, rows,
-                                 bounds.digest_inputs(rho.mat, sigma0, k_full))
+        gaps.append(bounds.monotonicity_gap(f, k1, np.eye(d2), rho, sigma, space))
+        resids.append(_loop_equality_condition_residual(rho, sigma, k_full, space, GRID))
+    return equality._sweep_reports("equality_monotonicity", f, gaps, resids,
+                                   [bounds.digest_inputs(rho.mat, sigma0, k_full)])[0]
 
 
 def _loop_joint_convexity_sweep(f, space, rng):
     dim = space.dim
-    base_r = equality._floored_state(dim, rng)
+    base_r = PsdOperator(equality._floored_state(dim, rng))
     base_s = random_state_matrix(dim, seed=rng)
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
     noises = [random_state_matrix(dim, seed=rng) for _ in probs]
     mix_r = PsdOperator(hermitize(sum(w * base_r.mat for w in probs)))
-    rows = []
+    gaps, resids = [], []
     for eps in equality.EPS_SWEEP:
         comps = [(w, base_r, PsdOperator(hermitize((1 - eps) * base_s + eps * ns)))
                  for w, ns in zip(probs, noises)]
         mix_s = PsdOperator(hermitize(sum(w * s.mat for w, _, s in comps)))
         avg = sum(w * quasi_relative_entropy(f, km, r, s) for w, r, s in comps)
-        gap = avg - quasi_relative_entropy(f, km, mix_r, mix_s)
-        resid = max(_loop_joint_equality_residual(km, base_r, mix_s, comps, b) for b in GRID)
-        rows.append((eps, gap, resid))
-    return equality._sweep_reports("equality_joint_convexity", f, rows,
-                                 bounds.digest_inputs(km, base_r.mat, base_s))
+        gaps.append(avg - quasi_relative_entropy(f, km, mix_r, mix_s))
+        resids.append(max(_loop_joint_equality_residual(km, base_r, mix_s, comps, b)
+                          for b in GRID))
+    return equality._sweep_reports("equality_joint_convexity", f, gaps, resids,
+                                   [bounds.digest_inputs(km, base_r.mat, base_s)])[0]
 
 
 def _loop_operator_ssa_sweep(f, space, rng):
@@ -1055,23 +1057,25 @@ def _loop_operator_ssa_sweep(f, space, rng):
     rho_ab = equality._floored_state(sub_ab.dim, rng)
     tau = equality._floored_state(space.dims[2], rng)
     noise = random_state_matrix(sub_ab.dim, seed=rng)
-    rho = PsdOperator(np.kron(rho_ab.mat, tau.mat))
-    rows = []
+    rho = PsdOperator(np.kron(rho_ab, tau))
+    gaps, resids = [], []
     for eps in equality.EPS_SWEEP:
-        sab = PsdOperator(hermitize((1.0 - eps) * rho_ab.mat + eps * noise))
+        sab = PsdOperator(hermitize((1.0 - eps) * rho_ab + eps * noise))
         t1, t2, _ = _loop_traced_terms(f, rho, sab, "thm62", space)
-        gap = float(np.real(np.trace(hermitize(t1 - t2))))
-        resid = _loop_operator_ssa_equality_residual(rho, sab, space, GRID)
-        rows.append((eps, gap, resid))
-    return equality._sweep_reports("equality_operator_ssa", f, rows,
-                                 bounds.digest_inputs(rho.mat, rho_ab.mat))
+        gaps.append(float(np.real(np.trace(hermitize(t1 - t2)))))
+        resids.append(_loop_operator_ssa_equality_residual(rho, sab, space, GRID))
+    return equality._sweep_reports("equality_operator_ssa", f, gaps, resids,
+                                   [bounds.digest_inputs(rho.mat, rho_ab)])[0]
 
 
 SWEEPS = {
-    "equality_monotonicity": (equality.equality_monotonicity_sweep, _loop_monotonicity_sweep),
-    "equality_joint_convexity": (equality.equality_joint_convexity_sweep,
-                                   _loop_joint_convexity_sweep),
-    "equality_operator_ssa": (equality.equality_operator_ssa_sweep, _loop_operator_ssa_sweep),
+    "equality_monotonicity": (equality.draw_monotonicity, equality.equality_monotonicity_block,
+                              _loop_monotonicity_sweep),
+    "equality_joint_convexity": (equality.draw_joint_convexity,
+                                 equality.equality_joint_convexity_block,
+                                 _loop_joint_convexity_sweep),
+    "equality_operator_ssa": (equality.draw_operator_ssa, equality.equality_operator_ssa_block,
+                              _loop_operator_ssa_sweep),
 }
 
 
@@ -1079,13 +1083,72 @@ SWEEPS = {
 @pytest.mark.parametrize("sweep, dims", [
     (sweep, dims) for sweep in sorted(SWEEPS) for dims in ((2, 2), (2, 2, 2), (3, 2))
     if FAMILIES[sweep].nfactors in (None, len(dims))])
-def test_sweep_reports_are_the_per_eps_loop(sweep, dims, fid):
-    stacked, loop = SWEEPS[sweep]
+def test_sweep_of_one_instance_is_the_per_eps_loop(sweep, dims, fid):
+    draw, block, loop = SWEEPS[sweep]
     space = FactorizedSpace(dims)
     for seed in range(3):
-        got = [r.to_json() for r in stacked(from_id(fid), space, np.random.default_rng(seed))]
+        instance = draw(np.random.default_rng(seed), space, PsdOperator, equality._rescaled)
+        got = [r.to_json() for r in block(from_id(fid), space, [instance])[0]]
         want = [r.to_json() for r in loop(from_id(fid), space, np.random.default_rng(seed))]
         assert got == want
+
+
+@pytest.mark.parametrize("fid", ("neg_log", "f_p:0.5"))
+@pytest.mark.parametrize("sweep, dims, nblocks", [
+    ("equality_monotonicity", (2, 2), 1), ("equality_monotonicity", (3, 3), 2),
+    ("equality_joint_convexity", (2, 2), 2), ("equality_joint_convexity", (3,), 1),
+    ("equality_joint_convexity", (3, 3), 10),
+    ("equality_operator_ssa", (2, 2, 2), 1), ("equality_operator_ssa", (2, 3, 2), 2)])
+def test_sweep_block_members_are_the_per_eps_loop(sweep, dims, nblocks, fid):
+    # a 20-trial cell, in as many blocks as BLOCK_BYTES makes of it
+    f, family, space = from_id(fid), FAMILIES[sweep], FactorizedSpace(dims)
+    seeds, blocks = _blocks(sweep, dims, fid, 20)
+    assert len(blocks) == nblocks
+    got = [[r.to_json() for r in sweep_reports] for block in blocks
+           for sweep_reports in family.check(f, space, 0.25, block)]
+    assert len(got) == 20
+    for seed, lines in zip(seeds, got):
+        alone, = family.check(f, space, 0.25, next(campaign.sample_blocks(family, space, [seed])))
+        assert lines == [r.to_json() for r in alone]
+        assert lines == [r.to_json() for r in SWEEPS[sweep][2](f, space, np.random.default_rng(seed))]
+
+
+def _rank_deficient_sometimes(sampler, operand):
+    """``sampler`` with, in about a third of the trials, rank-1 states in place of ``operand``'s."""
+    def sample(rng, space, policy):
+        drawn = sampler(rng, space, policy)
+        if rng.random() < 0.35:
+            operand(drawn, lambda dim: campaign._State(random_state_matrix(dim, rank=1, seed=rng)))
+        return drawn
+    return sample
+
+
+def _rank_one_sweep(instance, state):
+    instance[2] = [state(s.mat.shape[0]) for s in instance[2]]
+
+
+def _rank_one_rho_j(ensemble, state):
+    for component in ensemble:
+        component[1] = state(component[1].mat.shape[0])
+
+
+@pytest.mark.parametrize("ineq, operand, dims, fid, replace", [
+    ("equality_monotonicity", "monotonicity_sweep", (2, 2), "neg_log", _rank_one_sweep),
+    ("equality_joint_convexity", "joint_convexity_sweep", (2,), "neg_log", _rank_one_sweep),
+    ("wyd_joint_concavity", "ensemble", (2, 2), "f_p:1.5", _rank_one_rho_j)])
+def test_raising_block_gives_the_outcomes_of_its_trials_alone(ineq, operand, dims, fid, replace,
+                                                            monkeypatch):
+    # rank-1 sigma(eps) meet neg_log's f(0+) = +inf, rank-1 rho_j f_1.5's f'(inf) = +inf
+    monkeypatch.setitem(campaign.SAMPLERS, operand,
+                        _rank_deficient_sometimes(campaign.SAMPLERS[operand],
+                                                  lambda drawn, state: replace(drawn, state)))
+    _, block = _block(ineq, dims, fid, 20)
+    with pytest.raises(DivergentEntropy):
+        FAMILIES[ineq].check(from_id(fid), FactorizedSpace(dims), 0.25, block)
+    got = _cell_lines(ineq, dims, fid, 0.25, 20, 7)
+    assert got == _replayed_lines(ineq, dims, fid, 0.25, 20, 7)
+    divergent = got.count("divergent=1")
+    assert 0 < divergent < 20
 
 
 # ----------------------------------------------------------------------------

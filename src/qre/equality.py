@@ -73,11 +73,6 @@ def _sweep_reports(inequality_id, f, gaps, resids, digests) -> list[list[BoundRe
     return sweeps
 
 
-def _owners(instances, per_instance):
-    """The instance index of each of ``per_instance`` consecutive rows per instance."""
-    return np.repeat(np.arange(len(instances)), per_instance)
-
-
 def draw_monotonicity(rng, space: FactorizedSpace, state, contraction) -> list:
     """[rho, sigma0, [sigma(eps)], K1] of one monotonicity sweep, drawn from ``rng``.
 
@@ -102,12 +97,11 @@ def equality_monotonicity_block(f, space: FactorizedSpace, instances) -> list[li
     rhos = [space.psd(rho) for rho, _, _, _ in instances]
     sigmas = [space.psd(sigma) for _, _, sweep, _ in instances for sigma in sweep]
     k1s = _as_matrices([k1 for _, _, _, k1 in instances])
-    owner = _owners(instances, len(EPS_SWEEP))
     eye = np.eye(space.dims[1])
-    gaps = _monotonicity_gaps(f, [rhos[i] for i in owner], sigmas, k1s[owner],
-                              [eye] * len(sigmas), space)
+    gaps = _monotonicity_gaps(f, [rho for rho in rhos for _ in EPS_SWEEP], sigmas,
+                              np.repeat(k1s, len(EPS_SWEEP), axis=0), [eye] * len(sigmas), space)
     k_fulls = _kron(k1s, eye)
-    resids = equality_condition_residuals(rhos, sigmas, k_fulls, space, owner)
+    resids = equality_condition_residuals(rhos, sigmas, k_fulls, space)
     return _sweep_reports("equality_monotonicity", f, gaps, resids,
                           [digest_inputs(rho.mat, sigma0, k_full) for rho, (_, sigma0, _, _), k_full
                            in zip(rhos, instances, k_fulls)])
@@ -141,41 +135,42 @@ def equality_joint_convexity_block(f, space: FactorizedSpace,
     flat, grid = FactorizedSpace((space.dim,)), DEFAULT_BETA_GRID
     base_rs, ensembles = [], []
     for base_r, mix_r, sweep, _, _ in instances:
-        base_rs.append(flat.psd(base_r))
+        base_r, mix_r = flat.psd(base_r), flat.psd(mix_r)
         sigmas = iter([flat.psd(sigma) for sigma in sweep])
-        ensembles += [([(w, base_rs[-1], next(sigmas)) for w in PROBS], flat.psd(mix_r),
-                       next(sigmas)) for _ in EPS_SWEEP]
+        ensembles += [([(w, base_r, next(sigmas)) for w in PROBS], mix_r, next(sigmas))
+                      for _ in EPS_SWEEP]
+        base_rs.append(base_r)
     kms = _as_matrices([km for _, _, _, km, _ in instances])
-    owner = _owners(instances, len(EPS_SWEEP))
-    gaps = _joint_gaps(f, kms[owner], ensembles)
+    gaps = _joint_gaps(f, np.repeat(kms, len(EPS_SWEEP), axis=0), ensembles)
     # every rho of the residual, the mixtures' included, is base_r: raised once a side
-    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), base_rs, (0,), flat, grid,
-                        kms, owner)
-    own = _sandwiches([sj for comps, _, _ in ensembles for _, _, sj in comps], (0,),
-                      base_rs, (0,), flat, grid, kms, np.repeat(owner, len(PROBS)))
-    resids = _grid_maxima(mixed[:, None] - own.reshape(len(mixed), len(PROBS), *mixed.shape[1:]))
+    mixed = _sandwiches([mix for _, _, mix in ensembles], (0,), base_rs, (0,), flat, grid, kms)
+    diffs = _sandwiches([sj for comps, _, _ in ensembles for _, _, sj in comps], (0,),
+                        base_rs, (0,), flat, grid, kms)
+    diffs = diffs.reshape(len(mixed), len(PROBS), *mixed.shape[1:])
+    resids = _grid_maxima(np.subtract(mixed[:, None], diffs, out=diffs))
     return _sweep_reports("equality_joint_convexity", f, gaps, resids,
                           [digest_inputs(km, base_r.mat, base_s) for km, base_r, (*_, base_s)
                            in zip(kms, base_rs, instances)])
 
 
-def operator_ssa_equality_residuals(rho_abc, sigmas_ab, space: FactorizedSpace,
-                                    owner=None) -> list[float]:
+def operator_ssa_equality_residuals(rhos_abc, sigmas_ab, space: FactorizedSpace) -> list[float]:
     """Per sigma_AB: max over the grid of ||sigma_B^b rho_BC^{-b} - sigma_AB^b rho_ABC^{-b}||_op.
 
-    Every sigma_AB takes the one ``rho_abc``; given ``owner``, ``rho_abc`` is
-    a list and sigma_AB i takes ``rho_abc[owner[i]]``, each raised once.  Two
-    ``_sandwiches`` stacks and one batched SVD over sigmas x ``DEFAULT_BETA_GRID``.
+    The sigma_AB fall into ``len(rhos_abc)`` consecutive runs of one length, and
+    run i takes ``rhos_abc[i]``: a list of one rho serves every sigma_AB.  Two
+    ``_sandwiches`` stacks, which raise each rho once, and one batched SVD over
+    sigmas x ``DEFAULT_BETA_GRID``.
     """
-    rhos = [space.psd(rho) for rho in (rho_abc if owner is not None else [rho_abc])]
+    rhos = [space.psd(rho) for rho in rhos_abc]
     sub_ab = space.subspace((0, 1))
     sabs = [sub_ab.psd(sab) for sab in sigmas_ab]
     grid = DEFAULT_BETA_GRID
-    lhs = _sandwiches(PsdOperator.marginals(sabs, sub_ab, (1,)), (1,),
-                      PsdOperator.marginals(rhos, space, (1, 2)), (1, 2), space, grid,
-                      owner=owner)
-    return _grid_maxima(lhs - _sandwiches(sabs, (0, 1), rhos, (0, 1, 2), space, grid,
-                                          owner=owner))
+    # the side whose powers are raised on the whole space first: the lower peak of memory
+    rhs = _sandwiches(sabs, (0, 1), rhos, (0, 1, 2), space, grid)
+    diffs = _sandwiches(PsdOperator.marginals(sabs, sub_ab, (1,)), (1,),
+                        PsdOperator.marginals(rhos, space, (1, 2)), (1, 2), space, grid)
+    diffs -= rhs
+    return _grid_maxima(diffs)
 
 
 def draw_operator_ssa(rng, space: FactorizedSpace, state, contraction) -> list:
@@ -203,10 +198,9 @@ def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[li
     sub_ab = space.subspace((0, 1))
     rhos = [space.psd(rho) for rho, _, _ in instances]
     sabs = [sub_ab.psd(sab) for _, _, sweep in instances for sab in sweep]
-    owner = _owners(instances, len(EPS_SWEEP))
-    t1, t2, _ = _traced_terms(f, [rhos[i] for i in owner], sabs, "thm62", space)
+    t1, t2, _ = _traced_terms(f, [rho for rho in rhos for _ in EPS_SWEEP], sabs, "thm62", space)
     gaps = [float(np.real(np.trace(diff))) for diff in hermitize(t1 - t2)]
-    resids = operator_ssa_equality_residuals(rhos, sabs, space, owner)
+    resids = operator_ssa_equality_residuals(rhos, sabs, space)
     return _sweep_reports("equality_operator_ssa", f, gaps, resids,
                           [digest_inputs(rho.mat, rho_ab) for rho, (_, rho_ab, _)
                            in zip(rhos, instances)])

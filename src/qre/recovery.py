@@ -85,42 +85,41 @@ def _mixture_residuals(kms, ensembles, beta):
     return residuals, mixed - sigma_k @ rho_pows[:, 2]
 
 
-def equality_condition_residuals(rho, sigmas, k, space: FactorizedSpace,
-                                 owner=None) -> list[float]:
+def equality_condition_residuals(rhos, sigmas, ks, space: FactorizedSpace) -> list[float]:
     """Per sigma: max over the grid of ||sigma_1^b K rho_1^{-b} - sigma^b K rho^{-b}||_op.
 
     Zero (within tolerance) exactly when the saturation condition of the
     monotonicity inequality holds on ``DEFAULT_BETA_GRID``: by analyticity, a
-    grid diagnostic of the condition over all beta.  Every sigma takes the one
-    ``rho`` and ``k``; given ``owner``, ``rho`` is a list and ``k`` a stack, and
-    sigma i takes ``rho[owner[i]]`` and ``k[owner[i]]``, each rho raised once.
-    Two ``_sandwiches`` stacks and one batched SVD; each value is bit-identical
-    to its sigma's alone.
+    grid diagnostic of the condition over all beta.  The sigmas fall into
+    ``len(rhos)`` consecutive runs of one length, and run i takes ``rhos[i]``
+    and ``ks[i]``: a list of one rho and one K serves every sigma.  Two
+    ``_sandwiches`` stacks, which raise each rho once, and one batched SVD;
+    each value is bit-identical to its sigma's alone.
     """
-    rhos = [space.psd(r) for r in (rho if owner is not None else [rho])]
+    rhos = [space.psd(rho) for rho in rhos]
     sigmas = [space.psd(sigma) for sigma in sigmas]
-    km = _as_matrices(k) if owner is not None else space.check(k)
+    kms = np.stack([space.check(k) for k in ks])
     grid, whole = DEFAULT_BETA_GRID, tuple(range(space.nfactors))
-    lhs = _sandwiches(PsdOperator.marginals(sigmas, space, (0,)), (0,),
-                      PsdOperator.marginals(rhos, space, (0,)), (0,), space, grid, km, owner)
-    return _grid_maxima(lhs - _sandwiches(sigmas, whole, rhos, whole, space, grid, km, owner))
+    diffs = _sandwiches(PsdOperator.marginals(sigmas, space, (0,)), (0,),
+                        PsdOperator.marginals(rhos, space, (0,)), (0,), space, grid, kms)
+    diffs -= _sandwiches(sigmas, whole, rhos, whole, space, grid, kms)
+    return _grid_maxima(diffs)
 
 
-def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None,
-                owner=None) -> np.ndarray:
-    """embed(Y^b) K embed(X^{-b}) of each (Y, X) pair and each b of ``grid``, as ``(N, G, d, d)``.
+def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None) -> np.ndarray:
+    """embed(Y^b) K embed(X^{-b}) of each Y and each b of ``grid``, as ``(N, G, d, d)``.
 
     Y and X act on ``y_slots`` and ``x_slots``; each list is one ``generalized_powers``
-    call.  Y i pairs with X i, a list of one X serves every Y, and given ``owner``
-    Y i takes X ``owner[i]`` and, from a stack of K, K ``owner[i]``.  K is left
-    out when ``k`` is None.
+    call.  The Y's fall into ``len(xs)`` consecutive runs of one length, and run i
+    takes X i: a list of one X serves every Y, and N X's pair with N Y's.  ``k`` is
+    one K, a stack of one K per X, or None to leave K out.
     """
     left = space.embed(generalized_powers(*_spectra(ys), grid), y_slots)
     right = space.embed(generalized_powers(*_spectra(xs), tuple(-b for b in grid)), x_slots)
-    if owner is not None:
-        right = right[owner]
-        k = k[owner][:, None] if k is not None and k.ndim == 3 else k
-    return (left if k is None else left @ k) @ right
+    runs = left.reshape(len(xs), -1, *left.shape[1:])
+    if k is not None:
+        runs = runs @ (k[:, None, None] if k.ndim == 3 else k)
+    return (runs @ right[:, None]).reshape(left.shape)
 
 
 def _grid_maxima(diffs) -> list[float]:

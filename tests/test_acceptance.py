@@ -166,7 +166,7 @@ def test_criterion_06_equality_characterization():
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         gap = monotonicity_gap(NEG_LOG, k1, np.eye(2), rho, sig, SPACE)
-        resid = equality_condition_residuals(rho, [sig], np.kron(k1, np.eye(2)), SPACE)[0]
+        resid = equality_condition_residuals([rho], [sig], [np.kron(k1, np.eye(2))], SPACE)[0]
         assert abs(gap) < 1e-10, f"trial {trial}: gap {gap}"
         assert resid < 1e-8, f"trial {trial}: residual {resid}"
     # perturbation sweep over the three equality families: co-monotone growth

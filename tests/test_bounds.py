@@ -776,7 +776,7 @@ class TestEqualitySuite:
         rho = np.kron(sab.mat, tau.mat)
         rhs = operator_ssa_block_sides(NEG_LOG, [rho], [sab.mat], 0.5, "thm62", SPACE3)[1][0]
         assert abs(np.trace(rhs).real) < 1e-10
-        resid, = operator_ssa_equality_residuals(rho, [sab.mat], SPACE3)
+        resid, = operator_ssa_equality_residuals([rho], [sab.mat], SPACE3)
         assert resid < 1e-8
 
 

@@ -134,7 +134,7 @@ class TestEqualityConditionResidual:
     def test_equal_states(self):
         rho = random_density(4, seed=19)
         k = np.eye(4)
-        assert equality_condition_residuals(rho, [rho], k, SPACE)[0] < 1e-10
+        assert equality_condition_residuals([rho], [rho], [k], SPACE)[0] < 1e-10
 
     def test_product_construction(self):
         r1 = random_density(2, seed=21)
@@ -143,7 +143,7 @@ class TestEqualityConditionResidual:
         rho = np.kron(r1.mat, tau.mat)
         sig = np.kron(s1.mat, tau.mat)
         k = np.kron(random_contraction(2, seed=24), np.eye(2))
-        assert equality_condition_residuals(rho, [sig], k, SPACE)[0] < 1e-10
+        assert equality_condition_residuals([rho], [sig], [k], SPACE)[0] < 1e-10
 
     def test_grows_with_perturbation(self):
         r1 = random_density(2, seed=25)
@@ -155,7 +155,7 @@ class TestEqualityConditionResidual:
         values = []
         for eps in (0.0, 1e-3, 1e-2, 1e-1):
             sig = hermitize((1 - eps) * np.kron(s1.mat, tau.mat) + eps * noise.mat)
-            values.append(equality_condition_residuals(rho, [sig], k, SPACE)[0])
+            values.append(equality_condition_residuals([rho], [sig], [k], SPACE)[0])
         assert values[0] < 1e-10
         assert values[0] < values[1] < values[2] < values[3]
 

@@ -353,10 +353,10 @@ class TestGridResiduals:
         sigmas = [random_density(space.dim, seed=rng) for _ in range(n)]
         k = np.kron(random_contraction(space.dims[0], seed=rng), np.eye(space.dims[1]))
         assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
-        got = equality_condition_residuals(rho, sigmas, k, space)
+        got = equality_condition_residuals([rho], sigmas, [k], space)
         assert got == [_loop_equality_condition_residual(_fresh(rho), _fresh(sigma), k,
                                                          space, GRID) for sigma in sigmas]
-        assert [equality_condition_residuals(rho, [sigma], k, space)[0]
+        assert [equality_condition_residuals([rho], [sigma], [k], space)[0]
                 for sigma in sigmas] == got
 
     @pytest.mark.parametrize("seed", range(6))
@@ -426,7 +426,7 @@ class TestGridResiduals:
         sabs = [random_density(space.subspace((0, 1)).dim, rank=3 - (seed + i) % 2, seed=rng)
                 for i in range(n)]
         assert GRID == DEFAULT_BETA_GRID    # the residual's grid, which the loop takes as given
-        got = equality.operator_ssa_equality_residuals(rho, sabs, space)
+        got = equality.operator_ssa_equality_residuals([rho], sabs, space)
         assert got == [_loop_operator_ssa_equality_residual(_fresh(rho), _fresh(sab),
                                                             space, GRID) for sab in sabs]
 

@@ -65,13 +65,8 @@ def effective_eigs(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clustered(op: PsdOperator) -> np.ndarray:
-    """``effective_eigs`` of an operator's spectrum, computed once per operator."""
-    return op.memo("effective_eigs", lambda: effective_eigs(op.eigs))
-
-
-def _clustered_stack(ops) -> np.ndarray:
-    """``_clustered`` of each of ``ops`` (of one dimension), as one ``(N, d)`` stack.
+def _clustered(ops) -> list[np.ndarray]:
+    """``effective_eigs`` of each of ``ops`` (of one dimension), memoised on the operator.
 
     The spectra not memoised yet are screened for clusters in one pass; only
     those with one go through ``effective_eigs``, and the others are kept as
@@ -84,7 +79,7 @@ def _clustered_stack(ops) -> np.ndarray:
         plain = (np.diff(w, axis=1) > DEGENERACY_TOL * scale[:, None]).all(axis=1)
         for op, is_plain in zip(todo, plain.tolist()):
             op.memo("effective_eigs", lambda: op.eigs.copy() if is_plain else effective_eigs(op.eigs))
-    return _stacked([op._memo["effective_eigs"] for op in ops])
+    return [op._memo["effective_eigs"] for op in ops]
 
 
 class ModularOperator:
@@ -112,8 +107,7 @@ class ModularOperator:
 
     def ratio_grid(self):
         """(mu_eff, lam_eff, keep_j) with degenerate clusters averaged."""
-        mu = _clustered(self.sigma)
-        lam = _clustered(self.rho)
+        mu, lam = _clustered([self.sigma, self.rho])
         return mu, lam, lam > self.rho.cutoff
 
 
@@ -235,8 +229,8 @@ def _spectral_formula(f, pairs):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
-    lam = _clustered_stack(rhos)
-    mu = _clustered_stack(sigmas)
+    lam = _stacked(_clustered(rhos))
+    mu = _stacked(_clustered(sigmas))
     keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
     mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
     y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ _stacked(kms)

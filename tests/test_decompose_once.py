@@ -247,7 +247,7 @@ class TestEffectiveEigs:
         ops = [random_density(6, seed=rng) for _ in range(4)]
         ops += [PsdOperator(np.diag(w).astype(complex)) for w in
                 ([0.25, 0.25, 0.5, 0.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0])]
-        got = entropy._clustered_stack(ops + ops[:2])
+        got = np.stack(entropy._clustered(ops + ops[:2]))
         for op, row in zip(ops + ops[:2], got):
             np.testing.assert_array_equal(row, _reference_effective_eigs(op.eigs))
             assert row.tobytes() == effective_eigs(op.eigs).tobytes()

@@ -307,7 +307,8 @@ def _sample_ensemble(rng, space, policy):
 
 def _sweep(draw):
     """The sampler of an eps sweep's instance: ``draw`` with the block's deferred wrappers."""
-    return lambda rng, space, policy: draw(rng, space, _State, _Contraction)
+    return lambda rng, space, policy: draw(
+        rng, space, _State, lambda dim, rng: _Contraction(*random_contraction_draw(dim, rng)))
 
 
 # operand name -> sampler(rng, space, policy)

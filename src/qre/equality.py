@@ -6,15 +6,13 @@ eps, the inequality's gap and the residual of its equality condition on
 ``recovery.DEFAULT_BETA_GRID``.  At eps = 0 both must sit below their
 tolerances; afterwards both must grow with eps.
 
-An instance is drawn from one generator (``draw_monotonicity``,
-``draw_joint_convexity``, ``draw_operator_ssa``), which leaves its states and
-its contraction to the caller's wrappers: the campaign defers their spectral
-work to the stacked calls of its block, ``equality_suite`` decomposes them at
-once.  Each sweep checks a block of instances (``equality_*_block``): the eps
-stacks of the whole block go through one gap kernel (``bounds._monotonicity_gaps``,
-``bounds._joint_gaps`` or ``bounds._traced_terms``) and one ``recovery._sandwiches``
-stack per side, which raises each instance's rho once, and every instance's
-reports are bit-identical to those of the instance checked alone.
+An instance is drawn from one generator (``draw_*``) with the caller's
+wrappers for its states and contraction: the campaign defers their spectral
+work to the stacked calls of its block.  Each sweep checks a block of
+instances (``equality_*_block``): the eps stacks of the whole block go
+through one gap kernel and one ``recovery._sandwiches`` stack per side, which
+raises each instance's rho once, and every instance's reports are
+bit-identical to those of the instance checked alone.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .bounds import _average, _joint_gaps, _monotonicity_gaps, _report, _traced_terms
 from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, hermitize,
-                     random_contraction_draw, random_state_matrix, rescale_contractions)
+                     random_contraction, random_state_matrix)
 from .recovery import (DEFAULT_BETA_GRID, _grid_maxima, _sandwiches,
                        equality_condition_residuals)
 from .reports import BoundReport, digest_inputs
@@ -78,14 +76,14 @@ def draw_monotonicity(rng, space: FactorizedSpace, state, contraction) -> list:
 
     The product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates
     exactly; sigma(eps) mixes an independent state into sigma0 with weight
-    eps.  ``state`` wraps each state matrix to decompose, ``contraction`` takes
-    K1's (matrix, norm) draw.
+    eps.  ``state(matrix)`` wraps each state to decompose, and
+    ``contraction(dim, rng)`` draws K1.
     """
     d1, d2 = space.dims
     rho1 = _floored_state(d1, rng)
     sigma1 = random_state_matrix(d1, seed=rng)
     tau = _floored_state(d2, rng)
-    k1 = contraction(*random_contraction_draw(d1, rng))
+    k1 = contraction(d1, rng)
     noise = random_state_matrix(space.dim, seed=rng)
     sigma0 = np.kron(sigma1, tau)
     return [state(np.kron(rho1, tau)), sigma0,
@@ -120,7 +118,7 @@ def draw_joint_convexity(rng, space: FactorizedSpace, state, contraction) -> lis
     dim = space.dim
     base_r = _floored_state(dim, rng)
     base_s = random_state_matrix(dim, seed=rng)
-    km = contraction(*random_contraction_draw(dim, rng))
+    km = contraction(dim, rng)
     noises = [random_state_matrix(dim, seed=rng) for _ in PROBS]
     sigmas = []
     for eps in EPS_SWEEP:
@@ -206,11 +204,6 @@ def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[li
                            in zip(rhos, instances)])
 
 
-def _rescaled(mat, norm) -> np.ndarray:
-    """The contraction of one (matrix, norm) draw, as ``random_contraction`` rescales it."""
-    return rescale_contractions([(mat, norm)])[0]
-
-
 def equality_suite(f, rng) -> list[BoundReport]:
     """All three equality characterizations at desk dims (2x2, 2 and 2x2x2), each a block of one."""
     reports = []
@@ -218,5 +211,5 @@ def equality_suite(f, rng) -> list[BoundReport]:
                               (draw_joint_convexity, equality_joint_convexity_block, (2,)),
                               (draw_operator_ssa, equality_operator_ssa_block, (2, 2, 2))):
         space = FactorizedSpace(dims)
-        reports += block(f, space, [draw(rng, space, PsdOperator, _rescaled)])[0]
+        reports += block(f, space, [draw(rng, space, PsdOperator, random_contraction)])[0]
     return reports

@@ -411,7 +411,7 @@ class TestGridResiduals:
         for module in (linalg, recovery, bounds):
             monkeypatch.setattr(module, "generalized_powers", spy)
         space, rng = FactorizedSpace((2, 2)), np.random.default_rng(0)
-        instances = [equality.draw_joint_convexity(rng, space, PsdOperator, equality._rescaled)
+        instances = [equality.draw_joint_convexity(rng, space, PsdOperator, random_contraction)
                      for _ in range(n)]
         equality.equality_joint_convexity_block(from_id("neg_log"), space, instances)
         assert sum(raised) == 18 * n
@@ -1087,7 +1087,7 @@ def test_sweep_of_one_instance_is_the_per_eps_loop(sweep, dims, fid):
     draw, block, loop = SWEEPS[sweep]
     space = FactorizedSpace(dims)
     for seed in range(3):
-        instance = draw(np.random.default_rng(seed), space, PsdOperator, equality._rescaled)
+        instance = draw(np.random.default_rng(seed), space, PsdOperator, random_contraction)
         got = [r.to_json() for r in block(from_id(fid), space, [instance])[0]]
         want = [r.to_json() for r in loop(from_id(fid), space, np.random.default_rng(seed))]
         assert got == want

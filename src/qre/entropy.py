@@ -75,7 +75,7 @@ def _clustered(ops) -> list[np.ndarray]:
     todo = list({id(op): op for op in ops if "effective_eigs" not in op._memo}.values())
     if todo:
         w = _stacked([op.eigs for op in todo])
-        scale = np.maximum(np.abs(w).max(axis=1), 1.0)
+        scale = np.abs(w).max(axis=1, initial=1.0)
         plain = (np.diff(w, axis=1) > DEGENERACY_TOL * scale[:, None]).all(axis=1)
         for op, is_plain in zip(todo, plain.tolist()):
             op.memo("effective_eigs", lambda: op.eigs.copy() if is_plain else effective_eigs(op.eigs))
@@ -229,8 +229,8 @@ def _spectral_formula(f, pairs):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
-    lam = _stacked(_clustered(rhos))
-    mu = _stacked(_clustered(sigmas))
+    clustered = _clustered(rhos + sigmas)
+    lam, mu = _stacked(clustered[:len(rhos)]), _stacked(clustered[len(rhos):])
     keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
     mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
     y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ _stacked(kms)

@@ -1113,12 +1113,12 @@ def test_sweep_block_members_are_the_per_eps_loop(sweep, dims, nblocks, fid):
         assert lines == [r.to_json() for r in SWEEPS[sweep][2](f, space, np.random.default_rng(seed))]
 
 
-def _rank_deficient_sometimes(sampler, operand):
-    """``sampler`` with, in about a third of the trials, rank-1 states in place of ``operand``'s."""
+def _rank_deficient_sometimes(sampler, replace):
+    """``sampler`` whose draw, in about a third of the trials, ``replace`` gives rank-1 states."""
     def sample(rng, space, policy):
         drawn = sampler(rng, space, policy)
         if rng.random() < 0.35:
-            operand(drawn, lambda dim: campaign._State(random_state_matrix(dim, rank=1, seed=rng)))
+            replace(drawn, lambda dim: campaign._State(random_state_matrix(dim, rank=1, seed=rng)))
         return drawn
     return sample
 
@@ -1140,8 +1140,7 @@ def test_raising_block_gives_the_outcomes_of_its_trials_alone(ineq, operand, dim
                                                             monkeypatch):
     # rank-1 sigma(eps) meet neg_log's f(0+) = +inf, rank-1 rho_j f_1.5's f'(inf) = +inf
     monkeypatch.setitem(campaign.SAMPLERS, operand,
-                        _rank_deficient_sometimes(campaign.SAMPLERS[operand],
-                                                  lambda drawn, state: replace(drawn, state)))
+                        _rank_deficient_sometimes(campaign.SAMPLERS[operand], replace))
     _, block = _block(ineq, dims, fid, 20)
     with pytest.raises(DivergentEntropy):
         FAMILIES[ineq].check(from_id(fid), FactorizedSpace(dims), 0.25, block)

@@ -23,13 +23,12 @@ from .entropy import (ModularOperator, apply_f_modulars, classical_reduction,
 from .recovery import (equality_condition_residuals, monotonicity_residuals, petz_recover,
                        ssa_residuals_P, ssa_residuals_Q)
 from .reports import BoundConstants, BoundReport
-from .bounds import (alpha_exponent, constants_for, lieb_ruskai_check,
-                     monotonicity_gap, pinsker_check, power_family_constants, ssa_gap,
-                     verify_cauchy_schwarz, verify_classical_reduction, verify_ssa,
-                     verify_joint_convexity_block, verify_monotonicity_block, verify_wyd_skew,
-                     verify_monotonicity_bound_block, verify_operator_ssa_block,
-                     verify_thm42_block, verify_wyd_joint_concavity_block,
-                     verify_wyd_operator_block)
+from .bounds import (alpha_exponent, classical_reduction_block, constants_for,
+                     lieb_ruskai_block, monotonicity_gap, pinsker_block, power_family_constants,
+                     ssa_gap, verify_cauchy_schwarz_block, verify_joint_convexity_block,
+                     verify_monotonicity_block, verify_monotonicity_bound_block,
+                     verify_operator_ssa_block, verify_ssa_block, verify_thm42_block,
+                     verify_wyd_joint_concavity_block, verify_wyd_operator_block, wyd_skew_block)
 from .equality import equality_suite
 from .campaign import FAMILIES, CampaignConfig, run_campaign, run_single
 
@@ -50,13 +49,13 @@ __all__ = [
     "equality_condition_residuals", "monotonicity_residuals", "petz_recover",
     "ssa_residuals_P", "ssa_residuals_Q",
     # constants, gaps and checks
-    "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
-    "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",
-    "power_family_constants", "ssa_gap", "verify_cauchy_schwarz",
-    "verify_classical_reduction", "verify_joint_convexity_block",
-    "verify_monotonicity_block", "verify_monotonicity_bound_block",
-    "verify_operator_ssa_block", "verify_ssa", "verify_thm42_block",
-    "verify_wyd_joint_concavity_block", "verify_wyd_operator_block", "verify_wyd_skew",
+    "BoundConstants", "BoundReport", "alpha_exponent", "classical_reduction_block",
+    "constants_for", "equality_suite", "lieb_ruskai_block", "monotonicity_gap",
+    "pinsker_block", "power_family_constants", "ssa_gap", "verify_cauchy_schwarz_block",
+    "verify_joint_convexity_block", "verify_monotonicity_block",
+    "verify_monotonicity_bound_block", "verify_operator_ssa_block", "verify_ssa_block",
+    "verify_thm42_block", "verify_wyd_joint_concavity_block", "verify_wyd_operator_block",
+    "wyd_skew_block",
     # campaigns
     "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
 ]

@@ -22,18 +22,15 @@ Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} raised by
 ``linalg.generalized_powers`` (below-cutoff modes zeroed).
 
-The campaign's block kernels run each stage as one stacked call over a block
-of trials, and each report is bit-identical to the trial's own:
-``verify_operator_ssa_block`` (both sides from ``operator_ssa_block_sides``)
-over (rho_ABC, sigma_AB) pairs; ``verify_monotonicity_block``,
-``verify_thm42_block`` and ``verify_monotonicity_bound_block`` over (rho,
-sigma, K1, V) trials, from ``_monotonicity_gaps`` and ``_remainder_terms`` (one
-stacked eigh for the 2N marginals, the gaps as two kernel calls, one batched
-SVD for ||K1||); ``verify_joint_convexity_block`` over ensembles, with stacked
-mixtures, and ``verify_wyd_joint_concavity_block`` on the same pieces (the
-joint-convexity gap of f_p).  A single trial is a block of one, read as
-``[0]``; a block that raises is checked again trial by trial by the campaign.
-The equality sweeps built on these kernels live in ``qre.equality``.
+Every check takes a block of trials and gives one report per trial, each
+bit-identical to the trial's own; a single trial is a block of one, read as
+``[0]``.  Each eigh, power, kernel call and SVD is one stacked call over the
+block, except in the beta = 1/2 recovery forms of ``monotonicity_bound``.
+The monotonicity trio shares ``_remainder_terms``, joint convexity and WYD
+joint concavity ``_mixtures`` and ``_joint_gaps``, and ``ssa``,
+``cauchy_schwarz`` and the operator-SSA family the stacks of ``_ssa_stacks``.
+A block that raises is checked again trial by trial by the campaign.  The
+equality sweeps built on these kernels live in ``qre.equality``.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .entropy import (
     classical_reduction,
     pinsker_sides,
     quasi_relative_entropies,
-    quasi_relative_entropy,
+    quasi_relative_entropy,     # noqa: F401 - perfbench's tracing test reads it here
     trace_distance_pair,
     von_neumann_entropy,
     wyd_skew_information,
@@ -72,6 +69,7 @@ from .recovery import (
     _check_beta,
     _grid_maxima,
     _mixture_residuals,
+    _petz_sandwiches,
     monotonicity_residuals,
     petz_recover,
     ssa_residuals_P,
@@ -357,24 +355,30 @@ def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, de
     return _rel_pass(lhs, rhs, REL_INEQ_TOL)
 
 
-def pinsker_check(f, u, rho, sigma) -> BoundReport:
-    """Quadratic trace-distance lower bound f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U."""
-    lhs, rhs = pinsker_sides(f, u, rho, sigma)
-    return _report("pinsker", lhs, rhs, _rel_pass(lhs, rhs, REPORT_TOL),
-                   digest=digest_inputs(as_matrix(rho), as_matrix(sigma), as_matrix(u)),
-                   notes=f"f={f.name}")
+def pinsker_block(f, rhos, sigmas, us) -> list[BoundReport]:
+    """Quadratic trace-distance bound f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U, per trial."""
+    lhs, rhs = pinsker_sides(f, us, rhos, sigmas)
+    return [_report("pinsker", left, right, _rel_pass(left, right, REPORT_TOL),
+                    digest=digest_inputs(*map(as_matrix, (rho, sigma, u))), notes=f"f={f.name}")
+            for rho, sigma, u, left, right in zip(rhos, sigmas, us, lhs, rhs)]
 
 
-def verify_classical_reduction(f, rho, sigma) -> BoundReport:
-    """Two-outcome reduction: ||p-q||_1 = ||rho-sigma||_1 and classical <= quantum."""
-    rho = PsdOperator.wrap(rho)
-    sigma = PsdOperator.wrap(sigma)
-    p, q, cdiv = classical_reduction(f, rho, sigma)
-    l1_match = abs(trace_distance_pair(p, q) - trace_norm(rho.mat - sigma.mat))
-    qdiv = quasi_relative_entropy(f, np.eye(rho.dim), rho, sigma)
-    ok = l1_match <= 1e-10 and _rel_pass(cdiv, qdiv, REPORT_TOL)
-    return _report("classical_reduction", cdiv, qdiv, ok,
-                   digest=digest_inputs(rho.mat, sigma.mat), notes=f"f={f.name}", details={"l1_mismatch": l1_match})
+def classical_reduction_block(f, rhos, sigmas) -> list[BoundReport]:
+    """Two-outcome reduction of each pair: ||p-q||_1 = ||rho-sigma||_1 and classical <= quantum.
+
+    One kernel call for the quantum sides, one stacked eigh for the reductions
+    (``classical_reduction``) and one batched SVD for ||rho-sigma||_1.
+    """
+    rhos, sigmas = [PsdOperator.wrap(r) for r in rhos], [PsdOperator.wrap(s) for s in sigmas]
+    reductions = classical_reduction(f, rhos, sigmas)
+    l1s = trace_norm(np.stack([r.mat - s.mat for r, s in zip(rhos, sigmas)])).tolist()
+    mismatches = [abs(trace_distance_pair(p, q) - l1) for (p, q, _), l1 in zip(reductions, l1s)]
+    qdivs = quasi_relative_entropies(f, np.eye(rhos[0].dim), rhos, sigmas).tolist()
+    return [_report("classical_reduction", cdiv, qdiv,
+                    miss <= 1e-10 and _rel_pass(cdiv, qdiv, REPORT_TOL), notes=f"f={f.name}",
+                    digest=digest_inputs(rho.mat, sigma.mat), details={"l1_mismatch": miss})
+            for rho, sigma, (_, _, cdiv), miss, qdiv
+            in zip(rhos, sigmas, reductions, mismatches, qdivs)]
 
 
 # ----------------------------------------------------------------------------
@@ -430,12 +434,14 @@ def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
     sum_j p_j^{-1} ||rho_j^{-1}|| as the modular norm in the first RHS term;
     the quadratic-mean residual that the extension argument bounds directly is
     recorded alongside.  The ensembles have one size; the block is one stacked
-    eigh, one kernel call and one batched SVD each for ||K|| and the residuals.
+    eigh, one kernel call and one batched SVD each for ||K|| and the equality residuals.
     """
     kms = _as_matrices(ks)
     ensembles = _mixtures(ensembles)
     gaps = _joint_gaps(f, kms, ensembles)
-    residuals, eq_diffs = _mixture_residuals(kms, ensembles, beta)
+    residuals, mixed, sigma_k = _mixture_residuals(kms, ensembles, beta)
+    rho_js = [rj for comps, _, _ in ensembles for _, rj, _ in comps]
+    eq_diffs = mixed - sigma_k @ generalized_powers(*_spectra(rho_js), (-beta,))[:, 0]
     eq_resids = _grid_maxima(eq_diffs.reshape(len(kms), -1, *kms.shape[1:]))
     reports = []
     for (comps, _, _), km, gap, (resid_l1, resid_l2, d_sum), k_norm, eq_resid in zip(
@@ -472,6 +478,15 @@ def _traced_f_actions(f, lefts, rights, space, keep) -> np.ndarray:
     return hermitize(space.partial_trace(acted, keep))
 
 
+def _ssa_stacks(rhos, sabs, space):
+    """sigma_AB (x) I_C, sigma_B (x) I_C on B|C and rho_BC of each pair, each one stacked eigh."""
+    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
+    sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
+    fulls = PsdOperator.stack(space.embed(np.stack([s.mat for s in sabs]), (0, 1)))
+    b_bcs = PsdOperator.stack(sub_bc.embed(np.stack([s.mat for s in sbs]), (0,)))
+    return fulls, b_bcs, PsdOperator.marginals(rhos, space, (1, 2))
+
+
 def _traced_terms(f, rhos, sabs, variant, space):
     """(t1, t2, machinery function): the two stacks of traced f-actions one variant compares on C.
 
@@ -481,11 +496,8 @@ def _traced_terms(f, rhos, sabs, variant, space):
     variants (cor64, cor65) act with the transpose x f(1/x), which also
     drives their window constants.
     """
-    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
-    sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
-    fulls = PsdOperator.stack(space.embed(np.stack([s.mat for s in sabs]), (0, 1)))
-    b_bcs = PsdOperator.stack(sub_bc.embed(np.stack([s.mat for s in sbs]), (0,)))
-    rho_bcs = PsdOperator.marginals(rhos, space, (1, 2))
+    sub_bc = space.subspace((1, 2))
+    fulls, b_bcs, rho_bcs = _ssa_stacks(rhos, sabs, space)
     g = f if variant in ("thm62", "thm63") else f.transpose()
     if variant in ("thm62", "cor64"):
         return (_traced_f_actions(g, fulls, rhos, space, (2,)),
@@ -569,49 +581,51 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
 def ssa_gap(rho_abc, space: FactorizedSpace) -> float:
     """S(AB) + S(BC) - S(ABC) - S(B)."""
     rho = space.psd(rho_abc)
-    s_ab = von_neumann_entropy(rho.marginal(space, (0, 1)))
-    s_bc = von_neumann_entropy(rho.marginal(space, (1, 2)))
-    s_b = von_neumann_entropy(rho.marginal(space, (1,)))
+    s_ab, s_bc, s_b = (von_neumann_entropy(rho.marginal(space, keep))
+                       for keep in ((0, 1), (1, 2), (1,)))
     return s_ab + s_bc - von_neumann_entropy(rho) - s_b
 
 
-def verify_ssa(rho_abc, beta, space) -> BoundReport:
-    """Scalar strong-subadditivity remainder with the logarithm's constants.
+def verify_ssa_block(rhos_abc, beta, space) -> list[BoundReport]:
+    """Scalar strong-subadditivity remainder with the logarithm's constants, per state.
 
     Checks N ||rho_B^b (x) rho_C^b rho_BC^{-b} rho^{1/2} -
-    rho_AB^b (x) rho_C^b rho^{1/2-b}||_2^{1/alpha} <= SSA gap, and at
-    beta = 1/2 the recovery form (pi/8)^4 ||rho^{-1}||^{-2} || ... ||_1^4.
+    rho_AB^b (x) rho_C^b rho^{1/2-b}||_2^{1/alpha} <= SSA gap (``ssa_gap``), and at
+    beta = 1/2 the recovery form (pi/8)^4 ||rho^{-1}||^{-2} || ... ||_1^4.  Each
+    marginal is one stacked eigh, and each list of operators one ``PsdOperator.powers``.
     """
-    rho = space.psd(rho_abc)
-    gap = ssa_gap(rho, space)
-    rho_ab = rho.marginal(space, (0, 1))
-    rho_bc = rho.marginal(space, (1, 2))
-    rho_b = rho.marginal(space, (1,))
-    rho_c = rho.marginal(space, (2,))
-    term1 = (space.embed(np.kron(rho_b.power(beta), rho_c.power(beta)), (1, 2))
-             @ space.embed(rho_bc.power(-beta), (1, 2)) @ rho.power(0.5))
-    term2 = np.kron(rho_ab.power(beta), rho_c.power(beta)) @ rho.power(0.5 - beta)
-    rnorm = hs_norm(term1 - term2)
-    # sigma = rho_AB (x) rho_C for the displayed residual's partition
-    d_norm = rho_ab.max_eig() * rho_c.max_eig() / rho.min_positive_eig()
-    _, n_const, alpha, C, c = constants_for(NEG_LOG, beta, 1.0, d_norm)
-    lhs = n_const * rnorm ** (1.0 / alpha)
-    ok = _rel_pass(lhs, gap, REL_INEQ_TOL) and gap >= -REPORT_TOL
-    details = {"residual_hs": rnorm, "ssa_gap": gap}
+    rhos = [space.psd(rho) for rho in rhos_abc]
+    rho_abs, rho_bcs, rho_bs, rho_cs = (PsdOperator.marginals(rhos, space, keep)
+                                        for keep in ((0, 1), (1, 2), (1,), (2,)))
+    gaps = [ssa_gap(rho, space) for rho in rhos]
+    rho_pows = PsdOperator.powers(rhos, (0.5, 0.5 - beta))
+    c_pows = PsdOperator.powers(rho_cs, (beta,))[:, 0]
+    term1 = (space.embed(_kron(PsdOperator.powers(rho_bs, (beta,))[:, 0], c_pows), (1, 2))
+             @ space.embed(PsdOperator.powers(rho_bcs, (-beta,))[:, 0], (1, 2)) @ rho_pows[:, 0])
+    term2 = _kron(PsdOperator.powers(rho_abs, (beta,))[:, 0], c_pows) @ rho_pows[:, 1]
+    rnorms = [hs_norm(member) for member in term1 - term2]
     if beta == 0.5:
-        recovered = petz_recover(rho, np.kron(rho_b.mat, rho_c.mat), space,
-                                 keep=(1, 2))
-        target = np.kron(rho_ab.mat, rho_c.mat)
-        petz_l1 = trace_norm(recovered - target)
-        inv_norm = 1.0 / rho.min_positive_eig()
-        petz_lhs = (math.pi / 8.0) ** 4 / inv_norm ** 2 * petz_l1 ** 4
-        details["petz_diff_trace"] = petz_l1
-        details["petz_quartic_lower"] = petz_lhs
-        ok = ok and _rel_pass(petz_lhs, gap, REL_INEQ_TOL)
-    consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                            n_const ** (-alpha), math.nan)
-    return _report("ssa", lhs, gap, ok, constants=consts,
-                   digest=digest_inputs(rho.mat), notes=f"beta={beta:g}", details=details)
+        mats = [np.stack([op.mat for op in ops]) for ops in (rho_abs, rho_bs, rho_cs)]
+        recovered = _petz_sandwiches(rho_pows[:, 0], PsdOperator.powers(rho_bcs, (-0.5,))[:, 0],
+                                     _kron(mats[1], mats[2]), space, (1, 2))
+        petz_l1s = trace_norm(recovered - _kron(mats[0], mats[2])).tolist()
+    reports = []
+    for i, (rho, gap, rnorm) in enumerate(zip(rhos, gaps, rnorms)):
+        # sigma = rho_AB (x) rho_C for the displayed residual's partition
+        d_norm = rho_abs[i].max_eig() * rho_cs[i].max_eig() / rho.min_positive_eig()
+        _, n_const, alpha, C, c = constants_for(NEG_LOG, beta, 1.0, d_norm)
+        lhs = n_const * rnorm ** (1.0 / alpha)
+        ok = _rel_pass(lhs, gap, REL_INEQ_TOL) and gap >= -REPORT_TOL
+        details = {"residual_hs": rnorm, "ssa_gap": gap}
+        if beta == 0.5:     # ||rho^{-1}|| = 1 / its smallest eigenvalue above the cutoff
+            petz_lhs = (math.pi / 8.0) ** 4 / (1.0 / rho.min_positive_eig()) ** 2 * petz_l1s[i] ** 4
+            details.update(petz_diff_trace=petz_l1s[i], petz_quartic_lower=petz_lhs)
+            ok = ok and _rel_pass(petz_lhs, gap, REL_INEQ_TOL)
+        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
+                                n_const ** (-alpha), math.nan)
+        reports.append(_report("ssa", lhs, gap, ok, constants=consts, digest=digest_inputs(rho.mat),
+                               notes=f"beta={beta:g}", details=details))
+    return reports
 
 
 # ----------------------------------------------------------------------------
@@ -652,17 +666,21 @@ def verify_wyd_joint_concavity_block(p: float, ensembles, ks, beta) -> list[Boun
     return reports
 
 
-def verify_wyd_skew(f, rho, k) -> BoundReport:
-    """WYD skew information I_p(rho, K) >= 0 and I_p = p(1-p) S_{f_p}^K(rho||rho).
+def wyd_skew_block(f, rhos, ks) -> list[BoundReport]:
+    """WYD skew information I_p(rho, K) >= 0 and I_p = p(1-p) S_{f_p}^K(rho||rho), per (rho, K).
 
-    ``f`` is ``f_p`` with p in (0,1); p is read from its id.
+    ``f`` is ``f_p`` with p in (0,1); p is read from its id.  ``wyd_skew_information``
+    reads rho^p and rho^{1-p} of one ``PsdOperator.powers`` call; one kernel call cross-checks.
     """
     p = power_of(f)
-    skew = wyd_skew_information(p, rho, k)
-    cross = p * (1.0 - p) * quasi_relative_entropy(f, k, rho, rho)
-    scale = max(1.0, abs(skew))
-    ok = skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * scale
-    return _report("wyd_skew", 0.0, skew, ok, notes=f"p={p:g}", details={"cross_check": cross})
+    rhos = [PsdOperator.wrap(rho) for rho in rhos]
+    PsdOperator.powers(rhos, (p, 1.0 - p))
+    skews = [wyd_skew_information(p, rho, k) for rho, k in zip(rhos, ks)]
+    crosses = (p * (1.0 - p) * quasi_relative_entropies(f, _as_matrices(ks), rhos, rhos)).tolist()
+    return [_report("wyd_skew", 0.0, skew,
+                    skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * max(1.0, abs(skew)),
+                    notes=f"p={p:g}", details={"cross_check": cross})
+            for skew, cross in zip(skews, crosses)]
 
 
 def verify_wyd_operator_block(p: float, rhos_abc, sigmas_ab, beta, space) -> list[BoundReport]:
@@ -674,51 +692,55 @@ def verify_wyd_operator_block(p: float, rhos_abc, sigmas_ab, beta, space) -> lis
     return reports
 
 
-def verify_cauchy_schwarz(rho_abc, sigma_ab, beta, space) -> BoundReport:
+def verify_cauchy_schwarz_block(rhos_abc, sigmas_ab, beta, space) -> list[BoundReport]:
     """p = 2 endpoint: Tr_AB(sigma rho^{-1} sigma) - Tr_B(sigma_B rho_BC^{-1} sigma_B) is PSD on C.
 
     The power-family prefactor sin(p pi) vanishes at p = 2, so the remainder
     constant N is exactly zero and the content of the check is positivity
-    plus the recovery-condition diagnostics of the equality case.
+    plus the recovery-condition diagnostics of the equality case, from the
+    stacks of ``_ssa_stacks`` and one ``ssa_residuals_Q``.
     """
-    rho = space.psd(rho_abc)
-    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
-    sab = sub_ab.psd(sigma_ab)
-    if rho.rank() < rho.dim:
+    rhos = [space.psd(rho) for rho in rhos_abc]
+    sabs = [space.subspace((0, 1)).psd(sab) for sab in sigmas_ab]
+    if any(rho.rank() < rho.dim for rho in rhos):
         raise DivergentEntropy("quadratic difference needs full-rank rho")
-    sigma_full = space.embed(sab.mat, (0, 1))
-    t1 = space.partial_trace(sigma_full @ rho.power(-1.0) @ sigma_full, (2,))
-    sb_bc = sub_bc.embed(sab.marginal(sub_ab, (1,)).mat, (0,))
-    t2 = sub_bc.partial_trace(sb_bc @ rho.marginal(space, (1, 2)).power(-1.0) @ sb_bc, (1,))
-    diff, scale = hermitize(t1 - t2), max(op_norm(t1), op_norm(t2), 1e-30)
-    resid = ssa_residuals_Q([sab], [rho], space, beta)[0]
-    gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
-    eigs = np.linalg.eigvalsh(diff)
-    passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
-    # recovery-condition diagnostic for the equality case
-    recovered = petz_recover(PsdOperator(sigma_full), rho.marginal(space, (1, 2)), space,
-                             keep=(1, 2))
-    petz_resid = trace_norm(recovered - rho.mat)
-    return _report("cauchy_schwarz", -float(eigs.min()), 0.0, passed,
-                   digest=digest_inputs(rho.mat, sab.mat), notes=f"beta={beta:g};N=0 at p=2",
-                   details={"min_eig_diff": float(eigs.min()),
-                            "petz_recovery_residual": petz_resid,
-                            "gram_trace": float(np.real(np.trace(gram))),
-                            "n_const": 0.0})
+    fulls, b_bcs, rho_bcs = _ssa_stacks(rhos, sabs, space)
+    full_ms, b_bc_ms, rho_ms = (np.stack([op.mat for op in ops]) for ops in (fulls, b_bcs, rhos))
+    t1 = space.partial_trace(full_ms @ PsdOperator.powers(rhos, (-1.0,))[:, 0] @ full_ms, (2,))
+    t2 = space.subspace((1, 2)).partial_trace(
+        b_bc_ms @ PsdOperator.powers(rho_bcs, (-1.0,))[:, 0] @ b_bc_ms, (1,))
+    scales = np.maximum(op_norm(np.stack([t1, t2])).max(axis=0), 1e-30).tolist()
+    resid = ssa_residuals_Q(sabs, rhos, space, beta)
+    grams = hermitize(space.partial_trace(resid.conj().swapaxes(-1, -2) @ resid, (2,)))
+    mins = np.linalg.eigvalsh(hermitize(t1 - t2)).min(axis=1).tolist()
+    recovered = _petz_sandwiches(PsdOperator.powers(fulls, (0.5,))[:, 0], PsdOperator.powers(
+        b_bcs, (-0.5,))[:, 0], np.stack([op.mat for op in rho_bcs]), space, (1, 2))
+    petz_resids = trace_norm(recovered - rho_ms).tolist()
+    return [_report("cauchy_schwarz", -low, 0.0, low >= -PSD_REPORT_TOL * scale,
+                    digest=digest_inputs(rho.mat, sab.mat), notes=f"beta={beta:g};N=0 at p=2",
+                    details={"min_eig_diff": low, "petz_recovery_residual": petz,
+                             "gram_trace": float(np.real(np.trace(gram))), "n_const": 0.0})
+            for rho, sab, low, scale, petz, gram
+            in zip(rhos, sabs, mins, scales, petz_resids, grams)]
 
 
-def lieb_ruskai_check(x_ac, q_ac, space_ac: FactorizedSpace) -> BoundReport:
-    """Tr_A X* Q^{-1} X >= (Tr_A X)* (Tr_A Q)^{-1} (Tr_A X) as operators on C."""
+def lieb_ruskai_block(xs_ac, qs_ac, space_ac: FactorizedSpace) -> list[BoundReport]:
+    """Tr_A X* Q^{-1} X >= (Tr_A X)* (Tr_A Q)^{-1} (Tr_A X) as operators on C, per (X, Q).
+
+    The Q's and their marginals are one stacked eigh each, and the eigenvalues
+    of both sides' difference and of the first side one batched eigvalsh.
+    """
     if space_ac.nfactors != 2:
         raise InvalidParameter("expected a bipartite A|C factorization")
-    xm = space_ac.check(x_ac)
-    q = space_ac.psd(q_ac)
-    t1 = space_ac.partial_trace(xm.conj().T @ q.power(-1.0) @ xm, (1,))
-    xc = space_ac.partial_trace(xm, (1,))
-    qc = q.marginal(space_ac, (1,))
-    t2 = xc.conj().T @ qc.power(-1.0) @ xc
-    eigs = np.linalg.eigvalsh(hermitize(t1 - t2))
-    scale = max(float(np.abs(np.linalg.eigvalsh(hermitize(t1))).max(initial=0.0)), 1e-30)
-    passed = float(eigs.min()) >= -PSD_REPORT_TOL * scale
-    return _report("lieb_ruskai", -float(eigs.min()), 0.0, passed,
-                   digest=digest_inputs(xm, q.mat), details={"min_eig_diff": float(eigs.min())})
+    xms = np.stack([space_ac.check(x) for x in xs_ac])
+    qs = PsdOperator.stack(np.stack([space_ac.check(q) for q in qs_ac]))
+    t1 = space_ac.partial_trace(
+        xms.conj().swapaxes(-1, -2) @ PsdOperator.powers(qs, (-1.0,))[:, 0] @ xms, (1,))
+    xcs = space_ac.partial_trace(xms, (1,))
+    qc_invs = PsdOperator.powers(PsdOperator.marginals(qs, space_ac, (1,)), (-1.0,))[:, 0]
+    diffs, firsts = np.linalg.eigvalsh(hermitize(np.stack([t1 - xcs.conj().swapaxes(-1, -2)
+                                                           @ qc_invs @ xcs, t1])))
+    scales = np.maximum(np.abs(firsts).max(axis=1, initial=0.0), 1e-30).tolist()
+    return [_report("lieb_ruskai", -low, 0.0, low >= -PSD_REPORT_TOL * scale,
+                    digest=digest_inputs(xm, q.mat), details={"min_eig_diff": low})
+            for xm, q, low, scale in zip(xms, qs, diffs.min(axis=1).tolist(), scales)]

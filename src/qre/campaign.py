@@ -20,15 +20,10 @@ instance this way (``equality.draw_*``), the states of every eps included.  A
 block holds at most ``BLOCK_BYTES`` of state matrices, so memory stays flat at
 large dims.
 
-Each family's check then takes the whole block (``check_block``).  The
-monotonicity trio, joint convexity, WYD joint concavity, the operator-SSA and
-WYD-operator families and the three equality sweeps run it as one stacked
-kernel (``bounds.verify_*_block``, ``equality.equality_*_block``); ``ssa``,
-``cauchy_schwarz``, ``pinsker``, ``classical_reduction``, ``lieb_ruskai`` and
-``wyd_skew`` go through one adapter (``_each``) that checks the block's trials
-one by one and drops each from the block once checked.  When a block's check
-raises a ``QREError``, the trials it has given no outcome for are checked again
-one by one, so a divergent or failing trial stays in its own trial.
+Each family's check then takes the whole block (``check_block``) as one
+stacked kernel (``bounds.*_block``, ``equality.equality_*_block``).  When it
+raises a ``QREError``, the trials it has given no outcome for are checked
+again one by one, so a divergent or failing trial stays in its own trial.
 ``run_single`` checks a trial as a block of its own, and stamps the outcome
 of each trial that a campaign has checked in its block with the trial's seed
 and context, so a campaign line and its replay are the same bytes.
@@ -36,6 +31,7 @@ and context, so a campaign line and its replay are the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 from dataclasses import dataclass, field
@@ -192,21 +188,6 @@ class Family(NamedTuple):
         return self.requires is None or self.requires.holds(f)
 
 
-def _each(check):
-    """A check of one trial's operands, ``check(f, space, beta, *operands)``, over a block.
-
-    The trials are checked one by one as their outcomes are asked for, and a
-    trial leaves the block once checked, so what is memoised on its operands
-    is freed before the next trial is checked.
-    """
-    def check_each(f, space, beta, block):
-        for i, ops in enumerate(block):
-            outcome = check(f, space, beta, *ops)
-            block[i] = None
-            yield outcome
-    return check_each
-
-
 def _operator_ssa(variant):
     return Family(lambda f, space, beta, block:
                   bounds.verify_operator_ssa_block(f, *zip(*block), beta, variant, space),
@@ -227,21 +208,21 @@ FAMILIES: dict[str, Family] = {
     "joint_convexity": Family(
         lambda f, space, beta, block: bounds.verify_joint_convexity_block(f, *zip(*block), beta),
         ("ensemble", "k"), requires=REGULAR_F),
-    "ssa": Family(_each(
-        lambda f, space, beta, rho: bounds.verify_ssa(rho, beta, space)),
+    "ssa": Family(
+        lambda f, space, beta, block: bounds.verify_ssa_block(*zip(*block), beta, space),
         ("rho",), nfactors=3, uses_f=False, mixed_rank=True),
     "operator_ssa_thm62": _operator_ssa("thm62"),
     "operator_ssa_thm63": _operator_ssa("thm63"),
     "operator_ssa_cor64": _operator_ssa("cor64"),
     "operator_ssa_cor65": _operator_ssa("cor65"),
-    "pinsker": Family(_each(
-        lambda f, space, beta, rho, sigma, u: bounds.pinsker_check(f, u, rho, sigma)),
+    "pinsker": Family(
+        lambda f, space, beta, block: bounds.pinsker_block(f, *zip(*block)),
         ("rho", "sigma", "u"), uses_beta=False, mixed_rank=True, requires=NORMALIZED_F),
-    "classical_reduction": Family(_each(
-        lambda f, space, beta, rho, sigma: bounds.verify_classical_reduction(f, rho, sigma)),
+    "classical_reduction": Family(
+        lambda f, space, beta, block: bounds.classical_reduction_block(f, *zip(*block)),
         ("rho", "sigma"), uses_beta=False),
-    "wyd_skew": Family(_each(
-        lambda f, space, beta, rho, h: bounds.verify_wyd_skew(f, rho, h)),
+    "wyd_skew": Family(
+        lambda f, space, beta, block: bounds.wyd_skew_block(f, *zip(*block)),
         ("rho", "h"), uses_beta=False, requires=_f_p_in(0.0, 1.0)),
     "wyd_joint_concavity": Family(
         lambda f, space, beta, block:
@@ -251,11 +232,11 @@ FAMILIES: dict[str, Family] = {
         lambda f, space, beta, block:
         bounds.verify_wyd_operator_block(power_of(f), *zip(*block), beta, space),
         ("rho", "sigma_ab"), nfactors=3, requires=_f_p_in(0.0, 1.0)),
-    "cauchy_schwarz": Family(_each(
-        lambda f, space, beta, rho, sab: bounds.verify_cauchy_schwarz(rho, sab, beta, space)),
+    "cauchy_schwarz": Family(
+        lambda f, space, beta, block: bounds.verify_cauchy_schwarz_block(*zip(*block), beta, space),
         ("rho", "sigma_ab"), nfactors=3, uses_f=False),
-    "lieb_ruskai": Family(_each(
-        lambda f, space, beta, x, q: bounds.lieb_ruskai_check(x, q, space)),
+    "lieb_ruskai": Family(
+        lambda f, space, beta, block: bounds.lieb_ruskai_block(*zip(*block), space),
         ("x", "q"), nfactors=2, uses_f=False, uses_beta=False),
     "equality_monotonicity": Family(
         lambda f, space, beta, block: equality.equality_monotonicity_block(f, space, *zip(*block)),
@@ -472,13 +453,9 @@ class CampaignSummary:
 
 def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) -> CampaignSummary:
     """Run every (inequality, dims, function, beta, trial) combination in fixed order."""
-    out = stream
-    close = False
-    if out is None and config.output_path:
-        out = open(config.output_path, "w")
-        close = True
     summary = CampaignSummary()
-    try:
+    own = stream is None and config.output_path
+    with open(config.output_path, "w") if own else contextlib.nullcontext(stream) as out:
         for ineq in config.inequalities:
             family = FAMILIES[ineq]
             stats = summary.per_inequality.setdefault(
@@ -508,9 +485,6 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
                                     _tally(summary, stats, rep)
                                     if out is not None:
                                         out.write(rep.to_json() + "\n")
-    finally:
-        if close:
-            out.close()
     return summary
 
 

@@ -32,6 +32,7 @@ from .functions import OperatorConvexFunction
 from .linalg import (
     DEGENERACY_TOL,
     PsdOperator,
+    _as_matrices,
     as_matrix,
     assert_hermitian,
     hermitize,
@@ -309,23 +310,22 @@ def wyd_skew_information(p: float, rho, k) -> float:
     return -0.5 * float(np.real(np.trace(c1 @ c2)))
 
 
-def classical_reduction(f: OperatorConvexFunction, rho, sigma):
-    """Two-outcome classical reduction along the Jordan-Hahn projector of rho - sigma.
+def classical_reduction(f: OperatorConvexFunction, rhos, sigmas) -> list:
+    """Two-outcome classical reduction of each pair along the Jordan-Hahn projector of rho - sigma.
 
-    Returns (p, q, classical_div) with ||p - q||_1 = ||rho - sigma||_1 and
-    classical_div = sum_j p_j f(q_j / p_j), a lower bound for S_f(rho||sigma).
+    Returns (p, q, classical_div) per pair, with ||p - q||_1 = ||rho - sigma||_1
+    and classical_div = sum_j p_j f(q_j / p_j), a lower bound for
+    S_f(rho||sigma).  The projectors of all pairs are one stacked ``eigh``.
     """
-    rm = as_matrix(rho)
-    sm = as_matrix(sigma)
-    _, _, proj = jordan_hahn(rm - sm)
-    tr_p = float(np.real(np.trace(proj @ rm)))
-    tr_q = float(np.real(np.trace(proj @ sm)))
-    p = np.array([tr_p, float(np.real(np.trace(rm))) - tr_p])
-    q = np.array([tr_q, float(np.real(np.trace(sm))) - tr_q])
-    div = 0.0
-    for pj, qj in zip(p, q):
-        div += _classical_term(f, pj, qj)
-    return p, q, div
+    rms, sms = _as_matrices(rhos), _as_matrices(sigmas)
+    out = []
+    for rm, sm, proj in zip(rms, sms, jordan_hahn(rms - sms)[2]):
+        tr_p = float(np.real(np.trace(proj @ rm)))
+        tr_q = float(np.real(np.trace(proj @ sm)))
+        p = np.array([tr_p, float(np.real(np.trace(rm))) - tr_p])
+        q = np.array([tr_q, float(np.real(np.trace(sm))) - tr_q])
+        out.append((p, q, sum(_classical_term(f, pj, qj) for pj, qj in zip(p, q))))
+    return out
 
 
 def _classical_term(f, pj, qj):
@@ -347,12 +347,13 @@ def trace_distance_pair(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(p - q).sum())
 
 
-def pinsker_sides(f: OperatorConvexFunction, u, rho, sigma):
-    """(lhs, rhs) of the quadratic lower bound f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U."""
-    um = as_matrix(u)
-    rho = PsdOperator.wrap(rho)
-    sigma = PsdOperator.wrap(sigma)
-    rotated = hermitize(um.conj().T @ sigma.mat @ um)
-    lhs = 0.5 * f.second_at_one * trace_norm(rho.mat - rotated) ** 2
-    rhs = quasi_relative_entropy(f, um, rho, sigma)
-    return lhs, rhs
+def pinsker_sides(f: OperatorConvexFunction, us, rhos, sigmas):
+    """(lhs, rhs) lists of f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U(rho||sigma), pair by pair.
+
+    One kernel call for the right sides, first, and one batched SVD for the trace norms.
+    """
+    ums = _as_matrices(us)
+    rhs = quasi_relative_entropies(f, ums, rhos, sigmas).tolist()
+    rotated = hermitize(ums.conj().swapaxes(-1, -2) @ _as_matrices(sigmas) @ ums)
+    norms = trace_norm(_as_matrices(rhos) - rotated).tolist()
+    return [0.5 * f.second_at_one * n ** 2 for n in norms], rhs

@@ -90,10 +90,10 @@ def assert_hermitian(m) -> np.ndarray:
 
 
 def spectral_decompose(m):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian m."""
-    a = assert_hermitian(m)
-    w, v = np.linalg.eigh(hermitize(a))
-    return w, v
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian m, or of
+    each member of a ``(N, d, d)`` stack (each checked as alone; one ``eigh``)."""
+    a = np.stack([assert_hermitian(x) for x in m]) if np.ndim(m) == 3 else assert_hermitian(m)
+    return np.linalg.eigh(hermitize(a))
 
 
 def default_cutoff(eigs: np.ndarray) -> float:
@@ -113,8 +113,11 @@ def norms(m) -> tuple[float, float, float]:
     return float(s.sum()), float(np.sqrt((s * s).sum())), float(s.max(initial=0.0))
 
 
-def trace_norm(m) -> float:
-    return norms(m)[0]
+def trace_norm(m):
+    """Sum of singular values; for a ``(N, d, d)`` stack, one per matrix (one batched SVD)."""
+    if np.ndim(m) <= 2:
+        return norms(m)[0]
+    return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False).sum(axis=-1)
 
 
 def hs_norm(m) -> float:
@@ -137,14 +140,13 @@ def _kron(a, b) -> np.ndarray:
 
 
 def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split Hermitian m = P - Q with P, Q >= 0, PQ = 0, and the projector onto range(P)."""
+    """Split Hermitian m = P - Q with P, Q >= 0, PQ = 0, and the projector onto range(P).
+
+    Of each member of a ``(N, d, d)`` stack too, with one ``eigh``."""
     w, v = spectral_decompose(m)
-    pos = np.clip(w, 0.0, None)
-    neg = np.clip(-w, 0.0, None)
-    p = hermitize((v * pos) @ v.conj().T)
-    q = hermitize((v * neg) @ v.conj().T)
-    proj = hermitize((v * (w > 0.0).astype(float)) @ v.conj().T)
-    return p, q, proj
+    vh = v.conj().swapaxes(-1, -2)
+    return tuple(hermitize((v * x[..., None, :]) @ vh) for x in
+                 (np.clip(w, 0.0, None), np.clip(-w, 0.0, None), (w > 0.0).astype(float)))
 
 
 class _Layout(NamedTuple):

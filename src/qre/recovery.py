@@ -32,10 +32,12 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
     gm = as_matrix(gamma)
     if gm.shape[0] != space.subspace(keep).dim:
         raise ShapeMismatch("gamma does not match the kept factors")
-    r1m = rho.marginal(space, keep).power(-0.5)
-    core = space.embed(r1m @ gm @ r1m, keep)
-    rhalf = rho.power(0.5)
-    return hermitize(rhalf @ core @ rhalf)
+    return _petz_sandwiches(rho.power(0.5), rho.marginal(space, keep).power(-0.5), gm, space, keep)
+
+
+def _petz_sandwiches(halves, inv_halves, gammas, space: FactorizedSpace, keep) -> np.ndarray:
+    """``petz_recover`` from the powers rho^{1/2} and rho_1^{-1/2}: of one rho or of a stack."""
+    return hermitize(halves @ space.embed(inv_halves @ gammas @ inv_halves, keep) @ halves)
 
 
 def monotonicity_residuals(rhos, sigmas, k1s, space: FactorizedSpace, beta: float, vs):
@@ -66,14 +68,14 @@ def _mixture_residuals(kms, ensembles, beta):
     """(sum_j p_j^{1/2} r_j, (sum_j p_j r_j^2)^{1/2}, sum_j p_j ||rho_j^{-1}||) per ensemble.
 
     r_j = || sigma^b K rho^{-b} rho_j^{1/2} - sigma_j^b K rho_j^{1/2-b} ||_2 over the components
-    of an ensemble (components, rho, sigma) of one size, K = ``kms[i]``; also the stack of
-    sigma^b K rho^{-b} - sigma_j^b K rho_j^{-b}.  Each list of operators is raised once.
+    of an ensemble (components, rho, sigma) of one size, K = ``kms[i]``; also the stacks of
+    sigma^b K rho^{-b} and sigma_j^b K, one per component.  Each list of operators is raised once.
     """
     comps = [c for cs, _, _ in ensembles for c in cs]
     owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
     mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
              @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
-    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta, -beta))
+    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta))
     sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
     norms = np.array([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
     residuals = []
@@ -82,7 +84,7 @@ def _mixture_residuals(kms, ensembles, beta):
         residuals.append((float((np.sqrt(probs) * r).sum()),
                           float(np.sqrt((probs * r ** 2).sum())),
                           float(sum(pj / rj.min_positive_eig() for pj, rj, _ in cs))))
-    return residuals, mixed - sigma_k @ rho_pows[:, 2]
+    return residuals, mixed, sigma_k
 
 
 def equality_condition_residuals(rhos, sigmas, ks, space: FactorizedSpace) -> list[float]:

@@ -16,13 +16,13 @@ from qre import bounds
 from qre.bounds import (
     alpha_exponent,
     monotonicity_gap,
-    pinsker_check,
+    pinsker_block,
     ssa_gap,
-    verify_cauchy_schwarz,
+    verify_cauchy_schwarz_block,
     verify_joint_convexity_block,
     verify_monotonicity_bound_block,
     verify_operator_ssa_block,
-    verify_ssa,
+    verify_ssa_block,
     verify_thm42_block,
     verify_wyd_joint_concavity_block,
     verify_wyd_operator_block,
@@ -202,7 +202,7 @@ def test_criterion_08_ssa_and_operator_ssa():
     assert worst_gap >= -1e-9
     for _ in range(200):
         rho = random_density(8, seed=rng)
-        rep = verify_ssa(rho, 0.5, SPACE3)
+        rep, = verify_ssa_block([rho], 0.5, SPACE3)
         assert rep.passed, rep.details
     for f in (NEG_LOG, F_HALF):
         for variant in ("thm62", "thm63", "cor64", "cor65"):
@@ -251,14 +251,14 @@ def test_criterion_10_pinsker_and_classical_reduction():
         sig = random_density(dim, seed=rng)
         u = random_unitary(dim, seed=rng)
         for f in fns:
-            rep = pinsker_check(f, u, rho, sig)
+            rep, = pinsker_block(f, [rho], [sig], [u])
             assert rep.passed
             worst = min(worst, rep.gap)
     worst_l1 = 0.0
     for _ in range(1000):
         rho = random_density(3, seed=rng)
         sig = random_density(3, seed=rng)
-        p, q, div = classical_reduction(NEG_LOG, rho, sig)
+        (p, q, div), = classical_reduction(NEG_LOG, [rho], [sig])
         worst_l1 = max(worst_l1, abs(trace_distance_pair(p, q)
                                      - trace_norm(rho.mat - sig.mat)))
         assert div <= umegaki(rho, sig) + 1e-9
@@ -286,11 +286,11 @@ def test_criterion_11_wyd_family():
         rho = random_density(8, seed=rng)
         sab = random_density(4, seed=rng)
         assert verify_wyd_operator_block(0.5, [rho], [sab], 0.5, SPACE3)[0].passed
-        assert verify_cauchy_schwarz(rho, sab, 0.5, SPACE3).passed
+        assert verify_cauchy_schwarz_block([rho], [sab], 0.5, SPACE3)[0].passed
     # equality instance triggers the recovery condition
     sab = random_density(4, seed=rng)
     tau = random_density(2, seed=rng)
-    rep = verify_cauchy_schwarz(np.kron(sab.mat, tau.mat), sab, 0.5, SPACE3)
+    rep, = verify_cauchy_schwarz_block([np.kron(sab.mat, tau.mat)], [sab], 0.5, SPACE3)
     report("11 WYD family", rep.details["petz_recovery_residual"] < 1e-8,
            f"worst skew {worst_skew:.3e}, "
            f"CS recovery residual {rep.details['petz_recovery_residual']:.2e}")

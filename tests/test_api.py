@@ -41,13 +41,13 @@ EXPORTS = [
     "equality_condition_residuals", "monotonicity_residuals", "petz_recover",
     "ssa_residuals_P", "ssa_residuals_Q",
     # constants, gaps and checks
-    "BoundConstants", "BoundReport", "alpha_exponent", "constants_for",
-    "equality_suite", "lieb_ruskai_check", "monotonicity_gap", "pinsker_check",
-    "power_family_constants", "ssa_gap", "verify_cauchy_schwarz",
-    "verify_classical_reduction", "verify_joint_convexity_block",
-    "verify_monotonicity_block", "verify_monotonicity_bound_block",
-    "verify_operator_ssa_block", "verify_ssa", "verify_thm42_block",
-    "verify_wyd_joint_concavity_block", "verify_wyd_operator_block", "verify_wyd_skew",
+    "BoundConstants", "BoundReport", "alpha_exponent", "classical_reduction_block",
+    "constants_for", "equality_suite", "lieb_ruskai_block", "monotonicity_gap",
+    "pinsker_block", "power_family_constants", "ssa_gap", "verify_cauchy_schwarz_block",
+    "verify_joint_convexity_block", "verify_monotonicity_block",
+    "verify_monotonicity_bound_block", "verify_operator_ssa_block", "verify_ssa_block",
+    "verify_thm42_block", "verify_wyd_joint_concavity_block", "verify_wyd_operator_block",
+    "wyd_skew_block",
     # campaigns
     "FAMILIES", "CampaignConfig", "run_campaign", "run_single",
 ]

@@ -11,28 +11,28 @@ from qre.bounds import (
     alpha1,
     alpha2,
     alpha_exponent,
+    classical_reduction_block,
     constants_for,
     envelope_constants,
     monotonicity_gap,
     operator_ssa_block_sides,
     optimize_T_scalar,
-    pinsker_check,
+    pinsker_block,
     power_family_constants,
     ssa_gap,
     thm42_terms,
     T_MAX,
     T_MIN,
-    verify_cauchy_schwarz,
-    verify_classical_reduction,
+    verify_cauchy_schwarz_block,
     verify_joint_convexity_block,
     verify_monotonicity_block,
     verify_monotonicity_bound_block,
     verify_operator_ssa_block,
-    verify_ssa,
+    verify_ssa_block,
     verify_thm42_block,
     verify_wyd_joint_concavity_block,
     verify_wyd_operator_block,
-    lieb_ruskai_check,
+    lieb_ruskai_block,
 )
 from qre.equality import equality_suite
 from qre.entropy import von_neumann_entropy
@@ -596,14 +596,14 @@ class TestSSA:
         rho = np.kron(np.kron(random_density(2, seed=17).mat,
                             random_density(2, seed=18).mat),
                      random_density(2, seed=19).mat)
-        rep = verify_ssa(rho, 0.5, SPACE3)
+        rep, = verify_ssa_block([rho], 0.5, SPACE3)
         assert rep.passed
         assert abs(rep.rhs) < 1e-10          # gap
         assert rep.details["residual_hs"] < 1e-10
 
     def test_markov_product_equality(self):
         rho = np.kron(random_density(4, seed=20).mat, random_density(2, seed=21).mat)
-        rep = verify_ssa(rho, 0.5, SPACE3)
+        rep, = verify_ssa_block([rho], 0.5, SPACE3)
         assert rep.passed
         assert abs(rep.rhs) < 1e-10
         assert rep.details["petz_diff_trace"] < 1e-8
@@ -613,7 +613,7 @@ class TestSSA:
         for seed in range(20):
             rng = np.random.default_rng(5000 + seed)
             rho = random_density(8, seed=rng)
-            rep = verify_ssa(rho, beta, SPACE3)
+            rep, = verify_ssa_block([rho], beta, SPACE3)
             assert rep.passed, f"seed {seed}"
             assert rep.details["ssa_gap"] >= -1e-9
 
@@ -696,14 +696,14 @@ class TestCauchySchwarz:
             rng = np.random.default_rng(8000 + seed)
             rho = random_density(8, seed=rng)
             sab = random_density(4, seed=rng)
-            rep = verify_cauchy_schwarz(rho, sab, 0.5, SPACE3)
+            rep, = verify_cauchy_schwarz_block([rho], [sab], 0.5, SPACE3)
             assert rep.passed, f"seed {seed}"
 
     def test_equality_instance_triggers_recovery(self):
         sab = random_density(4, seed=25)
         tau = random_density(2, seed=26)
         rho = np.kron(sab.mat, tau.mat)
-        rep = verify_cauchy_schwarz(rho, sab, 0.5, SPACE3)
+        rep, = verify_cauchy_schwarz_block([rho], [sab], 0.5, SPACE3)
         assert rep.passed
         assert abs(rep.details["min_eig_diff"]) < 1e-10
         assert rep.details["petz_recovery_residual"] < 1e-8
@@ -712,14 +712,14 @@ class TestCauchySchwarz:
         rho = random_density(8, rank=4, seed=27)
         sab = random_density(4, seed=28)
         with pytest.raises(DivergentEntropy):
-            verify_cauchy_schwarz(rho, sab, 0.5, SPACE3)
+            verify_cauchy_schwarz_block([rho], [sab], 0.5, SPACE3)
 
     def test_lieb_ruskai(self):
         for seed in range(10):
             rng = np.random.default_rng(9000 + seed)
             x = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
             q = random_density(6, seed=rng).mat * 6.0
-            rep = lieb_ruskai_check(x, q, FactorizedSpace((2, 3)))
+            rep, = lieb_ruskai_block([x], [q], FactorizedSpace((2, 3)))
             assert rep.passed, f"seed {seed}"
 
 
@@ -729,7 +729,7 @@ class TestPinskerAndClassical:
         sig = random_density(3, seed=30)
         u = random_unitary(3, seed=31)
         for f in (NEG_LOG, make_f_p(0.5), make_f_p(1.5)):
-            rep = pinsker_check(f, u, rho, sig)
+            rep, = pinsker_block(f, [rho], [sig], [u])
             assert rep.passed
 
     def test_divergent_vacuous(self):
@@ -737,12 +737,12 @@ class TestPinskerAndClassical:
         rho = random_density(2, seed=32)
         sig = random_density(2, rank=1, seed=33)
         with pytest.raises(DivergentEntropy):
-            pinsker_check(NEG_LOG, np.eye(2), rho, sig)
+            pinsker_block(NEG_LOG, [rho], [sig], [np.eye(2)])
 
     def test_classical_reduction_report(self):
         rho = random_density(3, seed=34)
         sig = random_density(3, seed=35)
-        rep = verify_classical_reduction(NEG_LOG, rho, sig)
+        rep, = classical_reduction_block(NEG_LOG, [rho], [sig])
         assert rep.passed
         assert rep.details["l1_mismatch"] < 1e-10
 

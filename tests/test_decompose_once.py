@@ -126,23 +126,38 @@ class TestStackedCallCounts:
         # one for the 60 equality differences
         assert got["svd"] == 1 + 2
 
-    @pytest.mark.parametrize("inequality, dims, fid, eigh, svd", [
+    @pytest.mark.parametrize("inequality, dims, fid, eigh, eigvalsh, svd", [
         # the 100 sampled states; their 100 (0,) marginals.  The contractions; the residuals
-        ("equality_monotonicity", (2, 2), "neg_log", 1 + 1, 1 + 1),
+        ("equality_monotonicity", (2, 2), "neg_log", 1 + 1, 0, 1 + 1),
         # two blocks (14 and 6 trials) of 18 sampled states each, one stack a block.
         # The contractions and the residuals of each block
-        ("equality_joint_convexity", (2, 2), "neg_log", 2, 2 * 2),
+        ("equality_joint_convexity", (2, 2), "neg_log", 2, 0, 2 * 2),
         # the 20 rho and the 80 sigma_AB; sigma_B, sigma_AB (x) I_C, sigma_B (x) I_C, rho_BC.
         # The residuals
-        ("equality_operator_ssa", (2, 2, 2), "neg_log", 2 + 4, 1),
+        ("equality_operator_ssa", (2, 2, 2), "neg_log", 2 + 4, 0, 1),
         # the 120 sampled states; the 40 mixtures.  The contractions; the 20 ||K||
-        ("wyd_joint_concavity", (2, 2), "f_p:0.5", 1 + 1, 1 + 1),
+        ("wyd_joint_concavity", (2, 2), "f_p:0.5", 1 + 1, 0, 1 + 1),
+        # the 20 rho; the rho_AB, rho_BC, rho_B and rho_C marginals.  The Petz trace norms
+        # (at beta = 1/2 only)
+        ("ssa", (2, 2, 2), "neg_log", 1 + 4, 0, 1),
+        # the 20 rho and the 20 sigma_AB; sigma_B, sigma_AB (x) I_C, sigma_B (x) I_C, rho_BC.
+        # The differences on C.  The scales of both sides; the recovery residuals
+        ("cauchy_schwarz", (2, 2, 2), "neg_log", 2 + 4, 1, 1 + 1),
+        # the 40 sampled states.  The trace norms (the unitaries are drawn by QR)
+        ("pinsker", (2, 2), "neg_log", 1, 0, 1),
+        # the 40 sampled states; the 20 Jordan-Hahn projectors.  The trace norms
+        ("classical_reduction", (2, 2), "neg_log", 1 + 1, 0, 1),
+        # the 20 Q (not states: trace d); their C marginals.  Both sides' differences and the
+        # first sides, as one stack.  The contractions X
+        ("lieb_ruskai", (2, 2), "neg_log", 1 + 1, 1, 1),
+        # the 20 sampled rho; their powers and the cross-check kernel decompose nothing
+        ("wyd_skew", (2, 2), "f_p:0.5", 1, 0, 0),
     ])
-    def test_cell_decomposition_calls(self, inequality, dims, fid, eigh, svd):
+    def test_cell_decomposition_calls(self, inequality, dims, fid, eigh, eigvalsh, svd):
         config = CampaignConfig(inequalities=(inequality,), functions=(fid,), dims=(dims,),
                                 betas=(0.5,), trials=20, seed=7)
         got = _count(lambda: run_campaign(config, io.StringIO()))
-        assert (got["eigh"], got["eigvalsh"], got["svd"]) == (eigh, 0, svd)
+        assert (got["eigh"], got["eigvalsh"], got["svd"]) == (eigh, eigvalsh, svd)
 
 
 class TestMemoisation:

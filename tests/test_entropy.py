@@ -300,12 +300,12 @@ class TestJpEntropy:
 class TestClassicalReduction:
     def test_equal_states(self):
         rho = random_density(3, seed=37)
-        p, q, div = classical_reduction(NEG_LOG, rho, rho)
+        (p, q, div), = classical_reduction(NEG_LOG, [rho], [rho])
         np.testing.assert_allclose(p, q, atol=1e-12)
         assert abs(div) < 1e-12
 
     def test_diagonal_qubits(self):
-        p, q, _ = classical_reduction(NEG_LOG, DIAG_RHO, DIAG_SIG)
+        (p, q, _), = classical_reduction(NEG_LOG, [DIAG_RHO], [DIAG_SIG])
         # positive part of rho - sigma = diag(-0.25, 0.25) is the second axis
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(q, [0.25, 0.75], atol=1e-12)
@@ -318,7 +318,7 @@ class TestClassicalReduction:
         rng = np.random.default_rng(seed)
         rho = random_density(3, seed=rng)
         sig = random_density(3, seed=rng)
-        p, q, div = classical_reduction(NEG_LOG, rho, sig)
+        (p, q, div), = classical_reduction(NEG_LOG, [rho], [sig])
         assert abs(trace_distance_pair(p, q)
                    - trace_norm(rho.mat - sig.mat)) < 1e-10
         assert div <= umegaki(rho, sig) + 1e-9
@@ -329,11 +329,11 @@ class TestPinskerSides:
         sig = random_density(3, seed=38)
         u = random_unitary(3, seed=39)
         rho = DensityMatrix(hermitize(u.conj().T @ sig.mat @ u))
-        lhs, rhs = pinsker_sides(NEG_LOG, u, rho, sig)
+        (lhs,), (rhs,) = pinsker_sides(NEG_LOG, [u], [rho], [sig])
         assert lhs < 1e-18 and abs(rhs) < 1e-10
 
     def test_diagonal_fixture(self):
-        lhs, rhs = pinsker_sides(NEG_LOG, np.eye(2), DIAG_RHO, DIAG_SIG)
+        (lhs,), (rhs,) = pinsker_sides(NEG_LOG, [np.eye(2)], [DIAG_RHO], [DIAG_SIG])
         assert abs(lhs - 0.125) < 1e-12
         assert abs(rhs - DIAG_VALUE) < 1e-12
 

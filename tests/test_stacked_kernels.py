@@ -837,15 +837,14 @@ class TestOperatorSsaBlock:
         divergent = got.count("divergent=1")
         assert 0 < divergent < 20
 
-    def test_divergent_trial_of_a_per_trial_family_stays_in_its_trial(self):
+    def test_divergent_trial_of_a_raising_small_block_stays_in_its_trial(self):
         # mixed-rank pinsker trials with a rank-deficient sigma diverge for neg_log
-        with mock.patch.object(bounds, "pinsker_check", wraps=bounds.pinsker_check) as check:
+        with mock.patch.object(bounds, "pinsker_block", wraps=bounds.pinsker_block) as check:
             got = _cell_lines("pinsker", (2, 2, 2), "neg_log", 0.5, 20, 7)
         assert got == _replayed_lines("pinsker", (2, 2, 2), "neg_log", 0.5, 20, 7)
         assert 1 < got.count("divergent=1") < 20
-        # the trials after the first divergent one are checked alone, once each;
-        # only that trial is checked twice
-        assert check.call_count == 20 + 1
+        # the block raises before it gives an outcome; then each trial is checked alone, once
+        assert check.call_count == 1 + 20
 
 
 # ----------------------------------------------------------------------------
@@ -1009,6 +1008,78 @@ class TestMonotonicityBlock:
 
 
 # ----------------------------------------------------------------------------
+# ssa and cauchy_schwarz: the block kernel against the one-trial loop
+# ----------------------------------------------------------------------------
+
+def _loop_ssa_report(rho, beta, space):
+    """One state's ssa report, operator by operator, with np.kron (no block)."""
+    rho = _fresh(rho)
+    gap = bounds.ssa_gap(rho, space)
+    rho_ab, rho_bc, rho_b, rho_c = (rho.marginal(space, keep)
+                                    for keep in ((0, 1), (1, 2), (1,), (2,)))
+    term1 = (space.embed(np.kron(rho_b.power(beta), rho_c.power(beta)), (1, 2))
+             @ space.embed(rho_bc.power(-beta), (1, 2)) @ rho.power(0.5))
+    term2 = np.kron(rho_ab.power(beta), rho_c.power(beta)) @ rho.power(0.5 - beta)
+    rnorm = float(np.linalg.norm(term1 - term2))
+    d_norm = rho_ab.max_eig() * rho_c.max_eig() / rho.min_positive_eig()
+    _, n_const, alpha, C, c = bounds.constants_for(bounds.NEG_LOG, beta, 1.0, d_norm)
+    lhs = n_const * rnorm ** (1.0 / alpha)
+    ok = bounds._rel_pass(lhs, gap, bounds.REL_INEQ_TOL) and gap >= -bounds.REPORT_TOL
+    details = {"residual_hs": rnorm, "ssa_gap": gap}
+    if beta == 0.5:
+        recovered = recovery.petz_recover(rho, np.kron(rho_b.mat, rho_c.mat), space, keep=(1, 2))
+        petz_l1 = linalg.trace_norm(recovered - np.kron(rho_ab.mat, rho_c.mat))
+        inv_norm = 1.0 / rho.min_positive_eig()
+        details["petz_diff_trace"] = petz_l1
+        details["petz_quartic_lower"] = (np.pi / 8.0) ** 4 / inv_norm ** 2 * petz_l1 ** 4
+        ok = ok and bounds._rel_pass(details["petz_quartic_lower"], gap, bounds.REL_INEQ_TOL)
+    consts = bounds.BoundConstants(bounds.alpha1(beta), bounds.alpha2(beta), alpha, C, c,
+                                   n_const, n_const ** (-alpha), float("nan"))
+    return bounds._report("ssa", lhs, gap, ok, constants=consts,
+                          digest=bounds.digest_inputs(rho.mat), notes=f"beta={beta:g}",
+                          details=details)
+
+
+def _loop_cauchy_schwarz_report(rho, sab, beta, space):
+    """One pair's cauchy_schwarz report, operator by operator (no block)."""
+    rho, sab = _fresh(rho), _fresh(sab)
+    sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
+    sigma_full = space.embed(sab.mat, (0, 1))
+    t1 = space.partial_trace(sigma_full @ rho.power(-1.0) @ sigma_full, (2,))
+    sb_bc = sub_bc.embed(sab.marginal(sub_ab, (1,)).mat, (0,))
+    t2 = sub_bc.partial_trace(sb_bc @ rho.marginal(space, (1, 2)).power(-1.0) @ sb_bc, (1,))
+    low = float(np.linalg.eigvalsh(hermitize(t1 - t2)).min())
+    scale = max(op_norm(t1), op_norm(t2), 1e-30)
+    resid = ssa_residuals_Q([sab], [rho], space, beta)[0]
+    gram = hermitize(space.partial_trace(resid.conj().T @ resid, (2,)))
+    recovered = recovery.petz_recover(PsdOperator(sigma_full), rho.marginal(space, (1, 2)),
+                                      space, keep=(1, 2))
+    return bounds._report("cauchy_schwarz", -low, 0.0, low >= -bounds.PSD_REPORT_TOL * scale,
+                          digest=bounds.digest_inputs(rho.mat, sab.mat),
+                          notes=f"beta={beta:g};N=0 at p=2",
+                          details={"min_eig_diff": low, "petz_recovery_residual":
+                                   linalg.trace_norm(recovered - rho.mat),
+                                   "gram_trace": float(np.real(np.trace(gram))), "n_const": 0.0})
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_ssa_and_cauchy_schwarz_blocks_are_the_one_trial_loop(dims, beta):
+    space = FactorizedSpace(dims)
+    seeds = [trial_seed(7, "ssa", dims, "neg_log", 0.5, t) for t in range(20)]
+    block, = campaign.sample_blocks(FAMILIES["ssa"], space, seeds, "mixed")
+    assert any(rho.rank() < rho.dim for rho, in block)
+    got = bounds.verify_ssa_block([rho for rho, in block], beta, space)
+    assert ([r.to_json() for r in got]
+            == [_loop_ssa_report(rho, beta, space).to_json() for rho, in block])
+    block, = campaign.sample_blocks(FAMILIES["cauchy_schwarz"], space, seeds)
+    got = bounds.verify_cauchy_schwarz_block(*zip(*block), beta, space)
+    assert ([r.to_json() for r in got]
+            == [_loop_cauchy_schwarz_report(rho, sab, beta, space).to_json()
+                for rho, sab in block])
+
+
+# ----------------------------------------------------------------------------
 # The eps sweeps against their per-eps loops
 # ----------------------------------------------------------------------------
 
@@ -1154,19 +1225,19 @@ def test_raising_block_gives_the_outcomes_of_its_trials_alone(ineq, operand, dim
 # Block sampling: the campaign line is the run_single line
 # ----------------------------------------------------------------------------
 
-def _cell_lines(ineq, dims, fid, beta, trials, seed):
+def _cell_lines(ineq, dims, fid, beta, trials, seed, policy="mixed"):
     config = CampaignConfig(inequalities=(ineq,), functions=(fid,), dims=(dims,),
-                            betas=(beta,), trials=trials, seed=seed, rank_policy="mixed")
+                            betas=(beta,), trials=trials, seed=seed, rank_policy=policy)
     buf = io.StringIO()
     run_campaign(config, stream=buf)
     return buf.getvalue()
 
 
-def _replayed_lines(ineq, dims, fid, beta, trials, seed):
+def _replayed_lines(ineq, dims, fid, beta, trials, seed, policy="mixed"):
     lines = []
     for t in range(trials):
         for rep in run_single(ineq, fid, dims, beta, trial_seed(seed, ineq, dims, fid, beta, t),
-                              "mixed"):
+                              policy):
             lines.append(rep.to_json() + "\n")
     return "".join(lines)
 
@@ -1182,6 +1253,20 @@ def test_campaign_line_is_the_run_single_line(ineq, block_bytes, monkeypatch):
             assert got == _replayed_lines(ineq, dims, fid, 0.25, 3, 17)
             cells += bool(got)
     assert cells >= 1
+
+
+@pytest.mark.parametrize("ineq, dims, policy", [
+    (ineq, dims, policy) for dims, policy in (((2, 2), "full"), ((2, 2, 2), "mixed"))
+    for ineq in sorted(FAMILIES) if FAMILIES[ineq].nfactors in (None, len(dims))])
+def test_block_of_twenty_is_its_trials_replayed_alone(ineq, dims, policy):
+    # every family checks a 20-trial cell as one block, or as the blocks BLOCK_BYTES makes;
+    # at 2x2x2 mixed rank, pinsker at neg_log meets rank-deficient sigmas and its block raises
+    fid = "neg_log" if FAMILIES[ineq].admits(from_id("neg_log")) else "f_p:0.5"
+    got = _cell_lines(ineq, dims, fid, 0.5, 20, 7, policy)
+    assert got == _replayed_lines(ineq, dims, fid, 0.5, 20, 7, policy)
+    assert got.count("\n") >= 20
+    if (ineq, dims) == ("pinsker", (2, 2, 2)):
+        assert 0 < got.count("divergent=1") < 20
 
 
 def test_blocks_keep_to_the_byte_budget():

@@ -474,7 +474,7 @@ def _traced_f_actions(f, lefts, rights, space, keep) -> np.ndarray:
 
     One stacked f-action (``apply_f_modulars``) over the pairs.
     """
-    acted = apply_f_modulars(f, map(ModularOperator, lefts, rights), [r.mat for r in rights])
+    acted = apply_f_modulars(f, lefts, rights, [r.mat for r in rights])
     return hermitize(space.partial_trace(acted, keep))
 
 

@@ -18,9 +18,12 @@ mode of rho, and is skipped, not added, when f'(inf) = 0.
 ``quasi_relative_entropies`` evaluates the formula for a stack of pairs, which
 share one K or take one each from a ``(N, d, d)`` stack, with one set of array
 operations; ``quasi_relative_entropy`` is its one-pair case, and every value
-is bit-identical whatever the stack.  The f(Delta) action is stacked the same
-way, over the same overlap weights (``apply_f_modulars``), and has no
-one-pair form: a single action is a stack of one.
+is bit-identical whatever the stack.  The f(Delta) action
+(``apply_f_modulars``) takes the same operator lists and shares the
+formula's set-up (``_overlap_grid``): one clustering pass over every
+spectrum, the stacked eigenvectors, the overlaps and f on the ratio grid.
+It has no one-pair form: a single action is a stack of one.
+``ModularOperator`` is Delta's definition, its action and its norm.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class ModularOperator:
         if self.sigma.dim != self.rho.dim:
             raise InvalidMatrix("sigma and rho act on different spaces")
 
-    @property
-    def dim(self) -> int:
-        return self.rho.dim
-
     def apply(self, x) -> np.ndarray:
         return self.sigma.mat @ as_matrix(x) @ self.rho.power(-1.0)
 
@@ -106,38 +105,43 @@ class ModularOperator:
             raise DivergentEntropy("rho has empty support above cutoff")
         return float(self.sigma.eigs[-1] / above[0])
 
-    def ratio_grid(self):
-        """(mu_eff, lam_eff, keep_j) with degenerate clusters averaged."""
-        mu, lam = _clustered([self.sigma, self.rho])
-        return mu, lam, lam > self.rho.cutoff
 
-
-def apply_f_modulars(f: OperatorConvexFunction, deltas, xs) -> np.ndarray:
-    """f(Delta_i)(x_i) of each pair, as one ``(N, d, d)`` stack over ``_ratio_weights``.
+def apply_f_modulars(f: OperatorConvexFunction, sigmas, rhos, xs) -> np.ndarray:
+    """f(Delta_{sigma_i,rho_i})(x_i) of each pair, as one ``(N, d, d)`` stack.
 
     Each f(Delta_{sigma,rho}) acts restricted to the support of rho on the
-    right.  The modular operators share their dimension.  Each member is
-    bit-identical to the member alone, and the first member whose f(0+) = +inf
-    meets a weighted zero mode raises what it raises alone.
+    right.  The pairs share their dimension.  Each member is bit-identical to
+    the member alone, and the first member whose f(0+) = +inf meets a weighted
+    zero mode raises what it raises alone.
     """
-    deltas = list(deltas)
-    xm = _stacked([as_matrix(x) for x in xs])
-    if xm.shape[1:] != (deltas[0].dim,) * 2 or len(xm) != len(deltas):
-        raise InvalidMatrix("operand dimension mismatch")
-    grids = [delta.ratio_grid() for delta in deltas]
-    mu, lam, keep = (_stacked(arrays) for arrays in zip(*grids))
-    mu_zero = mu <= np.array([delta.sigma.cutoff for delta in deltas])[:, None]
-    phi = _stacked([delta.sigma.vecs for delta in deltas])
-    psi = _stacked([delta.rho.vecs for delta in deltas])
-    y = phi.conj().swapaxes(-1, -2) @ xm @ psi
-    weight = np.abs(y) ** 2                         # [n, k, j]
-    fmat, diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight.swapaxes(-1, -2))
+    rhos, sigmas, xs = zip(*[_checked_pair(*p) for p in zip(rhos, sigmas, xs, strict=True)])
+    _, _, keep, mu_zero, phi, psi, y, weight, fmat, diverges = _overlap_grid(
+        f, rhos, sigmas, _stacked(xs))
     if diverges.any():
         i = int(np.argmax(diverges))
-        raise SingularArgument(_zero_mode_message(mu_zero[i], keep[i], weight[i])[0])
+        raise SingularArgument(_zero_mode_message(mu_zero[i], keep[i], weight[i].T)[0])
     # in C order, the layout (and so the bits) of the BLAS product below does not depend on fmat's
-    return (phi @ np.multiply(fmat.swapaxes(-1, -2), y, order="C")
-            @ psi.conj().swapaxes(-1, -2))
+    return phi @ np.multiply(fmat.swapaxes(-1, -2), y, order="C") @ psi.conj().swapaxes(-1, -2)
+
+
+def _overlap_grid(f, rhos, sigmas, xm):
+    """What the spectral formula and the f(Delta) action share, over a stack of pairs.
+
+    ``lam`` and ``mu`` are rho's and sigma's clustered spectra, all screened
+    in one ``_clustered`` call; ``keep`` marks lam_j above rho's cutoff and
+    ``mu_zero`` mu_k at most sigma's.  ``y = phi* X psi`` is laid out
+    ``[n, k, j]``, and ``weight = |y|^2`` ``[n, j, k]`` in C order, the layout
+    of ``_ratio_weights``, whose ``(fmat, diverges)`` close the tuple.
+    """
+    clustered = _clustered(rhos + sigmas)
+    lam, mu = _stacked(clustered[:len(rhos)]), _stacked(clustered[len(rhos):])
+    keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
+    mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
+    phi, psi = _stacked([sigma.vecs for sigma in sigmas]), _stacked([rho.vecs for rho in rhos])
+    y = phi.conj().swapaxes(-1, -2) @ xm @ psi
+    weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|X|psi_j>|^2
+    return (lam, mu, keep, mu_zero, phi, psi, y, weight,
+            *_ratio_weights(f, mu, lam, keep, mu_zero, weight))
 
 
 def _ratio_weights(f, mu, lam, keep, mu_zero, weight):
@@ -186,7 +190,7 @@ def _checked_pair(rho, sigma, k):
         raise InvalidMatrix("rho and sigma act on different spaces")
     km = as_matrix(k)
     if km.shape[0] != rho.dim:
-        raise InvalidMatrix("K dimension mismatch")
+        raise InvalidMatrix("operand dimension mismatch")
     return rho, sigma, km
 
 
@@ -230,14 +234,8 @@ def _spectral_formula(f, pairs):
     that weight (``_null_weight``).
     """
     rhos, sigmas, kms = zip(*pairs)
-    clustered = _clustered(rhos + sigmas)
-    lam, mu = _stacked(clustered[:len(rhos)]), _stacked(clustered[len(rhos):])
-    keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
-    mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
-    y = (_stacked([sigma.vecs for sigma in sigmas]).conj().swapaxes(-1, -2) @ _stacked(kms)
-         @ _stacked([rho.vecs for rho in rhos]))
-    weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|K|psi_j>|^2
-    fmat, zero_diverges = _ratio_weights(f, mu, lam, keep, mu_zero, weight)
+    lam, mu, keep, mu_zero, _, _, _, weight, fmat, zero_diverges = _overlap_grid(
+        f, rhos, sigmas, _stacked(kms))
     null_weight = _null_weight(f, mu, keep, mu_zero, weight)
     diverges = zero_diverges
     if null_weight is not None and np.isinf(f.recession):

@@ -7,14 +7,13 @@ is plain numpy; matrices are ``complex128`` ndarrays unless wrapped in
 :class:`PsdOperator` / :class:`DensityMatrix`, which cache one spectral
 decomposition for reuse downstream.
 
-Tensor layouts are compiled once: everything a :class:`FactorizedSpace`
-needs that depends only on its ``dims`` and a keep set (the dimension, the
-normalized keep tuple, the ``subspace``, the einsum operands of
-``partial_trace`` and ``embed``) is computed once per ``dims`` per process and
-shared by every space with equal dims.  The cached identity factors are
-read-only; the arrays ``partial_trace`` and ``embed`` return are always fresh
-and writable, also for a keep set covering every factor (where einsum alone
-would return a view of the input).
+Tensor plans are compiled once: a keep set, normalized to sorted distinct
+integers, keys one cache of plans per ``dims`` per process, shared by every
+space with equal dims; a plan holds the normalized keep tuple, the
+``subspace`` and the einsum operands of ``partial_trace`` and ``embed``.  The
+cached identity factors are read-only; the arrays ``partial_trace`` and
+``embed`` return are always fresh and writable, also for a keep set covering
+every factor (where einsum alone would return a view of the input).
 
 Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
 (and ``DensityMatrix.stack``, by inheritance) decomposes a ``(N, d, d)``
@@ -24,12 +23,12 @@ several operators as one stack, ``generalized_powers`` raises a stack of
 decomposed operators to a grid of exponents (``PsdOperator.power`` is its
 memoised read for one operator and one exponent, ``PsdOperator.powers`` its
 call on a list that memoises each row), ``partial_trace`` and ``embed`` take
-leading stack axes, ``op_norm`` a stack of matrices (one batched SVD) and
-``_kron`` two stacks.  Each stacked result is bit-identical to the one-at-a-time
-result: LAPACK and BLAS run on every member exactly as they would alone,
-every power is raised with a scalar exponent, a partial trace sums each
-member's entries in the order it would alone, and the only other reductions
-are exact maxima.
+leading stack axes, ``op_norm`` and ``trace_norm`` a stack of matrices (one
+batched SVD, the one path for a matrix too) and ``_kron`` two stacks.  Each
+stacked result is bit-identical to the one-at-a-time result: LAPACK and BLAS
+run on every member exactly as they would alone, every power is raised with
+a scalar exponent, a partial trace or a trace norm sums each member's entries
+in the order it would alone, and the only other reductions are exact maxima.
 A campaign samples a block of trials' operands and finishes their spectral
 work this way; a block holds at most a fixed byte budget of state matrices,
 and ``run_single`` still replays any campaign line byte for byte.
@@ -98,26 +97,18 @@ def spectral_decompose(m):
 
 def default_cutoff(eigs: np.ndarray) -> float:
     """Numerical-rank threshold: dim * eps * largest eigenvalue magnitude."""
-    eigs = np.asarray(eigs, dtype=float)
-    top = float(np.abs(eigs).max(initial=0.0))
-    return len(eigs) * EPS * top
+    return len(eigs) * EPS * float(np.abs(eigs).max(initial=0.0))
 
 
-def singular_values(m) -> np.ndarray:
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
-
-
-def norms(m) -> tuple[float, float, float]:
-    """(trace norm, Hilbert-Schmidt norm, operator norm) via singular values."""
-    s = singular_values(m)
-    return float(s.sum()), float(np.sqrt((s * s).sum())), float(s.max(initial=0.0))
+def _singular_values(m) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a ``(..., d, d)`` stack (one SVD)."""
+    a = m.mat if isinstance(m, PsdOperator) else np.asarray(m, dtype=np.complex128)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def trace_norm(m):
-    """Sum of singular values; for a ``(N, d, d)`` stack, one per matrix (one batched SVD)."""
-    if np.ndim(m) <= 2:
-        return norms(m)[0]
-    return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False).sum(axis=-1)
+    """Sum of singular values; for a ``(..., d, d)`` stack, one per matrix (one batched SVD)."""
+    return _singular_values(m).sum(axis=-1)
 
 
 def hs_norm(m) -> float:
@@ -127,10 +118,7 @@ def hs_norm(m) -> float:
 
 def op_norm(m):
     """Largest singular value; for a ``(..., d, d)`` stack, one per matrix (one batched SVD)."""
-    a = m.mat if isinstance(m, PsdOperator) else np.asarray(m, dtype=np.complex128)
-    if a.ndim <= 2:
-        return float(singular_values(a).max(initial=0.0))
-    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+    return _singular_values(m).max(axis=-1, initial=0.0)
 
 
 def _kron(a, b) -> np.ndarray:
@@ -149,54 +137,15 @@ def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                  (np.clip(w, 0.0, None), np.clip(-w, 0.0, None), (w > 0.0).astype(float)))
 
 
-class _Layout(NamedTuple):
-    """What depends on the factor dims alone."""
-
-    dims: tuple[int, ...]
-    dim: int
-    nfactors: int
-    tensor_shape: tuple[int, ...]     # dims + dims: row factors, then column factors
-
-
 class _Plan(NamedTuple):
     """One keep set over one ``dims``, compiled into its einsum operands."""
 
     keep: tuple[int, ...]
     sub: "FactorizedSpace"
     traced: tuple                     # stack axes, then row + col indices; traced factors share one
-    kept: tuple                       # stack axes, then row + col indices of the kept factors
-    embed_in: tuple                   # stack axes, then the kept indices
+    kept: tuple                       # stack axes, then kept row + col indices (embed's input)
     embed_rest: tuple                 # (read-only eye, its indices) per other factor, then out
     whole: bool                       # keeps every factor: einsum returns a view
-
-
-def _checked_dims(dims) -> tuple[int, ...]:
-    try:
-        checked = tuple(operator.index(d) for d in dims)
-    except TypeError:
-        checked = ()
-    if not checked or min(checked) < 1:
-        raise ShapeMismatch(f"factor dims must be positive integers, got {dims}")
-    return checked
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(dims: tuple[int, ...]) -> _Layout:
-    return _Layout(dims, math.prod(dims), len(dims), dims + dims)
-
-
-@functools.lru_cache(maxsize=None)
-def _keep_plan(dims: tuple[int, ...], keep: tuple, types: tuple) -> _Plan:
-    """The plan of ``keep`` as passed; every spelling of a keep set shares one plan.
-
-    ``types`` (the entry types) only keys the cache: (1.0,) == (1,) must not hit
-    the plan of (1,), since keep entries must be integers.
-    """
-    try:
-        checked = {operator.index(k) for k in keep}
-    except TypeError:
-        raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
-    return _compile_plan(dims, tuple(sorted(checked)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,7 +164,6 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
         sub=FactorizedSpace(tuple(dims[k] for k in keep)),
         traced=(...,) + tuple(range(n)) + tuple(i + n if i in keep else i for i in range(n)),
         kept=(...,) + keep + tuple(k + n for k in keep),
-        embed_in=(...,) + keep + tuple(k + n for k in keep),
         embed_rest=tuple(rest) + ((...,) + tuple(range(2 * n)),),
         whole=len(keep) == n,
     )
@@ -225,28 +173,29 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
 class FactorizedSpace:
     """Ordered tensor factorization of a Hilbert space, e.g. (2, 2, 2) for A|B|C.
 
-    The layout and the plan of each keep set are computed once per ``dims``
-    and shared by every space with those dims.
+    The plan of each keep set is compiled once per ``dims`` and shared by
+    every space with those dims.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        layout = _layout(_checked_dims(self.dims))
-        object.__setattr__(self, "dims", layout.dims)
-        object.__setattr__(self, "_layout", layout)   # shared, not a field
-
-    @property
-    def dim(self) -> int:
-        return self._layout.dim
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            dims = ()
+        if not dims or min(dims) < 1:
+            raise ShapeMismatch(f"factor dims must be positive integers, got {self.dims}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))     # not a field
 
     @property
     def nfactors(self) -> int:
-        return self._layout.nfactors
+        return len(self.dims)
 
     def check(self, m) -> np.ndarray:
         a = as_matrix(m)
-        if a.shape[0] != self._layout.dim:
+        if a.shape[0] != self.dim:
             raise ShapeMismatch(f"matrix dim {a.shape[0]} != product of factors {self.dims}")
         return a
 
@@ -256,9 +205,12 @@ class FactorizedSpace:
         return m if isinstance(m, PsdOperator) else PsdOperator(a)
 
     def _plan(self, keep) -> _Plan:
-        if not isinstance(keep, tuple):
-            keep = tuple(keep) if isinstance(keep, Iterable) else (keep,)
-        return _keep_plan(self.dims, keep, tuple(map(type, keep)))
+        """The compiled plan of ``keep``, an index or indices in any order, repeats allowed."""
+        try:
+            keep = {operator.index(k) for k in (keep if isinstance(keep, Iterable) else (keep,))}
+        except TypeError:
+            raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
+        return _compile_plan(self.dims, tuple(sorted(keep)))
 
     def normalize_keep(self, keep) -> tuple[int, ...]:
         return self._plan(keep).keep
@@ -271,7 +223,7 @@ class FactorizedSpace:
         if not (isinstance(m, np.ndarray) and m.ndim > 2):
             return self.check(m)
         a = m.astype(np.complex128, copy=False)
-        if a.shape[-2:] != (self._layout.dim,) * 2:
+        if a.shape[-2:] != (self.dim,) * 2:
             raise ShapeMismatch(f"stack of shape {a.shape} does not act on {self.dims}")
         return a
 
@@ -284,7 +236,7 @@ class FactorizedSpace:
         plan = self._plan(keep)
         a = self._operand(m)
         lead = a.shape[:-2]
-        t = a.reshape(lead + self._layout.tensor_shape)
+        t = a.reshape(lead + self.dims * 2)
         out = np.einsum(t, plan.traced, plan.kept).reshape(lead + (plan.sub.dim,) * 2)
         return out.copy() if plan.whole else out
 
@@ -297,9 +249,8 @@ class FactorizedSpace:
         plan = self._plan(slots)
         a = plan.sub._operand(op)
         lead = a.shape[:-2]
-        t = a.reshape(lead + plan.sub._layout.tensor_shape)
-        dim = self._layout.dim
-        out = np.einsum(t, plan.embed_in, *plan.embed_rest).reshape(lead + (dim, dim))
+        t = a.reshape(lead + plan.sub.dims * 2)
+        out = np.einsum(t, plan.kept, *plan.embed_rest).reshape(lead + (self.dim,) * 2)
         return out.copy() if plan.whole else out
 
 
@@ -581,13 +532,17 @@ def matrix_from_json(obj) -> np.ndarray:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        dim = int(obj["dim"])
+        if isinstance(obj["dim"], bool):       # operator.index takes a bool as 0 or 1
+            raise TypeError(f"dim {obj['dim']} is not an integer")
+        dim = operator.index(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrix(f"malformed matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidMatrix(f"matrix entries have shape {re.shape}, expected ({dim}, {dim})")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InvalidMatrix("matrix has a non-finite (NaN or inf) entry")
     return re + 1j * im
 
 

@@ -138,6 +138,11 @@ def test_every_public_definition_has_a_caller():
     assert unused == [], "public entry points nothing in src/ or scripts/ uses"
 
 
+def test_test_only_list_stays_small():
+    # ROADMAP item 5: TEST_ONLY stays at 4 names or fewer
+    assert len(TEST_ONLY) <= 4
+
+
 def test_test_only_list_is_current():
     # a listed name that is gone, or has gained a caller, leaves the list
     referenced = _referenced_names()

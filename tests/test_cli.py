@@ -249,6 +249,23 @@ class TestFunctionRequirements:
         assert code == EXIT_INPUT
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("inequality, flag, dim", [
+        (inequality, flag, 2) for inequality in ("monotonicity", "thm42", "monotonicity_bound")
+        for flag in ("--k", "--v")] + [("pinsker", "--k", 4)])
+    def test_non_finite_operand_is_input_error(self, fixtures, inequality, flag, dim, bad,
+                                               capsys):
+        # a NaN deviation compares False, so the unitary and contraction checks alone would pass
+        # such a file on, and the check would report a violation (exit 1)
+        m = np.eye(dim, dtype=complex)
+        m[0, 0] = bad
+        save_matrix(fixtures / "bad.json", m)
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2x2",
+                     flag, str(fixtures / "bad.json")])
+        assert code == EXIT_INPUT
+        assert "non-finite" in capsys.readouterr().err
+
     def test_wrong_number_of_factors_is_input_error(self, fixtures):
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho4.json"), "--dims", "2x2"])
         assert code == EXIT_INPUT

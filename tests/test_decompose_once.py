@@ -13,7 +13,7 @@ import pytest
 
 from qre import bounds, entropy
 from qre.campaign import CampaignConfig, run_campaign, run_single
-from qre.entropy import ModularOperator, effective_eigs, quasi_relative_entropy
+from qre.entropy import effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
 from qre.functions import make_neg_log
 from qre.linalg import (
@@ -116,6 +116,14 @@ class TestStackedCallCounts:
             run_single(inequality, "neg_log", dims, 0.25, 5)
         assert kernel.call_count == calls
 
+    def test_operator_ssa_block_screens_each_spectrum_once(self):
+        # one clustering pass a traced term, over every rho and sigma of the 20 trials
+        config = CampaignConfig(inequalities=("operator_ssa_thm62",), dims=((2, 2, 2),),
+                                betas=(0.5,), trials=20, seed=7)
+        with mock.patch.object(entropy, "_clustered", wraps=entropy._clustered) as clustered:
+            run_campaign(config, io.StringIO())
+        assert clustered.call_count == 2
+
     def test_joint_convexity_cell_eigh_calls(self):
         config = CampaignConfig(inequalities=("joint_convexity",), dims=((2, 2),),
                                 betas=(0.5,), trials=20, seed=7)
@@ -196,8 +204,8 @@ class TestMemoisation:
     def test_clustered_spectrum_is_memoised_and_read_only(self):
         rho = PsdOperator(np.diag([0.25, 0.25, 0.5]).astype(complex))
         sigma = random_density(3, seed=6)
-        mu, lam, _ = ModularOperator(sigma, rho).ratio_grid()
-        mu2, lam2, _ = ModularOperator(sigma, rho).ratio_grid()
+        mu, lam = entropy._clustered([sigma, rho])
+        mu2, lam2 = entropy._clustered([sigma, rho])
         assert mu is mu2 and lam is lam2
         assert not lam.flags.writeable
         np.testing.assert_array_equal(lam, effective_eigs(rho.eigs))

@@ -19,7 +19,7 @@ from qre.entropy import (
     von_neumann_entropy,
     wyd_skew_information,
 )
-from qre.errors import DivergentEntropy, SingularArgument
+from qre.errors import DivergentEntropy, InvalidMatrix, SingularArgument
 from qre.functions import OperatorConvexFunction, make_f_p, make_neg_log
 from qre.linalg import (
     DensityMatrix,
@@ -73,9 +73,8 @@ class TestModularOperator:
 class TestApplyFModular:
     def test_equal_maximally_mixed_gives_zero(self):
         rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
-        delta = ModularOperator(rho, rho)
         x = random_hermitian(3, seed=7)
-        out = apply_f_modulars(NEG_LOG, [delta], [x])[0]
+        out = apply_f_modulars(NEG_LOG, [rho], [rho], [x])[0]
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-12)
 
     def test_power_action_equals_matrix_powers(self):
@@ -83,23 +82,27 @@ class TestApplyFModular:
         rho = random_density(4, seed=8)
         sig = random_density(4, seed=9)
         for beta in (0.25, 0.5, 0.75):
-            out = apply_f_modulars(raw_power_function(beta),
-                                   [ModularOperator(sig, rho)], [rho.power(0.5)])[0]
+            out = apply_f_modulars(raw_power_function(beta), [sig], [rho], [rho.power(0.5)])[0]
             expected = sig.power(beta) @ rho.power(0.5 - beta)
             np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_umegaki_integrand_on_commuting_diagonals(self):
-        delta = ModularOperator(DIAG_SIG, DIAG_RHO)
-        out = apply_f_modulars(NEG_LOG, [delta], [DIAG_RHO.power(0.5)])[0]
+        out = apply_f_modulars(NEG_LOG, [DIAG_SIG], [DIAG_RHO], [DIAG_RHO.power(0.5)])[0]
         val = np.trace(DIAG_RHO.power(0.5) @ out).real
         assert abs(val - DIAG_VALUE) < 1e-12
 
     def test_singular_argument(self):
         rho = random_density(2, seed=10)
         sig = PsdOperator(np.diag([1.0, 0.0]).astype(complex))
-        delta = ModularOperator(sig, rho)
         with pytest.raises(SingularArgument):
-            apply_f_modulars(NEG_LOG, [delta], [np.eye(2, dtype=complex)])
+            apply_f_modulars(NEG_LOG, [sig], [rho], [np.eye(2, dtype=complex)])
+
+    def test_dimension_mismatch(self):
+        rho, sig = random_density(2, seed=10), random_density(2, seed=11)
+        with pytest.raises(InvalidMatrix, match="operand dimension"):
+            apply_f_modulars(NEG_LOG, [sig], [rho], [np.eye(3, dtype=complex)])
+        with pytest.raises(InvalidMatrix, match="different spaces"):
+            apply_f_modulars(NEG_LOG, [random_density(3, seed=12)], [rho], [np.eye(2)])
 
 
 class TestSpectralFormula:

@@ -19,7 +19,6 @@ from qre.linalg import (
     jordan_hahn,
     matrix_from_json,
     matrix_to_json,
-    norms,
     op_norm,
     random_contraction,
     random_density,
@@ -284,17 +283,19 @@ class TestFactorDims:
 
 class TestNorms:
     def test_signature_example(self):
-        t, h, o = norms(np.diag([1.0, -1.0]))
+        m = np.diag([1.0, -1.0])
+        t, h, o = trace_norm(m), hs_norm(m), op_norm(m)
         assert (t, o) == (2.0, 1.0)
         assert abs(h - np.sqrt(2)) < 1e-15
 
     def test_zero(self):
-        assert norms(np.zeros((3, 3))) == (0.0, 0.0, 0.0)
+        m = np.zeros((3, 3))
+        assert (trace_norm(m), hs_norm(m), op_norm(m)) == (0.0, 0.0, 0.0)
 
     def test_against_gram_eig_oracle(self):
         m = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
         s_oracle = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
-        t, h, o = norms(m)
+        t, h, o = trace_norm(m), hs_norm(m), op_norm(m)
         assert abs(t - s_oracle.sum()) < 1e-12
         assert abs(h - np.sqrt((s_oracle ** 2).sum())) < 1e-12
         assert abs(o - s_oracle[0]) < 1e-12
@@ -303,7 +304,7 @@ class TestNorms:
     @settings(max_examples=30, deadline=None)
     def test_norm_ordering(self, seed):
         m = random_hermitian(4, seed=seed)
-        t, h, o = norms(m)
+        t, h, o = trace_norm(m), hs_norm(m), op_norm(m)
         assert t >= h - 1e-12 and h >= o - 1e-12
 
 
@@ -393,6 +394,28 @@ class TestJsonFormat:
     def test_real_only(self):
         out = matrix_from_json({"dim": 1, "re": [[2.0]]})
         np.testing.assert_allclose(out, [[2.0]])
+
+    @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2", None])
+    def test_dim_must_be_an_integer(self, dim):
+        # int() would read 2.9 as 2 and true as 1
+        entries = [[1.0]] if dim is True else [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(InvalidMatrix, match="malformed"):
+            matrix_from_json({"dim": dim, "re": entries})
+        with pytest.raises(InvalidMatrix, match="malformed"):
+            matrix_from_json(json.dumps({"dim": dim, "re": entries}))
+
+    def test_numpy_integer_dim_accepted(self):
+        out = matrix_from_json({"dim": np.int64(2), "re": np.eye(2).tolist()})
+        np.testing.assert_array_equal(out, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_entry_rejected(self, bad, part):
+        obj = matrix_to_json(np.eye(2) / 2)
+        obj[part][1][0] = bad
+        for form in (obj, json.dumps(obj)):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                matrix_from_json(form)
 
 
 def test_hermitize_idempotent():

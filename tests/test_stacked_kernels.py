@@ -41,6 +41,7 @@ from qre.linalg import (
     random_state_matrix,
     random_unitary,
     rescale_contractions,
+    trace_norm,
 )
 from qre.recovery import (
     DEFAULT_BETA_GRID,
@@ -213,13 +214,18 @@ class TestStackedPartialTrace:
 
 
 class TestOpNorm:
-    def test_batched_svd_is_bit_equal(self):
+    @pytest.mark.parametrize("norm", [op_norm, trace_norm])
+    def test_batched_svd_is_bit_equal(self, norm):
         rng = np.random.default_rng(4)
         mats = np.stack([random_hermitian(5, seed=rng) + 1j * random_hermitian(5, seed=rng)
                          for _ in range(6)])
-        norms = op_norm(mats)
-        assert [float(x) for x in norms] == [op_norm(m) for m in mats]
-        assert op_norm(mats.reshape(2, 3, 5, 5)).shape == (2, 3)
+        norms = norm(mats)
+        assert [float(x) for x in norms] == [norm(m) for m in mats]
+        assert norm(mats.reshape(2, 3, 5, 5)).shape == (2, 3)
+        for m in mats:
+            alone, (member,) = norm(m), norm(m[None])
+            assert isinstance(alone, float)
+            assert_bits(alone, member)
 
     def test_rescaled_contractions_match_one_at_a_time(self):
         draws = [random_contraction_draw(3, seed=s) for s in range(5)]
@@ -651,11 +657,12 @@ class TestSpectralKernel:
 # Operator-SSA: the f(Delta) action and the block kernel
 # ----------------------------------------------------------------------------
 
-def _loop_f_action(f, delta, x):
-    """The one-pair f(Delta) action with two-dimensional products, as it was before the stack."""
-    mu, lam, keep = delta.ratio_grid()
-    mu_zero = mu <= delta.sigma.cutoff
-    phi, psi = delta.sigma.vecs, delta.rho.vecs
+def _loop_f_action(f, sigma, rho, x):
+    """The one-pair f(Delta_{sigma,rho}) action with two-dimensional products, as it was before
+    the stack; the clustered spectra come from ``effective_eigs`` directly."""
+    mu, lam = effective_eigs(sigma.eigs), effective_eigs(rho.eigs)
+    keep, mu_zero = lam > rho.cutoff, mu <= sigma.cutoff
+    phi, psi = sigma.vecs, rho.vecs
     y = phi.conj().T @ np.asarray(x, dtype=complex) @ psi
     weight = np.abs(y) ** 2
     fmat, diverges = _ratio_weights(f, mu[None], lam[None], keep[None], mu_zero[None],
@@ -675,8 +682,7 @@ def _loop_traced_terms(f, rho, sab, variant, space):
     pairs = ([(full, rho, space, (2,)), (b_bc, rho_bc, sub_bc, (1,))]
              if variant in ("thm62", "cor64") else
              [(rho, full, space, (2,)), (rho_bc, b_bc, sub_bc, (1,))])
-    t1, t2 = (hermitize(sp.partial_trace(_loop_f_action(g, ModularOperator(left, right),
-                                                         right.mat), keep))
+    t1, t2 = (hermitize(sp.partial_trace(_loop_f_action(g, left, right, right.mat), keep))
               for left, right, sp, keep in pairs)
     return t1, t2, g
 
@@ -740,24 +746,29 @@ class TestOperatorSsaBlock:
     def test_f_action_stack_is_the_one_pair_formula(self, fid, d):
         f = from_id(fid)
         pairs = _pairs(d, d)
-        deltas = [ModularOperator(s, r) for r, s in pairs]
-        xs = [r.power(0.5) for r, _ in pairs]
+        rhos, sigmas = zip(*pairs)
+        xs = [r.power(0.5) for r in rhos]
         alone = []
-        for delta, x in zip(deltas, xs):
+        for sigma, rho, x in zip(sigmas, rhos, xs):
             try:
-                alone.append(_loop_f_action(f, delta, x))
+                alone.append(_loop_f_action(f, sigma, rho, x))
             except SingularArgument as exc:
                 alone.append(str(exc))
+
+        def action(members):
+            return apply_f_modulars(f, [sigmas[i] for i in members], [rhos[i] for i in members],
+                                    [xs[i] for i in members])
+
         fine = [i for i, a in enumerate(alone) if not isinstance(a, str)]
-        got = apply_f_modulars(f, [deltas[i] for i in fine], [xs[i] for i in fine])
+        got = action(fine)
         for i, member in zip(fine, got):
             assert_bits(member, alone[i])
-            assert_bits(apply_f_modulars(f, [deltas[i]], [xs[i]])[0], alone[i])
+            assert_bits(action([i])[0], alone[i])
         for i, message in enumerate(alone):
             if isinstance(message, str):
                 members = fine[:1] + [i] + fine[1:]
                 with pytest.raises(SingularArgument) as err:
-                    apply_f_modulars(f, [deltas[j] for j in members], [xs[j] for j in members])
+                    action(members)
                 assert str(err.value) == message
                 assert isinstance(err.value, DivergentEntropy)
 

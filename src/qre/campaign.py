@@ -11,14 +11,13 @@ check, its operands (drawn here through ``SAMPLERS``, loaded by ``qre verify``
 through its loaders) and what the family needs.  A cell whose dims or ``f``
 the family does not admit produces no report.
 
-A cell draws its trials' operands in blocks: each trial still draws from its
-own generator in the listed order, but the spectral work the draws need
-(decomposing the sampled states, the norms that rescale the sampled
-contractions) is done for the whole block in stacked calls, which give the
-same bits as one call per matrix.  An eps sweep's trial draws its whole
-instance this way (``equality.draw_*``), the states of every eps included.  A
-block holds at most ``BLOCK_BYTES`` of state matrices, so memory stays flat at
-large dims.
+A cell draws its trials' operands in blocks: a trial only draws its random
+numbers, from its own generator in the listed order, and the block does their
+arithmetic in stacked calls that give the bits of one call per matrix: the
+Gram products and decompositions of the sampled states (of every eps of a
+sweep's instance, ``equality.draw_*``), the QRs of the Haar unitaries and the
+norms that rescale the contractions.  A block holds at most ``BLOCK_BYTES`` of
+state matrices, so memory stays flat at large dims.
 
 Each family's check then takes the whole block (``check_block``) as one
 stacked kernel (``bounds.*_block``, ``equality.equality_*_block``).  When it
@@ -45,10 +44,11 @@ from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
     DensityMatrix,
     FactorizedSpace,
+    _ginibre,
+    _gram_states,
+    _haar_unitaries,
     random_contraction_draw,
     random_hermitian,
-    random_state_matrix,
-    random_unitary,
     rescale_contractions,
 )
 from .reports import BoundReport
@@ -252,9 +252,9 @@ FAMILIES: dict[str, Family] = {
 
 
 # Bytes of sampled state matrices one block of trials, and one stack of its
-# states, holds: a whole 20-trial cell of a two-state family at d <= 8, three
-# joint-convexity sweeps (18 states each) at d = 8, one trial at d = 64 (whose
-# states are then decomposed one by one).  A block always holds at least one trial.
+# finished draws, holds: a whole 20-trial cell of a two-state family at d <= 8,
+# three joint-convexity sweeps (18 states each) at d = 8, one trial at d = 64
+# (whose draws are then finished one by one).  A block holds at least one trial.
 BLOCK_BYTES = 64 * 1024
 
 
@@ -262,6 +262,29 @@ class _State(NamedTuple):
     """A sampled state matrix, decomposed with the other states of its block."""
 
     mat: np.ndarray
+    dim = property(lambda self: len(self.mat))
+    finish = staticmethod(lambda draws: _stacked(DensityMatrix.stack, [d.mat for d in draws]))
+
+
+class _Gram(NamedTuple):
+    """The Ginibre matrix ``g`` of a sampled state g g*/Tr(g g*), finished into a _State (or,
+    given ``times``, into the matrix times that factor)."""
+
+    g: np.ndarray
+    times: int | None = None
+    dim = property(lambda self: len(self.g))
+
+    @staticmethod
+    def finish(draws):
+        mats = _stacked(_gram_states, [d.g for d in draws])
+        return [_State(m) if d.times is None else m * d.times for m, d in zip(mats, draws)]
+
+
+class _Haar(NamedTuple):
+    """The Gaussian matrix ``z`` of a sampled Haar unitary, made unitary with its block."""
+
+    z: np.ndarray
+    finish = staticmethod(lambda draws: _stacked(_haar_unitaries, [d.z for d in draws]))
 
 
 class _Contraction(NamedTuple):
@@ -271,19 +294,15 @@ class _Contraction(NamedTuple):
     norm: float
     factor: float = 1.0
 
+    @staticmethod
+    def finish(draws):
+        return [k if d.factor == 1.0 else k * d.factor
+                for k, d in zip(rescale_contractions((d.mat, d.norm) for d in draws), draws)]
+
 
 def _sample_state(rng, space, policy):
-    if policy == "mixed" and space.dim > 1 and rng.random() < 0.2:
-        return _State(random_state_matrix(space.dim, rank=int(rng.integers(1, space.dim)),
-                                          seed=rng))
-    return _State(random_state_matrix(space.dim, seed=rng))
-
-
-def _sample_ensemble(rng, space, policy):
-    """Three weighted [p_j, rho_j, sigma_j] components."""
-    probs = rng.dirichlet(np.ones(3))
-    return [[float(p), _State(random_state_matrix(space.dim, seed=rng)),
-             _State(random_state_matrix(space.dim, seed=rng))] for p in probs]
+    mixed = policy == "mixed" and space.dim > 1 and rng.random() < 0.2
+    return _Gram(_ginibre(rng, space.dim, int(rng.integers(1, space.dim)) if mixed else None))
 
 
 def _sweep(draw):
@@ -292,20 +311,21 @@ def _sweep(draw):
         rng, space, _State, lambda dim, rng: _Contraction(*random_contraction_draw(dim, rng)))
 
 
-# operand name -> sampler(rng, space, policy)
+# operand name -> sampler(rng, space, policy); an ensemble is three weighted [p_j, rho_j, sigma_j]
 SAMPLERS = {
     "rho": _sample_state,
     "sigma": _sample_state,
-    "sigma_ab": lambda rng, space, policy:
-        _State(random_state_matrix(space.subspace((0, 1)).dim, seed=rng)),
+    "sigma_ab": lambda rng, space, policy: _Gram(_ginibre(rng, space.subspace((0, 1)).dim)),
     "k1": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dims[0], rng)),
-    "v": lambda rng, space, policy: random_unitary(space.dims[1], seed=rng),
-    "u": lambda rng, space, policy: random_unitary(space.dim, seed=rng),
+    "v": lambda rng, space, policy: _Haar(_ginibre(rng, space.dims[1])),
+    "u": lambda rng, space, policy: _Haar(_ginibre(rng, space.dim)),
     "k": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng)),
     "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
-    "ensemble": _sample_ensemble,
+    "ensemble": lambda rng, space, policy: [
+        [float(p), _Gram(_ginibre(rng, space.dim)), _Gram(_ginibre(rng, space.dim))]
+        for p in rng.dirichlet(np.ones(3))],
     "x": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng), 2.0),
-    "q": lambda rng, space, policy: random_state_matrix(space.dim, seed=rng) * space.dim,
+    "q": lambda rng, space, policy: _Gram(_ginibre(rng, space.dim), space.dim),
     "monotonicity_sweep": _sweep(equality.draw_monotonicity),
     "joint_convexity_sweep": _sweep(equality.draw_joint_convexity),
     "operator_ssa_sweep": _sweep(equality.draw_operator_ssa),
@@ -313,60 +333,59 @@ SAMPLERS = {
 
 
 def _deferred(container):
-    """(container, index) of every draw in ``container`` whose spectral work is pending."""
+    """(container, index) of every draw in ``container`` whose arithmetic is pending."""
     for i, x in enumerate(container):
-        if isinstance(x, (_State, _Contraction)):
+        if isinstance(x, (_State, _Gram, _Haar, _Contraction)):
             yield container, i
         elif isinstance(x, list):
             yield from _deferred(x)
 
 
-def _finish(block):
-    """Complete the pending draws of a block of trials' operands in place.
+def _stacked(finish, arrays):
+    """``finish`` of the stack of ``arrays`` in stacks of at most BLOCK_BYTES of square results."""
+    n = max(1, BLOCK_BYTES // (16 * len(arrays[0]) ** 2))
+    return [x for j in range(0, len(arrays), n) for x in finish(np.stack(arrays[j:j + n]))]
 
-    States of one dimension are decomposed with ``DensityMatrix.stack``, in
-    stacks of at most BLOCK_BYTES (one state alone if it is larger: a trial at
-    d = 64 decomposes its states one by one, with the temporaries of one), and
-    contractions of one shape are rescaled with one batched SVD.
+
+def _finish(slots):
+    """Complete the pending draws at ``slots``, the (container, index) pairs of a block, in place.
+
+    Each kind's ``finish`` takes its draws of one shape, in stacks of at most BLOCK_BYTES (a
+    trial at d = 64 finishes its states one by one).  Grams go first: they become states.
     """
-    groups: dict = {}
-    for c, i in (slot for operands in block for slot in _deferred(operands)):
-        groups.setdefault((type(c[i]), c[i].mat.shape), []).append((c, i))
-    for (kind, _), slots in groups.items():
-        draws = [c[i] for c, i in slots]
-        if kind is _State:
-            per_stack = max(1, BLOCK_BYTES // draws[0].mat.nbytes)
-            done = [state for j in range(0, len(draws), per_stack)
-                    for state in DensityMatrix.stack([d.mat for d in draws[j:j + per_stack]])]
-        else:
-            done = [k if d.factor == 1.0 else k * d.factor for k, d in
-                    zip(rescale_contractions((d.mat, d.norm) for d in draws), draws)]
-        for (c, i), value in zip(slots, done):
-            c[i] = value
+    for kinds in ((_Gram,), (_State, _Haar, _Contraction)):
+        groups: dict = {}
+        for c, i in slots:
+            if type(c[i]) in kinds:
+                groups.setdefault((type(c[i]), c[i][0].shape), []).append((c, i))
+        for (kind, _), group in groups.items():
+            for (c, i), value in zip(group, kind.finish([c[i] for c, i in group])):
+                c[i] = value
 
 
 def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: str = "full"):
     """Blocks of the seeds' operands (each seed a seed or a generator), drawn in order.
 
-    A block holds at most BLOCK_BYTES of sampled states, and at least one
-    trial; every trial of a cell draws states of the same shapes, so a block
-    closes when the next trial would not fit.  Its spectral work is finished
-    before it is yielded, and it is dropped here when the next block is asked
-    for.  Rank is full unless the family honours mixed.
+    A trial only draws its random numbers, from its own generator; the block
+    does their arithmetic (``_finish``).  A block holds at most BLOCK_BYTES of
+    sampled states, and at least one trial; every trial of a cell draws states
+    of the same shapes, so a block closes when the next trial would not fit.
+    It is finished before it is yielded, and dropped here when the next block
+    is asked for.  Rank is full unless the family honours mixed.
     """
     policy = rank_policy if family.mixed_rank else "full"
     seeds = list(seeds)
-    block, size = [], 0
+    block, slots = [], []
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         block.append([SAMPLERS[name](rng, space, policy) for name in family.operands])
-        nbytes = sum(c[i].mat.nbytes for c, i in _deferred(block[-1])
-                     if isinstance(c[i], _State))
-        size += nbytes
-        if size + nbytes > BLOCK_BYTES or k == len(seeds) - 1:
-            _finish(block)
+        pending = list(_deferred(block[-1]))
+        slots += pending
+        nbytes = sum(16 * c[i].dim ** 2 for c, i in pending if isinstance(c[i], (_State, _Gram)))
+        if (len(block) + 1) * nbytes > BLOCK_BYTES or k == len(seeds) - 1:
+            _finish(slots)
             yield block
-            block, size = [], 0
+            block, slots = [], []
 
 
 def check_block(family: Family, f, space: FactorizedSpace, beta: float, block):

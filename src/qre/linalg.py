@@ -29,9 +29,9 @@ stacked result is bit-identical to the one-at-a-time result: LAPACK and BLAS
 run on every member exactly as they would alone, every power is raised with
 a scalar exponent, a partial trace or a trace norm sums each member's entries
 in the order it would alone, and the only other reductions are exact maxima.
-A campaign samples a block of trials' operands and finishes their spectral
-work this way; a block holds at most a fixed byte budget of state matrices,
-and ``run_single`` still replays any campaign line byte for byte.
+A campaign finishes a block of trials' draws this way, their Gram products
+(``_gram_states``) and Haar QRs (``_haar_unitaries``) included, and
+``run_single`` still replays any campaign line byte for byte.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def spectral_decompose(m):
     return np.linalg.eigh(hermitize(a))
 
 
-def default_cutoff(eigs: np.ndarray) -> float:
-    """Numerical-rank threshold: dim * eps * largest eigenvalue magnitude."""
-    return len(eigs) * EPS * float(np.abs(eigs).max(initial=0.0))
+def default_cutoff(eigs: np.ndarray):
+    """Numerical-rank threshold d * eps * max |eigenvalue|; of each spectrum of a stack, a list."""
+    return (eigs.shape[-1] * EPS * np.abs(eigs).max(axis=-1, initial=0.0)).tolist()
 
 
 def _singular_values(m) -> np.ndarray:
@@ -272,14 +272,10 @@ class PsdOperator:
     def __init__(self, mat):
         a = as_matrix(mat)
         w, v = _checked_spectra(a[None], self._STATE)   # the stacked constructor, stack of one
-        self._adopt(a, w[0], v[0])
+        self._adopt(a, w[0], v[0], default_cutoff(w[0]))
 
-    def _adopt(self, a, w, v):
-        self.mat = a
-        self.eigs = w
-        self.vecs = v
-        self.cutoff = default_cutoff(w)
-        self._memo = {}
+    def _adopt(self, a, w, v, cutoff):
+        self.mat, self.eigs, self.vecs, self.cutoff, self._memo = a, w, v, cutoff, {}
 
     def memo(self, key, build):
         """``build()`` on the first call with ``key``, the stored result after."""
@@ -323,9 +319,9 @@ class PsdOperator:
         w, v = _checked_spectra(a, cls._STATE)
         own = (lambda x: x) if len(a) == 1 else np.copy
         ops = []
-        for i in range(len(a)):
+        for i, cutoff in enumerate(default_cutoff(w)):
             op = cls.__new__(cls)
-            op._adopt(own(a[i]), own(w[i]), own(v[i]))
+            op._adopt(own(a[i]), own(w[i]), own(v[i]), cutoff)
             ops.append(op)
         return ops
 
@@ -470,8 +466,16 @@ def _checked_spectra(a, state: bool):
 # Seeded random ensembles
 # ----------------------------------------------------------------------------
 
-def _ginibre(rng, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(rng, rows: int, cols: int | None = None) -> np.ndarray:
+    """Complex Gaussian matrix, square by default; real parts drawn first, then imaginary."""
+    z = rng.standard_normal((2, rows, rows if cols is None else cols))
+    return z[0] + 1j * z[1]
+
+
+def _gram_states(g) -> np.ndarray:
+    """``hermitize(m / Tr m)``, ``m = g g*``, of each Ginibre matrix g of a ``(N, d, r)`` stack."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
 
 
 def random_state_matrix(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
@@ -479,9 +483,7 @@ def random_state_matrix(dim: int, rank: int | None = None, seed=None) -> np.ndar
     rank = dim if rank is None else int(rank)
     if rank < 1 or rank > dim:
         raise InvalidRank(f"rank {rank} outside [1, {dim}]")
-    g = _ginibre(np.random.default_rng(seed), dim, rank)
-    m = g @ g.conj().T
-    return hermitize(m / np.trace(m).real)
+    return _gram_states(_ginibre(np.random.default_rng(seed), dim, rank)[None])[0]
 
 
 def random_density(dim: int, rank: int | None = None, seed=None) -> DensityMatrix:
@@ -489,18 +491,22 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> DensityMatri
     return DensityMatrix(random_state_matrix(dim, rank, seed))
 
 
+def _haar_unitaries(z) -> np.ndarray:
+    """The Haar unitary of each Gaussian matrix of a ``(N, d, d)`` stack, by one stacked QR."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def random_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar unitary via QR of a Gaussian matrix with the R-diagonal phase fix."""
-    q, r = np.linalg.qr(_ginibre(np.random.default_rng(seed), dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(_ginibre(np.random.default_rng(seed), dim)[None])[0]
 
 
 def random_contraction_draw(dim: int, seed=None) -> tuple[np.ndarray, float]:
     """The Gaussian matrix and target norm of ``random_contraction``, not yet rescaled."""
     rng = np.random.default_rng(seed)
-    g = _ginibre(rng, dim, dim)
-    return g, rng.uniform(0.5, 1.0)
+    return _ginibre(rng, dim), rng.uniform(0.5, 1.0)
 
 
 def rescale_contractions(draws) -> list[np.ndarray]:
@@ -516,7 +522,7 @@ def random_contraction(dim: int, seed=None) -> np.ndarray:
 
 
 def random_hermitian(dim: int, seed=None) -> np.ndarray:
-    return hermitize(_ginibre(np.random.default_rng(seed), dim, dim))
+    return hermitize(_ginibre(np.random.default_rng(seed), dim))
 
 
 # ----------------------------------------------------------------------------

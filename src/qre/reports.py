@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +24,9 @@ class BoundConstants:
     T_star: float
     boundary: bool = False   # no interior T*: gap <= 0 (T_MAX) or T* clipped to T_MIN
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        return {k: (v if isinstance(v, bool) else float(v)) for k, v in d.items()}
+    def as_dict(self) -> dict:     # every field is a scalar: no deep copy as ``asdict`` makes
+        return {f.name: (v if isinstance(v := getattr(self, f.name), bool) else float(v))
+                for f in fields(self)}
 
 
 @dataclass

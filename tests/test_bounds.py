@@ -1,5 +1,7 @@
 """Remainder-bound constants, both-sides evaluations, operator inequalities."""
 
+import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -38,6 +40,7 @@ from qre.equality import equality_suite
 from qre.entropy import von_neumann_entropy
 from qre.errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
 from qre.campaign import run_single
+from qre.reports import BoundConstants
 from qre.functions import from_id, make_f_p, make_neg_log, make_neg_power
 from qre.linalg import (
     FactorizedSpace,
@@ -421,6 +424,18 @@ class TestThm42AndPowerLaw:
         assert rep.constants.alpha == pytest.approx(0.25)
         assert rep.constants.T_star > 1.0
         assert "petz_diff_trace" in rep.details
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_constants_as_dict_is_the_asdict_mapping(self, boundary):
+        consts = BoundConstants(np.float64(0.25), 0.5, np.float64(0.125), 2, 0.75,
+                                np.float64(1e-3), 4.0, float("nan"), boundary=boundary)
+        want = {k: (v if isinstance(v, bool) else float(v))
+                for k, v in dataclasses.asdict(consts).items()}
+        got = consts.as_dict()
+        assert list(got) == list(want)
+        assert [type(v) for v in got.values()] == [float] * 8 + [bool]
+        assert got["boundary"] is boundary
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_quartic_special_case(self):
         for seed in range(20):

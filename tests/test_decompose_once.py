@@ -4,6 +4,7 @@ Counts are taken with ``unittest.mock`` wrappers around ``numpy.linalg`` on
 freshly sampled states, so they cover the whole call, marginals included.
 """
 
+import contextlib
 import hashlib
 import io
 from unittest import mock
@@ -11,13 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds, entropy
+from qre import bounds, campaign, entropy
 from qre.campaign import CampaignConfig, run_campaign, run_single
 from qre.entropy import effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
 from qre.functions import make_neg_log
 from qre.linalg import (
     DEGENERACY_TOL,
+    DensityMatrix,
     FactorizedSpace,
     PsdOperator,
     _spectra,
@@ -166,6 +168,51 @@ class TestStackedCallCounts:
                                 betas=(0.5,), trials=20, seed=7)
         got = _count(lambda: run_campaign(config, io.StringIO()))
         assert (got["eigh"], got["eigvalsh"], got["svd"]) == (eigh, eigvalsh, svd)
+
+
+class TestSamplingCalls:
+    """A campaign draw is only its random numbers: its block does the Gram products, the Haar
+    QRs and the decompositions, in stacks of at most ``BLOCK_BYTES``."""
+
+    def test_monotonicity_cell_takes_one_qr(self):
+        config = CampaignConfig(inequalities=("monotonicity",), dims=((2, 2),), trials=20, seed=7)
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            run_campaign(config, io.StringIO())
+        assert qr.call_count == 1         # the 20 unitaries V as one stack
+
+    @pytest.mark.parametrize("name", sorted(campaign.SAMPLERS))
+    def test_a_draw_calls_no_linalg(self, name):
+        space = FactorizedSpace((2, 2) if name == "monotonicity_sweep" else (2, 2, 2))
+        linalg_calls = [call for call in dir(np.linalg) if not call.startswith("_")
+                        and callable(getattr(np.linalg, call))
+                        and not isinstance(getattr(np.linalg, call), type)]
+        assert {"eigh", "qr", "svd", "norm"} <= set(linalg_calls)
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(np.linalg, call,
+                                                           wraps=getattr(np.linalg, call)))
+                     for call in linalg_calls]
+            for seed in range(5):
+                campaign.SAMPLERS[name](np.random.default_rng(seed), space, "mixed")
+        assert sum(spy.call_count for spy in spies) == 0
+
+    def test_each_state_at_d_64_is_finished_alone(self):
+        grams, decomposed = [], []
+        real_grams, real_stack = campaign._gram_states, DensityMatrix.stack
+
+        def gram_spy(g):
+            grams.append(g.shape)
+            return real_grams(g)
+
+        def stack_spy(mats):
+            decomposed.append(np.shape(mats))
+            return real_stack(mats)
+
+        config = CampaignConfig(inequalities=("monotonicity",), dims=((8, 8),), trials=3, seed=7)
+        with mock.patch.object(campaign, "_gram_states", gram_spy), \
+                mock.patch.object(DensityMatrix, "stack", stack_spy):
+            run_campaign(config, io.StringIO())
+        # rho and sigma of each of the 3 trials, one Gram stack and one decomposition each
+        assert grams == decomposed == [(1, 64, 64)] * 6
 
 
 class TestMemoisation:

@@ -1206,12 +1206,12 @@ def _rank_deficient_sometimes(sampler, replace):
 
 
 def _rank_one_sweep(instance, state):
-    instance[2] = [state(s.mat.shape[0]) for s in instance[2]]
+    instance[2] = [state(s.dim) for s in instance[2]]
 
 
 def _rank_one_rho_j(ensemble, state):
     for component in ensemble:
-        component[1] = state(component[1].mat.shape[0])
+        component[1] = state(component[1].dim)
 
 
 @pytest.mark.parametrize("ineq, operand, dims, fid, replace", [
@@ -1299,6 +1299,93 @@ def test_blocks_keep_to_the_byte_budget():
         sizes.clear()
         _cell_lines("monotonicity", (8, 8), "neg_log", 0.5, 3, 3)
         assert sizes == [16 * 64 * 64] * 6          # one state per stack at d = 64
+
+
+def _state_replay(rng, space, policy):
+    dim = space.dim
+    if policy == "mixed" and dim > 1 and rng.random() < 0.2:
+        return DensityMatrix(random_state_matrix(dim, rank=int(rng.integers(1, dim)), seed=rng))
+    return DensityMatrix(random_state_matrix(dim, seed=rng))
+
+
+def _sweep_replay(draw):
+    return lambda rng, space, policy: draw(rng, space, DensityMatrix, random_contraction)
+
+
+# operand name -> its draw made one call at a time through the public samplers
+PER_CALL_DRAWS = {
+    "rho": _state_replay,
+    "sigma": _state_replay,
+    "sigma_ab": lambda rng, space, policy:
+        DensityMatrix(random_state_matrix(space.subspace((0, 1)).dim, seed=rng)),
+    "k1": lambda rng, space, policy: random_contraction(space.dims[0], seed=rng),
+    "v": lambda rng, space, policy: random_unitary(space.dims[1], seed=rng),
+    "u": lambda rng, space, policy: random_unitary(space.dim, seed=rng),
+    "k": lambda rng, space, policy: random_contraction(space.dim, seed=rng),
+    "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
+    "ensemble": lambda rng, space, policy: [
+        [float(p), DensityMatrix(random_state_matrix(space.dim, seed=rng)),
+         DensityMatrix(random_state_matrix(space.dim, seed=rng))]
+        for p in rng.dirichlet(np.ones(3))],
+    "x": lambda rng, space, policy: random_contraction(space.dim, seed=rng) * 2.0,
+    "q": lambda rng, space, policy: random_state_matrix(space.dim, seed=rng) * space.dim,
+    "monotonicity_sweep": _sweep_replay(equality.draw_monotonicity),
+    "joint_convexity_sweep": _sweep_replay(equality.draw_joint_convexity),
+    "operator_ssa_sweep": _sweep_replay(equality.draw_operator_ssa),
+}
+
+# the number of tensor factors a sweep's instance needs
+SWEEP_FACTORS = {"monotonicity_sweep": 2, "operator_ssa_sweep": 3}
+
+
+def _assert_same_draw(got, want):
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_draw(g, w)
+    elif isinstance(want, DensityMatrix):
+        assert type(got) is DensityMatrix
+        for name in ("mat", "eigs", "vecs"):
+            assert_bits(getattr(got, name), getattr(want, name))
+        assert got.cutoff == want.cutoff and type(got.cutoff) is float
+    elif isinstance(want, float):
+        assert got == want and type(got) is float
+    else:
+        assert_bits(got, want)
+
+
+def test_per_call_draws_cover_every_sampler():
+    assert PER_CALL_DRAWS.keys() == campaign.SAMPLERS.keys()
+
+
+@pytest.mark.parametrize("name, dims, policy, trials", [
+    (name, dims, policy, trials)
+    for dims, policy, trials in (((2, 2), "full", 20), ((8, 8), "full", 3),
+                                 ((2, 2, 2), "full", 20), ((2, 2, 2), "mixed", 20))
+    for name in sorted(campaign.SAMPLERS) if SWEEP_FACTORS.get(name, len(dims)) == len(dims)])
+def test_stacked_draws_are_the_draws_made_one_call_at_a_time(name, dims, policy, trials):
+    # a block draws only random numbers per trial, then finishes every Gram product, QR,
+    # rescaling and decomposition in stacks: each operand and each generator's state after
+    # drawing are those of the public samplers called one at a time
+    space = FactorizedSpace(dims)
+    family = campaign.Family(None, (name,), mixed_rank=True)
+    seeds = [trial_seed(7, name, dims, policy, 0.5, t) for t in range(trials)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    drawn = [ops for block in campaign.sample_blocks(family, space, rngs, policy) for ops in block]
+    assert len(drawn) == trials
+    for seed, rng, (got,) in zip(seeds, rngs, drawn):
+        replay = np.random.default_rng(seed)
+        _assert_same_draw(got, PER_CALL_DRAWS[name](replay, space, policy))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (8, 3), (64, 64)])
+def test_ginibre_is_the_two_call_draw(shape):
+    rng, two_calls = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        want = two_calls.standard_normal(shape) + 1j * two_calls.standard_normal(shape)
+        assert_bits(linalg._ginibre(rng, *shape), want)
+        assert rng.bit_generator.state == two_calls.bit_generator.state
 
 
 def test_block_sampling_draws_what_each_seed_draws():

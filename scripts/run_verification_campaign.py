@@ -15,6 +15,7 @@ import sys
 import time
 
 from qre.campaign import FAMILIES, CampaignConfig, run_campaign
+from qre.errors import InvalidParameter
 
 
 def main() -> int:
@@ -23,20 +24,23 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--output", default="campaign_reports.jsonl")
     ap.add_argument("--rank-policy", choices=("full", "mixed"), default="full")
-    ap.add_argument("--inequalities", nargs="*", default=sorted(FAMILIES),
-                    help="subset of inequality ids (default: all)")
+    ap.add_argument("--inequalities", nargs="+", choices=sorted(FAMILIES),
+                    default=sorted(FAMILIES), help="subset of inequality ids (default: all)")
     args = ap.parse_args()
 
-    config = CampaignConfig(
-        inequalities=tuple(args.inequalities),
-        functions=("neg_log", "f_p:0.5"),
-        dims=((2, 2), (2, 2, 2)),
-        betas=(0.25, 0.5, 0.75),
-        trials=args.trials,
-        seed=args.seed,
-        rank_policy=args.rank_policy,
-        output_path=args.output,
-    )
+    try:    # a bad --trials, a repeated inequality or an empty --output
+        config = CampaignConfig(
+            inequalities=tuple(args.inequalities),
+            functions=("neg_log", "f_p:0.5"),
+            dims=((2, 2), (2, 2, 2)),
+            betas=(0.25, 0.5, 0.75),
+            trials=args.trials,
+            seed=args.seed,
+            rank_policy=args.rank_policy,
+            output_path=args.output,
+        )
+    except InvalidParameter as exc:
+        ap.error(str(exc))
     t0 = time.perf_counter()
     summary = run_campaign(config)
     elapsed = time.perf_counter() - t0

@@ -20,9 +20,10 @@ norms that rescale the contractions.  A block holds at most ``BLOCK_BYTES`` of
 state matrices, so memory stays flat at large dims.
 
 Each family's check then takes the whole block (``check_block``) as one
-stacked kernel (``bounds.*_block``, ``equality.equality_*_block``).  When it
-raises a ``QREError``, the trials it has given no outcome for are checked
-again one by one, so a divergent or failing trial stays in its own trial.
+stacked kernel (``bounds.*_block``, ``equality.equality_*_block``) and returns
+the list of its trials' outcomes, built whole.  When it raises a ``QREError``,
+it has given no outcome, and each trial of a block of several is checked again
+alone, so a divergent or failing trial stays in its own trial.
 ``run_single`` checks a trial as a block of its own, and stamps the outcome
 of each trial that a campaign has checked in its block with the trial's seed
 and context, so a campaign line and its replay are the same bytes.
@@ -72,17 +73,18 @@ class CampaignConfig:
             entries = getattr(self, name)
             if not entries:
                 raise InvalidParameter(f"{name} must list at least one entry")
+            if name == "functions":     # every function id resolves; compared by its name
+                entries = tuple(from_id(fid).name for fid in entries)
             if any(e in entries[:i] for i, e in enumerate(entries)):
                 raise InvalidParameter(f"{name} repeats an entry: {entries}")
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if any(not 0.0 < b < 1.0 for b in self.betas):
             raise InvalidParameter(f"betas must lie in (0,1): {self.betas}")
+        if self.output_path == "":
+            raise InvalidParameter("output path must not be empty")
         _check_names(self.inequalities, self.rank_policy)
-        # every function id and dims entry resolves before a report is written
-        for fid in self.functions:
-            from_id(fid)
-        for dims in self.dims:
+        for dims in self.dims:      # every dims entry resolves before a report is written
             FactorizedSpace(dims)
 
 
@@ -172,8 +174,9 @@ class Family(NamedTuple):
 
     ``check(f, space, beta, block)`` takes a block of trials' operand tuples,
     each drawn (campaign) or loaded (CLI) by name in the order ``operands``
-    lists, and returns an iterable of one outcome per tuple, in order: a
-    report or a list of them.
+    lists, and returns a list of one outcome per tuple, in order: a report or
+    a list of them.  The list is built whole, so a check that raises has given
+    no outcome.
     """
 
     check: Callable
@@ -184,8 +187,11 @@ class Family(NamedTuple):
     mixed_rank: bool = False          # honours rank_policy = "mixed"
     requires: Requirement | None = None
 
-    def admits(self, f: OperatorConvexFunction) -> bool:
-        return self.requires is None or self.requires.holds(f)
+    def admits(self, f: OperatorConvexFunction, dims: tuple[int, ...]) -> bool:
+        """Whether the family checks ``f`` on a space of ``dims``; a cell it does not admit
+        produces no report."""
+        return (self.nfactors in (None, len(dims))
+                and (self.requires is None or self.requires.holds(f)))
 
 
 def _operator_ssa(variant):
@@ -288,16 +294,18 @@ class _Haar(NamedTuple):
 
 
 class _Contraction(NamedTuple):
-    """A sampled contraction mat * (norm / ||mat||) * factor, rescaled with its block."""
+    """A sampled contraction mat * (norm / ||mat||), rescaled with its block."""
 
     mat: np.ndarray
     norm: float
-    factor: float = 1.0
+    finish = staticmethod(rescale_contractions)
 
-    @staticmethod
-    def finish(draws):
-        return [k if d.factor == 1.0 else k * d.factor
-                for k, d in zip(rescale_contractions((d.mat, d.norm) for d in draws), draws)]
+
+def _contraction(dim, rng, times=1.0):
+    """The draw of a contraction whose norm is ``times`` that of ``random_contraction``'s
+    (times 2 is exact, so X = 2K has the bits of K doubled)."""
+    mat, norm = random_contraction_draw(dim, rng)
+    return _Contraction(mat, norm * times)
 
 
 def _sample_state(rng, space, policy):
@@ -307,8 +315,7 @@ def _sample_state(rng, space, policy):
 
 def _sweep(draw):
     """The sampler of an eps sweep's instance: ``draw`` with the block's deferred wrappers."""
-    return lambda rng, space, policy: draw(
-        rng, space, _State, lambda dim, rng: _Contraction(*random_contraction_draw(dim, rng)))
+    return lambda rng, space, policy: draw(rng, space, _State, _contraction)
 
 
 # operand name -> sampler(rng, space, policy); an ensemble is three weighted [p_j, rho_j, sigma_j]
@@ -316,15 +323,15 @@ SAMPLERS = {
     "rho": _sample_state,
     "sigma": _sample_state,
     "sigma_ab": lambda rng, space, policy: _Gram(_ginibre(rng, space.subspace((0, 1)).dim)),
-    "k1": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dims[0], rng)),
+    "k1": lambda rng, space, policy: _contraction(space.dims[0], rng),
     "v": lambda rng, space, policy: _Haar(_ginibre(rng, space.dims[1])),
     "u": lambda rng, space, policy: _Haar(_ginibre(rng, space.dim)),
-    "k": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng)),
+    "k": lambda rng, space, policy: _contraction(space.dim, rng),
     "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
     "ensemble": lambda rng, space, policy: [
         [float(p), _Gram(_ginibre(rng, space.dim)), _Gram(_ginibre(rng, space.dim))]
         for p in rng.dirichlet(np.ones(3))],
-    "x": lambda rng, space, policy: _Contraction(*random_contraction_draw(space.dim, rng), 2.0),
+    "x": lambda rng, space, policy: _contraction(space.dim, rng, 2.0),
     "q": lambda rng, space, policy: _Gram(_ginibre(rng, space.dim), space.dim),
     "monotonicity_sweep": _sweep(equality.draw_monotonicity),
     "joint_convexity_sweep": _sweep(equality.draw_joint_convexity),
@@ -388,26 +395,21 @@ def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: st
             block, slots = [], []
 
 
-def check_block(family: Family, f, space: FactorizedSpace, beta: float, block):
-    """Yield each trial's outcome in order: its report(s), or the DivergentEntropy it raises alone.
+def check_block(family: Family, f, space: FactorizedSpace, beta: float, block) -> list:
+    """Each trial's outcome in order: its report(s), or the DivergentEntropy it raises alone.
 
-    When the family's check raises a QREError, the trials it has given no
-    outcome for are checked again one by one, so the error stays in its own
-    trial; any other error of a trial checked alone propagates.
+    When the family's check of a block of several trials raises a QREError,
+    each trial is checked again alone, so the error stays in its own trial;
+    any other error of a trial checked alone propagates.
     """
-    done = 0
     try:
-        for outcome in family.check(f, space, beta, block):
-            yield outcome
-            done += 1
+        return family.check(f, space, beta, block)
     except QREError as exc:
-        if len(block) - done > 1:
-            for ops in block[done:]:
-                yield from check_block(family, f, space, beta, [ops])
-        elif isinstance(exc, DivergentEntropy):
-            yield exc
-        else:
-            raise
+        if len(block) > 1:
+            return [out for ops in block for out in check_block(family, f, space, beta, [ops])]
+        if isinstance(exc, DivergentEntropy):
+            return [exc]
+        raise
 
 
 def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
@@ -422,20 +424,14 @@ def run_single(inequality: str, fid: str, dims: tuple[int, ...], beta: float,
     """
     if outcome is None:
         _check_names((inequality,), rank_policy)
-        family = FAMILIES[inequality]
-        space = FactorizedSpace(dims)
-        if family.nfactors is not None and space.nfactors != family.nfactors:
-            return []
-        f = from_id(fid)
-        if not family.admits(f):
+        family, space, f = FAMILIES[inequality], FactorizedSpace(dims), from_id(fid)
+        if not family.admits(f, dims):
             return []
         block = next(sample_blocks(family, space, [seed], rank_policy))
         outcome, = check_block(family, f, space, beta, block)
     if isinstance(outcome, DivergentEntropy):
-        rep = bounds._report(inequality, 0.0, 0.0, True,
-                             notes=f"f={fid};divergent=1 ({outcome})")
-        rep.details["divergent"] = 1.0
-        outcome = rep
+        outcome = bounds._report(inequality, 0.0, 0.0, True, details={"divergent": 1.0},
+                                 notes=f"f={fid};divergent=1 ({outcome})")
     reports = [outcome] if isinstance(outcome, BoundReport) else outcome
     for rep in reports:
         rep.seed = seed
@@ -455,14 +451,18 @@ def _with_context(notes, fid, dims, beta):
 
 @dataclass
 class CampaignSummary:
+    """A campaign's counts: each inequality's in ``per_inequality``; the totals are over them."""
+
     trials: int = 0
-    reports: int = 0
-    passes: int = 0
-    failures: int = 0
-    divergent: int = 0
-    worst_margin: float = float("inf")
     per_inequality: dict = field(default_factory=dict)
     failing: list = field(default_factory=list)
+
+    reports = property(lambda self: sum(s["reports"] for s in self.per_inequality.values()))
+    passes = property(lambda self: sum(s["passes"] for s in self.per_inequality.values()))
+    divergent = property(lambda self: sum(s["divergent"] for s in self.per_inequality.values()))
+    failures = property(lambda self: len(self.failing))
+    worst_margin = property(lambda self: min(
+        (s["worst_margin"] for s in self.per_inequality.values()), default=float("inf")))
 
     def line(self) -> str:
         return (f"trials={self.trials} reports={self.reports} passes={self.passes} "
@@ -477,18 +477,15 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
     with open(config.output_path, "w") if own else contextlib.nullcontext(stream) as out:
         for ineq in config.inequalities:
             family = FAMILIES[ineq]
-            stats = summary.per_inequality.setdefault(
-                ineq, {"reports": 0, "passes": 0, "divergent": 0,
-                       "worst_margin": float("inf")})
+            stats = summary.per_inequality[ineq] = {
+                "reports": 0, "passes": 0, "divergent": 0, "worst_margin": float("inf")}
             fids = config.functions if family.uses_f else config.functions[:1]
             betas = config.betas if family.uses_beta else config.betas[:1]
             for dims in config.dims:
-                if family.nfactors is not None and len(dims) != family.nfactors:
-                    continue
                 space = FactorizedSpace(dims)
                 for fid in fids:
                     f = from_id(fid)
-                    if not family.admits(f):
+                    if not family.admits(f, dims):
                         continue
                     for beta in betas:
                         seeds = [trial_seed(config.seed, ineq, dims, fid, beta, t)
@@ -498,29 +495,22 @@ def run_campaign(config: CampaignConfig, stream: io.TextIOBase | None = None) ->
                             for outcome in check_block(family, f, space, beta, block):
                                 reports = run_single(ineq, fid, dims, beta, next(seed_of),
                                                      config.rank_policy, outcome=outcome)
-                                if reports:
-                                    summary.trials += 1
+                                summary.trials += 1
                                 for rep in reports:
-                                    _tally(summary, stats, rep)
+                                    _tally(stats, summary.failing, rep)
                                     if out is not None:
                                         out.write(rep.to_json() + "\n")
     return summary
 
 
-def _tally(summary, stats, rep):
-    summary.reports += 1
+def _tally(stats, failing, rep):
+    """Count ``rep`` once, in its inequality's ``stats``; a failing one is listed in ``failing``."""
     stats["reports"] += 1
     if rep.details.get("divergent"):
-        summary.divergent += 1
         stats["divergent"] += 1
         return
-    margin = rep.gap
-    summary.worst_margin = min(summary.worst_margin, margin)
-    stats["worst_margin"] = min(stats["worst_margin"], margin)
+    stats["worst_margin"] = min(stats["worst_margin"], rep.gap)
     if rep.passed:
-        summary.passes += 1
         stats["passes"] += 1
     else:
-        summary.failures += 1
-        summary.failing.append(
-            f"{rep.inequality_id} seed={rep.seed} notes={rep.notes}")
+        failing.append(f"{rep.inequality_id} seed={rep.seed} notes={rep.notes}")

@@ -149,10 +149,10 @@ def _space_for(args, n, nfactors):
 def _cmd_verify(args) -> int:
     family = FAMILIES[args.inequality]
     f = from_id(args.fid)
-    if not family.admits(f):
-        raise QREError(f"{args.inequality} needs {family.requires.text}, got {f.name}")
     rho = load_matrix(args.rho)
     space = _space_for(args, rho.shape[0], family.nfactors)
+    if not family.admits(f, space.dims):    # its factor count is that of _space_for
+        raise QREError(f"{args.inequality} needs {family.requires.text}, got {f.name}")
     operands = [rho if name == "rho" else LOADERS[name](args, space)
                 for name in family.operands]
     report, = family.check(f, space, args.beta, [operands])
@@ -167,7 +167,7 @@ def _cmd_verify(args) -> int:
 def _cmd_campaign(args) -> int:
     with open(args.config) as fh:
         config = parse_config(fh.read())
-    if args.output:
+    if args.output is not None:
         config = type(config)(**{**config.__dict__, "output_path": args.output})
     summary = run_campaign(config)
     print(summary.line())

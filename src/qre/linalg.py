@@ -79,20 +79,19 @@ def _as_matrices(ms) -> np.ndarray:
 
 
 def assert_hermitian(m) -> np.ndarray:
-    """Return m as ndarray, raising InvalidMatrix unless m = m* within HERMITICITY_TOL."""
+    """Return m as ndarray, raising InvalidMatrix unless m is finite and m = m* (HERMITICITY_TOL)."""
     a = as_matrix(m)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    dev = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if dev > HERMITICITY_TOL * scale:
-        raise InvalidMatrix(f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})")
+    _checked_spectra(a[None], psd=False, decompose=False)
     return a
 
 
 def spectral_decompose(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian m, or of
     each member of a ``(N, d, d)`` stack (each checked as alone; one ``eigh``)."""
-    a = np.stack([assert_hermitian(x) for x in m]) if np.ndim(m) == 3 else assert_hermitian(m)
-    return np.linalg.eigh(hermitize(a))
+    if np.ndim(m) == 3:
+        return _checked_spectra(np.asarray(m, dtype=np.complex128), psd=False)
+    w, v = _checked_spectra(as_matrix(m)[None], psd=False)
+    return w[0], v[0]
 
 
 def default_cutoff(eigs: np.ndarray):
@@ -314,8 +313,6 @@ class PsdOperator:
         their arrays, so each frees its memory apart from the others.
         """
         a = np.asarray(mats, dtype=np.complex128)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
         w, v = _checked_spectra(a, cls._STATE)
         own = (lambda x: x) if len(a) == 1 else np.copy
         ops = []
@@ -411,16 +408,19 @@ class DensityMatrix(PsdOperator):
     _STATE = True
 
 
-def _checked_spectra(a, state: bool):
+def _checked_spectra(a, state: bool = False, psd: bool = True, decompose: bool = True):
     """Eigenvalues and eigenvector columns of a ``(N, d, d)`` stack, after its checks.
 
     Each member is checked as ``PsdOperator`` checks a matrix (finite entries,
-    Hermitian, PSD) and, if ``state``, as ``DensityMatrix`` checks a state
-    (unit trace, orthonormal eigenvectors, spectral reconstruction).  Every
-    reduction is a maximum per member, so each verdict is the member's own;
-    the first failing member raises its first failing check, as constructing
-    one at a time would.
+    Hermitian and, if ``psd``, PSD) and, if ``state``, as ``DensityMatrix``
+    checks a state (unit trace, orthonormal eigenvectors, spectral
+    reconstruction).  Every reduction is a maximum per member, so each verdict
+    is the member's own; the first failing member raises its first failing
+    check, as constructing one at a time would.  Without ``decompose`` (and
+    ``psd``) only the first two checks run, and no ``eigh``.
     """
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidMatrix(f"expected a stack of square matrices, got shape {a.shape}")
     n, d = a.shape[0], a.shape[-1]
 
     def per_member_max(x):
@@ -431,12 +431,16 @@ def _checked_spectra(a, state: bool):
     if not finite.all():            # later checks see zeros in place of a non-finite member
         a = np.where(finite[:, None, None], a, 0.0)
     herm_dev = per_member_max(np.abs(a - a.conj().swapaxes(-1, -2)))
-    if n == 1:      # LAPACK runs on one matrix either way; the 2-D call is the faster at d = 64
+    if not decompose:
+        w = v = None
+    elif n == 1:    # LAPACK runs on one matrix either way; the 2-D call is the faster at d = 64
         w, v = (x[None] for x in np.linalg.eigh(hermitize(a[0])))
     else:
         w, v = np.linalg.eigh(hermitize(a))
-    fails = [~finite, herm_dev > HERMITICITY_TOL * scale,
-             w.min(axis=1, initial=0.0) < -PSD_TOL * np.maximum(per_member_max(np.abs(w)), 1.0)]
+    fails = [~finite, herm_dev > HERMITICITY_TOL * scale]
+    if psd:
+        fails.append(w.min(axis=1, initial=0.0)
+                     < -PSD_TOL * np.maximum(per_member_max(np.abs(w)), 1.0))
     if state:
         tr = w.sum(axis=1)
         vh = v.conj().swapaxes(-1, -2)

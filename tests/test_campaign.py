@@ -108,6 +108,21 @@ class TestConfig:
             parse_config("inequalities = monotonicity\n" * (field != "inequalities")
                          + f"{field} = {text}\n")
 
+    @pytest.mark.parametrize("functions", [("f_p:0.5", "f_p:0.50"), ("f_p:0.5", "f_p:5e-1")])
+    def test_function_spelled_twice_rejected(self, functions):
+        # the repeat check compared strings: "f_p:0.5, f_p:0.50" ran every trial twice
+        with pytest.raises(InvalidParameter, match="functions repeats an entry"):
+            CampaignConfig(inequalities=("pinsker",), functions=functions, trials=2)
+        with pytest.raises(InvalidParameter, match="functions repeats an entry"):
+            parse_config(f"inequalities = pinsker\nfunctions = {', '.join(functions)}\n")
+
+    def test_empty_output_path_rejected(self):
+        # "output =" parsed to "", and the campaign then wrote no file at all
+        with pytest.raises(InvalidParameter, match="output path must not be empty"):
+            CampaignConfig(inequalities=("pinsker",), output_path="")
+        with pytest.raises(InvalidParameter, match="output path must not be empty"):
+            parse_config("inequalities = pinsker\noutput =\n")
+
     @pytest.mark.parametrize("key, first, second", [
         ("inequalities", "ssa", "pinsker"), ("trials", "3", "5"), ("seed", "1", "1"),
         ("output", "a.jsonl", "b.jsonl")])
@@ -215,9 +230,21 @@ class TestRegistry:
                   "neg_power:0.3": set(WINDOW_FAMILIES)}
         for fid, admitted in wanted.items():
             f = from_id(fid)
-            got = {name for name, family in FAMILIES.items()
-                   if family.requires is not None and family.admits(f)}
+            got = {name for name, family in FAMILIES.items() if family.requires is not None
+                   and family.admits(f, (2,) * (family.nfactors or 2))}
             assert got == admitted, fid
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_check_returns_a_list_of_one_outcome_per_trial(self, name):
+        # a check builds its list whole, so a block that raises has given no outcome
+        family = FAMILIES[name]
+        dims = (2,) * (family.nfactors or 2)
+        f = next(f for f in map(from_id, ("neg_log", "f_p:0.5")) if family.admits(f, dims))
+        space = FactorizedSpace(dims)
+        block = next(sample_blocks(family, space, [3, 4]))
+        assert len(block) == 2
+        outcomes = family.check(f, space, 0.5, block)
+        assert isinstance(outcomes, list) and len(outcomes) == 2
 
     @pytest.mark.parametrize("inequality", WINDOW_FAMILIES)
     def test_window_families_skip_irregular_functions(self, inequality):
@@ -270,6 +297,37 @@ class TestMixedRankPolicy:
             if rep["details"].get("divergent"):
                 assert "null mode of rho" in rep["notes"]
         assert summary.divergent == {"monotonicity": 60, "pinsker": 59}[ineq]
+
+    def test_summary_totals_are_those_of_its_inequalities(self, monkeypatch):
+        # divergent pinsker trials at 2x2x2, and one family made to fail a report per block
+        real = FAMILIES["classical_reduction"]
+
+        def failing_check(f, space, beta, block):
+            reports = real.check(f, space, beta, block)
+            reports[0].passed, reports[0].gap = False, -1.0
+            return reports
+
+        monkeypatch.setitem(FAMILIES, "classical_reduction", real._replace(check=failing_check))
+        cfg = CampaignConfig(inequalities=("pinsker", "classical_reduction", "monotonicity"),
+                             functions=("neg_log", "f_p:0.5"), dims=((2, 2), (2, 2, 2)),
+                             trials=20, seed=7, rank_policy="mixed")
+        out = io.StringIO()
+        summary = run_campaign(cfg, stream=out)
+        stats = summary.per_inequality.values()
+        assert summary.divergent > 0 and summary.failures > 0
+        assert summary.failures == len(summary.failing)
+        assert all(line.startswith("classical_reduction ") for line in summary.failing)
+        for key in ("reports", "passes", "divergent"):
+            assert getattr(summary, key) == sum(s[key] for s in stats), key
+        assert summary.worst_margin == min(s["worst_margin"] for s in stats)
+        # and the totals are those of the written lines
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        counted = [r for r in lines if not r["details"].get("divergent")]
+        assert summary.reports == len(lines)
+        assert summary.divergent == len(lines) - len(counted)
+        assert summary.passes == sum(r["passed"] for r in counted)
+        assert summary.failures == sum(not r["passed"] for r in counted)
+        assert summary.worst_margin == min(r["gap"] for r in counted) == -1.0
 
     def test_full_policy_never_divergent(self):
         cfg = CampaignConfig(inequalities=("monotonicity",), functions=("neg_log",),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qre.bounds import envelope_constants
-from qre.campaign import FAMILIES, run_single, sample_blocks
+from qre.campaign import FAMILIES, parse_dims, run_single, sample_blocks
 from qre.cli import EXIT_INPUT, EXIT_PASS, EXIT_VIOLATION, main, verifiable
 from qre.functions import from_id
 from qre.linalg import FactorizedSpace, random_density, random_unitary, save_matrix
@@ -364,9 +364,9 @@ class TestBetaOutsideTheOpenInterval:
     @pytest.mark.parametrize("inequality", BETA_FAMILIES)
     def test_verify_is_input_error(self, fixtures, capsys, inequality, beta):
         family = FAMILIES[inequality]
-        fid = "neg_log" if family.admits(from_id("neg_log")) else "f_p:0.5"
         rho, sigma, dims = (("rho8", "sab", "2x2x2") if family.nfactors == 3
                             else ("rho4", "sigma4", "2x2"))
+        fid = "neg_log" if family.admits(from_id("neg_log"), parse_dims(dims)) else "f_p:0.5"
         code = main(["verify", inequality, "--f", fid, "--beta", beta,
                      "--rho", str(fixtures / f"{rho}.json"),
                      "--sigma", str(fixtures / f"{sigma}.json"), "--dims", dims])
@@ -410,7 +410,8 @@ class TestCampaignCommand:
 
     @pytest.mark.parametrize("line", ["functions = neg_log, bogus", "dims = 2x2, 2x0",
                                       "dims = 2x2, 2x", "functions = neg_log, neg_log",
-                                      "dims = 2x2, 2x2", "betas = 0.5, 0.5"])
+                                      "dims = 2x2, 2x2", "betas = 0.5, 0.5",
+                                      "functions = f_p:0.5, f_p:0.50"])
     def test_bad_config_writes_nothing(self, tmp_path, line):
         cfg = tmp_path / "c.cfg"
         out = tmp_path / "reports.jsonl"
@@ -446,6 +447,22 @@ class TestCampaignCommand:
         cfg.write_text(f"{lines}\noutput = {out}\n")
         assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
         assert "is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_output_path_is_input_error(self, tmp_path, capsys):
+        # an empty path wrote no file, and the campaign still exited 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("inequalities = pinsker\ntrials = 2\noutput =\n")
+        assert main(["campaign", "--config", str(cfg)]) == EXIT_INPUT
+        assert "output path must not be empty" in capsys.readouterr().err
+
+    def test_empty_output_flag_is_input_error(self, tmp_path, capsys):
+        # "--output ''" was dropped, and the config's own path was written instead
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "reports.jsonl"
+        cfg.write_text(f"inequalities = pinsker\ntrials = 2\noutput = {out}\n")
+        assert main(["campaign", "--config", str(cfg), "--output", ""]) == EXIT_INPUT
+        assert "output path must not be empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_is_input_error(self, tmp_path):

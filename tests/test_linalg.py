@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qre.bounds import wyd_skew_block
 from qre.errors import InvalidMatrix, InvalidRank, NotPSD, ShapeMismatch
+from qre.functions import make_f_p
 from qre.linalg import (
     EPS,
     DensityMatrix,
     FactorizedSpace,
     PsdOperator,
+    assert_hermitian,
     hermitize,
     hs_norm,
     jordan_hahn,
@@ -66,6 +69,41 @@ class TestSpectralDecompose:
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidMatrix):
             spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_stack_members_are_the_one_matrix_spectra(self):
+        ms = np.stack([random_hermitian(3, seed=s) for s in range(4)])
+        w, v = spectral_decompose(ms)
+        for m, wi, vi in zip(ms, w, v):
+            w1, v1 = spectral_decompose(m)
+            assert np.array_equal(wi, w1) and np.array_equal(vi, v1)
+
+
+class TestNonFiniteEntries:
+    # a NaN deviation compared False, so a NaN matrix passed as Hermitian: its
+    # spectrum was NaN, and wyd_skew reported a false violation
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_matrix_rejected(self, bad):
+        m = random_hermitian(3, seed=1)
+        m[0, 0] = bad
+        for call in (assert_hermitian, spectral_decompose, jordan_hahn):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                call(m)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_stack_with_one_bad_member_rejected(self, bad):
+        ms = np.stack([random_hermitian(3, seed=s) for s in range(3)])
+        ms[1, 2, 0] = bad
+        for call in (spectral_decompose, jordan_hahn):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                call(ms)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_wyd_skew_rejects_a_non_finite_observable(self, bad):
+        h = random_hermitian(2, seed=2)
+        h[1, 1] = bad
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            wyd_skew_block(make_f_p(0.5), [random_density(2, seed=3)] * 2,
+                           [random_hermitian(2, seed=4), h])
 
 
 class TestMatrixPower:

@@ -34,3 +34,20 @@ def test_profile_rejects_fewer_than_one_trial(tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "--trials: must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--inequalities", "pinsker", "bogus"], "invalid choice: 'bogus'"),
+    (["--inequalities"], "expected at least one argument"),
+    (["--inequalities", "pinsker", "pinsker"], "inequalities repeats an entry"),
+])
+def test_campaign_script_input_error_is_exit_2(tmp_path, args, message):
+    # each ended in a traceback with exit 1, the code of a failing trial
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "run_verification_campaign.py"),
+           "--output", str(tmp_path / "c.jsonl")] + args
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "c.jsonl").exists()

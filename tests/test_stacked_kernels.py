@@ -794,7 +794,7 @@ class TestOperatorSsaBlock:
         space = FactorizedSpace(dims)
         for fid in ("neg_log", "f_p:0.5"):
             f = from_id(fid)
-            if not family.admits(f):
+            if not family.admits(f, dims):
                 continue
             seeds, block = _block(ineq, dims, fid, n)
             got = [r.to_json() for r in family.check(f, space, 0.25, block)]
@@ -1272,7 +1272,7 @@ def test_campaign_line_is_the_run_single_line(ineq, block_bytes, monkeypatch):
 def test_block_of_twenty_is_its_trials_replayed_alone(ineq, dims, policy):
     # every family checks a 20-trial cell as one block, or as the blocks BLOCK_BYTES makes;
     # at 2x2x2 mixed rank, pinsker at neg_log meets rank-deficient sigmas and its block raises
-    fid = "neg_log" if FAMILIES[ineq].admits(from_id("neg_log")) else "f_p:0.5"
+    fid = "neg_log" if FAMILIES[ineq].admits(from_id("neg_log"), dims) else "f_p:0.5"
     got = _cell_lines(ineq, dims, fid, 0.5, 20, 7, policy)
     assert got == _replayed_lines(ineq, dims, fid, 0.5, 20, 7, policy)
     assert got.count("\n") >= 20

@@ -50,7 +50,8 @@ from .entropy import (
     von_neumann_entropy,
     wyd_skew_information,
 )
-from .errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
+from .errors import (DivergentEntropy, InvalidMatrix, InvalidParameter, InvalidRank,
+                     IrregularFunction)
 from .functions import OperatorConvexFunction, make_f_p, make_neg_log, make_neg_power, power_of
 from .linalg import (
     FactorizedSpace,
@@ -669,14 +670,19 @@ def verify_wyd_joint_concavity_block(p: float, ensembles, ks, beta) -> list[Boun
 def wyd_skew_block(f, rhos, ks) -> list[BoundReport]:
     """WYD skew information I_p(rho, K) >= 0 and I_p = p(1-p) S_{f_p}^K(rho||rho), per (rho, K).
 
-    ``f`` is ``f_p`` with p in (0,1); p is read from its id.  ``wyd_skew_information``
-    reads rho^p and rho^{1-p} of one ``PsdOperator.powers`` call; one kernel call cross-checks.
+    ``f`` is ``f_p`` with p in (0,1), read from its id.  One ``wyd_skew_information`` call on
+    the stack of Ks, and one kernel call cross-checks.
     """
     p = power_of(f)
     rhos = [PsdOperator.wrap(rho) for rho in rhos]
-    PsdOperator.powers(rhos, (p, 1.0 - p))
-    skews = [wyd_skew_information(p, rho, k) for rho, k in zip(rhos, ks)]
-    crosses = (p * (1.0 - p) * quasi_relative_entropies(f, _as_matrices(ks), rhos, rhos)).tolist()
+    try:
+        kms = _as_matrices(ks)
+    except InvalidMatrix:     # a K that is not square: the first failing trial raises alone
+        for rho, k in zip(rhos, ks):
+            wyd_skew_information(p, rho, k)
+        raise
+    skews = wyd_skew_information(p, rhos, kms)
+    crosses = (p * (1.0 - p) * quasi_relative_entropies(f, kms, rhos, rhos)).tolist()
     return [_report("wyd_skew", 0.0, skew,
                     skew >= -SKEW_TOL and abs(skew - cross) <= 1e-9 * max(1.0, abs(skew)),
                     notes=f"p={p:g}", details={"cross_check": cross})

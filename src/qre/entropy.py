@@ -20,9 +20,10 @@ share one K or take one each from a ``(N, d, d)`` stack, with one set of array
 operations; ``quasi_relative_entropy`` is its one-pair case, and every value
 is bit-identical whatever the stack.  The f(Delta) action
 (``apply_f_modulars``) takes the same operator lists and shares the
-formula's set-up (``_overlap_grid``): one clustering pass over every
-spectrum, the stacked eigenvectors, the overlaps and f on the ratio grid.
-It has no one-pair form: a single action is a stack of one.
+formula's set-up (``_overlap_grid``): one ``effective_eigs`` call on the
+spectra not clustered yet (each cluster mean the bits of its ``.mean()``), the
+stacked eigenvectors, the overlaps and f on the ratio grid.  It has no
+one-pair form: a single action is a stack of one.
 ``ModularOperator`` is Delta's definition, its action and its norm.
 """
 
@@ -51,38 +52,45 @@ def effective_eigs(w: np.ndarray) -> np.ndarray:
 
     Downstream weights then depend on spectral projectors only, making all
     formulas independent of the arbitrary basis inside a degenerate block.
+    ``w`` is one ascending spectrum or an ``(N, d)`` stack of them, whose clusters are
+    averaged in one pass per cluster length, each bit-equal to its ``.mean()``.
     """
     w = np.asarray(w, dtype=float)
-    if len(w) == 0:
-        return w
-    scale = max(1.0, float(np.abs(w).max()))
-    out = w.copy()
-    split = np.diff(w) > DEGENERACY_TOL * scale
-    if split.all():
-        return out
-    breaks = np.flatnonzero(split) + 1
-    starts = np.concatenate(([0], breaks))
-    stops = np.concatenate((breaks, [len(w)]))
-    multi = stops - starts > 1
-    for start, stop in zip(starts[multi].tolist(), stops[multi].tolist()):
-        out[start:stop] = w[start:stop].mean()
-    return out
+    tol = DEGENERACY_TOL * np.abs(w).max(axis=-1, initial=1.0, keepdims=True)
+    edges = np.flatnonzero(np.append(np.diff(w, axis=-1, prepend=-np.inf) > tol, True))
+    first, lengths, out = edges[:-1], np.diff(edges), w.flatten()
+    for n in set(lengths[lengths > 1].tolist()):
+        at = first[lengths == n][:, None] + np.arange(n)
+        out[at] = _cluster_means(out[at])[:, None]
+    return out.reshape(w.shape)
+
+
+def _cluster_means(x: np.ndarray) -> np.ndarray:
+    """``row.mean()`` of each row of an ``(M, n)`` array, bit for bit: numpy adds fewer than 8
+    numbers one by one, and up to 128 in eight strided partial sums, added pairwise, then the
+    tail one by one; either sum is added to 0.0.  It splits longer rows recursively."""
+    n = x.shape[1]
+    if n > 128:
+        return np.array([row.mean() for row in x])
+    head = n - n % 8 if n >= 8 else 0
+    acc = x[:, :8].copy() if head else np.zeros((len(x), 1))
+    for i in range(8, head, 8):
+        acc += x[:, i:i + 8]
+    while acc.shape[1] > 1:     # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        acc = acc[:, 0::2] + acc[:, 1::2]
+    for i in range(head, n):
+        acc = acc + x[:, i:i + 1]
+    return (0.0 + acc[:, 0]) / n
 
 
 def _clustered(ops) -> list[np.ndarray]:
-    """``effective_eigs`` of each of ``ops`` (of one dimension), memoised on the operator.
-
-    The spectra not memoised yet are screened for clusters in one pass; only
-    those with one go through ``effective_eigs``, and the others are kept as
-    they are, which is what ``effective_eigs`` returns for them.
-    """
+    """``effective_eigs`` of each of ``ops`` (of one dimension), memoised on the operator: one
+    stacked call on those not memoised yet, each keeping a read-only copy of its row (not a view
+    that would keep the stack alive)."""
     todo = list({id(op): op for op in ops if "effective_eigs" not in op._memo}.values())
     if todo:
-        w = _stacked([op.eigs for op in todo])
-        scale = np.abs(w).max(axis=1, initial=1.0)
-        plain = (np.diff(w, axis=1) > DEGENERACY_TOL * scale[:, None]).all(axis=1)
-        for op, is_plain in zip(todo, plain.tolist()):
-            op.memo("effective_eigs", lambda: op.eigs.copy() if is_plain else effective_eigs(op.eigs))
+        for op, row in zip(todo, effective_eigs(_stacked([op.eigs for op in todo]))):
+            op.memo("effective_eigs", row.copy)
     return [op._memo["effective_eigs"] for op in ops]
 
 
@@ -297,15 +305,19 @@ def von_neumann_entropy(rho) -> float:
     return -float((lam * np.log(lam)).sum())
 
 
-def wyd_skew_information(p: float, rho, k) -> float:
-    """I_p(rho, K) = -1/2 Tr([K, rho^p][K, rho^{1-p}]) for Hermitian K, p in (0,1)."""
-    km = assert_hermitian(k)
-    rho = PsdOperator.wrap(rho)
-    rp = rho.power(p)
-    rq = rho.power(1.0 - p)
-    c1 = km @ rp - rp @ km
-    c2 = km @ rq - rq @ km
-    return -0.5 * float(np.real(np.trace(c1 @ c2)))
+def wyd_skew_information(p: float, rho, k):
+    """I_p(rho, K) = -1/2 Tr([K, rho^p][K, rho^{1-p}]) for Hermitian K, p in (0,1); with ``k`` a
+    ``(N, d, d)`` stack and ``rho`` a list of N rhos, each pair's, as a list.  The Ks are checked
+    as one stack, whose first failing member raises what it raises alone."""
+    if np.ndim(k) != 3:
+        return wyd_skew_information(p, [rho], as_matrix(k)[None])[0]
+    kms = assert_hermitian(k)
+    raised = PsdOperator.powers([PsdOperator.wrap(r) for r in rho], (p, 1.0 - p))
+    skews = []
+    for km, (rp, rq) in zip(kms, raised, strict=True):
+        c1, c2 = km @ rp - rp @ km, km @ rq - rq @ km
+        skews.append(-0.5 * float(np.real(np.trace(c1 @ c2))))
+    return skews
 
 
 def classical_reduction(f: OperatorConvexFunction, rhos, sigmas) -> list:

@@ -79,9 +79,10 @@ def _as_matrices(ms) -> np.ndarray:
 
 
 def assert_hermitian(m) -> np.ndarray:
-    """Return m as ndarray, raising InvalidMatrix unless m is finite and m = m* (HERMITICITY_TOL)."""
-    a = as_matrix(m)
-    _checked_spectra(a[None], psd=False, decompose=False)
+    """Return m as ndarray, raising InvalidMatrix unless m is finite and m = m* (HERMITICITY_TOL);
+    of each member of a ``(N, d, d)`` stack too, in one check whose first failing member raises."""
+    a = np.asarray(m, dtype=np.complex128) if np.ndim(m) == 3 else as_matrix(m)
+    _checked_spectra(a if a.ndim == 3 else a[None], psd=False, decompose=False)
     return a
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds, campaign, entropy
+from qre import bounds, campaign, entropy, linalg, recovery
 from qre.campaign import CampaignConfig, run_campaign, run_single
 from qre.entropy import effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
@@ -125,6 +125,24 @@ class TestStackedCallCounts:
         with mock.patch.object(entropy, "_clustered", wraps=entropy._clustered) as clustered:
             run_campaign(config, io.StringIO())
         assert clustered.call_count == 2
+
+    def test_joint_convexity_sweep_svds_only_the_members_that_can_win(self):
+        # 7 blocks of the 20 instances, 4 mixtures x 3 components x 5 betas an instance:
+        # one SVD a block, of 201 of the 1,200 members
+        config = CampaignConfig(inequalities=("equality_joint_convexity",), dims=((2, 2, 2),),
+                                betas=(0.5,), trials=20, seed=7)
+        with mock.patch.object(recovery, "op_norm", wraps=recovery.op_norm) as norm:
+            run_campaign(config, io.StringIO())
+        assert norm.call_count == 7
+        assert sum(len(call.args[0]) for call in norm.call_args_list) == 201
+
+    def test_wyd_skew_block_checks_its_observables_once(self):
+        # one stacked check of the 20 K, and the one of the 20 sampled rho
+        config = CampaignConfig(inequalities=("wyd_skew",), functions=("f_p:0.5",),
+                                dims=((2, 2),), betas=(0.5,), trials=20, seed=7)
+        with mock.patch.object(linalg, "_checked_spectra", wraps=linalg._checked_spectra) as chk:
+            run_campaign(config, io.StringIO())
+        assert chk.call_count == 1 + 1
 
     def test_joint_convexity_cell_eigh_calls(self):
         config = CampaignConfig(inequalities=("joint_convexity",), dims=((2, 2),),
@@ -327,6 +345,50 @@ class TestEffectiveEigs:
         for w in ([], [0.3], [0.3, 0.3], [-1.0, 0.0, 0.0, 1e-12, 2.0]):
             np.testing.assert_array_equal(effective_eigs(np.array(w)),
                                           _reference_effective_eigs(np.array(w)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_rows_are_the_reference_bytes(self, seed):
+        # every cluster length from 1 to 130 (the lengths where numpy's summation order
+        # changes twice), each cluster spread below the tolerance or a block of +-0.0; the
+        # same row's first two values ahead of a plain tail; and rows with no cluster
+        rng = np.random.default_rng(seed)
+        rows = []
+        for n in list(range(1, 131)) + [7, 8, 9, 64, 128, 129]:
+            d = n + 4
+            base = np.sort(rng.uniform(0.5, 2.0, d - n + 1))
+            cluster = base[1] + rng.uniform(0.0, 0.5 * DEGENERACY_TOL, n)
+            if n % 3 == 0:     # a zero block: a spectrum with a kernel, at either sign
+                cluster, base = np.where(rng.random(n) < 0.5, -0.0, 0.0), base + 1.0
+            rows.append(np.sort(np.concatenate([base[:1], cluster, base[2:]])))
+            rows.append(np.sort(np.concatenate([rows[-1][:2], rng.uniform(3.0, 4.0, d - 2)])))
+            rows.append(np.linspace(1.0, 2.0, d))    # no cluster
+        for d in sorted({len(row) for row in rows}):
+            stack = np.stack([row for row in rows if len(row) == d])
+            got = effective_eigs(stack)
+            assert got.shape == stack.shape
+            for row, out in zip(stack, got):
+                assert out.tobytes() == _reference_effective_eigs(row).tobytes()
+                assert out.tobytes() == effective_eigs(row).tobytes()
+
+    def test_lone_negative_zero_keeps_its_sign(self):
+        # a cluster of one is left as it is; only the reference loop takes its mean
+        out = effective_eigs(np.array([[-0.0, 0.5, 0.5]]))
+        assert out.tobytes() == np.array([[-0.0, 0.5, 0.5]]).tobytes()
+
+    def test_clustered_makes_one_stacked_call_per_call_with_work(self):
+        # mixed rank, every eigenvalue doubled (sigma (x) I), a zero block and a plain spectrum
+        rng = np.random.default_rng(5)
+        ops = [random_density(8, rank=int(rng.integers(1, 9)), seed=rng) for _ in range(4)]
+        ops += [PsdOperator(np.kron(random_density(4, seed=rng).mat, np.eye(2)) / 2.0),
+                PsdOperator(np.diag([0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]).astype(complex))]
+        with mock.patch.object(entropy, "effective_eigs", wraps=entropy.effective_eigs) as ee:
+            got = entropy._clustered(ops)
+            again = entropy._clustered(ops[::-1])
+        assert ee.call_count == 1
+        assert [a is b for a, b in zip(got, again[::-1])] == [True] * len(ops)
+        for op, row in zip(ops, got):
+            assert not row.flags.writeable and row.base is None
+            assert row.tobytes() == _reference_effective_eigs(op.eigs).tobytes()
 
 
 # sha256 of the JSONL this campaign wrote at the commit before decompose-once,

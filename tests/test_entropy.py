@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qre.bounds import wyd_skew_block
 from qre.entropy import (
     ModularOperator,
     apply_f_modulars,
@@ -252,6 +253,30 @@ class TestSkewInformation:
         rho = random_density(3, seed=rng)
         k = random_hermitian(3, seed=rng)
         assert wyd_skew_information(p, rho, k) >= -1e-10
+
+    def test_stack_of_pairs_is_each_pair_alone(self):
+        rng = np.random.default_rng(31)
+        rhos = [random_density(3, seed=rng) for _ in range(5)]
+        ks = np.stack([random_hermitian(3, seed=rng) for _ in range(5)])
+        for p in (0.25, 0.5):
+            got = wyd_skew_information(p, rhos, ks)
+            assert got == [wyd_skew_information(p, DensityMatrix(rho.mat), k)
+                           for rho, k in zip(rhos, ks)]
+
+    def test_block_raises_the_first_failing_observable(self):
+        # the Ks are checked as one stack; the first that fails raises what it raises alone
+        rho = random_density(2, seed=3)
+        good = random_hermitian(2, seed=4)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        nan = good.copy()
+        nan[0, 0] = np.nan
+        wide = np.ones((2, 3), dtype=complex)
+        for ks, match in (([good, skew, nan], "deviates from Hermitian"),
+                          ([good, nan, skew], "non-finite"),
+                          ([good, skew, wide], "deviates from Hermitian"),
+                          ([good, wide, skew], "square matrix")):
+            with pytest.raises(InvalidMatrix, match=match):
+                wyd_skew_block(make_f_p(0.5), [rho] * 3, ks)
 
     def test_cross_check_against_entropy(self):
         rho = random_density(4, seed=29)

@@ -4,9 +4,11 @@ The scripts import entry points that no other test calls, so deleting one of
 them would otherwise go unnoticed.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,50 @@ def test_profile_rejects_fewer_than_one_trial(tmp_path):
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "--trials: must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--functions", "bogus"], "--functions: unknown function id 'bogus'"),
+    (["--functions", "neg_log", "f_p:1.5"], "--functions: f_p:1.5 is not a regular f"),
+    (["--betas", "0.5", "1.5"], "--betas: each must lie in (0,1), got [1.5]"),
+    (["--betas", "nan"], "--betas: each must lie in (0,1), got [nan]"),
+    (["--functions"], "expected at least one argument"),
+    (["--betas"], "expected at least one argument"),
+])
+def test_profile_input_error_is_exit_2(tmp_path, args, message):
+    # the first three ended in a traceback with exit 1; the empty lists printed only the header
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "bound_tightness_profile.py"),
+           "--trials", "2"] + args
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not proc.stdout
+
+
+def test_profile_with_every_trial_filtered_out_says_so(monkeypatch, capsys):
+    # np.median([]) printed nan with a RuntimeWarning
+    spec = importlib.util.spec_from_file_location(
+        "bound_tightness_profile", ROOT / "scripts" / "bound_tightness_profile.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    check = script.verify_monotonicity_bound_block
+
+    def without_gap(*args):
+        reports = check(*args)
+        for report in reports:
+            report.details["gap"] = 0.0
+        return reports
+
+    monkeypatch.setattr(script, "verify_monotonicity_bound_block", without_gap)
+    monkeypatch.setattr(sys, "argv", ["bound_tightness_profile.py", "--trials", "2",
+                                      "--functions", "neg_log", "--betas", "0.5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert script.main() == 0
+    out = capsys.readouterr().out
+    assert "no trial with lhs > 1e-12 and a positive gap" in out
+    assert "nan" not in out
 
 
 @pytest.mark.parametrize("args, message", [

@@ -5,6 +5,7 @@ a last-bit difference fails), or ``==`` on floats.  The per-exponent loops
 that the grid residuals replaced are kept below as the oracles.
 """
 
+import functools
 import io
 import itertools
 from unittest import mock
@@ -231,6 +232,82 @@ class TestOpNorm:
         draws = [random_contraction_draw(3, seed=s) for s in range(5)]
         for s, k in enumerate(rescale_contractions(draws)):
             assert_bits(k, random_contraction(3, seed=s))
+
+
+def _unpruned_grid_maxima(diffs):
+    """The fold ``_grid_maxima`` reproduces: one SVD of every member, folded from 0.0."""
+    norms = op_norm(diffs)
+    return [functools.reduce(max, row, 0.0) for row in norms.reshape(len(norms), -1).tolist()]
+
+
+def _grid_outcome(call, diffs):
+    try:
+        return call(diffs)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+class TestGridMaxima:
+    """``_grid_maxima`` SVDs only the members that can hold their row's maximum, and its
+    result is the fold over every member's op norm."""
+
+    @staticmethod
+    def _stack(rng, n=4, g=6, d=4):
+        diffs = rng.standard_normal((n, g, d, d)) + 1j * rng.standard_normal((n, g, d, d))
+        return diffs * rng.random((n, g, 1, 1)) ** 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        diffs = self._stack(rng, d=int(rng.integers(1, 9)))
+        assert _grid_maxima(diffs) == _unpruned_grid_maxima(diffs)
+        assert _grid_maxima(diffs[:, :, None]) == _unpruned_grid_maxima(diffs)
+
+    def test_ties_and_zero_rows(self):
+        rng = np.random.default_rng(1)
+        diffs = self._stack(rng)
+        diffs[0, 3] = diffs[0, 1]           # two members hold the maximum
+        diffs[1, 1:] = diffs[1, 0]
+        diffs[2] = 0.0
+        diffs[3, 2] = -diffs[3, 4]          # equal norms, different matrices
+        assert _grid_maxima(diffs) == _unpruned_grid_maxima(diffs)
+        assert _grid_maxima(diffs)[2] == 0.0
+
+    def test_frobenius_norm_at_the_row_maximum(self):
+        # a rank-one member's Frobenius norm is its op norm, the row's maximum; two other
+        # members' Frobenius norms lie above it and their op norms below it, and the last
+        # member's Frobenius norm lies below it
+        rng = np.random.default_rng(2)
+        u, v = rng.standard_normal(4) + 1j, rng.standard_normal(4) - 1j
+        rank_one = np.outer(u, v.conj()) * (2.0 / (np.linalg.norm(u) * np.linalg.norm(v)))
+        diffs = np.stack([np.stack([np.eye(4) * 1.5, rank_one, np.diag([1.9, 1.9, 1.0, 0.0]),
+                                    np.eye(4) * 0.5])]).astype(complex)
+        with mock.patch.object(recovery, "op_norm", wraps=op_norm) as norm:
+            assert _grid_maxima(diffs) == _unpruned_grid_maxima(diffs)
+        assert len(norm.call_args.args[0]) == 3
+        assert _grid_maxima(diffs)[0] == op_norm(rank_one)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 5), (2, 3)])
+    def test_inf_member(self, where):
+        diffs = self._stack(np.random.default_rng(3))
+        diffs[where][1, 2] = np.inf
+        assert _grid_maxima(diffs) == _unpruned_grid_maxima(diffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+    def test_nan_member_raises_as_the_unpruned_fold(self, bad):
+        diffs = self._stack(np.random.default_rng(4))
+        diffs[1, 4, 0, 0] = bad
+        got = _grid_outcome(_grid_maxima, diffs)
+        assert got == _grid_outcome(_unpruned_grid_maxima, diffs)
+        assert got[0] is np.linalg.LinAlgError
+
+    def test_one_svd_of_the_candidates(self):
+        diffs = self._stack(np.random.default_rng(5), n=6, g=10)
+        with mock.patch.object(recovery, "op_norm", wraps=op_norm) as norm:
+            got = _grid_maxima(diffs)
+        assert got == _unpruned_grid_maxima(diffs)
+        assert norm.call_count == 1
+        assert len(norm.call_args.args[0]) < 60
 
 
 class TestStackedConstructor:

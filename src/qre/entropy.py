@@ -68,7 +68,7 @@ def effective_eigs(w: np.ndarray) -> np.ndarray:
 def _cluster_means(x: np.ndarray) -> np.ndarray:
     """``row.mean()`` of each row of an ``(M, n)`` array, bit for bit: numpy adds fewer than 8
     numbers one by one, and up to 128 in eight strided partial sums, added pairwise, then the
-    tail one by one; either sum is added to 0.0.  It splits longer rows recursively."""
+    tail one by one, either sum to 0.0; a longer row, which it splits, goes through ``.mean()``."""
     n = x.shape[1]
     if n > 128:
         return np.array([row.mean() for row in x])

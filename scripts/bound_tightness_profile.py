@@ -65,6 +65,8 @@ def main() -> int:
             ap.error(f"--functions: {exc}")
         if not FAMILY.admits(f, SPACE.dims):
             ap.error(f"--functions: {fid} is not {FAMILY.requires.text}")
+    if args.seed < 0:
+        ap.error(f"--seed: must be at least 0, got {args.seed}")
     if bad := [b for b in args.betas if not 0.0 < b < 1.0]:     # a NaN fails too
         ap.error(f"--betas: each must lie in (0,1), got {bad}")
 

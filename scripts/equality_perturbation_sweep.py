@@ -23,6 +23,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error(f"--seed: must be at least 0, got {args.seed}")
 
     reports = equality_suite(make_neg_log(), np.random.default_rng(args.seed))
     for name, rows in itertools.groupby(reports, key=lambda r: r.inequality_id):

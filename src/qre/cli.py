@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .campaign import FAMILIES, parse_config, parse_dims, run_campaign
-from .errors import DivergentEntropy, IrregularFunction, QREError
+from .errors import DivergentEntropy, InvalidParameter, IrregularFunction, QREError
 from .functions import from_id, loewner_quadrature, split_id
 from .linalg import FactorizedSpace, load_matrix, op_norm
 
@@ -201,6 +201,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_repr(args) -> int:
     f = from_id(args.fid)
+    if not 0.0 < args.tol < math.inf:     # a NaN fails too
+        raise InvalidParameter(f"--tol must be positive and finite, got {args.tol}")
     xs = np.geomspace(0.1, 10.0, 21)
     worst = 0.0
     for x in xs:

@@ -24,7 +24,9 @@ formula's set-up (``_overlap_grid``): one ``effective_eigs`` call on the
 spectra not clustered yet (each cluster mean the bits of its ``.mean()``), the
 stacked eigenvectors, the overlaps and f on the ratio grid.  It has no
 one-pair form: a single action is a stack of one.
-``ModularOperator`` is Delta's definition, its action and its norm.
+``ModularOperator`` is Delta's definition, its action and its norm.  The WYD
+skew information and the two-outcome classical reduction are stacked too;
+only each outcome's scalar term is evaluated pair by pair.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from .linalg import (
     as_matrix,
     assert_hermitian,
     hermitize,
-    jordan_hahn,
-    trace_norm,
+    spectral_decompose,
 )
 
 OVERLAP_TOL = 1e-14
@@ -67,20 +68,14 @@ def effective_eigs(w: np.ndarray) -> np.ndarray:
 
 def _cluster_means(x: np.ndarray) -> np.ndarray:
     """``row.mean()`` of each row of an ``(M, n)`` array, bit for bit: numpy adds fewer than 8
-    numbers one by one, and up to 128 in eight strided partial sums, added pairwise, then the
-    tail one by one, either sum to 0.0; a longer row, which it splits, goes through ``.mean()``."""
-    n = x.shape[1]
-    if n > 128:
+    numbers one by one from 0.0, as here; a longer row, which no workload clusters, goes through
+    ``.mean()`` itself."""
+    if x.shape[1] >= 8:
         return np.array([row.mean() for row in x])
-    head = n - n % 8 if n >= 8 else 0
-    acc = x[:, :8].copy() if head else np.zeros((len(x), 1))
-    for i in range(8, head, 8):
-        acc += x[:, i:i + 8]
-    while acc.shape[1] > 1:     # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        acc = acc[:, 0::2] + acc[:, 1::2]
-    for i in range(head, n):
-        acc = acc + x[:, i:i + 1]
-    return (0.0 + acc[:, 0]) / n
+    acc = np.zeros(len(x))
+    for col in x.T:
+        acc = acc + col
+    return acc / x.shape[1]
 
 
 def _clustered(ops) -> list[np.ndarray]:
@@ -312,12 +307,12 @@ def wyd_skew_information(p: float, rho, k):
     if np.ndim(k) != 3:
         return wyd_skew_information(p, [rho], as_matrix(k)[None])[0]
     kms = assert_hermitian(k)
+    if len(kms) != len(rho):
+        raise ValueError(f"{len(kms)} observables for {len(rho)} states")
     raised = PsdOperator.powers([PsdOperator.wrap(r) for r in rho], (p, 1.0 - p))
-    skews = []
-    for km, (rp, rq) in zip(kms, raised, strict=True):
-        c1, c2 = km @ rp - rp @ km, km @ rq - rq @ km
-        skews.append(-0.5 * float(np.real(np.trace(c1 @ c2))))
-    return skews
+    rp, rq = raised[:, 0], raised[:, 1]
+    c1, c2 = kms @ rp - rp @ kms, kms @ rq - rq @ kms
+    return (-0.5 * np.trace(c1 @ c2, axis1=1, axis2=2).real).tolist()
 
 
 def classical_reduction(f: OperatorConvexFunction, rhos, sigmas) -> list:
@@ -325,17 +320,17 @@ def classical_reduction(f: OperatorConvexFunction, rhos, sigmas) -> list:
 
     Returns (p, q, classical_div) per pair, with ||p - q||_1 = ||rho - sigma||_1
     and classical_div = sum_j p_j f(q_j / p_j), a lower bound for
-    S_f(rho||sigma).  The projectors of all pairs are one stacked ``eigh``.
+    S_f(rho||sigma).  The projectors of all pairs are one stacked ``eigh``, and
+    their traces against rho and sigma are stacked traces.
     """
     rms, sms = _as_matrices(rhos), _as_matrices(sigmas)
-    out = []
-    for rm, sm, proj in zip(rms, sms, jordan_hahn(rms - sms)[2]):
-        tr_p = float(np.real(np.trace(proj @ rm)))
-        tr_q = float(np.real(np.trace(proj @ sm)))
-        p = np.array([tr_p, float(np.real(np.trace(rm))) - tr_p])
-        q = np.array([tr_q, float(np.real(np.trace(sm))) - tr_q])
-        out.append((p, q, sum(_classical_term(f, pj, qj) for pj, qj in zip(p, q))))
-    return out
+    w, v = spectral_decompose(rms - sms)
+    proj = hermitize((v * (w > 0.0)[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    tr_p, tr_q = (np.trace(proj @ m, axis1=1, axis2=2).real for m in (rms, sms))
+    ps = np.stack([tr_p, np.trace(rms, axis1=1, axis2=2).real - tr_p], axis=1)
+    qs = np.stack([tr_q, np.trace(sms, axis1=1, axis2=2).real - tr_q], axis=1)
+    return [(p, q, sum(_classical_term(f, pj, qj) for pj, qj in zip(p, q)))
+            for p, q in zip(ps, qs)]
 
 
 def _classical_term(f, pj, qj):
@@ -355,15 +350,3 @@ def _classical_term(f, pj, qj):
 
 def trace_distance_pair(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.abs(p - q).sum())
-
-
-def pinsker_sides(f: OperatorConvexFunction, us, rhos, sigmas):
-    """(lhs, rhs) lists of f''(1)/2 ||rho - U* sigma U||_1^2 <= S_f^U(rho||sigma), pair by pair.
-
-    One kernel call for the right sides, first, and one batched SVD for the trace norms.
-    """
-    ums = _as_matrices(us)
-    rhs = quasi_relative_entropies(f, ums, rhos, sigmas).tolist()
-    rotated = hermitize(ums.conj().swapaxes(-1, -2) @ _as_matrices(sigmas) @ ums)
-    norms = trace_norm(_as_matrices(rhos) - rotated).tolist()
-    return [0.5 * f.second_at_one * n ** 2 for n in norms], rhs

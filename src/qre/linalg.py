@@ -1,9 +1,9 @@
 """Dense complex Hermitian linear algebra.
 
 Spectral decompositions, generalized matrix powers, tensor-product
-bookkeeping, partial traces, Schatten norms, Jordan-Hahn splits, and the
-seeded random ensembles used by the verification harness.  Everything here
-is plain numpy; matrices are ``complex128`` ndarrays unless wrapped in
+bookkeeping, partial traces, Schatten norms, and the seeded random
+ensembles used by the verification harness.  Everything here is plain
+numpy; matrices are ``complex128`` ndarrays unless wrapped in
 :class:`PsdOperator` / :class:`DensityMatrix`, which cache one spectral
 decomposition for reuse downstream.
 
@@ -125,16 +125,6 @@ def _kron(a, b) -> np.ndarray:
     """``np.kron`` of two matrices or of each pair of stack members, as its broadcast product."""
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
         *a.shape[:-2], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-
-
-def jordan_hahn(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split Hermitian m = P - Q with P, Q >= 0, PQ = 0, and the projector onto range(P).
-
-    Of each member of a ``(N, d, d)`` stack too, with one ``eigh``."""
-    w, v = spectral_decompose(m)
-    vh = v.conj().swapaxes(-1, -2)
-    return tuple(hermitize((v * x[..., None, :]) @ vh) for x in
-                 (np.clip(w, 0.0, None), np.clip(-w, 0.0, None), (w > 0.0).astype(float)))
 
 
 class _Plan(NamedTuple):

@@ -20,6 +20,7 @@ from qre.bounds import (
     ssa_gap,
     verify_cauchy_schwarz_block,
     verify_joint_convexity_block,
+    verify_monotonicity_block,
     verify_monotonicity_bound_block,
     verify_operator_ssa_block,
     verify_ssa_block,
@@ -103,12 +104,12 @@ def test_criterion_03_monotonicity_campaign():
     worst = math.inf
     for f in (NEG_LOG, F_HALF):
         rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            rho = random_density(4, seed=rng)
-            sig = random_density(4, seed=rng)
-            k1 = random_contraction(2, seed=rng)
-            v = random_unitary(2, seed=rng)
-            worst = min(worst, monotonicity_gap(f, k1, v, rho, sig, SPACE))
+        for _ in range(10):     # 10 blocks of 1,000 trials, drawn in order
+            trials = [(random_density(4, seed=rng), random_density(4, seed=rng),
+                       random_contraction(2, seed=rng), random_unitary(2, seed=rng))
+                      for _ in range(1_000)]
+            reports = verify_monotonicity_block(f, *zip(*trials), SPACE)
+            worst = min(worst, min(rep.rhs for rep in reports))
     elapsed = time.perf_counter() - t0
     report("3 monotonicity 2x10^4 trials", worst >= -1e-9 and elapsed < 120.0,
            f"worst gap {worst:.3e}, {elapsed:.1f}s")
@@ -245,22 +246,24 @@ def test_criterion_10_pinsker_and_classical_reduction():
     rng = np.random.default_rng(10)
     fns = (NEG_LOG, F_HALF, make_f_p(1.5))
     worst = math.inf
-    for _ in range(10_000):
-        dim = 2 if rng.random() < 0.7 else 3
-        rho = random_density(dim, seed=rng)
-        sig = random_density(dim, seed=rng)
-        u = random_unitary(dim, seed=rng)
-        for f in fns:
-            rep, = pinsker_block(f, [rho], [sig], [u])
-            assert rep.passed
-            worst = min(worst, rep.gap)
+    for _ in range(10):     # 10 blocks of 1,000 trials, drawn in order, checked by dimension
+        by_dim = {2: [], 3: []}
+        for _ in range(1_000):
+            dim = 2 if rng.random() < 0.7 else 3
+            by_dim[dim].append((random_density(dim, seed=rng), random_density(dim, seed=rng),
+                                random_unitary(dim, seed=rng)))
+        for trials in by_dim.values():
+            for f in fns:
+                for rep in pinsker_block(f, *zip(*trials)):
+                    assert rep.passed
+                    worst = min(worst, rep.gap)
+    rhos, sigs = zip(*[(random_density(3, seed=rng), random_density(3, seed=rng))
+                       for _ in range(1000)])
+    l1s = trace_norm(np.stack([rho.mat - sig.mat for rho, sig in zip(rhos, sigs)]))
     worst_l1 = 0.0
-    for _ in range(1000):
-        rho = random_density(3, seed=rng)
-        sig = random_density(3, seed=rng)
-        (p, q, div), = classical_reduction(NEG_LOG, [rho], [sig])
-        worst_l1 = max(worst_l1, abs(trace_distance_pair(p, q)
-                                     - trace_norm(rho.mat - sig.mat)))
+    for rho, sig, l1, (p, q, div) in zip(rhos, sigs, l1s,
+                                         classical_reduction(NEG_LOG, rhos, sigs)):
+        worst_l1 = max(worst_l1, abs(trace_distance_pair(p, q) - l1))
         assert div <= umegaki(rho, sig) + 1e-9
     report("10 Pinsker + classical reduction", worst_l1 < 1e-10,
            f"worst margin {worst:.3e}, l1 mismatch {worst_l1:.2e}")

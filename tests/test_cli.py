@@ -390,6 +390,14 @@ class TestReprCheck:
     def test_irregular_rejected(self):
         assert main(["repr", "check", "--f", "f_p:1.5"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+    def test_unusable_tol_is_input_error(self, capsys, tol):
+        # nan and -1 printed the quadrature error and exited 1, as a violation would
+        assert main(["repr", "check", "--f", "neg_log", f"--tol={tol}"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--tol must be positive and finite" in captured.err
+        assert captured.out == ""
+
 
 class TestCampaignCommand:
     def test_campaign_runs_and_is_deterministic(self, tmp_path, capsys):

@@ -298,7 +298,8 @@ def _reference_power(m, beta):
 
 
 def _reference_effective_eigs(w, tol=DEGENERACY_TOL):
-    """The eigenvalue-by-eigenvalue clustering loop, kept as the oracle."""
+    """The eigenvalue-by-eigenvalue clustering loop, kept as the oracle; a cluster of one is
+    left as it is (its mean would turn -0.0 into 0.0)."""
     w = np.asarray(w, dtype=float)
     if len(w) == 0:
         return w
@@ -307,7 +308,8 @@ def _reference_effective_eigs(w, tol=DEGENERACY_TOL):
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > tol * scale:
-            out[start:i] = w[start:i].mean()
+            if i - start > 1:
+                out[start:i] = w[start:i].mean()
             start = i
     return out
 
@@ -350,7 +352,8 @@ class TestEffectiveEigs:
     def test_stack_rows_are_the_reference_bytes(self, seed):
         # every cluster length from 1 to 130 (the lengths where numpy's summation order
         # changes twice), each cluster spread below the tolerance or a block of +-0.0; the
-        # same row's first two values ahead of a plain tail; and rows with no cluster
+        # same row's first two values ahead of a plain tail; rows with no cluster; and rows
+        # with a lone +-0.0, alone or beside a cluster
         rng = np.random.default_rng(seed)
         rows = []
         for n in list(range(1, 131)) + [7, 8, 9, 64, 128, 129]:
@@ -362,6 +365,9 @@ class TestEffectiveEigs:
             rows.append(np.sort(np.concatenate([base[:1], cluster, base[2:]])))
             rows.append(np.sort(np.concatenate([rows[-1][:2], rng.uniform(3.0, 4.0, d - 2)])))
             rows.append(np.linspace(1.0, 2.0, d))    # no cluster
+        for zero in (-0.0, 0.0):
+            rows += [np.array([zero, 0.5, 1.0, 1.5]), np.array([-1.0, zero, 0.5, 0.5, 2.0]),
+                     np.array([-1.0, -1.0, zero, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])]
         for d in sorted({len(row) for row in rows}):
             stack = np.stack([row for row in rows if len(row) == d])
             got = effective_eigs(stack)
@@ -371,7 +377,7 @@ class TestEffectiveEigs:
                 assert out.tobytes() == effective_eigs(row).tobytes()
 
     def test_lone_negative_zero_keeps_its_sign(self):
-        # a cluster of one is left as it is; only the reference loop takes its mean
+        # a cluster of one is left as it is, by the code and by the reference loop
         out = effective_eigs(np.array([[-0.0, 0.5, 0.5]]))
         assert out.tobytes() == np.array([[-0.0, 0.5, 0.5]]).tobytes()
 

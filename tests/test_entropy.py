@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qre.bounds import wyd_skew_block
+from qre.bounds import pinsker_block, wyd_skew_block
 from qre.entropy import (
     ModularOperator,
     apply_f_modulars,
     classical_reduction,
     effective_eigs,
-    pinsker_sides,
     quasi_relative_entropy,
     trace_distance_pair,
     umegaki,
@@ -263,6 +262,13 @@ class TestSkewInformation:
             assert got == [wyd_skew_information(p, DensityMatrix(rho.mat), k)
                            for rho, k in zip(rhos, ks)]
 
+    def test_one_observable_per_state(self):
+        rhos = [random_density(2, seed=s) for s in range(3)]
+        ks = np.stack([random_hermitian(2, seed=s) for s in range(3)])
+        for rho_list, k_stack in ((rhos[:2], ks), (rhos, ks[:2]), (rhos[:1], ks)):
+            with pytest.raises(ValueError):
+                wyd_skew_information(0.5, rho_list, k_stack)
+
     def test_block_raises_the_first_failing_observable(self):
         # the Ks are checked as one stack; the first that fails raises what it raises alone
         rho = random_density(2, seed=3)
@@ -351,19 +357,41 @@ class TestClassicalReduction:
                    - trace_norm(rho.mat - sig.mat)) < 1e-10
         assert div <= umegaki(rho, sig) + 1e-9
 
+    def test_outcome_gap_is_half_the_trace_distance(self):
+        # Tr P(rho - sigma) = ||rho - sigma||_1 / 2 on the first outcome, its negative on the other
+        rho, sig = random_density(4, seed=21), random_density(4, seed=22)
+        (p, q, _), = classical_reduction(NEG_LOG, [rho], [sig])
+        half = trace_norm(rho.mat - sig.mat) / 2
+        np.testing.assert_allclose(p - q, [half, -half], atol=1e-12)
+
+    def test_psd_difference_is_one_outcome(self):
+        # rho - sigma = sigma >= 0 and faithful: the projector is I, the other outcome empty
+        sig = random_density(3, seed=4)
+        (p, q, div), = classical_reduction(NEG_LOG, [2.0 * sig.mat], [sig])
+        np.testing.assert_allclose(p, [2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(q, [1.0, 0.0], atol=1e-12)
+        assert abs(div - 2.0 * math.log(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_non_finite_difference_rejected(self, bad):
+        rhos = [random_density(3, seed=s).mat for s in range(3)]
+        rhos[1][2, 0] = bad
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            classical_reduction(NEG_LOG, rhos, [random_density(3, seed=9)] * 3)
+
 
 class TestPinskerSides:
     def test_saturated_at_equal_rotated_states(self):
         sig = random_density(3, seed=38)
         u = random_unitary(3, seed=39)
         rho = DensityMatrix(hermitize(u.conj().T @ sig.mat @ u))
-        (lhs,), (rhs,) = pinsker_sides(NEG_LOG, [u], [rho], [sig])
-        assert lhs < 1e-18 and abs(rhs) < 1e-10
+        rep, = pinsker_block(NEG_LOG, [rho], [sig], [u])
+        assert rep.lhs < 1e-18 and abs(rep.rhs) < 1e-10
 
     def test_diagonal_fixture(self):
-        (lhs,), (rhs,) = pinsker_sides(NEG_LOG, [np.eye(2)], [DIAG_RHO], [DIAG_SIG])
-        assert abs(lhs - 0.125) < 1e-12
-        assert abs(rhs - DIAG_VALUE) < 1e-12
+        rep, = pinsker_block(NEG_LOG, [DIAG_RHO], [DIAG_SIG], [np.eye(2)])
+        assert abs(rep.lhs - 0.125) < 1e-12
+        assert abs(rep.rhs - DIAG_VALUE) < 1e-12
 
 
 def test_effective_eigs_clusters():

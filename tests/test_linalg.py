@@ -19,7 +19,6 @@ from qre.linalg import (
     assert_hermitian,
     hermitize,
     hs_norm,
-    jordan_hahn,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -85,7 +84,7 @@ class TestNonFiniteEntries:
     def test_matrix_rejected(self, bad):
         m = random_hermitian(3, seed=1)
         m[0, 0] = bad
-        for call in (assert_hermitian, spectral_decompose, jordan_hahn):
+        for call in (assert_hermitian, spectral_decompose):
             with pytest.raises(InvalidMatrix, match="non-finite"):
                 call(m)
 
@@ -93,9 +92,8 @@ class TestNonFiniteEntries:
     def test_stack_with_one_bad_member_rejected(self, bad):
         ms = np.stack([random_hermitian(3, seed=s) for s in range(3)])
         ms[1, 2, 0] = bad
-        for call in (spectral_decompose, jordan_hahn):
-            with pytest.raises(InvalidMatrix, match="non-finite"):
-                call(ms)
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            spectral_decompose(ms)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_wyd_skew_rejects_a_non_finite_observable(self, bad):
@@ -344,30 +342,6 @@ class TestNorms:
         m = random_hermitian(4, seed=seed)
         t, h, o = trace_norm(m), hs_norm(m), op_norm(m)
         assert t >= h - 1e-12 and h >= o - 1e-12
-
-
-class TestJordanHahn:
-    def test_diagonal_split(self):
-        p, q, proj = jordan_hahn(np.diag([0.5, -0.5]).astype(complex))
-        np.testing.assert_allclose(p, np.diag([0.5, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(q, np.diag([0.0, 0.5]), atol=1e-14)
-        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_psd_input(self):
-        m = random_density(3, seed=4).mat
-        p, q, proj = jordan_hahn(m)
-        np.testing.assert_allclose(p, m, atol=1e-12)
-        np.testing.assert_allclose(q, 0 * m, atol=1e-12)
-
-    def test_traceless_splits_evenly(self):
-        m = random_hermitian(4, seed=21)
-        m -= np.trace(m) / 4 * np.eye(4)
-        p, q, _ = jordan_hahn(m)
-        tn = trace_norm(m)
-        assert abs(np.trace(p).real - tn / 2) < 1e-12
-        assert abs(np.trace(q).real - tn / 2) < 1e-12
-        assert op_norm(p @ q) < 1e-12
-        np.testing.assert_allclose(p - q, m, atol=1e-12)
 
 
 class TestRandomEnsembles:

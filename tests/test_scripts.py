@@ -38,6 +38,20 @@ def test_profile_rejects_fewer_than_one_trial(tmp_path):
     assert "--trials: must be at least 1" in proc.stderr
 
 
+@pytest.mark.parametrize("script, seed", [
+    ("bound_tightness_profile.py", "-1"),
+    ("equality_perturbation_sweep.py", "-5"),
+])
+def test_negative_seed_is_input_error(tmp_path, script, seed):
+    # numpy's "expected non-negative integer" traceback ended both with exit 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / script), "--seed", seed]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert f"--seed: must be at least 0, got {seed}" in proc.stderr
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize("args, message", [
     (["--functions", "bogus"], "--functions: unknown function id 'bogus'"),
     (["--functions", "neg_log", "f_p:1.5"], "--functions: f_p:1.5 is not a regular f"),

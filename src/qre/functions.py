@@ -12,6 +12,10 @@ transpose x -> x*f(1/x) maps the density to ``t * mu(1/t)`` (q -> 1-q); the
 transposed functions drive the mirrored operator inequalities and are not
 themselves representable in the display above, so they carry measure data
 only.
+
+scipy is needed only by ``loewner_quadrature`` (``qre repr check`` and the
+integral-representation acceptance check), which imports ``quad`` on its
+first call; importing this module, or running a campaign, loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameter, IrregularFunction
 
@@ -219,6 +222,7 @@ def loewner_quadrature(f: OperatorConvexFunction, x: float) -> float:
         raise IrregularFunction(f"{f.name} has no evaluable integral representation")
     if x <= 0:
         raise InvalidParameter("representation defined on (0, inf)")
+    from scipy.integrate import quad  # the only use of scipy: load it here, not with qre
     kap, q = f.mu_kappa, f.mu_q
 
     def integrand_log(u):

@@ -1,6 +1,10 @@
 """Function registry: evaluations, integral representations, window constants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +294,36 @@ class TestFromId:
                                         ("neg_power:0.5", None), ("neg_log", None)])
     def test_power_of(self, fid, p):
         assert power_of(from_id(fid)) == p
+
+
+_NO_SCIPY_CHILD = """
+import io, sys
+import qre, qre.cli
+from qre.campaign import FAMILIES, CampaignConfig, run_campaign
+from qre.linalg import random_density, save_matrix
+
+for policy in ("full", "mixed"):
+    cfg = CampaignConfig(inequalities=tuple(FAMILIES), functions=("neg_log", "f_p:0.5"),
+                         dims=((2, 2), (2, 2, 2)), betas=(0.25, 0.5, 0.75), trials=2,
+                         seed=5, rank_policy=policy)
+    assert run_campaign(cfg, stream=io.StringIO()).trials > 0
+save_matrix("rho.json", random_density(4, seed=1).mat)
+save_matrix("sigma.json", random_density(4, seed=2).mat)
+assert qre.cli.main(["bounds", "constants", "--f", "f_p:0.5", "--beta", "0.5"]) == 0
+assert qre.cli.main(["verify", "monotonicity", "--rho", "rho.json", "--sigma", "sigma.json",
+                     "--dims", "2,2"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(repr(qre.loewner_quadrature(qre.from_id("neg_log"), 2.0)))
+"""
+
+
+def test_campaigns_and_cli_load_no_scipy(tmp_path):
+    # scipy's import was most of every campaign process's set-up time and memory,
+    # and only the quadrature uses it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    modules, value = proc.stdout.strip().splitlines()[-2:]
+    assert modules == "[]"
+    assert value == "-0.6931471805599456"

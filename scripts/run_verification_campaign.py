@@ -41,9 +41,14 @@ def main() -> int:
         )
     except InvalidParameter as exc:
         ap.error(str(exc))
-    t0 = time.perf_counter()
-    summary = run_campaign(config)
-    elapsed = time.perf_counter() - t0
+    try:
+        out = open(args.output, "w")
+    except OSError as exc:      # a missing directory, a directory, no permission
+        ap.error(f"cannot write --output {args.output}: {exc.strerror}")
+    with out:
+        t0 = time.perf_counter()
+        summary = run_campaign(config, out)
+        elapsed = time.perf_counter() - t0
     print(summary.line() + f" elapsed={elapsed:.1f}s")
     for ineq in config.inequalities:
         stats = summary.per_inequality.get(ineq)

@@ -20,13 +20,12 @@ Conventions used throughout:
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} raised by
-``linalg.generalized_powers`` (below-cutoff modes zeroed).
+``PsdOperator.powers`` (below-cutoff modes zeroed).
 
 Every check takes a block of trials and gives one report per trial, each
 bit-identical to the trial's own; a single trial is a block of one, read as
-``[0]``.  Each eigh, power, kernel call and SVD is one stacked call over the
-block, except in the beta = 1/2 recovery forms of ``monotonicity_bound``.
-The monotonicity trio shares ``_remainder_terms``, joint convexity and WYD
+``[0]``.  Each eigh, power, inverse, kernel call and SVD is one stacked call
+over the block.  The monotonicity trio shares ``_remainder_terms``, joint convexity and WYD
 joint concavity ``_mixtures`` and ``_joint_gaps``, and ``ssa``,
 ``cauchy_schwarz`` and the operator-SSA family the stacks of ``_ssa_stacks``.
 A block that raises is checked again trial by trial by the campaign.  The
@@ -57,9 +56,7 @@ from .linalg import (
     PsdOperator,
     _as_matrices,
     _kron,
-    _spectra,
     as_matrix,
-    generalized_powers,
     hermitize,
     hs_norm,
     op_norm,
@@ -278,81 +275,98 @@ def verify_thm42_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundRepor
 
 
 def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> list[BoundReport]:
-    """Power-law remainder (optimized-T form) plus its recovery-map corollaries, per trial.
-
-    At beta = 1/2, for a full-rank rho: the recovery-map trace-norm form with
-    constant 2M, and, for the logarithm with K = I, the quartic special case
-    gap >= (pi/4)^4 |Delta|^{-2} ||R_{1/2}||_2^4.
-    """
+    """Power-law remainder ||R||_2 <= M gap^alpha (optimized-T form) of each trial, and at
+    beta = 1/2, for a full-rank rho, its recovery-map corollaries (``_recovery_forms``)."""
+    terms = _remainder_terms(f, rhos, sigmas, k1s, vs, beta, space)
+    forms = _recovery_forms(f, terms, space) if beta == 0.5 else {}
     reports = []
-    for rho, sigma, k1m, vm, rnorm, gap, _, d_norm, consts in _remainder_terms(
-            f, rhos, sigmas, k1s, vs, beta, space):
-        details = {"residual_hs": rnorm, "gap": gap}
-        # power-law form: ||R||_2 <= M gap^alpha
+    for i, (rho, sigma, k1m, vm, rnorm, gap, _, _, consts) in enumerate(terms):
         rhs = consts.M * max(gap, 0.0) ** consts.alpha
-        ok = _rel_pass(rnorm, rhs, REL_INEQ_TOL)
-        if beta == 0.5 and rho.rank() == rho.dim:
-            k_full = _kron(k1m, vm)
-            sigma1 = sigma.marginal(space, (0,))
-            rho1 = rho.marginal(space, (0,))
-            recovered = petz_recover(rho, hermitize(k1m.conj().T @ sigma1.mat @ k1m),
-                                     space, keep=(0,))
-            target = hermitize(k_full.conj().T @ sigma.mat @ k_full)
-            petz_lhs = trace_norm(recovered - target)
-            details["petz_diff_trace"] = petz_lhs
-            details["petz_chain_rhs"] = 2.0 * rnorm
-            # half-factor chain needs ||X||_2 + ||Y||_2 <= 2, true for contractions
-            x_n = hs_norm(_kron(sigma1.power(0.5) @ k1m @ rho1.power(-0.5), vm)
-                          @ rho.power(0.5))
-            y_n = hs_norm(sigma.power(0.5) @ k_full)
-            if x_n + y_n <= 2.0 + 1e-9:
-                ok = ok and _rel_pass(petz_lhs, 2.0 * rnorm, REL_INEQ_TOL)
-            ok = ok and _rel_pass(petz_lhs, 2.0 * consts.M * max(gap, 0.0) ** consts.alpha,
-                                  REL_INEQ_TOL)
-            if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
-                quartic = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
-                details["quartic_lower"] = quartic
-                ok = ok and _rel_pass(quartic, gap, REL_INEQ_TOL)
-            ok = _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space,
-                                    consts, gap, details) and ok
-        reports.append(_report("monotonicity_bound", rnorm, rhs, ok, constants=consts,
+        passed, details = forms.get(i, (True, {}))
+        reports.append(_report("monotonicity_bound", rnorm, rhs,
+                               _rel_pass(rnorm, rhs, REL_INEQ_TOL) and passed, constants=consts,
                                digest=digest_inputs(rho.mat, sigma.mat, k1m, vm),
-                               notes=f"f={f.name};beta={beta:g}", details=details))
+                               notes=f"f={f.name};beta={beta:g}",
+                               details={"residual_hs": rnorm, "gap": gap, **details}))
     return reports
 
 
-def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, details):
-    """Swapped-roles recovery bound for invertible K (symmetric-sandwich reading).
+def _recovery_forms(f, terms, space) -> dict:
+    """{index: (passed, details)} of the beta = 1/2 recovery forms of each full-rank-rho trial.
 
-    Bounds ||K* R_sigma((K1^{-1})* rho_1 K1^{-1}) K - rho||_1 through the
-    half-exponent residual with the left-multiplication norms
-    ||rho_1||^{1/2} ||K^{-1}|| ||sigma_1^{-1}||^{1/2} made explicit, where
-    ||K^{-1}|| = ||K1^{-1} (x) V*|| = ||K1^{-1}|| for unitary V.
+    The chain ||R_rho(K1* sigma_1 K1) - K* sigma K||_1 <= 2 ||R||_2 (if ||X||_2 + ||Y||_2 <= 2,
+    true for contractions) and <= 2M gap^alpha; for the logarithm with K = I, the quartic case
+    gap >= (pi/4)^4 |Delta|^{-2} ||R||_2^4; for invertible sigma, sigma_1 and K1 with
+    ||K1^{-1}|| <= 1e6, the swapped roles: ||K* R_sigma((K1^{-1})* rho_1 K1^{-1}) K - rho||_1
+    through the residual, with ||rho_1||^{1/2} ||K^{-1}|| ||sigma_1^{-1}||^{1/2} explicit and
+    ||K^{-1}|| = ||K1^{-1}|| (V unitary).  Each list of operators is raised, each kind of trace
+    norm taken and the K1 inverted in one stacked call; ``petz_recover`` raises rho and rho_1.
     """
-    if sigma1.rank() < sigma1.dim or sigma.rank() < sigma.dim:
-        return True
+    full = [i for i, term in enumerate(terms) if term[0].rank() == term[0].dim]
+    if not full:
+        return {}
+    rhos, sigmas, k1s, vs, rnorms, gaps, _, d_norms, consts = zip(*(terms[i] for i in full))
+    k1s, vs = np.stack(k1s), np.stack(vs)
+    k_fulls = _kron(k1s, vs)
+    rho1s, sigma1s = (PsdOperator.marginals(ops, space, (0,)) for ops in (rhos, sigmas))
+    rho1_pows = PsdOperator.powers(rho1s, (-0.5, 0.5))
+    sigma1_pows = PsdOperator.powers(sigma1s, (0.5, -0.5))
+    sigma_halves = PsdOperator.powers(sigmas, (0.5,))[:, 0]
+    recovered = petz_recover(rhos, hermitize(_adjoints(k1s) @ _as_matrices(sigma1s) @ k1s), space)
+    petz_l1s = trace_norm(
+        recovered - hermitize(_adjoints(k_fulls) @ _as_matrices(sigmas) @ k_fulls)).tolist()
+    x_ns = [hs_norm(x) for x in _kron(sigma1_pows[:, 0] @ k1s @ rho1_pows[:, 0], vs)
+            @ PsdOperator.powers(rhos, (0.5,))[:, 0]]
+    y_ns = [hs_norm(y) for y in sigma_halves @ k_fulls]
+    identity = np.isclose(k_fulls, np.eye(space.dim)).all(axis=(1, 2)).tolist()
+    at = [j for j, ops in enumerate(zip(sigmas, sigma1s)) if all(o.rank() == o.dim for o in ops)]
+    inverses = dict(zip(at, _inverses(k1s[at])))
+    at = [j for j in at if inverses[j] is not None]
+    k1_invs = np.array([inverses[j] for j in at]).reshape(-1, *k1s.shape[1:])
+    inv_norms = dict(zip(at, op_norm(k1_invs).tolist()))
+    near = [not inv_norms[j] > 1e6 for j in at]
+    at, k1_invs = [j for j, keep in zip(at, near) if keep], k1_invs[near]
+    eye = np.eye(space.dims[1])
+    swapped = _petz_sandwiches(sigma_halves[at], sigma1_pows[at, 1], hermitize(
+        _adjoints(k1_invs) @ _as_matrices(rho1s)[at] @ k1_invs), space, (0,))
+    swap_l1s = trace_norm(hermitize(_adjoints(k_fulls[at]) @ swapped @ k_fulls[at])
+                          - _as_matrices(rhos)[at]).tolist()
+    x_mats = (_kron(rho1_pows[at, 1], eye) @ _kron(k1_invs, _adjoints(vs[at]))
+              @ _kron(sigma1_pows[at, 1], eye) @ sigma_halves[at] @ k_fulls[at])
+    swaps = dict(zip(at, zip(swap_l1s, [hs_norm(x) for x in x_mats])))
+    forms = {}
+    for j, (rho, rho1, sigma1, rnorm, gap, d_norm, c) in enumerate(zip(
+            rhos, rho1s, sigma1s, rnorms, gaps, d_norms, consts)):
+        details = {"petz_diff_trace": petz_l1s[j], "petz_chain_rhs": 2.0 * rnorm}
+        ok = _rel_pass(petz_l1s[j], 2.0 * c.M * max(gap, 0.0) ** c.alpha, REL_INEQ_TOL)
+        if x_ns[j] + y_ns[j] <= 2.0 + 1e-9:
+            ok = ok and _rel_pass(petz_l1s[j], 2.0 * rnorm, REL_INEQ_TOL)
+        if f.name == "neg_log" and identity[j]:
+            details["quartic_lower"] = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
+            ok = ok and _rel_pass(details["quartic_lower"], gap, REL_INEQ_TOL)
+        if j in swaps:
+            lhs, x_hs = swaps[j]
+            pair_norm = x_hs + math.sqrt(max(rho.trace(), 0.0))
+            left_norms = (math.sqrt(rho1.max_eig()) * inv_norms[j]
+                          / math.sqrt(sigma1.min_positive_eig()))
+            rhs = pair_norm * left_norms * c.M * max(gap, 0.0) ** c.alpha
+            details.update(interchange_diff_trace=lhs, interchange_rhs=rhs)
+            ok = ok and _rel_pass(lhs, rhs, REL_INEQ_TOL)
+        forms[full[j]] = ok, details
+    return forms
+
+
+def _adjoints(ms) -> np.ndarray:
+    return ms.conj().swapaxes(-1, -2)
+
+
+def _inverses(ms) -> list:
+    """``np.linalg.inv`` of each matrix of a stack in one call; if LAPACK finds one exactly
+    singular (a zero pivot), each is inverted alone, and a singular one is None."""
     try:
-        k1_inv = np.linalg.inv(k1m)
+        return list(np.linalg.inv(ms))
     except np.linalg.LinAlgError:
-        return True
-    k_inv_norm = op_norm(k1_inv)
-    if k_inv_norm > 1e6:
-        return True
-    k_full = _kron(k1m, vm)
-    k_inv = _kron(k1_inv, vm.conj().T)
-    sandwich = hermitize(k1_inv.conj().T @ rho1.mat @ k1_inv)
-    recovered = petz_recover(sigma, sandwich, space, keep=(0,))
-    lhs = trace_norm(hermitize(k_full.conj().T @ recovered @ k_full) - rho.mat)
-    x_mat = (_kron(rho1.power(0.5), np.eye(space.dims[1])) @ k_inv
-             @ _kron(sigma1.power(-0.5), np.eye(space.dims[1]))
-             @ sigma.power(0.5) @ k_full)
-    pair_norm = hs_norm(x_mat) + math.sqrt(max(rho.trace(), 0.0))
-    left_norms = (math.sqrt(rho1.max_eig()) * k_inv_norm
-                  / math.sqrt(sigma1.min_positive_eig()))
-    rhs = pair_norm * left_norms * consts.M * max(gap, 0.0) ** consts.alpha
-    details["interchange_diff_trace"] = lhs
-    details["interchange_rhs"] = rhs
-    return _rel_pass(lhs, rhs, REL_INEQ_TOL)
+        return [inv for m in ms for inv in _inverses(m[None])] if len(ms) > 1 else [None]
 
 
 def pinsker_block(f, rhos, sigmas, us) -> list[BoundReport]:
@@ -446,7 +460,7 @@ def verify_joint_convexity_block(f, ensembles, ks, beta) -> list[BoundReport]:
     gaps = _joint_gaps(f, kms, ensembles)
     residuals, mixed, sigma_k = _mixture_residuals(kms, ensembles, beta)
     rho_js = [rj for comps, _, _ in ensembles for _, rj, _ in comps]
-    eq_diffs = mixed - sigma_k @ generalized_powers(*_spectra(rho_js), (-beta,))[:, 0]
+    eq_diffs = mixed - sigma_k @ PsdOperator.powers(rho_js, (-beta,))[:, 0]
     eq_resids = _grid_maxima(eq_diffs.reshape(len(kms), -1, *kms.shape[1:]))
     reports = []
     for (comps, _, _), km, gap, (resid_l1, resid_l2, d_sum), k_norm, eq_resid in zip(
@@ -561,7 +575,7 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
     consts = [constants_for(mach, beta, 1.0, d_norm) for d_norm in d_norms]
     alpha = consts[0][2]                # alpha depends on (f, beta) only
     n_consts = np.array([n_const for _, n_const, _, _, _ in consts])
-    raised = generalized_powers(*_spectra(PsdOperator.stack(grams)), (1.0 / alpha,))
+    raised = PsdOperator.powers(PsdOperator.stack(grams), (1.0 / alpha,))
     lhs_ops = n_consts[:, None, None] * raised[:, 0]
     diff_mins = np.linalg.eigvalsh(rhs_ops - lhs_ops).min(axis=1).tolist()
     rhs_mins = np.linalg.eigvalsh(rhs_ops).min(axis=1).tolist()

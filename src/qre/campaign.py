@@ -77,6 +77,9 @@ class CampaignConfig:
                 entries = tuple(from_id(fid).name for fid in entries)
             if any(e in entries[:i] for i, e in enumerate(entries)):
                 raise InvalidParameter(f"{name} repeats an entry: {entries}")
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if any(not 0.0 < b < 1.0 for b in self.betas):

@@ -39,32 +39,27 @@ def _require(value, flag):
     return value
 
 
-def _unitary(path, flag):
-    """Load a matrix the theorem needs unitary; reject it unless V*V = I within 1e-10 d."""
-    m = load_matrix(path)
-    d = m.shape[0]
-    dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
-    if dev > UNITARY_TOL * d:
+def _operand(path, flag, dim, unitary):
+    """The matrix of ``flag`` (I if it is not given), which acts on dimension ``dim`` and is
+    unitary (V*V = I within 1e-10 d) or else a contraction (||K|| <= 1 + 1e-10)."""
+    m = load_matrix(path) if path else np.eye(dim)
+    if m.shape[0] != dim:
+        raise QREError(f"{flag} is {m.shape[0]}x{m.shape[0]}, but acts on dimension {dim}")
+    if unitary and (dev := float(np.abs(m.conj().T @ m - np.eye(dim)).max())) > UNITARY_TOL * dim:
         raise QREError(f"{flag} is not unitary: max |V*V - I| = {dev:.3e}")
-    return m
-
-
-def _contraction(path, flag):
-    """Load a matrix the theorem needs to be a contraction; reject it if ||K|| > 1 + 1e-10."""
-    m = load_matrix(path)
-    norm = op_norm(m)
-    if norm > 1.0 + CONTRACTION_TOL:
+    if not unitary and (norm := op_norm(m)) > 1.0 + CONTRACTION_TOL:
         raise QREError(f"{flag} is not a contraction: ||K|| = {norm:.12g}")
     return m
 
 
-# operand name (as in campaign.FAMILIES) -> loader(args, space); --rho is loaded first
+# operand name (as in campaign.FAMILIES) -> loader(args, space); --rho is loaded first.
+# K1 acts on factor A, V on factor B and U on the whole space.
 LOADERS = {
     "sigma": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
     "sigma_ab": lambda args, space: load_matrix(_require(args.sigma, "--sigma")),
-    "k1": lambda args, space: _contraction(args.k, "--k") if args.k else np.eye(space.dims[0]),
-    "v": lambda args, space: _unitary(args.vfile, "--v") if args.vfile else np.eye(space.dims[1]),
-    "u": lambda args, space: _unitary(args.k, "--k") if args.k else np.eye(space.dim),
+    "k1": lambda args, space: _operand(args.k, "--k", space.dims[0], unitary=False),
+    "v": lambda args, space: _operand(args.vfile, "--v", space.dims[1], unitary=True),
+    "u": lambda args, space: _operand(args.k, "--k", space.dim, unitary=True),
 }
 
 

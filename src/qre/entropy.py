@@ -85,7 +85,8 @@ def _clustered(ops) -> list[np.ndarray]:
     todo = list({id(op): op for op in ops if "effective_eigs" not in op._memo}.values())
     if todo:
         for op, row in zip(todo, effective_eigs(_stacked([op.eigs for op in todo]))):
-            op.memo("effective_eigs", row.copy)
+            op._memo["effective_eigs"] = row = row.copy()
+            row.flags.writeable = False
     return [op._memo["effective_eigs"] for op in ops]
 
 

@@ -20,9 +20,10 @@ Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
 stack with one ``eigh`` and runs the constructor's checks over the whole
 stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
 several operators as one stack, ``generalized_powers`` raises a stack of
-decomposed operators to a grid of exponents (``PsdOperator.power`` is its
-memoised read for one operator and one exponent, ``PsdOperator.powers`` its
-call on a list that memoises each row), ``partial_trace`` and ``embed`` take
+decomposed operators to a grid of exponents (``PsdOperator.powers`` is its
+call on a list of operators, the one spelling outside this module, and
+``PsdOperator.power`` its read for one operator and one exponent; powers are
+never memoised), ``partial_trace`` and ``embed`` take
 leading stack axes, ``op_norm`` and ``trace_norm`` a stack of matrices (one
 batched SVD, the one path for a matrix too) and ``_kron`` two stacks.  Each
 stacked result is bit-identical to the one-at-a-time result: LAPACK and BLAS
@@ -250,9 +251,9 @@ class PsdOperator:
     ``eigs`` is ascending and ``vecs`` holds orthonormal eigenvector columns;
     ``cutoff`` is the numerical-rank threshold used for generalized inverses.
     The operator is immutable after construction (``mat`` must not be
-    mutated), so everything derived from it -- powers, marginals, the
-    clustered spectrum -- is computed once and memoised; memoised arrays are
-    read-only.
+    mutated), so its marginals and its clustered spectrum are computed once
+    and memoised in ``_memo``, the spectrum read-only; its powers are raised
+    afresh on each call.
     """
 
     __slots__ = ("mat", "eigs", "vecs", "cutoff", "_memo")
@@ -267,17 +268,6 @@ class PsdOperator:
     def _adopt(self, a, w, v, cutoff):
         self.mat, self.eigs, self.vecs, self.cutoff, self._memo = a, w, v, cutoff, {}
 
-    def memo(self, key, build):
-        """``build()`` on the first call with ``key``, the stored result after."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._memo[key] = value
-            return value
-
     @classmethod
     def wrap(cls, m) -> "PsdOperator":
         return m if isinstance(m, PsdOperator) else cls(m)
@@ -290,9 +280,8 @@ class PsdOperator:
         return float(self.eigs.sum())
 
     def power(self, beta: float) -> np.ndarray:
-        """This operator raised to ``beta`` by ``generalized_powers``, memoised."""
-        return self.memo(("power", beta), lambda: generalized_powers(
-            self.vecs, self.eigs, self.cutoff, (beta,))[0])
+        """This operator raised to ``beta`` by ``generalized_powers``."""
+        return generalized_powers(self.vecs, self.eigs, self.cutoff, (beta,))[0]
 
     @classmethod
     def stack(cls, mats) -> list["PsdOperator"]:
@@ -334,12 +323,10 @@ class PsdOperator:
 
     @staticmethod
     def powers(ops, betas) -> np.ndarray:
-        """``generalized_powers`` of ``ops`` in one call; ``op.power(b)`` then reads op's row b."""
-        raised = generalized_powers(*_spectra(ops), betas)
-        for op, rows in zip(ops, raised):
-            for beta, row in zip(betas, rows):
-                op.memo(("power", beta), lambda row=row: row)
-        return raised
+        """``generalized_powers`` of ``ops`` (of one dimension) in one call, ``(N, G, d, d)``."""
+        return generalized_powers(np.stack([op.vecs for op in ops]),
+                                  np.stack([op.eigs for op in ops]),
+                                  np.array([op.cutoff for op in ops]), betas)
 
     def support_projector(self) -> np.ndarray:
         return self.power(0.0)
@@ -355,12 +342,6 @@ class PsdOperator:
 
     def rank(self) -> int:
         return int((self.eigs > self.cutoff).sum())
-
-
-def _spectra(ops):
-    """The ``(vecs, eigs, cutoffs)`` of ``ops`` (of one dimension) as stacks."""
-    return (np.stack([op.vecs for op in ops]), np.stack([op.eigs for op in ops]),
-            np.array([op.cutoff for op in ops]))
 
 
 def generalized_powers(vecs, eigs, cutoffs, betas) -> np.ndarray:

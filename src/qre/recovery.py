@@ -2,10 +2,10 @@
 
 Reduced operators always act through identity embeddings in their original
 tensor slots; subsystem order is fixed by the FactorizedSpace and never
-permuted.  ``PsdOperator.power`` is the memoised read of one power; a list of
-operators is raised with one ``generalized_powers`` call (``PsdOperator.powers``
-also memoises each row), and every sandwich embed(Y^b) K embed(X^{-b}) over a
-beta grid is one ``_sandwiches`` call; ``_grid_maxima`` SVDs only its possible maxima.
+permuted.  A list of operators is raised with one ``PsdOperator.powers`` call,
+the Petz maps of a list of states are one ``petz_recover`` stack, and every
+sandwich embed(Y^b) K embed(X^{-b}) over a beta grid is one ``_sandwiches``
+call; ``_grid_maxima`` SVDs only its possible maxima.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import functools
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, _spectra, as_matrix,
-                     generalized_powers, hermitize, hs_norm, op_norm)
+from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, as_matrix, hermitize,
+                     hs_norm, op_norm)
 
 DEFAULT_BETA_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -26,13 +26,18 @@ def petz_recover(rho, gamma, space: FactorizedSpace, keep=(0,)) -> np.ndarray:
 
     ``gamma`` lives on the kept factors; the sandwiched operator is embedded
     with identities on the traced-out factors so the composition type-checks.
+    With a list of N rhos and an ``(N, k, k)`` stack of gammas, each pair's map
+    as one stack (one pair is a stack of one).
     """
-    rho = space.psd(rho)
+    if np.ndim(gamma) != 3:
+        return petz_recover([rho], as_matrix(gamma)[None], space, keep)[0]
+    rhos = [space.psd(r) for r in rho]
     keep = space.normalize_keep(keep)
-    gm = as_matrix(gamma)
-    if gm.shape[0] != space.subspace(keep).dim:
-        raise ShapeMismatch("gamma does not match the kept factors")
-    return _petz_sandwiches(rho.power(0.5), rho.marginal(space, keep).power(-0.5), gm, space, keep)
+    gms = np.asarray(gamma, dtype=np.complex128)
+    if gms.shape != (len(rhos),) + (space.subspace(keep).dim,) * 2:
+        raise ShapeMismatch(f"gammas {gms.shape} do not match {len(rhos)} rho on the kept factors")
+    return _petz_sandwiches(PsdOperator.powers(rhos, (0.5,))[:, 0], PsdOperator.powers(
+        PsdOperator.marginals(rhos, space, keep), (-0.5,))[:, 0], gms, space, keep)
 
 
 def _petz_sandwiches(halves, inv_halves, gammas, space: FactorizedSpace, keep) -> np.ndarray:
@@ -73,10 +78,10 @@ def _mixture_residuals(kms, ensembles, beta):
     """
     comps = [c for cs, _, _ in ensembles for c in cs]
     owner = np.repeat(np.arange(len(ensembles)), [len(cs) for cs, _, _ in ensembles])
-    mixed = (generalized_powers(*_spectra([s for _, _, s in ensembles]), (beta,))[:, 0] @ kms
-             @ generalized_powers(*_spectra([r for _, r, _ in ensembles]), (-beta,))[:, 0])[owner]
-    rho_pows = generalized_powers(*_spectra([rj for _, rj, _ in comps]), (0.5, 0.5 - beta))
-    sigma_k = generalized_powers(*_spectra([sj for _, _, sj in comps]), (beta,))[:, 0] @ kms[owner]
+    mixed = (PsdOperator.powers([s for _, _, s in ensembles], (beta,))[:, 0] @ kms
+             @ PsdOperator.powers([r for _, r, _ in ensembles], (-beta,))[:, 0])[owner]
+    rho_pows = PsdOperator.powers([rj for _, rj, _ in comps], (0.5, 0.5 - beta))
+    sigma_k = PsdOperator.powers([sj for _, _, sj in comps], (beta,))[:, 0] @ kms[owner]
     norms = np.array([hs_norm(x) for x in mixed @ rho_pows[:, 0] - sigma_k @ rho_pows[:, 1]])
     residuals = []
     for (cs, _, _), r in zip(ensembles, norms.reshape(len(ensembles), -1)):
@@ -111,13 +116,13 @@ def equality_condition_residuals(rhos, sigmas, ks, space: FactorizedSpace) -> li
 def _sandwiches(ys, y_slots, xs, x_slots, space: FactorizedSpace, grid, k=None) -> np.ndarray:
     """embed(Y^b) K embed(X^{-b}) of each Y and each b of ``grid``, as ``(N, G, d, d)``.
 
-    Y and X act on ``y_slots`` and ``x_slots``; each list is one ``generalized_powers``
+    Y and X act on ``y_slots`` and ``x_slots``; each list is one ``PsdOperator.powers``
     call.  The Y's fall into ``len(xs)`` consecutive runs of one length, and run i
     takes X i: a list of one X serves every Y, and N X's pair with N Y's.  ``k`` is
     one K, a stack of one K per X, or None to leave K out.
     """
-    left = space.embed(generalized_powers(*_spectra(ys), grid), y_slots)
-    right = space.embed(generalized_powers(*_spectra(xs), tuple(-b for b in grid)), x_slots)
+    left = space.embed(PsdOperator.powers(ys, grid), y_slots)
+    right = space.embed(PsdOperator.powers(xs, tuple(-b for b in grid)), x_slots)
     runs = left.reshape(len(xs), -1, *left.shape[1:])
     if k is not None:
         runs = runs @ (k[:, None, None] if k.ndim == 3 else k)
@@ -153,7 +158,7 @@ def _ssa_residuals(xs, x_slots, ys, y_slots, space: FactorizedSpace, beta: float
 
     X and Y act on the slots ``x_slots`` and ``y_slots`` of A|B|C, each a prefix
     (0, ...); X_m and Y_m, their marginals without A, on the slots past A.  The
-    powers of each list of operators are one ``generalized_powers`` call, so
+    powers of each list of operators are one ``PsdOperator.powers`` call, so
     each member is bit-equal to its pair alone.
     """
     _check_beta(beta)
@@ -163,9 +168,9 @@ def _ssa_residuals(xs, x_slots, ys, y_slots, space: FactorizedSpace, beta: float
     xs, ys = [sub_x.psd(x) for x in xs], [sub_y.psd(y) for y in ys]
     x_ms = PsdOperator.marginals(xs, sub_x, x_slots[1:])
     y_ms = PsdOperator.marginals(ys, sub_y, y_slots[1:])
-    x_pows = space.embed(generalized_powers(*_spectra(xs), (0.5, 0.5 - beta)), x_slots)
+    x_pows = space.embed(PsdOperator.powers(xs, (0.5, 0.5 - beta)), x_slots)
     term1 = _sandwiches(y_ms, y_slots[1:], x_ms, x_slots[1:], space, (beta,))[:, 0] @ x_pows[:, 0]
-    term2 = space.embed(generalized_powers(*_spectra(ys), (beta,))[:, 0], y_slots) @ x_pows[:, 1]
+    term2 = space.embed(PsdOperator.powers(ys, (beta,))[:, 0], y_slots) @ x_pows[:, 1]
     return term1 - term2
 
 

@@ -183,3 +183,14 @@ def test_every_module_stays_below_the_parser_token_limit():
     counts = {path.name: _parser_tokens(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     over = {name: n for name, n in counts.items() if n >= PARSER_TOKEN_LIMIT}
     assert over == {}, f"modules at or past {PARSER_TOKEN_LIMIT} parser tokens"
+
+
+def test_generalized_powers_is_read_only_in_linalg():
+    # a list of operators is raised with PsdOperator.powers: one spelling outside linalg
+    readers = sorted({path.name for path in sorted(PACKAGE.glob("*.py")) + sorted(
+                          (ROOT / "scripts").glob("*.py")) if path.name != "linalg.py"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if (isinstance(node, ast.Name) and node.id == "generalized_powers")
+                      or (isinstance(node, ast.Attribute) and node.attr == "generalized_powers")
+                      or (isinstance(node, ast.alias) and node.name == "generalized_powers")})
+    assert readers == []

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from qre.campaign import (
@@ -46,6 +47,21 @@ class TestConfig:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameter):
             CampaignConfig(inequalities=("monotonicity",), trials=0)
+
+    @pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "3"),
+                                              ("seed", 1.5), ("seed", False), ("seed", None)])
+    def test_non_integer_trials_or_seed_rejected_before_any_report(self, field, value, tmp_path):
+        # trials=2.5 left an empty JSONL and a TypeError; seed=1.5 hashed as "1.5"
+        out = tmp_path / "reports.jsonl"
+        with pytest.raises(InvalidParameter, match=f"{field} must be an integer"):
+            CampaignConfig(inequalities=("monotonicity",), output_path=str(out),
+                           **{"trials": 2, field: value})
+        assert not out.exists()
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        config = CampaignConfig(inequalities=("monotonicity",), trials=np.int64(2),
+                                seed=np.uint8(3))
+        assert config.trials == 2 and config.seed == 3
 
     def test_bad_beta_rejected(self):
         with pytest.raises(InvalidParameter):

@@ -181,6 +181,25 @@ class TestVerify:
         assert code != EXIT_INPUT
         assert "not a contraction" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inequality", ["monotonicity", "thm42", "monotonicity_bound"])
+    @pytest.mark.parametrize("flag", ["--k", "--v"])
+    def test_operand_of_the_wrong_factor_size_is_input_error(self, fixtures, inequality, flag,
+                                                              capsys):
+        # a 4x4 K1 or V on 2x2 printed numpy's matmul or an "operand dimension mismatch" message
+        save_matrix(fixtures / "big.json", random_unitary(4, seed=8))
+        code = main(["verify", inequality, "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--dims", "2,2",
+                     flag, str(fixtures / "big.json")])
+        assert code == EXIT_INPUT
+        assert f"{flag} is 4x4, but acts on dimension 2" in capsys.readouterr().err
+
+    def test_pinsker_k_of_the_wrong_size_is_input_error(self, fixtures, capsys):
+        save_matrix(fixtures / "u2.json", random_unitary(2, seed=8))
+        code = main(["verify", "pinsker", "--rho", str(fixtures / "rho4.json"),
+                     "--sigma", str(fixtures / "sigma4.json"), "--k", str(fixtures / "u2.json")])
+        assert code == EXIT_INPUT
+        assert "--k is 2x2, but acts on dimension 4" in capsys.readouterr().err
+
 
 # the flag each operand is read from by ``qre verify``
 FLAGS = {"rho": "--rho", "sigma": "--sigma", "sigma_ab": "--sigma", "k1": "--k",

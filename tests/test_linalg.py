@@ -266,9 +266,9 @@ class TestTensorPlans:
         eyes = [x for x in space._plan((1,)).embed_rest if isinstance(x, np.ndarray)]
         assert [e.shape for e in eyes] == [(2, 2), (2, 2)]
         assert not any(e.flags.writeable for e in eyes)
-        op = PsdOperator(random_density(3, seed=5).mat).power(0.5)    # read-only input
+        op = PsdOperator(random_density(3, seed=5).mat).power(0.5)
         m = PsdOperator(random_density(12, seed=6).mat).power(1.0)
-        assert not op.flags.writeable and not m.flags.writeable
+        op.flags.writeable = m.flags.writeable = False      # read-only inputs
         first = space.embed(op, (1,))
         assert first.flags.writeable and not np.shares_memory(first, op)
         first[:] = 0.0
@@ -281,7 +281,8 @@ class TestTensorPlans:
     @pytest.mark.parametrize("keep", [(0, 1), [1, 0], (0, 1, 0)])
     def test_full_keep_set_returns_a_fresh_copy(self, keep):
         space = FactorizedSpace((2, 3))
-        power = PsdOperator(random_density(6, seed=7).mat).power(1.0)    # read-only
+        power = PsdOperator(random_density(6, seed=7).mat).power(1.0)
+        power.flags.writeable = False
         raw = random_hermitian(6, seed=8)
         for m in (power, raw):
             want = m.copy()

@@ -111,3 +111,14 @@ def test_campaign_script_input_error_is_exit_2(tmp_path, args, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert not (tmp_path / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize("output", ["{tmp}/missing/c.jsonl", "{tmp}"])
+def test_campaign_script_unwritable_output_is_exit_2(tmp_path, output):
+    # a missing directory and a directory each ended in a traceback with exit 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "run_verification_campaign.py"),
+           "--trials", "1", "--inequalities", "pinsker", "--output", output.format(tmp=tmp_path)]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "cannot write --output" in proc.stderr and "Traceback" not in proc.stderr

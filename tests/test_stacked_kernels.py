@@ -8,6 +8,7 @@ that the grid residuals replaced are kept below as the oracles.
 import functools
 import io
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,6 @@ from qre.linalg import (
     DensityMatrix,
     FactorizedSpace,
     PsdOperator,
-    _spectra,
     generalized_powers,
     hermitize,
     op_norm,
@@ -77,7 +77,7 @@ def _states(seed, n=6):
 
 def _raised(ops, betas):
     """``generalized_powers`` over a list of operators of one dimension."""
-    return generalized_powers(*_spectra(ops), betas)
+    return PsdOperator.powers(ops, betas)
 
 
 def _by_dim(ops):
@@ -110,7 +110,8 @@ class TestPowers:
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_power_is_bit_equal_to_each_power(self, seed):
         for ops in _by_dim(_states(seed, n=12)):
-            spectra = _spectra(ops)
+            spectra = (np.stack([op.vecs for op in ops]), np.stack([op.eigs for op in ops]),
+                       np.array([op.cutoff for op in ops]))
             for grid in [(b,) for b in BETAS] + [BETAS, GRID]:
                 stack = generalized_powers(*spectra, grid)
                 assert stack.shape == (len(ops), len(grid)) + ops[0].mat.shape
@@ -118,15 +119,6 @@ class TestPowers:
                 for op, rows in zip(ops, stack):
                     for b, row in zip(grid, rows):
                         assert_bits(row, _fresh(op).power(b))
-
-    def test_power_is_memoised_read_only(self):
-        op = random_density(4, seed=2)
-        for b, row in zip(BETAS, _raised([op], BETAS)[0]):
-            power = op.power(b)
-            assert power is op.power(b)
-            assert not power.flags.writeable
-            assert_bits(power, row)
-            assert_bits(row, PsdOperator(op.mat).power(b))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_are_bit_equal_to_the_two_dimensional_formula(self, seed):
@@ -491,8 +483,7 @@ class TestGridResiduals:
             raised.append(int(np.prod(vecs.shape[:-2])))
             return generalized_powers(vecs, eigs, cutoffs, betas)
 
-        for module in (linalg, recovery, bounds):
-            monkeypatch.setattr(module, "generalized_powers", spy)
+        monkeypatch.setattr(linalg, "generalized_powers", spy)
         space, rng = FactorizedSpace((2, 2)), np.random.default_rng(0)
         instances = [equality.draw_joint_convexity(rng, space, PsdOperator, random_contraction)
                      for _ in range(n)]
@@ -979,10 +970,38 @@ def _loop_monotonicity_report(ineq, f, rho, sigma, k1, v, beta, space):
         if f.name == "neg_log" and np.allclose(k_full, np.eye(space.dim)):
             details["quartic_lower"] = (np.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
             ok = ok and bounds._rel_pass(details["quartic_lower"], gap, bounds.REL_INEQ_TOL)
-        ok = bounds._interchange_check(k1, v, rho, sigma, rho1, sigma1, space, consts, gap,
-                                       details) and ok
+        ok = _interchange_check(k1, v, rho, sigma, rho1, sigma1, space, consts, gap,
+                                details) and ok
     return bounds._report(ineq, rnorm, rhs, ok, constants=consts, digest=digest, notes=notes,
                           details=details)
+
+
+def _interchange_check(k1m, vm, rho, sigma, rho1, sigma1, space, consts, gap, details):
+    """Swapped-roles recovery bound of one trial, as before the block (the oracle)."""
+    if sigma1.rank() < sigma1.dim or sigma.rank() < sigma.dim:
+        return True
+    try:
+        k1_inv = np.linalg.inv(k1m)
+    except np.linalg.LinAlgError:
+        return True
+    k_inv_norm = op_norm(k1_inv)
+    if k_inv_norm > 1e6:
+        return True
+    k_full = linalg._kron(k1m, vm)
+    k_inv = linalg._kron(k1_inv, vm.conj().T)
+    sandwich = hermitize(k1_inv.conj().T @ rho1.mat @ k1_inv)
+    recovered = recovery.petz_recover(sigma, sandwich, space, keep=(0,))
+    lhs = trace_norm(hermitize(k_full.conj().T @ recovered @ k_full) - rho.mat)
+    x_mat = (linalg._kron(rho1.power(0.5), np.eye(space.dims[1])) @ k_inv
+             @ linalg._kron(sigma1.power(-0.5), np.eye(space.dims[1]))
+             @ sigma.power(0.5) @ k_full)
+    pair_norm = linalg.hs_norm(x_mat) + math.sqrt(max(rho.trace(), 0.0))
+    left_norms = (math.sqrt(rho1.max_eig()) * k_inv_norm
+                  / math.sqrt(sigma1.min_positive_eig()))
+    rhs = pair_norm * left_norms * consts.M * max(gap, 0.0) ** consts.alpha
+    details["interchange_diff_trace"] = lhs
+    details["interchange_rhs"] = rhs
+    return bounds._rel_pass(lhs, rhs, bounds.REL_INEQ_TOL)
 
 
 def _loop_joint_convexity_report(f, comps, km, beta):
@@ -1052,19 +1071,77 @@ class TestMonotonicityBlock:
                                                      beta, space)
                 assert line == single.to_json() == loop.to_json()
 
-    @pytest.mark.parametrize("ineq", MONOTONICITY_BLOCK)
-    def test_decompositions_per_block_do_not_grow_with_its_size(self, ineq):
+    @staticmethod
+    def _counts(ineq, beta):
+        """(eigh, SVD, inv, generalized_powers) calls of a block of n trials, for n = 1, 4, 20."""
         space, fid = FactorizedSpace((2, 2)), "f_p:0.5"
         counts = []
         for n in (1, 4, 20):
             _, block = _block(ineq, (2, 2), fid, n)
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
-                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-                FAMILIES[ineq].check(from_id(fid), space, 0.25, block)
-            counts.append((eigh.call_count, svd.call_count))
-        # the 2N marginals (or the 2N mixtures); ||K1|| (or ||K|| and the equality residuals)
-        assert counts == [{"monotonicity": (1, 0), "thm42": (1, 1), "monotonicity_bound": (1, 1),
-                           "joint_convexity": (1, 2)}[ineq]] * 3
+                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                    mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, \
+                    mock.patch.object(linalg, "generalized_powers",
+                                      wraps=linalg.generalized_powers) as powers:
+                FAMILIES[ineq].check(from_id(fid), space, beta, block)
+            counts.append((eigh.call_count, svd.call_count, inv.call_count, powers.call_count))
+        return counts
+
+    @pytest.mark.parametrize("ineq", MONOTONICITY_BLOCK)
+    def test_decompositions_per_block_do_not_grow_with_its_size(self, ineq):
+        # the 2N marginals (or the 2N mixtures); ||K1|| (or ||K|| and the equality residuals);
+        # the residual's four lists (or the mixtures' two, the components' two and rho_j^{-b})
+        assert self._counts(ineq, 0.25) == [{
+            "monotonicity": (1, 0, 0, 0), "thm42": (1, 1, 0, 4), "monotonicity_bound": (1, 1, 0, 4),
+            "joint_convexity": (1, 2, 0, 5)}[ineq]] * 3
+
+    def test_recovery_forms_per_block_do_not_grow_with_its_size(self):
+        # beta = 1/2 adds the two trace norms and ||K1^{-1}||, the stacked K1^{-1}, and the
+        # powers of rho_1, sigma_1, sigma and rho, and petz_recover's two
+        assert self._counts("monotonicity_bound", 0.5) == [(1, 4, 1, 10)] * 3
+
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_recovery_forms_of_a_mixed_block_are_the_one_trial_loop(self, dims, fid):
+        # every gate of the beta = 1/2 forms in one block: a rank-deficient rho (no forms), a
+        # rank-deficient sigma, an exactly singular K1, ||K1^{-1}|| > 1e6 (no swapped roles),
+        # K1 = V = I (the quartic case for neg_log), and plain trials between them
+        space, f = FactorizedSpace(dims), from_id(fid)
+        d1, d2 = dims
+        rng = np.random.default_rng(sum(dims))
+        u, w = random_unitary(d1, seed=rng), random_unitary(d1, seed=rng)
+        singular = np.zeros((d1, d1), dtype=complex)
+        singular[:, 0] = 0.5 * u[:, 0]
+        kinds = {
+            "rank-deficient rho": (space.dim - 1, space.dim, None, None),
+            "plain": (space.dim, space.dim, None, None),
+            "rank-deficient sigma": (space.dim, space.dim - 1, None, None),
+            "singular K1": (space.dim, space.dim, singular, None),
+            "ill-conditioned K1": (space.dim, space.dim,
+                                   u @ np.diag([0.8] + [1e-7] * (d1 - 1)) @ w, None),
+            "K1 = V = I": (space.dim, space.dim, np.eye(d1), np.eye(d2)),
+        }
+        if fid == "neg_log":    # its f(0+) = +inf meets sigma's zero mode: a divergent trial
+            del kinds["rank-deficient sigma"]
+        trials = []
+        for rho_rank, sigma_rank, k1, v in list(kinds.values()) * 2:
+            trials.append((random_density(space.dim, rank=rho_rank, seed=rng),
+                           random_density(space.dim, rank=sigma_rank, seed=rng),
+                           random_contraction(d1, seed=rng) if k1 is None else k1,
+                           random_unitary(d2, seed=rng) if v is None else v))
+        got = bounds.verify_monotonicity_bound_block(f, *zip(*trials), 0.5, space)
+        for kind, report, (rho, sigma, k1, v) in zip(list(kinds) * 2, got, trials):
+            loop = _loop_monotonicity_report("monotonicity_bound", f, _fresh(rho), _fresh(sigma),
+                                             k1, v, 0.5, space)
+            alone, = bounds.verify_monotonicity_bound_block(f, [rho], [sigma], [k1], [v], 0.5,
+                                                            space)
+            assert report.to_json() == alone.to_json() == loop.to_json()
+            forms = "petz_diff_trace" in report.details
+            swapped = "interchange_rhs" in report.details
+            assert forms == (kind != "rank-deficient rho")
+            assert swapped == (kind in ("plain", "K1 = V = I"))
+            assert ("quartic_lower" in report.details) == (kind == "K1 = V = I"
+                                                           and fid == "neg_log")
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_joint_convexity_raises_each_operator_once(self, monkeypatch, n):
@@ -1076,8 +1153,7 @@ class TestMonotonicityBlock:
             raised.extend((member.tobytes(), beta) for member in eigs for beta in betas)
             return generalized_powers(vecs, eigs, cutoffs, betas)
 
-        for module in (linalg, recovery, bounds):
-            monkeypatch.setattr(module, "generalized_powers", spy)
+        monkeypatch.setattr(linalg, "generalized_powers", spy)
         _, block = _block("joint_convexity", (2, 2), "neg_log", n)
         FAMILIES["joint_convexity"].check(from_id("neg_log"), FactorizedSpace((2, 2)), 0.25, block)
         assert len(raised) == 14 * n

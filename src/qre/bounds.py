@@ -294,12 +294,14 @@ def verify_monotonicity_bound_block(f, rhos, sigmas, k1s, vs, beta, space) -> li
 def _recovery_forms(f, terms, space) -> dict:
     """{index: (passed, details)} of the beta = 1/2 recovery forms of each full-rank-rho trial.
 
-    The chain ||R_rho(K1* sigma_1 K1) - K* sigma K||_1 <= 2 ||R||_2 (if ||X||_2 + ||Y||_2 <= 2,
-    true for contractions) and <= 2M gap^alpha; for the logarithm with K = I, the quartic case
-    gap >= (pi/4)^4 |Delta|^{-2} ||R||_2^4; for invertible sigma, sigma_1 and K1 with
-    ||K1^{-1}|| <= 1e6, the swapped roles: ||K* R_sigma((K1^{-1})* rho_1 K1^{-1}) K - rho||_1
-    through the residual, with ||rho_1||^{1/2} ||K^{-1}|| ||sigma_1^{-1}||^{1/2} explicit and
-    ||K^{-1}|| = ||K1^{-1}|| (V unitary).  Each list of operators is raised, each kind of trace
+    The chain ||R_rho(gamma) - K* sigma K||_1 <= 2 ||R||_2 (gamma = K1* sigma_1 K1) holds if
+    ||X||_2 + ||Y||_2 <= 2, X = (sigma_1^{1/2} K1 rho_1^{-1/2} (x) V) rho^{1/2}, Y = sigma^{1/2} K;
+    for a full-rank rho ||X||_2^2 = ||Y||_2^2 = Tr gamma, so ||K1|| <= 1 and Tr sigma_1 = 1 imply
+    the gate, read as Tr gamma <= (1 + 5e-10)^2.  Always <= 2M gap^alpha; for the logarithm with
+    K = I, the quartic case gap >= (pi/4)^4 |Delta|^{-2} ||R||_2^4; for invertible sigma, sigma_1
+    and K1 with ||K1^{-1}|| <= 1e6, the swapped roles: ||K* R_sigma((K1^{-1})* rho_1 K1^{-1}) K -
+    rho||_1 through the residual, with ||rho_1||^{1/2} ||K^{-1}|| ||sigma_1^{-1}||^{1/2} explicit
+    and ||K^{-1}|| = ||K1^{-1}|| (V unitary).  Each list of operators is raised, each kind of trace
     norm taken and the K1 inverted in one stacked call; ``petz_recover`` raises rho and rho_1.
     """
     full = [i for i, term in enumerate(terms) if term[0].rank() == term[0].dim]
@@ -309,15 +311,13 @@ def _recovery_forms(f, terms, space) -> dict:
     k1s, vs = np.stack(k1s), np.stack(vs)
     k_fulls = _kron(k1s, vs)
     rho1s, sigma1s = (PsdOperator.marginals(ops, space, (0,)) for ops in (rhos, sigmas))
-    rho1_pows = PsdOperator.powers(rho1s, (-0.5, 0.5))
-    sigma1_pows = PsdOperator.powers(sigma1s, (0.5, -0.5))
+    rho1_halves = PsdOperator.powers(rho1s, (0.5,))[:, 0]
+    sigma1_inv_halves = PsdOperator.powers(sigma1s, (-0.5,))[:, 0]
     sigma_halves = PsdOperator.powers(sigmas, (0.5,))[:, 0]
-    recovered = petz_recover(rhos, hermitize(_adjoints(k1s) @ _as_matrices(sigma1s) @ k1s), space)
-    petz_l1s = trace_norm(
-        recovered - hermitize(_adjoints(k_fulls) @ _as_matrices(sigmas) @ k_fulls)).tolist()
-    x_ns = [hs_norm(x) for x in _kron(sigma1_pows[:, 0] @ k1s @ rho1_pows[:, 0], vs)
-            @ PsdOperator.powers(rhos, (0.5,))[:, 0]]
-    y_ns = [hs_norm(y) for y in sigma_halves @ k_fulls]
+    gammas = hermitize(_adjoints(k1s) @ _as_matrices(sigma1s) @ k1s)
+    petz_l1s = trace_norm(petz_recover(rhos, gammas, space)
+                          - hermitize(_adjoints(k_fulls) @ _as_matrices(sigmas) @ k_fulls)).tolist()
+    gated = (np.trace(gammas, axis1=1, axis2=2).real <= (1.0 + 5e-10) ** 2).tolist()
     identity = np.isclose(k_fulls, np.eye(space.dim)).all(axis=(1, 2)).tolist()
     at = [j for j, ops in enumerate(zip(sigmas, sigma1s)) if all(o.rank() == o.dim for o in ops)]
     inverses = dict(zip(at, _inverses(k1s[at])))
@@ -327,20 +327,19 @@ def _recovery_forms(f, terms, space) -> dict:
     near = [not inv_norms[j] > 1e6 for j in at]
     at, k1_invs = [j for j, keep in zip(at, near) if keep], k1_invs[near]
     eye = np.eye(space.dims[1])
-    swapped = _petz_sandwiches(sigma_halves[at], sigma1_pows[at, 1], hermitize(
+    swapped = _petz_sandwiches(sigma_halves[at], sigma1_inv_halves[at], hermitize(
         _adjoints(k1_invs) @ _as_matrices(rho1s)[at] @ k1_invs), space, (0,))
     swap_l1s = trace_norm(hermitize(_adjoints(k_fulls[at]) @ swapped @ k_fulls[at])
                           - _as_matrices(rhos)[at]).tolist()
-    x_mats = (_kron(rho1_pows[at, 1], eye) @ _kron(k1_invs, _adjoints(vs[at]))
-              @ _kron(sigma1_pows[at, 1], eye) @ sigma_halves[at] @ k_fulls[at])
+    x_mats = (_kron(rho1_halves[at], eye) @ _kron(k1_invs, _adjoints(vs[at]))
+              @ _kron(sigma1_inv_halves[at], eye) @ sigma_halves[at] @ k_fulls[at])
     swaps = dict(zip(at, zip(swap_l1s, [hs_norm(x) for x in x_mats])))
     forms = {}
     for j, (rho, rho1, sigma1, rnorm, gap, d_norm, c) in enumerate(zip(
             rhos, rho1s, sigma1s, rnorms, gaps, d_norms, consts)):
         details = {"petz_diff_trace": petz_l1s[j], "petz_chain_rhs": 2.0 * rnorm}
         ok = _rel_pass(petz_l1s[j], 2.0 * c.M * max(gap, 0.0) ** c.alpha, REL_INEQ_TOL)
-        if x_ns[j] + y_ns[j] <= 2.0 + 1e-9:
-            ok = ok and _rel_pass(petz_l1s[j], 2.0 * rnorm, REL_INEQ_TOL)
+        ok = ok and (not gated[j] or _rel_pass(petz_l1s[j], 2.0 * rnorm, REL_INEQ_TOL))
         if f.name == "neg_log" and identity[j]:
             details["quartic_lower"] = (math.pi / 4.0) ** 4 / d_norm ** 2 * rnorm ** 4
             ok = ok and _rel_pass(details["quartic_lower"], gap, REL_INEQ_TOL)
@@ -619,15 +618,15 @@ def verify_ssa_block(rhos_abc, beta, space) -> list[BoundReport]:
     gaps = [ssa_gap(rho, space) for rho in rhos]
     rho_pows = PsdOperator.powers(rhos, (0.5, 0.5 - beta))
     c_pows = PsdOperator.powers(rho_cs, (beta,))[:, 0]
+    bc_pows = PsdOperator.powers(rho_bcs, (-beta,))[:, 0]
     term1 = (space.embed(_kron(PsdOperator.powers(rho_bs, (beta,))[:, 0], c_pows), (1, 2))
-             @ space.embed(PsdOperator.powers(rho_bcs, (-beta,))[:, 0], (1, 2)) @ rho_pows[:, 0])
+             @ space.embed(bc_pows, (1, 2)) @ rho_pows[:, 0])
     term2 = _kron(PsdOperator.powers(rho_abs, (beta,))[:, 0], c_pows) @ rho_pows[:, 1]
     rnorms = [hs_norm(member) for member in term1 - term2]
     if beta == 0.5:
-        mats = [np.stack([op.mat for op in ops]) for ops in (rho_abs, rho_bs, rho_cs)]
-        recovered = _petz_sandwiches(rho_pows[:, 0], PsdOperator.powers(rho_bcs, (-0.5,))[:, 0],
-                                     _kron(mats[1], mats[2]), space, (1, 2))
-        petz_l1s = trace_norm(recovered - _kron(mats[0], mats[2])).tolist()
+        mat_ab, mat_b, mat_c = (_as_matrices(ops) for ops in (rho_abs, rho_bs, rho_cs))
+        recovered = _petz_sandwiches(rho_pows[:, 0], bc_pows, _kron(mat_b, mat_c), space, (1, 2))
+        petz_l1s = trace_norm(recovered - _kron(mat_ab, mat_c)).tolist()
     reports = []
     for i, (rho, gap, rnorm) in enumerate(zip(rhos, gaps, rnorms)):
         # sigma = rho_AB (x) rho_C for the displayed residual's partition

@@ -194,3 +194,24 @@ def test_generalized_powers_is_read_only_in_linalg():
                       or (isinstance(node, ast.Attribute) and node.attr == "generalized_powers")
                       or (isinstance(node, ast.alias) and node.name == "generalized_powers")})
     assert readers == []
+
+
+def test_every_imported_name_is_read():
+    # the package namespace re-exports what it imports, through __all__; perfbench's
+    # test_install_leaves_no_wrapper_behind reads bounds.quasi_relative_entropy
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(qre.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in names if name not in read]
+    assert unread == ["bounds.quasi_relative_entropy"]

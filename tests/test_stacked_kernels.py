@@ -5,6 +5,7 @@ a last-bit difference fails), or ``==`` on floats.  The per-exponent loops
 that the grid residuals replaced are kept below as the oracles.
 """
 
+import collections
 import functools
 import io
 import itertools
@@ -1072,12 +1073,12 @@ class TestMonotonicityBlock:
                 assert line == single.to_json() == loop.to_json()
 
     @staticmethod
-    def _counts(ineq, beta):
+    def _counts(ineq, beta, dims=(2, 2)):
         """(eigh, SVD, inv, generalized_powers) calls of a block of n trials, for n = 1, 4, 20."""
-        space, fid = FactorizedSpace((2, 2)), "f_p:0.5"
+        space, fid = FactorizedSpace(dims), "f_p:0.5"
         counts = []
         for n in (1, 4, 20):
-            _, block = _block(ineq, (2, 2), fid, n)
+            _, block = _block(ineq, dims, fid, n)
             with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
                     mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
                     mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, \
@@ -1097,8 +1098,8 @@ class TestMonotonicityBlock:
 
     def test_recovery_forms_per_block_do_not_grow_with_its_size(self):
         # beta = 1/2 adds the two trace norms and ||K1^{-1}||, the stacked K1^{-1}, and the
-        # powers of rho_1, sigma_1, sigma and rho, and petz_recover's two
-        assert self._counts("monotonicity_bound", 0.5) == [(1, 4, 1, 10)] * 3
+        # powers of rho_1, sigma_1 and sigma, and petz_recover's two
+        assert self._counts("monotonicity_bound", 0.5) == [(1, 4, 1, 9)] * 3
 
     @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5"])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
@@ -1142,6 +1143,45 @@ class TestMonotonicityBlock:
             assert swapped == (kind in ("plain", "K1 = V = I"))
             assert ("quartic_lower" in report.details) == (kind == "K1 = V = I"
                                                            and fid == "neg_log")
+
+    @pytest.mark.parametrize("fid", ["neg_log", "f_p:0.5"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_petz_chain_gate_is_the_trace_of_gamma(self, dims, fid):
+        # K1 of norm in [0.75, 4): (a) ||K1|| > 1 and Tr K1* sigma_1 K1 > 1, where the chain
+        # ||R_rho(gamma) - K* sigma K||_1 <= 2 ||R||_2 fails and only the gate keeps the
+        # report passing; (b) ||K1|| > 1 and Tr K1* sigma_1 K1 < 1, where the chain applies
+        space, f = FactorizedSpace(dims), from_id(fid)
+        d1, d2 = dims
+        rng = np.random.default_rng(11)
+        trials = []
+        for _ in range(24):
+            rho, sigma = (random_density(space.dim, seed=rng) for _ in range(2))
+            k1 = random_contraction(d1, seed=rng)
+            trials.append((rho, sigma, k1 * (rng.uniform(0.75, 4.0) / op_norm(k1)),
+                           random_unitary(d2, seed=rng)))
+        got = bounds.verify_monotonicity_bound_block(f, *zip(*trials), 0.5, space)
+        kinds = []
+        for report, (rho, sigma, k1, v) in zip(got, trials):
+            loop = _loop_monotonicity_report("monotonicity_bound", f, _fresh(rho), _fresh(sigma),
+                                             k1, v, 0.5, space)
+            assert report.to_json() == loop.to_json()
+            rho1, sigma1 = (PsdOperator(space.partial_trace(x.mat, (0,))) for x in (rho, sigma))
+            gamma_trace = float(np.trace(k1.conj().T @ sigma1.mat @ k1).real)
+            x_hs = np.linalg.norm(np.kron(sigma1.power(0.5) @ k1 @ rho1.power(-0.5), v)
+                                  @ rho.power(0.5))
+            y_hs = np.linalg.norm(sigma.power(0.5) @ np.kron(k1, v))
+            assert x_hs ** 2 == pytest.approx(gamma_trace, rel=1e-12)
+            assert y_hs ** 2 == pytest.approx(gamma_trace, rel=1e-12)
+            assert abs(gamma_trace - 1.0) > 1e-6
+            chain = bounds._rel_pass(report.details["petz_diff_trace"],
+                                     report.details["petz_chain_rhs"], bounds.REL_INEQ_TOL)
+            if op_norm(k1) > 1.0 and gamma_trace > 1.0 and not chain:
+                kinds.append("a")
+                assert report.passed
+            elif op_norm(k1) > 1.0 and gamma_trace < 1.0:
+                kinds.append("b")
+                assert chain and report.passed
+        assert kinds.count("a") >= 5 and kinds.count("b") >= 2
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_joint_convexity_raises_each_operator_once(self, monkeypatch, n):
@@ -1241,6 +1281,12 @@ def test_ssa_and_cauchy_schwarz_blocks_are_the_one_trial_loop(dims, beta):
     assert ([r.to_json() for r in got]
             == [_loop_cauchy_schwarz_report(rho, sab, beta, space).to_json()
                 for rho, sab in block])
+
+
+def test_ssa_recovery_form_per_block_does_not_grow_with_its_size():
+    # the four marginals; the trace norm; rho to (1/2, 1/2 - beta), rho_C, rho_B, rho_AB and
+    # rho_BC^{-beta}, whose -1/2 the Petz form at beta = 1/2 reads from the residual's term 1
+    assert TestMonotonicityBlock._counts("ssa", 0.5, (2, 2, 2)) == [(4, 1, 0, 5)] * 3
 
 
 # ----------------------------------------------------------------------------
@@ -1431,6 +1477,44 @@ def test_block_of_twenty_is_its_trials_replayed_alone(ineq, dims, policy):
     assert got.count("\n") >= 20
     if (ineq, dims) == ("pinsker", (2, 2, 2)):
         assert 0 < got.count("divergent=1") < 20
+
+
+@pytest.mark.parametrize("ineq", sorted(FAMILIES))
+def test_each_family_raises_each_operator_to_each_exponent_once(ineq):
+    # one PsdOperator.powers call per (operator, exponent) over a block, but for two cases:
+    # monotonicity_bound at beta = 1/2 raises rho^{1/2}, rho_1^{-1/2} and sigma^{1/2} of each
+    # full-rank-rho trial a second time (monotonicity_residuals and petz_recover are public
+    # and hand no powers on), and equality_joint_convexity raises base_r once per side
+    family, real = FAMILIES[ineq], PsdOperator.powers
+    checked = 0
+    for dims, fid, beta in itertools.product(((2, 2), (3, 2), (2, 2, 2)),
+                                             ("neg_log", "f_p:0.5", "f_p:0.3"), (0.25, 0.5, 0.75)):
+        f, space = from_id(fid), FactorizedSpace(dims)
+        if not family.admits(f, dims):
+            continue
+        _, block = _block(ineq, dims, fid, 3)
+        calls, alive = [], []
+
+        def spy(ops, betas):
+            ops = list(ops)
+            alive.append(ops)       # no id is reused while the block is checked
+            calls.append({(id(op), b) for op in ops for b in betas})
+            return real(ops, betas)
+
+        with mock.patch.object(PsdOperator, "powers", staticmethod(spy)):
+            family.check(f, space, beta, block)
+        counts = collections.Counter(pair for call in calls for pair in call)
+        expected = {}
+        if ineq == "monotonicity_bound" and beta == 0.5:
+            for rho, sigma, _, _ in block:
+                if rho.rank() == rho.dim:
+                    rho1, = PsdOperator.marginals([rho], space, (0,))
+                    expected.update({(id(rho), 0.5): 2, (id(rho1), -0.5): 2, (id(sigma), 0.5): 2})
+        elif ineq == "equality_joint_convexity":
+            expected = {(id(instance[0]), -b): 2 for instance, in block for b in GRID}
+        assert {pair: n for pair, n in counts.items() if n > 1} == expected
+        checked += 1
+    assert checked
 
 
 def test_blocks_keep_to_the_byte_budget():

@@ -126,7 +126,24 @@ def envelope_constants(C: float, c: float, beta: float, k_norm: float, d_norm: f
     alpha = u / (2.0 * (u + v))
     m_const = math.sin(beta * math.pi) / math.pi * kappa \
         * a_coef ** (v / (u + v)) * C ** (u / (2.0 * (u + v)))
-    return m_const, m_const ** (-1.0 / alpha), alpha
+    return m_const, _pow(m_const, -1.0 / alpha), alpha
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y, inf where Python's float pow raises: beta near 1 leaves the float range."""
+    try:
+        return x ** y
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _remainder(m_const: float, n_const: float, alpha: float, r: float = 0.0):
+    """(N r^{1/alpha}, M as reports carry it, N^{-alpha}), or ((r/M)^{1/alpha}, M) where N or
+    the power leaves the float range."""
+    lhs = n_const * _pow(r, 1.0 / alpha)
+    if 0.0 < n_const < math.inf and lhs < math.inf:
+        return lhs, n_const ** (-alpha)
+    return _pow(r / m_const, 1.0 / alpha), m_const
 
 
 def constants_for(f: OperatorConvexFunction, beta: float,
@@ -213,7 +230,7 @@ def optimize_T_scalar(f: OperatorConvexFunction, beta: float, k_norm: float,
         return BoundConstants(a1, a2, alpha, C, c, n_const, m_const, t_star)
     m_const = (math.sin(beta * math.pi) / math.pi
                * thm42_terms(f, beta, T_MIN, k_norm, d_norm, gap) / gap ** alpha)
-    return BoundConstants(a1, a2, alpha, C, c, m_const ** (-1.0 / alpha), m_const,
+    return BoundConstants(a1, a2, alpha, C, c, _pow(m_const, -1.0 / alpha), m_const,
                           T_MIN, boundary=True)
 
 
@@ -403,11 +420,6 @@ def classical_reduction_block(f, rhos, sigmas) -> list[BoundReport]:
 # Joint convexity
 # ----------------------------------------------------------------------------
 
-def _average(weighted) -> np.ndarray:
-    """sum_j p_j x_j over (p_j, x_j) pairs, as a Hermitian matrix."""
-    return hermitize(sum(pj * as_matrix(xj) for pj, xj in weighted))
-
-
 def _mixtures(ensembles):
     """(components, rho, sigma) of each ensemble of (p_j, rho_j, sigma_j), with its mixture.
 
@@ -420,7 +432,7 @@ def _mixtures(ensembles):
             raise InvalidParameter("component weights must be positive and sum to 1")
         checked.append([(pj, PsdOperator.wrap(rj), PsdOperator.wrap(sj))
                         for pj, rj, sj in components])
-    mixed = PsdOperator.stack([_average((pj, c[side]) for pj, *c in comps)
+    mixed = PsdOperator.stack([hermitize(sum(pj * c[side].mat for pj, *c in comps))
                                for comps in checked for side in (0, 1)])
     return list(zip(checked, mixed[0::2], mixed[1::2]))
 
@@ -573,20 +585,25 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
         f, rhos_abc, sigmas_ab, beta, variant, space)
     consts = [constants_for(mach, beta, 1.0, d_norm) for d_norm in d_norms]
     alpha = consts[0][2]                # alpha depends on (f, beta) only
-    n_consts = np.array([n_const for _, n_const, _, _, _ in consts])
-    raised = PsdOperator.powers(PsdOperator.stack(grams), (1.0 / alpha,))
-    lhs_ops = n_consts[:, None, None] * raised[:, 0]
+    m_consts, n_consts = (np.array(x) for x in list(zip(*consts))[:2])
+    with np.errstate(over="ignore", invalid="ignore"):     # ``far`` members are redone below
+        lhs_ops = n_consts[:, None, None] * PsdOperator.powers(
+            PsdOperator.stack(grams), (1.0 / alpha,))[:, 0]
+    far = ~((n_consts > 0.0) & np.isfinite(lhs_ops).all(axis=(1, 2)))
+    if far.any():       # N or the power left the float range (beta near 1): (Gram / M)^{1/alpha}
+        lhs_ops[far] = PsdOperator.powers(PsdOperator.stack(
+            grams[far] / m_consts[far, None, None]), (1.0 / alpha,))[:, 0]
     diff_mins = np.linalg.eigvalsh(rhs_ops - lhs_ops).min(axis=1).tolist()
     rhs_mins = np.linalg.eigvalsh(rhs_ops).min(axis=1).tolist()
     reports = []
     for i, (rho_abc, sigma_ab) in enumerate(zip(rhos_abc, sigmas_ab)):
-        _, n_const, alpha, C, c = consts[i]
+        m_const, n_const, alpha, C, c = consts[i]
         passed = diff_mins[i] >= -PSD_REPORT_TOL * scales[i]
         baseline_ok = rhs_mins[i] >= -REPORT_TOL * max(1.0, scales[i])
         reports.append(_report(
             f"operator_ssa_{variant}", -diff_mins[i], 0.0, passed and baseline_ok,
             constants=BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                                     n_const ** (-alpha), math.nan),
+                                     _remainder(m_const, n_const, alpha)[1], math.nan),
             digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)),
             notes=f"f={f.name};beta={beta:g};variant={variant}",
             details={"min_eig_diff": diff_mins[i],
@@ -631,16 +648,16 @@ def verify_ssa_block(rhos_abc, beta, space) -> list[BoundReport]:
     for i, (rho, gap, rnorm) in enumerate(zip(rhos, gaps, rnorms)):
         # sigma = rho_AB (x) rho_C for the displayed residual's partition
         d_norm = rho_abs[i].max_eig() * rho_cs[i].max_eig() / rho.min_positive_eig()
-        _, n_const, alpha, C, c = constants_for(NEG_LOG, beta, 1.0, d_norm)
-        lhs = n_const * rnorm ** (1.0 / alpha)
+        m_const, n_const, alpha, C, c = constants_for(NEG_LOG, beta, 1.0, d_norm)
+        lhs, m_rep = _remainder(m_const, n_const, alpha, rnorm)
         ok = _rel_pass(lhs, gap, REL_INEQ_TOL) and gap >= -REPORT_TOL
         details = {"residual_hs": rnorm, "ssa_gap": gap}
         if beta == 0.5:     # ||rho^{-1}|| = 1 / its smallest eigenvalue above the cutoff
             petz_lhs = (math.pi / 8.0) ** 4 / (1.0 / rho.min_positive_eig()) ** 2 * petz_l1s[i] ** 4
             details.update(petz_diff_trace=petz_l1s[i], petz_quartic_lower=petz_lhs)
             ok = ok and _rel_pass(petz_lhs, gap, REL_INEQ_TOL)
-        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                                n_const ** (-alpha), math.nan)
+        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const, m_rep,
+                                math.nan)
         reports.append(_report("ssa", lhs, gap, ok, constants=consts, digest=digest_inputs(rho.mat),
                                notes=f"beta={beta:g}", details=details))
     return reports
@@ -673,7 +690,7 @@ def verify_wyd_joint_concavity_block(p: float, ensembles, ks, beta) -> list[Boun
         if remainder:
             resid, _, d_sum = residuals[i]
             m_const, n_const, alpha, C, c = power_family_constants(p, beta, k_norms[i], d_sum)
-            lhs = n_const * resid ** (1.0 / alpha)
+            lhs = _remainder(m_const, n_const, alpha, resid)[0]
             ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
             consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
                                     m_const, math.nan)

@@ -12,12 +12,13 @@ through its loaders) and what the family needs.  A cell whose dims or ``f``
 the family does not admit produces no report.
 
 A cell draws its trials' operands in blocks: a trial only draws its random
-numbers, from its own generator in the listed order, and the block does their
-arithmetic in stacked calls that give the bits of one call per matrix: the
-Gram products and decompositions of the sampled states (of every eps of a
-sweep's instance, ``equality.draw_*``), the QRs of the Haar unitaries and the
-norms that rescale the contractions.  A block holds at most ``BLOCK_BYTES`` of
-state matrices, so memory stays flat at large dims.
+numbers, from its own generator in the listed order (``h`` alone is
+hermitized as drawn), and the block does their arithmetic in stacked calls
+that give the bits of one call per matrix: the complex assembly, Gram
+products and decompositions of the sampled states, the QRs of the Haar
+unitaries, the norms that rescale the contractions, and the sweeps'
+instances (``equality._*_instances``).  A block holds at most
+``BLOCK_BYTES`` of state matrices, so memory stays flat at large dims.
 
 Each family's check then takes the whole block (``check_block``) as one
 stacked kernel (``bounds.*_block``, ``equality.equality_*_block``) and returns
@@ -45,10 +46,10 @@ from .functions import OperatorConvexFunction, from_id, power_of
 from .linalg import (
     DensityMatrix,
     FactorizedSpace,
-    _ginibre,
+    _complex,
     _gram_states,
     _haar_unitaries,
-    random_contraction_draw,
+    _normals,
     random_hermitian,
     rescale_contractions,
 )
@@ -267,109 +268,108 @@ FAMILIES: dict[str, Family] = {
 BLOCK_BYTES = 64 * 1024
 
 
-class _State(NamedTuple):
+class _Draw(NamedTuple):
+    """An operand whose arithmetic is pending: ``finish`` maps the ``z`` (drawn normals, a
+    state matrix or a sweep's numbers) and ``arg`` of the draws of one ``key`` in a block to
+    their values; ``nbytes`` counts the state matrices it makes."""
+
+    finish: Callable
+    z: object
+    arg: object = None
+    nbytes: int = 0
+    key = property(lambda self: (self.finish, getattr(self.z, "shape", None)))
+
+
+def _stacked(fn):
+    """The ``finish`` of ``fn`` (of a stack of ``z`` and their args) in stacks of at most
+    BLOCK_BYTES of square results: a trial at d = 64 finishes its states one by one."""
+    def finish(zs, args):
+        n = max(1, BLOCK_BYTES // (16 * zs[0].shape[-2] ** 2))
+        return [x for j in range(0, len(zs), n) for x in fn(np.stack(zs[j:j + n]), args[j:j + n])]
+    return finish
+
+
+def _State(mat):
     """A sampled state matrix, decomposed with the other states of its block."""
-
-    mat: np.ndarray
-    dim = property(lambda self: len(self.mat))
-    finish = staticmethod(lambda draws: _stacked(DensityMatrix.stack, [d.mat for d in draws]))
+    return _Draw(_decomposed, mat, None, mat.nbytes)
 
 
-class _Gram(NamedTuple):
-    """The Ginibre matrix ``g`` of a sampled state g g*/Tr(g g*), finished into a _State (or,
-    given ``times``, into the matrix times that factor)."""
-
-    g: np.ndarray
-    times: int | None = None
-    dim = property(lambda self: len(self.g))
-
-    @staticmethod
-    def finish(draws):
-        mats = _stacked(_gram_states, [d.g for d in draws])
-        return [_State(m) if d.times is None else m * d.times for m, d in zip(mats, draws)]
+def _gram(z, times=None):
+    """The normals ``z`` of g, of a sampled state g g*/Tr(g g*) (or, given ``times``, that
+    matrix times the factor)."""
+    return _Draw(_grams, z, times, 16 * len(z[0]) ** 2)
 
 
-class _Haar(NamedTuple):
-    """The Gaussian matrix ``z`` of a sampled Haar unitary, made unitary with its block."""
-
-    z: np.ndarray
-    finish = staticmethod(lambda draws: _stacked(_haar_unitaries, [d.z for d in draws]))
-
-
-class _Contraction(NamedTuple):
-    """A sampled contraction mat * (norm / ||mat||), rescaled with its block."""
-
-    mat: np.ndarray
-    norm: float
-    finish = staticmethod(rescale_contractions)
+_decomposed = _stacked(lambda mats, _: DensityMatrix.stack(mats))
+_grams = _stacked(lambda z, times: [_State(m) if t is None else m * t
+                                    for m, t in zip(_gram_states(_complex(z)), times)])
+_haars = _stacked(lambda z, _: _haar_unitaries(_complex(z)))
+_contractions = _stacked(lambda z, norms: rescale_contractions(zip(_complex(z), norms)))
 
 
 def _contraction(dim, rng, times=1.0):
     """The draw of a contraction whose norm is ``times`` that of ``random_contraction``'s
     (times 2 is exact, so X = 2K has the bits of K doubled)."""
-    mat, norm = random_contraction_draw(dim, rng)
-    return _Contraction(mat, norm * times)
+    return _Draw(_contractions, _normals(rng, dim), rng.uniform(0.5, 1.0) * times)
 
 
 def _sample_state(rng, space, policy):
     mixed = policy == "mixed" and space.dim > 1 and rng.random() < 0.2
-    return _Gram(_ginibre(rng, space.dim, int(rng.integers(1, space.dim)) if mixed else None))
+    return _gram(_normals(rng, space.dim, int(rng.integers(1, space.dim)) if mixed else None))
 
 
-def _sweep(draw):
-    """The sampler of an eps sweep's instance: ``draw`` with the block's deferred wrappers."""
-    return lambda rng, space, policy: draw(rng, space, _State, _contraction)
+def _sweep(numbers, build, states):
+    """The sampler of a sweep's instance, built by ``build`` into states of ``states(space)``."""
+    finish = lambda numbers, _: build(numbers, _State)         # noqa: E731 - one key a sweep
+    return lambda rng, space, policy: _Draw(finish, numbers(rng, space, _contraction), None,
+                                            sum(16 * d ** 2 for d in states(space)))
 
 
 # operand name -> sampler(rng, space, policy); an ensemble is three weighted [p_j, rho_j, sigma_j]
 SAMPLERS = {
     "rho": _sample_state,
     "sigma": _sample_state,
-    "sigma_ab": lambda rng, space, policy: _Gram(_ginibre(rng, space.subspace((0, 1)).dim)),
+    "sigma_ab": lambda rng, space, policy: _gram(_normals(rng, space.subspace((0, 1)).dim)),
     "k1": lambda rng, space, policy: _contraction(space.dims[0], rng),
-    "v": lambda rng, space, policy: _Haar(_ginibre(rng, space.dims[1])),
-    "u": lambda rng, space, policy: _Haar(_ginibre(rng, space.dim)),
+    "v": lambda rng, space, policy: _Draw(_haars, _normals(rng, space.dims[1])),
+    "u": lambda rng, space, policy: _Draw(_haars, _normals(rng, space.dim)),
     "k": lambda rng, space, policy: _contraction(space.dim, rng),
     "h": lambda rng, space, policy: random_hermitian(space.dim, seed=rng),
     "ensemble": lambda rng, space, policy: [
-        [float(p), _Gram(_ginibre(rng, space.dim)), _Gram(_ginibre(rng, space.dim))]
+        [float(p), _gram(_normals(rng, space.dim)), _gram(_normals(rng, space.dim))]
         for p in rng.dirichlet(np.ones(3))],
     "x": lambda rng, space, policy: _contraction(space.dim, rng, 2.0),
-    "q": lambda rng, space, policy: _Gram(_ginibre(rng, space.dim), space.dim),
-    "monotonicity_sweep": _sweep(equality.draw_monotonicity),
-    "joint_convexity_sweep": _sweep(equality.draw_joint_convexity),
-    "operator_ssa_sweep": _sweep(equality.draw_operator_ssa),
+    "q": lambda rng, space, policy: _gram(_normals(rng, space.dim), space.dim),
+    **{f"{name}_sweep": _sweep(*draw) for name, draw in equality._SWEEP_DRAWS.items()},
 }
 
 
-def _deferred(container):
-    """(container, index) of every draw in ``container`` whose arithmetic is pending."""
-    for i, x in enumerate(container):
-        if isinstance(x, (_State, _Gram, _Haar, _Contraction)):
-            yield container, i
-        elif isinstance(x, list):
-            yield from _deferred(x)
+def _pending(block):
+    """(container, index) of every pending draw in ``block``, a list of lists."""
+    slots, lists = [], [block]
+    for c in lists:
+        for i, x in enumerate(c):
+            if type(x) is list:
+                lists.append(x)
+            elif type(x) is _Draw:
+                slots.append((c, i))
+    return slots
 
 
-def _stacked(finish, arrays):
-    """``finish`` of the stack of ``arrays`` in stacks of at most BLOCK_BYTES of square results."""
-    n = max(1, BLOCK_BYTES // (16 * len(arrays[0]) ** 2))
-    return [x for j in range(0, len(arrays), n) for x in finish(np.stack(arrays[j:j + n]))]
+def _finish(block):
+    """Complete the pending draws of a block in place, each ``key``'s in one ``finish`` call.
 
-
-def _finish(slots):
-    """Complete the pending draws at ``slots``, the (container, index) pairs of a block, in place.
-
-    Each kind's ``finish`` takes its draws of one shape, in stacks of at most BLOCK_BYTES (a
-    trial at d = 64 finishes its states one by one).  Grams go first: they become states.
+    Until none is left: Gram products make states, and sweeps states and contractions, which
+    the next round finishes, each state matrix of the block in one decomposition per shape.
     """
-    for kinds in ((_Gram,), (_State, _Haar, _Contraction)):
+    while slots := _pending(block):
         groups: dict = {}
         for c, i in slots:
-            if type(c[i]) in kinds:
-                groups.setdefault((type(c[i]), c[i][0].shape), []).append((c, i))
-        for (kind, _), group in groups.items():
-            for (c, i), value in zip(group, kind.finish([c[i] for c, i in group])):
+            groups.setdefault(c[i].key, []).append((c, i))
+        for group in groups.values():
+            draws = [c[i] for c, i in group]
+            values = draws[0].finish([d.z for d in draws], [d.arg for d in draws])
+            for (c, i), value in zip(group, values):
                 c[i] = value
 
 
@@ -377,25 +377,24 @@ def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: st
     """Blocks of the seeds' operands (each seed a seed or a generator), drawn in order.
 
     A trial only draws its random numbers, from its own generator; the block
-    does their arithmetic (``_finish``).  A block holds at most BLOCK_BYTES of
-    sampled states, and at least one trial; every trial of a cell draws states
-    of the same shapes, so a block closes when the next trial would not fit.
-    It is finished before it is yielded, and dropped here when the next block
-    is asked for.  Rank is full unless the family honours mixed.
+    does all their arithmetic (``_finish``).  A block holds at most BLOCK_BYTES
+    of sampled states, and at least one trial; every trial of a cell draws
+    states of the same shapes, so a block closes when the next trial would not
+    fit.  It is finished before it is yielded, and dropped here when the next
+    block is asked for.  Rank is full unless the family honours mixed.
     """
     policy = rank_policy if family.mixed_rank else "full"
     seeds = list(seeds)
-    block, slots = [], []
+    block, nbytes = [], None
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         block.append([SAMPLERS[name](rng, space, policy) for name in family.operands])
-        pending = list(_deferred(block[-1]))
-        slots += pending
-        nbytes = sum(16 * c[i].dim ** 2 for c, i in pending if isinstance(c[i], (_State, _Gram)))
+        if nbytes is None:      # the bytes of a trial's states, the same for every trial
+            nbytes = sum(c[i].nbytes for c, i in _pending(block))
         if (len(block) + 1) * nbytes > BLOCK_BYTES or k == len(seeds) - 1:
-            _finish(slots)
+            _finish(block)
             yield block
-            block, slots = [], []
+            block = []
 
 
 def check_block(family: Family, f, space: FactorizedSpace, beta: float, block) -> list:

@@ -6,9 +6,11 @@ eps, the inequality's gap and the residual of its equality condition on
 ``recovery.DEFAULT_BETA_GRID``.  At eps = 0 both must sit below their
 tolerances; afterwards both must grow with eps.
 
-An instance is drawn from one generator (``draw_*``) with the caller's
-wrappers for its states and contraction: the campaign defers their spectral
-work to the stacked calls of its block.  Each sweep checks a block of
+An instance's draw is only its random numbers (``_*_numbers``), and a block
+of instances is built from them (``_*_instances``, ``draw_*`` for a block of
+one) with one stacked call per operation, each member bit-identical to its
+arithmetic alone: Gram products, spectral floors, Kronecker products, eps
+mixtures and ensemble averages.  Each sweep checks a block of
 instances (``equality_*_block``): the eps stacks of the whole block go
 through one gap kernel and one ``recovery._sandwiches`` stack per side, which
 raises each instance's rho once, and every instance's reports are
@@ -21,9 +23,9 @@ import math
 
 import numpy as np
 
-from .bounds import _average, _joint_gaps, _monotonicity_gaps, _report, _traced_terms
-from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _kron, hermitize,
-                     random_contraction, random_state_matrix)
+from .bounds import _joint_gaps, _monotonicity_gaps, _report, _traced_terms
+from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _complex, _gram_states, _kron,
+                     hermitize, random_contraction)
 from .recovery import (DEFAULT_BETA_GRID, _grid_maxima, _sandwiches,
                        equality_condition_residuals)
 from .reports import BoundReport, digest_inputs
@@ -35,15 +37,29 @@ PROBS = (0.3, 0.3, 0.4)             # the weights of the joint-convexity ensembl
 
 
 def _floored_state(dim, rng) -> np.ndarray:
-    """Random state matrix mixed with the maximally mixed one.
+    """Random state matrix, drawn from ``rng``, mixed with the maximally mixed one; given a
+    stack of drawn ``(2, dim, dim)`` normals in place of ``rng``, the stack of their states.
 
     Equality instances are constructed inputs; the spectral floor keeps the
     generalized-inverse powers in the residual diagnostics away from the
     roundoff-amplification regime at the large grid exponents.
     """
+    if isinstance(rng, np.random.Generator):
+        return _floored_state(dim, rng.standard_normal((1, 2, dim, dim)))[0]
     floor = 0.15
-    raw = random_state_matrix(dim, seed=rng)
-    return hermitize((1.0 - floor) * raw + floor * np.eye(dim) / dim)
+    return hermitize((1.0 - floor) * _states(rng) + floor * np.eye(dim) / dim)
+
+
+def _states(z) -> np.ndarray:
+    """The random state matrices (``random_state_matrix``) of a stack of drawn normals."""
+    return _gram_states(_complex(z))
+
+
+def _mixed(base, other) -> np.ndarray:
+    """``hermitize((1 - eps) base + eps other)`` for each eps of ``EPS_SWEEP``: axis 1 of the
+    ``(N, E, ...)`` result, whose other axes are those ``base`` and ``other`` broadcast to."""
+    eps = np.array(EPS_SWEEP).reshape((1, -1) + (1,) * (other.ndim - 1))
+    return hermitize((1.0 - eps) * base[:, None] + eps * other[:, None])
 
 
 def _sweep_reports(inequality_id, f, gaps, resids, digests) -> list[list[BoundReport]]:
@@ -79,15 +95,26 @@ def draw_monotonicity(rng, space: FactorizedSpace, state, contraction) -> list:
     eps.  ``state(matrix)`` wraps each state to decompose, and
     ``contraction(dim, rng)`` draws K1.
     """
+    return _monotonicity_instances([_monotonicity_numbers(rng, space, contraction)], state)[0]
+
+
+def _monotonicity_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
+    """The normals of rho1 and sigma1, of tau, the draw of K1 and the normals of the noise."""
     d1, d2 = space.dims
-    rho1 = _floored_state(d1, rng)
-    sigma1 = random_state_matrix(d1, seed=rng)
-    tau = _floored_state(d2, rng)
-    k1 = contraction(d1, rng)
-    noise = random_state_matrix(space.dim, seed=rng)
-    sigma0 = np.kron(sigma1, tau)
-    return [state(np.kron(rho1, tau)), sigma0,
-            [state(hermitize((1.0 - eps) * sigma0 + eps * noise)) for eps in EPS_SWEEP], k1]
+    return (rng.standard_normal((2, 2, d1, d1)), rng.standard_normal((2, d2, d2)),
+            contraction(d1, rng), rng.standard_normal((2, space.dim, space.dim)))
+
+
+def _monotonicity_instances(numbers, state) -> list:
+    """The ``draw_monotonicity`` instance of each ``_monotonicity_numbers`` of a block."""
+    pairs, taus, k1s, noises = zip(*numbers)
+    pairs, taus = np.stack(pairs), np.stack(taus)
+    tau = _floored_state(taus.shape[-1], taus)
+    rhos = _kron(_floored_state(pairs.shape[-1], pairs[:, 0]), tau)
+    sigma0s = _kron(_states(pairs[:, 1]), tau)
+    sweeps = _mixed(sigma0s, _states(np.stack(noises)))
+    return [[state(rho), sigma0, [state(s) for s in sweep], k1]
+            for rho, sigma0, sweep, k1 in zip(rhos, sigma0s, sweeps, k1s)]
 
 
 def equality_monotonicity_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
@@ -115,16 +142,32 @@ def draw_joint_convexity(rng, space: FactorizedSpace, state, contraction) -> lis
     co-grow).  Each eps lists its components, then their mixture; ``state`` and
     ``contraction`` are as for ``draw_monotonicity``.
     """
+    return _joint_convexity_instances([_joint_convexity_numbers(rng, space, contraction)],
+                                      state)[0]
+
+
+def _joint_convexity_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
+    """The normals of base_r and base_s, the draw of K and the normals of the three noises."""
     dim = space.dim
-    base_r = _floored_state(dim, rng)
-    base_s = random_state_matrix(dim, seed=rng)
-    km = contraction(dim, rng)
-    noises = [random_state_matrix(dim, seed=rng) for _ in PROBS]
-    sigmas = []
-    for eps in EPS_SWEEP:
-        parts = [hermitize((1 - eps) * base_s + eps * ns) for ns in noises]
-        sigmas += [state(m) for m in parts + [_average(zip(PROBS, parts))]]
-    return [state(base_r), state(_average((w, base_r) for w in PROBS)), sigmas, km, base_s]
+    return (rng.standard_normal((2, 2, dim, dim)), contraction(dim, rng),
+            rng.standard_normal((len(PROBS), 2, dim, dim)))
+
+
+def _joint_convexity_instances(numbers, state) -> list:
+    """The ``draw_joint_convexity`` instance of each ``_joint_convexity_numbers`` of a block."""
+    pairs, kms, noises = zip(*numbers)
+    pairs, noises = np.stack(pairs), np.stack(noises)
+    dim = pairs.shape[-1]
+    base_rs, base_ss = _floored_state(dim, pairs[:, 0]), _states(pairs[:, 1])
+    parts = _mixed(base_ss[:, None], _states(noises.reshape(-1, 2, dim, dim)).reshape(
+        noises.shape[:2] + (dim, dim)))                      # (N, eps, component, d, d)
+    # the mixtures sum their terms in the order of bounds._mixtures
+    mix_ss = hermitize(sum(w * parts[:, :, j] for j, w in enumerate(PROBS)))
+    sigmas = np.concatenate([parts, mix_ss[:, :, None]], axis=2)
+    mix_rs = hermitize(sum(w * base_rs for w in PROBS))
+    return [[state(base_r), state(mix_r), [state(s) for s in sweep.reshape(-1, dim, dim)], km,
+             base_s] for base_r, mix_r, sweep, km, base_s
+            in zip(base_rs, mix_rs, sigmas, kms, base_ss)]
 
 
 def equality_joint_convexity_block(f, space: FactorizedSpace,
@@ -178,12 +221,24 @@ def draw_operator_ssa(rng, space: FactorizedSpace, state, contraction) -> list:
     operator inequality; perturbing sigma_AB breaks the recovery condition.
     ``state`` is as for ``draw_monotonicity``; the instance has no contraction.
     """
-    sub_ab = space.subspace((0, 1))
-    rho_ab = _floored_state(sub_ab.dim, rng)
-    tau = _floored_state(space.dims[2], rng)
-    noise = random_state_matrix(sub_ab.dim, seed=rng)
-    return [state(np.kron(rho_ab, tau)), rho_ab,
-            [state(hermitize((1.0 - eps) * rho_ab + eps * noise)) for eps in EPS_SWEEP]]
+    return _operator_ssa_instances([_operator_ssa_numbers(rng, space, contraction)], state)[0]
+
+
+def _operator_ssa_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
+    """The normals of rho_AB, of tau and of the noise; the instance draws no contraction."""
+    dab, dc = space.subspace((0, 1)).dim, space.dims[2]
+    return (rng.standard_normal((2, dab, dab)), rng.standard_normal((2, dc, dc)),
+            rng.standard_normal((2, dab, dab)))
+
+
+def _operator_ssa_instances(numbers, state) -> list:
+    """The ``draw_operator_ssa`` instance of each ``_operator_ssa_numbers`` of a block."""
+    rho_abs, taus, noises = (np.stack(x) for x in zip(*numbers))
+    rho_abs = _floored_state(rho_abs.shape[-1], rho_abs)
+    rhos = _kron(rho_abs, _floored_state(taus.shape[-1], taus))
+    sweeps = _mixed(rho_abs, _states(noises))
+    return [[state(rho), rho_ab, [state(s) for s in sweep]]
+            for rho, rho_ab, sweep in zip(rhos, rho_abs, sweeps)]
 
 
 def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
@@ -202,6 +257,18 @@ def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[li
     return _sweep_reports("equality_operator_ssa", f, gaps, resids,
                           [digest_inputs(rho.mat, rho_ab) for rho, (_, rho_ab, _)
                            in zip(rhos, instances)])
+
+
+# sweep -> its numbers, the stacked build of a block of them, and the dims of the states an
+# instance decomposes (the campaign's BLOCK_BYTES budget counts them)
+_SWEEP_DRAWS = {
+    "monotonicity": (_monotonicity_numbers, _monotonicity_instances,
+                     lambda space: [space.dim] * (1 + len(EPS_SWEEP))),
+    "joint_convexity": (_joint_convexity_numbers, _joint_convexity_instances,
+                        lambda space: [space.dim] * (2 + (1 + len(PROBS)) * len(EPS_SWEEP))),
+    "operator_ssa": (_operator_ssa_numbers, _operator_ssa_instances,
+                     lambda space: [space.dim] + [space.subspace((0, 1)).dim] * len(EPS_SWEEP)),
+}
 
 
 def equality_suite(f, rng) -> list[BoundReport]:

@@ -126,7 +126,7 @@ def make_neg_power(p: float) -> OperatorConvexFunction:
     if not 0.0 < p < 1.0:
         raise InvalidParameter(f"neg_power needs p in (0,1), got {p}")
     return OperatorConvexFunction(
-        name=f"neg_power:{p:g}",
+        name=f"neg_power:{float(p)!r}",
         eval_fn=lambda x: -(x ** p),
         second_at_one=p * (1.0 - p),
         at_zero=0.0,
@@ -165,7 +165,7 @@ def make_f_p(p: float) -> OperatorConvexFunction:
     else:
         loewner_a = loewner_b = mu_kappa = mu_q = None
     return OperatorConvexFunction(
-        name=f"f_p:{p:g}",
+        name=f"f_p:{float(p)!r}",
         eval_fn=ev,
         second_at_one=1.0,
         at_zero=(1.0 / norm) if p > 0 else math.inf,

@@ -442,10 +442,19 @@ def _checked_spectra(a, state: bool = False, psd: bool = True, decompose: bool =
 # Seeded random ensembles
 # ----------------------------------------------------------------------------
 
+def _normals(rng, rows: int, cols: int | None = None) -> np.ndarray:
+    """The normals of a Ginibre matrix, square by default: real parts, then imaginary."""
+    return rng.standard_normal((2, rows, rows if cols is None else cols))
+
+
 def _ginibre(rng, rows: int, cols: int | None = None) -> np.ndarray:
     """Complex Gaussian matrix, square by default; real parts drawn first, then imaginary."""
-    z = rng.standard_normal((2, rows, rows if cols is None else cols))
-    return z[0] + 1j * z[1]
+    return _complex(_normals(rng, rows, cols))
+
+
+def _complex(z) -> np.ndarray:
+    """``z[0] + 1j z[1]`` of drawn normals ``(2, r, c)``, or of each member of a stack of them."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def _gram_states(g) -> np.ndarray:
@@ -479,12 +488,6 @@ def random_unitary(dim: int, seed=None) -> np.ndarray:
     return _haar_unitaries(_ginibre(np.random.default_rng(seed), dim)[None])[0]
 
 
-def random_contraction_draw(dim: int, seed=None) -> tuple[np.ndarray, float]:
-    """The Gaussian matrix and target norm of ``random_contraction``, not yet rescaled."""
-    rng = np.random.default_rng(seed)
-    return _ginibre(rng, dim), rng.uniform(0.5, 1.0)
-
-
 def rescale_contractions(draws) -> list[np.ndarray]:
     """``g * (s / ||g||)`` for each ``(g, s)`` of equal shape, with one batched SVD."""
     draws = list(draws)
@@ -494,7 +497,8 @@ def rescale_contractions(draws) -> list[np.ndarray]:
 
 def random_contraction(dim: int, seed=None) -> np.ndarray:
     """Random matrix rescaled to operator norm in (0, 1]."""
-    return rescale_contractions([random_contraction_draw(dim, seed)])[0]
+    rng = np.random.default_rng(seed)
+    return rescale_contractions([(_ginibre(rng, dim), rng.uniform(0.5, 1.0))])[0]
 
 
 def random_hermitian(dim: int, seed=None) -> np.ndarray:

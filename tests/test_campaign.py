@@ -154,6 +154,37 @@ class TestConfig:
             parse_config(f"inequalities = monotonicity\n{line}\n")
 
 
+class TestUnroundedPower:
+    """A power p is named by its shortest round-trip repr, so every check reads the p given."""
+
+    def test_close_powers_are_two_functions(self):
+        config = CampaignConfig(inequalities=("wyd_skew",), functions=("f_p:0.1234567",
+                                                                       "f_p:0.1234568"))
+        assert config.functions == ("f_p:0.1234567", "f_p:0.1234568")
+
+    @pytest.mark.parametrize("fid", ["f_p:0.1234567", "f_p:0.123457"])
+    def test_skew_cell_at_a_seven_digit_power_passes(self, fid):
+        # at six significant digits the skew information was computed at 0.123457 and its
+        # cross-check at 0.1234567: 20 of 20 trials failed
+        config = CampaignConfig(inequalities=("wyd_skew",), functions=(fid,), trials=20, seed=7)
+        summary = run_campaign(config, io.StringIO())
+        assert (summary.reports, summary.failures) == (20, 0)
+
+
+class TestBetaNearOne:
+    """N = M^{-1/alpha} leaves the float range as beta -> 1; the checks still give verdicts."""
+
+    @pytest.mark.parametrize("beta", [0.99, 0.999, 0.999999])
+    def test_remainder_families_give_verdicts(self, beta):
+        # ZeroDivisionError (N underflowed to 0.0) or OverflowError before
+        config = CampaignConfig(
+            inequalities=("ssa", "operator_ssa_thm62", "operator_ssa_cor64", "wyd_operator",
+                          "wyd_joint_concavity"),
+            functions=("f_p:0.5",), dims=((2, 2, 2),), betas=(beta,), trials=4, seed=3)
+        summary = run_campaign(config, io.StringIO())
+        assert (summary.reports, summary.failures) == (20, 0)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         cfg = parse_config(BASE_CONFIG)

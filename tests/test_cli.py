@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, fixtures, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestVerify:
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho8.json"),
                      "--dims", "2x2x2"])
         assert code == EXIT_PASS
+
+    @pytest.mark.parametrize("inequality, flags", [
+        ("ssa", []), ("operator_ssa_thm62", ["--sigma", "sab.json"]),
+        ("wyd_operator", ["--sigma", "sab.json", "--f", "f_p:0.5"])])
+    def test_beta_near_one_gives_a_verdict(self, fixtures, inequality, flags):
+        # N underflowed to 0.0, and M = N^{-alpha} raised ZeroDivisionError
+        flags = [str(fixtures / x) if x.endswith(".json") else x for x in flags]
+        for beta in ("0.99", "0.999"):
+            assert main(["verify", inequality, "--dims", "2x2x2", "--rho",
+                         str(fixtures / "rho8.json"), "--beta", beta, *flags]) == EXIT_PASS
 
     def test_operator_ssa(self, fixtures):
         code = main(["verify", "operator_ssa_thm62",
@@ -332,6 +343,14 @@ class TestBoundsConstants:
         out = {k: float(v) for k, v in (line.split("=") for line in capsys.readouterr().out.split())}
         m_const, n_const, alpha = envelope_constants(out["C"], out["c"], float(beta), 0.8, 3.0)
         assert out["N"] == n_const and out["alpha"] == alpha
+
+    def test_beta_near_one_prints_the_constants(self, capsys):
+        # m ** (-1/alpha) raised OverflowError: a traceback and exit 1, the code of a violation
+        args = ["bounds", "constants", "--f", "neg_log", "--beta", "0.999999999",
+                "--knorm", "1e-6", "--dd", "1e-6"]
+        assert main(args) == EXIT_PASS
+        out = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert float(out["N"]) == math.inf
 
     def test_p_option_is_gone(self):
         with pytest.raises(SystemExit):

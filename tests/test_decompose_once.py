@@ -12,11 +12,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qre import bounds, campaign, entropy, linalg, recovery
+from qre import bounds, campaign, entropy, equality, linalg, recovery
 from qre.campaign import CampaignConfig, run_campaign, run_single
 from qre.entropy import effective_eigs, quasi_relative_entropy
 from qre.errors import ShapeMismatch
-from qre.functions import make_neg_log
+from qre.functions import from_id, make_neg_log
 from qre.linalg import (
     DEGENERACY_TOL,
     DensityMatrix,
@@ -210,6 +210,44 @@ class TestSamplingCalls:
             for seed in range(5):
                 campaign.SAMPLERS[name](np.random.default_rng(seed), space, "mixed")
         assert sum(spy.call_count for spy in spies) == 0
+
+    @pytest.mark.parametrize("sweep, dims, grams, hermitized", [
+        # Gram products: rho1 and tau floored, sigma1, the noise.  Hermitized: each Gram
+        # stack, the two floors, the eps mixtures and the one stacked decomposition
+        ("equality_monotonicity", (2, 2), 4, 4 + 2 + 1 + 1),
+        # base_r floored, base_s, the noises; each Gram stack, the floor, the eps mixtures,
+        # both averages and the decomposition
+        ("equality_joint_convexity", (2, 2), 3, 3 + 1 + 1 + 2 + 1),
+        # rho_AB and tau floored, the noise; each Gram stack, the floors, the eps mixtures
+        # and the decompositions of the rho (8 x 8) and of the sigma_AB (4 x 4)
+        ("equality_operator_ssa", (2, 2, 2), 3, 3 + 2 + 1 + 2)])
+    def test_a_sweep_block_is_built_in_stacked_calls(self, sweep, dims, grams, hermitized,
+                                                     monkeypatch):
+        # every instance of a block goes through the same calls, however many it holds
+        monkeypatch.setattr(campaign, "BLOCK_BYTES", 1 << 30)
+        family, space = campaign.FAMILIES[sweep], FactorizedSpace(dims)
+        counts = {}
+        for n in (1, 4, 20):
+            calls = {"grams": 0, "hermitize": 0}
+            real_grams, real_hermitize = linalg._gram_states, linalg.hermitize
+
+            def gram_spy(g):
+                calls["grams"] += 1
+                return real_grams(g)
+
+            def hermitize_spy(m):
+                calls["hermitize"] += 1
+                return real_hermitize(m)
+
+            with contextlib.ExitStack() as stack:
+                for module in (linalg, equality, campaign):
+                    for name, spy in (("_gram_states", gram_spy), ("hermitize", hermitize_spy)):
+                        if hasattr(module, name):
+                            stack.enter_context(mock.patch.object(module, name, spy))
+                block, = campaign.sample_blocks(family, space, range(n))
+            assert len(block) == n
+            counts[n] = (calls["grams"], calls["hermitize"])
+        assert counts == {n: (grams, hermitized) for n in (1, 4, 20)}
 
     def test_each_state_at_d_64_is_finished_alone(self):
         grams, decomposed = [], []
@@ -416,6 +454,18 @@ GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903
 # its own trace formula (gap, rhs and details.gap of its 16 lines moved by at
 # most 2.8e-14 relative; no other field of any line, and no verdict, changed).
 GOLDEN_FAMILY_SHA256 = "7e3bbb1e2a3a77ccf3f9db0536d66526d718de35e9b4475c8e46b83ba4b39a2c"
+
+
+# equality_suite's JSON lines (neg_log and f_p:0.5, seeds 0, 1 and 2), recorded before
+# its instances were built by the sweeps' stacked builders as blocks of one.
+GOLDEN_EQUALITY_SUITE_SHA256 = "cbd8c7cfac870eaaa5e51244453910db4692fe89c58a77f1b5ab13faf236f1b9"
+
+
+def test_golden_equality_suite_digest():
+    lines = [r.to_json() for fid in ("neg_log", "f_p:0.5") for seed in (0, 1, 2)
+             for r in equality.equality_suite(from_id(fid), np.random.default_rng(seed))]
+    assert len(lines) == 72
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_EQUALITY_SUITE_SHA256
 
 
 def test_golden_campaign_digest():

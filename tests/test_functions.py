@@ -295,6 +295,16 @@ class TestFromId:
     def test_power_of(self, fid, p):
         assert power_of(from_id(fid)) == p
 
+    @pytest.mark.parametrize("fid, p", [("f_p:0.1234567", 0.1234567), ("f_p:-0.1234567", -0.1234567),
+                                        ("f_p:1.0000001", 1.0000001), ("f_p:1e-07", 1e-07)])
+    def test_power_survives_its_name(self, fid, p):
+        # a name of six significant digits read back 0.123457: the skew information was
+        # computed at the rounded p and its cross-check at the given one
+        f = from_id(fid)
+        assert f.name == fid and power_of(f) == p
+        if 0.0 < p < 1.0:
+            assert from_id(f"neg_power:{p!r}").name == f"neg_power:{p!r}"
+
 
 _NO_SCIPY_CHILD = """
 import io, sys

@@ -37,7 +37,6 @@ from qre.linalg import (
     hermitize,
     op_norm,
     random_contraction,
-    random_contraction_draw,
     random_density,
     random_hermitian,
     random_state_matrix,
@@ -222,7 +221,9 @@ class TestOpNorm:
             assert_bits(alone, member)
 
     def test_rescaled_contractions_match_one_at_a_time(self):
-        draws = [random_contraction_draw(3, seed=s) for s in range(5)]
+        # a contraction's draw: its Gaussian matrix, then its target norm
+        draws = [(linalg._ginibre(rng, 3), rng.uniform(0.5, 1.0))
+                 for rng in map(np.random.default_rng, range(5))]
         for s, k in enumerate(rescale_contractions(draws)):
             assert_bits(k, random_contraction(3, seed=s))
 
@@ -1399,18 +1400,23 @@ def _rank_deficient_sometimes(sampler, replace):
     def sample(rng, space, policy):
         drawn = sampler(rng, space, policy)
         if rng.random() < 0.35:
-            replace(drawn, lambda dim: campaign._State(random_state_matrix(dim, rank=1, seed=rng)))
+            drawn = replace(drawn, lambda dim: campaign._State(
+                random_state_matrix(dim, rank=1, seed=rng)))
         return drawn
     return sample
 
 
-def _rank_one_sweep(instance, state):
-    instance[2] = [state(s.dim) for s in instance[2]]
+def _rank_one_sweep(sweep, state):
+    # the sweep's numbers built into its instance alone, then its sigma(eps) replaced
+    instance, = sweep.finish([sweep.z], [sweep.arg])
+    instance[2] = [state(len(s.z)) for s in instance[2]]
+    return instance
 
 
 def _rank_one_rho_j(ensemble, state):
     for component in ensemble:
-        component[1] = state(component[1].dim)
+        component[1] = state(len(component[1].z[0]))
+    return ensemble
 
 
 @pytest.mark.parametrize("ineq, operand, dims, fid, replace", [

@@ -406,7 +406,7 @@ def classical_reduction_block(f, rhos, sigmas) -> list[BoundReport]:
     """
     rhos, sigmas = [PsdOperator.wrap(r) for r in rhos], [PsdOperator.wrap(s) for s in sigmas]
     reductions = classical_reduction(f, rhos, sigmas)
-    l1s = trace_norm(np.stack([r.mat - s.mat for r, s in zip(rhos, sigmas)])).tolist()
+    l1s = trace_norm(_as_matrices(rhos) - _as_matrices(sigmas)).tolist()
     mismatches = [abs(trace_distance_pair(p, q) - l1) for (p, q, _), l1 in zip(reductions, l1s)]
     qdivs = quasi_relative_entropies(f, np.eye(rhos[0].dim), rhos, sigmas).tolist()
     return [_report("classical_reduction", cdiv, qdiv,
@@ -444,12 +444,12 @@ def _joint_gaps(f, kms, ensembles) -> list[float]:
     one kernel call, components first and the mixture last within each
     ensemble, as a loop would take them.
     """
-    ks, rhos, sigmas = [], [], []
-    for km, (comps, rho, sigma) in zip(kms, ensembles):
-        ks += [km] * (len(comps) + 1)
+    rhos, sigmas = [], []
+    for comps, rho, sigma in ensembles:
         rhos += [rj for _, rj, _ in comps] + [rho]
         sigmas += [sj for _, _, sj in comps] + [sigma]
-    values = iter(quasi_relative_entropies(f, np.stack(ks), rhos, sigmas).tolist())
+    ks = np.repeat(kms, [len(comps) + 1 for comps, _, _ in ensembles], axis=0)
+    values = iter(quasi_relative_entropies(f, ks, rhos, sigmas).tolist())
     gaps = []
     for comps, _, _ in ensembles:
         avg = sum(pj * next(values) for pj, _, _ in comps)
@@ -504,7 +504,7 @@ def _traced_f_actions(f, lefts, rights, space, keep) -> np.ndarray:
 
     One stacked f-action (``apply_f_modulars``) over the pairs.
     """
-    acted = apply_f_modulars(f, lefts, rights, [r.mat for r in rights])
+    acted = apply_f_modulars(f, lefts, rights, _as_matrices(rights))
     return hermitize(space.partial_trace(acted, keep))
 
 
@@ -512,8 +512,8 @@ def _ssa_stacks(rhos, sabs, space):
     """sigma_AB (x) I_C, sigma_B (x) I_C on B|C and rho_BC of each pair, each one stacked eigh."""
     sub_ab, sub_bc = space.subspace((0, 1)), space.subspace((1, 2))
     sbs = PsdOperator.marginals(sabs, sub_ab, (1,))
-    fulls = PsdOperator.stack(space.embed(np.stack([s.mat for s in sabs]), (0, 1)))
-    b_bcs = PsdOperator.stack(sub_bc.embed(np.stack([s.mat for s in sbs]), (0,)))
+    fulls = PsdOperator.stack(space.embed(_as_matrices(sabs), (0, 1)))
+    b_bcs = PsdOperator.stack(sub_bc.embed(_as_matrices(sbs), (0,)))
     return fulls, b_bcs, PsdOperator.marginals(rhos, space, (1, 2))
 
 
@@ -745,7 +745,7 @@ def verify_cauchy_schwarz_block(rhos_abc, sigmas_ab, beta, space) -> list[BoundR
     if any(rho.rank() < rho.dim for rho in rhos):
         raise DivergentEntropy("quadratic difference needs full-rank rho")
     fulls, b_bcs, rho_bcs = _ssa_stacks(rhos, sabs, space)
-    full_ms, b_bc_ms, rho_ms = (np.stack([op.mat for op in ops]) for ops in (fulls, b_bcs, rhos))
+    full_ms, b_bc_ms, rho_ms = (_as_matrices(ops) for ops in (fulls, b_bcs, rhos))
     t1 = space.partial_trace(full_ms @ PsdOperator.powers(rhos, (-1.0,))[:, 0] @ full_ms, (2,))
     t2 = space.subspace((1, 2)).partial_trace(
         b_bc_ms @ PsdOperator.powers(rho_bcs, (-1.0,))[:, 0] @ b_bc_ms, (1,))
@@ -754,7 +754,7 @@ def verify_cauchy_schwarz_block(rhos_abc, sigmas_ab, beta, space) -> list[BoundR
     grams = hermitize(space.partial_trace(resid.conj().swapaxes(-1, -2) @ resid, (2,)))
     mins = np.linalg.eigvalsh(hermitize(t1 - t2)).min(axis=1).tolist()
     recovered = _petz_sandwiches(PsdOperator.powers(fulls, (0.5,))[:, 0], PsdOperator.powers(
-        b_bcs, (-0.5,))[:, 0], np.stack([op.mat for op in rho_bcs]), space, (1, 2))
+        b_bcs, (-0.5,))[:, 0], _as_matrices(rho_bcs), space, (1, 2))
     petz_resids = trace_norm(recovered - rho_ms).tolist()
     return [_report("cauchy_schwarz", -low, 0.0, low >= -PSD_REPORT_TOL * scale,
                     digest=digest_inputs(rho.mat, sab.mat), notes=f"beta={beta:g};N=0 at p=2",

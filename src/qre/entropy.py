@@ -16,13 +16,13 @@ That term raises DivergentEntropy when f'(inf) = +inf and sigma weighs a null
 mode of rho, and is skipped, not added, when f'(inf) = 0.
 
 ``quasi_relative_entropies`` evaluates the formula for a stack of pairs, which
-share one K or take one each from a ``(N, d, d)`` stack, with one set of array
-operations; ``quasi_relative_entropy`` is its one-pair case, and every value
-is bit-identical whatever the stack.  The f(Delta) action
-(``apply_f_modulars``) takes the same operator lists and shares the
-formula's set-up (``_overlap_grid``): one ``effective_eigs`` call on the
-spectra not clustered yet (each cluster mean the bits of its ``.mean()``), the
-stacked eigenvectors, the overlaps and f on the ratio grid.  It has no
+share one K or take one each from a ``(N, d, d)`` stack, used as given, with
+one set of array operations; ``quasi_relative_entropy`` is its one-pair case,
+and every value is bit-identical whatever the stack.  ``apply_f_modulars``
+takes the same operator lists and shares the formula's set-up
+(``_overlap_grid``): the clustered spectra, memoised once a decomposed stack
+(each cluster mean the bits of its ``.mean()``), the eigenvectors read from
+the operators' stacks, the overlaps and f on the ratio grid.  It has no
 one-pair form: a single action is a stack of one.
 ``ModularOperator`` is Delta's definition, its action and its norm.  The WYD
 skew information and the two-outcome classical reduction are stacked too;
@@ -39,6 +39,7 @@ from .linalg import (
     DEGENERACY_TOL,
     PsdOperator,
     _as_matrices,
+    _gathered,
     as_matrix,
     assert_hermitian,
     hermitize,
@@ -78,16 +79,17 @@ def _cluster_means(x: np.ndarray) -> np.ndarray:
     return acc / x.shape[1]
 
 
-def _clustered(ops) -> list[np.ndarray]:
-    """``effective_eigs`` of each of ``ops`` (of one dimension), memoised on the operator: one
-    stacked call on those not memoised yet, each keeping a read-only copy of its row (not a view
-    that would keep the stack alive)."""
-    todo = list({id(op): op for op in ops if "effective_eigs" not in op._memo}.values())
+def _clustered(*groups) -> list[np.ndarray]:
+    """``effective_eigs`` of the operators of each group (of one dimension), one ``(N, d)`` stack
+    a group, memoised read-only per decomposed stack; one call clusters all stacks still to do."""
+    todo = list({id(op._stack): op._stack for ops in groups for op in ops
+                 if "clustered" not in op._stack}.values())
     if todo:
-        for op, row in zip(todo, effective_eigs(_stacked([op.eigs for op in todo]))):
-            op._memo["effective_eigs"] = row = row.copy()
-            row.flags.writeable = False
-    return [op._memo["effective_eigs"] for op in ops]
+        out = effective_eigs(np.concatenate([stack["eigs"] for stack in todo]))
+        out.flags.writeable = False
+        for stack, stop in zip(todo, np.cumsum([len(s["eigs"]) for s in todo]).tolist()):
+            stack["clustered"] = out[stop - len(stack["eigs"]):stop]
+    return [_gathered(ops, "clustered")[0] for ops in groups]
 
 
 class ModularOperator:
@@ -114,13 +116,14 @@ def apply_f_modulars(f: OperatorConvexFunction, sigmas, rhos, xs) -> np.ndarray:
     """f(Delta_{sigma_i,rho_i})(x_i) of each pair, as one ``(N, d, d)`` stack.
 
     Each f(Delta_{sigma,rho}) acts restricted to the support of rho on the
-    right.  The pairs share their dimension.  Each member is bit-identical to
-    the member alone, and the first member whose f(0+) = +inf meets a weighted
-    zero mode raises what it raises alone.
+    right.  The pairs share their dimension; ``xs`` may be a ``(N, d, d)`` stack.
+    Each member is bit-identical to the member alone, and the first member
+    whose f(0+) = +inf meets a weighted zero mode raises what it raises alone.
     """
-    rhos, sigmas, xs = zip(*[_checked_pair(*p) for p in zip(rhos, sigmas, xs, strict=True)])
-    _, _, keep, mu_zero, phi, psi, y, weight, fmat, diverges = _overlap_grid(
-        f, rhos, sigmas, _stacked(xs))
+    xm = np.asarray(xs, dtype=np.complex128)
+    rhos, sigmas = zip(*[_checked_pair(rho, sigma, xm.shape[1:])
+                         for rho, sigma, _ in zip(rhos, sigmas, xm, strict=True)])
+    _, _, keep, mu_zero, phi, psi, y, weight, fmat, diverges = _overlap_grid(f, rhos, sigmas, xm)
     if diverges.any():
         i = int(np.argmax(diverges))
         raise SingularArgument(_zero_mode_message(mu_zero[i], keep[i], weight[i].T)[0])
@@ -137,11 +140,10 @@ def _overlap_grid(f, rhos, sigmas, xm):
     ``[n, k, j]``, and ``weight = |y|^2`` ``[n, j, k]`` in C order, the layout
     of ``_ratio_weights``, whose ``(fmat, diverges)`` close the tuple.
     """
-    clustered = _clustered(rhos + sigmas)
-    lam, mu = _stacked(clustered[:len(rhos)]), _stacked(clustered[len(rhos):])
-    keep = lam > np.array([rho.cutoff for rho in rhos])[:, None]
-    mu_zero = mu <= np.array([sigma.cutoff for sigma in sigmas])[:, None]
-    phi, psi = _stacked([sigma.vecs for sigma in sigmas]), _stacked([rho.vecs for rho in rhos])
+    lam, mu = _clustered(rhos, sigmas)
+    (rho_cut, psi), (sigma_cut, phi) = (_gathered(ops, "cutoff", "vecs") for ops in (rhos, sigmas))
+    keep = lam > rho_cut[:, None]
+    mu_zero = mu <= sigma_cut[:, None]
     y = phi.conj().swapaxes(-1, -2) @ xm @ psi
     weight = np.square(np.abs(y).swapaxes(-1, -2), order="C")     # |<phi_k|X|psi_j>|^2
     return (lam, mu, keep, mu_zero, phi, psi, y, weight,
@@ -183,40 +185,35 @@ def _zero_mode_message(mu_zero, keep, weight):
     return f"f(0+) diverges on a weighted zero mode of sigma (j={j_idx}, k={k_idx})", (j_idx, k_idx)
 
 
-def _stacked(arrays):
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _checked_pair(rho, sigma, k):
-    rho = PsdOperator.wrap(rho)
-    sigma = PsdOperator.wrap(sigma)
+def _checked_pair(rho, sigma, k_shape):
+    rho, sigma = PsdOperator.wrap(rho), PsdOperator.wrap(sigma)
     if rho.dim != sigma.dim:
         raise InvalidMatrix("rho and sigma act on different spaces")
-    km = as_matrix(k)
-    if km.shape[0] != rho.dim:
+    if k_shape != (rho.dim, rho.dim):
         raise InvalidMatrix("operand dimension mismatch")
-    return rho, sigma, km
+    return rho, sigma
 
 
 def quasi_relative_entropies(f: OperatorConvexFunction, k, rhos, sigmas) -> np.ndarray:
     """S_f^{K_i}(rho_i || sigma_i) of each pair, by one stacked spectral formula.
 
     ``k`` is one K that the pairs share, or a ``(N, d, d)`` stack holding
-    pair i's K_i; the pairs share their dimension.  Each value is
+    pair i's K_i, used as given; the pairs share their dimension.  Each value is
     bit-identical to the pair's own ``quasi_relative_entropy``, and the first
     pair that fails raises what it raises alone, as a loop over the pairs would.
     """
     rhos = list(rhos)
+    kms = np.asarray(k, dtype=np.complex128)
+    kms = kms if kms.ndim == 3 else np.repeat(kms[None], len(rhos), axis=0)    # one K, shared
     pairs = []
-    for rho, sigma, km in zip(rhos, sigmas, k if np.ndim(k) == 3 else [k] * len(rhos),
-                              strict=True):
+    for rho, sigma, _ in zip(rhos, sigmas, kms, strict=True):
         try:
-            pairs.append(_checked_pair(rho, sigma, km))
+            pairs.append(_checked_pair(rho, sigma, kms.shape[1:]))
         except QREError:
-            if pairs:
-                _spectral_formula(f, pairs)     # an earlier pair that diverges raises first
+            if pairs:     # an earlier pair that diverges raises first
+                _spectral_formula(f, pairs, kms[:len(pairs)])
             raise
-    return _spectral_formula(f, pairs)
+    return _spectral_formula(f, pairs, kms)
 
 
 def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
@@ -224,11 +221,11 @@ def quasi_relative_entropy(f: OperatorConvexFunction, k, rho, sigma) -> float:
 
     The one-pair case of ``quasi_relative_entropies``.
     """
-    return float(_spectral_formula(f, [_checked_pair(rho, sigma, k)])[0])
+    return float(quasi_relative_entropies(f, k, [rho], [sigma])[0])
 
 
-def _spectral_formula(f, pairs):
-    """The formula over a stack of checked ``(rho, sigma, K)`` pairs.
+def _spectral_formula(f, pairs, kms):
+    """The formula over a stack of checked ``(rho, sigma)`` pairs and their ``(N, d, d)`` Ks.
 
     Everything is laid out ``[n, j, k]`` (j over rho's modes, k over
     sigma's), so the einsum sums over k within each column j, then over the
@@ -237,9 +234,8 @@ def _spectral_formula(f, pairs):
     exact zeros.  A null mode of rho that sigma weighs adds f'(inf) times
     that weight (``_null_weight``).
     """
-    rhos, sigmas, kms = zip(*pairs)
     lam, mu, keep, mu_zero, _, _, _, weight, fmat, zero_diverges = _overlap_grid(
-        f, rhos, sigmas, _stacked(kms))
+        f, *zip(*pairs), kms)
     null_weight = _null_weight(f, mu, keep, mu_zero, weight)
     diverges = zero_diverges
     if null_weight is not None and np.isinf(f.recession):

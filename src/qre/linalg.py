@@ -16,20 +16,20 @@ cached identity factors are read-only; the arrays ``partial_trace`` and
 every factor (where einsum alone would return a view of the input).
 
 Spectral work is stacked where that changes no bit: ``PsdOperator.stack``
-(and ``DensityMatrix.stack``, by inheritance) decomposes a ``(N, d, d)``
-stack with one ``eigh`` and runs the constructor's checks over the whole
-stack, ``PsdOperator.marginals`` traces and decomposes the marginals of
-several operators as one stack, ``generalized_powers`` raises a stack of
-decomposed operators to a grid of exponents (``PsdOperator.powers`` is its
-call on a list of operators, the one spelling outside this module, and
-``PsdOperator.power`` its read for one operator and one exponent; powers are
-never memoised), ``partial_trace`` and ``embed`` take
-leading stack axes, ``op_norm`` and ``trace_norm`` a stack of matrices (one
-batched SVD, the one path for a matrix too) and ``_kron`` two stacks.  Each
-stacked result is bit-identical to the one-at-a-time result: LAPACK and BLAS
-run on every member exactly as they would alone, every power is raised with
-a scalar exponent, a partial trace or a trace norm sums each member's entries
-in the order it would alone, and the only other reductions are exact maxima.
+(and ``DensityMatrix.stack``) decomposes a ``(N, d, d)`` stack with one
+``eigh``, checks it whole and keeps it read-only, its members views of its
+rows that the kernels read back (``_gathered``); ``PsdOperator.marginals``
+traces and decomposes the marginals of several operators as one stack,
+``generalized_powers`` raises a stack of decomposed operators to a grid of
+exponents (``PsdOperator.powers`` is its call on a list of operators, the
+one spelling outside this module, and ``PsdOperator.power`` its read for one
+operator and one exponent; powers are never memoised), ``partial_trace`` and
+``embed`` take leading stack axes, ``op_norm`` and ``trace_norm`` a stack of
+matrices (one batched SVD, the one path for a matrix too) and ``_kron`` two
+stacks.  Each stacked result is bit-identical to the one-at-a-time result:
+LAPACK and BLAS run on every member exactly as they would alone, every power is
+raised with a scalar exponent, a partial trace or a trace norm sums a member's
+entries in the order it would alone, and the only other reductions are exact maxima.
 A campaign finishes a block of trials' draws this way, their Gram products
 (``_gram_states``) and Haar QRs (``_haar_unitaries``) included, and
 ``run_single`` still replays any campaign line byte for byte.
@@ -42,7 +42,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,10 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _as_matrices(ms) -> np.ndarray:
-    """Square matrices of one shape as one complex ``(N, d, d)`` stack."""
-    return np.stack([as_matrix(m) for m in ms])
+    """Square matrices of one shape as one complex ``(N, d, d)`` stack, read-only if gathered."""
+    if len(ms) and all(isinstance(m, PsdOperator) for m in ms):
+        return _gathered(ms, "mat")[0]
+    return np.array([as_matrix(m) for m in ms])
 
 
 def assert_hermitian(m) -> np.ndarray:
@@ -160,6 +162,15 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_plan(dims, keep, kinds) -> _Plan:     # kinds: keep's type, or its entries' types
+    try:
+        keep = {operator.index(k) for k in (keep if hasattr(keep, "__iter__") else (keep,))}
+    except TypeError:
+        raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
+    return _compile_plan(dims, tuple(sorted(keep)))
+
+
 @dataclass(frozen=True)
 class FactorizedSpace:
     """Ordered tensor factorization of a Hilbert space, e.g. (2, 2, 2) for A|B|C.
@@ -196,12 +207,15 @@ class FactorizedSpace:
         return m if isinstance(m, PsdOperator) else PsdOperator(a)
 
     def _plan(self, keep) -> _Plan:
-        """The compiled plan of ``keep``, an index or indices in any order, repeats allowed."""
-        try:
-            keep = {operator.index(k) for k in (keep if isinstance(keep, Iterable) else (keep,))}
-        except TypeError:
-            raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
-        return _compile_plan(self.dims, tuple(sorted(keep)))
+        """The compiled plan of ``keep``, an index or indices in any order, repeats allowed; an
+        index or a tuple is cached keyed by its types too, so ``(0.0, 1)`` misses ``(0, 1)``."""
+        scalar = not hasattr(keep, "__iter__")
+        if scalar or type(keep) is tuple:
+            try:
+                return _keep_plan(self.dims, keep, type(keep) if scalar else (*map(type, keep),))
+            except TypeError:       # an unhashable keep is not cached
+                pass
+        return _keep_plan.__wrapped__(self.dims, keep, None)
 
     def normalize_keep(self, keep) -> tuple[int, ...]:
         return self._plan(keep).keep
@@ -245,28 +259,43 @@ class FactorizedSpace:
         return out.copy() if plan.whole else out
 
 
+def _stack_of(a, w, v) -> dict:
+    return {"mat": a, "eigs": w, "vecs": v, "cutoff": np.array(default_cutoff(w))}
+
+
+def _gathered(ops, *names) -> list[np.ndarray]:
+    """The ``names`` arrays of ``ops`` in order: one fancy index into their one stack (or that
+    stack itself, if ``ops`` is all of it in order), or an array of the rows of mixed stacks."""
+    stack = ops[0]._stack
+    if any(op._stack is not stack for op in ops):
+        return [np.array([op._stack[name][op._index] for op in ops]) for name in names]
+    at = [op._index for op in ops]
+    whole = at == list(range(len(stack["mat"])))
+    return [stack[name] if whole else stack[name][at] for name in names]
+
+
 class PsdOperator:
     """Positive semi-definite operator with a cached spectral decomposition.
 
     ``eigs`` is ascending and ``vecs`` holds orthonormal eigenvector columns;
     ``cutoff`` is the numerical-rank threshold used for generalized inverses.
-    The operator is immutable after construction (``mat`` must not be
-    mutated), so its marginals and its clustered spectrum are computed once
-    and memoised in ``_memo``, the spectrum read-only; its powers are raised
-    afresh on each call.
+    ``mat``, ``eigs`` and ``vecs`` are row ``_index`` of the arrays of the stack
+    decomposed with it, ``_stack`` (a dict, with ``cutoff`` and the ``clustered``
+    spectra).  Immutable: its marginals are memoised, its powers raised afresh.
     """
 
-    __slots__ = ("mat", "eigs", "vecs", "cutoff", "_memo")
+    __slots__ = ("mat", "eigs", "vecs", "cutoff", "_stack", "_index", "_memo")
 
     _STATE = False      # whether construction checks a state (DensityMatrix)
 
     def __init__(self, mat):
-        a = as_matrix(mat)
-        w, v = _checked_spectra(a[None], self._STATE)   # the stacked constructor, stack of one
-        self._adopt(a, w[0], v[0], default_cutoff(w[0]))
+        a = as_matrix(mat)[None]       # the stacked constructor, on a stack of one (not copied)
+        self._adopt(_stack_of(a, *_checked_spectra(a, self._STATE)), 0)
 
-    def _adopt(self, a, w, v, cutoff):
-        self.mat, self.eigs, self.vecs, self.cutoff, self._memo = a, w, v, cutoff, {}
+    def _adopt(self, stack, i):
+        self.mat, self.eigs, self.vecs = stack["mat"][i], stack["eigs"][i], stack["vecs"][i]
+        self.cutoff, self._stack, self._index, self._memo = float(stack["cutoff"][i]), stack, i, {}
+        return self
 
     @classmethod
     def wrap(cls, m) -> "PsdOperator":
@@ -289,18 +318,15 @@ class PsdOperator:
 
         Each member is bit-identical to ``cls(mats[i])`` and runs its checks
         (those of a state for ``DensityMatrix``); a bad member raises what it
-        would raise on its own.  Members of a stack of several own copies of
-        their arrays, so each frees its memory apart from the others.
+        would raise on its own.  The stack keeps one copy of ``mats`` and its
+        ``eigh``, read-only, and each member's arrays are views of its row.
         """
-        a = np.asarray(mats, dtype=np.complex128)
+        a = np.array(mats, dtype=np.complex128)
         w, v = _checked_spectra(a, cls._STATE)
-        own = (lambda x: x) if len(a) == 1 else np.copy
-        ops = []
-        for i, cutoff in enumerate(default_cutoff(w)):
-            op = cls.__new__(cls)
-            op._adopt(own(a[i]), own(w[i]), own(v[i]), cutoff)
-            ops.append(op)
-        return ops
+        for x in (a, w, v):
+            x.flags.writeable = False
+        stack = _stack_of(a, w, v)
+        return [cls.__new__(cls)._adopt(stack, i) for i in range(len(a))]
 
     def marginal(self, space: FactorizedSpace, keep) -> "PsdOperator":
         """The partial trace onto the ``keep`` factors of ``space``, as an operator."""
@@ -316,7 +342,7 @@ class PsdOperator:
         key = ("marginal", space.dims, space.normalize_keep(keep))
         todo = list({id(op): op for op in ops if key not in op._memo}.values())
         if todo:
-            mats = todo[0].mat[None] if len(todo) == 1 else np.stack([op.mat for op in todo])
+            mats = _as_matrices(todo)
             for op, marg in zip(todo, PsdOperator.stack(space.partial_trace(mats, key[2]))):
                 op._memo[key] = marg
         return [op._memo[key] for op in ops]
@@ -324,9 +350,7 @@ class PsdOperator:
     @staticmethod
     def powers(ops, betas) -> np.ndarray:
         """``generalized_powers`` of ``ops`` (of one dimension) in one call, ``(N, G, d, d)``."""
-        return generalized_powers(np.stack([op.vecs for op in ops]),
-                                  np.stack([op.eigs for op in ops]),
-                                  np.array([op.cutoff for op in ops]), betas)
+        return generalized_powers(*_gathered(ops, "vecs", "eigs", "cutoff"), betas)
 
     def support_projector(self) -> np.ndarray:
         return self.power(0.0)

@@ -117,12 +117,17 @@ class TestStackedCallCounts:
         assert kernel.call_count == calls
 
     def test_operator_ssa_block_screens_each_spectrum_once(self):
-        # one clustering pass a traced term, over every rho and sigma of the 20 trials
+        # one clustering pass a traced term, over every rho and sigma of the 20 trials: the rhos
+        # and the sigmas are each one stack of 20, and one effective_eigs call clusters both
         config = CampaignConfig(inequalities=("operator_ssa_thm62",), dims=((2, 2, 2),),
                                 betas=(0.5,), trials=20, seed=7)
-        with mock.patch.object(entropy, "_clustered", wraps=entropy._clustered) as clustered:
+        with mock.patch.object(entropy, "_clustered", wraps=entropy._clustered) as clustered, \
+                mock.patch.object(entropy, "effective_eigs", wraps=effective_eigs) as ee:
             run_campaign(config, io.StringIO())
-        assert clustered.call_count == 2
+        assert clustered.call_count == ee.call_count == 2
+        assert [call.args[0].shape for call in ee.call_args_list] == [(40, 8), (40, 4)]
+        for call in clustered.call_args_list:
+            assert [len({id(op._stack) for op in ops}) for ops in call.args] == [1, 1]
 
     def test_joint_convexity_sweep_svds_only_the_members_that_can_win(self):
         # 7 blocks of the 20 instances, 4 mixtures x 3 components x 5 betas an instance:
@@ -300,13 +305,17 @@ class TestMemoisation:
             np.testing.assert_array_equal(marg.power(-0.5), fresh.power(-0.5))
 
     def test_clustered_spectrum_is_memoised_and_read_only(self):
+        # one read-only array a stack, which a list of all of the stack in order reads as is
         rho = PsdOperator(np.diag([0.25, 0.25, 0.5]).astype(complex))
-        sigma = random_density(3, seed=6)
-        mu, lam = entropy._clustered([sigma, rho])
-        mu2, lam2 = entropy._clustered([sigma, rho])
-        assert mu is mu2 and lam is lam2
-        assert not lam.flags.writeable
-        np.testing.assert_array_equal(lam, effective_eigs(rho.eigs))
+        sigmas = DensityMatrix.stack([random_density(3, seed=s).mat for s in (6, 7)])
+        lam, mu = entropy._clustered([rho], sigmas)
+        memo = sigmas[0]._stack["clustered"]
+        assert sigmas[1]._stack is sigmas[0]._stack and memo.shape == (2, 3)
+        assert entropy._clustered(sigmas)[0] is memo and mu.tobytes() == memo.tobytes()
+        assert not memo.flags.writeable and not rho._stack["clustered"].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0, 0] = 0.0
+        np.testing.assert_array_equal(lam[0], effective_eigs(rho.eigs))
 
     def test_power_kernels_agree_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -370,7 +379,7 @@ class TestEffectiveEigs:
         ops = [random_density(6, seed=rng) for _ in range(4)]
         ops += [PsdOperator(np.diag(w).astype(complex)) for w in
                 ([0.25, 0.25, 0.5, 0.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0])]
-        got = np.stack(entropy._clustered(ops + ops[:2]))
+        got, = entropy._clustered(ops + ops[:2])
         for op, row in zip(ops + ops[:2], got):
             np.testing.assert_array_equal(row, _reference_effective_eigs(op.eigs))
             assert row.tobytes() == effective_eigs(op.eigs).tobytes()
@@ -415,18 +424,24 @@ class TestEffectiveEigs:
         assert out.tobytes() == np.array([[-0.0, 0.5, 0.5]]).tobytes()
 
     def test_clustered_makes_one_stacked_call_per_call_with_work(self):
-        # mixed rank, every eigenvalue doubled (sigma (x) I), a zero block and a plain spectrum
+        # mixed rank, every eigenvalue doubled (sigma (x) I), a zero block and a plain spectrum,
+        # each decomposed alone and in two stacks of three: one call clusters every stack not
+        # clustered yet, and each stack keeps its own rows
         rng = np.random.default_rng(5)
-        ops = [random_density(8, rank=int(rng.integers(1, 9)), seed=rng) for _ in range(4)]
-        ops += [PsdOperator(np.kron(random_density(4, seed=rng).mat, np.eye(2)) / 2.0),
-                PsdOperator(np.diag([0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]).astype(complex))]
+        mats = [random_density(8, rank=int(rng.integers(1, 9)), seed=rng).mat for _ in range(4)]
+        mats += [np.kron(random_density(4, seed=rng).mat, np.eye(2)) / 2.0,
+                 np.diag([0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]).astype(complex)]
+        ops = [PsdOperator(m) for m in mats] + PsdOperator.stack(mats[:3]) + PsdOperator.stack(
+            mats[3:])
         with mock.patch.object(entropy, "effective_eigs", wraps=entropy.effective_eigs) as ee:
-            got = entropy._clustered(ops)
-            again = entropy._clustered(ops[::-1])
-        assert ee.call_count == 1
-        assert [a is b for a, b in zip(got, again[::-1])] == [True] * len(ops)
+            got, = entropy._clustered(ops)
+            again, head = entropy._clustered(ops[::-1], ops[:5])
+        assert ee.call_count == 1 and ee.call_args.args[0].shape == (12, 8)
+        assert again.tobytes() == got[::-1].tobytes() and head.tobytes() == got[:5].tobytes()
+        stacks = list({id(op._stack): op._stack for op in ops}.values())
+        assert len(stacks) == 8 and not any(s["clustered"].flags.writeable for s in stacks)
+        assert entropy._clustered(ops[6:9])[0] is ops[6]._stack["clustered"]
         for op, row in zip(ops, got):
-            assert not row.flags.writeable and row.base is None
             assert row.tobytes() == _reference_effective_eigs(op.eigs).tobytes()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qre import linalg
 from qre.bounds import wyd_skew_block
 from qre.errors import InvalidMatrix, InvalidRank, NotPSD, ShapeMismatch
 from qre.functions import make_f_p
@@ -292,6 +293,23 @@ class TestTensorPlans:
                 np.testing.assert_array_equal(out, want)
                 out[:] = 0.0
             np.testing.assert_array_equal(m, want)
+
+    @pytest.mark.parametrize("cached, invalid", [(1, 1.0), (1, np.float64(1)), ((0, 1), (0.0, 1)),
+                                                 ((0, 1), (0, np.float64(1))), ((0, 1), (0, 1.0))])
+    def test_cached_keep_is_keyed_by_its_types(self, cached, invalid):
+        # an index or a tuple is cached as given, so an equal float misses the cached plan
+        space = FactorizedSpace((2, 2, 2))
+        assert space.normalize_keep(cached) == space.normalize_keep(cached)
+        hits = linalg._keep_plan.cache_info().hits
+        assert space.subspace(cached) is space.subspace(cached)
+        assert linalg._keep_plan.cache_info().hits == hits + 2
+        with pytest.raises(ShapeMismatch):
+            space.normalize_keep(invalid)
+
+    def test_unhashable_and_one_pass_keeps_are_normalized(self):
+        space = FactorizedSpace((2, 2, 2))
+        assert space.normalize_keep([2, 0, 2]) == space.normalize_keep(k for k in (0, 2)) == (0, 2)
+        assert space.normalize_keep(frozenset({2, 0})) == (0, 2)
 
     @pytest.mark.parametrize("keep", [(), [], (3,), (-1,), (0, 3), 5, 1.5, [0.9, 2.7],
                                       (np.float64(1),), ("1",), (0, 1.0)])

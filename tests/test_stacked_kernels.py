@@ -318,14 +318,26 @@ class TestStackedConstructor:
                 assert_bits(getattr(state, attr), getattr(alone, attr))
             assert state.cutoff == alone.cutoff
 
-    def test_members_own_their_arrays(self):
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_members_are_read_only_views_of_one_stack(self, n):
+        states = DensityMatrix.stack([random_state_matrix(4, seed=s) for s in range(n)])
+        for attr in ("mat", "eigs", "vecs"):
+            rows = [getattr(state, attr) for state in states]
+            base = rows[0].base
+            assert base is not None and all(row.base is base for row in rows)
+            assert not any(row.flags.writeable for row in rows)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[-1][0] = 0.0
+
+    def test_caller_input_is_neither_aliased_nor_frozen(self):
         mats = np.stack([random_state_matrix(4, seed=s) for s in range(3)])
-        states = DensityMatrix.stack(mats)
-        for state in states:
-            for attr in ("mat", "eigs", "vecs"):
-                arr = getattr(state, attr)
-                assert arr.base is None and not np.shares_memory(arr, mats)
-        assert not np.shares_memory(states[0].vecs, states[1].vecs)
+        kept = mats.copy()
+        for given in (mats, list(mats), mats[:1]):
+            states = DensityMatrix.stack(given)
+            assert not any(np.shares_memory(state.mat, mats) for state in states)
+        assert mats.flags.writeable
+        mats[...] = 0.0        # the caller's array stays its own: no member moves
+        assert_bits(states[0].mat, kept[0])
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[0.5, 0.3], [0.0, 0.5]]), InvalidMatrix),     # not Hermitian
@@ -630,6 +642,57 @@ def _outcome(call):
         return call()
     except DivergentEntropy as exc:
         return (DivergentEntropy, str(exc))
+
+
+class TestGatheredOperators:
+    """A list of operators is read from the stack they were decomposed in (one fancy index, or
+    the stack itself) with the bits of ``np.stack`` of the members: for one whole stack, a
+    reordered subset of it and a list that mixes two stacks."""
+
+    LISTS = {"stack": [0, 1, 2, 3, 4, 5], "subset": [4, 1, 1, 3], "mixed": [7, 0, 11, 2, 6]}
+
+    @staticmethod
+    def _operators(seed, mixed_rank, d=4):
+        """Members of two stacks of six states, and each state decomposed alone."""
+        rng = np.random.default_rng(seed)
+        mats = [random_state_matrix(d, rank=int(rng.integers(1, d + 1)) if mixed_rank else d,
+                                    seed=rng) for _ in range(12)]
+        return DensityMatrix.stack(mats[:6]) + DensityMatrix.stack(mats[6:]), [
+            DensityMatrix(m) for m in mats]
+
+    @pytest.mark.parametrize("kind", sorted(LISTS))
+    def test_powers(self, kind):
+        stacked, alone = self._operators(21, mixed_rank=True)
+        ops = [stacked[i] for i in self.LISTS[kind]]
+        with mock.patch.object(np, "stack", wraps=np.stack) as restack:
+            got = PsdOperator.powers(ops, BETAS)
+            mats = linalg._as_matrices(ops)
+        assert restack.call_count == 0
+        assert (mats is ops[0].mat.base) == (kind == "stack")     # the stack's own array
+        assert mats.flags.writeable == (kind != "stack")
+        assert_bits(mats, np.stack([op.mat for op in ops]))
+        assert_bits(got, PsdOperator.powers([alone[i] for i in self.LISTS[kind]], BETAS))
+        assert_bits(got, generalized_powers(np.stack([op.vecs for op in ops]),
+                                            np.stack([op.eigs for op in ops]),
+                                            np.array([op.cutoff for op in ops]), BETAS))
+
+    @pytest.mark.parametrize("fid", FUNCTIONS)
+    @pytest.mark.parametrize("kind", sorted(LISTS))
+    def test_spectral_formula_and_f_action(self, fid, kind):
+        f = from_id(fid)
+        stacked, alone = self._operators(22, mixed_rank=False)     # no pair diverges
+        at = self.LISTS[kind]
+        ks = np.stack([random_contraction(4, seed=i) for i in range(len(at))])
+
+        def outcomes(ops):
+            rhos, sigmas = [ops[i] for i in at], [ops[i] for i in at[::-1]]
+            return (quasi_relative_entropies(f, ks, rhos, sigmas).tolist(),
+                    apply_f_modulars(f, sigmas, rhos, ks).tobytes())
+
+        got = outcomes(stacked)
+        assert got == outcomes(alone)
+        assert got[0] == [quasi_relative_entropy(f, ks[j], stacked[i], stacked[at[-1 - j]])
+                          for j, i in enumerate(at)]
 
 
 class TestSpectralKernel:

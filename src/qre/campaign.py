@@ -13,12 +13,12 @@ the family does not admit produces no report.
 
 A cell draws its trials' operands in blocks: a trial only draws its random
 numbers, from its own generator in the listed order (``h`` alone is
-hermitized as drawn), and the block does their arithmetic in stacked calls
-that give the bits of one call per matrix: the complex assembly, Gram
-products and decompositions of the sampled states, the QRs of the Haar
-unitaries, the norms that rescale the contractions, and the sweeps'
-instances (``equality._*_instances``).  A block holds at most
-``BLOCK_BYTES`` of state matrices, so memory stays flat at large dims.
+hermitized as drawn), and the block finishes them in one pass of stacked
+calls that give the bits of one call per matrix: the Gram draws of each
+shape make their states and decompose them, the Haar unitaries take one QR,
+the contractions one batched norm, and each sweep builds its instances whole
+(``equality._SWEEP_DRAWS``).  A block holds at most ``BLOCK_BYTES`` of state
+matrices, so memory stays flat at large dims.
 
 Each family's check then takes the whole block (``check_block``) as one
 stacked kernel (``bounds.*_block``, ``equality.equality_*_block``) and returns
@@ -47,6 +47,7 @@ from .linalg import (
     DensityMatrix,
     FactorizedSpace,
     _complex,
+    _contraction_numbers,
     _gram_states,
     _haar_unitaries,
     _normals,
@@ -262,16 +263,16 @@ FAMILIES: dict[str, Family] = {
 
 
 # Bytes of sampled state matrices one block of trials, and one stack of its
-# finished draws, holds: a whole 20-trial cell of a two-state family at d <= 8,
+# Gram draws, holds: a whole 20-trial cell of a two-state family at d <= 8,
 # three joint-convexity sweeps (18 states each) at d = 8, one trial at d = 64
 # (whose draws are then finished one by one).  A block holds at least one trial.
 BLOCK_BYTES = 64 * 1024
 
 
 class _Draw(NamedTuple):
-    """An operand whose arithmetic is pending: ``finish`` maps the ``z`` (drawn normals, a
-    state matrix or a sweep's numbers) and ``arg`` of the draws of one ``key`` in a block to
-    their values; ``nbytes`` counts the state matrices it makes."""
+    """An operand whose arithmetic is pending: ``finish`` maps the ``z`` (drawn normals or a
+    sweep's numbers) and ``arg`` of the draws of one ``key`` in a block to their values;
+    ``nbytes`` counts the state matrices it makes."""
 
     finish: Callable
     z: object
@@ -285,32 +286,27 @@ def _stacked(fn):
     BLOCK_BYTES of square results: a trial at d = 64 finishes its states one by one."""
     def finish(zs, args):
         n = max(1, BLOCK_BYTES // (16 * zs[0].shape[-2] ** 2))
-        return [x for j in range(0, len(zs), n) for x in fn(np.stack(zs[j:j + n]), args[j:j + n])]
+        return [x for j in range(0, len(zs), n) for x in fn(np.array(zs[j:j + n]), args[j:j + n])]
     return finish
 
 
-def _State(mat):
-    """A sampled state matrix, decomposed with the other states of its block."""
-    return _Draw(_decomposed, mat, None, mat.nbytes)
+_grams = _stacked(lambda z, _: DensityMatrix.stack(_gram_states(_complex(z))))
+_scaled_grams = _stacked(lambda z, times: [m * t for m, t in zip(_gram_states(_complex(z)), times)])
+_haars = _stacked(lambda z, _: _haar_unitaries(_complex(z)))
+_contractions = _stacked(lambda z, norms: rescale_contractions(zip(_complex(z), norms)))
 
 
 def _gram(z, times=None):
-    """The normals ``z`` of g, of a sampled state g g*/Tr(g g*) (or, given ``times``, that
-    matrix times the factor)."""
-    return _Draw(_grams, z, times, 16 * len(z[0]) ** 2)
-
-
-_decomposed = _stacked(lambda mats, _: DensityMatrix.stack(mats))
-_grams = _stacked(lambda z, times: [_State(m) if t is None else m * t
-                                    for m, t in zip(_gram_states(_complex(z)), times)])
-_haars = _stacked(lambda z, _: _haar_unitaries(_complex(z)))
-_contractions = _stacked(lambda z, norms: rescale_contractions(zip(_complex(z), norms)))
+    """The normals ``z`` of g, of a sampled state g g*/Tr(g g*), decomposed (or, given ``times``,
+    that matrix times the factor)."""
+    return _Draw(_grams if times is None else _scaled_grams, z, times, 16 * len(z[0]) ** 2)
 
 
 def _contraction(dim, rng, times=1.0):
     """The draw of a contraction whose norm is ``times`` that of ``random_contraction``'s
     (times 2 is exact, so X = 2K has the bits of K doubled)."""
-    return _Draw(_contractions, _normals(rng, dim), rng.uniform(0.5, 1.0) * times)
+    z, norm = _contraction_numbers(rng, dim)
+    return _Draw(_contractions, z, norm * times)
 
 
 def _sample_state(rng, space, policy):
@@ -320,8 +316,8 @@ def _sample_state(rng, space, policy):
 
 def _sweep(numbers, build, states):
     """The sampler of a sweep's instance, built by ``build`` into states of ``states(space)``."""
-    finish = lambda numbers, _: build(numbers, _State)         # noqa: E731 - one key a sweep
-    return lambda rng, space, policy: _Draw(finish, numbers(rng, space, _contraction), None,
+    finish = lambda numbers, _: build(numbers)         # noqa: E731 - one key a sweep
+    return lambda rng, space, policy: _Draw(finish, numbers(rng, space), None,
                                             sum(16 * d ** 2 for d in states(space)))
 
 
@@ -357,20 +353,17 @@ def _pending(block):
 
 
 def _finish(block):
-    """Complete the pending draws of a block in place, each ``key``'s in one ``finish`` call.
-
-    Until none is left: Gram products make states, and sweeps states and contractions, which
-    the next round finishes, each state matrix of the block in one decomposition per shape.
-    """
-    while slots := _pending(block):
-        groups: dict = {}
-        for c, i in slots:
-            groups.setdefault(c[i].key, []).append((c, i))
-        for group in groups.values():
-            draws = [c[i] for c, i in group]
-            values = draws[0].finish([d.z for d in draws], [d.arg for d in draws])
-            for (c, i), value in zip(group, values):
-                c[i] = value
+    """Complete the pending draws of a block in place, each ``key``'s in one ``finish`` call:
+    the Gram draws of one shape make states decomposed in stacks, and the sweeps their
+    instances, whole."""
+    groups: dict = {}
+    for c, i in _pending(block):
+        groups.setdefault(c[i].key, []).append((c, i))
+    for group in groups.values():
+        draws = [c[i] for c, i in group]
+        values = draws[0].finish([d.z for d in draws], [d.arg for d in draws])
+        for (c, i), value in zip(group, values):
+            c[i] = value
 
 
 def sample_blocks(family: Family, space: FactorizedSpace, seeds, rank_policy: str = "full"):

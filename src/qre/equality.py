@@ -6,15 +6,16 @@ eps, the inequality's gap and the residual of its equality condition on
 ``recovery.DEFAULT_BETA_GRID``.  At eps = 0 both must sit below their
 tolerances; afterwards both must grow with eps.
 
-An instance's draw is only its random numbers (``_*_numbers``), and a block
-of instances is built from them (``_*_instances``, ``draw_*`` for a block of
-one) with one stacked call per operation, each member bit-identical to its
-arithmetic alone: Gram products, spectral floors, Kronecker products, eps
-mixtures and ensemble averages.  Each sweep checks a block of
-instances (``equality_*_block``): the eps stacks of the whole block go
-through one gap kernel and one ``recovery._sandwiches`` stack per side, which
-raises each instance's rho once, and every instance's reports are
-bit-identical to those of the instance checked alone.
+An instance's draw is only its random numbers (``_*_numbers``).  A block of
+them is built whole (``_*_instances``) with one stacked call per operation,
+each member bit-identical to its arithmetic alone: Gram products, spectral
+floors, Kronecker products, eps mixtures, ensemble averages, the rescaling of
+the contractions, and one ``DensityMatrix.stack`` per shape of state.
+``_SWEEP_DRAWS`` lists both for the campaign and ``equality_suite``.  Each
+sweep checks a block of instances (``equality_*_block``): the eps stacks of
+the whole block go through one gap kernel and one ``recovery._sandwiches``
+stack per side, which raises each instance's rho once, and every instance's
+reports are bit-identical to those of the instance checked alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 import numpy as np
 
 from .bounds import _joint_gaps, _monotonicity_gaps, _report, _traced_terms
-from .linalg import (FactorizedSpace, PsdOperator, _as_matrices, _complex, _gram_states, _kron,
-                     hermitize, random_contraction)
+from .linalg import (DensityMatrix, FactorizedSpace, PsdOperator, _as_matrices, _complex,
+                     _contraction_numbers, _gram_states, _kron, hermitize, rescale_contractions)
 from .recovery import (DEFAULT_BETA_GRID, _grid_maxima, _sandwiches,
                        equality_condition_residuals)
 from .reports import BoundReport, digest_inputs
@@ -36,23 +37,29 @@ EQUALITY_RESIDUAL_TOL = 1e-8
 PROBS = (0.3, 0.3, 0.4)             # the weights of the joint-convexity ensembles
 
 
-def _floored_state(dim, rng) -> np.ndarray:
-    """Random state matrix, drawn from ``rng``, mixed with the maximally mixed one; given a
-    stack of drawn ``(2, dim, dim)`` normals in place of ``rng``, the stack of their states.
+def _floored_state(z) -> np.ndarray:
+    """The random state matrices of a stack of drawn ``(2, d, d)`` normals, each mixed with the
+    maximally mixed state.
 
     Equality instances are constructed inputs; the spectral floor keeps the
     generalized-inverse powers in the residual diagnostics away from the
     roundoff-amplification regime at the large grid exponents.
     """
-    if isinstance(rng, np.random.Generator):
-        return _floored_state(dim, rng.standard_normal((1, 2, dim, dim)))[0]
-    floor = 0.15
-    return hermitize((1.0 - floor) * _states(rng) + floor * np.eye(dim) / dim)
+    floor, dim = 0.15, z.shape[-1]
+    return hermitize((1.0 - floor) * _states(z) + floor * np.eye(dim) / dim)
 
 
 def _states(z) -> np.ndarray:
     """The random state matrices (``random_state_matrix``) of a stack of drawn normals."""
     return _gram_states(_complex(z))
+
+
+def _decomposed(states) -> list[list[DensityMatrix]]:
+    """The ``(N, m, d, d)`` state matrices of N instances, m an instance, as operators
+    decomposed with one ``DensityMatrix.stack``."""
+    n, m = states.shape[:2]
+    ops = DensityMatrix.stack(states.reshape((n * m,) + states.shape[2:]))
+    return [ops[i * m:(i + 1) * m] for i in range(n)]
 
 
 def _mixed(base, other) -> np.ndarray:
@@ -87,38 +94,32 @@ def _sweep_reports(inequality_id, f, gaps, resids, digests) -> list[list[BoundRe
     return sweeps
 
 
-def draw_monotonicity(rng, space: FactorizedSpace, state, contraction) -> list:
-    """[rho, sigma0, [sigma(eps)], K1] of one monotonicity sweep, drawn from ``rng``.
+def _monotonicity_numbers(rng, space: FactorizedSpace) -> tuple:
+    """The normals of rho1 and sigma1, of tau, the numbers of K1 and the normals of the noise."""
+    d1, d2 = space.dims
+    return (rng.standard_normal((2, 2, d1, d1)), rng.standard_normal((2, d2, d2)),
+            *_contraction_numbers(rng, d1), rng.standard_normal((2, space.dim, space.dim)))
+
+
+def _monotonicity_instances(numbers) -> list:
+    """[rho, sigma0, [sigma(eps)], K1] of the monotonicity sweep of each of ``numbers``.
 
     The product pair (rho1 (x) tau, sigma1 (x) tau) with V = I saturates
     exactly; sigma(eps) mixes an independent state into sigma0 with weight
-    eps.  ``state(matrix)`` wraps each state to decompose, and
-    ``contraction(dim, rng)`` draws K1.
+    eps.
     """
-    return _monotonicity_instances([_monotonicity_numbers(rng, space, contraction)], state)[0]
-
-
-def _monotonicity_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
-    """The normals of rho1 and sigma1, of tau, the draw of K1 and the normals of the noise."""
-    d1, d2 = space.dims
-    return (rng.standard_normal((2, 2, d1, d1)), rng.standard_normal((2, d2, d2)),
-            contraction(d1, rng), rng.standard_normal((2, space.dim, space.dim)))
-
-
-def _monotonicity_instances(numbers, state) -> list:
-    """The ``draw_monotonicity`` instance of each ``_monotonicity_numbers`` of a block."""
-    pairs, taus, k1s, noises = zip(*numbers)
-    pairs, taus = np.stack(pairs), np.stack(taus)
-    tau = _floored_state(taus.shape[-1], taus)
-    rhos = _kron(_floored_state(pairs.shape[-1], pairs[:, 0]), tau)
+    pairs, taus, zs, norms, noises = zip(*numbers)
+    pairs, tau = np.stack(pairs), _floored_state(np.stack(taus))
+    rhos = _kron(_floored_state(pairs[:, 0]), tau)
     sigma0s = _kron(_states(pairs[:, 1]), tau)
     sweeps = _mixed(sigma0s, _states(np.stack(noises)))
-    return [[state(rho), sigma0, [state(s) for s in sweep], k1]
-            for rho, sigma0, sweep, k1 in zip(rhos, sigma0s, sweeps, k1s)]
+    states = _decomposed(np.concatenate([rhos[:, None], sweeps], axis=1))
+    return [[rho, sigma0, sweep, k1] for (rho, *sweep), sigma0, k1
+            in zip(states, sigma0s, rescale_contractions(zip(_complex(np.array(zs)), norms)))]
 
 
 def equality_monotonicity_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
-    """The sweep reports of each ``draw_monotonicity`` instance, with K = K1 (x) I."""
+    """The sweep reports of each ``_monotonicity_instances`` instance, with K = K1 (x) I."""
     rhos = [space.psd(rho) for rho, _, _, _ in instances]
     sigmas = [space.psd(sigma) for _, _, sweep, _ in instances for sigma in sweep]
     k1s = _as_matrices([k1 for _, _, _, k1 in instances])
@@ -132,47 +133,41 @@ def equality_monotonicity_block(f, space: FactorizedSpace, instances) -> list[li
                            in zip(rhos, instances, k_fulls)])
 
 
-def draw_joint_convexity(rng, space: FactorizedSpace, state, contraction) -> list:
-    """[rho, its mixture, [sigma_j(eps)], K, sigma] of one joint-convexity sweep, drawn from ``rng``.
+def _joint_convexity_numbers(rng, space: FactorizedSpace) -> tuple:
+    """The normals of base_r and base_s, the numbers of K and the normals of the three noises."""
+    dim = space.dim
+    return (rng.standard_normal((2, 2, dim, dim)), *_contraction_numbers(rng, dim),
+            rng.standard_normal((len(PROBS), 2, dim, dim)))
+
+
+def _joint_convexity_instances(numbers) -> list:
+    """[rho, its mixture, [sigma_j(eps)], K, sigma] of the joint-convexity sweep of each of
+    ``numbers``.
 
     Identical ensemble components (weights ``PROBS``) saturate; componentwise
     noise breaks it.  Only the sigma components are perturbed: the rho side
     carries the generalized-inverse powers, and holding it fixed keeps the
     residual's conditioning constant across the sweep (the diagnostics then
-    co-grow).  Each eps lists its components, then their mixture; ``state`` and
-    ``contraction`` are as for ``draw_monotonicity``.
+    co-grow).  Each eps lists its components, then their mixture.
     """
-    return _joint_convexity_instances([_joint_convexity_numbers(rng, space, contraction)],
-                                      state)[0]
-
-
-def _joint_convexity_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
-    """The normals of base_r and base_s, the draw of K and the normals of the three noises."""
-    dim = space.dim
-    return (rng.standard_normal((2, 2, dim, dim)), contraction(dim, rng),
-            rng.standard_normal((len(PROBS), 2, dim, dim)))
-
-
-def _joint_convexity_instances(numbers, state) -> list:
-    """The ``draw_joint_convexity`` instance of each ``_joint_convexity_numbers`` of a block."""
-    pairs, kms, noises = zip(*numbers)
+    pairs, zs, norms, noises = zip(*numbers)
     pairs, noises = np.stack(pairs), np.stack(noises)
-    dim = pairs.shape[-1]
-    base_rs, base_ss = _floored_state(dim, pairs[:, 0]), _states(pairs[:, 1])
+    n, dim = pairs.shape[0], pairs.shape[-1]
+    base_rs, base_ss = _floored_state(pairs[:, 0]), _states(pairs[:, 1])
     parts = _mixed(base_ss[:, None], _states(noises.reshape(-1, 2, dim, dim)).reshape(
         noises.shape[:2] + (dim, dim)))                      # (N, eps, component, d, d)
     # the mixtures sum their terms in the order of bounds._mixtures
     mix_ss = hermitize(sum(w * parts[:, :, j] for j, w in enumerate(PROBS)))
-    sigmas = np.concatenate([parts, mix_ss[:, :, None]], axis=2)
+    sigmas = np.concatenate([parts, mix_ss[:, :, None]], axis=2).reshape(n, -1, dim, dim)
     mix_rs = hermitize(sum(w * base_rs for w in PROBS))
-    return [[state(base_r), state(mix_r), [state(s) for s in sweep.reshape(-1, dim, dim)], km,
-             base_s] for base_r, mix_r, sweep, km, base_s
-            in zip(base_rs, mix_rs, sigmas, kms, base_ss)]
+    states = _decomposed(np.concatenate([base_rs[:, None], mix_rs[:, None], sigmas], axis=1))
+    return [[base_r, mix_r, sweep, km, base_s] for (base_r, mix_r, *sweep), km, base_s
+            in zip(states, rescale_contractions(zip(_complex(np.array(zs)), norms)), base_ss)]
 
 
 def equality_joint_convexity_block(f, space: FactorizedSpace,
                                    instances) -> list[list[BoundReport]]:
-    """The sweep reports of each ``draw_joint_convexity`` instance, on the whole space."""
+    """The sweep reports of each ``_joint_convexity_instances`` instance, on the whole space."""
     flat, grid = FactorizedSpace((space.dim,)), DEFAULT_BETA_GRID
     base_rs, ensembles = [], []
     for base_r, mix_r, sweep, _, _ in instances:
@@ -214,35 +209,28 @@ def operator_ssa_equality_residuals(rhos_abc, sigmas_ab, space: FactorizedSpace)
     return _grid_maxima(diffs)
 
 
-def draw_operator_ssa(rng, space: FactorizedSpace, state, contraction) -> list:
-    """[rho, rho_AB, [sigma_AB(eps)]] of one operator-SSA sweep, drawn from ``rng``.
-
-    rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
-    operator inequality; perturbing sigma_AB breaks the recovery condition.
-    ``state`` is as for ``draw_monotonicity``; the instance has no contraction.
-    """
-    return _operator_ssa_instances([_operator_ssa_numbers(rng, space, contraction)], state)[0]
-
-
-def _operator_ssa_numbers(rng, space: FactorizedSpace, contraction) -> tuple:
+def _operator_ssa_numbers(rng, space: FactorizedSpace) -> tuple:
     """The normals of rho_AB, of tau and of the noise; the instance draws no contraction."""
     dab, dc = space.subspace((0, 1)).dim, space.dims[2]
     return (rng.standard_normal((2, dab, dab)), rng.standard_normal((2, dc, dc)),
             rng.standard_normal((2, dab, dab)))
 
 
-def _operator_ssa_instances(numbers, state) -> list:
-    """The ``draw_operator_ssa`` instance of each ``_operator_ssa_numbers`` of a block."""
+def _operator_ssa_instances(numbers) -> list:
+    """[rho, rho_AB, [sigma_AB(eps)]] of the operator-SSA sweep of each of ``numbers``.
+
+    rho_ABC = rho_AB (x) rho_C with sigma_AB = rho_AB saturates the traced
+    operator inequality; perturbing sigma_AB breaks the recovery condition.
+    """
     rho_abs, taus, noises = (np.stack(x) for x in zip(*numbers))
-    rho_abs = _floored_state(rho_abs.shape[-1], rho_abs)
-    rhos = _kron(rho_abs, _floored_state(taus.shape[-1], taus))
-    sweeps = _mixed(rho_abs, _states(noises))
-    return [[state(rho), rho_ab, [state(s) for s in sweep]]
-            for rho, rho_ab, sweep in zip(rhos, rho_abs, sweeps)]
+    rho_abs = _floored_state(rho_abs)
+    rhos = DensityMatrix.stack(_kron(rho_abs, _floored_state(taus)))
+    sweeps = _decomposed(_mixed(rho_abs, _states(noises)))
+    return [[rho, rho_ab, sweep] for rho, rho_ab, sweep in zip(rhos, rho_abs, sweeps)]
 
 
 def equality_operator_ssa_block(f, space: FactorizedSpace, instances) -> list[list[BoundReport]]:
-    """The sweep reports of each ``draw_operator_ssa`` instance: the thm62 traced difference.
+    """The sweep reports of each ``_operator_ssa_instances`` instance: thm62's traced difference.
 
     rho is held fixed so the generalized-inverse powers in the residual keep
     their conditioning; the eps = 0 row doubles as the forward implication
@@ -274,9 +262,10 @@ _SWEEP_DRAWS = {
 def equality_suite(f, rng) -> list[BoundReport]:
     """All three equality characterizations at desk dims (2x2, 2 and 2x2x2), each a block of one."""
     reports = []
-    for draw, block, dims in ((draw_monotonicity, equality_monotonicity_block, (2, 2)),
-                              (draw_joint_convexity, equality_joint_convexity_block, (2,)),
-                              (draw_operator_ssa, equality_operator_ssa_block, (2, 2, 2))):
+    for name, block, dims in (("monotonicity", equality_monotonicity_block, (2, 2)),
+                              ("joint_convexity", equality_joint_convexity_block, (2,)),
+                              ("operator_ssa", equality_operator_ssa_block, (2, 2, 2))):
+        numbers, instances, _ = _SWEEP_DRAWS[name]
         space = FactorizedSpace(dims)
-        reports += block(f, space, [draw(rng, space, PsdOperator, random_contraction)])[0]
+        reports += block(f, space, instances([numbers(rng, space)]))[0]
     return reports

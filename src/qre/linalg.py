@@ -162,15 +162,6 @@ def _compile_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> _Plan:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _keep_plan(dims, keep, kinds) -> _Plan:     # kinds: keep's type, or its entries' types
-    try:
-        keep = {operator.index(k) for k in (keep if hasattr(keep, "__iter__") else (keep,))}
-    except TypeError:
-        raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
-    return _compile_plan(dims, tuple(sorted(keep)))
-
-
 @dataclass(frozen=True)
 class FactorizedSpace:
     """Ordered tensor factorization of a Hilbert space, e.g. (2, 2, 2) for A|B|C.
@@ -207,15 +198,12 @@ class FactorizedSpace:
         return m if isinstance(m, PsdOperator) else PsdOperator(a)
 
     def _plan(self, keep) -> _Plan:
-        """The compiled plan of ``keep``, an index or indices in any order, repeats allowed; an
-        index or a tuple is cached keyed by its types too, so ``(0.0, 1)`` misses ``(0, 1)``."""
-        scalar = not hasattr(keep, "__iter__")
-        if scalar or type(keep) is tuple:
-            try:
-                return _keep_plan(self.dims, keep, type(keep) if scalar else (*map(type, keep),))
-            except TypeError:       # an unhashable keep is not cached
-                pass
-        return _keep_plan.__wrapped__(self.dims, keep, None)
+        """The compiled plan of ``keep``, an index or indices in any order, repeats allowed."""
+        try:
+            keep = {operator.index(k) for k in (keep if hasattr(keep, "__iter__") else (keep,))}
+        except TypeError:
+            raise ShapeMismatch(f"keep entries must be integers, got {keep}") from None
+        return _compile_plan(self.dims, tuple(sorted(keep)))
 
     def normalize_keep(self, keep) -> tuple[int, ...]:
         return self._plan(keep).keep
@@ -471,6 +459,11 @@ def _normals(rng, rows: int, cols: int | None = None) -> np.ndarray:
     return rng.standard_normal((2, rows, rows if cols is None else cols))
 
 
+def _contraction_numbers(rng, dim: int) -> tuple:
+    """A random contraction's numbers: the normals of its Gaussian matrix, then its norm."""
+    return _normals(rng, dim), rng.uniform(0.5, 1.0)
+
+
 def _ginibre(rng, rows: int, cols: int | None = None) -> np.ndarray:
     """Complex Gaussian matrix, square by default; real parts drawn first, then imaginary."""
     return _complex(_normals(rng, rows, cols))
@@ -521,8 +514,8 @@ def rescale_contractions(draws) -> list[np.ndarray]:
 
 def random_contraction(dim: int, seed=None) -> np.ndarray:
     """Random matrix rescaled to operator norm in (0, 1]."""
-    rng = np.random.default_rng(seed)
-    return rescale_contractions([(_ginibre(rng, dim), rng.uniform(0.5, 1.0))])[0]
+    z, norm = _contraction_numbers(np.random.default_rng(seed), dim)
+    return rescale_contractions([(_complex(z), norm)])[0]
 
 
 def random_hermitian(dim: int, seed=None) -> np.ndarray:

@@ -59,6 +59,22 @@ class TestVerify:
                          "--sigma", str(tmp_path / "r.json")])
             assert code == EXIT_PASS, seed
 
+    def test_quartic_bound_needs_identity_k1_and_v(self, fixtures, capsys):
+        # without --k and --v, K1 = V = I, so neg_log at beta = 1/2 adds the quartic bound
+        pair = ["--rho", str(fixtures / "rho4.json"), "--sigma", str(fixtures / "sigma4.json")]
+        code = main(["verify", "monotonicity_bound", "--beta", "0.5", "--json", *pair])
+        assert code == EXIT_PASS
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"]
+        assert {"quartic_lower", "petz_diff_trace"} <= payload["details"].keys()
+        save_matrix(fixtures / "v.json", random_unitary(2, seed=5))
+        code = main(["verify", "monotonicity_bound", "--beta", "0.5", "--json", *pair,
+                     "--v", str(fixtures / "v.json")])
+        assert code == EXIT_PASS
+        payload = json.loads(capsys.readouterr().out)
+        assert "petz_diff_trace" in payload["details"]
+        assert "quartic_lower" not in payload["details"]
+
     def test_ssa(self, fixtures):
         code = main(["verify", "ssa", "--rho", str(fixtures / "rho8.json"),
                      "--dims", "2x2x2"])

@@ -297,12 +297,12 @@ class TestTensorPlans:
     @pytest.mark.parametrize("cached, invalid", [(1, 1.0), (1, np.float64(1)), ((0, 1), (0.0, 1)),
                                                  ((0, 1), (0, np.float64(1))), ((0, 1), (0, 1.0))])
     def test_cached_keep_is_keyed_by_its_types(self, cached, invalid):
-        # an index or a tuple is cached as given, so an equal float misses the cached plan
+        # a keep is cached as its sorted integer indices, so an equal float never reaches the cache
         space = FactorizedSpace((2, 2, 2))
         assert space.normalize_keep(cached) == space.normalize_keep(cached)
-        hits = linalg._keep_plan.cache_info().hits
+        hits = linalg._compile_plan.cache_info().hits
         assert space.subspace(cached) is space.subspace(cached)
-        assert linalg._keep_plan.cache_info().hits == hits + 2
+        assert linalg._compile_plan.cache_info().hits == hits + 2
         with pytest.raises(ShapeMismatch):
             space.normalize_keep(invalid)
 

@@ -499,8 +499,8 @@ class TestGridResiduals:
 
         monkeypatch.setattr(linalg, "generalized_powers", spy)
         space, rng = FactorizedSpace((2, 2)), np.random.default_rng(0)
-        instances = [equality.draw_joint_convexity(rng, space, PsdOperator, random_contraction)
-                     for _ in range(n)]
+        numbers, build, _ = equality._SWEEP_DRAWS["joint_convexity"]
+        instances = build([numbers(rng, space) for _ in range(n)])
         equality.equality_joint_convexity_block(from_id("neg_log"), space, instances)
         assert sum(raised) == 18 * n
 
@@ -969,7 +969,7 @@ class TestOperatorSsaBlock:
         def sigma_ab(rng, space, policy):
             dim = space.subspace((0, 1)).dim
             rank = 2 if rng.random() < 0.3 else dim
-            return campaign._State(random_state_matrix(dim, rank=rank, seed=rng))
+            return DensityMatrix(random_state_matrix(dim, rank=rank, seed=rng))
 
         monkeypatch.setitem(campaign.SAMPLERS, "sigma_ab", sigma_ab)
         ineq, dims, fid = "operator_ssa_thm62", (2, 2, 2), "neg_log"
@@ -1357,11 +1357,22 @@ def test_ssa_recovery_form_per_block_does_not_grow_with_its_size():
 # The eps sweeps against their per-eps loops
 # ----------------------------------------------------------------------------
 
+def _floored(dim, rng):
+    """One floored state of a sweep, drawn from ``rng`` on its own."""
+    return equality._floored_state(rng.standard_normal((1, 2, dim, dim)))[0]
+
+
+def _sweep_instance(name, rng, space):
+    """The instance of sweep ``name`` drawn from ``rng``, built as a block of one."""
+    numbers, build, _ = equality._SWEEP_DRAWS[name]
+    return build([numbers(rng, space)])[0]
+
+
 def _loop_monotonicity_sweep(f, space, rng):
     d1, d2 = space.dims
-    rho1 = equality._floored_state(d1, rng)
+    rho1 = _floored(d1, rng)
     sigma1 = random_state_matrix(d1, seed=rng)
-    tau = equality._floored_state(d2, rng)
+    tau = _floored(d2, rng)
     k1 = random_contraction(d1, seed=rng)
     noise = random_state_matrix(space.dim, seed=rng)
     rho = PsdOperator(np.kron(rho1, tau))
@@ -1378,7 +1389,7 @@ def _loop_monotonicity_sweep(f, space, rng):
 
 def _loop_joint_convexity_sweep(f, space, rng):
     dim = space.dim
-    base_r = PsdOperator(equality._floored_state(dim, rng))
+    base_r = PsdOperator(_floored(dim, rng))
     base_s = random_state_matrix(dim, seed=rng)
     km = random_contraction(dim, seed=rng)
     probs = (0.3, 0.3, 0.4)
@@ -1399,8 +1410,8 @@ def _loop_joint_convexity_sweep(f, space, rng):
 
 def _loop_operator_ssa_sweep(f, space, rng):
     sub_ab = space.subspace((0, 1))
-    rho_ab = equality._floored_state(sub_ab.dim, rng)
-    tau = equality._floored_state(space.dims[2], rng)
+    rho_ab = _floored(sub_ab.dim, rng)
+    tau = _floored(space.dims[2], rng)
     noise = random_state_matrix(sub_ab.dim, seed=rng)
     rho = PsdOperator(np.kron(rho_ab, tau))
     gaps, resids = [], []
@@ -1414,12 +1425,11 @@ def _loop_operator_ssa_sweep(f, space, rng):
 
 
 SWEEPS = {
-    "equality_monotonicity": (equality.draw_monotonicity, equality.equality_monotonicity_block,
+    "equality_monotonicity": ("monotonicity", equality.equality_monotonicity_block,
                               _loop_monotonicity_sweep),
-    "equality_joint_convexity": (equality.draw_joint_convexity,
-                                 equality.equality_joint_convexity_block,
+    "equality_joint_convexity": ("joint_convexity", equality.equality_joint_convexity_block,
                                  _loop_joint_convexity_sweep),
-    "equality_operator_ssa": (equality.draw_operator_ssa, equality.equality_operator_ssa_block,
+    "equality_operator_ssa": ("operator_ssa", equality.equality_operator_ssa_block,
                               _loop_operator_ssa_sweep),
 }
 
@@ -1429,10 +1439,10 @@ SWEEPS = {
     (sweep, dims) for sweep in sorted(SWEEPS) for dims in ((2, 2), (2, 2, 2), (3, 2))
     if FAMILIES[sweep].nfactors in (None, len(dims))])
 def test_sweep_of_one_instance_is_the_per_eps_loop(sweep, dims, fid):
-    draw, block, loop = SWEEPS[sweep]
+    name, block, loop = SWEEPS[sweep]
     space = FactorizedSpace(dims)
     for seed in range(3):
-        instance = draw(np.random.default_rng(seed), space, PsdOperator, random_contraction)
+        instance = _sweep_instance(name, np.random.default_rng(seed), space)
         got = [r.to_json() for r in block(from_id(fid), space, [instance])[0]]
         want = [r.to_json() for r in loop(from_id(fid), space, np.random.default_rng(seed))]
         assert got == want
@@ -1463,7 +1473,7 @@ def _rank_deficient_sometimes(sampler, replace):
     def sample(rng, space, policy):
         drawn = sampler(rng, space, policy)
         if rng.random() < 0.35:
-            drawn = replace(drawn, lambda dim: campaign._State(
+            drawn = replace(drawn, lambda dim: DensityMatrix(
                 random_state_matrix(dim, rank=1, seed=rng)))
         return drawn
     return sample
@@ -1472,7 +1482,7 @@ def _rank_deficient_sometimes(sampler, replace):
 def _rank_one_sweep(sweep, state):
     # the sweep's numbers built into its instance alone, then its sigma(eps) replaced
     instance, = sweep.finish([sweep.z], [sweep.arg])
-    instance[2] = [state(len(s.z)) for s in instance[2]]
+    instance[2] = [state(s.dim) for s in instance[2]]
     return instance
 
 
@@ -1597,7 +1607,9 @@ def test_blocks_keep_to_the_byte_budget():
 
     with mock.patch.object(DensityMatrix, "stack", spy):
         _cell_lines("monotonicity", (2, 2), "neg_log", 0.5, 20, 3)
-        assert sizes == [20 * 2 * 16 * 16]          # a whole cell in one block
+        # a whole mixed-rank cell in one block, one stack per (dim, rank) in order of first
+        # draw: the 37 full-rank states of its 40, then the rank-deficient ones of each rank
+        assert sizes == [37 * 16 * 16, 2 * 16 * 16, 16 * 16]
         sizes.clear()
         _cell_lines("joint_convexity", (4, 4), "neg_log", 0.5, 20, 3)
         assert sum(sizes) == 20 * 6 * 16 * 256 and max(sizes) <= campaign.BLOCK_BYTES
@@ -1614,8 +1626,8 @@ def _state_replay(rng, space, policy):
     return DensityMatrix(random_state_matrix(dim, seed=rng))
 
 
-def _sweep_replay(draw):
-    return lambda rng, space, policy: draw(rng, space, DensityMatrix, random_contraction)
+def _sweep_replay(name):
+    return lambda rng, space, policy: _sweep_instance(name, rng, space)
 
 
 # operand name -> its draw made one call at a time through the public samplers
@@ -1635,9 +1647,9 @@ PER_CALL_DRAWS = {
         for p in rng.dirichlet(np.ones(3))],
     "x": lambda rng, space, policy: random_contraction(space.dim, seed=rng) * 2.0,
     "q": lambda rng, space, policy: random_state_matrix(space.dim, seed=rng) * space.dim,
-    "monotonicity_sweep": _sweep_replay(equality.draw_monotonicity),
-    "joint_convexity_sweep": _sweep_replay(equality.draw_joint_convexity),
-    "operator_ssa_sweep": _sweep_replay(equality.draw_operator_ssa),
+    "monotonicity_sweep": _sweep_replay("monotonicity"),
+    "joint_convexity_sweep": _sweep_replay("joint_convexity"),
+    "operator_ssa_sweep": _sweep_replay("operator_ssa"),
 }
 
 # the number of tensor factors a sweep's instance needs

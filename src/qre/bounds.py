@@ -12,11 +12,13 @@ Conventions used throughout:
   N ||R_b||_2^{1/alpha(b)} <= gap with N = M^{-1/alpha}.  ``boundary`` marks
   the two cases without an interior optimum: gap <= 0, reported at T_MAX,
   and T* below T_MIN, clipped there with M raised to the bound at T_MIN;
-* N, M and alpha come from that one envelope (``envelope_constants``, read
-  through ``constants_for``); the paper's printed closed forms for the
-  logarithm and the power family are instances of it.  The power family's
-  constants are those of the raw power -x^p (``power_family_constants``),
-  valid and slightly loose against the 1/(p(1-p))-normalized gaps.
+* N, M and alpha come from that one envelope, in the ``BoundConstants`` record
+  of ``constants_for`` that every report carries (``optimize_T_scalar`` sets
+  T*, ``_remainder`` sets M = N^{-alpha} for ``ssa`` and the operator-SSA family);
+  the paper's printed closed forms for the logarithm and the power family are
+  instances of it.  The power family's constants are those of the raw power
+  -x^p (``power_family_constants``), valid and slightly loose against the
+  1/(p(1-p))-normalized gaps.
 
 Operator inequalities on the C factor are checked by the minimum eigenvalue
 of RHS - LHS at a relative tolerance, LHS being N [Gram]^{1/alpha} raised by
@@ -35,6 +37,7 @@ equality sweeps built on these kernels live in ``qre.equality``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,18 +140,18 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def _remainder(m_const: float, n_const: float, alpha: float, r: float = 0.0):
-    """(N r^{1/alpha}, M as reports carry it, N^{-alpha}), or ((r/M)^{1/alpha}, M) where N or
-    the power leaves the float range."""
-    lhs = n_const * _pow(r, 1.0 / alpha)
-    if 0.0 < n_const < math.inf and lhs < math.inf:
-        return lhs, n_const ** (-alpha)
-    return _pow(r / m_const, 1.0 / alpha), m_const
+def _remainder(consts: BoundConstants, r: float = 0.0):
+    """(N r^{1/alpha}, ``consts`` with M = N^{-alpha}), or ((r/M)^{1/alpha}, ``consts``) where N
+    or the power leaves the float range."""
+    lhs = consts.N * _pow(r, 1.0 / consts.alpha)
+    if 0.0 < consts.N < math.inf and lhs < math.inf:
+        return lhs, replace(consts, M=consts.N ** (-consts.alpha))
+    return _pow(r / consts.M, 1.0 / consts.alpha), consts
 
 
 def constants_for(f: OperatorConvexFunction, beta: float,
-                  k_norm: float, d_norm: float):
-    """(M, N, alpha, C, c) for a regular f at finite nonnegative norms, not both 0."""
+                  k_norm: float, d_norm: float) -> BoundConstants:
+    """The envelope's record (T_star NaN) for a regular f at finite norms >= 0, not both 0."""
     if not f.regular:
         raise IrregularFunction(f"{f.name} carries no window constants")
     _check_beta(beta)
@@ -157,11 +160,11 @@ def constants_for(f: OperatorConvexFunction, beta: float,
     C = f.power_law_C()
     c = f.power_law_c(beta)
     m_const, n_const, alpha = envelope_constants(C, c, beta, k_norm, d_norm)
-    return m_const, n_const, alpha, C, c
+    return BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const, m_const, math.nan)
 
 
-def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float):
-    """``constants_for`` the power family at p in (0,1): those of the raw power -x^p.
+def power_family_constants(p: float, beta: float, k_norm: float, d_norm: float) -> BoundConstants:
+    """The ``constants_for`` record of the power family at p in (0,1): the raw power -x^p's.
 
     The printed constants of the power family are attached to the raw power's
     measure sin(p pi)/pi t^p; against the 1/(p(1-p))-normalized gaps of f_p
@@ -209,7 +212,7 @@ def thm42_terms(f: OperatorConvexFunction, beta: float, T: float,
 
 def optimize_T_scalar(f: OperatorConvexFunction, beta: float, k_norm: float,
                       d_norm: float, gap: float) -> BoundConstants:
-    """Constants of the window bound at its closed-form optimum T*.
+    """The ``constants_for`` record of the window bound, set at its closed-form optimum T*.
 
     With C_{T,beta} = C T^{2c} the bound is A T^{-u} + sqrt(C gap) T^{v}
     (u = alpha1, v = alpha2 + c), minimized at
@@ -219,19 +222,18 @@ def optimize_T_scalar(f: OperatorConvexFunction, beta: float, k_norm: float,
     (T_star = T_MAX is reported) and T* < T_MIN, where T_star = T_MIN and M
     (with N = M^{-1/alpha}) is the bound at T_MIN, which the envelope undercuts.
     """
-    m_const, n_const, alpha, C, c = constants_for(f, beta, k_norm, d_norm)
-    a1, a2 = alpha1(beta), alpha2(beta)
+    consts = constants_for(f, beta, k_norm, d_norm)
     if gap <= 0.0:
-        return BoundConstants(a1, a2, alpha, C, c, n_const, m_const, T_MAX, boundary=True)
-    u, v = a1, a2 + c
+        return replace(consts, T_star=T_MAX, boundary=True)
+    u, v = consts.alpha1, consts.alpha2 + consts.c
     t_star = (u * window_coefficient(beta, k_norm, d_norm)
-              / (v * math.sqrt(C * gap))) ** (1.0 / (u + v))
+              / (v * math.sqrt(consts.C * gap))) ** (1.0 / (u + v))
     if t_star >= T_MIN:
-        return BoundConstants(a1, a2, alpha, C, c, n_const, m_const, t_star)
+        return replace(consts, T_star=t_star)
     m_const = (math.sin(beta * math.pi) / math.pi
-               * thm42_terms(f, beta, T_MIN, k_norm, d_norm, gap) / gap ** alpha)
-    return BoundConstants(a1, a2, alpha, C, c, _pow(m_const, -1.0 / alpha), m_const,
-                          T_MIN, boundary=True)
+               * thm42_terms(f, beta, T_MIN, k_norm, d_norm, gap) / gap ** consts.alpha)
+    return replace(consts, N=_pow(m_const, -1.0 / consts.alpha), M=m_const, T_star=T_MIN,
+                   boundary=True)
 
 
 # ----------------------------------------------------------------------------
@@ -584,8 +586,8 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
     grams, rhs_ops, mach, d_norms, scales = operator_ssa_block_sides(
         f, rhos_abc, sigmas_ab, beta, variant, space)
     consts = [constants_for(mach, beta, 1.0, d_norm) for d_norm in d_norms]
-    alpha = consts[0][2]                # alpha depends on (f, beta) only
-    m_consts, n_consts = (np.array(x) for x in list(zip(*consts))[:2])
+    alpha = consts[0].alpha             # alpha depends on (f, beta) only
+    m_consts, n_consts = np.array([(c.M, c.N) for c in consts]).T
     with np.errstate(over="ignore", invalid="ignore"):     # ``far`` members are redone below
         lhs_ops = n_consts[:, None, None] * PsdOperator.powers(
             PsdOperator.stack(grams), (1.0 / alpha,))[:, 0]
@@ -597,13 +599,11 @@ def verify_operator_ssa_block(f, rhos_abc, sigmas_ab, beta, variant, space) -> l
     rhs_mins = np.linalg.eigvalsh(rhs_ops).min(axis=1).tolist()
     reports = []
     for i, (rho_abc, sigma_ab) in enumerate(zip(rhos_abc, sigmas_ab)):
-        m_const, n_const, alpha, C, c = consts[i]
         passed = diff_mins[i] >= -PSD_REPORT_TOL * scales[i]
         baseline_ok = rhs_mins[i] >= -REPORT_TOL * max(1.0, scales[i])
         reports.append(_report(
             f"operator_ssa_{variant}", -diff_mins[i], 0.0, passed and baseline_ok,
-            constants=BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                                     _remainder(m_const, n_const, alpha)[1], math.nan),
+            constants=_remainder(consts[i])[1],
             digest=digest_inputs(as_matrix(rho_abc), as_matrix(sigma_ab)),
             notes=f"f={f.name};beta={beta:g};variant={variant}",
             details={"min_eig_diff": diff_mins[i],
@@ -648,16 +648,13 @@ def verify_ssa_block(rhos_abc, beta, space) -> list[BoundReport]:
     for i, (rho, gap, rnorm) in enumerate(zip(rhos, gaps, rnorms)):
         # sigma = rho_AB (x) rho_C for the displayed residual's partition
         d_norm = rho_abs[i].max_eig() * rho_cs[i].max_eig() / rho.min_positive_eig()
-        m_const, n_const, alpha, C, c = constants_for(NEG_LOG, beta, 1.0, d_norm)
-        lhs, m_rep = _remainder(m_const, n_const, alpha, rnorm)
+        lhs, consts = _remainder(constants_for(NEG_LOG, beta, 1.0, d_norm), rnorm)
         ok = _rel_pass(lhs, gap, REL_INEQ_TOL) and gap >= -REPORT_TOL
         details = {"residual_hs": rnorm, "ssa_gap": gap}
         if beta == 0.5:     # ||rho^{-1}|| = 1 / its smallest eigenvalue above the cutoff
             petz_lhs = (math.pi / 8.0) ** 4 / (1.0 / rho.min_positive_eig()) ** 2 * petz_l1s[i] ** 4
             details.update(petz_diff_trace=petz_l1s[i], petz_quartic_lower=petz_lhs)
             ok = ok and _rel_pass(petz_lhs, gap, REL_INEQ_TOL)
-        consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const, m_rep,
-                                math.nan)
         reports.append(_report("ssa", lhs, gap, ok, constants=consts, digest=digest_inputs(rho.mat),
                                notes=f"beta={beta:g}", details=details))
     return reports
@@ -689,11 +686,9 @@ def verify_wyd_joint_concavity_block(p: float, ensembles, ks, beta) -> list[Boun
         ok, details, consts, lhs = gap >= -REPORT_TOL, {"gap": gap}, None, 0.0
         if remainder:
             resid, _, d_sum = residuals[i]
-            m_const, n_const, alpha, C, c = power_family_constants(p, beta, k_norms[i], d_sum)
-            lhs = _remainder(m_const, n_const, alpha, resid)[0]
+            consts = power_family_constants(p, beta, k_norms[i], d_sum)
+            lhs = _remainder(consts, resid)[0]
             ok = ok and _rel_pass(lhs, gap, REL_INEQ_TOL)
-            consts = BoundConstants(alpha1(beta), alpha2(beta), alpha, C, c, n_const,
-                                    m_const, math.nan)
             details["residual_weighted"] = resid
         digest = digest_inputs(km, *[r.mat for _, r, _ in comps], *[s.mat for _, _, s in comps])
         reports.append(_report("wyd_joint_concavity", lhs, gap, ok, constants=consts,

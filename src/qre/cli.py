@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bounds
 from .campaign import FAMILIES, parse_config, parse_dims, run_campaign
-from .errors import DivergentEntropy, InvalidParameter, IrregularFunction, QREError
-from .functions import from_id, loewner_quadrature, split_id
+from .errors import DivergentEntropy, InvalidParameter, QREError
+from .functions import from_id, loewner_quadrature, power_of
 from .linalg import FactorizedSpace, load_matrix, op_norm
 
 EXIT_PASS = 0
@@ -178,19 +178,14 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    """The constants of one ``constants_for`` call: the raw power's for the power family."""
+    """The fields of one ``constants_for`` record: the raw power's for the power family."""
     f = from_id(args.fid)
-    if not f.regular:
-        raise IrregularFunction(f"{f.name} carries no window constants")
-    beta = args.beta
-    _, p = split_id(f.name)
-    if p is None:
-        _, n, alpha, big_c, c = bounds.constants_for(f, beta, args.knorm, args.dd)
-    else:
-        _, n, alpha, big_c, c = bounds.power_family_constants(p, beta, args.knorm, args.dd)
-    for name, value in (("alpha1", bounds.alpha1(beta)), ("alpha2", bounds.alpha2(beta)),
-                        ("alpha", alpha), ("C", big_c), ("c", c), ("N", n)):
-        print(f"{name}={value!r}")
+    consts = bounds.constants_for(f, args.beta, args.knorm, args.dd)
+    p = power_of(f)
+    if p is not None:
+        consts = bounds.power_family_constants(p, args.beta, args.knorm, args.dd)
+    for name in ("alpha1", "alpha2", "alpha", "C", "c", "N"):
+        print(f"{name}={getattr(consts, name)!r}")
     return EXIT_PASS
 
 

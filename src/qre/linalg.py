@@ -98,11 +98,6 @@ def spectral_decompose(m):
     return w[0], v[0]
 
 
-def default_cutoff(eigs: np.ndarray):
-    """Numerical-rank threshold d * eps * max |eigenvalue|; of each spectrum of a stack, a list."""
-    return (eigs.shape[-1] * EPS * np.abs(eigs).max(axis=-1, initial=0.0)).tolist()
-
-
 def _singular_values(m) -> np.ndarray:
     """Singular values of a matrix, or of each matrix of a ``(..., d, d)`` stack (one SVD)."""
     a = m.mat if isinstance(m, PsdOperator) else np.asarray(m, dtype=np.complex128)
@@ -248,7 +243,9 @@ class FactorizedSpace:
 
 
 def _stack_of(a, w, v) -> dict:
-    return {"mat": a, "eigs": w, "vecs": v, "cutoff": np.array(default_cutoff(w))}
+    """A decomposed stack's arrays, with each spectrum's numerical-rank cutoff d * eps * max |w|."""
+    return {"mat": a, "eigs": w, "vecs": v,
+            "cutoff": w.shape[-1] * EPS * np.abs(w).max(axis=-1, initial=0.0)}
 
 
 def _gathered(ops, *names) -> list[np.ndarray]:

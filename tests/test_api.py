@@ -196,6 +196,33 @@ def test_generalized_powers_is_read_only_in_linalg():
     assert readers == []
 
 
+def _callers(tree, name) -> list[str]:
+    """The innermost function around each call of ``name`` in ``tree``, ``<module>`` outside."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_bound_constants_are_built_only_from_the_one_record():
+    # constants_for builds the record every report carries; optimize_T_scalar and _remainder
+    # derive theirs from it, and no check rebuilds one from loose constants
+    allowed = {"bounds.constants_for", "bounds.optimize_T_scalar", "bounds._remainder"}
+    builders = sorted({f"{path.stem}.{where}" for path in sorted(PACKAGE.glob("*.py")) + sorted(
+                           (ROOT / "scripts").glob("*.py"))
+                       for where in _callers(ast.parse(path.read_text()), "BoundConstants")})
+    assert [b for b in builders if b not in allowed] == []
+
+
 def test_every_imported_name_is_read():
     # the package namespace re-exports what it imports, through __all__; perfbench's
     # test_install_leaves_no_wrapper_behind reads bounds.quasi_relative_entropy

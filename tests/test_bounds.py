@@ -37,7 +37,7 @@ from qre.bounds import (
     lieb_ruskai_block,
 )
 from qre.equality import equality_suite
-from qre.entropy import von_neumann_entropy
+from qre.entropy import ModularOperator, von_neumann_entropy
 from qre.errors import DivergentEntropy, InvalidParameter, InvalidRank, IrregularFunction
 from qre.campaign import run_single
 from qre.reports import BoundConstants
@@ -46,6 +46,7 @@ from qre.linalg import (
     FactorizedSpace,
     PsdOperator,
     hermitize,
+    op_norm,
     random_contraction,
     random_density,
     random_unitary,
@@ -230,12 +231,12 @@ class TestExplicitN:
     @pytest.mark.parametrize("k_norm,d_norm", [(1.0, 1.0), (0.7, 12.0), (1.0, 150.0)])
     def test_constants_for_matches_printed_forms(self, beta, k_norm, d_norm):
         # the one constants formula reproduces every printed closed form
-        n_log = constants_for(NEG_LOG, beta, k_norm, d_norm)[1]
+        n_log = constants_for(NEG_LOG, beta, k_norm, d_norm).N
         assert n_log == pytest.approx(explicit_N("log", beta, None, k_norm, d_norm), rel=1e-13)
         for p in (0.3, 0.5, 0.7):
             consts = constants_for(make_neg_power(p), beta, k_norm, d_norm)
             assert power_family_constants(p, beta, k_norm, d_norm) == consts
-            assert consts[1] == pytest.approx(explicit_N("power", beta, p, k_norm, d_norm),
+            assert consts.N == pytest.approx(explicit_N("power", beta, p, k_norm, d_norm),
                                               rel=1e-13)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.2, math.nan])
@@ -252,7 +253,7 @@ class TestExplicitN:
             constants_for(NEG_LOG, 0.5, k_norm, d_norm)
 
     def test_constants_for_takes_a_zero_k_norm(self):
-        assert constants_for(NEG_LOG, 0.5, 0.0, 1.0)[1] > 0.0
+        assert constants_for(NEG_LOG, 0.5, 0.0, 1.0).N > 0.0
 
     def test_positive_and_decreasing_in_d(self):
         for beta in (0.3, 0.6):
@@ -343,7 +344,7 @@ class TestClosedFormWindowOptimum:
         assert consts.M * gap ** consts.alpha == pytest.approx(at_edge, rel=1e-12)
         assert consts.N == pytest.approx(consts.M ** (-1.0 / consts.alpha), rel=1e-12)
         # the envelope of the interior optimum would undercut the bound at the window edge
-        m_envelope = bounds.constants_for(NEG_LOG, beta, 1.0, 1.0)[0]
+        m_envelope = bounds.constants_for(NEG_LOG, beta, 1.0, 1.0).M
         assert m_envelope * gap ** consts.alpha < at_edge
 
     def test_optimum_beyond_t_max_is_not_capped(self):
@@ -703,6 +704,68 @@ class TestWyd:
             rho_bc.power(1 - p) @ sub_bc.embed(sb.power(p), (0,)), (1,))
         expected = hermitize(t2 - t1) / (p * (1 - p))
         np.testing.assert_allclose(rhs, expected, atol=1e-9)
+
+
+class TestReportedConstants:
+    """Each report carries the ``constants_for`` record at its trial's norms, changed only as
+    documented: T* set at thm42's interior optimum, M = N^{-alpha} for ssa and the operator-SSA
+    family, nothing for wyd_joint_concavity (``power_family_constants``).  Each seeded block has
+    a trial whose envelope M differs from N^{-alpha}, so a swapped convention fails."""
+
+    BETA = 0.25
+
+    def assert_reported(self, reports, wants, m_from_n):
+        assert any(want.M != want.N ** (-want.alpha) for want in wants)
+        for rep, want in zip(reports, wants, strict=True):
+            if m_from_n:
+                want = dataclasses.replace(want, M=want.N ** (-want.alpha))
+            assert json.dumps(rep.constants.as_dict()) == json.dumps(want.as_dict())
+
+    def test_thm42_sets_the_interior_t_star(self):
+        rng = np.random.default_rng(31)
+        rhos, sigmas = ([random_density(4, seed=rng) for _ in range(4)] for _ in range(2))
+        k1s = [random_contraction(2, seed=rng) for _ in range(4)]
+        vs = [random_unitary(2, seed=rng) for _ in range(4)]
+        reports = verify_thm42_block(NEG_LOG, rhos, sigmas, k1s, vs, self.BETA, SPACE)
+        wants = []
+        for rep, rho, sigma, k1 in zip(reports, rhos, sigmas, k1s):
+            k_norm, d_norm = op_norm(k1), ModularOperator(sigma, rho).op_norm()
+            t_star = optimize_T_scalar(NEG_LOG, self.BETA, k_norm, d_norm,
+                                       rep.details["gap"]).T_star
+            assert not rep.constants.boundary and T_MIN < t_star
+            wants.append(dataclasses.replace(
+                constants_for(NEG_LOG, self.BETA, k_norm, d_norm), T_star=t_star))
+        self.assert_reported(reports, wants, m_from_n=False)
+
+    def test_ssa_reports_m_from_n(self):
+        rng = np.random.default_rng(32)
+        rhos = [random_density(8, seed=rng) for _ in range(4)]
+        wants = []
+        for rho in rhos:
+            rho_ab, rho_c = (rho.marginal(SPACE3, keep) for keep in ((0, 1), (2,)))
+            d_norm = rho_ab.max_eig() * rho_c.max_eig() / rho.min_positive_eig()
+            wants.append(constants_for(NEG_LOG, self.BETA, 1.0, d_norm))
+        self.assert_reported(verify_ssa_block(rhos, self.BETA, SPACE3), wants, m_from_n=True)
+
+    def test_operator_ssa_reports_m_from_n(self):
+        rng = np.random.default_rng(33)
+        rhos = [random_density(8, seed=rng) for _ in range(4)]
+        sabs = [random_density(4, seed=rng) for _ in range(4)]
+        wants = [constants_for(NEG_LOG, self.BETA, 1.0, sab.max_eig() / rho.min_positive_eig())
+                 for rho, sab in zip(rhos, sabs)]
+        self.assert_reported(verify_operator_ssa_block(NEG_LOG, rhos, sabs, self.BETA, "thm62",
+                                                       SPACE3), wants, m_from_n=True)
+
+    def test_wyd_joint_concavity_reports_the_power_family_record(self):
+        p, rng = 0.25, np.random.default_rng(34)
+        ks = [random_contraction(2, seed=rng) for _ in range(4)]
+        ensembles = [[(float(w), random_density(2, seed=rng), random_density(2, seed=rng))
+                      for w in rng.dirichlet(np.ones(3))] for _ in range(4)]
+        wants = [power_family_constants(p, self.BETA, op_norm(k),
+                                        sum(w / rj.min_positive_eig() for w, rj, _ in comps))
+                 for comps, k in zip(ensembles, ks)]
+        self.assert_reported(verify_wyd_joint_concavity_block(p, ensembles, ks, self.BETA),
+                             wants, m_from_n=False)
 
 
 class TestCauchySchwarz:

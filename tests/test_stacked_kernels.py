@@ -840,7 +840,8 @@ def _loop_operator_ssa_report(f, rho, sab, beta, variant, space):
         d_norm = rho.max_eig() / sab.min_positive_eig()
     scale = max(op_norm(t1), op_norm(t2), 1e-30)
     rhs_op = hermitize(t1 - t2)
-    _, n_const, alpha, C, c = bounds.constants_for(g, beta, 1.0, d_norm)
+    env = bounds.constants_for(g, beta, 1.0, d_norm)
+    n_const, alpha, C, c = env.N, env.alpha, env.C, env.c
     lhs_op = n_const * PsdOperator(gram).power(1.0 / alpha)
     diff_min = float(np.linalg.eigvalsh(rhs_op - lhs_op).min())
     rhs_min = float(np.linalg.eigvalsh(rhs_op).min())
@@ -1290,7 +1291,8 @@ def _loop_ssa_report(rho, beta, space):
     term2 = np.kron(rho_ab.power(beta), rho_c.power(beta)) @ rho.power(0.5 - beta)
     rnorm = float(np.linalg.norm(term1 - term2))
     d_norm = rho_ab.max_eig() * rho_c.max_eig() / rho.min_positive_eig()
-    _, n_const, alpha, C, c = bounds.constants_for(bounds.NEG_LOG, beta, 1.0, d_norm)
+    env = bounds.constants_for(bounds.NEG_LOG, beta, 1.0, d_norm)
+    n_const, alpha, C, c = env.N, env.alpha, env.C, env.c
     lhs = n_const * rnorm ** (1.0 / alpha)
     ok = bounds._rel_pass(lhs, gap, bounds.REL_INEQ_TOL) and gap >= -bounds.REPORT_TOL
     details = {"residual_hs": rnorm, "ssa_gap": gap}

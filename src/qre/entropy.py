@@ -20,10 +20,10 @@ share one K or take one each from a ``(N, d, d)`` stack, used as given, with
 one set of array operations; ``quasi_relative_entropy`` is its one-pair case,
 and every value is bit-identical whatever the stack.  ``apply_f_modulars``
 takes the same operator lists and shares the formula's set-up
-(``_overlap_grid``): the clustered spectra, memoised once a decomposed stack
-(each cluster mean the bits of its ``.mean()``), the eigenvectors read from
-the operators' stacks, the overlaps and f on the ratio grid.  It has no
-one-pair form: a single action is a stack of one.
+(``_overlap_grid``): the clustered spectra, one ``effective_eigs`` pass over
+the call's rhos and sigmas (each mean the bits of its ``.mean()``), the
+eigenvectors read from the operators' stacks, the overlaps and f on the
+ratio grid.  It has no one-pair form: a single action is a stack of one.
 ``ModularOperator`` is Delta's definition, its action and its norm.  The WYD
 skew information and the two-outcome classical reduction are stacked too;
 only each outcome's scalar term is evaluated pair by pair.
@@ -79,19 +79,6 @@ def _cluster_means(x: np.ndarray) -> np.ndarray:
     return acc / x.shape[1]
 
 
-def _clustered(*groups) -> list[np.ndarray]:
-    """``effective_eigs`` of the operators of each group (of one dimension), one ``(N, d)`` stack
-    a group, memoised read-only per decomposed stack; one call clusters all stacks still to do."""
-    todo = list({id(op._stack): op._stack for ops in groups for op in ops
-                 if "clustered" not in op._stack}.values())
-    if todo:
-        out = effective_eigs(np.concatenate([stack["eigs"] for stack in todo]))
-        out.flags.writeable = False
-        for stack, stop in zip(todo, np.cumsum([len(s["eigs"]) for s in todo]).tolist()):
-            stack["clustered"] = out[stop - len(stack["eigs"]):stop]
-    return [_gathered(ops, "clustered")[0] for ops in groups]
-
-
 class ModularOperator:
     """Delta_{sigma,rho}: X -> sigma X rho^{-1} via the two cached spectra."""
 
@@ -135,13 +122,14 @@ def _overlap_grid(f, rhos, sigmas, xm):
     """What the spectral formula and the f(Delta) action share, over a stack of pairs.
 
     ``lam`` and ``mu`` are rho's and sigma's clustered spectra, all screened
-    in one ``_clustered`` call; ``keep`` marks lam_j above rho's cutoff and
+    in one ``effective_eigs`` call; ``keep`` marks lam_j above rho's cutoff and
     ``mu_zero`` mu_k at most sigma's.  ``y = phi* X psi`` is laid out
     ``[n, k, j]``, and ``weight = |y|^2`` ``[n, j, k]`` in C order, the layout
     of ``_ratio_weights``, whose ``(fmat, diverges)`` close the tuple.
     """
-    lam, mu = _clustered(rhos, sigmas)
-    (rho_cut, psi), (sigma_cut, phi) = (_gathered(ops, "cutoff", "vecs") for ops in (rhos, sigmas))
+    (rho_eigs, rho_cut, psi), (sigma_eigs, sigma_cut, phi) = (
+        _gathered(ops, "eigs", "cutoff", "vecs") for ops in (rhos, sigmas))
+    lam, mu = np.split(effective_eigs(np.concatenate([rho_eigs, sigma_eigs])), 2)
     keep = lam > rho_cut[:, None]
     mu_zero = mu <= sigma_cut[:, None]
     y = phi.conj().swapaxes(-1, -2) @ xm @ psi
@@ -162,10 +150,7 @@ def _ratio_weights(f, mu, lam, keep, mu_zero, weight):
     """
     pos = keep[:, :, None] & ~mu_zero[:, None, :]
     ratio = np.divide(1.0, lam, out=np.ones_like(lam), where=keep)[:, :, None] * mu[:, None, :]
-    if pos.all():
-        fmat = f(ratio)
-    else:
-        fmat = np.where(pos, f(np.where(pos, ratio, 1.0)), 0.0)
+    fmat = np.where(pos, f(np.where(pos, ratio, 1.0)), 0.0)
     diverges = np.zeros(len(mu), dtype=bool)
     if mu_zero.any():
         at_zero = keep[:, :, None] & mu_zero[:, None, :]

@@ -265,8 +265,8 @@ class PsdOperator:
     ``eigs`` is ascending and ``vecs`` holds orthonormal eigenvector columns;
     ``cutoff`` is the numerical-rank threshold used for generalized inverses.
     ``mat``, ``eigs`` and ``vecs`` are row ``_index`` of the arrays of the stack
-    decomposed with it, ``_stack`` (a dict, with ``cutoff`` and the ``clustered``
-    spectra).  Immutable: its marginals are memoised, its powers raised afresh.
+    decomposed with it, ``_stack`` (a dict with ``cutoff``, never written once
+    built).  Immutable: its marginals are memoised, its powers raised afresh.
     """
 
     __slots__ = ("mat", "eigs", "vecs", "cutoff", "_stack", "_index", "_memo")
@@ -414,8 +414,6 @@ def _checked_spectra(a, state: bool = False, psd: bool = True, decompose: bool =
     herm_dev = per_member_max(np.abs(a - a.conj().swapaxes(-1, -2)))
     if not decompose:
         w = v = None
-    elif n == 1:    # LAPACK runs on one matrix either way; the 2-D call is the faster at d = 64
-        w, v = (x[None] for x in np.linalg.eigh(hermitize(a[0])))
     else:
         w, v = np.linalg.eigh(hermitize(a))
     fails = [~finite, herm_dev > HERMITICITY_TOL * scale]

@@ -242,3 +242,48 @@ def test_every_imported_name_is_read():
                 continue
             unread += [f"{path.stem}.{name}" for name in names if name not in read]
     assert unread == ["bounds.quasi_relative_entropy"]
+
+
+def _stack_writes(tree) -> list[str]:
+    """The innermost function around each write into a decomposed stack in ``tree``.
+
+    A decomposed stack is read as ``stack`` or ``x._stack``; a write assigns to
+    (or deletes) a subscript of one, at any depth (``stack["eigs"][i] = ...``),
+    or calls one of its dict methods that mutate.
+    """
+    def is_stack(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return ((isinstance(node, ast.Name) and node.id == "stack")
+                or (isinstance(node, ast.Attribute) and node.attr == "_stack"))
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Subscript) and is_stack(t) for tgt in targets
+               for t in ast.walk(tgt)):
+            found.append(where)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
+                and is_stack(node.func.value)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_code_writes_into_a_decomposed_stack():
+    # linalg._stack_of builds a stack's dict; afterwards its arrays are only read, so a
+    # member's rows are the rows it was decomposed with, whoever gathered them before
+    writers = sorted({f"{path.stem}.{where}" for path in sorted(PACKAGE.glob("*.py"))
+                      for where in _stack_writes(ast.parse(path.read_text()))})
+    assert [w for w in writers if w != "linalg._stack_of"] == []

@@ -1,4 +1,4 @@
-"""Each Hermitian operator is decomposed once; everything derived from it is memoised.
+"""Each Hermitian operator is decomposed once; its marginals are memoised.
 
 Counts are taken with ``unittest.mock`` wrappers around ``numpy.linalg`` on
 freshly sampled states, so they cover the whole call, marginals included.
@@ -121,13 +121,9 @@ class TestStackedCallCounts:
         # and the sigmas are each one stack of 20, and one effective_eigs call clusters both
         config = CampaignConfig(inequalities=("operator_ssa_thm62",), dims=((2, 2, 2),),
                                 betas=(0.5,), trials=20, seed=7)
-        with mock.patch.object(entropy, "_clustered", wraps=entropy._clustered) as clustered, \
-                mock.patch.object(entropy, "effective_eigs", wraps=effective_eigs) as ee:
+        with mock.patch.object(entropy, "effective_eigs", wraps=effective_eigs) as ee:
             run_campaign(config, io.StringIO())
-        assert clustered.call_count == ee.call_count == 2
         assert [call.args[0].shape for call in ee.call_args_list] == [(40, 8), (40, 4)]
-        for call in clustered.call_args_list:
-            assert [len({id(op._stack) for op in ops}) for ops in call.args] == [1, 1]
 
     def test_joint_convexity_sweep_svds_only_the_members_that_can_win(self):
         # 7 blocks of the 20 instances, 4 mixtures x 3 components x 5 betas an instance:
@@ -304,19 +300,6 @@ class TestMemoisation:
             np.testing.assert_array_equal(marg.eigs, fresh.eigs)
             np.testing.assert_array_equal(marg.power(-0.5), fresh.power(-0.5))
 
-    def test_clustered_spectrum_is_memoised_and_read_only(self):
-        # one read-only array a stack, which a list of all of the stack in order reads as is
-        rho = PsdOperator(np.diag([0.25, 0.25, 0.5]).astype(complex))
-        sigmas = DensityMatrix.stack([random_density(3, seed=s).mat for s in (6, 7)])
-        lam, mu = entropy._clustered([rho], sigmas)
-        memo = sigmas[0]._stack["clustered"]
-        assert sigmas[1]._stack is sigmas[0]._stack and memo.shape == (2, 3)
-        assert entropy._clustered(sigmas)[0] is memo and mu.tobytes() == memo.tobytes()
-        assert not memo.flags.writeable and not rho._stack["clustered"].flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            memo[0, 0] = 0.0
-        np.testing.assert_array_equal(lam[0], effective_eigs(rho.eigs))
-
     def test_power_kernels_agree_bit_for_bit(self):
         rng = np.random.default_rng(8)
         mats = [random_density(6, rank=int(rng.integers(1, 7)), seed=rng).mat * 3.0
@@ -379,7 +362,7 @@ class TestEffectiveEigs:
         ops = [random_density(6, seed=rng) for _ in range(4)]
         ops += [PsdOperator(np.diag(w).astype(complex)) for w in
                 ([0.25, 0.25, 0.5, 0.0, 0.0, 0.0], [1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0])]
-        got, = entropy._clustered(ops + ops[:2])
+        got = effective_eigs(linalg._gathered(ops + ops[:2], "eigs")[0])
         for op, row in zip(ops + ops[:2], got):
             np.testing.assert_array_equal(row, _reference_effective_eigs(op.eigs))
             assert row.tobytes() == effective_eigs(op.eigs).tobytes()
@@ -425,23 +408,20 @@ class TestEffectiveEigs:
 
     def test_clustered_makes_one_stacked_call_per_call_with_work(self):
         # mixed rank, every eigenvalue doubled (sigma (x) I), a zero block and a plain spectrum,
-        # each decomposed alone and in two stacks of three: one call clusters every stack not
-        # clustered yet, and each stack keeps its own rows
+        # each decomposed alone and in two stacks of three: one _overlap_grid call clusters the
+        # rhos and the sigmas in one effective_eigs call, and each row is the row's own clustering
         rng = np.random.default_rng(5)
         mats = [random_density(8, rank=int(rng.integers(1, 9)), seed=rng).mat for _ in range(4)]
         mats += [np.kron(random_density(4, seed=rng).mat, np.eye(2)) / 2.0,
                  np.diag([0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]).astype(complex)]
         ops = [PsdOperator(m) for m in mats] + PsdOperator.stack(mats[:3]) + PsdOperator.stack(
             mats[3:])
+        xm = np.repeat(np.eye(8, dtype=complex)[None], len(ops), axis=0)
         with mock.patch.object(entropy, "effective_eigs", wraps=entropy.effective_eigs) as ee:
-            got, = entropy._clustered(ops)
-            again, head = entropy._clustered(ops[::-1], ops[:5])
-        assert ee.call_count == 1 and ee.call_args.args[0].shape == (12, 8)
-        assert again.tobytes() == got[::-1].tobytes() and head.tobytes() == got[:5].tobytes()
-        stacks = list({id(op._stack): op._stack for op in ops}.values())
-        assert len(stacks) == 8 and not any(s["clustered"].flags.writeable for s in stacks)
-        assert entropy._clustered(ops[6:9])[0] is ops[6]._stack["clustered"]
-        for op, row in zip(ops, got):
+            lam, mu = entropy._overlap_grid(make_neg_log(), ops, ops[::-1], xm)[:2]
+        assert ee.call_count == 1 and ee.call_args.args[0].shape == (24, 8)
+        assert mu.tobytes() == lam[::-1].tobytes()
+        for op, row in zip(ops, lam):
             assert row.tobytes() == _reference_effective_eigs(op.eigs).tobytes()
 
 
@@ -469,6 +449,10 @@ GOLDEN_TENSOR_SHA256 = "e1d4d7e47d58b4e0252970c4242ad749a0bb0764a49cc9704d54d903
 # its own trace formula (gap, rhs and details.gap of its 16 lines moved by at
 # most 2.8e-14 relative; no other field of any line, and no verdict, changed).
 GOLDEN_FAMILY_SHA256 = "7e3bbb1e2a3a77ccf3f9db0536d66526d718de35e9b4475c8e46b83ba4b39a2c"
+
+# The d = 64 cells of the monotonicity trio and pinsker, where every state is a stack of
+# one, recorded before the stack-of-one eigh took the stacked call.
+GOLDEN_LARGE_SHA256 = "964c665f906a25547fca11a626759c01f53bcd424b40fdd17a4037819c214a68"
 
 
 # equality_suite's JSON lines (neg_log and f_p:0.5, seeds 0, 1 and 2), recorded before
@@ -528,3 +512,13 @@ def test_golden_family_campaign_digest():
             totals[i] += n
     assert totals == [82, 58, 0]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_FAMILY_SHA256
+
+
+def test_golden_large_campaign_digest():
+    config = CampaignConfig(
+        inequalities=("monotonicity", "thm42", "monotonicity_bound", "pinsker"),
+        functions=("neg_log", "f_p:0.5"), dims=((8, 8),), betas=(0.25, 0.5), trials=2, seed=7)
+    buf = io.StringIO()
+    summary = run_campaign(config, stream=buf)
+    assert (summary.reports, summary.failures) == (24, 0)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_LARGE_SHA256
